@@ -15,7 +15,6 @@ from .agents import (
     HaulerActivity,
     RobotState,
     ScoutActivity,
-    scan_for_sites,
 )
 from .auction import (
     Auction,
@@ -49,7 +48,6 @@ from .metrics import (
 from .pathing import (
     PathCursor,
     PathEstimate,
-    advance_along_path,
     estimate_path,
     straight_line_planner,
 )
@@ -79,10 +77,10 @@ __all__ = [
     "RunResult", "RunStatus", "ScenarioConfig", "ScenarioGenerationError",
     "ScoutActivity", "SimContext", "Simulation", "SpiralPlan", "TaskType",
     "TimingConfig", "Violation", "WinnerDecl", "WorldState",
-    "advance_along_path", "build_spiral", "build_summary", "collect_metrics",
+    "build_spiral", "build_summary", "collect_metrics",
     "derive_auction_histories", "estimate_path", "evaluate_self_utility",
     "generate_scenario", "handle_ack", "make_policy", "open_auction",
-    "ring_index", "run_to_completion", "scan_for_sites", "select_winner",
+    "ring_index", "run_to_completion", "select_winner",
     "straight_line_planner", "submit_bid", "sweep", "transfer_mineral_to_plant",
     "verify_records",
 ]

@@ -107,21 +107,13 @@ class RobotState:
         return self.activity not in _AVAILABLE
 
 
-def scan_for_sites(scout_pose: Point, world: WorldState,
-                   scan_radius: float) -> list[int]:
-    """Undiscovered sites within scan range of the pose; marks them found."""
-    found: list[int] = []
-    for site in world.sites:
-        if not site.discovered and site.location.distance_to(scout_pose) <= scan_radius:
-            site.discovered = True
-            found.append(site.site_id)
-    return found
-
-
 def scan_swept_segment(a: Point, b: Point, world: WorldState,
                        scan_radius: float) -> list[int]:
-    """Scan the whole segment a scout swept this tick, not just its endpoint,
-    so the covered swath has no sampling gaps at any speed."""
+    """Undiscovered sites within scan range of segment a-b; marks them found.
+
+    Scouts scan the whole segment they swept this tick, not just its
+    endpoint, so the covered swath has no sampling gaps at any speed; a == b
+    scans around a single pose."""
     found: list[int] = []
     for site in world.sites:
         if not site.discovered and _segment_distance(site.location, a, b) <= scan_radius:
@@ -290,7 +282,8 @@ class ScoutController(RobotController):
         radius = self.ctx.config.scan_radius
         if not self._scanned_spawn:
             self._scanned_spawn = True
-            self._handle_finds(scan_for_sites(self.state.pose, world, radius), tick)
+            spawn = self.state.pose
+            self._handle_finds(scan_swept_segment(spawn, spawn, world, radius), tick)
         pose, moved, swept = self.cursor.step(self.ctx.config.timing.robot_speed)
         self.state.pose = pose
         self.state.odometry += moved

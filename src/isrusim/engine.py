@@ -32,6 +32,7 @@ from .pathing import PathPlanner, straight_line_planner
 from .policy import Policy, make_policy
 from .spiral import build_spiral
 from .world import (
+    START_CIRCLE_RADIUS,
     Point,
     ResourceSite,
     RobotKind,
@@ -42,9 +43,6 @@ from .world import (
 
 if TYPE_CHECKING:
     from .metrics import MetricsReport
-
-# Robots start evenly spaced on a small circle around the plant.
-START_CIRCLE_RADIUS = 5.0
 
 
 class RunStatus(str, Enum):

@@ -17,7 +17,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .world import RobotKind, ScenarioConfig, TaskType
+from .world import (
+    PLANT_CLEARANCE_FACTOR,
+    START_CIRCLE_RADIUS,
+    RobotKind,
+    ScenarioConfig,
+    TaskType,
+)
 
 if TYPE_CHECKING:
     from .engine import RunResult
@@ -46,6 +52,7 @@ class AuctionSpan:
 
     tier: str
     auctioneer: str
+    task_location: tuple[float, float]
     allocated_to: str
     opened_tick: int
     closed_tick: int
@@ -83,7 +90,10 @@ class MetricsReport:
                 raise MetricsError(f"per-kind distance mismatch for {kind.value}")
         seen = set()
         for span in self.auction_durations:
-            ident = (span.auctioneer, span.opened_tick, span.closed_tick)
+            # one scout can open two auctions in a tick and see both close
+            # in a tick; the task location tells them apart
+            ident = (span.auctioneer, span.task_location, span.opened_tick,
+                     span.closed_tick)
             if ident in seen:
                 raise MetricsError(f"auction {ident} reported twice")
             seen.add(ident)
@@ -182,6 +192,7 @@ def collect_metrics(records: Iterable[dict]) -> MetricsReport:
                 spans.append(AuctionSpan(
                     tier=_TIER_OF_TASK[record["task_type"]],
                     auctioneer=record["auctioneer"],
+                    task_location=key[1],
                     allocated_to=record["allocated_to"],
                     opened_tick=generation["opened"],
                     closed_tick=record["tick"],
@@ -376,9 +387,7 @@ def build_run_meta(config: ScenarioConfig) -> dict:
     """The fully resolved configuration written next to each event log."""
     from . import __version__
     from .agents import STANDBY_OFFSET
-    from .engine import START_CIRCLE_RADIUS
     from .policy import make_policy
-    from .world import PLANT_CLEARANCE_FACTOR, RobotKind
 
     names = config.robot_names()
     policy = make_policy(config.policy,

@@ -9,7 +9,9 @@ obstacle-aware grid planner) without touching the bidding code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .world import Point
@@ -19,10 +21,18 @@ PathPlanner = Callable[[Point, Point], "PathEstimate"]
 
 @dataclass(frozen=True)
 class PathEstimate:
-    """A planned path: ordered waypoints plus its total length."""
+    """A planned path: ordered waypoints, the length of each segment between
+    them, and the arc length at each waypoint."""
 
     waypoints: tuple[Point, ...]
-    length: float
+    segments: tuple[float, ...]
+    # prefix[i] is the arc length from the start to waypoint i, summed one
+    # segment at a time; prefix[0] == 0.0
+    prefix: tuple[float, ...]
+
+    @property
+    def length(self) -> float:
+        return self.prefix[-1]
 
     @property
     def start(self) -> Point:
@@ -38,8 +48,9 @@ def make_path(waypoints: Sequence[Point]) -> PathEstimate:
     if not waypoints:
         raise ValueError("a path needs at least one waypoint")
     pts = tuple(waypoints)
-    length = sum(pts[i].distance_to(pts[i + 1]) for i in range(len(pts) - 1))
-    return PathEstimate(waypoints=pts, length=length)
+    segments = tuple(a.distance_to(b) for a, b in zip(pts, pts[1:]))
+    return PathEstimate(waypoints=pts, segments=segments,
+                        prefix=tuple(accumulate(segments, initial=0.0)))
 
 
 def estimate_path(start: Point, goal: Point) -> PathEstimate:
@@ -61,49 +72,20 @@ def straight_line_planner(arena_side: float) -> PathPlanner:
 
 def point_along(path: PathEstimate, distance: float) -> Point:
     """The point at arc length `distance` from the start of the path."""
-    if distance <= 0.0:
+    return _place(path, bisect_left(path.prefix, distance), distance)
+
+
+def _place(path: PathEstimate, k: int, distance: float) -> Point:
+    """The point at arc length `distance`, given the first waypoint k whose
+    arc length is >= distance: on segment k-1, at distance - prefix[k-1]
+    from its start.  Zero-length segments are never chosen."""
+    if k == 0:
         return path.start
-    remaining = distance
-    for i in range(len(path.waypoints) - 1):
-        a, b = path.waypoints[i], path.waypoints[i + 1]
-        seg = a.distance_to(b)
-        if remaining <= seg:
-            if seg == 0.0:
-                continue
-            t = remaining / seg
-            return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-        remaining -= seg
-    return path.goal
-
-
-def _locate_on_path(path: PathEstimate, pose: Point, tol: float = 1e-6) -> float:
-    """Arc length from the path start to `pose`, which must lie on the path."""
-    traveled = 0.0
-    for i in range(len(path.waypoints) - 1):
-        a, b = path.waypoints[i], path.waypoints[i + 1]
-        seg = a.distance_to(b)
-        if seg == 0.0:
-            continue
-        # pose is on segment a-b iff |a-pose| + |pose-b| == |a-b|
-        d = a.distance_to(pose) + pose.distance_to(b) - seg
-        if d <= tol:
-            return traveled + a.distance_to(pose)
-        traveled += seg
-    if pose.distance_to(path.goal) <= tol:
-        return path.length
-    raise ValueError(f"pose {pose} does not lie on the path")
-
-
-def advance_along_path(pose: Point, path: PathEstimate,
-                       speed: float) -> tuple[Point, float]:
-    """Move `pose` exactly min(speed, remaining) further along the path.
-
-    Returns the new pose and the distance actually moved (the caller adds
-    that to the robot's odometry).
-    """
-    at = _locate_on_path(path, pose)
-    moved = min(speed, path.length - at)
-    return point_along(path, at + moved), moved
+    if k == len(path.prefix):
+        return path.goal
+    a, b = path.waypoints[k - 1], path.waypoints[k]
+    t = (distance - path.prefix[k - 1]) / path.segments[k - 1]
+    return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
 
 
 @dataclass
@@ -112,15 +94,24 @@ class PathCursor:
 
     Tracks its own arc-length position so repeated float relocation never
     drifts, and reports the segments swept during the step (the scout's
-    scanner runs over those, not just the endpoint).
+    scanner runs over those, not just the endpoint).  It keeps the index of
+    the next waypoint ahead, so a step costs the segments it crosses, not
+    the length of the path.
     """
 
     path: PathEstimate
     traveled: float = 0.0
+    pose: Point = field(init=False)
+    # first waypoint whose arc length is >= traveled
+    _next: int = field(init=False, repr=False)
 
-    @property
-    def pose(self) -> Point:
-        return point_along(self.path, self.traveled)
+    def __post_init__(self) -> None:
+        self._seek()
+
+    def _seek(self) -> None:
+        """Place the cursor at `traveled` by binary search."""
+        self._next = bisect_left(self.path.prefix, self.traveled)
+        self.pose = _place(self.path, self._next, self.traveled)
 
     @property
     def arrived(self) -> bool:
@@ -131,21 +122,23 @@ class PathCursor:
         start = self.traveled
         moved = min(speed, self.path.length - start)
         end = start + moved
-        swept: list[tuple[Point, Point]] = []
-        if moved > 0.0:
-            a = point_along(self.path, start)
-            # walk waypoint boundaries strictly between start and end
-            acc = 0.0
-            for i in range(len(self.path.waypoints) - 1):
-                seg = self.path.waypoints[i].distance_to(self.path.waypoints[i + 1])
-                boundary = acc + seg
-                acc = boundary
-                if start < boundary < end:
-                    b = self.path.waypoints[i + 1]
-                    swept.append((a, b))
-                    a = b
-                if boundary >= end:
-                    break
-            swept.append((a, point_along(self.path, end)))
         self.traveled = end
-        return point_along(self.path, end), moved, swept
+        if moved <= 0.0:  # already arrived
+            self._seek()
+            return self.pose, moved, []
+        prefix, waypoints = self.path.prefix, self.path.waypoints
+        k = self._next
+        while k < len(prefix) and prefix[k] <= start:
+            k += 1
+        # sweep from the last pose over every waypoint strictly between
+        # start and end, then on to the new pose
+        a = self.pose
+        swept: list[tuple[Point, Point]] = []
+        while k < len(prefix) and prefix[k] < end:
+            swept.append((a, waypoints[k]))
+            a = waypoints[k]
+            k += 1
+        self._next = k
+        self.pose = _place(self.path, k, end)
+        swept.append((a, self.pose))
+        return self.pose, moved, swept

@@ -26,7 +26,6 @@ class SpiralPlan:
     cell_side: float
     grid_dims: tuple[int, int]
     visit_order: tuple[Cell, ...]
-    cursor: int = 0
 
     def center_of(self, cell: Cell) -> Point:
         return Point((cell[0] + 0.5) * self.cell_side,

@@ -35,6 +35,8 @@ POLICY_NAMES = ("fcfs", "coalition", "nearest")
 PLANT_CLEARANCE_FACTOR = 2.0
 # Total placement attempts before a configuration is declared over-dense.
 MAX_PLACEMENT_ATTEMPTS = 10_000
+# Robots start evenly spaced on a circle of this radius around the plant.
+START_CIRCLE_RADIUS = 5.0
 
 
 class ScenarioGenerationError(ValueError):
@@ -117,8 +119,10 @@ class ScenarioConfig:
     tick_cap: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.arena_side <= 0:
-            raise ValueError("arena_side must be positive")
+        if self.arena_side < 2.0 * START_CIRCLE_RADIUS:
+            raise ValueError(
+                f"arena_side must be at least {2.0 * START_CIRCLE_RADIUS} so the "
+                f"robots' start circle fits in the arena")
         if self.n_scouts not in (1, 2):
             raise ValueError("n_scouts must be 1 or 2")
         if self.n_excavators < 1 or self.n_haulers < 1:

@@ -84,24 +84,28 @@ def test_criterion_3_coverage_oracle():
            str(failures) if failures else "36 grid/scout combinations clean")
 
 
+# The off-default configs of criterion 4 (their log fingerprints are also
+# pinned in tests/data/log_fingerprints.json).
+DETERMINISM_CONFIGS = (
+    s.ScenarioConfig(policy="fcfs", seed=3),
+    s.ScenarioConfig(policy="coalition", seed=7),
+    s.ScenarioConfig(policy="nearest", seed=13),
+    s.ScenarioConfig(arena_side=30.0, n_scouts=1, n_excavators=2,
+                     n_haulers=3, n_sites=2, n_minerals=4, seed=1,
+                     policy="coalition",
+                     timing=s.TimingConfig(robot_speed=2.0, dig_duration=7,
+                                           load_duration=3,
+                                           unload_duration=2,
+                                           bid_window=4)),
+    s.ScenarioConfig(arena_side=30.0, n_scouts=1, n_excavators=2,
+                     n_haulers=3, n_sites=3, n_minerals=5, seed=2,
+                     policy="nearest"),
+)
+
+
 def test_criterion_4_determinism():
-    configs = [
-        s.ScenarioConfig(policy="fcfs", seed=3),
-        s.ScenarioConfig(policy="coalition", seed=7),
-        s.ScenarioConfig(policy="nearest", seed=13),
-        s.ScenarioConfig(arena_side=30.0, n_scouts=1, n_excavators=2,
-                         n_haulers=3, n_sites=2, n_minerals=4, seed=1,
-                         policy="coalition",
-                         timing=s.TimingConfig(robot_speed=2.0, dig_duration=7,
-                                               load_duration=3,
-                                               unload_duration=2,
-                                               bid_window=4)),
-        s.ScenarioConfig(arena_side=30.0, n_scouts=1, n_excavators=2,
-                         n_haulers=3, n_sites=3, n_minerals=5, seed=2,
-                         policy="nearest"),
-    ]
     mismatched = []
-    for config in configs:
+    for config in DETERMINISM_CONFIGS:
         first = s.run_to_completion(config).log.dumps()
         second = s.run_to_completion(config).log.dumps()
         if first != second:

@@ -13,12 +13,12 @@ from isrusim import (
     TaskType,
     WinnerDecl,
     generate_scenario,
-    scan_for_sites,
 )
 from isrusim.agents import (
     ExcavatorActivity,
     HaulerActivity,
     ScoutActivity,
+    scan_swept_segment,
     standby_point,
 )
 
@@ -30,23 +30,28 @@ def world_with_site_at(location: Point):
     return world
 
 
+def scan_at(pose: Point, world, radius: float) -> list[int]:
+    """The scan around a single pose, as a scout makes at its spawn point."""
+    return scan_swept_segment(pose, pose, world, radius)
+
+
 def test_scan_finds_site_within_radius():
     world = world_with_site_at(Point(12, 11))
-    found = scan_for_sites(Point(10, 10), world, 2.5)  # distance sqrt(5)
+    found = scan_at(Point(10, 10), world, 2.5)  # distance sqrt(5)
     assert found == [0]
     assert world.sites[0].discovered
 
 
 def test_scan_misses_site_outside_radius():
     world = world_with_site_at(Point(13, 10))  # distance 3.0
-    assert scan_for_sites(Point(10, 10), world, 2.5) == []
+    assert scan_at(Point(10, 10), world, 2.5) == []
     assert not world.sites[0].discovered
 
 
 def test_scan_skips_already_discovered():
     world = world_with_site_at(Point(12, 11))
-    scan_for_sites(Point(10, 10), world, 2.5)
-    assert scan_for_sites(Point(10, 10), world, 2.5) == []
+    scan_at(Point(10, 10), world, 2.5)
+    assert scan_at(Point(10, 10), world, 2.5) == []
 
 
 def test_busy_rule_per_kind():

@@ -176,6 +176,18 @@ def test_run_meta_contains_resolved_config_and_pairs():
     assert meta["constants"]["coalition_excavate_tier"] == "fcfs"
 
 
+def test_two_auctions_from_one_scout_in_the_same_ticks_validate():
+    records = synthetic_log()
+    records[0]["n_sites"] = 2
+    # announcement, discovery and close of a second site, in the same ticks
+    records[4:4] = [dict(r, loc=[60.0, 70.0]) for r in records[1:4]]
+    report = collect_metrics(records)
+    assert len(report.auction_durations) == 2
+    report.auction_durations.append(report.auction_durations[0])
+    with pytest.raises(MetricsError, match="reported twice"):
+        report.validate()
+
+
 def test_validate_catches_tampered_report():
     report = collect_metrics(synthetic_log())
     report.per_kind_distance["scout"] += 1.0

@@ -4,10 +4,12 @@ from isrusim import (
     Point,
     RobotKind,
     RobotState,
+    RunStatus,
     ScenarioConfig,
     ScenarioGenerationError,
     TimingConfig,
     generate_scenario,
+    run_to_completion,
     transfer_mineral_to_plant,
 )
 from isrusim.agents import HaulerActivity
@@ -42,6 +44,21 @@ def test_default_config_matches_reference_scenario():
 def test_config_validation_rejects(bad):
     with pytest.raises(ValueError):
         ScenarioConfig(**bad)
+
+
+def small_arena(side: float) -> ScenarioConfig:
+    return ScenarioConfig(arena_side=side, scan_radius=0.5, n_scouts=1,
+                          n_excavators=1, n_haulers=1, n_sites=2, n_minerals=2)
+
+
+@pytest.mark.parametrize("side", [6.0, 8.0])
+def test_arena_smaller_than_the_start_circle_is_rejected(side):
+    with pytest.raises(ValueError, match="start circle"):
+        small_arena(side)
+
+
+def test_smallest_arena_holding_the_start_circle_runs():
+    assert run_to_completion(small_arena(10.0)).status is RunStatus.COMPLETED
 
 
 @pytest.mark.parametrize("bad", [
