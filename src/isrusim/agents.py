@@ -33,7 +33,6 @@ from .bus import (
     Announcement,
     AuctionKey,
     Bid,
-    Close,
     Envelope,
     WinnerDecl,
     auction_key,
@@ -151,7 +150,7 @@ class RobotController:
     def __init__(self, state: RobotState, ctx: "SimContext"):
         self.state = state
         self.ctx = ctx
-        self.views: dict[AuctionKey, AuctionView] = {}
+        self.views: dict[AuctionKey, AuctionView] = {}  # oldest first
         self.pending_wins: list[tuple[int, WinnerDecl]] = []
         self.book: dict[AuctionKey, Auction] = {}
         self.closed_auctions: list[Auction] = []
@@ -159,7 +158,9 @@ class RobotController:
     # -- engine hooks --------------------------------------------------
 
     def step(self, tick: int) -> None:
-        self._ingest(self.ctx.bus.drain_inbox(self.state.name, tick), tick)
+        inbox = self.ctx.bus.drain_inbox(self.state.name, tick, self.bids_on)
+        if inbox:
+            self._ingest(inbox, tick)
         self._resolve_wins(tick)
         self._act(tick)
         self._place_bids(tick)
@@ -175,38 +176,51 @@ class RobotController:
     # -- message handling ----------------------------------------------
 
     def _ingest(self, envelopes: list[Envelope], tick: int) -> None:
+        """Act on this tick's inbox, which the bus has already addressed:
+        announcements and closes of the task type this robot bids on, and
+        the bids, acks and winner declarations sent to it."""
         for env in envelopes:
             msg = env.payload
+            key = auction_key(msg)
             if isinstance(msg, Announcement):
-                if self.bids_on is msg.task_type:
-                    view = self.views.get(auction_key(msg))
-                    if view is None:
-                        self.views[auction_key(msg)] = AuctionView(
-                            auctioneer=msg.auctioneer,
-                            task_type=msg.task_type,
-                            task_location=msg.task_location,
-                            first_tick=env.publish_tick,
-                        )
-                    else:
-                        view.rounds_seen += 1
+                view = self.views.get(key)
+                if view is None:
+                    self._add_view(key, AuctionView(
+                        auctioneer=msg.auctioneer,
+                        task_type=msg.task_type,
+                        task_location=msg.task_location,
+                        first_tick=env.publish_tick,
+                    ))
+                else:
+                    view.rounds_seen += 1
             elif isinstance(msg, Bid):
-                auction = self.book.get(auction_key(msg))
-                if auction is not None:  # everyone else ignores the bid
+                auction = self.book.get(key)
+                if auction is not None:  # the auction may have closed
                     record_bid(auction, msg)
             elif isinstance(msg, WinnerDecl):
-                if msg.winner == self.state.name:
-                    self.pending_wins.append((tick, msg))
+                self.pending_wins.append((tick, msg))
             elif isinstance(msg, Ack):
-                auction = self.book.get(auction_key(msg))
+                auction = self.book.get(key)
                 if auction is not None:
                     handle_ack(auction, msg, tick, self.ctx.bus)
                     if not auction.is_open:
-                        del self.book[auction.key]
+                        del self.book[key]
                         self.closed_auctions.append(auction)
-            elif isinstance(msg, Close):
-                self.views.pop(auction_key(msg), None)
+            else:  # Close
+                self.views.pop(key, None)
+
+    def _add_view(self, key: AuctionKey, view: AuctionView) -> None:
+        """Insert a view, keeping `views` oldest-first by `order_key`; the
+        rare insert that lands out of order re-sorts the views."""
+        last = next(reversed(self.views.values()), None)
+        self.views[key] = view
+        if last is not None and view.order_key < last.order_key:
+            self.views = dict(sorted(self.views.items(),
+                                     key=lambda item: item[1].order_key))
 
     def _resolve_wins(self, tick: int) -> None:
+        if not self.pending_wins:
+            return
         window = self.ctx.config.timing.win_resolution_window
         ready = [w for t0, w in self.pending_wins if tick >= t0 + window - 1]
         if not ready:
@@ -236,10 +250,12 @@ class RobotController:
         idle: it is honestly available now, and waiting for the next
         re-announcement round would misrepresent that.
         """
-        if self.bids_on is None or not self.views:
-            return
-        ordered = sorted(self.views.values(), key=lambda v: v.order_key)
+        if not any(view.bid_round < view.rounds_seen
+                   or (view.last_bid == NEG_INF and not self.state.busy)
+                   for view in self.views.values()):
+            return  # no round to answer and no sentinel to correct
         busy = self.state.busy
+        ordered = list(self.views.values())
         for view in self.ctx.policy.bid_filter(self.state, ordered):
             fresh_round = view.bid_round < view.rounds_seen
             now_available = view.last_bid == NEG_INF and not busy

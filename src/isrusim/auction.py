@@ -28,10 +28,6 @@ _CAPABILITY = {TaskType.EXCAVATE: RobotKind.EXCAVATOR,
                TaskType.TRANSPORT: RobotKind.HAULER}
 
 
-def capable_kind(task_type: TaskType) -> RobotKind:
-    return _CAPABILITY[task_type]
-
-
 def is_capable(kind: RobotKind, task_type: TaskType) -> bool:
     return _CAPABILITY[task_type] is kind
 

@@ -1,15 +1,18 @@
-"""Broadcast message transport and the five auction message formats.
+"""Message transport and the five auction message formats.
 
-Every published message reaches every robot (the publisher included) at the
-start of the next tick, with no loss and a global sequence number that makes
-the delivery order total.  Addressing is purely receiver-side: a robot that
-has no business with a message simply drops it.
+Every published message is delivered at the start of the next tick, with no
+loss and a global sequence number that makes the delivery order total.  The
+bus addresses each message to the robots that act on it: announcements and
+closes to the robots that bid on its task type, bids and acks to the
+auctioneer, a winner declaration to the winner.  Every message is still
+logged, so the log stays the broadcast record of the run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 from .events import EventLog
@@ -115,6 +118,9 @@ class Envelope:
     payload: Message
 
 
+_sequence_of = attrgetter("sequence")
+
+
 def envelope_record(env: Envelope) -> dict:
     """Flatten an envelope into one event-log record."""
     msg = env.payload
@@ -170,16 +176,19 @@ def envelope_from_record(record: dict) -> Envelope:
 
 
 class BroadcastBus:
-    """Lossless broadcast with a fixed one-tick delivery latency."""
+    """Lossless addressed delivery with a fixed one-tick latency."""
 
     def __init__(self, log: EventLog | None = None):
         self._log = log
         self._by_tick: dict[int, list[Envelope]] = {}
         self._sequence = 0
         self._last_drain: dict[str, int] = {}
+        self._bucketed_tick: int | None = None  # the tick the buckets are for
+        self._by_robot: dict[str, list[Envelope]] = {}
+        self._by_type: dict[TaskType, list[Envelope]] = {}
 
     def publish(self, msg: Message, tick: int) -> Envelope:
-        """Enqueue a message; every robot receives it at tick + 1."""
+        """Enqueue a message; its recipients receive it at tick + 1."""
         env = Envelope(publish_tick=tick, sequence=self._sequence, payload=msg)
         self._sequence += 1
         self._by_tick.setdefault(tick, []).append(env)
@@ -187,15 +196,41 @@ class BroadcastBus:
             self._log.append(envelope_record(env))
         return env
 
-    def drain_inbox(self, robot: str, tick: int) -> list[Envelope]:
-        """All envelopes published at tick-1, in sequence order.
+    def drain_inbox(self, robot: str, tick: int,
+                    task_type: TaskType | None = None) -> list[Envelope]:
+        """The envelopes published at tick-1 that `robot` acts on, in
+        sequence order: those addressed to it, plus the announcements and
+        closes of `task_type`, the task type it bids on.
 
-        Idempotent within a tick: a second drain returns nothing.
+        Idempotent within a tick: a second drain returns nothing.  Ticks are
+        drained in non-decreasing order, as the engine steps them.
         """
         if self._last_drain.get(robot, -1) >= tick:
             return []
         self._last_drain[robot] = tick
-        return self._by_tick.get(tick - 1, [])
+        if self._bucketed_tick != tick:
+            self._bucket(tick)
+        own = self._by_robot.get(robot, [])
+        typed = self._by_type.get(task_type, [])
+        if own and typed:
+            return sorted(own + typed, key=_sequence_of)
+        return own or typed
+
+    def _bucket(self, tick: int) -> None:
+        """Bucket the envelopes published at tick-1 by recipient, and drop
+        them, and any older ones, from the queue."""
+        by_robot: dict[str, list[Envelope]] = {}
+        by_type: dict[TaskType, list[Envelope]] = {}
+        for env in self._by_tick.get(tick - 1, ()):
+            msg = env.payload
+            if isinstance(msg, (Announcement, Close)):
+                by_type.setdefault(msg.task_type, []).append(env)
+            else:
+                to = msg.winner if isinstance(msg, WinnerDecl) else msg.auctioneer
+                by_robot.setdefault(to, []).append(env)
+        self._by_tick = {t: envs for t, envs in self._by_tick.items() if t >= tick}
+        self._by_robot, self._by_type = by_robot, by_type
+        self._bucketed_tick = tick
 
     @property
     def messages_published(self) -> int:

@@ -152,7 +152,6 @@ class Simulation:
         if self.status is not RunStatus.RUNNING:
             raise RuntimeError("cannot step a finished run")
         tick = self.tick
-        self.ctx.world.tick = tick
         for controller in self._step_order:  # drains tick-1 broadcasts
             controller.step(tick)
         for controller in self._step_order:

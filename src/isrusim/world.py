@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -75,6 +75,12 @@ class ResourceSite:
             raise ValueError("minerals_remaining out of range")
 
 
+def _require_finite(config: object, name: str) -> None:
+    """Reject NaN and infinities, which compare False against every bound."""
+    if not math.isfinite(getattr(config, name)):
+        raise ValueError(f"{name} must be a finite number")
+
+
 @dataclass(frozen=True)
 class TimingConfig:
     """Duration constants, all expressed in ticks (speed in meters/tick).
@@ -92,6 +98,7 @@ class TimingConfig:
     win_resolution_window: int = 1
 
     def __post_init__(self) -> None:
+        _require_finite(self, "robot_speed")
         if self.robot_speed <= 0:
             raise ValueError("robot_speed must be positive")
         for name in ("dig_duration", "load_duration", "unload_duration",
@@ -119,6 +126,8 @@ class ScenarioConfig:
     tick_cap: int = 200_000
 
     def __post_init__(self) -> None:
+        _require_finite(self, "arena_side")
+        _require_finite(self, "scan_radius")
         if self.arena_side < 2.0 * START_CIRCLE_RADIUS:
             raise ValueError(
                 f"arena_side must be at least {2.0 * START_CIRCLE_RADIUS} so the "
@@ -169,13 +178,12 @@ class ScenarioConfig:
 
 @dataclass
 class WorldState:
-    """Shared mutable world: sites, plant stock and the current tick."""
+    """Shared mutable world: sites and plant stock."""
 
     arena_side: float
     plant_location: Point
     sites: list[ResourceSite]
     minerals_at_plant: int = 0
-    tick: int = 0
 
     @property
     def minerals_total(self) -> int:
@@ -356,8 +364,3 @@ def build_config(*mappings: Mapping[str, object]) -> ScenarioConfig:
     if timing_kwargs:
         config_kwargs["timing"] = TimingConfig(**timing_kwargs)  # type: ignore[arg-type]
     return ScenarioConfig(**config_kwargs)  # type: ignore[arg-type]
-
-
-def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Return a copy of `config` with the given fields replaced."""
-    return replace(config, **overrides)

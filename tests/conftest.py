@@ -11,6 +11,16 @@ def tiny_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def crowded_config(**overrides) -> ScenarioConfig:
+    """A 2/8/12 fleet in a 30 m arena: heavy auction traffic, and under
+    nearest some robots are declared winner of several auctions at once."""
+    base = dict(arena_side=30.0, n_scouts=2, n_excavators=8, n_haulers=12,
+                n_sites=10, n_minerals=60, seed=0, policy="fcfs",
+                tick_cap=20_000)
+    base.update(overrides)
+    return ScenarioConfig(**base)
+
+
 def tiny_run(**overrides):
     return run_to_completion(tiny_config(**overrides))
 

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from conftest import tiny_config, tiny_run
+from conftest import crowded_config, tiny_config, tiny_run
 
 from isrusim import (
+    Announcement,
+    Envelope,
     Point,
     RobotKind,
     RobotState,
@@ -13,6 +15,7 @@ from isrusim import (
     TaskType,
     WinnerDecl,
     generate_scenario,
+    run_to_completion,
 )
 from isrusim.agents import (
     ExcavatorActivity,
@@ -21,6 +24,7 @@ from isrusim.agents import (
     scan_swept_segment,
     standby_point,
 )
+from isrusim.policy import Policy
 
 
 def world_with_site_at(location: Point):
@@ -249,6 +253,44 @@ def test_bid_addressed_to_other_auctioneer_is_ignored():
     for name, controller in sim.ctx.controllers.items():
         for auction in controller.book.values():
             assert "excavator_2" not in auction.bids
+
+
+def test_bid_filter_is_called_only_when_a_bid_goes_out(monkeypatch):
+    """Work guard: under nearest a robot bids in every open auction its
+    policy call sees, so every bid_filter call publishes a bid, and a robot
+    whose views need no bid makes no call.  The views reach the policy
+    oldest first."""
+    calls = []
+    bid_filter = Policy.bid_filter
+
+    def counted(self, robot, open_auctions):
+        assert open_auctions == sorted(open_auctions, key=lambda v: v.order_key)
+        calls.append(robot.name)
+        return bid_filter(self, robot, open_auctions)
+
+    monkeypatch.setattr(Policy, "bid_filter", counted)
+    result = run_to_completion(crowded_config(policy="nearest"))
+    bidding_ticks = {(r["tick"], r["bidder"]) for r in result.log.records
+                     if r["type"] == "msg" and r["variant"] == "bid"}
+    assert len(calls) == len(bidding_ticks) > 0
+
+
+def test_views_stay_oldest_first_when_announcements_arrive_out_of_order():
+    excavator = Simulation(tiny_config()).ctx.controllers["excavator_1"]
+
+    def announce(tick, seq, scout, x):
+        return Envelope(tick, seq, Announcement(scout, TaskType.EXCAVATE,
+                                                Point(x, 5.0)))
+
+    excavator._ingest([announce(5, 0, "scout_2", 20.0),
+                       announce(5, 1, "scout_1", 25.0),
+                       announce(5, 2, "scout_1", 10.0)], 6)
+    excavator._ingest([announce(6, 3, "scout_1", 1.0),
+                       announce(4, 4, "scout_2", 1.0)], 7)
+    assert [v.order_key for v in excavator.views.values()] == [
+        (4, "scout_2", (1.0, 5.0)), (5, "scout_1", (10.0, 5.0)),
+        (5, "scout_1", (25.0, 5.0)), (5, "scout_2", (20.0, 5.0)),
+        (6, "scout_1", (1.0, 5.0))]
 
 
 def test_depleted_excavator_returns_to_bidding():

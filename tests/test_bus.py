@@ -1,6 +1,10 @@
 import math
+import weakref
+from collections import defaultdict
 
 import pytest
+
+from conftest import crowded_config
 
 from isrusim import (
     Ack,
@@ -10,6 +14,8 @@ from isrusim import (
     Close,
     EventLog,
     Point,
+    RunStatus,
+    Simulation,
     TaskType,
     WinnerDecl,
 )
@@ -17,51 +23,141 @@ from isrusim.bus import envelope_from_record, envelope_record
 
 
 LOC = Point(30.0, 40.0)
+OTHER = Point(12.0, 5.0)
 
 
-def test_publish_delivers_to_every_robot_next_tick():
+# who bids on which task type; scouts bid on nothing
+FLEET = {"scout_1": None, "excavator_1": TaskType.EXCAVATE,
+         "excavator_2": TaskType.EXCAVATE, "hauler_1": TaskType.TRANSPORT,
+         "hauler_2": TaskType.TRANSPORT}
+EXCAVATORS = {"excavator_1", "excavator_2"}
+HAULERS = {"hauler_1", "hauler_2"}
+
+
+def drain_all(bus, tick):
+    return {robot: bus.drain_inbox(robot, tick, task_type)
+            for robot, task_type in FLEET.items()}
+
+
+@pytest.mark.parametrize("msg, recipients", [
+    (Announcement("scout_1", TaskType.EXCAVATE, LOC), EXCAVATORS),
+    (Announcement("excavator_1", TaskType.TRANSPORT, LOC), HAULERS),
+    (Bid("scout_1", "excavator_1", LOC, -2.0), {"scout_1"}),
+    (Bid("excavator_2", "hauler_1", LOC, float("-inf")), {"excavator_2"}),
+    (WinnerDecl("scout_1", TaskType.EXCAVATE, LOC, "excavator_2"), {"excavator_2"}),
+    (Ack("excavator_1", "hauler_2", LOC, accepted=False), {"excavator_1"}),
+    (Close("scout_1", TaskType.EXCAVATE, LOC, "excavator_1"), EXCAVATORS),
+    (Close("excavator_2", TaskType.TRANSPORT, LOC, "hauler_1"), HAULERS),
+], ids=["announce-excavate", "announce-transport", "bid", "busy-bid", "winner",
+        "ack", "close-excavate", "close-transport"])
+def test_publish_delivers_to_every_recipient_next_tick(msg, recipients):
     bus = BroadcastBus()
-    bus.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=10)
-    for robot in ("scout_1", "excavator_1", "hauler_3"):
-        inbox = bus.drain_inbox(robot, tick=11)
-        assert len(inbox) == 1
-        assert inbox[0].payload.auctioneer == "scout_1"
+    env = bus.publish(msg, tick=10)
+    inboxes = drain_all(bus, tick=11)
+    assert {robot for robot, inbox in inboxes.items() if inbox} == recipients
+    for robot in recipients:
+        assert inboxes[robot] == [env]
 
 
 def test_not_delivered_same_tick():
     bus = BroadcastBus()
     bus.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=10)
-    assert bus.drain_inbox("excavator_1", tick=10) == []
+    assert bus.drain_inbox("excavator_1", 10, TaskType.EXCAVATE) == []
+    assert len(bus.drain_inbox("excavator_1", 11, TaskType.EXCAVATE)) == 1
 
 
 def test_same_tick_messages_keep_publish_order():
     bus = BroadcastBus()
-    bus.publish(Bid("scout_1", "excavator_1", LOC, -2.0), tick=4)
+    bus.publish(Bid("excavator_1", "hauler_1", LOC, -2.0), tick=4)
     bus.publish(Announcement("scout_2", TaskType.EXCAVATE, LOC), tick=4)
-    inbox = bus.drain_inbox("hauler_1", tick=5)
-    assert [e.sequence for e in inbox] == [0, 1]
-    assert isinstance(inbox[0].payload, Bid)
-    assert isinstance(inbox[1].payload, Announcement)
+    bus.publish(Bid("scout_2", "excavator_2", LOC, -1.0), tick=4)  # not ours
+    bus.publish(WinnerDecl("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"), tick=4)
+    bus.publish(Close("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"), tick=4)
+    bus.publish(Ack("excavator_1", "hauler_1", LOC, accepted=True), tick=4)
+    inbox = bus.drain_inbox("excavator_1", 5, TaskType.EXCAVATE)
+    assert [e.sequence for e in inbox] == [0, 1, 3, 4, 5]
+    assert [type(e.payload) for e in inbox] == [Bid, Announcement, WinnerDecl,
+                                                Close, Ack]
 
 
 def test_drain_is_idempotent_within_tick():
     bus = BroadcastBus()
     bus.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=0)
-    assert len(bus.drain_inbox("hauler_1", tick=1)) == 1
-    assert bus.drain_inbox("hauler_1", tick=1) == []
+    bus.publish(Bid("scout_1", "excavator_1", LOC, -1.0), tick=0)
+    assert len(bus.drain_inbox("scout_1", 1)) == 1
+    assert bus.drain_inbox("scout_1", 1) == []
+    assert len(bus.drain_inbox("excavator_1", 1, TaskType.EXCAVATE)) == 1
+    assert bus.drain_inbox("excavator_1", 1, TaskType.EXCAVATE) == []
 
 
 def test_no_traffic_empty_inbox():
     bus = BroadcastBus()
     assert bus.drain_inbox("scout_1", tick=5) == []
+    assert bus.drain_inbox("hauler_1", 5, TaskType.TRANSPORT) == []
 
 
 def test_fanout_counts():
     bus = BroadcastBus()
     for i in range(3):
         bus.publish(Bid("scout_1", f"excavator_{i + 1}", LOC, -float(i)), tick=7)
-    for robot in ("a", "b", "c"):
-        assert len(bus.drain_inbox(robot, tick=8)) == 3
+    bus.publish(Announcement("scout_1", TaskType.EXCAVATE, OTHER), tick=7)
+    counts = {robot: len(inbox) for robot, inbox in drain_all(bus, 8).items()}
+    assert counts == {"scout_1": 3, "excavator_1": 1, "excavator_2": 1,
+                      "hauler_1": 0, "hauler_2": 0}
+
+
+def test_delivered_and_undrained_envelopes_are_released():
+    bus = BroadcastBus()
+    delivered = weakref.ref(
+        bus.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=0))
+    skipped = weakref.ref(bus.publish(Bid("scout_1", "excavator_1", LOC, -1.0), tick=1))
+    assert len(bus.drain_inbox("excavator_1", 1, TaskType.EXCAVATE)) == 1
+    assert bus.drain_inbox("excavator_1", 3, TaskType.EXCAVATE) == []
+    assert delivered() is None and skipped() is None
+
+
+def test_inbox_is_the_log_filtered_by_receiver_rules():
+    """Differential check of addressed delivery on a crowded nearest run:
+    each robot's inbox at tick t is exactly the messages of tick t-1 in the
+    log that the robot acts on, in sequence order."""
+    sim = Simulation(crowded_config(policy="nearest"))
+    bus = sim.ctx.bus
+    drain = bus.drain_inbox
+    inboxes = {}
+
+    def capture(robot, tick, task_type=None):
+        inbox = drain(robot, tick, task_type)
+        inboxes[robot, tick] = [env.sequence for env in inbox]
+        return inbox
+
+    bus.drain_inbox = capture
+    assert sim.run() is RunStatus.COMPLETED
+
+    bids_on = {"scout": None, "excavator": "excavate", "hauler": "transport"}
+    robots = sim.ctx.log.records[0]["robots"]
+    by_tick = defaultdict(list)
+    for record in sim.ctx.log.records:
+        if record["type"] == "msg":
+            by_tick[record["tick"]].append(record)
+
+    def acts_on(name, kind, record):
+        variant = record["variant"]
+        if variant in ("announcement", "close"):
+            return record["task_type"] == bids_on[kind]
+        if variant == "winner":
+            return record["winner"] == name
+        return record["auctioneer"] == name  # bid or ack
+
+    assert len(inboxes) == len(robots) * sim.tick
+    multi_wins = 0
+    for (name, kind) in robots:
+        for tick in range(sim.tick):
+            expected = [r["seq"] for r in by_tick[tick - 1]
+                        if acts_on(name, kind, r)]
+            assert inboxes[name, tick] == expected, (name, tick)
+            multi_wins += sum(r["variant"] == "winner" and r["winner"] == name
+                              for r in by_tick[tick - 1]) > 1
+    assert multi_wins > 0  # the run exercises same-tick multi-wins
 
 
 def test_envelopes_logged():

@@ -113,3 +113,27 @@ def test_missing_config_file_reports_error(tmp_path, capsys):
                  "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--arena", "inf"], "arena_side"),
+    (["--arena", "nan"], "arena_side"),
+    (["--scan-radius", "nan"], "scan_radius"),
+])
+def test_non_finite_flag_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                     flags, field):
+    code = main(["run", "--policy", "fcfs", "--seed", "1", *flags,
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_speed_in_config_file_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("robot_speed = nan\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: robot_speed")

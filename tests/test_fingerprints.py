@@ -1,7 +1,11 @@
 """Golden log fingerprints: the sha256 of `EventLog.dumps()` for fixed runs.
 
-A change that moves one of these changes the bytes of a log.  Snapshot logs
-are not pinned here.  Re-record only on purpose, and say why in CHANGES.md:
+A change that moves one of these changes the bytes of a log.  Pinned: the
+reference scenario, the determinism configs, the tiny config at several
+robot speeds, a crowded fleet under every policy (nearest declares some
+robots winner of several auctions in one tick), and `--snapshots` logs of
+the tiny config under every policy.  Re-record only on purpose, and say why
+in CHANGES.md:
 
     PYTHONPATH=src python tests/test_fingerprints.py --write
 """
@@ -14,22 +18,29 @@ from pathlib import Path
 import pytest
 
 import isrusim as s
-from conftest import tiny_config
+from conftest import crowded_config, tiny_config
 from test_acceptance import DETERMINISM_CONFIGS, POLICIES
 
 DATA = Path(__file__).parent / "data" / "log_fingerprints.json"
 
-CASES = {f"reference/{policy}/{seed}": s.ScenarioConfig(policy=policy, seed=seed)
+# name -> (config, whether the log carries per-tick snapshots)
+CASES = {f"reference/{policy}/{seed}":
+         (s.ScenarioConfig(policy=policy, seed=seed), False)
          for seed in range(4) for policy in POLICIES}
-CASES.update((f"criterion4/{i}", config)
+CASES.update((f"criterion4/{i}", (config, False))
              for i, config in enumerate(DETERMINISM_CONFIGS))
 CASES.update((f"tiny/speed{speed}",
-              tiny_config(timing=s.TimingConfig(robot_speed=speed)))
+              (tiny_config(timing=s.TimingConfig(robot_speed=speed)), False))
              for speed in (0.7, 1.3, 2.0, 2.5))
+CASES.update((f"crowded/{policy}", (crowded_config(policy=policy), False))
+             for policy in POLICIES)
+CASES.update((f"tiny/snapshots/{policy}", (tiny_config(policy=policy), True))
+             for policy in POLICIES)
 
 
-def fingerprint(config: s.ScenarioConfig) -> str:
-    return hashlib.sha256(s.run_to_completion(config).log.dumps()).hexdigest()
+def fingerprint(config: s.ScenarioConfig, snapshots: bool) -> str:
+    log = s.run_to_completion(config, snapshots=snapshots).log
+    return hashlib.sha256(log.dumps()).hexdigest()
 
 
 def test_every_case_is_recorded():
@@ -38,12 +49,12 @@ def test_every_case_is_recorded():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_log_fingerprint(name):
-    assert fingerprint(CASES[name]) == json.loads(DATA.read_text())[name]
+    assert fingerprint(*CASES[name]) == json.loads(DATA.read_text())[name]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    DATA.write_text(json.dumps({name: fingerprint(config)
-                                for name, config in CASES.items()},
+    DATA.write_text(json.dumps({name: fingerprint(*case)
+                                for name, case in CASES.items()},
                                indent=2) + "\n")

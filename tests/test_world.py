@@ -46,6 +46,19 @@ def test_config_validation_rejects(bad):
         ScenarioConfig(**bad)
 
 
+@pytest.mark.parametrize("field", ["arena_side", "scan_radius"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_config_is_rejected_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        ScenarioConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_robot_speed_is_rejected(value):
+    with pytest.raises(ValueError, match="robot_speed must be a finite number"):
+        TimingConfig(robot_speed=value)
+
+
 def small_arena(side: float) -> ScenarioConfig:
     return ScenarioConfig(arena_side=side, scan_radius=0.5, n_scouts=1,
                           n_excavators=1, n_haulers=1, n_sites=2, n_minerals=2)
