@@ -3,14 +3,78 @@
 Every protocol message, every mineral lifecycle event and (at debug
 verbosity) every per-tick robot snapshot is one record.  A finished log is
 self-contained: metrics and the protocol verifier work from the log alone,
-never from live simulation state.
+never from live simulation state.  `RECORD_FIELDS` and `MSG_FIELDS` are the
+one definition of what a record carries.
+
+Write path: each record is one compact ASCII JSON object on its own line,
+made by one encoder built at import (the C encoder of the json module when
+it is there, a `JSONEncoder` otherwise).  JSON has no -inf, so the busy-bid
+sentinel is written as the string "-inf"; that holds for the `utility`
+field only, the one field the reader turns back, and any other non-finite
+float raises `ValueError`.  `dumps` and `dump_jsonl` return and write the
+same bytes.
+
+Read path: `_decode` parses one line and checks its record against the
+schema.  It is the reference, and the only source of `LogParseError`
+messages and line numbers.  `load_jsonl` first tries a fast path on each
+batch of `_BATCH_LINES` lines: one `json.loads` of the lines joined into a
+JSON array, so the batch's records share their key strings.  It keeps that
+result only if the array holds one schema-valid record (an object) per
+line and no line holds `}`, then a comma, then `{` with only spaces, tabs or
+carriage returns in between.  That is exact: no JSON string holds a raw
+newline, so each comma inserted after a line's newline lies outside every
+string, and a comma separating two top-level objects that came from inside
+a line would need that pattern (a newline beside it would meet an inserted
+comma and fail the parse).  So each of the array's separators is an
+inserted comma, each line is exactly one record, and the per-line parse
+gives the same records.  Any other batch, including one with a blank line,
+goes through `_decode` line by line, which skips blank lines and raises
+the reference error.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from itertools import islice
+from json import encoder as _json_encoder
 from pathlib import Path
 from typing import Iterable, Iterator
+
+NEG_INF = float("-inf")
+
+# Fields each record type always carries; a msg record also carries the
+# fields of its variant.
+RECORD_FIELDS: dict[str, tuple[str, ...]] = {
+    "run_start": ("policy", "seed", "arena_side", "n_sites", "n_minerals",
+                  "tick_cap", "robots", "coalition_pairs"),
+    "run_end": ("tick", "status", "minerals_at_plant", "sites_discovered",
+                "odometry"),
+    "snapshot": ("tick", "name", "loc", "activity", "odometry", "carried"),
+    "discovery": ("tick", "site", "scout", "loc"),
+    "claim": ("tick", "site", "excavator"),
+    "dig": ("tick", "mineral", "site", "excavator"),
+    "release": ("tick", "site", "excavator"),
+    "load": ("tick", "mineral", "site", "excavator", "hauler"),
+    "unload": ("tick", "mineral", "hauler"),
+    "msg": ("tick", "seq", "variant", "auctioneer", "loc"),
+}
+MSG_FIELDS: dict[str, tuple[str, ...]] = {
+    "announcement": ("task_type", "status"),
+    "bid": ("bidder", "utility"),
+    "winner": ("task_type", "status", "winner"),
+    "ack": ("auction_winner", "verdict"),
+    "close": ("task_type", "status", "allocated_to"),
+}
+# (type, variant) -> every field a record must carry, for the fast path's
+# check; variant is None for every type but msg.
+_FAST_REQUIRED = {(t, None): frozenset(f) for t, f in RECORD_FIELDS.items()
+                  if t != "msg"}
+_FAST_REQUIRED.update(((("msg", v), frozenset(RECORD_FIELDS["msg"] + f))
+                       for v, f in MSG_FIELDS.items()))
+
+_BATCH_LINES = 2048
+_ADJACENT_OBJECTS = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
 
 
 class LogParseError(ValueError):
@@ -22,24 +86,93 @@ class LogParseError(ValueError):
                          else f"line {line_number}: {message}")
 
 
-def _encode(record: dict) -> str:
-    # -inf (the busy-bid sentinel) is not valid JSON; ship it as a string.
-    safe = {k: ("-inf" if isinstance(v, float) and v == float("-inf") else v)
-            for k, v in record.items()}
-    return json.dumps(safe, separators=(",", ":"), allow_nan=False)
+def _not_serializable(value):
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+if _json_encoder.c_make_encoder is not None:
+    _c_encode = _json_encoder.c_make_encoder(
+        None, _not_serializable, _json_encoder.encode_basestring_ascii, None,
+        ":", ",", False, False, False)
+
+    def _encode_object(record: dict) -> str:
+        return "".join(_c_encode(record, 0))
+else:
+    _encode_object = json.JSONEncoder(separators=(",", ":"),
+                                      allow_nan=False).encode
+
+
+def _jsonl_bytes(records: list[dict]) -> bytes:
+    # the list of lines is freed before the text is encoded
+    return "".join([_encode_object(r if r.get("utility") != NEG_INF
+                                   else {**r, "utility": "-inf"}) + "\n"
+                    for r in records]).encode()
+
+
+def _missing(record: dict, fields: tuple[str, ...]) -> str:
+    return ", ".join(repr(f) for f in fields if f not in record)
+
+
+def _schema_error(record) -> str | None:
+    """Why `record` is not a valid log record, or None when it is."""
+    if not isinstance(record, dict) or "type" not in record:
+        return "record is not an object with a 'type' field"
+    rtype = record["type"]
+    if not isinstance(rtype, str) or rtype not in RECORD_FIELDS:
+        return f"unknown record type {rtype!r}"
+    missing = _missing(record, RECORD_FIELDS[rtype])
+    if missing:
+        return f"{rtype} record is missing {missing}"
+    if rtype != "msg":
+        return None
+    variant = record["variant"]
+    if not isinstance(variant, str) or variant not in MSG_FIELDS:
+        return f"unknown msg variant {variant!r}"
+    missing = _missing(record, MSG_FIELDS[variant])
+    return f"msg {variant} record is missing {missing}" if missing else None
 
 
 def _decode(line: str, line_number: int) -> dict:
+    """The schema-checked record of one line, -inf sentinel restored."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LogParseError(f"invalid JSON ({exc.msg})", line_number) from exc
-    if not isinstance(record, dict) or "type" not in record:
-        raise LogParseError("record is not an object with a 'type' field",
-                            line_number)
+    except (ValueError, RecursionError) as exc:  # huge int; deep nesting
+        raise LogParseError(f"invalid JSON ({exc})", line_number) from exc
+    error = _schema_error(record)
+    if error is not None:
+        raise LogParseError(error, line_number)
     if record.get("utility") == "-inf":
-        record["utility"] = float("-inf")
+        record["utility"] = NEG_INF
     return record
+
+
+def _decode_batch(lines: list[str]) -> list[dict] | None:
+    """The records of `lines` in one parse, or None to decode line by line."""
+    text = "[" + ",".join(lines) + "]"
+    # Every line but the file's last ends in a newline, which the pattern
+    # cannot cross, so one search of the joined text searches each line.
+    if _ADJACENT_OBJECTS.search(text):
+        return None
+    try:
+        records = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if len(records) != len(lines):
+        return None
+    required_of = _FAST_REQUIRED.get
+    for record in records:
+        try:
+            required = required_of((record.get("type"), record.get("variant")))
+        except (AttributeError, TypeError):  # not an object; unhashable value
+            return None
+        if required is None or not record.keys() >= required:
+            return None  # maybe valid (say, a claim with a variant field)
+        if record.get("utility") == "-inf":
+            record["utility"] = NEG_INF
+    return records
 
 
 class EventLog:
@@ -60,22 +193,25 @@ class EventLog:
     def dump_jsonl(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            for record in self.records:
-                fh.write(_encode(record))
-                fh.write("\n")
+        path.write_bytes(_jsonl_bytes(self.records))
 
     def dumps(self) -> bytes:
         """The exact bytes dump_jsonl would write (for determinism checks)."""
-        return "".join(_encode(r) + "\n" for r in self.records).encode()
+        return _jsonl_bytes(self.records)
 
     @staticmethod
     def load_jsonl(path: str | Path) -> "EventLog":
         log = EventLog()
+        first = 1  # line number of the batch's first line
         with Path(path).open() as fh:
-            for line_number, line in enumerate(fh, start=1):
-                if line.strip():
-                    log.append(_decode(line, line_number))
+            while batch := list(islice(fh, _BATCH_LINES)):
+                records = _decode_batch(batch)
+                if records is None:
+                    records = [_decode(line, n)
+                               for n, line in enumerate(batch, first)
+                               if line.strip()]
+                log.records.extend(records)
+                first += len(batch)
         return log
 
     @staticmethod

@@ -137,3 +137,15 @@ def test_non_finite_speed_in_config_file_is_an_error(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: robot_speed")
+
+
+@pytest.mark.parametrize("command, field", [("verify", "'seq'"),
+                                            ("replay", "'variant'")])
+def test_record_missing_fields_exits_3_with_line(tmp_path, capsys, command,
+                                                 field):
+    path = tmp_path / "events.jsonl"
+    path.write_text('{"type":"msg","tick":1}\n')
+    assert main([command, "--log", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "line 1: msg record is missing" in err and field in err
+    assert "Traceback" not in err

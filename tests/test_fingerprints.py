@@ -1,11 +1,11 @@
 """Golden log fingerprints: the sha256 of `EventLog.dumps()` for fixed runs.
 
 A change that moves one of these changes the bytes of a log.  Pinned: the
-reference scenario, the determinism configs, the tiny config at several
-robot speeds, a crowded fleet under every policy (nearest declares some
-robots winner of several auctions in one tick), and `--snapshots` logs of
-the tiny config under every policy.  Re-record only on purpose, and say why
-in CHANGES.md:
+reference scenario (seeds 0-19, the whole acceptance sweep), the
+determinism configs, the tiny config at several robot speeds, a crowded
+fleet under every policy (nearest declares some robots winner of several
+auctions in one tick), and `--snapshots` logs of the tiny config under
+every policy.  Re-record only on purpose, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_fingerprints.py --write
 """
@@ -26,7 +26,7 @@ DATA = Path(__file__).parent / "data" / "log_fingerprints.json"
 # name -> (config, whether the log carries per-tick snapshots)
 CASES = {f"reference/{policy}/{seed}":
          (s.ScenarioConfig(policy=policy, seed=seed), False)
-         for seed in range(4) for policy in POLICIES}
+         for seed in range(20) for policy in POLICIES}
 CASES.update((f"criterion4/{i}", (config, False))
              for i, config in enumerate(DETERMINISM_CONFIGS))
 CASES.update((f"tiny/speed{speed}",
