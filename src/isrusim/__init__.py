@@ -55,6 +55,7 @@ from .policy import Policy, PolicyName, make_policy
 from .spiral import SpiralPlan, build_spiral, ring_index
 from .verify import Violation, derive_auction_histories, verify_records
 from .world import (
+    InvariantError,
     Point,
     ResourceSite,
     RobotKind,
@@ -71,8 +72,9 @@ __all__ = [
     "__version__",
     "Ack", "Announcement", "Auction", "AuctionPhase", "AuctionSpan",
     "AuctionView", "Bid", "BroadcastBus", "Close", "Envelope", "EventLog",
-    "ExcavatorActivity", "HaulerActivity", "LogParseError", "Message",
-    "MetricsError", "MetricsReport", "PathCursor", "PathEstimate", "Point",
+    "ExcavatorActivity", "HaulerActivity", "InvariantError", "LogParseError",
+    "Message", "MetricsError", "MetricsReport", "PathCursor", "PathEstimate",
+    "Point",
     "Policy", "PolicyName", "ResourceSite", "RobotKind", "RobotState",
     "RunResult", "RunStatus", "ScenarioConfig", "ScenarioGenerationError",
     "ScoutActivity", "SimContext", "Simulation", "SpiralPlan", "TaskType",

@@ -9,13 +9,17 @@ excavators and empty their single-mineral bin at the plant.
 
 Every cross-robot influence flows through the broadcast bus or through the
 shared world during the owner's step, so a run is a single deterministic
-thread of execution.
+thread of execution.  The engine steps a robot only when something can
+change for it (see `RobotController.wake_tick`); a step that changes what
+another robot acts on outside the bus wakes that robot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .auction import (
@@ -40,6 +44,7 @@ from .bus import (
 from .pathing import PathCursor, make_path
 from .spiral import SpiralPlan
 from .world import (
+    InvariantError,
     Point,
     ResourceSite,
     RobotKind,
@@ -83,6 +88,12 @@ class HaulerActivity(str, Enum):
 Activity = ScoutActivity | ExcavatorActivity | HaulerActivity
 
 _AVAILABLE = (ExcavatorActivity.IDLE, HaulerActivity.IDLE, HaulerActivity.STANDBY)
+# activities that change the pose every tick, and those that end at a deadline
+_MOVING = (ScoutActivity.SEARCHING, ExcavatorActivity.TRAVELING,
+           HaulerActivity.TO_SITE, HaulerActivity.TO_PLANT)
+_COUNTING_DOWN = (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
+                  HaulerActivity.UNLOADING)
+_NEVER = math.inf
 
 
 @dataclass
@@ -153,7 +164,14 @@ class RobotController:
         self.views: dict[AuctionKey, AuctionView] = {}  # oldest first
         self.pending_wins: list[tuple[int, WinnerDecl]] = []
         self.book: dict[AuctionKey, Auction] = {}
-        self.closed_auctions: list[Auction] = []
+        self.cursor: PathCursor | None = None
+        self._deadline = 0  # the tick a dig, load or unload ends
+        self._travel_estimate = 0.0
+        self._travel_start_odometry = 0.0
+        self._bid_scope = ctx.policy.bid_scope(state)
+        # the tick of this robot's next step, unless mail comes first; every
+        # robot steps at tick 0
+        self.wake_tick: float = 0
 
     # -- engine hooks --------------------------------------------------
 
@@ -164,6 +182,31 @@ class RobotController:
         self._resolve_wins(tick)
         self._act(tick)
         self._place_bids(tick)
+        self.wake_tick = self._next_wake(tick)
+
+    def wake(self, tick: int) -> None:
+        """Another robot's step at `tick` changed what this robot acts on:
+        step it at its next turn in the fixed order, which is this tick if
+        it comes later in the order, else the next one."""
+        self.wake_tick = min(self.wake_tick, tick)
+
+    def _next_wake(self, tick: int) -> float:
+        """The next tick at which a step can change something without mail:
+        the next one while moving, a dig, load or unload deadline, or the
+        tick a pending win matures."""
+        if self._moving():
+            wake: float = tick + 1
+        elif self.state.activity in _COUNTING_DOWN:
+            wake = self._deadline
+        else:
+            wake = _NEVER
+        if self.pending_wins:
+            window = self.ctx.config.timing.win_resolution_window
+            wake = min(wake, min(t0 for t0, _ in self.pending_wins) + window - 1)
+        return wake
+
+    def _moving(self) -> bool:
+        return self.state.activity in _MOVING
 
     def fire_auction_timers(self, tick: int) -> None:
         timing = self.ctx.config.timing
@@ -205,7 +248,6 @@ class RobotController:
                     handle_ack(auction, msg, tick, self.ctx.bus)
                     if not auction.is_open:
                         del self.book[key]
-                        self.closed_auctions.append(auction)
             else:  # Close
                 self.views.pop(key, None)
 
@@ -250,11 +292,11 @@ class RobotController:
         idle: it is honestly available now, and waiting for the next
         re-announcement round would misrepresent that.
         """
-        if not any(view.bid_round < view.rounds_seen
-                   or (view.last_bid == NEG_INF and not self.state.busy)
-                   for view in self.views.values()):
-            return  # no round to answer and no sentinel to correct
         busy = self.state.busy
+        if not any(view.bid_round < view.rounds_seen
+                   or (view.last_bid == NEG_INF and not busy)
+                   for view in islice(self.views.values(), self._bid_scope)):
+            return  # no round to answer and no sentinel to correct
         ordered = list(self.views.values())
         for view in self.ctx.policy.bid_filter(self.state, ordered):
             fresh_round = view.bid_round < view.rounds_seen
@@ -278,6 +320,25 @@ class RobotController:
         self.state.pose = pose
         self.state.odometry += moved
         return cursor.arrived
+
+    def _set_course(self, goal: Point) -> None:
+        path = self.ctx.planner(self.state.pose, goal)
+        self.cursor = PathCursor(path)
+        self._travel_estimate = path.length
+        self._travel_start_odometry = self.state.odometry
+
+    def _travel(self) -> bool:
+        """Advance along the course; True on arrival, where the distance
+        traveled must equal the estimate the robot bid with (the arena has
+        no obstacles)."""
+        if not self._advance(self.cursor):
+            return False
+        traveled = self.state.odometry - self._travel_start_odometry
+        if not abs(traveled - self._travel_estimate) < 1e-6:
+            raise InvariantError(
+                f"{self.state.name} traveled {traveled} m on a course "
+                f"estimated at {self._travel_estimate} m")
+        return True
 
 
 class ScoutController(RobotController):
@@ -328,11 +389,9 @@ class ExcavatorController(RobotController):
     def __init__(self, state: RobotState, ctx: "SimContext"):
         super().__init__(state, ctx)
         self.site: ResourceSite | None = None
-        self.cursor: PathCursor | None = None
         self.bucket: str | None = None  # mineral id sitting in the bucket
-        self._dig_left = 0
-        self._travel_estimate = 0.0
-        self._travel_start_odometry = 0.0
+        # the hauler that follows this excavator's site under coalition
+        self.paired: str | None = ctx.policy.paired_hauler(state.name)
 
     def _accept_win(self, win: WinnerDecl, tick: int) -> bool:
         site = self.ctx.site_at(win.task_location)
@@ -342,28 +401,32 @@ class ExcavatorController(RobotController):
         self.ctx.log.append({"type": "claim", "tick": tick,
                              "site": site.site_id, "excavator": self.state.name})
         self.site = site
-        path = self.ctx.planner(self.state.pose, site.location)
-        self.cursor = PathCursor(path)
-        self._travel_estimate = path.length
-        self._travel_start_odometry = self.state.odometry
+        self._wake_paired(tick)
+        self._set_course(site.location)
         self.state.activity = ExcavatorActivity.TRAVELING
         return True
+
+    def _wake_paired(self, tick: int) -> None:
+        """A paired hauler standing by shadows this excavator's site."""
+        if self.paired is not None:
+            hauler = self.ctx.controllers[self.paired]
+            if hauler.state.activity is HaulerActivity.STANDBY:
+                hauler.wake(tick)
+
+    def _start_digging(self, tick: int) -> None:
+        self.state.activity = ExcavatorActivity.DIGGING
+        self._deadline = tick + self.ctx.config.timing.dig_duration
 
     def _act(self, tick: int) -> None:
         activity = self.state.activity
         if activity is ExcavatorActivity.TRAVELING:
-            if self._advance(self.cursor):
-                traveled = self.state.odometry - self._travel_start_odometry
-                # obstacle-free arena: executed cost equals the bid estimate
-                assert abs(traveled - self._travel_estimate) < 1e-6
+            if self._travel():
                 if self.site.minerals_remaining == 0:
                     self._release(tick)
                 else:
-                    self.state.activity = ExcavatorActivity.DIGGING
-                    self._dig_left = self.ctx.config.timing.dig_duration
+                    self._start_digging(tick)
         elif activity is ExcavatorActivity.DIGGING:
-            self._dig_left -= 1
-            if self._dig_left == 0:
+            if tick >= self._deadline:
                 site = self.site
                 site.minerals_remaining -= 1
                 ordinal = site.minerals_initial - site.minerals_remaining
@@ -376,28 +439,27 @@ class ExcavatorController(RobotController):
         elif activity is ExcavatorActivity.WAITING_FOR_HAULER:
             if self.bucket is None:  # a hauler emptied the bucket last tick
                 if self.site.minerals_remaining > 0:
-                    self.state.activity = ExcavatorActivity.DIGGING
-                    self._dig_left = self.ctx.config.timing.dig_duration
+                    self._start_digging(tick)
                 else:
                     self._release(tick)
 
     def _dispatch_transport(self, tick: int) -> None:
         """Allocate transport for the bucket: directly to an available paired
         hauler under coalition, otherwise by auction."""
-        paired = self.ctx.policy.paired_hauler(self.state.name)
-        if paired is not None:
-            hauler = self.ctx.controllers[paired]
+        if self.paired is not None:
+            hauler = self.ctx.controllers[self.paired]
             if hauler.state.activity in (HaulerActivity.IDLE, HaulerActivity.STANDBY):
-                hauler.assign_transport(self.state.name, self.site.location)
+                hauler.assign_transport(self.state.name, self.site.location, tick)
                 return
         open_auction(self.book, self.state.name, TaskType.TRANSPORT,
                      self.site.location, tick, self.ctx.bus)
 
-    def take_bucket(self) -> str:
+    def take_bucket(self, tick: int) -> str:
         """Called by the loading hauler; empties the bucket into its bin."""
         assert self.state.activity is ExcavatorActivity.WAITING_FOR_HAULER
         assert self.bucket is not None, "no mineral waiting at this excavator"
         mineral, self.bucket = self.bucket, None
+        self.wake(tick)
         return mineral
 
     def _release(self, tick: int) -> None:
@@ -408,6 +470,7 @@ class ExcavatorController(RobotController):
         self.site = None
         self.cursor = None
         self.state.activity = ExcavatorActivity.IDLE
+        self._wake_paired(tick)
 
 
 class HaulerController(RobotController):
@@ -422,21 +485,17 @@ class HaulerController(RobotController):
             state.activity = HaulerActivity.STANDBY
         self.task: tuple[str, Point] | None = None  # (excavator, site location)
         self.carrying: str | None = None
-        self.cursor: PathCursor | None = None
         self._standby_cursor: PathCursor | None = None
-        self._load_left = 0
-        self._unload_left = 0
-        self._travel_estimate = 0.0
-        self._travel_start_odometry = 0.0
 
     def _accept_win(self, win: WinnerDecl, tick: int) -> bool:
         self._begin_transport(win.auctioneer, win.task_location)
         return True
 
-    def assign_transport(self, excavator: str, location: Point) -> None:
+    def assign_transport(self, excavator: str, location: Point, tick: int) -> None:
         """Coalition direct dispatch: no auction, no protocol messages."""
         assert self.state.activity in (HaulerActivity.IDLE, HaulerActivity.STANDBY)
         self._begin_transport(excavator, location)
+        self.wake(tick)
 
     def _begin_transport(self, excavator: str, location: Point) -> None:
         self.task = (excavator, location)
@@ -444,26 +503,18 @@ class HaulerController(RobotController):
         self._set_course(location)
         self.state.activity = HaulerActivity.TO_SITE
 
-    def _set_course(self, goal: Point) -> None:
-        path = self.ctx.planner(self.state.pose, goal)
-        self.cursor = PathCursor(path)
-        self._travel_estimate = path.length
-        self._travel_start_odometry = self.state.odometry
-
     def _act(self, tick: int) -> None:
         activity = self.state.activity
+        timing = self.ctx.config.timing
         if activity is HaulerActivity.TO_SITE:
-            if self._advance(self.cursor):
-                traveled = self.state.odometry - self._travel_start_odometry
-                assert abs(traveled - self._travel_estimate) < 1e-6
+            if self._travel():
                 self.state.activity = HaulerActivity.LOADING
-                self._load_left = self.ctx.config.timing.load_duration
+                self._deadline = tick + timing.load_duration
         elif activity is HaulerActivity.LOADING:
-            self._load_left -= 1
-            if self._load_left == 0:
+            if tick >= self._deadline:
                 excavator = self.ctx.controllers[self.task[0]]
                 site = excavator.site
-                self.carrying = excavator.take_bucket()
+                self.carrying = excavator.take_bucket(tick)
                 self.state.carried_minerals = 1
                 self.ctx.log.append({"type": "load", "tick": tick,
                                      "mineral": self.carrying,
@@ -473,14 +524,11 @@ class HaulerController(RobotController):
                 self._set_course(self.ctx.world.plant_location)
                 self.state.activity = HaulerActivity.TO_PLANT
         elif activity is HaulerActivity.TO_PLANT:
-            if self._advance(self.cursor):
-                traveled = self.state.odometry - self._travel_start_odometry
-                assert abs(traveled - self._travel_estimate) < 1e-6
+            if self._travel():
                 self.state.activity = HaulerActivity.UNLOADING
-                self._unload_left = self.ctx.config.timing.unload_duration
+                self._deadline = tick + timing.unload_duration
         elif activity is HaulerActivity.UNLOADING:
-            self._unload_left -= 1
-            if self._unload_left == 0:
+            if tick >= self._deadline:
                 transfer_mineral_to_plant(self.ctx.world, self.state)
                 self.ctx.log.append({"type": "unload", "tick": tick,
                                      "mineral": self.carrying,
@@ -492,15 +540,27 @@ class HaulerController(RobotController):
         elif activity is HaulerActivity.STANDBY:
             self._standby_act()
 
-    def _standby_act(self) -> None:
-        """Shadow the parent excavator: wait two meters plant-side of its
-        current site; hold position while the parent has no claim."""
-        parent = self.ctx.controllers[self.parent]
-        site = parent.site
+    def _standby_target(self) -> Point | None:
+        """Two meters plant-side of the parent excavator's current site;
+        None while the parent has no claim."""
+        site = self.ctx.controllers[self.parent].site
         if site is None:
+            return None
+        return standby_point(site.location, self.ctx.world.plant_location)
+
+    def _moving(self) -> bool:
+        if self.state.activity is HaulerActivity.STANDBY:
+            target = self._standby_target()
+            return target is not None and self.state.pose != target
+        return super()._moving()
+
+    def _standby_act(self) -> None:
+        """Shadow the parent excavator: wait at its standby target; hold
+        position while the parent has no claim."""
+        target = self._standby_target()
+        if target is None:
             self._standby_cursor = None
             return
-        target = standby_point(site.location, self.ctx.world.plant_location)
         if self.state.pose == target:
             return
         if (self._standby_cursor is None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Union
+from typing import KeysView, Union
 
 from .events import EventLog
 from .world import Point, TaskType
@@ -152,29 +152,6 @@ def envelope_record(env: Envelope) -> dict:
     return record
 
 
-def envelope_from_record(record: dict) -> Envelope:
-    """Rebuild an envelope from its event-log record."""
-    loc = Point(record["loc"][0], record["loc"][1])
-    variant = record["variant"]
-    msg: Message
-    if variant == "announcement":
-        msg = Announcement(record["auctioneer"], TaskType(record["task_type"]), loc)
-    elif variant == "bid":
-        msg = Bid(record["auctioneer"], record["bidder"], loc, record["utility"])
-    elif variant == "winner":
-        msg = WinnerDecl(record["auctioneer"], TaskType(record["task_type"]),
-                         loc, record["winner"])
-    elif variant == "ack":
-        msg = Ack(record["auctioneer"], record["auction_winner"], loc,
-                  record["verdict"] == "accepted")
-    elif variant == "close":
-        msg = Close(record["auctioneer"], TaskType(record["task_type"]), loc,
-                    record["allocated_to"])
-    else:
-        raise ValueError(f"unknown message variant {variant!r}")
-    return Envelope(publish_tick=record["tick"], sequence=record["seq"], payload=msg)
-
-
 class BroadcastBus:
     """Lossless addressed delivery with a fixed one-tick latency."""
 
@@ -215,6 +192,14 @@ class BroadcastBus:
         if own and typed:
             return sorted(own + typed, key=_sequence_of)
         return own or typed
+
+    def addressees(self, tick: int) -> tuple[KeysView[str], KeysView[TaskType]]:
+        """Who has mail at `tick`: the robots addressed by the envelopes
+        published at tick-1, and the task types of those announcements and
+        closes."""
+        if self._bucketed_tick != tick:
+            self._bucket(tick)
+        return self._by_robot.keys(), self._by_type.keys()
 
     def _bucket(self, tick: int) -> None:
         """Bucket the envelopes published at tick-1 by recipient, and drop

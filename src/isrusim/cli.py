@@ -1,7 +1,8 @@
 """Command-line interface: run, sweep, replay, verify.
 
 Exit codes: 0 success, 2 a stalled run is present in the output,
-3 an invariant or protocol violation was found.
+3 an invariant or protocol violation was found (in a log, or by a run's
+own invariant checks).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .metrics import (
     write_metrics_csv,
 )
 from .verify import verify_records
-from .world import POLICY_NAMES, build_config, parse_scenario_file
+from .world import POLICY_NAMES, InvariantError, build_config, parse_scenario_file
 
 EXIT_OK = 0
 EXIT_STALLED = 2
@@ -181,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,16 @@
 """Deterministic tick loop.
 
-Each tick runs the same fixed phases: agents step in kind-then-name order
-(draining the previous tick's broadcasts, acting, publishing), then every
-auctioneer fires its auction timers, then termination is evaluated.  The
-only randomness in a run is the scenario generator's seed, so equal configs
-produce byte-identical event logs.
+Each tick runs the same fixed phases: the woken robots step in
+kind-then-name order (draining the previous tick's broadcasts, acting,
+publishing), then every robot holding open auctions fires its auction
+timers, then the invariants and termination are checked.  A robot wakes
+when it has mail, when a pending win matures, at its own dig, load or
+unload deadline, while it moves, and when another robot's step changes what
+it acts on; any other step of it would change nothing.  The checks run at
+tick 0 and at every tick whose log grew, since every mineral move,
+discovery and auction open or close appends a record.  The only randomness
+in a run is the scenario generator's seed, so equal configs produce
+byte-identical event logs.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .policy import Policy, make_policy
 from .spiral import build_spiral
 from .world import (
     START_CIRCLE_RADIUS,
+    InvariantError,
     Point,
     ResourceSite,
     RobotKind,
@@ -148,18 +155,27 @@ class Simulation:
     # -- one tick ----------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one tick: deliver, step agents, fire timers, check goal."""
+        """Advance one tick: step the woken robots, fire timers, check the
+        invariants and the goal."""
         if self.status is not RunStatus.RUNNING:
             raise RuntimeError("cannot step a finished run")
         tick = self.tick
+        records = self.ctx.log.records
+        logged = len(records)
+        robots, task_types = self.ctx.bus.addressees(tick)
         for controller in self._step_order:  # drains tick-1 broadcasts
-            controller.step(tick)
+            if (controller.wake_tick <= tick or controller.state.name in robots
+                    or controller.bids_on in task_types):
+                controller.step(tick)
         for controller in self._step_order:
-            controller.fire_auction_timers(tick)
-        self._assert_mineral_conservation()
+            if controller.book:
+                controller.fire_auction_timers(tick)
+        check = tick == 0 or len(records) > logged
+        if check:
+            self._assert_mineral_conservation()
         if self.snapshots:
             self._emit_snapshots(tick)
-        if self._goal_reached():
+        if check and self._goal_reached():
             self.status = RunStatus.COMPLETED
             self.completed_tick = tick
         self.tick = tick + 1
@@ -179,9 +195,10 @@ class Simulation:
         carried = sum(r.carried_minerals for r in self.ctx.robots.values())
         total = (world.minerals_at_plant + world.minerals_remaining_on_sites()
                  + buffered + carried)
-        assert total == world.minerals_total, (
-            f"mineral conservation broken at tick {self.tick}: {total} != "
-            f"{world.minerals_total}")
+        if total != world.minerals_total:
+            raise InvariantError(
+                f"mineral conservation broken at tick {self.tick}: {total} != "
+                f"{world.minerals_total}")
 
     def _emit_snapshots(self, tick: int) -> None:
         for controller in self._step_order:

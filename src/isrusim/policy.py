@@ -51,6 +51,17 @@ class Policy:
                 return exc
         return None
 
+    def bid_scope(self, robot: "RobotState") -> int | None:
+        """How many of the robot's oldest open auctions it may bid in (None:
+        all of them).  Depends only on the robot's kind and name."""
+        if self.name is PolicyName.NEAREST:
+            return None
+        if (self.name is PolicyName.COALITION
+                and robot.kind is RobotKind.HAULER
+                and self.parent_of(robot.name) is not None):
+            return 0  # a paired hauler serves its parent excavator only
+        return 1
+
     def bid_filter(self, robot: "RobotState",
                    open_auctions: Sequence["AuctionView"]) -> list["AuctionView"]:
         """Which of the robot's capable open auctions it bids in this round.
@@ -58,16 +69,7 @@ class Policy:
         `open_auctions` must already be ordered oldest-first
         (first_tick, auctioneer name).
         """
-        auctions = list(open_auctions)
-        if not auctions:
-            return []
-        if self.name is PolicyName.NEAREST:
-            return auctions
-        if (self.name is PolicyName.COALITION
-                and robot.kind is RobotKind.HAULER
-                and self.parent_of(robot.name) is not None):
-            return []  # a paired hauler serves its parent excavator only
-        return auctions[:1]
+        return list(open_auctions)[:self.bid_scope(robot)]
 
     def resolve_wins(self, robot: "RobotState", wins: Sequence["WinnerDecl"],
                      planner: PathPlanner

@@ -43,6 +43,11 @@ class ScenarioGenerationError(ValueError):
     """Raised when sites cannot be placed under the separation rules."""
 
 
+class InvariantError(RuntimeError):
+    """A simulation invariant broke: the program, not its input, is at
+    fault.  Raised, not asserted, so the checks also run under `python -O`."""
+
+
 @dataclass(frozen=True)
 class Point:
     """A position in the arena, in simulation meters."""

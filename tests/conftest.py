@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import pytest
 
 from isrusim import ScenarioConfig, TimingConfig, run_to_completion
@@ -33,3 +35,49 @@ ALT_TIMING = TimingConfig(robot_speed=2.0, dig_duration=7, load_duration=3,
 @pytest.fixture
 def small_config() -> ScenarioConfig:
     return tiny_config()
+
+
+class RunLogs(dict):
+    """Event logs of finished runs, keyed by (config, snapshots)."""
+
+    def log(self, config: ScenarioConfig, snapshots: bool = False):
+        key = (config, snapshots)
+        if key not in self:
+            self[key] = run_to_completion(config, snapshots=snapshots).log
+        return self[key]
+
+
+@pytest.fixture(scope="session")
+def run_logs() -> RunLogs:
+    """One simulation per (config, snapshots) for the whole session, shared
+    by the tests that only read a run's log: the acceptance sweep fills it
+    with the 60 reference runs it times, and the log fingerprints and the
+    codec's differential test read it."""
+    return RunLogs()
+
+
+BIDS_ON = {"scout": None, "excavator": "excavate", "hauler": "transport"}
+
+
+def mail_from_log(records) -> dict[tuple[str, int], list[int]]:
+    """(robot, tick) -> the sequence numbers, in order, of the messages of
+    tick-1 in the log that the robot acts on: the announcements and closes
+    of the task type it bids on, the bids and acks sent to it as
+    auctioneer, and the winner declarations naming it.  Robots without mail
+    at a tick are left out."""
+    robots = records[0]["robots"]
+    mail = defaultdict(list)
+    for record in records:
+        if record["type"] != "msg":
+            continue
+        variant = record["variant"]
+        for name, kind in robots:
+            if variant in ("announcement", "close"):
+                acts_on = record["task_type"] == BIDS_ON[kind]
+            elif variant == "winner":
+                acts_on = record["winner"] == name
+            else:  # bid or ack
+                acts_on = record["auctioneer"] == name
+            if acts_on:
+                mail[name, record["tick"] + 1].append(record["seq"])
+    return dict(mail)

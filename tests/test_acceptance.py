@@ -27,8 +27,9 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def default_sweep():
-    """The 60-run sweep of the reference scenario, verified run by run."""
+def default_sweep(run_logs):
+    """The 60-run sweep of the reference scenario, verified run by run and
+    timed; the runs' logs go to the session's shared `run_logs`."""
     runs = []
     clock = {"last": time.perf_counter()}
 
@@ -46,6 +47,7 @@ def default_sweep():
                          world.minerals_at_plant),
             "wall": wall,
         })
+        run_logs[config, False] = result.log
 
     start = time.perf_counter()
     result = s.sweep(POLICIES, SEEDS, on_run=on_run)
@@ -103,10 +105,10 @@ DETERMINISM_CONFIGS = (
 )
 
 
-def test_criterion_4_determinism():
+def test_criterion_4_determinism(run_logs):
     mismatched = []
     for config in DETERMINISM_CONFIGS:
-        first = s.run_to_completion(config).log.dumps()
+        first = run_logs.log(config).dumps()
         second = s.run_to_completion(config).log.dumps()
         if first != second:
             mismatched.append((config.policy, config.seed))

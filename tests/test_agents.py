@@ -256,10 +256,10 @@ def test_bid_addressed_to_other_auctioneer_is_ignored():
 
 
 def test_bid_filter_is_called_only_when_a_bid_goes_out(monkeypatch):
-    """Work guard: under nearest a robot bids in every open auction its
-    policy call sees, so every bid_filter call publishes a bid, and a robot
-    whose views need no bid makes no call.  The views reach the policy
-    oldest first."""
+    """Work guard, under every policy: every bid_filter call publishes a
+    bid, and a robot whose views need no bid makes no call, though under
+    fcfs and coalition its newer views wait unanswered until they become
+    its oldest.  The views reach the policy oldest first."""
     calls = []
     bid_filter = Policy.bid_filter
 
@@ -269,10 +269,12 @@ def test_bid_filter_is_called_only_when_a_bid_goes_out(monkeypatch):
         return bid_filter(self, robot, open_auctions)
 
     monkeypatch.setattr(Policy, "bid_filter", counted)
-    result = run_to_completion(crowded_config(policy="nearest"))
-    bidding_ticks = {(r["tick"], r["bidder"]) for r in result.log.records
-                     if r["type"] == "msg" and r["variant"] == "bid"}
-    assert len(calls) == len(bidding_ticks) > 0
+    for policy in ("fcfs", "coalition", "nearest"):
+        calls.clear()
+        result = run_to_completion(crowded_config(policy=policy))
+        bidding_ticks = {(r["tick"], r["bidder"]) for r in result.log.records
+                         if r["type"] == "msg" and r["variant"] == "bid"}
+        assert len(calls) == len(bidding_ticks) > 0, policy
 
 
 def test_views_stay_oldest_first_when_announcements_arrive_out_of_order():

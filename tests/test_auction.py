@@ -6,6 +6,7 @@ import pytest
 
 from isrusim import (
     Ack,
+    Announcement,
     Bid,
     BroadcastBus,
     Close,
@@ -28,7 +29,6 @@ from isrusim.auction import (
     record_bid,
     step_auction_timers,
 )
-from isrusim.bus import envelope_from_record
 from isrusim.pathing import estimate_path
 
 LOC = Point(30.0, 40.0)
@@ -52,14 +52,12 @@ def collecting(auction):
 
 def test_open_publishes_announcement():
     log = EventLog()
-    book = {}
-    open_auction(book, "scout_1", TaskType.EXCAVATE, LOC, tick=4,
-                 bus=BroadcastBus(log))
-    [env] = [envelope_from_record(r) for r in log.records]
+    bus = BroadcastBus(log)
+    open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, tick=4, bus=bus)
+    [env] = bus.drain_inbox("excavator_1", 5, TaskType.EXCAVATE)
     assert env.publish_tick == 4
-    assert env.payload.auctioneer == "scout_1"
-    assert env.payload.task_type is TaskType.EXCAVATE
-    assert env.payload.task_location == LOC
+    assert env.payload == Announcement("scout_1", TaskType.EXCAVATE, LOC)
+    assert [r["variant"] for r in log.records] == ["announcement"]
 
 
 def test_auctioneer_can_hold_multiple_auctions():

@@ -1,10 +1,11 @@
 import math
 import weakref
-from collections import defaultdict
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 
-from conftest import crowded_config
+from conftest import crowded_config, mail_from_log
 
 from isrusim import (
     Ack,
@@ -19,7 +20,7 @@ from isrusim import (
     TaskType,
     WinnerDecl,
 )
-from isrusim.bus import envelope_from_record, envelope_record
+from isrusim.bus import envelope_record
 
 
 LOC = Point(30.0, 40.0)
@@ -118,8 +119,9 @@ def test_delivered_and_undrained_envelopes_are_released():
 
 def test_inbox_is_the_log_filtered_by_receiver_rules():
     """Differential check of addressed delivery on a crowded nearest run:
-    each robot's inbox at tick t is exactly the messages of tick t-1 in the
-    log that the robot acts on, in sequence order."""
+    every robot with mail at tick t, by the log, is stepped at t, and its
+    inbox is exactly the messages of tick t-1 in the log that the robot acts
+    on, in sequence order.  Every other drain is empty."""
     sim = Simulation(crowded_config(policy="nearest"))
     bus = sim.ctx.bus
     drain = bus.drain_inbox
@@ -133,30 +135,19 @@ def test_inbox_is_the_log_filtered_by_receiver_rules():
     bus.drain_inbox = capture
     assert sim.run() is RunStatus.COMPLETED
 
-    bids_on = {"scout": None, "excavator": "excavate", "hauler": "transport"}
-    robots = sim.ctx.log.records[0]["robots"]
-    by_tick = defaultdict(list)
-    for record in sim.ctx.log.records:
-        if record["type"] == "msg":
-            by_tick[record["tick"]].append(record)
-
-    def acts_on(name, kind, record):
-        variant = record["variant"]
-        if variant in ("announcement", "close"):
-            return record["task_type"] == bids_on[kind]
-        if variant == "winner":
-            return record["winner"] == name
-        return record["auctioneer"] == name  # bid or ack
-
-    assert len(inboxes) == len(robots) * sim.tick
-    multi_wins = 0
-    for (name, kind) in robots:
-        for tick in range(sim.tick):
-            expected = [r["seq"] for r in by_tick[tick - 1]
-                        if acts_on(name, kind, r)]
+    records = sim.ctx.log.records
+    names = {name for name, _ in records[0]["robots"]}
+    mail = mail_from_log(records)
+    assert all(name in names and tick < sim.tick for name, tick in inboxes)
+    for (name, tick), expected in mail.items():
+        if tick < sim.tick:
+            assert (name, tick) in inboxes, f"{name} not stepped at {tick}"
             assert inboxes[name, tick] == expected, (name, tick)
-            multi_wins += sum(r["variant"] == "winner" and r["winner"] == name
-                              for r in by_tick[tick - 1]) > 1
+    for key, inbox in inboxes.items():
+        assert inbox == mail.get(key, []), key
+    wins = Counter((r["winner"], r["tick"]) for r in records
+                   if r["type"] == "msg" and r["variant"] == "winner")
+    multi_wins = sum(n > 1 for n in wins.values())
     assert multi_wins > 0  # the run exercises same-tick multi-wins
 
 
@@ -178,10 +169,24 @@ def test_envelopes_logged():
     Ack("scout_1", "excavator_3", LOC, accepted=False),
     Close("excavator_1", TaskType.TRANSPORT, LOC, "hauler_2"),
 ])
-def test_record_round_trip(msg):
-    bus = BroadcastBus()
-    env = bus.publish(msg, tick=9)
-    assert envelope_from_record(envelope_record(env)) == env
+def test_record_round_trip(tmp_path, msg):
+    """A message's log record carries every field of the message, and
+    survives the log file."""
+    log = EventLog()
+    env = BroadcastBus(log).publish(msg, tick=9)
+    path = tmp_path / "events.jsonl"
+    log.dump_jsonl(path)
+    [record] = EventLog.load_jsonl(path).records
+    assert record == envelope_record(env)
+    assert (record["tick"], record["seq"]) == (9, 0)
+    for field in fields(msg):
+        value = getattr(msg, field.name)
+        if field.name == "task_location":
+            assert record["loc"] == [value.x, value.y]
+        elif field.name == "accepted":
+            assert record["verdict"] == ("accepted" if value else "declined")
+        else:  # a task type is logged by its value
+            assert record[field.name] == getattr(value, "value", value)
 
 
 def test_busy_sentinel_survives_jsonl(tmp_path):

@@ -1,15 +1,45 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from conftest import ALT_TIMING, tiny_config, tiny_run
+from conftest import ALT_TIMING, crowded_config, mail_from_log, tiny_config, tiny_run
+from test_acceptance import DETERMINISM_CONFIGS, POLICIES
 
+import isrusim
 from isrusim import (
+    BroadcastBus,
+    ExcavatorActivity,
+    HaulerActivity,
     RunStatus,
     ScenarioConfig,
+    ScoutActivity,
     Simulation,
+    TimingConfig,
     generate_scenario,
     run_to_completion,
 )
+from isrusim.agents import RobotController, standby_point
 from isrusim.engine import START_CIRCLE_RADIUS
+
+
+def run_child(script: str, *flags: str, **env: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter started in tests/, so it can
+    import conftest.  The child runs in tests/, so a relative PYTHONPATH
+    would not find the package; the directory this process imported it
+    from goes first on the child's path."""
+    package_root = str(Path(isrusim.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = os.pathsep.join(filter(None, [package_root, inherited]))
+    out = subprocess.run([sys.executable, *flags, "-c", script],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=pythonpath, **env),
+                         cwd=str(Path(__file__).parent))
+    assert out.returncode == 0, (
+        f"child {flags} {env} exited {out.returncode}:\n{out.stderr}")
+    return out
 
 
 def test_empty_scenario_completes_at_first_check():
@@ -71,13 +101,6 @@ def test_start_poses_on_circle_around_plant():
 
 def test_state_digest_identical_across_processes():
     # the digest must not depend on process-specific hashing
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import isrusim
-
     script = (
         "from conftest import tiny_config\n"
         "from isrusim import Simulation\n"
@@ -85,21 +108,8 @@ def test_state_digest_identical_across_processes():
         "[sim.step() for _ in range(60)]\n"
         "print(sim.state_digest())\n"
     )
-    # the children run in tests/, so a relative PYTHONPATH would not find
-    # the package; put the directory the parent imported it from first
-    package_root = str(Path(isrusim.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = os.pathsep.join(filter(None, [package_root, inherited]))
-    digests = set()
-    for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
-        out = subprocess.run([sys.executable, "-c", script],
-                             capture_output=True, text=True, env=env,
-                             cwd=str(Path(__file__).parent))
-        assert out.returncode == 0, (
-            f"child with PYTHONHASHSEED={hash_seed} exited "
-            f"{out.returncode}:\n{out.stderr}")
-        digests.add(out.stdout.strip())
+    digests = {run_child(script, PYTHONHASHSEED=hash_seed).stdout.strip()
+               for hash_seed in ("0", "1")}
     sim = Simulation(tiny_config(seed=21))
     for _ in range(60):
         sim.step()
@@ -108,7 +118,8 @@ def test_state_digest_identical_across_processes():
 
 
 def test_mineral_conservation_at_every_tick():
-    # the engine asserts conservation each tick; a full run exercises it
+    # the engine checks conservation on the ticks whose log grew; this
+    # checks a weaker bound on every tick
     config = tiny_config(seed=25)
     sim = Simulation(config)
     while sim.status is RunStatus.RUNNING and sim.tick < config.tick_cap:
@@ -143,3 +154,159 @@ def test_minimal_mission_message_audit():
     closes = [r for r in records if r["variant"] == "close"]
     assert len(closes) == 2
     assert {r["task_type"] for r in closes} == {"excavate", "transport"}
+
+
+STEP_ALL_CASES = (
+    [(crowded_config(policy=policy), False) for policy in POLICIES]
+    + [(config, False) for config in DETERMINISM_CONFIGS]
+    + [(tiny_config(policy=policy), True) for policy in POLICIES]
+    # wins mature two ticks after they arrive, several at once under nearest
+    + [(crowded_config(policy="nearest",
+                       timing=TimingConfig(win_resolution_window=3)), False)])
+
+
+@pytest.mark.parametrize("config, snapshots", STEP_ALL_CASES,
+                         ids=[f"{c.policy}-{c.seed}-{c.arena_side:g}"
+                              f"-w{c.timing.win_resolution_window}{'-snap' * s}"
+                              for c, s in STEP_ALL_CASES])
+def test_wake_set_matches_step_all_reference(config, snapshots):
+    """Stepping only the woken robots gives the state that stepping every
+    robot on every tick gives, after every tick; and the goal and the
+    conservation check, run only at tick 0 and where the log grew, hold
+    exactly when they would on every tick."""
+    sim = Simulation(config, snapshots=snapshots)
+    reference = Simulation(config, snapshots=snapshots)
+    for controller in reference.ctx.controllers.values():
+        controller._next_wake = lambda tick: tick + 1  # step every tick
+    while sim.status is RunStatus.RUNNING:
+        assert sim.tick < config.tick_cap
+        sim.step()
+        reference.step()
+        assert sim.state_digest() == reference.state_digest(), sim.tick
+        sim._assert_mineral_conservation()
+        assert sim._goal_reached() == (sim.status is RunStatus.COMPLETED)
+    assert reference.status is RunStatus.COMPLETED
+    assert sim.ctx.log.dumps() == reference.ctx.log.dumps()
+
+
+_MOVING = (ScoutActivity.SEARCHING, ExcavatorActivity.TRAVELING,
+           HaulerActivity.TO_SITE, HaulerActivity.TO_PLANT)
+_COUNTING_DOWN = (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
+                  HaulerActivity.UNLOADING)
+
+
+def reasons_to_step(controller, tick: int) -> set[str]:
+    """Why a robot must step at `tick`, read before its step (mail is
+    known only once it drains)."""
+    state, ctx = controller.state, controller.ctx
+    window = ctx.config.timing.win_resolution_window
+    reasons = set()
+    if tick == 0:
+        reasons.add("first tick")
+    if any(t0 + window - 1 <= tick for t0, _ in controller.pending_wins):
+        reasons.add("win matures")
+    if state.activity in _COUNTING_DOWN and controller._deadline == tick:
+        reasons.add("deadline")
+    if state.activity in _MOVING:
+        reasons.add("moving")
+    if (state.activity is ExcavatorActivity.WAITING_FOR_HAULER
+            and controller.bucket is None):
+        reasons.add("bucket emptied")
+    parent = getattr(controller, "parent", None)
+    if parent is not None and state.activity is HaulerActivity.STANDBY:
+        site = ctx.controllers[parent].site
+        if site is not None and state.pose != standby_point(
+                site.location, ctx.world.plant_location):
+            reasons.add("moving")
+        for record in reversed(ctx.log.records):
+            if record.get("tick") != tick:  # run_start has none
+                break
+            if record["type"] in ("claim", "release") and record["excavator"] == parent:
+                reasons.add("parent claimed or released")
+    return reasons
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_work_guard_steps_only_woken_robots(monkeypatch, policy):
+    """Every controller step has a reason to happen, so controller steps
+    are at most the woken robot-ticks; every robot with mail is stepped;
+    and auction timers fire only for robots holding auctions."""
+    steps, drained = {}, []
+    step, drain = RobotController.step, BroadcastBus.drain_inbox
+    fire = RobotController.fire_auction_timers
+
+    def drain_and_note(self, robot, tick, task_type=None):
+        inbox = drain(self, robot, tick, task_type)
+        drained.extend(inbox)
+        return inbox
+
+    def step_with_reasons(self, tick):
+        reasons = reasons_to_step(self, tick)
+        drained.clear()
+        step(self, tick)
+        if drained:
+            reasons.add("mail")
+        steps[self.state.name, tick] = reasons
+
+    def fire_with_auctions(self, tick):
+        assert self.book
+        fire(self, tick)
+
+    monkeypatch.setattr(BroadcastBus, "drain_inbox", drain_and_note)
+    monkeypatch.setattr(RobotController, "step", step_with_reasons)
+    monkeypatch.setattr(RobotController, "fire_auction_timers", fire_with_auctions)
+    sim = Simulation(crowded_config(policy=policy))
+    assert sim.run() is RunStatus.COMPLETED
+
+    unjustified = [key for key, reasons in steps.items() if not reasons]
+    assert not unjustified, unjustified[:5]
+    missed = [key for key in mail_from_log(sim.ctx.log.records)
+              if key[1] < sim.tick and key not in steps]
+    assert not missed, missed[:5]
+    robot_ticks = len(sim.ctx.controllers) * sim.tick
+    assert len(steps) < robot_ticks / 2, (len(steps), robot_ticks)
+
+
+def test_invariant_checks_run_under_optimize():
+    """Broken invariants raise InvariantError, not an assert, so a run
+    under `python -O` still catches them, and the CLI exits 3."""
+    script = """
+import sys
+import tempfile
+from conftest import tiny_config
+from isrusim import ExcavatorActivity, InvariantError, Simulation, agents
+from isrusim.cli import main
+
+if sys.flags.optimize != 1:
+    sys.exit("not running under -O")
+
+def expect_invariant_error(sim):
+    try:
+        sim.run()
+    except InvariantError as exc:
+        print(exc)
+    else:
+        sys.exit("the run finished without InvariantError")
+
+# an excavator that travels farther than it bid breaks the travel check
+sim = Simulation(tiny_config())
+while not any(c.state.activity is ExcavatorActivity.TRAVELING
+              for c in sim.ctx.controllers.values()):
+    sim.step()
+for controller in sim.ctx.controllers.values():
+    controller._travel_start_odometry -= 1.0
+expect_invariant_error(sim)
+
+def lose_mineral(world, hauler):  # the bin empties, the plant gets nothing
+    hauler.carried_minerals -= 1
+
+agents.transfer_mineral_to_plant = lose_mineral
+expect_invariant_error(Simulation(tiny_config()))
+with tempfile.TemporaryDirectory() as out:
+    print(main(["run", "--out", out, "--arena", "30", "--scouts", "1",
+                "--sites", "2", "--minerals", "4", "--seed", "11"]))
+"""
+    lines = run_child(script, "-O").stdout.splitlines()
+    assert "on a course estimated at" in lines[0]
+    assert lines[1].startswith("mineral conservation broken at tick ")
+    assert lines[2] == "3"

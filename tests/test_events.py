@@ -46,9 +46,8 @@ def same_outcome(got, want) -> bool:
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_load_equals_records_and_reference(tmp_path, name):
-    config, snapshots = CASES[name]
-    log = run_to_completion(config, snapshots=snapshots).log
+def test_load_equals_records_and_reference(tmp_path, run_logs, name):
+    log = run_logs.log(*CASES[name])
     path = tmp_path / "events.jsonl"
     log.dump_jsonl(path)
     assert path.read_bytes() == log.dumps()

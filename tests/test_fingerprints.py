@@ -38,8 +38,7 @@ CASES.update((f"tiny/snapshots/{policy}", (tiny_config(policy=policy), True))
              for policy in POLICIES)
 
 
-def fingerprint(config: s.ScenarioConfig, snapshots: bool) -> str:
-    log = s.run_to_completion(config, snapshots=snapshots).log
+def fingerprint(log: s.EventLog) -> str:
     return hashlib.sha256(log.dumps()).hexdigest()
 
 
@@ -48,13 +47,14 @@ def test_every_case_is_recorded():
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_log_fingerprint(name):
-    assert fingerprint(*CASES[name]) == json.loads(DATA.read_text())[name]
+def test_log_fingerprint(run_logs, name):
+    log = run_logs.log(*CASES[name])
+    assert fingerprint(log) == json.loads(DATA.read_text())[name]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    DATA.write_text(json.dumps({name: fingerprint(*case)
-                                for name, case in CASES.items()},
-                               indent=2) + "\n")
+    DATA.write_text(json.dumps(
+        {name: fingerprint(s.run_to_completion(config, snapshots=snap).log)
+         for name, (config, snap) in CASES.items()}, indent=2) + "\n")

@@ -2,7 +2,7 @@
 
 from conftest import tiny_run
 
-from isrusim import derive_auction_histories, verify_records
+from isrusim import agents, derive_auction_histories, verify_records
 
 LOC = [30.0, 40.0]
 
@@ -193,15 +193,22 @@ def test_sequence_regression_flagged():
     assert "sequence" in checks
 
 
-def test_histories_rederived_from_log_match_live_auctions():
+def test_histories_rederived_from_log_match_live_auctions(monkeypatch):
+    closed = []
+    handle_ack = agents.handle_ack
+
+    def collect_closed(auction, ack, tick, bus):
+        result = handle_ack(auction, ack, tick, bus)
+        if not auction.is_open:
+            closed.append(auction)
+        return result
+
+    monkeypatch.setattr(agents, "handle_ack", collect_closed)
     result = tiny_run(seed=12, n_sites=3, n_minerals=5, n_excavators=2)
     histories = derive_auction_histories(result.log.records)
-    live = []
-    for controller in result.simulation.ctx.controllers.values():
-        for auction in controller.closed_auctions:
-            live.append((auction.auctioneer, auction.task_location.as_pair(),
-                         auction.opened_tick, auction.rounds,
-                         auction.allocated_to, auction.closed_tick))
+    live = [(auction.auctioneer, auction.task_location.as_pair(),
+             auction.opened_tick, auction.rounds, auction.allocated_to,
+             auction.closed_tick) for auction in closed]
     derived = [(h.auctioneer, h.location, h.opened_tick, h.rounds,
                 h.allocated_to, h.closed_tick) for h in histories]
     assert sorted(derived) == sorted(live)
