@@ -11,7 +11,11 @@ Every cross-robot influence flows through the broadcast bus or through the
 shared world during the owner's step, so a run is a single deterministic
 thread of execution.  The engine steps a robot only when something can
 change for it (see `RobotController.wake_tick`); a step that changes what
-another robot acts on outside the bus wakes that robot.
+another robot acts on outside the bus wakes that robot.  A courier (an
+excavator traveling to its site, a hauler on its way to a site or to the
+plant) drives one straight segment and is busy while it does, so nothing
+reads its pose on the way: it wakes at its arrival tick or on mail, and
+each step catches up the moves due since its last one.
 """
 
 from __future__ import annotations
@@ -88,17 +92,23 @@ class HaulerActivity(str, Enum):
 Activity = ScoutActivity | ExcavatorActivity | HaulerActivity
 
 _AVAILABLE = (ExcavatorActivity.IDLE, HaulerActivity.IDLE, HaulerActivity.STANDBY)
-# activities that change the pose every tick, and those that end at a deadline
-_MOVING = (ScoutActivity.SEARCHING, ExcavatorActivity.TRAVELING,
-           HaulerActivity.TO_SITE, HaulerActivity.TO_PLANT)
-_COUNTING_DOWN = (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
-                  HaulerActivity.UNLOADING)
+# the courier activities, which travel one straight course to its end
+COURIER = (ExcavatorActivity.TRAVELING, HaulerActivity.TO_SITE,
+           HaulerActivity.TO_PLANT)
+# activities that end at a deadline: an arrival, or a dig, load or unload
+_COUNTING_DOWN = COURIER + (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
+                            HaulerActivity.UNLOADING)
 _NEVER = math.inf
 
 
 @dataclass
 class RobotState:
-    """Pose, activity and odometry of one robot."""
+    """Pose, activity and odometry of one robot.
+
+    A courier's pose and odometry lag between its steps: they hold the
+    last move it applied.  The snapshots, `Simulation.state_digest` and the
+    `run_end` record bring every robot up to date first (see
+    `RobotController.sync`)."""
 
     name: str
     kind: RobotKind
@@ -119,17 +129,20 @@ class RobotState:
 
 def scan_swept_segment(a: Point, b: Point, world: WorldState,
                        scan_radius: float) -> list[int]:
-    """Undiscovered sites within scan range of segment a-b; marks them found.
+    """Undiscovered sites within scan range of segment a-b, in `site_id`
+    order; marks them found.
 
     Scouts scan the whole segment they swept this tick, not just its
     endpoint, so the covered swath has no sampling gaps at any speed; a == b
-    scans around a single pose."""
-    found: list[int] = []
-    for site in world.sites:
-        if not site.discovered and _segment_distance(site.location, a, b) <= scan_radius:
-            site.discovered = True
-            found.append(site.site_id)
-    return found
+    scans around a single pose.  Only the sites in the grid cells near the
+    segment are tested (see `WorldState.sites_near`)."""
+    found = [site for site in world.sites_near(a, b, scan_radius)
+             if not site.discovered
+             and _segment_distance(site.location, a, b) <= scan_radius]
+    found.sort(key=lambda site: site.site_id)
+    for site in found:
+        site.discovered = True
+    return [site.site_id for site in found]
 
 
 @dataclass
@@ -165,7 +178,9 @@ class RobotController:
         self.pending_wins: list[tuple[int, WinnerDecl]] = []
         self.book: dict[AuctionKey, Auction] = {}
         self.cursor: PathCursor | None = None
-        self._deadline = 0  # the tick a dig, load or unload ends
+        # the tick a dig, load or unload ends, or a course's last move
+        self._deadline = 0
+        self._next_move = 0  # the tick of a courier's first move not applied
         self._travel_estimate = 0.0
         self._travel_start_odometry = 0.0
         self._bid_scope = ctx.policy.bid_scope(state)
@@ -192,12 +207,12 @@ class RobotController:
 
     def _next_wake(self, tick: int) -> float:
         """The next tick at which a step can change something without mail:
-        the next one while moving, a dig, load or unload deadline, or the
-        tick a pending win matures."""
-        if self._moving():
-            wake: float = tick + 1
-        elif self.state.activity in _COUNTING_DOWN:
-            wake = self._deadline
+        the next one while scouting or moving to a standby spot, the end of
+        a course, dig, load or unload, or the tick a pending win matures."""
+        if self.state.activity in _COUNTING_DOWN:
+            wake: float = self._deadline
+        elif self._moving():
+            wake = tick + 1
         else:
             wake = _NEVER
         if self.pending_wins:
@@ -206,7 +221,9 @@ class RobotController:
         return wake
 
     def _moving(self) -> bool:
-        return self.state.activity in _MOVING
+        """Whether the pose changes every tick: only a searching scout's,
+        or a standby hauler's on its way to its spot."""
+        return self.state.activity is ScoutActivity.SEARCHING
 
     def fire_auction_timers(self, tick: int) -> None:
         timing = self.ctx.config.timing
@@ -321,17 +338,46 @@ class RobotController:
         self.state.odometry += moved
         return cursor.arrived
 
-    def _set_course(self, goal: Point) -> None:
+    def _set_course(self, goal: Point, first_move: int) -> None:
+        """Plan the course to `goal`, whose first move is at tick
+        `first_move`, and set the deadline to the tick of its last move,
+        found by replaying `PathCursor.step`'s float arithmetic."""
         path = self.ctx.planner(self.state.pose, goal)
         self.cursor = PathCursor(path)
         self._travel_estimate = path.length
         self._travel_start_odometry = self.state.odometry
+        speed, length = self.ctx.config.timing.robot_speed, path.length
+        traveled, arrival = min(speed, length), first_move
+        while traveled < length:
+            traveled += min(speed, length - traveled)
+            arrival += 1
+        self._next_move, self._deadline = first_move, arrival
 
-    def _travel(self) -> bool:
-        """Advance along the course; True on arrival, where the distance
+    def sync(self, tick: int) -> None:
+        """Apply a courier's moves due at or before `tick`.  All but the
+        last only add the distance moved to the cursor and the odometry,
+        as `PathCursor.step` would; the last is a real step, which places
+        the pose."""
+        if self.state.activity not in COURIER:
+            return
+        last = min(tick, self._deadline)
+        if last < self._next_move:
+            return
+        cursor, speed = self.cursor, self.ctx.config.timing.robot_speed
+        length = cursor.path.length
+        for _ in range(last - self._next_move):
+            moved = min(speed, length - cursor.traveled)
+            cursor.traveled += moved
+            self.state.odometry += moved
+        self._advance(cursor)
+        self._next_move = last + 1
+
+    def _travel(self, tick: int) -> bool:
+        """Catch up along the course; True on arrival, where the distance
         traveled must equal the estimate the robot bid with (the arena has
         no obstacles)."""
-        if not self._advance(self.cursor):
+        self.sync(tick)
+        if not self.cursor.arrived:
             return False
         traveled = self.state.odometry - self._travel_start_odometry
         if not abs(traveled - self._travel_estimate) < 1e-6:
@@ -402,7 +448,7 @@ class ExcavatorController(RobotController):
                              "site": site.site_id, "excavator": self.state.name})
         self.site = site
         self._wake_paired(tick)
-        self._set_course(site.location)
+        self._set_course(site.location, tick)
         self.state.activity = ExcavatorActivity.TRAVELING
         return True
 
@@ -420,7 +466,7 @@ class ExcavatorController(RobotController):
     def _act(self, tick: int) -> None:
         activity = self.state.activity
         if activity is ExcavatorActivity.TRAVELING:
-            if self._travel():
+            if self._travel(tick):
                 if self.site.minerals_remaining == 0:
                     self._release(tick)
                 else:
@@ -456,8 +502,12 @@ class ExcavatorController(RobotController):
 
     def take_bucket(self, tick: int) -> str:
         """Called by the loading hauler; empties the bucket into its bin."""
-        assert self.state.activity is ExcavatorActivity.WAITING_FOR_HAULER
-        assert self.bucket is not None, "no mineral waiting at this excavator"
+        if self.state.activity is not ExcavatorActivity.WAITING_FOR_HAULER:
+            raise InvariantError(
+                f"{self.state.name} handed over its bucket while "
+                f"{self.state.activity.value}")
+        if self.bucket is None:
+            raise InvariantError(f"no mineral waiting at {self.state.name}")
         mineral, self.bucket = self.bucket, None
         self.wake(tick)
         return mineral
@@ -488,26 +538,30 @@ class HaulerController(RobotController):
         self._standby_cursor: PathCursor | None = None
 
     def _accept_win(self, win: WinnerDecl, tick: int) -> bool:
-        self._begin_transport(win.auctioneer, win.task_location)
+        self._begin_transport(win.auctioneer, win.task_location, tick)
         return True
 
     def assign_transport(self, excavator: str, location: Point, tick: int) -> None:
-        """Coalition direct dispatch: no auction, no protocol messages."""
-        assert self.state.activity in (HaulerActivity.IDLE, HaulerActivity.STANDBY)
-        self._begin_transport(excavator, location)
+        """Coalition direct dispatch: no auction, no protocol messages.
+        Haulers step after excavators, so the course starts this tick."""
+        if self.state.activity not in (HaulerActivity.IDLE, HaulerActivity.STANDBY):
+            raise InvariantError(
+                f"{self.state.name} was assigned a transport while "
+                f"{self.state.activity.value}")
+        self._begin_transport(excavator, location, tick)
         self.wake(tick)
 
-    def _begin_transport(self, excavator: str, location: Point) -> None:
+    def _begin_transport(self, excavator: str, location: Point, tick: int) -> None:
         self.task = (excavator, location)
         self._standby_cursor = None
-        self._set_course(location)
+        self._set_course(location, tick)
         self.state.activity = HaulerActivity.TO_SITE
 
     def _act(self, tick: int) -> None:
         activity = self.state.activity
         timing = self.ctx.config.timing
         if activity is HaulerActivity.TO_SITE:
-            if self._travel():
+            if self._travel(tick):
                 self.state.activity = HaulerActivity.LOADING
                 self._deadline = tick + timing.load_duration
         elif activity is HaulerActivity.LOADING:
@@ -521,10 +575,10 @@ class HaulerController(RobotController):
                                      "site": site.site_id,
                                      "excavator": self.task[0],
                                      "hauler": self.state.name})
-                self._set_course(self.ctx.world.plant_location)
+                self._set_course(self.ctx.world.plant_location, tick + 1)
                 self.state.activity = HaulerActivity.TO_PLANT
         elif activity is HaulerActivity.TO_PLANT:
-            if self._travel():
+            if self._travel(tick):
                 self.state.activity = HaulerActivity.UNLOADING
                 self._deadline = tick + timing.unload_duration
         elif activity is HaulerActivity.UNLOADING:

@@ -206,14 +206,16 @@ class BroadcastBus:
         them, and any older ones, from the queue."""
         by_robot: dict[str, list[Envelope]] = {}
         by_type: dict[TaskType, list[Envelope]] = {}
-        for env in self._by_tick.get(tick - 1, ()):
-            msg = env.payload
-            if isinstance(msg, (Announcement, Close)):
-                by_type.setdefault(msg.task_type, []).append(env)
-            else:
-                to = msg.winner if isinstance(msg, WinnerDecl) else msg.auctioneer
-                by_robot.setdefault(to, []).append(env)
-        self._by_tick = {t: envs for t, envs in self._by_tick.items() if t >= tick}
+        if self._by_tick:  # else nothing is queued: nothing to bucket or drop
+            for env in self._by_tick.get(tick - 1, ()):
+                msg = env.payload
+                if isinstance(msg, (Announcement, Close)):
+                    by_type.setdefault(msg.task_type, []).append(env)
+                else:
+                    to = msg.winner if isinstance(msg, WinnerDecl) else msg.auctioneer
+                    by_robot.setdefault(to, []).append(env)
+            self._by_tick = {t: envs for t, envs in self._by_tick.items()
+                             if t >= tick}
         self._by_robot, self._by_type = by_robot, by_type
         self._bucketed_tick = tick
 

@@ -5,8 +5,12 @@ kind-then-name order (draining the previous tick's broadcasts, acting,
 publishing), then every robot holding open auctions fires its auction
 timers, then the invariants and termination are checked.  A robot wakes
 when it has mail, when a pending win matures, at its own dig, load or
-unload deadline, while it moves, and when another robot's step changes what
-it acts on; any other step of it would change nothing.  The checks run at
+unload deadline, every tick while it scouts or moves to a standby spot,
+and when another robot's step changes what it acts on; any other step of
+it would change nothing.  A courier, on its way to a site or to the plant,
+wakes only at its arrival tick or on mail; its pose and odometry lag in
+between, so the snapshots, `state_digest` and the `run_end` record bring
+every robot up to date first (`RobotController.sync`).  The checks run at
 tick 0 and at every tick whose log grew, since every mineral move,
 discovery and auction open or close appends a record.  The only randomness
 in a run is the scenario generator's seed, so equal configs produce
@@ -200,7 +204,13 @@ class Simulation:
                 f"mineral conservation broken at tick {self.tick}: {total} != "
                 f"{world.minerals_total}")
 
+    def _sync(self, tick: int) -> None:
+        """Bring every courier's pose and odometry up to the end of `tick`."""
+        for controller in self._step_order:
+            controller.sync(tick)
+
     def _emit_snapshots(self, tick: int) -> None:
+        self._sync(tick)
         for controller in self._step_order:
             s = controller.state
             self.ctx.log.append({
@@ -220,6 +230,7 @@ class Simulation:
         if self.status is RunStatus.RUNNING:
             self.status = RunStatus.STALLED
         self._finished = True
+        self._sync(self.tick - 1)
         world = self.ctx.world
         self.ctx.log.append({
             "type": "run_end",
@@ -234,6 +245,7 @@ class Simulation:
 
     def state_digest(self) -> str:
         """Process-independent hash of the full simulation state."""
+        self._sync(self.tick - 1)
         world = self.ctx.world
         state = {
             "tick": self.tick,

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .pathing import PathPlanner
-from .world import RobotKind
+from .world import InvariantError, RobotKind
 
 if TYPE_CHECKING:
     from .agents import AuctionView, RobotState
@@ -91,7 +91,10 @@ class Policy:
                 w.task_location.as_pair(),
             ))
         else:
-            assert len(wins) == 1, "serial policies cannot produce multiple wins"
+            if len(wins) != 1:
+                raise InvariantError(
+                    f"{robot.name} holds {len(wins)} wins at once under "
+                    f"{self.name.value}, which declares one at a time")
             chosen = wins[0]
         return chosen, [w for w in wins if w is not chosen]
 

@@ -37,6 +37,9 @@ PLANT_CLEARANCE_FACTOR = 2.0
 MAX_PLACEMENT_ATTEMPTS = 10_000
 # Robots start evenly spaced on a circle of this radius around the plant.
 START_CIRCLE_RADIUS = 5.0
+# Meters added to the scan radius when picking the grid cells near a swept
+# segment: far above the rounding error of a distance in the arena.
+GRID_PAD = 1e-6
 
 
 class ScenarioGenerationError(ValueError):
@@ -189,6 +192,11 @@ class WorldState:
     plant_location: Point
     sites: list[ResourceSite]
     minerals_at_plant: int = 0
+    # the sites bucketed by grid cell, built by the first `sites_near`;
+    # sites never move during a run
+    _grid: dict[tuple[int, int], list[ResourceSite]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _grid_cell: float = field(default=0.0, init=False, repr=False, compare=False)
 
     @property
     def minerals_total(self) -> int:
@@ -199,6 +207,27 @@ class WorldState:
 
     def site_by_id(self, site_id: int) -> ResourceSite:
         return self.sites[site_id]
+
+    def sites_near(self, a: Point, b: Point, radius: float) -> list[ResourceSite]:
+        """A superset of the sites within `radius` of segment a-b: those in
+        the grid cells, of side 2 * radius, that overlap the segment's
+        bounding box grown by `radius` plus a pad, so no float rounding in
+        the distance can drop a site.  In no particular order."""
+        cell = 2.0 * radius
+        if self._grid_cell != cell:
+            self._grid = {}
+            self._grid_cell = cell
+            for site in self.sites:
+                key = (int(site.location.x // cell), int(site.location.y // cell))
+                self._grid.setdefault(key, []).append(site)
+        reach = radius + GRID_PAD
+        columns = range(int((min(a.x, b.x) - reach) // cell),
+                        int((max(a.x, b.x) + reach) // cell) + 1)
+        rows = range(int((min(a.y, b.y) - reach) // cell),
+                     int((max(a.y, b.y) + reach) // cell) + 1)
+        grid = self._grid
+        return [site for ix in columns for iy in rows
+                for site in grid.get((ix, iy), ())]
 
 
 def _sweep_segments(config: ScenarioConfig) -> list[tuple[Point, Point]]:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -13,10 +16,12 @@ from isrusim import (
     ScenarioConfig,
     Simulation,
     TaskType,
+    TimingConfig,
     WinnerDecl,
     generate_scenario,
     run_to_completion,
 )
+from isrusim import agents
 from isrusim.agents import (
     ExcavatorActivity,
     HaulerActivity,
@@ -25,6 +30,7 @@ from isrusim.agents import (
     standby_point,
 )
 from isrusim.policy import Policy
+from isrusim.world import ResourceSite, _segment_distance
 
 
 def world_with_site_at(location: Point):
@@ -56,6 +62,119 @@ def test_scan_skips_already_discovered():
     world = world_with_site_at(Point(12, 11))
     scan_at(Point(10, 10), world, 2.5)
     assert scan_at(Point(10, 10), world, 2.5) == []
+
+
+def brute_force_scan(a: Point, b: Point, world, radius: float) -> list[int]:
+    """The scan rule tested against every site, in site_id order."""
+    found = []
+    for site in world.sites:
+        if not site.discovered and _segment_distance(site.location, a, b) <= radius:
+            site.discovered = True
+            found.append(site.site_id)
+    return found
+
+
+def scan_both(world, reference, a: Point, b: Point, radius: float) -> list[int]:
+    """The grid scan of `world`, checked against the brute-force scan of
+    its copy `reference`: the same ids in the same order."""
+    found = scan_swept_segment(a, b, world, radius)
+    assert found == brute_force_scan(a, b, reference, radius), (a, b)
+    return found
+
+
+ARENA200 = ScenarioConfig(arena_side=200.0, n_sites=40, n_minerals=256,
+                          n_scouts=2, n_excavators=8, n_haulers=12, seed=0)
+
+
+def add_site(world, x: float, y: float) -> None:
+    world.sites.append(ResourceSite(len(world.sites), Point(x, y), 1, 1))
+
+
+def with_border_sites(world, config: ScenarioConfig, count: int):
+    """Add sites on the grid's cell borders, vertical, horizontal and at
+    corners, spread over the arena."""
+    rng = random.Random(7)
+    cells, cell = config.grid_cells, config.cell_side
+    for _ in range(count):
+        x = rng.randrange(cells + 1) * cell
+        y = rng.randrange(cells + 1) * cell
+        add_site(world, x, rng.uniform(0, config.arena_side))
+        add_site(world, rng.uniform(0, config.arena_side), y)
+        add_site(world, x, y)
+    return world
+
+
+@pytest.mark.parametrize("speed", (0.7, 1.0, 2.5))
+def test_grid_scan_matches_brute_force_along_the_spirals(speed):
+    """The scouts' arena200 sweeps at several speeds, spawn scans (zero
+    length) included, over the workload's sites and sites on cell borders:
+    every scan finds what a test of every site finds, in the same order."""
+    config = dataclasses.replace(ARENA200, timing=TimingConfig(robot_speed=speed))
+    radius = config.scan_radius
+    sim = Simulation(config)
+    world = with_border_sites(sim.ctx.world, config, 15)
+    reference = copy.deepcopy(world)
+    for name in ("scout_1", "scout_2"):
+        spawn, cursor = sim.ctx.robots[name].pose, sim.ctx.controllers[name].cursor
+        scan_both(world, reference, spawn, spawn, radius)
+        while not cursor.arrived:
+            for a, b in cursor.step(speed)[2]:
+                scan_both(world, reference, a, b, radius)
+    found = [s.site_id for s in world.sites if s.discovered]
+    assert found == [s.site_id for s in reference.sites if s.discovered]
+    assert len(found) > 40
+
+
+def test_grid_scan_matches_brute_force_at_the_radius_and_on_borders():
+    """Sites on cell borders and corners, each probed from exactly
+    scan_radius away by a zero-length segment and by a segment passing at
+    that distance, and random segments of up to 12 m: the same ids in the
+    same order as a test of every site.  Every site is undiscovered again
+    before each probe."""
+    config, radius = ARENA200, ARENA200.scan_radius
+    world = with_border_sites(generate_scenario(config), config, 30)
+    reference = copy.deepcopy(world)
+    probes = []
+    for site in world.sites:
+        x, y = site.location.x, site.location.y
+        for dx, dy in ((radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius)):
+            probes.append((Point(x + dx, y + dy), Point(x + dx, y + dy)))
+        probes.append((Point(x - 3.0, y + radius), Point(x + 3.0, y + radius)))
+        probes.append((Point(x - radius, y - 4.0), Point(x - radius, y + 1.0)))
+    rng = random.Random(3)
+    for _ in range(500):
+        a = Point(rng.uniform(0, 200), rng.uniform(0, 200))
+        angle, length = rng.uniform(0, 2 * math.pi), rng.uniform(0, 12)
+        probes.append((a, Point(a.x + length * math.cos(angle),
+                                a.y + length * math.sin(angle))))
+    hits = 0
+    for a, b in probes:
+        for site in world.sites + reference.sites:
+            site.discovered = False
+        hits += len(scan_both(world, reference, a, b, radius))
+    assert hits >= 4 * len(world.sites)
+
+
+def test_grid_scan_tests_a_small_fraction_of_the_sites(monkeypatch):
+    """Work guard: over a reference run the grid scan computes under 1/20
+    of the site distances that testing every undiscovered site would."""
+    checks = brute = 0
+    scan = agents.scan_swept_segment
+
+    def counted_distance(p, a, b):
+        nonlocal checks
+        checks += 1
+        return _segment_distance(p, a, b)
+
+    def counted_scan(a, b, world, radius):
+        nonlocal brute
+        brute += sum(not site.discovered for site in world.sites)
+        return scan(a, b, world, radius)
+
+    monkeypatch.setattr(agents, "_segment_distance", counted_distance)
+    monkeypatch.setattr(agents, "scan_swept_segment", counted_scan)
+    run_to_completion(ScenarioConfig(seed=0))
+    assert 0 < checks < brute / 20, (checks, brute)
 
 
 def test_busy_rule_per_kind():

@@ -21,7 +21,7 @@ from isrusim import (
     generate_scenario,
     run_to_completion,
 )
-from isrusim.agents import RobotController, standby_point
+from isrusim.agents import COURIER, HaulerController, RobotController, standby_point
 from isrusim.engine import START_CIRCLE_RADIUS
 
 
@@ -156,6 +156,19 @@ def test_minimal_mission_message_audit():
     assert {r["task_type"] for r in closes} == {"excavate", "transport"}
 
 
+def step_all_reference(config, snapshots: bool = False) -> Simulation:
+    """A simulation that steps every robot on every tick, where a courier
+    makes one `PathCursor.step` per step, as it did before couriers slept
+    until arrival: it shares no wake rule and no move schedule with the
+    engine's."""
+    reference = Simulation(config, snapshots=snapshots)
+    for controller in reference.ctx.controllers.values():
+        controller._next_wake = lambda tick: tick + 1
+        controller.sync = lambda tick: None  # its pose never lags
+        controller._travel = lambda tick, c=controller: c._advance(c.cursor)
+    return reference
+
+
 STEP_ALL_CASES = (
     [(crowded_config(policy=policy), False) for policy in POLICIES]
     + [(config, False) for config in DETERMINISM_CONFIGS]
@@ -175,9 +188,7 @@ def test_wake_set_matches_step_all_reference(config, snapshots):
     conservation check, run only at tick 0 and where the log grew, hold
     exactly when they would on every tick."""
     sim = Simulation(config, snapshots=snapshots)
-    reference = Simulation(config, snapshots=snapshots)
-    for controller in reference.ctx.controllers.values():
-        controller._next_wake = lambda tick: tick + 1  # step every tick
+    reference = step_all_reference(config, snapshots)
     while sim.status is RunStatus.RUNNING:
         assert sim.tick < config.tick_cap
         sim.step()
@@ -189,15 +200,36 @@ def test_wake_set_matches_step_all_reference(config, snapshots):
     assert sim.ctx.log.dumps() == reference.ctx.log.dumps()
 
 
-_MOVING = (ScoutActivity.SEARCHING, ExcavatorActivity.TRAVELING,
-           HaulerActivity.TO_SITE, HaulerActivity.TO_PLANT)
 _COUNTING_DOWN = (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
                   HaulerActivity.UNLOADING)
 
 
-def reasons_to_step(controller, tick: int) -> set[str]:
+@pytest.mark.parametrize("policy, cap", [("fcfs", 120), ("coalition", 333),
+                                         ("nearest", 450)])
+def test_stalled_run_ends_with_the_step_all_state(policy, cap):
+    """A tick cap that stops the run while couriers are mid-course: their
+    poses and odometry lag the reference's until the run ends, and the
+    `run_end` record and `state_digest` then equal the step-all
+    reference's."""
+    config = crowded_config(policy=policy, tick_cap=cap)
+    sim, reference = Simulation(config), step_all_reference(config)
+    while sim.tick < cap:
+        sim.step()
+        reference.step()
+    lagging = [name for name, robot in sim.ctx.robots.items()
+               if robot.activity in COURIER
+               and robot.odometry < reference.ctx.robots[name].odometry]
+    assert lagging
+    assert sim.run() is reference.run() is RunStatus.STALLED
+    assert sim.ctx.log.records[-1] == reference.ctx.log.records[-1]
+    assert sim.state_digest() == reference.state_digest()
+
+
+def reasons_to_step(controller, tick: int, assigned: set) -> set[str]:
     """Why a robot must step at `tick`, read before its step (mail is
-    known only once it drains)."""
+    known only once it drains, an arrival once the step ends).  A courier
+    steps for no reason of its own but its arrival, except at the start of
+    a course assigned to it this tick by its coalition parent."""
     state, ctx = controller.state, controller.ctx
     window = ctx.config.timing.win_resolution_window
     reasons = set()
@@ -207,8 +239,10 @@ def reasons_to_step(controller, tick: int) -> set[str]:
         reasons.add("win matures")
     if state.activity in _COUNTING_DOWN and controller._deadline == tick:
         reasons.add("deadline")
-    if state.activity in _MOVING:
+    if state.activity is ScoutActivity.SEARCHING:
         reasons.add("moving")
+    if (state.name, tick) in assigned:
+        reasons.add("course starts")
     if (state.activity is ExcavatorActivity.WAITING_FOR_HAULER
             and controller.bucket is None):
         reasons.add("bucket emptied")
@@ -229,11 +263,18 @@ def reasons_to_step(controller, tick: int) -> set[str]:
 @pytest.mark.parametrize("policy", POLICIES)
 def test_work_guard_steps_only_woken_robots(monkeypatch, policy):
     """Every controller step has a reason to happen, so controller steps
-    are at most the woken robot-ticks; every robot with mail is stepped;
-    and auction timers fire only for robots holding auctions."""
-    steps, drained = {}, []
+    are at most the woken robot-ticks; a courier without mail steps only
+    at the tick its course starts and at its arrival; every robot with
+    mail is stepped; and auction timers fire only for robots holding
+    auctions."""
+    steps, drained, assigned = {}, [], set()
     step, drain = RobotController.step, BroadcastBus.drain_inbox
     fire = RobotController.fire_auction_timers
+    assign = HaulerController.assign_transport
+
+    def assign_and_note(self, excavator, location, tick):
+        assign(self, excavator, location, tick)
+        assigned.add((self.state.name, tick))
 
     def drain_and_note(self, robot, tick, task_type=None):
         inbox = drain(self, robot, tick, task_type)
@@ -241,11 +282,14 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy):
         return inbox
 
     def step_with_reasons(self, tick):
-        reasons = reasons_to_step(self, tick)
+        reasons = reasons_to_step(self, tick, assigned)
+        activity = self.state.activity
         drained.clear()
         step(self, tick)
         if drained:
             reasons.add("mail")
+        if activity in COURIER and self.state.activity is not activity:
+            reasons.add("arrives")
         steps[self.state.name, tick] = reasons
 
     def fire_with_auctions(self, tick):
@@ -255,6 +299,7 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy):
     monkeypatch.setattr(BroadcastBus, "drain_inbox", drain_and_note)
     monkeypatch.setattr(RobotController, "step", step_with_reasons)
     monkeypatch.setattr(RobotController, "fire_auction_timers", fire_with_auctions)
+    monkeypatch.setattr(HaulerController, "assign_transport", assign_and_note)
     sim = Simulation(crowded_config(policy=policy))
     assert sim.run() is RunStatus.COMPLETED
 
@@ -274,19 +319,36 @@ def test_invariant_checks_run_under_optimize():
 import sys
 import tempfile
 from conftest import tiny_config
-from isrusim import ExcavatorActivity, InvariantError, Simulation, agents
+from isrusim import (ExcavatorActivity, HaulerActivity, InvariantError,
+                     Point, Simulation, TaskType, WinnerDecl, agents)
 from isrusim.cli import main
 
 if sys.flags.optimize != 1:
     sys.exit("not running under -O")
 
-def expect_invariant_error(sim):
+def expect_invariant_error(call, *args):
     try:
-        sim.run()
+        call(*args)
     except InvariantError as exc:
         print(exc)
     else:
-        sys.exit("the run finished without InvariantError")
+        sys.exit(f"{call.__name__} finished without InvariantError")
+
+# hand-offs out of turn: an idle excavator has no bucket to give, a hauler
+# on its way to a site takes no other transport, and fcfs never declares
+# one robot winner of two auctions at once
+sim = Simulation(tiny_config())
+excavator = sim.ctx.controllers["excavator_1"]
+expect_invariant_error(excavator.take_bucket, 0)
+excavator.state.activity = ExcavatorActivity.WAITING_FOR_HAULER
+expect_invariant_error(excavator.take_bucket, 0)
+hauler = sim.ctx.controllers["hauler_1"]
+hauler.state.activity = HaulerActivity.TO_SITE
+expect_invariant_error(hauler.assign_transport, "excavator_1", Point(9.0, 9.0), 0)
+wins = [WinnerDecl("scout_1", TaskType.EXCAVATE, Point(x, 9.0), "excavator_2")
+        for x in (8.0, 9.0)]
+expect_invariant_error(sim.ctx.policy.resolve_wins,
+                       sim.ctx.robots["excavator_2"], wins, sim.ctx.planner)
 
 # an excavator that travels farther than it bid breaks the travel check
 sim = Simulation(tiny_config())
@@ -295,18 +357,24 @@ while not any(c.state.activity is ExcavatorActivity.TRAVELING
     sim.step()
 for controller in sim.ctx.controllers.values():
     controller._travel_start_odometry -= 1.0
-expect_invariant_error(sim)
+expect_invariant_error(sim.run)
 
 def lose_mineral(world, hauler):  # the bin empties, the plant gets nothing
     hauler.carried_minerals -= 1
 
 agents.transfer_mineral_to_plant = lose_mineral
-expect_invariant_error(Simulation(tiny_config()))
+expect_invariant_error(Simulation(tiny_config()).run)
 with tempfile.TemporaryDirectory() as out:
     print(main(["run", "--out", out, "--arena", "30", "--scouts", "1",
                 "--sites", "2", "--minerals", "4", "--seed", "11"]))
 """
     lines = run_child(script, "-O").stdout.splitlines()
-    assert "on a course estimated at" in lines[0]
-    assert lines[1].startswith("mineral conservation broken at tick ")
-    assert lines[2] == "3"
+    assert lines[:4] == [
+        "excavator_1 handed over its bucket while idle",
+        "no mineral waiting at excavator_1",
+        "hauler_1 was assigned a transport while to_site",
+        "excavator_2 holds 2 wins at once under fcfs, which declares one "
+        "at a time"]
+    assert "on a course estimated at" in lines[4]
+    assert lines[5].startswith("mineral conservation broken at tick ")
+    assert lines[6] == "3"
