@@ -14,8 +14,11 @@ change for it (see `RobotController.wake_tick`); a step that changes what
 another robot acts on outside the bus wakes that robot.  A courier (an
 excavator traveling to its site, a hauler on its way to a site or to the
 plant) drives one straight segment and is busy while it does, so nothing
-reads its pose on the way: it wakes at its arrival tick or on mail, and
-each step catches up the moves due since its last one.
+reads its pose on the way: it wakes at its arrival tick or on mail.  A
+searching scout's spiral is fixed at set-up, so it wakes only inside the
+scan window of a site still undiscovered (`scan_windows`), at the
+spiral's last move, or on mail.  Either kind catches up the moves due
+since its last step before it acts (`RobotController.sync`).
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ from .bus import (
     WinnerDecl,
     auction_key,
 )
-from .pathing import PathCursor, make_path
+from .pathing import PathCursor, PathEstimate, make_path
 from .spiral import SpiralPlan
 from .world import (
+    GRID_PAD,
     InvariantError,
     Point,
     ResourceSite,
@@ -98,6 +102,8 @@ COURIER = (ExcavatorActivity.TRAVELING, HaulerActivity.TO_SITE,
 # activities that end at a deadline: an arrival, or a dig, load or unload
 _COUNTING_DOWN = COURIER + (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
                             HaulerActivity.UNLOADING)
+# activities that move along `cursor` every tick, whose pose may lag
+_IN_MOTION = COURIER + (ScoutActivity.SEARCHING,)
 _NEVER = math.inf
 
 
@@ -105,10 +111,10 @@ _NEVER = math.inf
 class RobotState:
     """Pose, activity and odometry of one robot.
 
-    A courier's pose and odometry lag between its steps: they hold the
-    last move it applied.  The snapshots, `Simulation.state_digest` and the
-    `run_end` record bring every robot up to date first (see
-    `RobotController.sync`)."""
+    The pose and odometry of a courier or a searching scout lag between
+    its steps: they hold the last move it applied.  The snapshots,
+    `Simulation.state_digest` and the `run_end` record bring every robot
+    up to date first (see `RobotController.sync`)."""
 
     name: str
     kind: RobotKind
@@ -145,6 +151,43 @@ def scan_swept_segment(a: Point, b: Point, world: WorldState,
     return [site.site_id for site in found]
 
 
+ScanWindow = tuple[int, int, ResourceSite]  # first tick, last tick, site
+
+
+def scan_windows(path: PathEstimate, world: WorldState, scan_radius: float,
+                 speed: float) -> list[ScanWindow]:
+    """The ticks at which a scout moving along `path` at `speed`, its first
+    move at tick 0, may find each site: one window per site and segment the
+    site lies within `scan_radius` (plus `GRID_PAD`) of, with a tick of
+    slack on each side.  A superset of the ticks at which
+    `scan_swept_segment` on a move's swept chain can find the site, which
+    alone decides a find.  Latest first tick first.
+
+    The move at tick t sweeps arc lengths [t * speed, (t + 1) * speed], up
+    to the float rounding of the cursor's running sum."""
+    reach = scan_radius + GRID_PAD
+    windows = []
+    for a, b, start, length in zip(path.waypoints, path.waypoints[1:],
+                                   path.prefix, path.segments):
+        dx, dy = b.x - a.x, b.y - a.y
+        for site in world.sites_near(a, b, scan_radius):
+            px, py = site.location.x - a.x, site.location.y - a.y
+            if length == 0.0:
+                along, off = 0.0, math.hypot(px, py)
+            else:
+                along = (px * dx + py * dy) / length
+                off = abs(px * dy - py * dx) / length
+            if off > reach:
+                continue
+            half = math.sqrt(reach * reach - off * off)
+            lo, hi = max(0.0, along - half), min(length, along + half)
+            if lo <= hi:
+                windows.append((math.ceil((start + lo) / speed) - 2,
+                                math.floor((start + hi) / speed) + 1, site))
+    windows.sort(key=lambda window: window[0], reverse=True)
+    return windows
+
+
 @dataclass
 class AuctionView:
     """A bidder's receiver-side picture of someone else's open auction."""
@@ -178,9 +221,9 @@ class RobotController:
         self.pending_wins: list[tuple[int, WinnerDecl]] = []
         self.book: dict[AuctionKey, Auction] = {}
         self.cursor: PathCursor | None = None
-        # the tick a dig, load or unload ends, or a course's last move
+        # the tick a dig, load or unload ends, or the last move along cursor
         self._deadline = 0
-        self._next_move = 0  # the tick of a courier's first move not applied
+        self._next_move = 0  # the tick of the first move along cursor not applied
         self._travel_estimate = 0.0
         self._travel_start_odometry = 0.0
         self._bid_scope = ctx.policy.bid_scope(state)
@@ -207,8 +250,8 @@ class RobotController:
 
     def _next_wake(self, tick: int) -> float:
         """The next tick at which a step can change something without mail:
-        the next one while scouting or moving to a standby spot, the end of
-        a course, dig, load or unload, or the tick a pending win matures."""
+        the next one while moving to a standby spot, the end of a course,
+        dig, load or unload, or the tick a pending win matures."""
         if self.state.activity in _COUNTING_DOWN:
             wake: float = self._deadline
         elif self._moving():
@@ -221,9 +264,9 @@ class RobotController:
         return wake
 
     def _moving(self) -> bool:
-        """Whether the pose changes every tick: only a searching scout's,
-        or a standby hauler's on its way to its spot."""
-        return self.state.activity is ScoutActivity.SEARCHING
+        """Whether the pose changes every tick without a deadline: only a
+        standby hauler's on its way to its spot."""
+        return False
 
     def fire_auction_timers(self, tick: int) -> None:
         timing = self.ctx.config.timing
@@ -340,13 +383,18 @@ class RobotController:
 
     def _set_course(self, goal: Point, first_move: int) -> None:
         """Plan the course to `goal`, whose first move is at tick
-        `first_move`, and set the deadline to the tick of its last move,
-        found by replaying `PathCursor.step`'s float arithmetic."""
+        `first_move`."""
         path = self.ctx.planner(self.state.pose, goal)
         self.cursor = PathCursor(path)
         self._travel_estimate = path.length
         self._travel_start_odometry = self.state.odometry
-        speed, length = self.ctx.config.timing.robot_speed, path.length
+        self._schedule(first_move)
+
+    def _schedule(self, first_move: int) -> None:
+        """Start the moves along a fresh cursor at tick `first_move`, and set
+        the deadline to the tick of the last one, found by replaying
+        `PathCursor.step`'s float arithmetic."""
+        speed, length = self.ctx.config.timing.robot_speed, self.cursor.path.length
         traveled, arrival = min(speed, length), first_move
         while traveled < length:
             traveled += min(speed, length - traveled)
@@ -354,11 +402,12 @@ class RobotController:
         self._next_move, self._deadline = first_move, arrival
 
     def sync(self, tick: int) -> None:
-        """Apply a courier's moves due at or before `tick`.  All but the
-        last only add the distance moved to the cursor and the odometry,
-        as `PathCursor.step` would; the last is a real step, which places
-        the pose."""
-        if self.state.activity not in COURIER:
+        """Apply the moves along the cursor due at or before `tick`, on a
+        courier's course or a searching scout's spiral.  All but the last
+        only add the distance moved to the cursor and the odometry, as
+        `PathCursor.step` would; the last is a real step, which places the
+        pose."""
+        if self.state.activity not in _IN_MOTION:
             return
         last = min(tick, self._deadline)
         if last < self._next_move:
@@ -388,7 +437,11 @@ class RobotController:
 
 
 class ScoutController(RobotController):
-    """Sweeps a spiral plan, scanning continuously, auctioning every find."""
+    """Sweeps a spiral plan, scanning continuously, auctioning every find.
+
+    Its first move is at tick 0.  Only the ticks in its scan windows can
+    find a site, so between them it sleeps, and each step catches up the
+    moves it skipped before it makes and scans its own."""
 
     bids_on = None
 
@@ -396,20 +449,39 @@ class ScoutController(RobotController):
         super().__init__(state, ctx)
         self.plan = plan
         self.cursor = PathCursor(make_path([state.pose] + plan.waypoints()))
-        self._scanned_spawn = False
+        self._schedule(0)
+        # built by the first step, which also scans the spawn point: the
+        # sites are final only once the run starts
+        self._windows: list[ScanWindow] | None = None
+
+    def _next_wake(self, tick: int) -> float:
+        """The first tick after `tick` in a scan window of a site still
+        undiscovered, or the spiral's last move, whichever comes first;
+        passed and discovered windows are dropped."""
+        if self.state.activity is ScoutActivity.DONE:
+            return _NEVER
+        windows = self._windows
+        while windows and (windows[-1][1] <= tick or windows[-1][2].discovered):
+            windows.pop()
+        if windows:
+            return min(max(windows[-1][0], tick + 1), self._deadline)
+        return self._deadline
 
     def _act(self, tick: int) -> None:
         if self.state.activity is ScoutActivity.DONE:
             return
         world = self.ctx.world
         radius = self.ctx.config.scan_radius
-        if not self._scanned_spawn:
-            self._scanned_spawn = True
+        speed = self.ctx.config.timing.robot_speed
+        if self._windows is None:
+            self._windows = scan_windows(self.cursor.path, world, radius, speed)
             spawn = self.state.pose
             self._handle_finds(scan_swept_segment(spawn, spawn, world, radius), tick)
-        pose, moved, swept = self.cursor.step(self.ctx.config.timing.robot_speed)
+        self.sync(tick - 1)
+        pose, moved, swept = self.cursor.step(speed)
         self.state.pose = pose
         self.state.odometry += moved
+        self._next_move = tick + 1
         for a, b in swept:
             self._handle_finds(scan_swept_segment(a, b, world, radius), tick)
         if self.cursor.arrived:
@@ -425,6 +497,11 @@ class ScoutController(RobotController):
             })
             open_auction(self.book, self.state.name, TaskType.EXCAVATE,
                          site.location, tick, self.ctx.bus)
+        if site_ids:  # the other scout may be waiting for one of these
+            for other in self.ctx.controllers.values():
+                if (isinstance(other, ScoutController) and other is not self
+                        and other._windows is not None):
+                    other.wake_tick = other._next_wake(other._next_move - 1)
 
 
 class ExcavatorController(RobotController):

@@ -114,6 +114,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_STALLED if result.any_stalled else EXIT_OK
 
 
+# What reading a log raises when a field holds a value of the wrong kind,
+# such as a number where a point belongs: the record schema checks that the
+# fields are there, not what they hold.
+_MALFORMED = (TypeError, ValueError, KeyError, IndexError)
+
+
+def _malformed(command: str, exc: Exception) -> int:
+    print(f"{command} failed: malformed value in the log: "
+          f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_VIOLATION
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         log = EventLog.load_jsonl(args.log)
@@ -121,6 +133,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except (LogParseError, MetricsError) as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except _MALFORMED as exc:
+        return _malformed("replay", exc)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -131,7 +145,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except LogParseError as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    violations = verify_records(log.records)
+    try:
+        violations = verify_records(log.records)
+    except _MALFORMED as exc:
+        return _malformed("verify", exc)
     if violations:
         for violation in violations:
             print(violation, file=sys.stderr)

@@ -5,12 +5,14 @@ kind-then-name order (draining the previous tick's broadcasts, acting,
 publishing), then every robot holding open auctions fires its auction
 timers, then the invariants and termination are checked.  A robot wakes
 when it has mail, when a pending win matures, at its own dig, load or
-unload deadline, every tick while it scouts or moves to a standby spot,
-and when another robot's step changes what it acts on; any other step of
-it would change nothing.  A courier, on its way to a site or to the plant,
-wakes only at its arrival tick or on mail; its pose and odometry lag in
-between, so the snapshots, `state_digest` and the `run_end` record bring
-every robot up to date first (`RobotController.sync`).  The checks run at
+unload deadline, every tick while it moves to a standby spot, and when
+another robot's step changes what it acts on; any other step of it would
+change nothing.  A courier, on its way to a site or to the plant, wakes
+only at its arrival tick or on mail; a searching scout only in the scan
+window of a site still undiscovered, at its spiral's last move, or on
+mail.  Their poses and odometry lag in between, so the snapshots,
+`state_digest` and the `run_end` record bring every robot up to date
+first (`RobotController.sync`).  The checks run at
 tick 0 and at every tick whose log grew, since every mineral move,
 discovery and auction open or close appends a record.  The only randomness
 in a run is the scenario generator's seed, so equal configs produce
@@ -205,7 +207,8 @@ class Simulation:
                 f"{world.minerals_total}")
 
     def _sync(self, tick: int) -> None:
-        """Bring every courier's pose and odometry up to the end of `tick`."""
+        """Bring the pose and odometry of every courier and searching scout
+        up to the end of `tick`."""
         for controller in self._step_order:
             controller.sync(tick)
 

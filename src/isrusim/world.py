@@ -164,6 +164,16 @@ class ScenarioConfig:
         if abs(cells - round(cells)) > 1e-9 or round(cells) < 1:
             raise ValueError(
                 "arena_side must be an exact multiple of 2*scan_radius")
+        # A site lies at least scan_radius in from the border and far from
+        # the plant (see generate_scenario); the corners of that inner
+        # square are its points farthest from the plant.
+        inset = self.arena_side / 2.0 - self.scan_radius
+        if (self.n_sites > 0 and math.hypot(inset, inset)
+                < PLANT_CLEARANCE_FACTOR * self.scan_radius):
+            raise ValueError(
+                f"no site can be placed: every point scan_radius in from the "
+                f"border lies within {PLANT_CLEARANCE_FACTOR:g}*scan_radius "
+                f"of the plant")
 
     @property
     def cell_side(self) -> float:

@@ -125,6 +125,59 @@ def test_grid_scan_matches_brute_force_along_the_spirals(speed):
     assert len(found) > 40
 
 
+def with_sites_at_the_radius(world, path, radius: float, count: int):
+    """Add sites exactly `radius` to the left of points on the path's
+    segments, and exactly `radius` past waypoints along the x axis."""
+    rng = random.Random(5)
+    segments = [(a, b) for a, b in zip(path.waypoints, path.waypoints[1:]) if a != b]
+    for a, b in rng.sample(segments, count):
+        t, norm = rng.random(), a.distance_to(b)
+        x, y = a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t
+        add_site(world, x - (b.y - a.y) / norm * radius,
+                 y + (b.x - a.x) / norm * radius)
+        add_site(world, b.x + radius, b.y)
+    return world
+
+
+@pytest.mark.parametrize("speed", (0.7, 1.0, 2.5))
+def test_scan_windows_hold_every_tick_a_scan_can_find_a_site(speed):
+    """The scouts' arena200 sweeps at several speeds, over the workload's
+    sites, sites on cell borders and sites exactly scan_radius off the
+    spiral: every tick at which a scan of that tick's swept chain, testing
+    every site, would find a site lies in one of the scout's windows for
+    that site."""
+    config = dataclasses.replace(ARENA200, timing=TimingConfig(robot_speed=speed))
+    radius = config.scan_radius
+    sim = Simulation(config)
+    world = with_border_sites(sim.ctx.world, config, 15)
+    for name in ("scout_1", "scout_2"):
+        with_sites_at_the_radius(world, sim.ctx.controllers[name].cursor.path,
+                                 radius, 20)
+    hits = 0
+    for name in ("scout_1", "scout_2"):
+        cursor = sim.ctx.controllers[name].cursor
+        windows = {}
+        for first, last, site in agents.scan_windows(cursor.path, world, radius,
+                                                     speed):
+            windows.setdefault(site.site_id, []).append((first, last))
+        tick = 0
+        while not cursor.arrived:
+            for a, b in cursor.step(speed)[2]:
+                # a site in range lies in the segment's box grown by radius
+                x0, x1 = min(a.x, b.x) - radius, max(a.x, b.x) + radius
+                y0, y1 = min(a.y, b.y) - radius, max(a.y, b.y) + radius
+                for site in world.sites:
+                    p = site.location
+                    if (x0 <= p.x <= x1 and y0 <= p.y <= y1
+                            and _segment_distance(p, a, b) <= radius):
+                        hits += 1
+                        assert any(first <= tick <= last for first, last
+                                   in windows.get(site.site_id, ())), (
+                            name, tick, site.site_id)
+            tick += 1
+    assert hits > 2 * len(world.sites)
+
+
 def test_grid_scan_matches_brute_force_at_the_radius_and_on_borders():
     """Sites on cell borders and corners, each probed from exactly
     scan_radius away by a zero-length segment and by a segment passing at

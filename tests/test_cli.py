@@ -149,3 +149,24 @@ def test_record_missing_fields_exits_3_with_line(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "line 1: msg record is missing" in err and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["replay", "verify"])
+def test_malformed_value_exits_3_with_one_line(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main(["run", "--policy", "fcfs", "--seed", "11", *SMALL,
+                 "--out", str(out)]) == 0
+    lines = (out / "events.jsonl").read_text().splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("variant") == "announcement":
+            record["loc"] = 5  # a number where a point belongs
+            lines[i] = json.dumps(record)
+            break
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, "--log", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: malformed value")
+    assert err.count("\n") == 1 and "TypeError" in err

@@ -21,7 +21,13 @@ from isrusim import (
     generate_scenario,
     run_to_completion,
 )
-from isrusim.agents import COURIER, HaulerController, RobotController, standby_point
+from isrusim.agents import (
+    COURIER,
+    HaulerController,
+    RobotController,
+    scan_windows,
+    standby_point,
+)
 from isrusim.engine import START_CIRCLE_RADIUS
 
 
@@ -204,43 +210,57 @@ _COUNTING_DOWN = (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
                   HaulerActivity.UNLOADING)
 
 
-@pytest.mark.parametrize("policy, cap", [("fcfs", 120), ("coalition", 333),
-                                         ("nearest", 450)])
-def test_stalled_run_ends_with_the_step_all_state(policy, cap):
-    """A tick cap that stops the run while couriers are mid-course: their
-    poses and odometry lag the reference's until the run ends, and the
-    `run_end` record and `state_digest` then equal the step-all
-    reference's."""
+@pytest.mark.parametrize("policy, cap, moving", [
+    *(pytest.param(policy, cap, COURIER, id=f"{policy}-{cap}")
+      for policy, cap in (("fcfs", 120), ("coalition", 333), ("nearest", 450))),
+    # mid-spiral: the scouts sleep between their scan windows
+    pytest.param("coalition", 40, (ScoutActivity.SEARCHING,), id="coalition-40")])
+def test_stalled_run_ends_with_the_step_all_state(policy, cap, moving):
+    """A tick cap that stops the run while couriers are mid-course, or
+    scouts mid-spiral: their poses and odometry lag the reference's until
+    the run ends, and the `run_end` record and `state_digest` then equal
+    the step-all reference's."""
     config = crowded_config(policy=policy, tick_cap=cap)
     sim, reference = Simulation(config), step_all_reference(config)
     while sim.tick < cap:
         sim.step()
         reference.step()
     lagging = [name for name, robot in sim.ctx.robots.items()
-               if robot.activity in COURIER
-               and robot.odometry < reference.ctx.robots[name].odometry]
+               if robot.activity in moving
+               and robot.odometry < reference.ctx.robots[name].odometry
+               and robot.pose != reference.ctx.robots[name].pose]
     assert lagging
     assert sim.run() is reference.run() is RunStatus.STALLED
     assert sim.ctx.log.records[-1] == reference.ctx.log.records[-1]
     assert sim.state_digest() == reference.state_digest()
 
 
-def reasons_to_step(controller, tick: int, assigned: set) -> set[str]:
+def reasons_to_step(controller, tick: int, assigned: set, windows: dict) -> set[str]:
     """Why a robot must step at `tick`, read before its step (mail is
     known only once it drains, an arrival once the step ends).  A courier
     steps for no reason of its own but its arrival, except at the start of
-    a course assigned to it this tick by its coalition parent."""
+    a course assigned to it this tick by its coalition parent; a searching
+    scout only at its last spiral move or inside a scan window of a site
+    still undiscovered (`windows` keeps each scout's, built at tick 0)."""
     state, ctx = controller.state, controller.ctx
     window = ctx.config.timing.win_resolution_window
     reasons = set()
     if tick == 0:
         reasons.add("first tick")
+        if state.activity is ScoutActivity.SEARCHING:
+            windows[state.name] = scan_windows(
+                controller.cursor.path, ctx.world, ctx.config.scan_radius,
+                ctx.config.timing.robot_speed)
     if any(t0 + window - 1 <= tick for t0, _ in controller.pending_wins):
         reasons.add("win matures")
     if state.activity in _COUNTING_DOWN and controller._deadline == tick:
         reasons.add("deadline")
     if state.activity is ScoutActivity.SEARCHING:
-        reasons.add("moving")
+        if controller._deadline == tick:
+            reasons.add("spiral ends")
+        if any(first <= tick <= last and not site.discovered
+               for first, last, site in windows[state.name]):
+            reasons.add("scan window")
     if (state.name, tick) in assigned:
         reasons.add("course starts")
     if (state.activity is ExcavatorActivity.WAITING_FOR_HAULER
@@ -260,14 +280,18 @@ def reasons_to_step(controller, tick: int, assigned: set) -> set[str]:
     return reasons
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_work_guard_steps_only_woken_robots(monkeypatch, policy):
+# under seed 3 a scout finds a site that the other scout sleeps until
+@pytest.mark.parametrize("policy, seed", [
+    *(pytest.param(policy, 0, id=policy) for policy in POLICIES),
+    *(pytest.param(policy, 3, id=f"{policy}-seed3") for policy in POLICIES)])
+def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
     """Every controller step has a reason to happen, so controller steps
     are at most the woken robot-ticks; a courier without mail steps only
-    at the tick its course starts and at its arrival; every robot with
+    at the tick its course starts and at its arrival, a searching scout
+    only in its scan windows and at its spiral's end; every robot with
     mail is stepped; and auction timers fire only for robots holding
     auctions."""
-    steps, drained, assigned = {}, [], set()
+    steps, drained, assigned, windows = {}, [], set(), {}
     step, drain = RobotController.step, BroadcastBus.drain_inbox
     fire = RobotController.fire_auction_timers
     assign = HaulerController.assign_transport
@@ -282,7 +306,7 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy):
         return inbox
 
     def step_with_reasons(self, tick):
-        reasons = reasons_to_step(self, tick, assigned)
+        reasons = reasons_to_step(self, tick, assigned, windows)
         activity = self.state.activity
         drained.clear()
         step(self, tick)
@@ -300,7 +324,7 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy):
     monkeypatch.setattr(RobotController, "step", step_with_reasons)
     monkeypatch.setattr(RobotController, "fire_auction_timers", fire_with_auctions)
     monkeypatch.setattr(HaulerController, "assign_transport", assign_and_note)
-    sim = Simulation(crowded_config(policy=policy))
+    sim = Simulation(crowded_config(policy=policy, seed=seed))
     assert sim.run() is RunStatus.COMPLETED
 
     unjustified = [key for key, reasons in steps.items() if not reasons]
@@ -310,6 +334,10 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy):
     assert not missed, missed[:5]
     robot_ticks = len(sim.ctx.controllers) * sim.tick
     assert len(steps) < robot_ticks / 2, (len(steps), robot_ticks)
+    # scouts that stepped on every searching tick made 18-21% of these
+    scout_steps = sum(name.startswith("scout") for name, _ in steps)
+    scout_ticks = sim.config.n_scouts * sim.tick
+    assert scout_steps < scout_ticks / 10, (scout_steps, scout_ticks)
 
 
 def test_invariant_checks_run_under_optimize():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from isrusim import (
@@ -127,6 +129,23 @@ def test_single_site_forced_composition():
     world = generate_scenario(ScenarioConfig(n_sites=1, n_minerals=1, seed=0))
     assert len(world.sites) == 1
     assert world.sites[0].minerals_initial == 1
+
+
+def test_config_where_no_site_fits_is_rejected_when_built():
+    # in a 10 m arena the only point 5 m in from every border is the plant;
+    # in a 20 m arena those points are at most 7.1 m from it, under 10 m
+    with pytest.raises(ValueError, match="no site can be placed"):
+        ScenarioConfig(arena_side=10, scan_radius=5, n_sites=1, n_minerals=1)
+    with pytest.raises(ValueError, match="no site can be placed"):
+        ScenarioConfig(arena_side=20, scan_radius=5, n_sites=1, n_minerals=1)
+    # without sites there is nothing to place
+    ScenarioConfig(arena_side=10, scan_radius=5, n_sites=0, n_minerals=0)
+
+
+def test_every_pinned_config_is_still_accepted():
+    from test_fingerprints import CASES
+    for config, _ in CASES.values():
+        assert dataclasses.replace(config) == config
 
 
 def test_overdense_scenario_rejected():
