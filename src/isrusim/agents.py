@@ -11,14 +11,18 @@ Every cross-robot influence flows through the broadcast bus or through the
 shared world during the owner's step, so a run is a single deterministic
 thread of execution.  The engine steps a robot only when something can
 change for it (see `RobotController.wake_tick`); a step that changes what
-another robot acts on outside the bus wakes that robot.  A courier (an
-excavator traveling to its site, a hauler on its way to a site or to the
-plant) drives one straight segment and is busy while it does, so nothing
-reads its pose on the way: it wakes at its arrival tick or on mail.  A
+another robot acts on outside the bus wakes that robot.  A robot that never
+bids (a coalition-paired hauler) gets no announcements or closes.  A
+courier (an excavator traveling to its site, a hauler on its way to a site
+or to the plant) drives one straight segment and is busy while it does, so
+nothing reads its pose on the way: it wakes at its arrival tick, and mail
+before then does not move it.  A standby hauler walks to its spot as a
+course too, and wakes one tick after the walk's last move to check that it
+stands on the spot, or when its parent claims or releases a site.  A
 searching scout's spiral is fixed at set-up, so it wakes only inside the
-scan window of a site still undiscovered (`scan_windows`), at the
-spiral's last move, or on mail.  Either kind catches up the moves due
-since its last step before it acts (`RobotController.sync`).
+scan window of a site still undiscovered (`scan_windows`), at the spiral's
+last move, or on mail.  The moves due since a robot's last step are applied
+only when its pose is read (`RobotController.sync`).
 """
 
 from __future__ import annotations
@@ -99,11 +103,9 @@ _AVAILABLE = (ExcavatorActivity.IDLE, HaulerActivity.IDLE, HaulerActivity.STANDB
 # the courier activities, which travel one straight course to its end
 COURIER = (ExcavatorActivity.TRAVELING, HaulerActivity.TO_SITE,
            HaulerActivity.TO_PLANT)
-# activities that end at a deadline: an arrival, or a dig, load or unload
-_COUNTING_DOWN = COURIER + (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
-                            HaulerActivity.UNLOADING)
-# activities that move along `cursor` every tick, whose pose may lag
-_IN_MOTION = COURIER + (ScoutActivity.SEARCHING,)
+# activities that end at a deadline: a dig, load or unload
+_WORKING = (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
+            HaulerActivity.UNLOADING)
 _NEVER = math.inf
 
 
@@ -111,10 +113,11 @@ _NEVER = math.inf
 class RobotState:
     """Pose, activity and odometry of one robot.
 
-    The pose and odometry of a courier or a searching scout lag between
-    its steps: they hold the last move it applied.  The snapshots,
-    `Simulation.state_digest` and the `run_end` record bring every robot
-    up to date first (see `RobotController.sync`)."""
+    The pose and odometry of a courier, a searching scout or a standby
+    hauler on its way to its spot lag between its steps: they hold the last
+    move it applied.  The snapshots, `Simulation.state_digest` and the
+    `run_end` record bring every robot up to date first, and so does a
+    standby hauler's own step (see `RobotController.sync`)."""
 
     name: str
     kind: RobotKind
@@ -213,6 +216,7 @@ class RobotController:
     """Shared machinery: inbox handling, win resolution, bidding, timers."""
 
     bids_on: TaskType | None = None
+    bucket: str | None = None  # only an excavator's bucket holds a mineral
 
     def __init__(self, state: RobotState, ctx: "SimContext"):
         self.state = state
@@ -221,12 +225,14 @@ class RobotController:
         self.pending_wins: list[tuple[int, WinnerDecl]] = []
         self.book: dict[AuctionKey, Auction] = {}
         self.cursor: PathCursor | None = None
-        # the tick a dig, load or unload ends, or the last move along cursor
-        self._deadline = 0
+        self._deadline = 0  # the tick a dig, load or unload ends
         self._next_move = 0  # the tick of the first move along cursor not applied
+        self._last_move = -1  # the tick of the last move along cursor
         self._travel_estimate = 0.0
         self._travel_start_odometry = 0.0
         self._bid_scope = ctx.policy.bid_scope(state)
+        if self._bid_scope == 0:  # no announcement or close concerns it
+            self.bids_on = None
         # the tick of this robot's next step, unless mail comes first; every
         # robot steps at tick 0
         self.wake_tick: float = 0
@@ -250,23 +256,22 @@ class RobotController:
 
     def _next_wake(self, tick: int) -> float:
         """The next tick at which a step can change something without mail:
-        the next one while moving to a standby spot, the end of a course,
-        dig, load or unload, or the tick a pending win matures."""
-        if self.state.activity in _COUNTING_DOWN:
-            wake: float = self._deadline
-        elif self._moving():
-            wake = tick + 1
+        the end of a course, dig, load or unload, the tick after a standby
+        walk's last move, or the tick a pending win matures."""
+        activity = self.state.activity
+        if activity in COURIER:
+            wake: float = self._last_move
+        elif activity in _WORKING:
+            wake = self._deadline
+        elif (activity is HaulerActivity.STANDBY
+              and self._next_move <= self._last_move):
+            wake = self._last_move + 1  # check that it stands on its spot
         else:
             wake = _NEVER
         if self.pending_wins:
             window = self.ctx.config.timing.win_resolution_window
             wake = min(wake, min(t0 for t0, _ in self.pending_wins) + window - 1)
         return wake
-
-    def _moving(self) -> bool:
-        """Whether the pose changes every tick without a deadline: only a
-        standby hauler's on its way to its spot."""
-        return False
 
     def fire_auction_timers(self, tick: int) -> None:
         timing = self.ctx.config.timing
@@ -391,25 +396,23 @@ class RobotController:
         self._schedule(first_move)
 
     def _schedule(self, first_move: int) -> None:
-        """Start the moves along a fresh cursor at tick `first_move`, and set
-        the deadline to the tick of the last one, found by replaying
-        `PathCursor.step`'s float arithmetic."""
+        """Start the moves along a fresh cursor at tick `first_move`, and
+        find the tick of the last one by replaying `PathCursor.step`'s float
+        arithmetic."""
         speed, length = self.ctx.config.timing.robot_speed, self.cursor.path.length
         traveled, arrival = min(speed, length), first_move
         while traveled < length:
             traveled += min(speed, length - traveled)
             arrival += 1
-        self._next_move, self._deadline = first_move, arrival
+        self._next_move, self._last_move = first_move, arrival
 
     def sync(self, tick: int) -> None:
         """Apply the moves along the cursor due at or before `tick`, on a
-        courier's course or a searching scout's spiral.  All but the last
-        only add the distance moved to the cursor and the odometry, as
-        `PathCursor.step` would; the last is a real step, which places the
-        pose."""
-        if self.state.activity not in _IN_MOTION:
-            return
-        last = min(tick, self._deadline)
+        courier's course, a searching scout's spiral or a standby hauler's
+        walk.  All but the last only add the distance moved to the cursor
+        and the odometry, as `PathCursor.step` would; the last is a real
+        step, which places the pose."""
+        last = min(tick, self._last_move)
         if last < self._next_move:
             return
         cursor, speed = self.cursor, self.ctx.config.timing.robot_speed
@@ -422,9 +425,13 @@ class RobotController:
         self._next_move = last + 1
 
     def _travel(self, tick: int) -> bool:
-        """Catch up along the course; True on arrival, where the distance
-        traveled must equal the estimate the robot bid with (the arena has
-        no obstacles)."""
+        """On the arrival tick, catch up along the course and return True;
+        the distance traveled must equal the estimate the robot bid with
+        (the arena has no obstacles).  Before it, do nothing: a busy robot
+        bids the sentinel and declines every win, so nothing reads its
+        pose."""
+        if tick < self._last_move:
+            return False
         self.sync(tick)
         if not self.cursor.arrived:
             return False
@@ -464,8 +471,8 @@ class ScoutController(RobotController):
         while windows and (windows[-1][1] <= tick or windows[-1][2].discovered):
             windows.pop()
         if windows:
-            return min(max(windows[-1][0], tick + 1), self._deadline)
-        return self._deadline
+            return min(max(windows[-1][0], tick + 1), self._last_move)
+        return self._last_move
 
     def _act(self, tick: int) -> None:
         if self.state.activity is ScoutActivity.DONE:
@@ -612,7 +619,6 @@ class HaulerController(RobotController):
             state.activity = HaulerActivity.STANDBY
         self.task: tuple[str, Point] | None = None  # (excavator, site location)
         self.carrying: str | None = None
-        self._standby_cursor: PathCursor | None = None
 
     def _accept_win(self, win: WinnerDecl, tick: int) -> bool:
         self._begin_transport(win.auctioneer, win.task_location, tick)
@@ -629,8 +635,8 @@ class HaulerController(RobotController):
         self.wake(tick)
 
     def _begin_transport(self, excavator: str, location: Point, tick: int) -> None:
+        self.sync(tick - 1)  # the standby walk ends where it stands now
         self.task = (excavator, location)
-        self._standby_cursor = None
         self._set_course(location, tick)
         self.state.activity = HaulerActivity.TO_SITE
 
@@ -666,10 +672,13 @@ class HaulerController(RobotController):
                                      "hauler": self.state.name})
                 self.carrying = None
                 self.task = None
-                self.state.activity = (HaulerActivity.STANDBY if self.parent
-                                       else HaulerActivity.IDLE)
+                if self.parent is None:
+                    self.state.activity = HaulerActivity.IDLE
+                else:
+                    self.state.activity = HaulerActivity.STANDBY
+                    self._walk(tick + 1)
         elif activity is HaulerActivity.STANDBY:
-            self._standby_act()
+            self._standby_act(tick)
 
     def _standby_target(self) -> Point | None:
         """Two meters plant-side of the parent excavator's current site;
@@ -679,27 +688,24 @@ class HaulerController(RobotController):
             return None
         return standby_point(site.location, self.ctx.world.plant_location)
 
-    def _moving(self) -> bool:
-        if self.state.activity is HaulerActivity.STANDBY:
-            target = self._standby_target()
-            return target is not None and self.state.pose != target
-        return super()._moving()
+    def _standby_act(self, tick: int) -> None:
+        """Shadow the parent excavator, woken when it claims or releases a
+        site or one tick after the walk's last move: catch up the walk and
+        head for the current standby target from there."""
+        self.sync(tick - 1)
+        self._walk(tick)
 
-    def _standby_act(self) -> None:
-        """Shadow the parent excavator: wait at its standby target; hold
-        position while the parent has no claim."""
+    def _walk(self, first_move: int) -> None:
+        """Walk to the standby target as a course whose first move is at
+        `first_move`, unless one is under way (a walk starts only after a
+        claim, and a release ends it), or again when the last move landed
+        off the spot.  Hold position, dropping the moves not applied, on
+        the spot or while the parent has no claim."""
         target = self._standby_target()
-        if target is None:
-            self._standby_cursor = None
-            return
-        if self.state.pose == target:
-            return
-        if (self._standby_cursor is None
-                or self._standby_cursor.path.goal != target
-                or self._standby_cursor.arrived):
-            self._standby_cursor = PathCursor(
-                self.ctx.planner(self.state.pose, target))
-        self._advance(self._standby_cursor)
+        if target is None or self.state.pose == target:
+            self._last_move = self._next_move - 1
+        elif self._next_move > self._last_move:
+            self._set_course(target, first_move)
 
 
 def standby_point(site: Point, plant: Point) -> Point:

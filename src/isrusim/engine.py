@@ -5,18 +5,20 @@ kind-then-name order (draining the previous tick's broadcasts, acting,
 publishing), then every robot holding open auctions fires its auction
 timers, then the invariants and termination are checked.  A robot wakes
 when it has mail, when a pending win matures, at its own dig, load or
-unload deadline, every tick while it moves to a standby spot, and when
-another robot's step changes what it acts on; any other step of it would
-change nothing.  A courier, on its way to a site or to the plant, wakes
-only at its arrival tick or on mail; a searching scout only in the scan
-window of a site still undiscovered, at its spiral's last move, or on
-mail.  Their poses and odometry lag in between, so the snapshots,
-`state_digest` and the `run_end` record bring every robot up to date
-first (`RobotController.sync`).  The checks run at
-tick 0 and at every tick whose log grew, since every mineral move,
-discovery and auction open or close appends a record.  The only randomness
-in a run is the scenario generator's seed, so equal configs produce
-byte-identical event logs.
+unload deadline, and when another robot's step changes what it acts on;
+any other step of it would change nothing.  A courier, on its way to a
+site or to the plant, wakes only at its arrival tick; a standby hauler one
+tick after the last move of its walk to its spot; a searching scout only
+in the scan window of a site still undiscovered, at its spiral's last
+move, or on mail.  Their poses and odometry lag in between, so the
+snapshots, `state_digest` and the `run_end` record bring every robot up to
+date first (`RobotController.sync`).  A tick with no mail and no robot due
+skips the robot scan and fires only the timers of the robots that held
+auctions after the last tick that stepped a robot.  The checks run at tick
+0 and at every tick whose log grew, since every mineral move, discovery
+and auction open or close appends a record.  The only randomness in a run
+is the scenario generator's seed, so equal configs produce byte-identical
+event logs.
 """
 
 from __future__ import annotations
@@ -145,6 +147,11 @@ class Simulation:
             for kind in (RobotKind.SCOUT, RobotKind.EXCAVATOR, RobotKind.HAULER)
             for n in sorted(n for n, k in names if k is kind)
         ]
+        # the earliest wake tick of any robot, and the robots holding
+        # auctions in step order, as of the last tick that stepped a robot;
+        # no robot's wake tick or book changes on the other ticks
+        self._wake: float = 0
+        self._holders: list[RobotController] = []
 
         log.append({
             "type": "run_start",
@@ -169,13 +176,16 @@ class Simulation:
         records = self.ctx.log.records
         logged = len(records)
         robots, task_types = self.ctx.bus.addressees(tick)
-        for controller in self._step_order:  # drains tick-1 broadcasts
-            if (controller.wake_tick <= tick or controller.state.name in robots
-                    or controller.bids_on in task_types):
-                controller.step(tick)
-        for controller in self._step_order:
-            if controller.book:
-                controller.fire_auction_timers(tick)
+        if robots or task_types or self._wake <= tick:
+            order = self._step_order
+            for controller in order:  # drains tick-1 broadcasts
+                if (controller.wake_tick <= tick or controller.state.name in robots
+                        or controller.bids_on in task_types):
+                    controller.step(tick)
+            self._wake = min(controller.wake_tick for controller in order)
+            self._holders = [controller for controller in order if controller.book]
+        for controller in self._holders:
+            controller.fire_auction_timers(tick)
         check = tick == 0 or len(records) > logged
         if check:
             self._assert_mineral_conservation()
@@ -195,20 +205,24 @@ class Simulation:
         return not any(c.has_open_auctions() for c in self._step_order)
 
     def _assert_mineral_conservation(self) -> None:
+        """The minerals at the plant, in buckets and bins, and still on the
+        sites add up to what the sites started with."""
         world = self.ctx.world
-        buffered = sum(1 for c in self._step_order
-                       if isinstance(c, ExcavatorController) and c.bucket is not None)
-        carried = sum(r.carried_minerals for r in self.ctx.robots.values())
-        total = (world.minerals_at_plant + world.minerals_remaining_on_sites()
-                 + buffered + carried)
-        if total != world.minerals_total:
+        surplus = world.minerals_at_plant
+        for c in self._step_order:
+            surplus += c.state.carried_minerals + (c.bucket is not None)
+        for site in world.sites:
+            surplus += site.minerals_remaining - site.minerals_initial
+        if surplus:
+            total = world.minerals_total
             raise InvariantError(
-                f"mineral conservation broken at tick {self.tick}: {total} != "
-                f"{world.minerals_total}")
+                f"mineral conservation broken at tick {self.tick}: "
+                f"{total + surplus} != {total}")
 
     def _sync(self, tick: int) -> None:
-        """Bring the pose and odometry of every courier and searching scout
-        up to the end of `tick`."""
+        """Bring the pose and odometry of every robot whose pose lags (a
+        courier, a searching scout, a standby hauler on its walk) up to the
+        end of `tick`."""
         for controller in self._step_order:
             controller.sync(tick)
 

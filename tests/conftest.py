@@ -1,8 +1,16 @@
 from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 
-from isrusim import ScenarioConfig, TimingConfig, run_to_completion
+from isrusim import (
+    Policy,
+    PolicyName,
+    RobotKind,
+    ScenarioConfig,
+    TimingConfig,
+    run_to_completion,
+)
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -62,10 +70,18 @@ BIDS_ON = {"scout": None, "excavator": "excavate", "hauler": "transport"}
 def mail_from_log(records) -> dict[tuple[str, int], list[int]]:
     """(robot, tick) -> the sequence numbers, in order, of the messages of
     tick-1 in the log that the robot acts on: the announcements and closes
-    of the task type it bids on, the bids and acks sent to it as
-    auctioneer, and the winner declarations naming it.  Robots without mail
-    at a tick are left out."""
-    robots = records[0]["robots"]
+    of the task type it bids on, unless its policy lets it bid in none
+    (`Policy.bid_scope` is 0: a coalition-paired hauler), the bids and acks
+    sent to it as auctioneer, and the winner declarations naming it.
+    Robots without mail at a tick are left out."""
+    start = records[0]
+    robots = start["robots"]
+    policy = Policy(PolicyName(start["policy"]),
+                    tuple(tuple(pair) for pair in start["coalition_pairs"]))
+    bids_on = {}
+    for name, kind in robots:
+        if policy.bid_scope(SimpleNamespace(name=name, kind=RobotKind(kind))) != 0:
+            bids_on[name] = BIDS_ON[kind]
     mail = defaultdict(list)
     for record in records:
         if record["type"] != "msg":
@@ -73,7 +89,7 @@ def mail_from_log(records) -> dict[tuple[str, int], list[int]]:
         variant = record["variant"]
         for name, kind in robots:
             if variant in ("announcement", "close"):
-                acts_on = record["task_type"] == BIDS_ON[kind]
+                acts_on = record["task_type"] == bids_on.get(name)
             elif variant == "winner":
                 acts_on = record["winner"] == name
             else:  # bid or ack

@@ -151,6 +151,34 @@ def test_inbox_is_the_log_filtered_by_receiver_rules():
     assert multi_wins > 0  # the run exercises same-tick multi-wins
 
 
+def test_paired_hauler_inbox_never_holds_an_announcement_or_close():
+    """A coalition-paired hauler never bids (its bid scope is 0), so the
+    bus addresses it no announcement or close, while each transport
+    announcement reaches the four unpaired haulers."""
+    sim = Simulation(crowded_config(policy="coalition"))
+    paired = {hauler for _, hauler in sim.ctx.policy.pairs}
+    drain = sim.ctx.bus.drain_inbox
+    received = Counter()
+
+    def capture(robot, tick, task_type=None):
+        inbox = drain(robot, tick, task_type)
+        received.update((robot in paired, type(env.payload), task_type)
+                        for env in inbox)
+        return inbox
+
+    sim.ctx.bus.drain_inbox = capture
+    assert sim.run() is RunStatus.COMPLETED
+    assert len(paired) == 8
+    assert not any(to_paired and variant in (Announcement, Close)
+                   for to_paired, variant, _ in received)
+    transport_auctions = sum(1 for r in sim.ctx.log.records
+                             if r["type"] == "msg" and r["variant"] == "announcement"
+                             and r["task_type"] == "transport")
+    assert transport_auctions > 0
+    assert (received[False, Announcement, TaskType.TRANSPORT]
+            == 4 * transport_auctions)
+
+
 def test_envelopes_logged():
     log = EventLog()
     bus = BroadcastBus(log)

@@ -26,9 +26,9 @@ from isrusim.agents import (
     HaulerController,
     RobotController,
     scan_windows,
-    standby_point,
 )
 from isrusim.engine import START_CIRCLE_RADIUS
+from isrusim.pathing import PathCursor
 
 
 def run_child(script: str, *flags: str, **env: str) -> subprocess.CompletedProcess:
@@ -165,14 +165,43 @@ def test_minimal_mission_message_audit():
 def step_all_reference(config, snapshots: bool = False) -> Simulation:
     """A simulation that steps every robot on every tick, where a courier
     makes one `PathCursor.step` per step, as it did before couriers slept
-    until arrival: it shares no wake rule and no move schedule with the
-    engine's."""
+    until arrival, and a standby hauler one step of its own walk: it shares
+    no wake rule and no move schedule with the engine's."""
     reference = Simulation(config, snapshots=snapshots)
     for controller in reference.ctx.controllers.values():
         controller._next_wake = lambda tick: tick + 1
         controller.sync = lambda tick: None  # its pose never lags
         controller._travel = lambda tick, c=controller: c._advance(c.cursor)
+        if isinstance(controller, HaulerController):
+            walk_every_tick(controller)
     return reference
+
+
+def walk_every_tick(hauler: HaulerController) -> None:
+    """The standby walk from before walks were courses: every standby step
+    moves one `PathCursor.step` toward the spot, on a cursor of its own
+    that a transport drops, re-planned when the target moves or the walk
+    ends off the spot."""
+    cursor = None
+    begin_transport = hauler._begin_transport
+
+    def begin_and_drop_walk(excavator, location, tick):
+        nonlocal cursor
+        cursor = None
+        begin_transport(excavator, location, tick)
+
+    def standby_act(tick):
+        nonlocal cursor
+        target = hauler._standby_target()
+        if target is None:
+            cursor = None
+        elif hauler.state.pose != target:
+            if cursor is None or cursor.path.goal != target or cursor.arrived:
+                cursor = PathCursor(hauler.ctx.planner(hauler.state.pose, target))
+            hauler._advance(cursor)
+
+    hauler._begin_transport = begin_and_drop_walk
+    hauler._standby_act = standby_act
 
 
 STEP_ALL_CASES = (
@@ -181,7 +210,9 @@ STEP_ALL_CASES = (
     + [(tiny_config(policy=policy), True) for policy in POLICIES]
     # wins mature two ticks after they arrive, several at once under nearest
     + [(crowded_config(policy="nearest",
-                       timing=TimingConfig(win_resolution_window=3)), False)])
+                       timing=TimingConfig(win_resolution_window=3)), False)]
+    # a parent releases its site while its paired hauler walks to it
+    + [(ScenarioConfig(policy="coalition", seed=0), False)])
 
 
 @pytest.mark.parametrize("config, snapshots", STEP_ALL_CASES,
@@ -192,7 +223,9 @@ def test_wake_set_matches_step_all_reference(config, snapshots):
     """Stepping only the woken robots gives the state that stepping every
     robot on every tick gives, after every tick; and the goal and the
     conservation check, run only at tick 0 and where the log grew, hold
-    exactly when they would on every tick."""
+    exactly when they would on every tick.  `state_digest` brings every
+    lagging pose up to date, so a run whose state nothing reads before it
+    ends must write the same log too."""
     sim = Simulation(config, snapshots=snapshots)
     reference = step_all_reference(config, snapshots)
     while sim.status is RunStatus.RUNNING:
@@ -202,8 +235,11 @@ def test_wake_set_matches_step_all_reference(config, snapshots):
         assert sim.state_digest() == reference.state_digest(), sim.tick
         sim._assert_mineral_conservation()
         assert sim._goal_reached() == (sim.status is RunStatus.COMPLETED)
-    assert reference.status is RunStatus.COMPLETED
+    assert sim.run() is reference.run() is RunStatus.COMPLETED
     assert sim.ctx.log.dumps() == reference.ctx.log.dumps()
+    unread = Simulation(config, snapshots=snapshots)
+    unread.run()
+    assert unread.ctx.log.dumps() == reference.ctx.log.dumps()
 
 
 _COUNTING_DOWN = (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
@@ -214,12 +250,14 @@ _COUNTING_DOWN = (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
     *(pytest.param(policy, cap, COURIER, id=f"{policy}-{cap}")
       for policy, cap in (("fcfs", 120), ("coalition", 333), ("nearest", 450))),
     # mid-spiral: the scouts sleep between their scan windows
-    pytest.param("coalition", 40, (ScoutActivity.SEARCHING,), id="coalition-40")])
+    pytest.param("coalition", 40, (ScoutActivity.SEARCHING,), id="coalition-40"),
+    # mid-walk: two paired haulers sleep until their walks end
+    pytest.param("coalition", 36, (HaulerActivity.STANDBY,), id="coalition-36")])
 def test_stalled_run_ends_with_the_step_all_state(policy, cap, moving):
-    """A tick cap that stops the run while couriers are mid-course, or
-    scouts mid-spiral: their poses and odometry lag the reference's until
-    the run ends, and the `run_end` record and `state_digest` then equal
-    the step-all reference's."""
+    """A tick cap that stops the run while couriers are mid-course, scouts
+    mid-spiral or standby haulers mid-walk: their poses and odometry lag
+    the reference's until the run ends, and the `run_end` record and
+    `state_digest` then equal the step-all reference's."""
     config = crowded_config(policy=policy, tick_cap=cap)
     sim, reference = Simulation(config), step_all_reference(config)
     while sim.tick < cap:
@@ -241,7 +279,9 @@ def reasons_to_step(controller, tick: int, assigned: set, windows: dict) -> set[
     steps for no reason of its own but its arrival, except at the start of
     a course assigned to it this tick by its coalition parent; a searching
     scout only at its last spiral move or inside a scan window of a site
-    still undiscovered (`windows` keeps each scout's, built at tick 0)."""
+    still undiscovered (`windows` keeps each scout's, built at tick 0); a
+    standby hauler only when its parent claims or releases a site, or one
+    tick after the last move of its walk to its spot."""
     state, ctx = controller.state, controller.ctx
     window = ctx.config.timing.win_resolution_window
     reasons = set()
@@ -256,7 +296,7 @@ def reasons_to_step(controller, tick: int, assigned: set, windows: dict) -> set[
     if state.activity in _COUNTING_DOWN and controller._deadline == tick:
         reasons.add("deadline")
     if state.activity is ScoutActivity.SEARCHING:
-        if controller._deadline == tick:
+        if controller._last_move == tick:
             reasons.add("spiral ends")
         if any(first <= tick <= last and not site.discovered
                for first, last, site in windows[state.name]):
@@ -268,10 +308,8 @@ def reasons_to_step(controller, tick: int, assigned: set, windows: dict) -> set[
         reasons.add("bucket emptied")
     parent = getattr(controller, "parent", None)
     if parent is not None and state.activity is HaulerActivity.STANDBY:
-        site = ctx.controllers[parent].site
-        if site is not None and state.pose != standby_point(
-                site.location, ctx.world.plant_location):
-            reasons.add("moving")
+        if controller._last_move == tick - 1:
+            reasons.add("walk ends")
         for record in reversed(ctx.log.records):
             if record.get("tick") != tick:  # run_start has none
                 break
@@ -288,9 +326,11 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
     """Every controller step has a reason to happen, so controller steps
     are at most the woken robot-ticks; a courier without mail steps only
     at the tick its course starts and at its arrival, a searching scout
-    only in its scan windows and at its spiral's end; every robot with
-    mail is stepped; and auction timers fire only for robots holding
-    auctions."""
+    only in its scan windows and at its spiral's end, a standby hauler only
+    when its parent claims or releases and one tick after its walk's last
+    move; every robot with mail is stepped, where a paired hauler has no
+    announcement or close for mail; and auction timers fire only for
+    robots holding auctions."""
     steps, drained, assigned, windows = {}, [], set(), {}
     step, drain = RobotController.step, BroadcastBus.drain_inbox
     fire = RobotController.fire_auction_timers
