@@ -31,7 +31,6 @@ from .bus import (
     Bid,
     BroadcastBus,
     Close,
-    Envelope,
     Message,
     WinnerDecl,
 )
@@ -71,7 +70,7 @@ from .world import (
 __all__ = [
     "__version__",
     "Ack", "Announcement", "Auction", "AuctionPhase", "AuctionSpan",
-    "AuctionView", "Bid", "BroadcastBus", "Close", "Envelope", "EventLog",
+    "AuctionView", "Bid", "BroadcastBus", "Close", "EventLog",
     "ExcavatorActivity", "HaulerActivity", "InvariantError", "LogParseError",
     "Message", "MetricsError", "MetricsReport", "PathCursor", "PathEstimate",
     "Point",

@@ -11,18 +11,20 @@ Every cross-robot influence flows through the broadcast bus or through the
 shared world during the owner's step, so a run is a single deterministic
 thread of execution.  The engine steps a robot only when something can
 change for it (see `RobotController.wake_tick`); a step that changes what
-another robot acts on outside the bus wakes that robot.  A robot that never
-bids (a coalition-paired hauler) gets no announcements or closes.  A
-courier (an excavator traveling to its site, a hauler on its way to a site
-or to the plant) drives one straight segment and is busy while it does, so
-nothing reads its pose on the way: it wakes at its arrival tick, and mail
-before then does not move it.  A standby hauler walks to its spot as a
-course too, and wakes one tick after the walk's last move to check that it
-stands on the spot, or when its parent claims or releases a site.  A
-searching scout's spiral is fixed at set-up, so it wakes only inside the
-scan window of a site still undiscovered (`scan_windows`), at the spiral's
-last move, or on mail.  The moves due since a robot's last step are applied
-only when its pose is read (`RobotController.sync`).
+another robot acts on outside the bus wakes that robot.  A robot subscribes
+to the announcements and closes of the task type it bids on when it is
+built, unless its policy lets it bid in none (a coalition-paired hauler);
+its step takes the inbox the bus delivers.  A courier (an excavator
+traveling to its site, a hauler on its way to a site or to the plant) drives
+one straight segment and is busy while it does, so nothing reads its pose on
+the way: it wakes at its arrival tick, and mail before then does not move
+it.  A standby hauler walks to its spot as a course too, and wakes one tick
+after the walk's last move to check that it stands on the spot, or when its
+parent claims or releases a site.  A searching scout's spiral is fixed at
+set-up, so it wakes only inside the scan window of a site still undiscovered
+(`scan_windows`), at the spiral's last move, or on mail.  The moves due
+since a robot's last step are applied only when its pose is read
+(`RobotController.sync`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .bus import (
     Announcement,
     AuctionKey,
     Bid,
-    Envelope,
+    Message,
     WinnerDecl,
     auction_key,
 )
@@ -204,10 +206,6 @@ class AuctionView:
     last_bid: float | None = None
 
     @property
-    def key(self) -> AuctionKey:
-        return (self.auctioneer, self.task_location.as_pair())
-
-    @property
     def order_key(self) -> tuple:
         return (self.first_tick, self.auctioneer, self.task_location.as_pair())
 
@@ -231,16 +229,17 @@ class RobotController:
         self._travel_estimate = 0.0
         self._travel_start_odometry = 0.0
         self._bid_scope = ctx.policy.bid_scope(state)
-        if self._bid_scope == 0:  # no announcement or close concerns it
-            self.bids_on = None
+        if self.bids_on is not None and self._bid_scope != 0:
+            ctx.bus.subscribe(state.name, self.bids_on)
         # the tick of this robot's next step, unless mail comes first; every
         # robot steps at tick 0
         self.wake_tick: float = 0
 
     # -- engine hooks --------------------------------------------------
 
-    def step(self, tick: int) -> None:
-        inbox = self.ctx.bus.drain_inbox(self.state.name, tick, self.bids_on)
+    def step(self, tick: int, inbox: list[Message] | None) -> None:
+        """Act on `inbox`, the messages the bus delivers to this robot at
+        `tick` (None: no mail), then on its own state."""
         if inbox:
             self._ingest(inbox, tick)
         self._resolve_wins(tick)
@@ -283,12 +282,12 @@ class RobotController:
 
     # -- message handling ----------------------------------------------
 
-    def _ingest(self, envelopes: list[Envelope], tick: int) -> None:
+    def _ingest(self, inbox: list[Message], tick: int) -> None:
         """Act on this tick's inbox, which the bus has already addressed:
         announcements and closes of the task type this robot bids on, and
-        the bids, acks and winner declarations sent to it."""
-        for env in envelopes:
-            msg = env.payload
+        the bids, acks and winner declarations sent to it, all published
+        at tick-1."""
+        for msg in inbox:
             key = auction_key(msg)
             if isinstance(msg, Announcement):
                 view = self.views.get(key)
@@ -297,7 +296,7 @@ class RobotController:
                         auctioneer=msg.auctioneer,
                         task_type=msg.task_type,
                         task_location=msg.task_location,
-                        first_tick=env.publish_tick,
+                        first_tick=tick - 1,
                     ))
                 else:
                     view.rounds_seen += 1
@@ -350,7 +349,8 @@ class RobotController:
         raise NotImplementedError(f"{self.state.kind} does not take tasks")
 
     def _place_bids(self, tick: int) -> None:
-        """Bid once per announcement round in the auctions the policy picks.
+        """Bid once per announcement round in the oldest views the policy's
+        bid scope allows (all of them under nearest).
 
         Busy-but-capable robots answer too, with the -inf sentinel.  A robot
         whose standing bid is the sentinel corrects it the moment it goes
@@ -358,15 +358,9 @@ class RobotController:
         re-announcement round would misrepresent that.
         """
         busy = self.state.busy
-        if not any(view.bid_round < view.rounds_seen
-                   or (view.last_bid == NEG_INF and not busy)
-                   for view in islice(self.views.values(), self._bid_scope)):
-            return  # no round to answer and no sentinel to correct
-        ordered = list(self.views.values())
-        for view in self.ctx.policy.bid_filter(self.state, ordered):
-            fresh_round = view.bid_round < view.rounds_seen
-            now_available = view.last_bid == NEG_INF and not busy
-            if fresh_round or now_available:
+        for view in islice(self.views.values(), self._bid_scope):
+            if (view.bid_round < view.rounds_seen
+                    or (view.last_bid == NEG_INF and not busy)):
                 view.bid_round = view.rounds_seen
                 utility = evaluate_self_utility(self.state, view.task_location,
                                                 self.ctx.planner)
@@ -449,8 +443,6 @@ class ScoutController(RobotController):
     Its first move is at tick 0.  Only the ticks in its scan windows can
     find a site, so between them it sleeps, and each step catches up the
     moves it skipped before it makes and scans its own."""
-
-    bids_on = None
 
     def __init__(self, state: RobotState, ctx: "SimContext", plan: SpiralPlan):
         super().__init__(state, ctx)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .bus import Ack, Announcement, AuctionKey, Bid, BroadcastBus, Close, WinnerDecl
+from .bus import (Ack, Announcement, AuctionKey, Bid, BroadcastBus, Close,
+                  WinnerDecl, auction_key)
 from .pathing import PathPlanner
 from .world import Point, RobotKind, TaskType
 
@@ -59,7 +60,7 @@ class Auction:
 
     @property
     def key(self) -> AuctionKey:
-        return (self.auctioneer, self.task_location.as_pair())
+        return auction_key(self)
 
     @property
     def is_open(self) -> bool:

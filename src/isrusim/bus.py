@@ -1,22 +1,25 @@
 """Message transport and the five auction message formats.
 
 Every published message is delivered at the start of the next tick, with no
-loss and a global sequence number that makes the delivery order total.  The
-bus addresses each message to the robots that act on it: announcements and
-closes to the robots that bid on its task type, bids and acks to the
-auctioneer, a winner declaration to the winner.  Every message is still
-logged, so the log stays the broadcast record of the run.
+loss, in publish order; its log record carries a global sequence number that
+makes that order total.  `publish` works out a message's recipients once and
+appends it to their inboxes for the next tick: announcements and closes go
+to the robots subscribed to its task type (the robots that bid on it), bids
+and acks to the auctioneer, a winner declaration to the winner.  Every
+message is still logged, so the log stays the broadcast record of the run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import KeysView, Union
+from typing import TYPE_CHECKING, Union
 
 from .events import EventLog
 from .world import Point, TaskType
+
+if TYPE_CHECKING:
+    from .auction import Auction
 
 AuctionKey = tuple[str, tuple[float, float]]
 
@@ -106,28 +109,19 @@ _VARIANTS = {Announcement: "announcement", Bid: "bid", WinnerDecl: "winner",
              Ack: "ack", Close: "close"}
 
 
-def auction_key(msg: Message) -> AuctionKey:
-    """(auctioneer, task_location) — the unique key of an auction."""
-    return (msg.auctioneer, msg.task_location.as_pair())
+def auction_key(item: Message | Auction) -> AuctionKey:
+    """(auctioneer, task_location) — the unique key of an auction, read
+    from any of its messages or from the auction itself."""
+    return (item.auctioneer, item.task_location.as_pair())
 
 
-@dataclass(frozen=True)
-class Envelope:
-    publish_tick: int
-    sequence: int
-    payload: Message
-
-
-_sequence_of = attrgetter("sequence")
-
-
-def envelope_record(env: Envelope) -> dict:
-    """Flatten an envelope into one event-log record."""
-    msg = env.payload
+def message_record(msg: Message, tick: int, seq: int) -> dict:
+    """Flatten a message published at `tick` with sequence number `seq`
+    into one event-log record."""
     record: dict = {
         "type": "msg",
-        "tick": env.publish_tick,
-        "seq": env.sequence,
+        "tick": tick,
+        "seq": seq,
         "variant": _VARIANTS[type(msg)],
         "auctioneer": msg.auctioneer,
         "loc": [msg.task_location.x, msg.task_location.y],
@@ -157,67 +151,35 @@ class BroadcastBus:
 
     def __init__(self, log: EventLog | None = None):
         self._log = log
-        self._by_tick: dict[int, list[Envelope]] = {}
         self._sequence = 0
-        self._last_drain: dict[str, int] = {}
-        self._bucketed_tick: int | None = None  # the tick the buckets are for
-        self._by_robot: dict[str, list[Envelope]] = {}
-        self._by_type: dict[TaskType, list[Envelope]] = {}
+        self._subscribers: dict[TaskType, list[str]] = {}
+        # tick -> robot -> the messages it receives at that tick
+        self._mail: dict[int, dict[str, list[Message]]] = {}
 
-    def publish(self, msg: Message, tick: int) -> Envelope:
-        """Enqueue a message; its recipients receive it at tick + 1."""
-        env = Envelope(publish_tick=tick, sequence=self._sequence, payload=msg)
-        self._sequence += 1
-        self._by_tick.setdefault(tick, []).append(env)
+    def subscribe(self, robot: str, task_type: TaskType) -> None:
+        """Address the announcements and closes of `task_type` to `robot`."""
+        self._subscribers.setdefault(task_type, []).append(robot)
+
+    def publish(self, msg: Message, tick: int) -> None:
+        """Log a message and put it in its recipients' inboxes for tick + 1."""
         if self._log is not None:
-            self._log.append(envelope_record(env))
-        return env
+            self._log.append(message_record(msg, tick, self._sequence))
+        self._sequence += 1
+        if isinstance(msg, (Announcement, Close)):
+            recipients = self._subscribers.get(msg.task_type, ())
+        elif isinstance(msg, WinnerDecl):
+            recipients = (msg.winner,)
+        else:
+            recipients = (msg.auctioneer,)
+        mail = self._mail.setdefault(tick + 1, {})
+        for robot in recipients:
+            mail.setdefault(robot, []).append(msg)
 
-    def drain_inbox(self, robot: str, tick: int,
-                    task_type: TaskType | None = None) -> list[Envelope]:
-        """The envelopes published at tick-1 that `robot` acts on, in
-        sequence order: those addressed to it, plus the announcements and
-        closes of `task_type`, the task type it bids on.
-
-        Idempotent within a tick: a second drain returns nothing.  Ticks are
-        drained in non-decreasing order, as the engine steps them.
-        """
-        if self._last_drain.get(robot, -1) >= tick:
-            return []
-        self._last_drain[robot] = tick
-        if self._bucketed_tick != tick:
-            self._bucket(tick)
-        own = self._by_robot.get(robot, [])
-        typed = self._by_type.get(task_type, [])
-        if own and typed:
-            return sorted(own + typed, key=_sequence_of)
-        return own or typed
-
-    def addressees(self, tick: int) -> tuple[KeysView[str], KeysView[TaskType]]:
-        """Who has mail at `tick`: the robots addressed by the envelopes
-        published at tick-1, and the task types of those announcements and
-        closes."""
-        if self._bucketed_tick != tick:
-            self._bucket(tick)
-        return self._by_robot.keys(), self._by_type.keys()
-
-    def _bucket(self, tick: int) -> None:
-        """Bucket the envelopes published at tick-1 by recipient, and drop
-        them, and any older ones, from the queue."""
-        by_robot: dict[str, list[Envelope]] = {}
-        by_type: dict[TaskType, list[Envelope]] = {}
-        if self._by_tick:  # else nothing is queued: nothing to bucket or drop
-            for env in self._by_tick.get(tick - 1, ()):
-                msg = env.payload
-                if isinstance(msg, (Announcement, Close)):
-                    by_type.setdefault(msg.task_type, []).append(env)
-                else:
-                    to = msg.winner if isinstance(msg, WinnerDecl) else msg.auctioneer
-                    by_robot.setdefault(to, []).append(env)
-            self._by_tick = {t: envs for t, envs in self._by_tick.items()
-                             if t >= tick}
-        self._by_robot, self._by_type = by_robot, by_type
-        self._bucketed_tick = tick
+    def deliver(self, tick: int) -> dict[str, list[Message]]:
+        """Each robot's messages published at tick-1, in publish order; a
+        robot without mail is left out.  The engine delivers every tick
+        once, in order."""
+        return self._mail.pop(tick, {})
 
     @property
     def messages_published(self) -> int:

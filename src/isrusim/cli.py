@@ -16,6 +16,7 @@ from .engine import run_to_completion
 from .events import EventLog, LogParseError
 from .metrics import (
     MetricsError,
+    _write_json,
     build_run_meta,
     build_summary,
     collect_metrics,
@@ -66,17 +67,22 @@ def _scenario_from_args(args: argparse.Namespace, **extra):
 
 
 def parse_seed_spec(spec: str) -> list[int]:
-    """Seed lists like '7', '0..19' or '1,4,9'."""
+    """Seed lists like '7', '0..19' or '1,4,9'.  A descending range or a
+    seed given twice is an error, not a silent drop or a double count."""
     seeds: list[int] = []
     for token in spec.split(","):
         token = token.strip()
         if ".." in token:
-            lo, hi = token.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(bound) for bound in token.split("..", 1))
+            if lo > hi:
+                raise ValueError(f"descending seed range {token!r} in {spec!r}")
+            seeds.extend(range(lo, hi + 1))
         elif token:
             seeds.append(int(token))
     if not seeds:
         raise ValueError(f"no seeds in {spec!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"a seed appears twice in {spec!r}")
     return seeds
 
 
@@ -86,10 +92,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     result.log.dump_jsonl(out / "events.jsonl")
     write_metrics_csv([result.metrics], out / "metrics.csv")
-    summary = build_summary([result.metrics])
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    (out / "run_meta.json").write_text(
-        json.dumps(build_run_meta(config), indent=2, sort_keys=True) + "\n")
+    _write_json(out / "summary.json", build_summary([result.metrics]))
+    _write_json(out / "run_meta.json", build_run_meta(config))
     print(f"{result.status.value}: policy={config.policy} seed={config.seed} "
           f"tick={result.metrics.completion_ticks} "
           f"minerals={result.simulation.ctx.world.minerals_at_plant} "

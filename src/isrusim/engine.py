@@ -1,24 +1,24 @@
 """Deterministic tick loop.
 
-Each tick runs the same fixed phases: the woken robots step in
-kind-then-name order (draining the previous tick's broadcasts, acting,
-publishing), then every robot holding open auctions fires its auction
-timers, then the invariants and termination are checked.  A robot wakes
-when it has mail, when a pending win matures, at its own dig, load or
-unload deadline, and when another robot's step changes what it acts on;
-any other step of it would change nothing.  A courier, on its way to a
-site or to the plant, wakes only at its arrival tick; a standby hauler one
-tick after the last move of its walk to its spot; a searching scout only
-in the scan window of a site still undiscovered, at its spiral's last
-move, or on mail.  Their poses and odometry lag in between, so the
-snapshots, `state_digest` and the `run_end` record bring every robot up to
-date first (`RobotController.sync`).  A tick with no mail and no robot due
-skips the robot scan and fires only the timers of the robots that held
-auctions after the last tick that stepped a robot.  The checks run at tick
-0 and at every tick whose log grew, since every mineral move, discovery
-and auction open or close appends a record.  The only randomness in a run
-is the scenario generator's seed, so equal configs produce byte-identical
-event logs.
+Each tick runs the same fixed phases: the bus delivers the previous tick's
+broadcasts, the woken robots step in kind-then-name order (taking their
+inboxes, acting, publishing), then every robot holding open auctions fires
+its auction timers, then the invariants and termination are checked.  A
+robot wakes when it has mail, when a pending win matures, at its own dig,
+load or unload deadline, and when another robot's step changes what it
+acts on; any other step of it would change nothing.  A courier, on its way
+to a site or to the plant, wakes only at its arrival tick; a standby
+hauler one tick after the last move of its walk to its spot; a searching
+scout only in the scan window of a site still undiscovered, at its
+spiral's last move, or on mail.  Their poses and odometry lag in between,
+so the snapshots, `state_digest` and the `run_end` record bring every
+robot up to date first (`RobotController.sync`).  A tick with no mail and
+no robot due skips the robot scan and fires only the timers of the robots
+that held auctions after the last tick that stepped a robot.  The checks
+run at tick 0 and at every tick whose log grew, since every mineral move,
+discovery and auction open or close appends a record.  The only randomness
+in a run is the scenario generator's seed, so equal configs produce
+byte-identical event logs.
 """
 
 from __future__ import annotations
@@ -175,13 +175,13 @@ class Simulation:
         tick = self.tick
         records = self.ctx.log.records
         logged = len(records)
-        robots, task_types = self.ctx.bus.addressees(tick)
-        if robots or task_types or self._wake <= tick:
+        mail = self.ctx.bus.deliver(tick)  # the broadcasts of tick-1
+        if mail or self._wake <= tick:
             order = self._step_order
-            for controller in order:  # drains tick-1 broadcasts
-                if (controller.wake_tick <= tick or controller.state.name in robots
-                        or controller.bids_on in task_types):
-                    controller.step(tick)
+            for controller in order:
+                inbox = mail.get(controller.state.name)
+                if inbox or controller.wake_tick <= tick:
+                    controller.step(tick, inbox)
             self._wake = min(controller.wake_tick for controller in order)
             self._holders = [controller for controller in order if controller.book]
         for controller in self._holders:

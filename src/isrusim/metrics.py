@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -395,26 +395,7 @@ def build_run_meta(config: ScenarioConfig) -> dict:
                          [n for n, k in names if k is RobotKind.HAULER])
     return {
         "version": __version__,
-        "config": {
-            "arena_side": config.arena_side,
-            "n_scouts": config.n_scouts,
-            "n_excavators": config.n_excavators,
-            "n_haulers": config.n_haulers,
-            "n_sites": config.n_sites,
-            "n_minerals": config.n_minerals,
-            "scan_radius": config.scan_radius,
-            "seed": config.seed,
-            "policy": config.policy,
-            "tick_cap": config.tick_cap,
-            "timing": {
-                "robot_speed": config.timing.robot_speed,
-                "dig_duration": config.timing.dig_duration,
-                "load_duration": config.timing.load_duration,
-                "unload_duration": config.timing.unload_duration,
-                "bid_window": config.timing.bid_window,
-                "win_resolution_window": config.timing.win_resolution_window,
-            },
-        },
+        "config": asdict(config),
         "coalition_pairs": [list(p) for p in policy.pairs],
         "constants": {
             "cell_side": config.cell_side,

@@ -22,7 +22,7 @@ from .pathing import PathPlanner
 from .world import InvariantError, RobotKind
 
 if TYPE_CHECKING:
-    from .agents import AuctionView, RobotState
+    from .agents import RobotState
     from .bus import WinnerDecl
 
 
@@ -61,15 +61,6 @@ class Policy:
                 and self.parent_of(robot.name) is not None):
             return 0  # a paired hauler serves its parent excavator only
         return 1
-
-    def bid_filter(self, robot: "RobotState",
-                   open_auctions: Sequence["AuctionView"]) -> list["AuctionView"]:
-        """Which of the robot's capable open auctions it bids in this round.
-
-        `open_auctions` must already be ordered oldest-first
-        (first_tick, auctioneer name).
-        """
-        return list(open_auctions)[:self.bid_scope(robot)]
 
     def resolve_wins(self, robot: "RobotState", wins: Sequence["WinnerDecl"],
                      planner: PathPlanner

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,6 @@ from conftest import crowded_config, tiny_config, tiny_run
 
 from isrusim import (
     Announcement,
-    Envelope,
     Point,
     RobotKind,
     RobotState,
@@ -29,7 +29,6 @@ from isrusim.agents import (
     scan_swept_segment,
     standby_point,
 )
-from isrusim.policy import Policy
 from isrusim.world import ResourceSite, _segment_distance
 
 
@@ -427,44 +426,58 @@ def test_bid_addressed_to_other_auctioneer_is_ignored():
             assert "excavator_2" not in auction.bids
 
 
-def test_bid_filter_is_called_only_when_a_bid_goes_out(monkeypatch):
-    """Work guard, under every policy: every bid_filter call publishes a
-    bid, and a robot whose views need no bid makes no call, though under
-    fcfs and coalition its newer views wait unanswered until they become
-    its oldest.  The views reach the policy oldest first."""
-    calls = []
-    bid_filter = Policy.bid_filter
-
-    def counted(self, robot, open_auctions):
-        assert open_auctions == sorted(open_auctions, key=lambda v: v.order_key)
-        calls.append(robot.name)
-        return bid_filter(self, robot, open_auctions)
-
-    monkeypatch.setattr(Policy, "bid_filter", counted)
+def test_bid_scope_per_policy():
+    """fcfs and coalition let a robot bid in its oldest open auction only,
+    so no robot bids twice in one tick, and a coalition-paired hauler never
+    bids; nearest lets it bid in all of them, which some robot does at
+    once."""
+    most_bids = {}
     for policy in ("fcfs", "coalition", "nearest"):
-        calls.clear()
         result = run_to_completion(crowded_config(policy=policy))
-        bidding_ticks = {(r["tick"], r["bidder"]) for r in result.log.records
-                         if r["type"] == "msg" and r["variant"] == "bid"}
-        assert len(calls) == len(bidding_ticks) > 0, policy
+        records = result.log.records
+        bids = Counter((r["tick"], r["bidder"]) for r in records
+                       if r["type"] == "msg" and r["variant"] == "bid")
+        most_bids[policy] = max(bids.values())
+        paired = {hauler for _, hauler in records[0]["coalition_pairs"]}
+        assert not any(bidder in paired for _, bidder in bids), policy
+    assert most_bids == {"fcfs": 1, "coalition": 1,
+                         "nearest": most_bids["nearest"]}
+    assert most_bids["nearest"] > 1
+
+
+def announce(scout: str, x: float) -> Announcement:
+    return Announcement(scout, TaskType.EXCAVATE, Point(x, 5.0))
+
+
+@pytest.mark.parametrize("policy, bid_in", [
+    ("fcfs", [10.0]), ("coalition", [10.0]), ("nearest", [10.0, 25.0, 20.0])])
+def test_controller_bids_only_in_its_bid_scope(policy, bid_in):
+    """An idle excavator holding three open views bids in the oldest alone
+    under fcfs and coalition, in all three under nearest, and in none again
+    until a round is fresh."""
+    sim = Simulation(tiny_config(policy=policy))
+    excavator = sim.ctx.controllers["excavator_1"]
+    excavator._ingest([announce("scout_1", 25.0), announce("scout_1", 10.0)], 6)
+    excavator._ingest([announce("scout_1", 20.0)], 7)
+    log = sim.ctx.log.records
+    logged = len(log)
+    excavator._place_bids(7)
+    excavator._place_bids(8)
+    assert [(r["tick"], r["loc"][0]) for r in log[logged:]] == [
+        (7, x) for x in bid_in]
 
 
 def test_views_stay_oldest_first_when_announcements_arrive_out_of_order():
+    """An inbox holds one tick's announcements in publish order, which need
+    not be the views' order (first tick, auctioneer, location)."""
     excavator = Simulation(tiny_config()).ctx.controllers["excavator_1"]
-
-    def announce(tick, seq, scout, x):
-        return Envelope(tick, seq, Announcement(scout, TaskType.EXCAVATE,
-                                                Point(x, 5.0)))
-
-    excavator._ingest([announce(5, 0, "scout_2", 20.0),
-                       announce(5, 1, "scout_1", 25.0),
-                       announce(5, 2, "scout_1", 10.0)], 6)
-    excavator._ingest([announce(6, 3, "scout_1", 1.0),
-                       announce(4, 4, "scout_2", 1.0)], 7)
+    excavator._ingest([announce("scout_2", 20.0), announce("scout_1", 25.0),
+                       announce("scout_1", 10.0)], 6)
+    excavator._ingest([announce("scout_2", 1.0), announce("scout_1", 1.0)], 7)
     assert [v.order_key for v in excavator.views.values()] == [
-        (4, "scout_2", (1.0, 5.0)), (5, "scout_1", (10.0, 5.0)),
-        (5, "scout_1", (25.0, 5.0)), (5, "scout_2", (20.0, 5.0)),
-        (6, "scout_1", (1.0, 5.0))]
+        (5, "scout_1", (10.0, 5.0)), (5, "scout_1", (25.0, 5.0)),
+        (5, "scout_2", (20.0, 5.0)), (6, "scout_1", (1.0, 5.0)),
+        (6, "scout_2", (1.0, 5.0))]
 
 
 def test_depleted_excavator_returns_to_bidding():

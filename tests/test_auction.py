@@ -53,10 +53,10 @@ def collecting(auction):
 def test_open_publishes_announcement():
     log = EventLog()
     bus = BroadcastBus(log)
+    bus.subscribe("excavator_1", TaskType.EXCAVATE)
     open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, tick=4, bus=bus)
-    [env] = bus.drain_inbox("excavator_1", 5, TaskType.EXCAVATE)
-    assert env.publish_tick == 4
-    assert env.payload == Announcement("scout_1", TaskType.EXCAVATE, LOC)
+    assert bus.deliver(5) == {
+        "excavator_1": [Announcement("scout_1", TaskType.EXCAVATE, LOC)]}
     assert [r["variant"] for r in log.records] == ["announcement"]
 
 
@@ -121,8 +121,8 @@ def test_submit_bid_publishes_wire_format():
     robot = RobotState("excavator_2", RobotKind.EXCAVATOR, Point(10, 10),
                        ExcavatorActivity.IDLE)
     submit_bid(robot, "scout_1", TaskType.EXCAVATE, LOC, -12.5, 3, bus)
-    bid = bus.drain_inbox("scout_1", 4)[0].payload
-    assert bid == Bid("scout_1", "excavator_2", LOC, -12.5)
+    assert bus.deliver(4) == {
+        "scout_1": [Bid("scout_1", "excavator_2", LOC, -12.5)]}
 
 
 def test_incapable_kinds_never_construct_bids():

@@ -20,7 +20,8 @@ from isrusim import (
     TaskType,
     WinnerDecl,
 )
-from isrusim.bus import envelope_record
+from isrusim.agents import RobotController
+from isrusim.bus import message_record
 
 
 LOC = Point(30.0, 40.0)
@@ -35,9 +36,12 @@ EXCAVATORS = {"excavator_1", "excavator_2"}
 HAULERS = {"hauler_1", "hauler_2"}
 
 
-def drain_all(bus, tick):
-    return {robot: bus.drain_inbox(robot, tick, task_type)
-            for robot, task_type in FLEET.items()}
+def fleet_bus(log=None):
+    bus = BroadcastBus(log)
+    for robot, task_type in FLEET.items():
+        if task_type is not None:
+            bus.subscribe(robot, task_type)
+    return bus
 
 
 @pytest.mark.parametrize("msg, recipients", [
@@ -52,87 +56,98 @@ def drain_all(bus, tick):
 ], ids=["announce-excavate", "announce-transport", "bid", "busy-bid", "winner",
         "ack", "close-excavate", "close-transport"])
 def test_publish_delivers_to_every_recipient_next_tick(msg, recipients):
-    bus = BroadcastBus()
-    env = bus.publish(msg, tick=10)
-    inboxes = drain_all(bus, tick=11)
-    assert {robot for robot, inbox in inboxes.items() if inbox} == recipients
+    bus = fleet_bus()
+    bus.publish(msg, tick=10)
+    mail = bus.deliver(11)
+    assert set(mail) == recipients
     for robot in recipients:
-        assert inboxes[robot] == [env]
+        assert mail[robot] == [msg] and mail[robot][0] is msg
 
 
 def test_not_delivered_same_tick():
-    bus = BroadcastBus()
-    bus.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=10)
-    assert bus.drain_inbox("excavator_1", 10, TaskType.EXCAVATE) == []
-    assert len(bus.drain_inbox("excavator_1", 11, TaskType.EXCAVATE)) == 1
+    bus = fleet_bus()
+    msg = Announcement("scout_1", TaskType.EXCAVATE, LOC)
+    bus.publish(msg, tick=10)
+    assert bus.deliver(10) == {}
+    assert bus.deliver(11) == {"excavator_1": [msg], "excavator_2": [msg]}
 
 
 def test_same_tick_messages_keep_publish_order():
-    bus = BroadcastBus()
-    bus.publish(Bid("excavator_1", "hauler_1", LOC, -2.0), tick=4)
-    bus.publish(Announcement("scout_2", TaskType.EXCAVATE, LOC), tick=4)
-    bus.publish(Bid("scout_2", "excavator_2", LOC, -1.0), tick=4)  # not ours
-    bus.publish(WinnerDecl("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"), tick=4)
-    bus.publish(Close("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"), tick=4)
-    bus.publish(Ack("excavator_1", "hauler_1", LOC, accepted=True), tick=4)
-    inbox = bus.drain_inbox("excavator_1", 5, TaskType.EXCAVATE)
-    assert [e.sequence for e in inbox] == [0, 1, 3, 4, 5]
-    assert [type(e.payload) for e in inbox] == [Bid, Announcement, WinnerDecl,
-                                                Close, Ack]
+    bus = fleet_bus()
+    msgs = [Bid("excavator_1", "hauler_1", LOC, -2.0),
+            Announcement("scout_2", TaskType.EXCAVATE, LOC),
+            Bid("scout_2", "excavator_2", LOC, -1.0),  # not excavator_1's
+            WinnerDecl("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"),
+            Close("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"),
+            Ack("excavator_1", "hauler_1", LOC, accepted=True)]
+    for msg in msgs:
+        bus.publish(msg, tick=4)
+    inbox = bus.deliver(5)["excavator_1"]
+    assert [msgs.index(msg) for msg in inbox] == [0, 1, 3, 4, 5]
+    assert bus.messages_published == 6
 
 
-def test_drain_is_idempotent_within_tick():
-    bus = BroadcastBus()
+def test_each_tick_is_delivered_once():
+    bus = fleet_bus()
     bus.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=0)
     bus.publish(Bid("scout_1", "excavator_1", LOC, -1.0), tick=0)
-    assert len(bus.drain_inbox("scout_1", 1)) == 1
-    assert bus.drain_inbox("scout_1", 1) == []
-    assert len(bus.drain_inbox("excavator_1", 1, TaskType.EXCAVATE)) == 1
-    assert bus.drain_inbox("excavator_1", 1, TaskType.EXCAVATE) == []
+    bus.publish(Bid("scout_1", "excavator_2", LOC, -1.0), tick=1)
+    assert [len(inbox) for inbox in bus.deliver(1).values()] == [1, 1, 1]
+    assert bus.deliver(1) == {}
+    assert list(bus.deliver(2)) == ["scout_1"]
 
 
 def test_no_traffic_empty_inbox():
-    bus = BroadcastBus()
-    assert bus.drain_inbox("scout_1", tick=5) == []
-    assert bus.drain_inbox("hauler_1", 5, TaskType.TRANSPORT) == []
+    bus = fleet_bus()
+    assert bus.deliver(5) == {}
+    # a task type nobody subscribes to reaches nobody
+    unsubscribed = BroadcastBus()
+    unsubscribed.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=5)
+    assert unsubscribed.deliver(6) == {}
 
 
 def test_fanout_counts():
-    bus = BroadcastBus()
+    bus = fleet_bus()
     for i in range(3):
         bus.publish(Bid("scout_1", f"excavator_{i + 1}", LOC, -float(i)), tick=7)
     bus.publish(Announcement("scout_1", TaskType.EXCAVATE, OTHER), tick=7)
-    counts = {robot: len(inbox) for robot, inbox in drain_all(bus, 8).items()}
-    assert counts == {"scout_1": 3, "excavator_1": 1, "excavator_2": 1,
-                      "hauler_1": 0, "hauler_2": 0}
+    counts = {robot: len(inbox) for robot, inbox in bus.deliver(8).items()}
+    assert counts == {"scout_1": 3, "excavator_1": 1, "excavator_2": 1}
 
 
-def test_delivered_and_undrained_envelopes_are_released():
-    bus = BroadcastBus()
-    delivered = weakref.ref(
-        bus.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=0))
-    skipped = weakref.ref(bus.publish(Bid("scout_1", "excavator_1", LOC, -1.0), tick=1))
-    assert len(bus.drain_inbox("excavator_1", 1, TaskType.EXCAVATE)) == 1
-    assert bus.drain_inbox("excavator_1", 3, TaskType.EXCAVATE) == []
-    assert delivered() is None and skipped() is None
+def test_delivered_mail_is_released():
+    bus = fleet_bus()
+    msg = Announcement("scout_1", TaskType.EXCAVATE, LOC)
+    released = weakref.ref(msg)
+    bus.publish(msg, tick=0)
+    del msg
+    mail = bus.deliver(1)
+    assert released() is not None
+    del mail
+    assert released() is None
 
 
-def test_inbox_is_the_log_filtered_by_receiver_rules():
+def test_inbox_is_the_log_filtered_by_receiver_rules(monkeypatch):
     """Differential check of addressed delivery on a crowded nearest run:
-    every robot with mail at tick t, by the log, is stepped at t, and its
-    inbox is exactly the messages of tick t-1 in the log that the robot acts
-    on, in sequence order.  Every other drain is empty."""
+    every robot with mail at tick t, by the log, is stepped at t, and the
+    inbox its step takes is exactly the messages of tick t-1 in the log
+    that the robot acts on, in sequence order.  Every other step takes no
+    mail."""
     sim = Simulation(crowded_config(policy="nearest"))
     bus = sim.ctx.bus
-    drain = bus.drain_inbox
-    inboxes = {}
+    publish, step = bus.publish, RobotController.step
+    seq_of, inboxes = {}, {}
 
-    def capture(robot, tick, task_type=None):
-        inbox = drain(robot, tick, task_type)
-        inboxes[robot, tick] = [env.sequence for env in inbox]
-        return inbox
+    def publish_and_number(msg, tick):
+        seq_of[id(msg)] = (bus.messages_published, msg)  # keeps msg alive
+        publish(msg, tick)
 
-    bus.drain_inbox = capture
+    def step_and_note(self, tick, inbox):
+        inboxes[self.state.name, tick] = [seq_of[id(msg)][0] for msg in inbox or ()]
+        step(self, tick, inbox)
+
+    bus.publish = publish_and_number
+    monkeypatch.setattr(RobotController, "step", step_and_note)
     assert sim.run() is RunStatus.COMPLETED
 
     records = sim.ctx.log.records
@@ -151,22 +166,21 @@ def test_inbox_is_the_log_filtered_by_receiver_rules():
     assert multi_wins > 0  # the run exercises same-tick multi-wins
 
 
-def test_paired_hauler_inbox_never_holds_an_announcement_or_close():
+def test_paired_hauler_inbox_never_holds_an_announcement_or_close(monkeypatch):
     """A coalition-paired hauler never bids (its bid scope is 0), so the
     bus addresses it no announcement or close, while each transport
     announcement reaches the four unpaired haulers."""
     sim = Simulation(crowded_config(policy="coalition"))
     paired = {hauler for _, hauler in sim.ctx.policy.pairs}
-    drain = sim.ctx.bus.drain_inbox
+    step = RobotController.step
     received = Counter()
 
-    def capture(robot, tick, task_type=None):
-        inbox = drain(robot, tick, task_type)
-        received.update((robot in paired, type(env.payload), task_type)
-                        for env in inbox)
-        return inbox
+    def step_and_count(self, tick, inbox):
+        received.update((self.state.name in paired, type(msg), self.bids_on)
+                        for msg in inbox or ())
+        step(self, tick, inbox)
 
-    sim.ctx.bus.drain_inbox = capture
+    monkeypatch.setattr(RobotController, "step", step_and_count)
     assert sim.run() is RunStatus.COMPLETED
     assert len(paired) == 8
     assert not any(to_paired and variant in (Announcement, Close)
@@ -179,7 +193,7 @@ def test_paired_hauler_inbox_never_holds_an_announcement_or_close():
             == 4 * transport_auctions)
 
 
-def test_envelopes_logged():
+def test_messages_logged():
     log = EventLog()
     bus = BroadcastBus(log)
     bus.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=2)
@@ -201,11 +215,11 @@ def test_record_round_trip(tmp_path, msg):
     """A message's log record carries every field of the message, and
     survives the log file."""
     log = EventLog()
-    env = BroadcastBus(log).publish(msg, tick=9)
+    BroadcastBus(log).publish(msg, tick=9)
     path = tmp_path / "events.jsonl"
     log.dump_jsonl(path)
     [record] = EventLog.load_jsonl(path).records
-    assert record == envelope_record(env)
+    assert record == message_record(msg, 9, 0)
     assert (record["tick"], record["seq"]) == (9, 0)
     for field in fields(msg):
         value = getattr(msg, field.name)

@@ -17,6 +17,22 @@ def test_parse_seed_spec():
         parse_seed_spec(",")
 
 
+@pytest.mark.parametrize("spec", ["1,5..3", "1,1", "0..3,2", "4..2"])
+def test_parse_seed_spec_rejects_descending_range_and_repeats(spec):
+    with pytest.raises(ValueError):
+        parse_seed_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["1,5..3", "1,1"])
+def test_sweep_with_bad_seed_spec_exits_1(tmp_path, capsys, spec):
+    code = main(["sweep", "--policies", "fcfs", "--seeds", spec, *SMALL,
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and spec in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_writes_all_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["run", "--policy", "fcfs", "--seed", "11", *SMALL,

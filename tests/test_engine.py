@@ -10,7 +10,6 @@ from test_acceptance import DETERMINISM_CONFIGS, POLICIES
 
 import isrusim
 from isrusim import (
-    BroadcastBus,
     ExcavatorActivity,
     HaulerActivity,
     RunStatus,
@@ -275,7 +274,7 @@ def test_stalled_run_ends_with_the_step_all_state(policy, cap, moving):
 
 def reasons_to_step(controller, tick: int, assigned: set, windows: dict) -> set[str]:
     """Why a robot must step at `tick`, read before its step (mail is
-    known only once it drains, an arrival once the step ends).  A courier
+    known from the inbox the step takes, an arrival once the step ends).  A courier
     steps for no reason of its own but its arrival, except at the start of
     a course assigned to it this tick by its coalition parent; a searching
     scout only at its last spiral move or inside a scan window of a site
@@ -331,8 +330,8 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
     move; every robot with mail is stepped, where a paired hauler has no
     announcement or close for mail; and auction timers fire only for
     robots holding auctions."""
-    steps, drained, assigned, windows = {}, [], set(), {}
-    step, drain = RobotController.step, BroadcastBus.drain_inbox
+    steps, assigned, windows = {}, set(), {}
+    step = RobotController.step
     fire = RobotController.fire_auction_timers
     assign = HaulerController.assign_transport
 
@@ -340,17 +339,11 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
         assign(self, excavator, location, tick)
         assigned.add((self.state.name, tick))
 
-    def drain_and_note(self, robot, tick, task_type=None):
-        inbox = drain(self, robot, tick, task_type)
-        drained.extend(inbox)
-        return inbox
-
-    def step_with_reasons(self, tick):
+    def step_with_reasons(self, tick, inbox):
         reasons = reasons_to_step(self, tick, assigned, windows)
         activity = self.state.activity
-        drained.clear()
-        step(self, tick)
-        if drained:
+        step(self, tick, inbox)
+        if inbox:
             reasons.add("mail")
         if activity in COURIER and self.state.activity is not activity:
             reasons.add("arrives")
@@ -360,7 +353,6 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
         assert self.book
         fire(self, tick)
 
-    monkeypatch.setattr(BroadcastBus, "drain_inbox", drain_and_note)
     monkeypatch.setattr(RobotController, "step", step_with_reasons)
     monkeypatch.setattr(RobotController, "fire_auction_timers", fire_with_auctions)
     monkeypatch.setattr(HaulerController, "assign_transport", assign_and_note)

@@ -1,4 +1,5 @@
 import json
+from importlib.resources import files
 
 import jsonschema
 import pytest
@@ -20,7 +21,7 @@ from isrusim.metrics import (
     build_run_meta,
 )
 
-SCHEMA_PATH = "src/isrusim/schemas/summary.schema.json"
+SCHEMA = files("isrusim") / "schemas" / "summary.schema.json"
 
 
 def synthetic_log(announce_tick=10, close_tick=25, task_type="excavate"):
@@ -151,7 +152,7 @@ def test_csv_is_byte_identical_across_sweeps(tmp_path):
 def test_summary_validates_against_shipped_schema(tmp_path):
     base = tiny_config(seed=0)
     result = sweep(["fcfs", "coalition", "nearest"], [0, 1], base_config=base)
-    schema = json.loads(open(SCHEMA_PATH).read())
+    schema = json.loads(SCHEMA.read_text())
     jsonschema.validate(result.summary, schema)
     # single-policy summaries validate too (orderings report null)
     partial = sweep(["fcfs"], [0], base_config=base)

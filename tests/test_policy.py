@@ -10,7 +10,7 @@ from isrusim import (
     WinnerDecl,
     make_policy,
 )
-from isrusim.agents import AuctionView, ExcavatorActivity, HaulerActivity
+from isrusim.agents import ExcavatorActivity, HaulerActivity
 from isrusim.pathing import estimate_path
 
 EXCAVATORS = [f"excavator_{i}" for i in range(1, 5)]
@@ -24,12 +24,6 @@ def idle_excavator(pose=Point(50, 50)) -> RobotState:
 
 def idle_hauler(name="hauler_1", pose=Point(50, 50)) -> RobotState:
     return RobotState(name, RobotKind.HAULER, pose, HaulerActivity.IDLE)
-
-
-def views(task_type, *specs):
-    return [AuctionView(auctioneer=a, task_type=task_type,
-                        task_location=Point(*loc), first_tick=tick)
-            for a, loc, tick in specs]
 
 
 def test_coalition_pairs_default_fleet():
@@ -53,43 +47,26 @@ def test_non_coalition_policies_have_no_pairs():
 
 def test_fcfs_bids_only_in_oldest():
     policy = make_policy("fcfs", EXCAVATORS, HAULERS)
-    open_auctions = views(TaskType.EXCAVATE,
-                          ("scout_1", (30, 40), 5),
-                          ("scout_2", (60, 20), 8),
-                          ("scout_1", (10, 10), 9))
-    chosen = policy.bid_filter(idle_excavator(), open_auctions)
-    assert len(chosen) == 1
-    assert chosen[0].first_tick == 5
+    assert policy.bid_scope(idle_excavator()) == 1
+    assert policy.bid_scope(idle_hauler("hauler_2")) == 1
 
 
 def test_nearest_bids_in_all():
     policy = make_policy("nearest", EXCAVATORS, HAULERS)
-    open_auctions = views(TaskType.EXCAVATE,
-                          ("scout_1", (30, 40), 5),
-                          ("scout_2", (60, 20), 8),
-                          ("scout_1", (10, 10), 9))
-    assert policy.bid_filter(idle_excavator(), open_auctions) == open_auctions
+    assert policy.bid_scope(idle_excavator()) is None
+    assert policy.bid_scope(idle_hauler()) is None
 
 
 def test_coalition_paired_hauler_never_bids():
     policy = make_policy("coalition", EXCAVATORS, HAULERS)
-    open_auctions = views(TaskType.TRANSPORT, ("excavator_3", (30, 40), 5))
-    assert policy.bid_filter(idle_hauler("hauler_2"), open_auctions) == []
+    assert policy.bid_scope(idle_hauler("hauler_2")) == 0
     # unpaired haulers fall back to the fcfs rule
-    assert policy.bid_filter(idle_hauler("hauler_5"), open_auctions) == \
-        open_auctions[:1]
+    assert policy.bid_scope(idle_hauler("hauler_5")) == 1
 
 
 def test_coalition_excavators_use_fcfs_rule():
     policy = make_policy("coalition", EXCAVATORS, HAULERS)
-    open_auctions = views(TaskType.EXCAVATE,
-                          ("scout_1", (30, 40), 5), ("scout_2", (60, 20), 8))
-    assert policy.bid_filter(idle_excavator(), open_auctions) == open_auctions[:1]
-
-
-def test_empty_auction_list():
-    policy = make_policy("fcfs", EXCAVATORS, HAULERS)
-    assert policy.bid_filter(idle_excavator(), []) == []
+    assert policy.bid_scope(idle_excavator()) == 1
 
 
 def wins_at(*distances_and_auctioneers):
