@@ -18,7 +18,6 @@ from .agents import (
 )
 from .auction import (
     Auction,
-    AuctionPhase,
     evaluate_self_utility,
     handle_ack,
     open_auction,
@@ -69,7 +68,7 @@ from .world import (
 
 __all__ = [
     "__version__",
-    "Ack", "Announcement", "Auction", "AuctionPhase", "AuctionSpan",
+    "Ack", "Announcement", "Auction", "AuctionSpan",
     "AuctionView", "Bid", "BroadcastBus", "Close", "EventLog",
     "ExcavatorActivity", "HaulerActivity", "InvariantError", "LogParseError",
     "Message", "MetricsError", "MetricsReport", "PathCursor", "PathEstimate",

@@ -42,7 +42,7 @@ from .auction import (
     handle_ack,
     open_auction,
     record_bid,
-    step_auction_timers,
+    select_winner,
     submit_bid,
 )
 from .bus import (
@@ -50,6 +50,7 @@ from .bus import (
     Announcement,
     AuctionKey,
     Bid,
+    Close,
     Message,
     WinnerDecl,
     auction_key,
@@ -273,9 +274,14 @@ class RobotController:
         return wake
 
     def fire_auction_timers(self, tick: int) -> None:
-        timing = self.ctx.config.timing
-        for auction in list(self.book.values()):
-            step_auction_timers(auction, tick, self.ctx.bus, timing.bid_window)
+        """Close the bidding window of every auction in the book that has no
+        winner and whose round opened at least `bid_window` ticks ago.  The
+        engine calls this on its `bid_window` cadence ticks only."""
+        bid_window = self.ctx.config.timing.bid_window
+        for auction in self.book.values():
+            if (auction.winner is None
+                    and tick >= auction.round_opened_tick + bid_window):
+                select_winner(auction, tick, self.ctx.bus)
 
     def has_open_auctions(self) -> bool:
         return bool(self.book)
@@ -308,10 +314,9 @@ class RobotController:
                 self.pending_wins.append((tick, msg))
             elif isinstance(msg, Ack):
                 auction = self.book.get(key)
-                if auction is not None:
-                    handle_ack(auction, msg, tick, self.ctx.bus)
-                    if not auction.is_open:
-                        del self.book[key]
+                if (auction is not None and isinstance(
+                        handle_ack(auction, msg, tick, self.ctx.bus), Close)):
+                    del self.book[key]
             else:  # Close
                 self.views.pop(key, None)
 

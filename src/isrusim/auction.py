@@ -1,18 +1,19 @@
 """First-price one-round auction with decline-and-reoffer.
 
-One Auction object lives on its auctioneer and walks the states
-Announced -> Collecting -> AwaitingAck -> Closed.  If every bid is the busy
-sentinel, or every declared winner declines, the auction re-announces and
-collects a fresh round of bids; it never closes without an accepted
-acknowledgment.  Bids that arrive after a winner was declared are held back
-and only count toward the next round, should one happen.
+One Auction object lives in its auctioneer's book and walks the rounds
+announce -> collect bids -> declare a winner -> await the winner's ack.  A
+round awaits an ack exactly when it has a declared winner.  An accepted ack
+closes the auction, and the auctioneer drops it from its book.  If every bid
+is the busy sentinel, or every declared winner declines, the auction
+re-announces and collects a fresh round of bids; it never closes without an
+accepted acknowledgment.  Bids that arrive after a winner was declared are
+held back and only count toward the next round, should one happen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from .bus import (Ack, Announcement, AuctionKey, Bid, BroadcastBus, Close,
@@ -33,13 +34,6 @@ def is_capable(kind: RobotKind, task_type: TaskType) -> bool:
     return _CAPABILITY[task_type] is kind
 
 
-class AuctionPhase(str, Enum):
-    ANNOUNCED = "announced"
-    COLLECTING = "collecting"
-    AWAITING_ACK = "awaiting_ack"
-    CLOSED = "closed"
-
-
 @dataclass
 class Auction:
     """Auctioneer-side record of one task allocation attempt."""
@@ -47,24 +41,16 @@ class Auction:
     auctioneer: str
     task_type: TaskType
     task_location: Point
-    opened_tick: int
-    state: AuctionPhase = AuctionPhase.ANNOUNCED
-    round_opened_tick: int = 0
+    round_opened_tick: int
     bids: dict[str, float] = field(default_factory=dict)
     late_bids: dict[str, float] = field(default_factory=dict)
     offered_to: list[str] = field(default_factory=list)
     winner: str | None = None
-    allocated_to: str | None = None
-    closed_tick: int | None = None
     rounds: int = 1
 
     @property
     def key(self) -> AuctionKey:
         return auction_key(self)
-
-    @property
-    def is_open(self) -> bool:
-        return self.state is not AuctionPhase.CLOSED
 
 
 def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
@@ -73,8 +59,7 @@ def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
     """Announce a new auction. An auctioneer may hold several at once,
     but never two open ones for the same task location."""
     auction = Auction(auctioneer=auctioneer, task_type=task_type,
-                      task_location=task_location, opened_tick=tick,
-                      round_opened_tick=tick)
+                      task_location=task_location, round_opened_tick=tick)
     if auction.key in book:
         raise ValueError(f"auction {auction.key} is already open")
     book[auction.key] = auction
@@ -85,9 +70,9 @@ def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
 def record_bid(auction: Auction, bid: Bid) -> None:
     """File an arriving bid; a bid landing after winner declaration only
     counts toward the next round."""
-    if auction.state in (AuctionPhase.ANNOUNCED, AuctionPhase.COLLECTING):
+    if auction.winner is None:
         auction.bids[bid.bidder] = bid.utility
-    elif auction.state is AuctionPhase.AWAITING_ACK:
+    else:
         auction.late_bids[bid.bidder] = bid.utility
 
 
@@ -106,7 +91,6 @@ def _best_eligible(auction: Auction) -> str | None:
 
 
 def _reannounce(auction: Auction, tick: int, bus: BroadcastBus) -> None:
-    auction.state = AuctionPhase.ANNOUNCED
     auction.round_opened_tick = tick
     auction.rounds += 1
     auction.bids = dict(auction.late_bids)
@@ -121,15 +105,14 @@ def select_winner(auction: Auction, tick: int,
                   bus: BroadcastBus) -> WinnerDecl | None:
     """Close of the bidding window: declare the best bidder, or re-announce
     when no finite bid exists (a busy-sentinel bidder is never selected)."""
-    if auction.state is not AuctionPhase.COLLECTING:
-        raise ValueError("winner selection requires a collecting auction")
+    if auction.winner is not None:
+        raise ValueError("winner selection requires an auction with no winner")
     best = _best_eligible(auction)
     if best is None:
         _reannounce(auction, tick, bus)
         return None
     auction.winner = best
     auction.offered_to.append(best)
-    auction.state = AuctionPhase.AWAITING_ACK
     decl = WinnerDecl(auction.auctioneer, auction.task_type,
                       auction.task_location, best)
     bus.publish(decl, tick)
@@ -143,16 +126,11 @@ def handle_ack(auction: Auction, ack: Ack, tick: int,
     Accepted: publish the closing message and finish.  Declined: offer to
     the next-highest bidder of this round, or re-announce when the round is
     exhausted.  Acknowledgments from anyone but the declared winner are
-    dropped.
+    dropped, as are all acknowledgments while no winner is declared.
     """
-    if auction.state is not AuctionPhase.AWAITING_ACK:
-        return None
     if ack.auction_winner != auction.winner:
         return None
     if ack.accepted:
-        auction.state = AuctionPhase.CLOSED
-        auction.allocated_to = auction.winner
-        auction.closed_tick = tick
         close = Close(auction.auctioneer, auction.task_type,
                       auction.task_location, auction.winner)
         bus.publish(close, tick)
@@ -167,25 +145,6 @@ def handle_ack(auction: Auction, ack: Ack, tick: int,
                       auction.task_location, nxt)
     bus.publish(decl, tick)
     return decl
-
-
-def step_auction_timers(auction: Auction, tick: int, bus: BroadcastBus,
-                        bid_window: int) -> WinnerDecl | None:
-    """Advance announcement->collecting and fire the bid-window deadline.
-
-    Selection fires on the first tick that is past the bid window AND on the
-    global bid_window cadence.  The shared cadence makes independent
-    auctions select simultaneously, so a robot that is best for several
-    tasks receives those wins together and its nearest-first choice (policy
-    dependent) actually has something to choose between.
-    """
-    if auction.state is AuctionPhase.ANNOUNCED and tick > auction.round_opened_tick:
-        auction.state = AuctionPhase.COLLECTING
-    if (auction.state is AuctionPhase.COLLECTING
-            and tick >= auction.round_opened_tick + bid_window
-            and tick % bid_window == 0):
-        return select_winner(auction, tick, bus)
-    return None
 
 
 def evaluate_self_utility(robot: "RobotState", task_location: Point,

@@ -2,23 +2,22 @@
 
 Each tick runs the same fixed phases: the bus delivers the previous tick's
 broadcasts, the woken robots step in kind-then-name order (taking their
-inboxes, acting, publishing), then every robot holding open auctions fires
-its auction timers, then the invariants and termination are checked.  A
-robot wakes when it has mail, when a pending win matures, at its own dig,
-load or unload deadline, and when another robot's step changes what it
-acts on; any other step of it would change nothing.  A courier, on its way
-to a site or to the plant, wakes only at its arrival tick; a standby
-hauler one tick after the last move of its walk to its spot; a searching
-scout only in the scan window of a site still undiscovered, at its
-spiral's last move, or on mail.  Their poses and odometry lag in between,
-so the snapshots, `state_digest` and the `run_end` record bring every
-robot up to date first (`RobotController.sync`).  A tick with no mail and
-no robot due skips the robot scan and fires only the timers of the robots
-that held auctions after the last tick that stepped a robot.  The checks
-run at tick 0 and at every tick whose log grew, since every mineral move,
-discovery and auction open or close appends a record.  The only randomness
-in a run is the scenario generator's seed, so equal configs produce
-byte-identical event logs.
+inboxes, acting, publishing), then, on ticks that are a multiple of
+`bid_window`, every robot holding open auctions fires its auction timers,
+then the invariants and termination are checked.  A robot wakes when it has
+mail, when a pending win matures, at its own dig, load or unload deadline,
+and when another robot's step changes what it acts on; any other step of it
+would change nothing.  A courier, on its way to a site or to the plant,
+wakes only at its arrival tick; a standby hauler one tick after the last
+move of its walk to its spot; a searching scout only in the scan window of
+a site still undiscovered, at its spiral's last move, or on mail.  Their
+poses and odometry lag in between, so the snapshots, `state_digest` and the
+`run_end` record bring every robot up to date first
+(`RobotController.sync`).  A tick with no mail and no robot due skips the
+robot scan.  The checks run at tick 0 and at every tick whose log grew,
+since every mineral move, discovery and auction open or close appends a
+record.  The only randomness in a run is the scenario generator's seed, so
+equal configs produce byte-identical event logs.
 """
 
 from __future__ import annotations
@@ -147,11 +146,9 @@ class Simulation:
             for kind in (RobotKind.SCOUT, RobotKind.EXCAVATOR, RobotKind.HAULER)
             for n in sorted(n for n, k in names if k is kind)
         ]
-        # the earliest wake tick of any robot, and the robots holding
-        # auctions in step order, as of the last tick that stepped a robot;
-        # no robot's wake tick or book changes on the other ticks
+        # the earliest wake tick of any robot as of the last tick that
+        # stepped a robot; no robot's wake tick changes on the other ticks
         self._wake: float = 0
-        self._holders: list[RobotController] = []
 
         log.append({
             "type": "run_start",
@@ -168,8 +165,9 @@ class Simulation:
     # -- one tick ----------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one tick: step the woken robots, fire timers, check the
-        invariants and the goal."""
+        """Advance one tick: step the woken robots, fire the auction timers
+        if `tick` is on the `bid_window` cadence, check the invariants and
+        the goal."""
         if self.status is not RunStatus.RUNNING:
             raise RuntimeError("cannot step a finished run")
         tick = self.tick
@@ -183,9 +181,15 @@ class Simulation:
                 if inbox or controller.wake_tick <= tick:
                     controller.step(tick, inbox)
             self._wake = min(controller.wake_tick for controller in order)
-            self._holders = [controller for controller in order if controller.book]
-        for controller in self._holders:
-            controller.fire_auction_timers(tick)
+        # Winner selection runs on a cadence shared by every auction, so
+        # independent auctions select simultaneously: a robot that is best
+        # for several tasks receives those wins together, and its policy's
+        # choice between them (nearest-first, say) has something to choose.
+        bid_window = self.config.timing.bid_window
+        if tick % bid_window == 0:
+            for controller in self._step_order:
+                if controller.book:
+                    controller.fire_auction_timers(tick)
         check = tick == 0 or len(records) > logged
         if check:
             self._assert_mineral_conservation()
@@ -273,7 +277,7 @@ class Simulation:
             "robots": [[r.name, r.activity.value, r.pose.x, r.pose.y,
                         r.odometry, r.carried_minerals]
                        for r in (c.state for c in self._step_order)],
-            "auctions": [[a.auctioneer, list(a.key[1]), a.state.value,
+            "auctions": [[a.auctioneer, list(a.key[1]),
                           a.round_opened_tick, a.rounds,
                           sorted(a.bids.items()), sorted(a.late_bids.items()),
                           a.offered_to, a.winner or ""]

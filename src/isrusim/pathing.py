@@ -70,11 +70,6 @@ def straight_line_planner(arena_side: float) -> PathPlanner:
     return plan
 
 
-def point_along(path: PathEstimate, distance: float) -> Point:
-    """The point at arc length `distance` from the start of the path."""
-    return _place(path, bisect_left(path.prefix, distance), distance)
-
-
 def _place(path: PathEstimate, k: int, distance: float) -> Point:
     """The point at arc length `distance`, given the first waypoint k whose
     arc length is >= distance: on segment k-1, at distance - prefix[k-1]

@@ -22,13 +22,7 @@ from isrusim import (
     submit_bid,
 )
 from isrusim.agents import ExcavatorActivity, HaulerActivity
-from isrusim.auction import (
-    NEG_INF,
-    AuctionPhase,
-    handle_ack,
-    record_bid,
-    step_auction_timers,
-)
+from isrusim.auction import NEG_INF, handle_ack, record_bid
 from isrusim.pathing import estimate_path
 
 LOC = Point(30.0, 40.0)
@@ -43,11 +37,6 @@ def new_auction(book=None, auctioneer="scout_1", loc=LOC, tick=0, bus=None):
     book = {} if book is None else book
     bus = bus or BroadcastBus()
     return open_auction(book, auctioneer, TaskType.EXCAVATE, loc, tick, bus), book, bus
-
-
-def collecting(auction):
-    auction.state = AuctionPhase.COLLECTING
-    return auction
 
 
 def test_open_publishes_announcement():
@@ -76,7 +65,6 @@ def test_duplicate_key_rejected():
 
 def test_key_reusable_after_close():
     auction, book, bus = new_auction()
-    collecting(auction)
     record_bid(auction, Bid("scout_1", "excavator_1", LOC, -1.0))
     select_winner(auction, 3, bus)
     handle_ack(auction, Ack("scout_1", "excavator_1", LOC, True), 5, bus)
@@ -138,32 +126,35 @@ def test_incapable_kinds_never_construct_bids():
 
 def test_winner_is_max_finite_utility():
     auction, _, bus = new_auction()
-    collecting(auction)
     for bidder, utility in [("excavator_1", -10.0), ("excavator_3", -4.0),
                             ("excavator_2", NEG_INF)]:
         record_bid(auction, Bid("scout_1", bidder, LOC, utility))
     decl = select_winner(auction, 3, bus)
-    assert decl.winner == "excavator_3"
-    assert auction.state is AuctionPhase.AWAITING_ACK
+    assert decl.winner == auction.winner == "excavator_3"
 
 
 def test_all_busy_bids_reannounce():
     log = EventLog()
     auction, _, bus = new_auction(bus=BroadcastBus(log))
-    collecting(auction)
     record_bid(auction, Bid("scout_1", "excavator_1", LOC, NEG_INF))
     record_bid(auction, Bid("scout_1", "excavator_2", LOC, NEG_INF))
     assert select_winner(auction, 3, bus) is None
-    assert auction.state is AuctionPhase.ANNOUNCED
     assert auction.rounds == 2
     assert auction.winner is None
     # the re-announcement went out on the bus
     assert [r["variant"] for r in log.records if r["tick"] == 3] == ["announcement"]
 
 
+def test_selection_refused_while_awaiting_ack():
+    auction, _, bus = new_auction()
+    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
+    select_winner(auction, 3, bus)
+    with pytest.raises(ValueError):
+        select_winner(auction, 6, bus)
+
+
 def test_tie_breaks_to_lexicographically_smallest():
     auction, _, bus = new_auction()
-    collecting(auction)
     record_bid(auction, Bid("scout_1", "excavator_2", LOC, -7.0))
     record_bid(auction, Bid("scout_1", "excavator_1", LOC, -7.0))
     assert select_winner(auction, 3, bus).winner == "excavator_1"
@@ -176,8 +167,6 @@ def test_argmax_invariant_under_positive_scaling():
         scale = rng.uniform(0.01, 100.0)
         base, _, bus_a = new_auction()
         scaled, _, bus_b = new_auction(auctioneer="scout_2")
-        collecting(base)
-        collecting(scaled)
         for bidder, u in bids.items():
             record_bid(base, Bid("scout_1", bidder, LOC, u))
             record_bid(scaled, Bid("scout_2", bidder, LOC, u * scale))
@@ -187,53 +176,46 @@ def test_argmax_invariant_under_positive_scaling():
 
 def test_accepted_ack_closes_auction():
     auction, _, bus = new_auction()
-    collecting(auction)
     record_bid(auction, Bid("scout_1", "excavator_1", LOC, -3.0))
     select_winner(auction, 3, bus)
     msg = handle_ack(auction, Ack("scout_1", "excavator_1", LOC, True), 5, bus)
     assert isinstance(msg, Close)
     assert msg.allocated_to == "excavator_1"
-    assert auction.state is AuctionPhase.CLOSED
-    assert auction.closed_tick == 5
 
 
 def test_declined_ack_offers_next_highest():
     auction, _, bus = new_auction()
-    collecting(auction)
     record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
     record_bid(auction, Bid("scout_1", "excavator_2", LOC, -8.0))
     assert select_winner(auction, 3, bus).winner == "excavator_1"
     msg = handle_ack(auction, Ack("scout_1", "excavator_1", LOC, False), 5, bus)
     assert isinstance(msg, WinnerDecl)
-    assert msg.winner == "excavator_2"
-    assert auction.state is AuctionPhase.AWAITING_ACK
+    assert msg.winner == auction.winner == "excavator_2"
 
 
 def test_all_declined_reannounces_with_cleared_offers():
     auction, _, bus = new_auction()
-    collecting(auction)
     record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
     select_winner(auction, 3, bus)
     msg = handle_ack(auction, Ack("scout_1", "excavator_1", LOC, False), 5, bus)
     assert msg is None
-    assert auction.state is AuctionPhase.ANNOUNCED
+    assert auction.winner is None
     assert auction.offered_to == []  # a freed-up robot may win the next round
     assert auction.rounds == 2
 
 
 def test_ack_from_non_winner_discarded():
     auction, _, bus = new_auction()
-    collecting(auction)
     record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
+    # no winner declared yet: nobody's ack counts
+    assert handle_ack(auction, Ack("scout_1", "excavator_1", LOC, True), 2, bus) is None
     select_winner(auction, 3, bus)
     assert handle_ack(auction, Ack("scout_1", "excavator_9", LOC, True), 5, bus) is None
-    assert auction.state is AuctionPhase.AWAITING_ACK
     assert auction.winner == "excavator_1"
 
 
 def test_late_bids_count_toward_next_round():
     auction, _, bus = new_auction()
-    collecting(auction)
     record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
     select_winner(auction, 3, bus)
     # arrives after the declaration: held for the next round
@@ -241,36 +223,14 @@ def test_late_bids_count_toward_next_round():
     assert "excavator_2" not in auction.bids
     handle_ack(auction, Ack("scout_1", "excavator_1", LOC, False), 5, bus)
     # excavator_1 declined and no other bid was in the round: re-announce
-    assert auction.state is AuctionPhase.ANNOUNCED
+    assert auction.winner is None
     assert auction.bids == {"excavator_2": -1.0}
-
-
-def test_timer_respects_bid_window_and_cadence():
-    auction, _, bus = new_auction(tick=0)
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
-    assert step_auction_timers(auction, 0, bus, bid_window=3) is None
-    assert auction.state is AuctionPhase.ANNOUNCED
-    assert step_auction_timers(auction, 1, bus, bid_window=3) is None
-    assert auction.state is AuctionPhase.COLLECTING
-    assert step_auction_timers(auction, 2, bus, bid_window=3) is None
-    decl = step_auction_timers(auction, 3, bus, bid_window=3)
-    assert decl is not None and decl.winner == "excavator_1"
-
-
-def test_timer_waits_for_global_cadence():
-    auction, _, bus = new_auction(tick=2)
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
-    auction.state = AuctionPhase.COLLECTING
-    # window over at tick 5, but selection lands on the next multiple of 3
-    assert step_auction_timers(auction, 5, bus, bid_window=3) is None
-    assert step_auction_timers(auction, 6, bus, bid_window=3) is not None
 
 
 def _exhaustive_winner_sequence(utilities: dict[str, float],
                                 verdicts: dict[str, bool]):
     """Drive one auction round; return (winner order, outcome)."""
     auction, _, bus = new_auction()
-    collecting(auction)
     for bidder, utility in utilities.items():
         record_bid(auction, Bid("scout_1", bidder, LOC, utility))
     sequence = []

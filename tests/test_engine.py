@@ -10,14 +10,18 @@ from test_acceptance import DETERMINISM_CONFIGS, POLICIES
 
 import isrusim
 from isrusim import (
+    Bid,
     ExcavatorActivity,
     HaulerActivity,
+    Point,
     RunStatus,
     ScenarioConfig,
     ScoutActivity,
     Simulation,
+    TaskType,
     TimingConfig,
     generate_scenario,
+    open_auction,
     run_to_completion,
 )
 from isrusim.agents import (
@@ -26,6 +30,7 @@ from isrusim.agents import (
     RobotController,
     scan_windows,
 )
+from isrusim.auction import record_bid
 from isrusim.engine import START_CIRCLE_RADIUS
 from isrusim.pathing import PathCursor
 
@@ -150,6 +155,32 @@ def test_completion_requires_no_open_auctions():
                  if r["type"] == "msg" and r["variant"] == "close")
     config = tiny_config()
     assert closes == config.n_sites + config.n_minerals
+
+
+def selection_tick(opened: int, bid_window: int) -> int:
+    """Open an auction with one bid in scout_1's book at tick `opened` of
+    a run and return the tick whose timer phase declares its winner."""
+    sim = Simulation(tiny_config(timing=TimingConfig(bid_window=bid_window)))
+    while sim.tick < opened:
+        sim.step()
+    location = Point(1.0, 1.0)  # no site there, so no other auction's key
+    auction = open_auction(sim.ctx.controllers["scout_1"].book, "scout_1",
+                           TaskType.EXCAVATE, location, opened, sim.ctx.bus)
+    record_bid(auction, Bid("scout_1", "excavator_1", location, -2.0))
+    while auction.winner is None:
+        sim.step()
+    return sim.tick - 1
+
+
+def test_timer_respects_bid_window_and_cadence():
+    # tick 0 is on the cadence but inside the window; the window ends at 3
+    assert selection_tick(opened=0, bid_window=3) == 3
+
+
+def test_timer_waits_for_global_cadence():
+    # tick 3 is on the cadence but inside the window; the window ends at 5,
+    # off the cadence, so selection lands on the next multiple of 3
+    assert selection_tick(opened=2, bid_window=3) == 6
 
 
 def test_minimal_mission_message_audit():
@@ -329,7 +360,8 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
     when its parent claims or releases and one tick after its walk's last
     move; every robot with mail is stepped, where a paired hauler has no
     announcement or close for mail; and auction timers fire only for
-    robots holding auctions."""
+    robots holding auctions, and only on ticks on the bid_window
+    cadence."""
     steps, assigned, windows = {}, set(), {}
     step = RobotController.step
     fire = RobotController.fire_auction_timers
@@ -351,6 +383,7 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
 
     def fire_with_auctions(self, tick):
         assert self.book
+        assert tick % self.ctx.config.timing.bid_window == 0, tick
         fire(self, tick)
 
     monkeypatch.setattr(RobotController, "step", step_with_reasons)

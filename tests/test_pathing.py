@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from isrusim import Point, build_spiral, estimate_path, straight_line_planner
-from isrusim.pathing import PathCursor, make_path, point_along
+from isrusim.pathing import PathCursor, make_path
 
 
 def test_three_four_five_triangle():
@@ -92,9 +92,9 @@ def test_cursor_sweeps_across_waypoints():
     assert swept[1][1] == pose
 
 
-def test_point_along_midpoint():
+def test_cursor_step_places_midpoint():
     path = make_path([Point(0, 0), Point(10, 0)])
-    assert point_along(path, 5.0) == Point(5.0, 0.0)
+    assert PathCursor(path).step(5.0)[0] == Point(5.0, 0.0)
 
 
 def test_path_length_is_the_last_arc_length():

@@ -2,7 +2,7 @@
 
 from conftest import tiny_run
 
-from isrusim import agents, derive_auction_histories, verify_records
+from isrusim import Close, agents, derive_auction_histories, verify_records
 
 LOC = [30.0, 40.0]
 
@@ -194,21 +194,27 @@ def test_sequence_regression_flagged():
 
 
 def test_histories_rederived_from_log_match_live_auctions(monkeypatch):
-    closed = []
-    handle_ack = agents.handle_ack
+    opened, live = {}, []
+    open_auction, handle_ack = agents.open_auction, agents.handle_ack
 
-    def collect_closed(auction, ack, tick, bus):
+    def note_open(book, auctioneer, task_type, task_location, tick, bus):
+        auction = open_auction(book, auctioneer, task_type, task_location,
+                               tick, bus)
+        opened[auction.key] = tick  # a key is reused only after its close
+        return auction
+
+    def note_close(auction, ack, tick, bus):
         result = handle_ack(auction, ack, tick, bus)
-        if not auction.is_open:
-            closed.append(auction)
+        if isinstance(result, Close):
+            live.append((auction.auctioneer, auction.task_location.as_pair(),
+                         opened[auction.key], auction.rounds,
+                         result.allocated_to, tick))
         return result
 
-    monkeypatch.setattr(agents, "handle_ack", collect_closed)
+    monkeypatch.setattr(agents, "open_auction", note_open)
+    monkeypatch.setattr(agents, "handle_ack", note_close)
     result = tiny_run(seed=12, n_sites=3, n_minerals=5, n_excavators=2)
     histories = derive_auction_histories(result.log.records)
-    live = [(auction.auctioneer, auction.task_location.as_pair(),
-             auction.opened_tick, auction.rounds, auction.allocated_to,
-             auction.closed_tick) for auction in closed]
     derived = [(h.auctioneer, h.location, h.opened_tick, h.rounds,
                 h.allocated_to, h.closed_tick) for h in histories]
     assert sorted(derived) == sorted(live)
