@@ -36,6 +36,7 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 from .auction import (
+    CAPABLE_TASK,
     NEG_INF,
     Auction,
     evaluate_self_utility,
@@ -199,7 +200,6 @@ class AuctionView:
     """A bidder's receiver-side picture of someone else's open auction."""
 
     auctioneer: str
-    task_type: TaskType
     task_location: Point
     first_tick: int
     rounds_seen: int = 1
@@ -229,6 +229,9 @@ class RobotController:
         self._last_move = -1  # the tick of the last move along cursor
         self._travel_estimate = 0.0
         self._travel_start_odometry = 0.0
+        if self.bids_on is not CAPABLE_TASK.get(state.kind):
+            raise ValueError(f"{type(self).__name__} cannot drive a "
+                             f"{state.kind.value} robot")
         self._bid_scope = ctx.policy.bid_scope(state)
         if self.bids_on is not None and self._bid_scope != 0:
             ctx.bus.subscribe(state.name, self.bids_on)
@@ -292,33 +295,35 @@ class RobotController:
         """Act on this tick's inbox, which the bus has already addressed:
         announcements and closes of the task type this robot bids on, and
         the bids, acks and winner declarations sent to it, all published
-        at tick-1."""
+        at tick-1.  An announcement or close reaches every subscriber, so
+        it keeps its auction key after the first of them reads it."""
         for msg in inbox:
-            key = auction_key(msg)
-            if isinstance(msg, Announcement):
+            cls = type(msg)
+            if cls is Bid:
+                auction = self.book.get(auction_key(msg))
+                if auction is not None:  # the auction may have closed
+                    record_bid(auction, msg)
+            elif cls is Announcement:
+                key = msg.key
                 view = self.views.get(key)
                 if view is None:
                     self._add_view(key, AuctionView(
                         auctioneer=msg.auctioneer,
-                        task_type=msg.task_type,
                         task_location=msg.task_location,
                         first_tick=tick - 1,
                     ))
                 else:
                     view.rounds_seen += 1
-            elif isinstance(msg, Bid):
-                auction = self.book.get(key)
-                if auction is not None:  # the auction may have closed
-                    record_bid(auction, msg)
-            elif isinstance(msg, WinnerDecl):
+            elif cls is WinnerDecl:
                 self.pending_wins.append((tick, msg))
-            elif isinstance(msg, Ack):
+            elif cls is Ack:
+                key = auction_key(msg)
                 auction = self.book.get(key)
-                if (auction is not None and isinstance(
-                        handle_ack(auction, msg, tick, self.ctx.bus), Close)):
+                if (auction is not None and type(
+                        handle_ack(auction, msg, tick, self.ctx.bus)) is Close):
                     del self.book[key]
             else:  # Close
-                self.views.pop(key, None)
+                self.views.pop(msg.key, None)
 
     def _add_view(self, key: AuctionKey, view: AuctionView) -> None:
         """Insert a view, keeping `views` oldest-first by `order_key`; the
@@ -370,8 +375,8 @@ class RobotController:
                 utility = evaluate_self_utility(self.state, view.task_location,
                                                 self.ctx.planner)
                 view.last_bid = utility
-                submit_bid(self.state, view.auctioneer, view.task_type,
-                           view.task_location, utility, tick, self.ctx.bus)
+                submit_bid(self.state, view.auctioneer, view.task_location,
+                           utility, tick, self.ctx.bus)
 
     def _act(self, tick: int) -> None:
         raise NotImplementedError

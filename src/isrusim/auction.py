@@ -8,6 +8,11 @@ is the busy sentinel, or every declared winner declines, the auction
 re-announces and collects a fresh round of bids; it never closes without an
 accepted acknowledgment.  Bids that arrive after a winner was declared are
 held back and only count toward the next round, should one happen.
+
+Only capable robots bid: a controller subscribes, when it is built, to the
+one task type its kind can do (`agents.RobotController` checks that), so no
+bid needs a capability test.  `submit_bid`, the one place a bid is made,
+checks its utility.
 """
 
 from __future__ import annotations
@@ -26,12 +31,9 @@ if TYPE_CHECKING:
 
 NEG_INF = float("-inf")
 
-_CAPABILITY = {TaskType.EXCAVATE: RobotKind.EXCAVATOR,
-               TaskType.TRANSPORT: RobotKind.HAULER}
-
-
-def is_capable(kind: RobotKind, task_type: TaskType) -> bool:
-    return _CAPABILITY[task_type] is kind
+# The one task type each robot kind can do; scouts do none.
+CAPABLE_TASK = {RobotKind.EXCAVATOR: TaskType.EXCAVATE,
+                RobotKind.HAULER: TaskType.TRANSPORT}
 
 
 @dataclass
@@ -156,14 +158,13 @@ def evaluate_self_utility(robot: "RobotState", task_location: Point,
     return -planner(robot.pose, task_location).length
 
 
-def submit_bid(robot: "RobotState", auctioneer: str, task_type: TaskType,
-               task_location: Point, utility: float, tick: int,
-               bus: BroadcastBus) -> Bid:
-    """Publish a bid. Incapable robot kinds never construct bids."""
-    if not is_capable(robot.kind, task_type):
-        raise ValueError(f"{robot.kind.value} robots cannot bid on "
-                         f"{task_type.value} tasks")
-    bid = Bid(auctioneer=auctioneer, bidder=robot.name,
-              task_location=task_location, utility=utility)
+def submit_bid(robot: "RobotState", auctioneer: str, task_location: Point,
+               utility: float, tick: int, bus: BroadcastBus) -> Bid:
+    """Publish a bid.  A utility is never positive; -inf is the busy
+    sentinel.  The one comparison also rejects NaN."""
+    if not utility <= 0.0:
+        raise ValueError(f"{robot.name} bid utility {utility}; a utility "
+                         f"must be <= 0 or -inf")
+    bid = Bid(auctioneer, robot.name, task_location, utility)
     bus.publish(bid, tick)
     return bid

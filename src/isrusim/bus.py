@@ -7,13 +7,18 @@ appends it to their inboxes for the next tick: announcements and closes go
 to the robots subscribed to its task type (the robots that bid on it), bids
 and acks to the auctioneer, a winner declaration to the winner.  Every
 message is still logged, so the log stays the broadcast record of the run.
+
+Messages are plain records and check nothing when built: each field is
+checked once, where its value comes from.  Robot names are checked when the
+fleet is built (`engine.Simulation`), a controller's task type when it is
+built, against its kind (`agents.RobotController`), and a bid's utility by
+`auction.submit_bid`, the one place a bid is made.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .events import EventLog
 from .world import Point, TaskType
@@ -24,12 +29,24 @@ if TYPE_CHECKING:
 AuctionKey = tuple[str, tuple[float, float]]
 
 
-def _require_name(value: str, field_name: str) -> None:
-    if not value or not isinstance(value, str):
-        raise ValueError(f"{field_name} must be a non-empty robot name")
+def auction_key(item: Message | Auction) -> AuctionKey:
+    """(auctioneer, task_location) — the unique key of an auction, read
+    from any of its messages or from the auction itself."""
+    return (item.auctioneer, item.task_location.as_pair())
 
 
-@dataclass(frozen=True)
+class _KeyOnce:
+    """The `auction_key` of a message that reaches many robots, computed on
+    the first read and kept on the message for the other recipients."""
+
+    def __get__(self, msg: Announcement | Close | None, owner: type):
+        if msg is None:  # read from the class
+            return self
+        key = msg.__dict__["key"] = auction_key(msg)
+        return key
+
+
+@dataclass
 class Announcement:
     """A task put up for auction (status is always 'open')."""
 
@@ -37,11 +54,10 @@ class Announcement:
     task_type: TaskType
     task_location: Point
 
-    def __post_init__(self) -> None:
-        _require_name(self.auctioneer, "auctioneer")
+    key = _KeyOnce()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Bid:
     """A bidder's utility for an announced task.
 
@@ -54,14 +70,8 @@ class Bid:
     task_location: Point
     utility: float
 
-    def __post_init__(self) -> None:
-        _require_name(self.auctioneer, "auctioneer")
-        _require_name(self.bidder, "bidder")
-        if math.isnan(self.utility) or self.utility > 0.0:
-            raise ValueError("utility must be <= 0 or -inf")
 
-
-@dataclass(frozen=True)
+@dataclass
 class WinnerDecl:
     """The auctioneer names the bidder it picked (auction stays open)."""
 
@@ -70,12 +80,8 @@ class WinnerDecl:
     task_location: Point
     winner: str
 
-    def __post_init__(self) -> None:
-        _require_name(self.auctioneer, "auctioneer")
-        _require_name(self.winner, "winner")
 
-
-@dataclass(frozen=True)
+@dataclass
 class Ack:
     """The declared winner accepts or declines the task."""
 
@@ -84,12 +90,8 @@ class Ack:
     task_location: Point
     accepted: bool
 
-    def __post_init__(self) -> None:
-        _require_name(self.auctioneer, "auctioneer")
-        _require_name(self.auction_winner, "auction_winner")
 
-
-@dataclass(frozen=True)
+@dataclass
 class Close:
     """The auction ends; the task is allocated (status 'closed')."""
 
@@ -98,52 +100,62 @@ class Close:
     task_location: Point
     allocated_to: str
 
-    def __post_init__(self) -> None:
-        _require_name(self.auctioneer, "auctioneer")
-        _require_name(self.allocated_to, "allocated_to")
+    key = _KeyOnce()
 
 
 Message = Union[Announcement, Bid, WinnerDecl, Ack, Close]
 
-_VARIANTS = {Announcement: "announcement", Bid: "bid", WinnerDecl: "winner",
-             Ack: "ack", Close: "close"}
+
+# One record builder per variant.  Each writes the keys in the order
+# ("type",) + RECORD_FIELDS["msg"] + MSG_FIELDS[variant] of `events`.
+
+def _announcement_record(msg: Announcement, tick: int, seq: int) -> dict:
+    loc = msg.task_location
+    return {"type": "msg", "tick": tick, "seq": seq, "variant": "announcement",
+            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
+            "task_type": msg.task_type.value, "status": "open"}
 
 
-def auction_key(item: Message | Auction) -> AuctionKey:
-    """(auctioneer, task_location) — the unique key of an auction, read
-    from any of its messages or from the auction itself."""
-    return (item.auctioneer, item.task_location.as_pair())
+def _bid_record(msg: Bid, tick: int, seq: int) -> dict:
+    loc = msg.task_location
+    return {"type": "msg", "tick": tick, "seq": seq, "variant": "bid",
+            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
+            "bidder": msg.bidder, "utility": msg.utility}
+
+
+def _winner_record(msg: WinnerDecl, tick: int, seq: int) -> dict:
+    loc = msg.task_location
+    return {"type": "msg", "tick": tick, "seq": seq, "variant": "winner",
+            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
+            "task_type": msg.task_type.value, "status": "open",
+            "winner": msg.winner}
+
+
+def _ack_record(msg: Ack, tick: int, seq: int) -> dict:
+    loc = msg.task_location
+    return {"type": "msg", "tick": tick, "seq": seq, "variant": "ack",
+            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
+            "auction_winner": msg.auction_winner,
+            "verdict": "accepted" if msg.accepted else "declined"}
+
+
+def _close_record(msg: Close, tick: int, seq: int) -> dict:
+    loc = msg.task_location
+    return {"type": "msg", "tick": tick, "seq": seq, "variant": "close",
+            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
+            "task_type": msg.task_type.value, "status": "closed",
+            "allocated_to": msg.allocated_to}
+
+
+_RECORD_BUILDERS: dict[type, Callable[..., dict]] = {
+    Bid: _bid_record, Announcement: _announcement_record,
+    WinnerDecl: _winner_record, Ack: _ack_record, Close: _close_record}
 
 
 def message_record(msg: Message, tick: int, seq: int) -> dict:
     """Flatten a message published at `tick` with sequence number `seq`
     into one event-log record."""
-    record: dict = {
-        "type": "msg",
-        "tick": tick,
-        "seq": seq,
-        "variant": _VARIANTS[type(msg)],
-        "auctioneer": msg.auctioneer,
-        "loc": [msg.task_location.x, msg.task_location.y],
-    }
-    if isinstance(msg, Announcement):
-        record["task_type"] = msg.task_type.value
-        record["status"] = "open"
-    elif isinstance(msg, Bid):
-        record["bidder"] = msg.bidder
-        record["utility"] = msg.utility
-    elif isinstance(msg, WinnerDecl):
-        record["task_type"] = msg.task_type.value
-        record["status"] = "open"
-        record["winner"] = msg.winner
-    elif isinstance(msg, Ack):
-        record["auction_winner"] = msg.auction_winner
-        record["verdict"] = "accepted" if msg.accepted else "declined"
-    else:
-        record["task_type"] = msg.task_type.value
-        record["status"] = "closed"
-        record["allocated_to"] = msg.allocated_to
-    return record
+    return _RECORD_BUILDERS[type(msg)](msg, tick, seq)
 
 
 class BroadcastBus:
@@ -165,12 +177,13 @@ class BroadcastBus:
         if self._log is not None:
             self._log.append(message_record(msg, tick, self._sequence))
         self._sequence += 1
-        if isinstance(msg, (Announcement, Close)):
-            recipients = self._subscribers.get(msg.task_type, ())
-        elif isinstance(msg, WinnerDecl):
-            recipients = (msg.winner,)
-        else:
+        cls = type(msg)
+        if cls is Bid or cls is Ack:
             recipients = (msg.auctioneer,)
+        elif cls is WinnerDecl:
+            recipients = (msg.winner,)
+        else:  # Announcement, Close
+            recipients = self._subscribers.get(msg.task_type, ())
         mail = self._mail.setdefault(tick + 1, {})
         for robot in recipients:
             mail.setdefault(robot, []).append(msg)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -113,6 +114,10 @@ class Simulation:
         log = EventLog()
         bus = BroadcastBus(log)
         names = config.robot_names()
+        # the bus addresses robots by name, and no message checks one
+        if (len({n for n, _ in names}) != len(names)
+                or not all(n and isinstance(n, str) for n, _ in names)):
+            raise ValueError("robot names must be distinct non-empty strings")
         excavators = [n for n, k in names if k is RobotKind.EXCAVATOR]
         haulers = [n for n, k in names if k is RobotKind.HAULER]
         policy = make_policy(config.policy, excavators, haulers)
@@ -262,6 +267,13 @@ class Simulation:
             "odometry": {s.name: s.odometry for s in
                          (c.state for c in self._step_order)},
         })
+        # The context and its controllers reference each other.  A finished
+        # run is only read (`sync`, `state_digest`), so the controllers now
+        # hold the context weakly: dropping the run frees it and its log at
+        # once, without waiting for the cyclic garbage collector.
+        ctx = weakref.proxy(self.ctx)
+        for controller in self._step_order:
+            controller.ctx = ctx
         return self.status
 
     def state_digest(self) -> str:

@@ -174,6 +174,20 @@ class ScenarioConfig:
                 f"no site can be placed: every point scan_radius in from the "
                 f"border lies within {PLANT_CLEARANCE_FACTOR:g}*scan_radius "
                 f"of the plant")
+        # Sites lie at least scan_radius apart, so the discs of radius
+        # scan_radius/2 about them are disjoint.  Each lies within that
+        # radius of the inner square, and outside the disc of
+        # (PLANT_CLEARANCE_FACTOR - 1/2)*scan_radius about the plant, which
+        # the check above puts inside that rounded square.  So the discs'
+        # areas cannot add up to more than the room between the two.
+        half, inner = self.scan_radius / 2.0, 2.0 * inset
+        keep_out = PLANT_CLEARANCE_FACTOR * self.scan_radius - half
+        room = (inner * inner + 4.0 * inner * half
+                + math.pi * (half * half - keep_out * keep_out))
+        if self.n_sites > 0 and self.n_sites * math.pi * half * half > room:
+            raise ValueError(
+                f"{self.n_sites} sites cannot keep scan_radius apart in the "
+                f"room the arena leaves them")
 
     @property
     def cell_side(self) -> float:

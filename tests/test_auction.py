@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from conftest import tiny_config
+
 from isrusim import (
     Ack,
     Announcement,
@@ -14,6 +16,7 @@ from isrusim import (
     Point,
     RobotKind,
     RobotState,
+    Simulation,
     TaskType,
     WinnerDecl,
     evaluate_self_utility,
@@ -21,8 +24,9 @@ from isrusim import (
     select_winner,
     submit_bid,
 )
-from isrusim.agents import ExcavatorActivity, HaulerActivity
-from isrusim.auction import NEG_INF, handle_ack, record_bid
+from isrusim.agents import (ExcavatorActivity, ExcavatorController,
+                            HaulerActivity, HaulerController)
+from isrusim.auction import CAPABLE_TASK, NEG_INF, handle_ack, record_bid
 from isrusim.pathing import estimate_path
 
 LOC = Point(30.0, 40.0)
@@ -108,20 +112,43 @@ def test_submit_bid_publishes_wire_format():
     bus = BroadcastBus()
     robot = RobotState("excavator_2", RobotKind.EXCAVATOR, Point(10, 10),
                        ExcavatorActivity.IDLE)
-    submit_bid(robot, "scout_1", TaskType.EXCAVATE, LOC, -12.5, 3, bus)
+    submit_bid(robot, "scout_1", LOC, -12.5, 3, bus)
     assert bus.deliver(4) == {
         "scout_1": [Bid("scout_1", "excavator_2", LOC, -12.5)]}
 
 
+def test_malformed_bid_rejected():
+    """submit_bid, the one place a bid is made, rejects a positive or NaN
+    utility and lets the -inf busy sentinel through."""
+    log = EventLog()
+    bus = BroadcastBus(log)
+    robot = RobotState("excavator_1", RobotKind.EXCAVATOR, Point(0, 0),
+                       ExcavatorActivity.DIGGING)
+    for utility in (3.0, math.nan):
+        with pytest.raises(ValueError):
+            submit_bid(robot, "scout_1", LOC, utility, 0, bus)
+    assert submit_bid(robot, "scout_1", LOC, NEG_INF, 0, bus).utility == NEG_INF
+    assert [r["utility"] for r in log.records] == [NEG_INF]
+
+
 def test_incapable_kinds_never_construct_bids():
-    bus = BroadcastBus()
-    scout = RobotState("scout_1", RobotKind.SCOUT, Point(0, 0), None)
-    hauler = RobotState("hauler_1", RobotKind.HAULER, Point(0, 0),
+    """Every controller subscribes only to its kind's capable task type and
+    scouts to none, so only capable robots ever see an announcement to bid
+    on; a controller built for another kind is refused."""
+    for policy in ("fcfs", "coalition", "nearest"):
+        sim = Simulation(tiny_config(policy=policy))
+        bus, robots = sim.ctx.bus, sim.ctx.robots
+        for task_type in TaskType:
+            bus.publish(Announcement("scout_1", task_type, LOC), 0)
+            assert {robots[name].kind for name in bus.deliver(1)} == {
+                kind for kind, task in CAPABLE_TASK.items() if task is task_type}
+    hauler = RobotState("hauler_9", RobotKind.HAULER, Point(0, 0),
                         HaulerActivity.IDLE)
-    with pytest.raises(ValueError):
-        submit_bid(scout, "scout_2", TaskType.EXCAVATE, LOC, -1.0, 0, bus)
-    with pytest.raises(ValueError):
-        submit_bid(hauler, "scout_1", TaskType.EXCAVATE, LOC, -1.0, 0, bus)
+    scout = RobotState("scout_9", RobotKind.SCOUT, Point(0, 0), None)
+    for controller, state in ((ExcavatorController, hauler),
+                              (HaulerController, scout)):
+        with pytest.raises(ValueError):
+            controller(state, sim.ctx)
 
 
 def test_winner_is_max_finite_utility():

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from isrusim import (
     ExcavatorActivity,
     HaulerActivity,
     Point,
+    RobotKind,
     RunStatus,
     ScenarioConfig,
     ScoutActivity,
@@ -412,8 +415,9 @@ def test_invariant_checks_run_under_optimize():
 import sys
 import tempfile
 from conftest import tiny_config
-from isrusim import (ExcavatorActivity, HaulerActivity, InvariantError,
-                     Point, Simulation, TaskType, WinnerDecl, agents)
+from isrusim import (BroadcastBus, ExcavatorActivity, HaulerActivity,
+                     InvariantError, Point, RobotKind, RobotState, Simulation,
+                     TaskType, WinnerDecl, agents, submit_bid)
 from isrusim.cli import main
 
 if sys.flags.optimize != 1:
@@ -460,6 +464,16 @@ expect_invariant_error(Simulation(tiny_config()).run)
 with tempfile.TemporaryDirectory() as out:
     print(main(["run", "--out", out, "--arena", "30", "--scouts", "1",
                 "--sites", "2", "--minerals", "4", "--seed", "11"]))
+
+# a positive bid utility is refused where the bid is made
+robot = RobotState("excavator_1", RobotKind.EXCAVATOR, Point(0.0, 0.0),
+                   ExcavatorActivity.IDLE)
+try:
+    submit_bid(robot, "scout_1", Point(9.0, 9.0), 3.0, 0, BroadcastBus())
+except ValueError as exc:
+    print(exc)
+else:
+    sys.exit("submit_bid took a positive utility")
 """
     lines = run_child(script, "-O").stdout.splitlines()
     assert lines[:4] == [
@@ -471,3 +485,36 @@ with tempfile.TemporaryDirectory() as out:
     assert "on a course estimated at" in lines[4]
     assert lines[5].startswith("mineral conservation broken at tick ")
     assert lines[6] == "3"
+    assert lines[7] == ("excavator_1 bid utility 3.0; a utility must be "
+                        "<= 0 or -inf")
+
+
+@pytest.mark.parametrize("names", [
+    [("scout_1", RobotKind.SCOUT), ("", RobotKind.EXCAVATOR),
+     ("hauler_1", RobotKind.HAULER)],
+    [("scout_1", RobotKind.SCOUT), ("excavator_1", RobotKind.EXCAVATOR),
+     ("excavator_1", RobotKind.HAULER)],
+], ids=["empty", "repeated"])
+def test_robot_names_checked_when_the_fleet_is_built(monkeypatch, names):
+    """The bus addresses robots by name and no message checks one, so the
+    fleet's names are checked once, when the fleet is built."""
+    monkeypatch.setattr(ScenarioConfig, "robot_names", lambda self: names)
+    with pytest.raises(ValueError, match="robot names"):
+        Simulation(tiny_config())
+
+
+def test_finished_run_is_freed_without_the_collector():
+    """Dropping a finished run's result frees its log at once: the context
+    and its controllers no longer hold each other alive.  The finished run
+    still syncs and hashes its state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = tiny_run(policy="nearest")
+        result.simulation.state_digest()  # syncs every robot first
+        log = weakref.ref(result.log)
+        del result
+        assert log() is None
+    finally:
+        if enabled:
+            gc.enable()

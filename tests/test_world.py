@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +142,37 @@ def test_config_where_no_site_fits_is_rejected_when_built():
         ScenarioConfig(arena_side=20, scan_radius=5, n_sites=1, n_minerals=1)
     # without sites there is nothing to place
     ScenarioConfig(arena_side=10, scan_radius=5, n_sites=0, n_minerals=0)
+
+
+def test_config_whose_sites_cannot_keep_apart_is_rejected_when_built():
+    # 30 m arena, scan radius 2.5: discs of radius 1.25 about the sites fit
+    # 144 times into the room between the inner square and the plant
+    ScenarioConfig(arena_side=30, scan_radius=2.5, n_sites=144, n_minerals=144)
+    with pytest.raises(ValueError, match="cannot keep scan_radius apart"):
+        ScenarioConfig(arena_side=30, scan_radius=2.5, n_sites=145,
+                       n_minerals=145)
+
+
+def test_build_checks_reject_no_config_whose_sites_can_be_placed():
+    """400 small-arena configs, each pinned with what happened to it before
+    the packing bound: rejected when built, sites placed, or rejected late,
+    by `generate_scenario` after its attempts ran out.  The build checks are
+    necessary conditions, so no config that placed its sites is rejected.
+    The late rejections all stay: those configs have room for their sites,
+    and rejection sampling jams before it finds a packing."""
+    rows = json.loads((Path(__file__).parent / "data" / "config_sample.json")
+                      .read_text())
+    outcomes = {"placed": 0, "late": 0, "rejected": 0}
+    for side, radius, n_sites, seed, outcome in rows:
+        try:
+            ScenarioConfig(arena_side=side, scan_radius=radius,
+                           n_sites=n_sites, n_minerals=n_sites, seed=seed)
+        except ValueError:
+            assert outcome == "rejected", (side, radius, n_sites)
+        else:
+            assert outcome != "rejected", (side, radius, n_sites)
+            outcomes[outcome] += 1
+    assert outcomes == {"placed": 277, "late": 72, "rejected": 0}
 
 
 def test_every_pinned_config_is_still_accepted():
