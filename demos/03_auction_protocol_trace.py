@@ -2,8 +2,10 @@
 
 A tiny one-site scenario keeps the broadcast log short enough to read in
 full: announcement, bids (busy robots answer with the -inf sentinel),
-winner declaration, acknowledgment, close.  Every message is broadcast;
-robots filter on the receiving side.
+winner declaration, acknowledgment, close.  The bus addresses each message
+when it is published: an announcement or close goes to the robots that bid
+on its task type, a bid or acknowledgment to the auctioneer, and a winner
+declaration to the winner.
 """
 
 from isrusim import ScenarioConfig, derive_auction_histories, run_to_completion

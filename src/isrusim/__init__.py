@@ -36,11 +36,12 @@ from .bus import (
 from .engine import RunResult, RunStatus, SimContext, Simulation, run_to_completion
 from .events import EventLog, LogParseError
 from .metrics import (
-    AuctionSpan,
+    AuctionHistory,
     MetricsError,
     MetricsReport,
     build_summary,
     collect_metrics,
+    derive_auction_histories,
     sweep,
 )
 from .pathing import (
@@ -51,7 +52,7 @@ from .pathing import (
 )
 from .policy import Policy, PolicyName, make_policy
 from .spiral import SpiralPlan, build_spiral, ring_index
-from .verify import Violation, derive_auction_histories, verify_records
+from .verify import Violation, verify_records
 from .world import (
     InvariantError,
     Point,
@@ -68,7 +69,7 @@ from .world import (
 
 __all__ = [
     "__version__",
-    "Ack", "Announcement", "Auction", "AuctionSpan",
+    "Ack", "Announcement", "Auction", "AuctionHistory",
     "AuctionView", "Bid", "BroadcastBus", "Close", "EventLog",
     "ExcavatorActivity", "HaulerActivity", "InvariantError", "LogParseError",
     "Message", "MetricsError", "MetricsReport", "PathCursor", "PathEstimate",

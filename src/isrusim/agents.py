@@ -286,9 +286,6 @@ class RobotController:
                     and tick >= auction.round_opened_tick + bid_window):
                 select_winner(auction, tick, self.ctx.bus)
 
-    def has_open_auctions(self) -> bool:
-        return bool(self.book)
-
     # -- message handling ----------------------------------------------
 
     def _ingest(self, inbox: list[Message], tick: int) -> None:

@@ -23,13 +23,12 @@ from typing import TYPE_CHECKING
 
 from .bus import (Ack, Announcement, AuctionKey, Bid, BroadcastBus, Close,
                   WinnerDecl, auction_key)
+from .events import NEG_INF
 from .pathing import PathPlanner
 from .world import Point, RobotKind, TaskType
 
 if TYPE_CHECKING:
     from .agents import RobotState
-
-NEG_INF = float("-inf")
 
 # The one task type each robot kind can do; scouts do none.
 CAPABLE_TASK = {RobotKind.EXCAVATOR: TaskType.EXCAVATE,

@@ -211,7 +211,7 @@ class Simulation:
             return False
         if world.minerals_at_plant != self.config.n_minerals:
             return False
-        return not any(c.has_open_auctions() for c in self._step_order)
+        return not any(c.book for c in self._step_order)
 
     def _assert_mineral_conservation(self) -> None:
         """The minerals at the plant, in buckets and bins, and still on the

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -46,21 +46,64 @@ class MetricsError(ValueError):
     """A log that cannot be turned into a metrics report."""
 
 
-@dataclass(frozen=True)
-class AuctionSpan:
-    """One closed auction: first announcement to final close."""
+@dataclass
+class AuctionHistory:
+    """One auction generation as the log tells it: first announcement to
+    final close (if it closed), with every round and every declared winner."""
 
-    tier: str
     auctioneer: str
-    task_location: tuple[float, float]
-    allocated_to: str
+    location: tuple[float, float]
+    task_type: str
     opened_tick: int
-    closed_tick: int
-    rounds: int
+    rounds: int = 1
+    winners: list[str] = field(default_factory=list)
+    allocated_to: str | None = None
+    closed_tick: int | None = None
 
     @property
-    def duration(self) -> int:
+    def tier(self) -> str:
+        return _TIER_OF_TASK[self.task_type]
+
+    @property
+    def duration(self) -> int | None:
+        if self.closed_tick is None:
+            return None
         return self.closed_tick - self.opened_tick
+
+
+def derive_auction_histories(records: Iterable[dict]) -> list[AuctionHistory]:
+    """Every auction generation in a log's msg records: the closed ones in
+    the order they closed, then the ones still open in the order they
+    opened."""
+    still_open: dict[tuple, AuctionHistory] = {}
+    closed: list[AuctionHistory] = []
+    for record in records:
+        if record["type"] != "msg":
+            continue
+        variant = record["variant"]
+        if variant == "bid" or variant == "ack":
+            continue
+        key = (record["auctioneer"], tuple(record["loc"]))
+        if variant == "announcement":
+            history = still_open.get(key)
+            if history is None:
+                still_open[key] = AuctionHistory(
+                    key[0], key[1], record["task_type"], record["tick"])
+            else:
+                history.rounds += 1
+        elif variant == "winner":
+            history = still_open.get(key)
+            if history is not None:  # the safety checker flags the rest
+                history.winners.append(record["winner"])
+        elif variant == "close":
+            history = still_open.pop(key, None)
+            if history is None:
+                raise MetricsError(f"seq {record['seq']}: close for an "
+                                   "auction never announced")
+            history.allocated_to = record["allocated_to"]
+            history.closed_tick = record["tick"]
+            closed.append(history)
+    return closed + list(still_open.values())
 
 
 @dataclass
@@ -75,7 +118,7 @@ class MetricsReport:
     discovery_complete_tick: int | None
     per_robot_distance: dict[str, float]
     per_kind_distance: dict[str, float]
-    auction_durations: list[AuctionSpan]
+    auction_durations: list[AuctionHistory]
     message_count: int
 
     def durations_for(self, tier: str) -> list[int]:
@@ -89,15 +132,18 @@ class MetricsReport:
             if abs(total - self.per_kind_distance.get(kind.value, 0.0)) > 1e-9:
                 raise MetricsError(f"per-kind distance mismatch for {kind.value}")
         seen = set()
-        for span in self.auction_durations:
+        for history in self.auction_durations:
             # one scout can open two auctions in a tick and see both close
             # in a tick; the task location tells them apart
-            ident = (span.auctioneer, span.task_location, span.opened_tick,
-                     span.closed_tick)
+            ident = (history.auctioneer, history.location,
+                     history.opened_tick, history.closed_tick)
             if ident in seen:
                 raise MetricsError(f"auction {ident} reported twice")
             seen.add(ident)
-            if span.duration < 0:
+            if history.task_type not in _TIER_OF_TASK:
+                raise MetricsError(f"auction {ident}: unknown task type "
+                                   f"{history.task_type!r}")
+            if history.duration < 0:
                 raise MetricsError("negative auction duration")
         if (self.completion_ticks is not None
                 and self.discovery_complete_tick is not None
@@ -156,10 +202,8 @@ def collect_metrics(records: Iterable[dict]) -> MetricsReport:
     """Derive a MetricsReport purely from a finished run's event log."""
     run_start: dict | None = None
     run_end: dict | None = None
-    open_generations: dict[tuple, dict] = {}
-    spans: list[AuctionSpan] = []
+    messages: list[dict] = []
     discovery_ticks: list[int] = []
-    message_count = 0
 
     for index, record in enumerate(records):
         if not isinstance(record, dict) or "type" not in record:
@@ -172,32 +216,8 @@ def collect_metrics(records: Iterable[dict]) -> MetricsReport:
         elif rtype == "discovery":
             discovery_ticks.append(record["tick"])
         elif rtype == "msg":
-            message_count += 1
-            variant = record["variant"]
-            key = (record["auctioneer"], tuple(record["loc"]))
-            if variant == "announcement":
-                generation = open_generations.get(key)
-                if generation is None:
-                    open_generations[key] = {
-                        "opened": record["tick"], "rounds": 1,
-                        "task_type": record["task_type"],
-                    }
-                else:
-                    generation["rounds"] += 1
-            elif variant == "close":
-                generation = open_generations.pop(key, None)
-                if generation is None:
-                    raise MetricsError(
-                        f"record {index}: close for an auction never announced")
-                spans.append(AuctionSpan(
-                    tier=_TIER_OF_TASK[record["task_type"]],
-                    auctioneer=record["auctioneer"],
-                    task_location=key[1],
-                    allocated_to=record["allocated_to"],
-                    opened_tick=generation["opened"],
-                    closed_tick=record["tick"],
-                    rounds=generation["rounds"],
-                ))
+            messages.append(record)
+    histories = derive_auction_histories(messages)
 
     if run_start is None or run_end is None:
         raise MetricsError("log is missing run_start/run_end records")
@@ -225,8 +245,8 @@ def collect_metrics(records: Iterable[dict]) -> MetricsReport:
         discovery_complete_tick=discovery_tick,
         per_robot_distance=odometry,
         per_kind_distance=per_kind,
-        auction_durations=spans,
-        message_count=message_count,
+        auction_durations=[h for h in histories if h.closed_tick is not None],
+        message_count=len(messages),
     )
     report.validate()
     return report

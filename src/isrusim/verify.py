@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-NEG_INF = float("-inf")
+from .events import NEG_INF
 
 
 @dataclass(frozen=True)
@@ -37,25 +37,9 @@ class Violation:
 
 
 @dataclass
-class AuctionHistory:
-    """Re-derived trajectory of one auction generation."""
-
-    auctioneer: str
-    location: tuple[float, float]
-    task_type: str
-    generation: int
-    opened_tick: int
-    rounds: int = 1
-    winners: list[str] = field(default_factory=list)
-    allocated_to: str | None = None
-    closed_tick: int | None = None
-
-
-@dataclass
 class _Replay:
     """Live replay state of one open auction generation."""
 
-    history: AuctionHistory
     phase: str = "collecting"  # or "awaiting"
     round_bids: dict[str, float] = field(default_factory=dict)
     late_bids: dict[str, float] = field(default_factory=dict)
@@ -69,9 +53,7 @@ class LogChecker:
 
     def __init__(self) -> None:
         self.violations: list[Violation] = []
-        self.histories: list[AuctionHistory] = []
         self._open: dict[tuple, _Replay] = {}
-        self._generations: dict[tuple, int] = {}
         self._minerals: dict[str, list[str]] = {}
         self._claims: dict[int, str] = {}
         self._last_seq = -1
@@ -155,19 +137,11 @@ class LogChecker:
         key = self._key(record)
         replay = self._open.get(key)
         if replay is None:
-            generation = self._generations.get(key, 0) + 1
-            self._generations[key] = generation
-            history = AuctionHistory(
-                auctioneer=record["auctioneer"], location=tuple(record["loc"]),
-                task_type=record["task_type"], generation=generation,
-                opened_tick=record["tick"])
-            self._open[key] = _Replay(history=history)
-            self.histories.append(history)
+            self._open[key] = _Replay()
         else:
             if replay.phase == "awaiting" and replay.winner is not None:
                 self._fail("protocol", f"{key}: re-announced while a winner "
                                        "acknowledgment was pending")
-            replay.history.rounds += 1
             replay.phase = "collecting"
             replay.round_bids = dict(replay.late_bids)
             replay.late_bids = {}
@@ -216,7 +190,6 @@ class LogChecker:
         replay.winner = winner
         replay.offered.add(winner)
         replay.accepted_by = None
-        replay.history.winners.append(winner)
 
     def _deliver_ack(self, record: dict) -> None:
         replay = self._open.get(self._key(record))
@@ -243,8 +216,6 @@ class LogChecker:
         if replay.winner != allocated:
             self._fail("protocol", f"{key}: allocated to {allocated} but the "
                                    f"declared winner was {replay.winner}")
-        replay.history.allocated_to = allocated
-        replay.history.closed_tick = record["tick"]
 
     # -- mineral lifecycle and claims ----------------------------------------
 
@@ -296,10 +267,3 @@ class LogChecker:
 def verify_records(records: Iterable[dict]) -> list[Violation]:
     """All protocol-safety violations found in a run's event log."""
     return LogChecker().run(records)
-
-
-def derive_auction_histories(records: Iterable[dict]) -> list[AuctionHistory]:
-    """Re-derive every auction's trajectory purely from the log."""
-    checker = LogChecker()
-    checker.run(records)
-    return checker.histories

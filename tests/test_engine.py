@@ -153,7 +153,7 @@ def test_alternative_timing_set_completes():
 def test_completion_requires_no_open_auctions():
     result = tiny_run(seed=3)
     sim = result.simulation
-    assert not any(c.has_open_auctions() for c in sim.ctx.controllers.values())
+    assert not any(c.book for c in sim.ctx.controllers.values())
     closes = sum(1 for r in result.log.records
                  if r["type"] == "msg" and r["variant"] == "close")
     config = tiny_config()

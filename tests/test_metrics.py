@@ -9,10 +9,13 @@ from conftest import tiny_config, tiny_run
 from isrusim import (
     EventLog,
     MetricsError,
+    RunStatus,
     ScenarioConfig,
     Simulation,
     TimingConfig,
     collect_metrics,
+    derive_auction_histories,
+    run_to_completion,
     sweep,
 )
 from isrusim.metrics import (
@@ -57,11 +60,50 @@ def test_transport_auctions_land_in_the_other_tier():
     assert report.auction_durations[0].tier == TIER_EXCAVATOR_TO_HAULER
 
 
+def test_unknown_task_type_is_an_error():
+    with pytest.raises(MetricsError, match="unknown task type 'dig'"):
+        collect_metrics(synthetic_log(task_type="dig"))
+
+
 def test_close_without_announcement_is_an_error():
     records = synthetic_log()
     del records[1]
-    with pytest.raises(MetricsError, match="never announced"):
+    with pytest.raises(MetricsError, match="seq 1: .* never announced"):
         collect_metrics(records)
+
+
+def test_histories_list_closed_in_close_order_then_open():
+    result = run_to_completion(tiny_config(tick_cap=60))
+    assert result.status is RunStatus.STALLED
+    histories = derive_auction_histories(result.log.records)
+    closes = [r for r in result.log.records
+              if r["type"] == "msg" and r["variant"] == "close"]
+    n_closed = len(closes)
+    assert n_closed == 1 and len(histories) == 2
+    assert [(h.auctioneer, h.closed_tick) for h in histories[:n_closed]] == [
+        (r["auctioneer"], r["tick"]) for r in closes]
+    (still_open,) = histories[n_closed:]
+    assert still_open.closed_tick is None and still_open.duration is None
+    assert result.metrics.auction_durations == histories[:n_closed]
+
+
+def test_histories_order_when_closes_and_reopens_interleave():
+    def message(tick, variant, x, **fields):
+        return {"type": "msg", "tick": tick, "seq": tick, "variant": variant,
+                "auctioneer": "scout_1", "loc": [x, 0.0], **fields}
+
+    def announce(tick, x):
+        return message(tick, "announcement", x, task_type="excavate")
+
+    def close(tick, x):
+        return message(tick, "close", x, allocated_to="excavator_1")
+
+    records = [announce(1, 1.0), announce(2, 2.0), announce(3, 3.0),
+               close(4, 2.0), announce(5, 2.0), close(6, 1.0)]
+    histories = derive_auction_histories(records)
+    assert [(h.location[0], h.opened_tick, h.closed_tick)
+            for h in histories] == [(2.0, 2, 4), (1.0, 1, 6), (3.0, 3, None),
+                                    (2.0, 5, None)]
 
 
 def test_missing_run_records_is_an_error():

@@ -1,8 +1,15 @@
 """The log checker must pass clean runs and flag every tampered log."""
 
-from conftest import tiny_run
+from conftest import crowded_config, tiny_config, tiny_run
 
-from isrusim import Close, agents, derive_auction_histories, verify_records
+from isrusim import (
+    Close,
+    WinnerDecl,
+    agents,
+    derive_auction_histories,
+    run_to_completion,
+    verify_records,
+)
 
 LOC = [30.0, 40.0]
 
@@ -194,28 +201,47 @@ def test_sequence_regression_flagged():
 
 
 def test_histories_rederived_from_log_match_live_auctions(monkeypatch):
-    opened, live = {}, []
-    open_auction, handle_ack = agents.open_auction, agents.handle_ack
+    opened, winners, live = {}, {}, []
+    open_auction, select_winner = agents.open_auction, agents.select_winner
+    handle_ack = agents.handle_ack
 
     def note_open(book, auctioneer, task_type, task_location, tick, bus):
         auction = open_auction(book, auctioneer, task_type, task_location,
                                tick, bus)
-        opened[auction.key] = tick  # a key is reused only after its close
+        # a key is reused only after its close
+        opened[auction.key], winners[auction.key] = tick, []
         return auction
 
-    def note_close(auction, ack, tick, bus):
+    def note_winner(auction, tick, bus):
+        decl = select_winner(auction, tick, bus)
+        if decl is not None:
+            winners[auction.key].append(decl.winner)
+        return decl
+
+    def note_ack(auction, ack, tick, bus):
         result = handle_ack(auction, ack, tick, bus)
-        if isinstance(result, Close):
+        if isinstance(result, WinnerDecl):
+            winners[auction.key].append(result.winner)
+        elif isinstance(result, Close):
             live.append((auction.auctioneer, auction.task_location.as_pair(),
                          opened[auction.key], auction.rounds,
-                         result.allocated_to, tick))
+                         winners[auction.key], result.allocated_to, tick))
         return result
 
     monkeypatch.setattr(agents, "open_auction", note_open)
-    monkeypatch.setattr(agents, "handle_ack", note_close)
-    result = tiny_run(seed=12, n_sites=3, n_minerals=5, n_excavators=2)
-    histories = derive_auction_histories(result.log.records)
-    derived = [(h.auctioneer, h.location, h.opened_tick, h.rounds,
-                h.allocated_to, h.closed_tick) for h in histories]
-    assert sorted(derived) == sorted(live)
-    assert all(h.closed_tick is not None for h in histories)
+    monkeypatch.setattr(agents, "select_winner", note_winner)
+    monkeypatch.setattr(agents, "handle_ack", note_ack)
+    several_winners = 0
+    for config in (tiny_config(seed=12, n_sites=3, n_minerals=5,
+                               n_excavators=2),
+                   crowded_config(policy="nearest")):
+        live.clear()
+        result = run_to_completion(config)
+        histories = derive_auction_histories(result.log.records)
+        derived = [(h.auctioneer, h.location, h.opened_tick, h.rounds,
+                    h.winners, h.allocated_to, h.closed_tick)
+                   for h in histories]
+        assert sorted(derived) == sorted(live)
+        assert all(h.closed_tick is not None for h in histories)
+        several_winners += sum(len(h.winners) >= 2 for h in histories)
+    assert several_winners  # some auction declared a winner more than once
