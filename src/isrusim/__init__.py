@@ -48,7 +48,6 @@ from .pathing import (
     PathCursor,
     PathEstimate,
     estimate_path,
-    straight_line_planner,
 )
 from .policy import Policy, PolicyName, make_policy
 from .spiral import SpiralPlan, build_spiral, ring_index
@@ -82,6 +81,6 @@ __all__ = [
     "derive_auction_histories", "estimate_path", "evaluate_self_utility",
     "generate_scenario", "handle_ack", "make_policy", "open_auction",
     "ring_index", "run_to_completion", "select_winner",
-    "straight_line_planner", "submit_bid", "sweep", "transfer_mineral_to_plant",
+    "submit_bid", "sweep", "transfer_mineral_to_plant",
     "verify_records",
 ]

@@ -56,7 +56,7 @@ from .bus import (
     WinnerDecl,
     auction_key,
 )
-from .pathing import PathCursor, PathEstimate, make_path
+from .pathing import PathCursor, PathEstimate, estimate_path, make_path
 from .spiral import SpiralPlan
 from .world import (
     GRID_PAD,
@@ -340,8 +340,7 @@ class RobotController:
             return
         self.pending_wins = [(t0, w) for t0, w in self.pending_wins
                              if tick < t0 + window - 1]
-        accept, declines = self.ctx.policy.resolve_wins(
-            self.state, ready, self.ctx.planner)
+        accept, declines = self.ctx.policy.resolve_wins(self.state, ready)
         if accept is not None and not self._accept_win(accept, tick):
             declines = declines + [accept]
             accept = None
@@ -369,8 +368,7 @@ class RobotController:
             if (view.bid_round < view.rounds_seen
                     or (view.last_bid == NEG_INF and not busy)):
                 view.bid_round = view.rounds_seen
-                utility = evaluate_self_utility(self.state, view.task_location,
-                                                self.ctx.planner)
+                utility = evaluate_self_utility(self.state, view.task_location)
                 view.last_bid = utility
                 submit_bid(self.state, view.auctioneer, view.task_location,
                            utility, tick, self.ctx.bus)
@@ -388,9 +386,15 @@ class RobotController:
         return cursor.arrived
 
     def _set_course(self, goal: Point, first_move: int) -> None:
-        """Plan the course to `goal`, whose first move is at tick
-        `first_move`."""
-        path = self.ctx.planner(self.state.pose, goal)
+        """Plan the straight course to `goal`, whose first move is at tick
+        `first_move`.  A pose is a start-circle point, a point of a scout's
+        spiral or a point on such a course, so this one check of the goal
+        keeps every robot inside the arena."""
+        side = self.ctx.config.arena_side
+        if not (0.0 <= goal.x <= side and 0.0 <= goal.y <= side):
+            raise InvariantError(f"{self.state.name} set a course to {goal}, "
+                                 f"outside the arena of side {side}")
+        path = estimate_path(self.state.pose, goal)
         self.cursor = PathCursor(path)
         self._travel_estimate = path.length
         self._travel_start_odometry = self.state.odometry
@@ -577,7 +581,7 @@ class ExcavatorController(RobotController):
         hauler under coalition, otherwise by auction."""
         if self.paired is not None:
             hauler = self.ctx.controllers[self.paired]
-            if hauler.state.activity in (HaulerActivity.IDLE, HaulerActivity.STANDBY):
+            if not hauler.state.busy:
                 hauler.assign_transport(self.state.name, self.site.location, tick)
                 return
         open_auction(self.book, self.state.name, TaskType.TRANSPORT,
@@ -626,7 +630,7 @@ class HaulerController(RobotController):
     def assign_transport(self, excavator: str, location: Point, tick: int) -> None:
         """Coalition direct dispatch: no auction, no protocol messages.
         Haulers step after excavators, so the course starts this tick."""
-        if self.state.activity not in (HaulerActivity.IDLE, HaulerActivity.STANDBY):
+        if self.state.busy:
             raise InvariantError(
                 f"{self.state.name} was assigned a transport while "
                 f"{self.state.activity.value}")

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 from .bus import (Ack, Announcement, AuctionKey, Bid, BroadcastBus, Close,
                   WinnerDecl, auction_key)
 from .events import NEG_INF
-from .pathing import PathPlanner
 from .world import Point, RobotKind, TaskType
 
 if TYPE_CHECKING:
@@ -102,12 +101,10 @@ def _reannounce(auction: Auction, tick: int, bus: BroadcastBus) -> None:
                              auction.task_location), tick)
 
 
-def select_winner(auction: Auction, tick: int,
-                  bus: BroadcastBus) -> WinnerDecl | None:
-    """Close of the bidding window: declare the best bidder, or re-announce
-    when no finite bid exists (a busy-sentinel bidder is never selected)."""
-    if auction.winner is not None:
-        raise ValueError("winner selection requires an auction with no winner")
+def _offer_next(auction: Auction, tick: int,
+                bus: BroadcastBus) -> WinnerDecl | None:
+    """Declare the best eligible bidder winner, or re-announce when there is
+    none."""
     best = _best_eligible(auction)
     if best is None:
         _reannounce(auction, tick, bus)
@@ -118,6 +115,15 @@ def select_winner(auction: Auction, tick: int,
                       auction.task_location, best)
     bus.publish(decl, tick)
     return decl
+
+
+def select_winner(auction: Auction, tick: int,
+                  bus: BroadcastBus) -> WinnerDecl | None:
+    """Close of the bidding window: declare the best bidder, or re-announce
+    when no finite bid exists (a busy-sentinel bidder is never selected)."""
+    if auction.winner is not None:
+        raise ValueError("winner selection requires an auction with no winner")
+    return _offer_next(auction, tick, bus)
 
 
 def handle_ack(auction: Auction, ack: Ack, tick: int,
@@ -136,25 +142,16 @@ def handle_ack(auction: Auction, ack: Ack, tick: int,
                       auction.task_location, auction.winner)
         bus.publish(close, tick)
         return close
-    nxt = _best_eligible(auction)
-    if nxt is None:
-        _reannounce(auction, tick, bus)
-        return None
-    auction.winner = nxt
-    auction.offered_to.append(nxt)
-    decl = WinnerDecl(auction.auctioneer, auction.task_type,
-                      auction.task_location, nxt)
-    bus.publish(decl, tick)
-    return decl
+    return _offer_next(auction, tick, bus)
 
 
-def evaluate_self_utility(robot: "RobotState", task_location: Point,
-                          planner: PathPlanner) -> float:
-    """Utility = -cost, cost = estimated path length; busy robots answer
-    with the negative-infinity sentinel."""
+def evaluate_self_utility(robot: "RobotState", task_location: Point) -> float:
+    """Utility = -cost, cost = the straight-line distance to the task (the
+    arena has no obstacles); busy robots answer with the negative-infinity
+    sentinel."""
     if robot.busy:
         return NEG_INF
-    return -planner(robot.pose, task_location).length
+    return -robot.pose.distance_to(task_location)
 
 
 def submit_bid(robot: "RobotState", auctioneer: str, task_location: Point,

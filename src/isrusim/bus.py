@@ -161,7 +161,7 @@ def message_record(msg: Message, tick: int, seq: int) -> dict:
 class BroadcastBus:
     """Lossless addressed delivery with a fixed one-tick latency."""
 
-    def __init__(self, log: EventLog | None = None):
+    def __init__(self, log: EventLog):
         self._log = log
         self._sequence = 0
         self._subscribers: dict[TaskType, list[str]] = {}
@@ -174,8 +174,7 @@ class BroadcastBus:
 
     def publish(self, msg: Message, tick: int) -> None:
         """Log a message and put it in its recipients' inboxes for tick + 1."""
-        if self._log is not None:
-            self._log.append(message_record(msg, tick, self._sequence))
+        self._log.append(message_record(msg, tick, self._sequence))
         self._sequence += 1
         cls = type(msg)
         if cls is Bid or cls is Ack:

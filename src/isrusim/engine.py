@@ -42,7 +42,6 @@ from .agents import (
 )
 from .bus import BroadcastBus
 from .events import EventLog
-from .pathing import PathPlanner, straight_line_planner
 from .policy import Policy, make_policy
 from .spiral import build_spiral
 from .world import (
@@ -75,8 +74,6 @@ class SimContext:
     bus: BroadcastBus
     log: EventLog
     policy: Policy
-    planner: PathPlanner
-    robots: dict[str, RobotState] = field(default_factory=dict)
     controllers: dict[str, RobotController] = field(default_factory=dict)
     _site_by_location: dict[tuple[float, float], ResourceSite] = field(
         default_factory=dict)
@@ -122,9 +119,7 @@ class Simulation:
         haulers = [n for n, k in names if k is RobotKind.HAULER]
         policy = make_policy(config.policy, excavators, haulers)
         self.ctx = SimContext(
-            config=config, world=world, bus=bus, log=log, policy=policy,
-            planner=straight_line_planner(config.arena_side),
-        )
+            config=config, world=world, bus=bus, log=log, policy=policy)
         self.ctx._site_by_location = {s.location.as_pair(): s for s in world.sites}
 
         plans = build_spiral(config.arena_side, config.cell_side, config.n_scouts)
@@ -142,7 +137,6 @@ class Simulation:
             else:
                 state = RobotState(name, kind, pose, HaulerActivity.IDLE)
                 controller = HaulerController(state, self.ctx)
-            self.ctx.robots[name] = state
             self.ctx.controllers[name] = controller
 
         # scouts, then excavators, then haulers; name order within each kind

@@ -1,10 +1,10 @@
-"""Path estimation and motion along planned paths.
+"""Paths as waypoint polylines, and motion along them.
 
-The default planner returns the straight segment between two points: the
-arena is obstacle-free, so the straight line is both the estimate and the
-executed path, and it keeps replay deterministic.  Anything that satisfies
-the ``PathPlanner`` callable signature can be substituted (for example an
-obstacle-aware grid planner) without touching the bidding code.
+The arena has no obstacles, so a robot's course to a goal is the straight
+segment from its pose (`estimate_path`), and the cost it bids for a task is
+the straight-line distance to it.  The one polyline with more than two
+waypoints is a scout's spiral (`make_path`).  `PathCursor` walks either kind
+one tick at a time.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .world import Point
-
-PathPlanner = Callable[[Point, Point], "PathEstimate"]
 
 
 @dataclass(frozen=True)
@@ -56,18 +54,6 @@ def make_path(waypoints: Sequence[Point]) -> PathEstimate:
 def estimate_path(start: Point, goal: Point) -> PathEstimate:
     """Straight-segment estimate between two in-arena points."""
     return make_path((start, goal))
-
-
-def straight_line_planner(arena_side: float) -> PathPlanner:
-    """Default planner: validates arena bounds, returns the straight segment."""
-
-    def plan(start: Point, goal: Point) -> PathEstimate:
-        for p in (start, goal):
-            if not (0.0 <= p.x <= arena_side and 0.0 <= p.y <= arena_side):
-                raise ValueError(f"point {p} outside arena of side {arena_side}")
-        return estimate_path(start, goal)
-
-    return plan
 
 
 def _place(path: PathEstimate, k: int, distance: float) -> Point:

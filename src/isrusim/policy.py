@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .pathing import PathPlanner
 from .world import InvariantError, RobotKind
 
 if TYPE_CHECKING:
@@ -62,8 +61,7 @@ class Policy:
             return 0  # a paired hauler serves its parent excavator only
         return 1
 
-    def resolve_wins(self, robot: "RobotState", wins: Sequence["WinnerDecl"],
-                     planner: PathPlanner
+    def resolve_wins(self, robot: "RobotState", wins: Sequence["WinnerDecl"]
                      ) -> tuple["WinnerDecl | None", list["WinnerDecl"]]:
         """Split simultaneously received wins into (accept, declines).
 
@@ -77,7 +75,7 @@ class Policy:
             return None, wins
         if self.name is PolicyName.NEAREST:
             chosen = min(wins, key=lambda w: (
-                planner(robot.pose, w.task_location).length,
+                robot.pose.distance_to(w.task_location),
                 w.auctioneer,
                 w.task_location.as_pair(),
             ))

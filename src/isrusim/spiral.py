@@ -24,7 +24,6 @@ class SpiralPlan:
     """One scout's share of the grid, in visiting order."""
 
     cell_side: float
-    grid_dims: tuple[int, int]
     visit_order: tuple[Cell, ...]
 
     def center_of(self, cell: Cell) -> Point:
@@ -131,11 +130,9 @@ def build_spiral(arena_side: float, cell_side: float,
     if abs(cells_f - n) > 1e-9 or n < 1:
         raise ValueError("arena_side must be an exact multiple of cell_side")
 
-    dims = (n, n)
     if n_scouts == 1:
-        order = _classic_spiral(n)
-        return [SpiralPlan(cell_side=cell_side, grid_dims=dims,
-                           visit_order=tuple(order))]
+        return [SpiralPlan(cell_side=cell_side,
+                           visit_order=tuple(_classic_spiral(n)))]
 
     plan_a = _half_ring_arcs(n)
     # B mirrors A through the grid center; for odd grids the center cell
@@ -143,6 +140,6 @@ def build_spiral(arena_side: float, cell_side: float,
     skip = 1 if n % 2 == 1 else 0
     plan_b = [_reflect(c, n) for c in plan_a[skip:]]
     return [
-        SpiralPlan(cell_side=cell_side, grid_dims=dims, visit_order=tuple(plan_a)),
-        SpiralPlan(cell_side=cell_side, grid_dims=dims, visit_order=tuple(plan_b)),
+        SpiralPlan(cell_side=cell_side, visit_order=tuple(plan_a)),
+        SpiralPlan(cell_side=cell_side, visit_order=tuple(plan_b)),
     ]

@@ -137,7 +137,6 @@ def test_criterion_5_paper_orderings(default_sweep):
 
 def test_criterion_6_cost_utility_identities():
     rng = random.Random(2024)
-    planner = s.straight_line_planner(100.0)
     bad = 0
     for _ in range(1000):
         pose = s.Point(rng.uniform(0, 100), rng.uniform(0, 100))
@@ -146,10 +145,10 @@ def test_criterion_6_cost_utility_identities():
                             s.HaulerActivity.IDLE)
         busy = s.RobotState("hauler_2", s.RobotKind.HAULER, pose,
                             s.HaulerActivity.TO_PLANT)
-        cost = planner(pose, task).length
-        if s.evaluate_self_utility(idle, task, planner) != -cost:
+        cost = s.estimate_path(pose, task).length  # the course it would drive
+        if s.evaluate_self_utility(idle, task) != -cost:
             bad += 1
-        if s.evaluate_self_utility(busy, task, planner) != float("-inf"):
+        if s.evaluate_self_utility(busy, task) != float("-inf"):
             bad += 1
     report("criterion 6 (utility = -cost, busy = -inf; 1000 cases)", bad == 0,
            f"{bad} mismatches")

@@ -10,6 +10,7 @@ from conftest import crowded_config, tiny_config, tiny_run
 
 from isrusim import (
     Announcement,
+    InvariantError,
     Point,
     RobotKind,
     RobotState,
@@ -114,7 +115,8 @@ def test_grid_scan_matches_brute_force_along_the_spirals(speed):
     world = with_border_sites(sim.ctx.world, config, 15)
     reference = copy.deepcopy(world)
     for name in ("scout_1", "scout_2"):
-        spawn, cursor = sim.ctx.robots[name].pose, sim.ctx.controllers[name].cursor
+        controller = sim.ctx.controllers[name]
+        spawn, cursor = controller.state.pose, controller.cursor
         scan_both(world, reference, spawn, spawn, radius)
         while not cursor.arrived:
             for a, b in cursor.step(speed)[2]:
@@ -284,7 +286,8 @@ def test_two_sites_found_same_tick_give_two_announcements():
 
 def test_scout_goes_done_and_silent():
     result = tiny_run(seed=2, n_sites=1, n_minerals=1)
-    assert result.simulation.ctx.robots["scout_1"].activity is ScoutActivity.DONE
+    scout = result.simulation.ctx.controllers["scout_1"]
+    assert scout.state.activity is ScoutActivity.DONE
     records = result.log.records
     last_close_by_scout = max(r["tick"] for r in records if r["type"] == "msg"
                               and r["variant"] == "close"
@@ -332,6 +335,20 @@ def test_claims_never_overlap_and_all_released():
     assert active == {}
 
 
+def test_course_outside_arena_is_an_invariant_error():
+    """The arena bound is checked once, where a course is set: a goal off
+    the map (or NaN) is an InvariantError, so the check also runs under
+    `python -O`; a goal on the border is inside."""
+    sim = Simulation(tiny_config())
+    hauler = sim.ctx.controllers["hauler_1"]
+    for goal in (Point(-1.0, 10.0), Point(30.1, 10.0), Point(10.0, -0.1),
+                 Point(10.0, 30.5), Point(math.nan, 10.0)):
+        with pytest.raises(InvariantError, match="outside the arena of side 30"):
+            hauler._set_course(goal, 0)
+    hauler._set_course(Point(30.0, 0.0), 0)
+    assert hauler.cursor.path.goal == Point(30.0, 0.0)
+
+
 def test_excavator_declines_when_site_already_claimed():
     config = tiny_config(n_sites=1, n_minerals=1)
     sim = Simulation(config)
@@ -340,7 +357,7 @@ def test_excavator_declines_when_site_already_claimed():
     excavator = sim.ctx.controllers["excavator_1"]
     win = WinnerDecl("scout_1", TaskType.EXCAVATE, site.location, "excavator_1")
     assert excavator._accept_win(win, tick=0) is False
-    assert sim.ctx.robots["excavator_1"].activity is ExcavatorActivity.IDLE
+    assert excavator.state.activity is ExcavatorActivity.IDLE
 
 
 def test_carried_minerals_never_exceed_one():
@@ -360,13 +377,13 @@ def test_hauler_round_trip_odometry_lower_bound():
     site = sim.ctx.world.sites[0]
     site.location = Point(80.0, 50.0)
     sim.ctx._site_by_location = {site.location.as_pair(): site}
-    for robot in sim.ctx.robots.values():
-        if robot.kind is RobotKind.HAULER:
-            robot.pose = sim.ctx.world.plant_location
+    for controller in sim.ctx.controllers.values():
+        if controller.state.kind is RobotKind.HAULER:
+            controller.state.pose = sim.ctx.world.plant_location
     status = sim.run()
     assert status.value == "completed"
     hauler = next(r for r in sim.ctx.log.records if r["type"] == "load")["hauler"]
-    assert sim.ctx.robots[hauler].odometry >= 60.0 - 1e-9
+    assert sim.ctx.controllers[hauler].state.odometry >= 60.0 - 1e-9
 
 
 def test_standby_point_sits_toward_plant():

@@ -33,13 +33,9 @@ LOC = Point(30.0, 40.0)
 OTHER = Point(60.0, 20.0)
 
 
-def planner(a, b):
-    return estimate_path(a, b)
-
-
 def new_auction(book=None, auctioneer="scout_1", loc=LOC, tick=0, bus=None):
     book = {} if book is None else book
-    bus = bus or BroadcastBus()
+    bus = bus or BroadcastBus(EventLog())
     return open_auction(book, auctioneer, TaskType.EXCAVATE, loc, tick, bus), book, bus
 
 
@@ -54,7 +50,7 @@ def test_open_publishes_announcement():
 
 
 def test_auctioneer_can_hold_multiple_auctions():
-    bus = BroadcastBus()
+    bus = BroadcastBus(EventLog())
     book = {}
     open_auction(book, "scout_1", TaskType.EXCAVATE, LOC, 0, bus)
     open_auction(book, "scout_1", TaskType.EXCAVATE, OTHER, 0, bus)
@@ -79,19 +75,19 @@ def test_key_reusable_after_close():
 def test_utility_is_negative_path_length():
     robot = RobotState("hauler_1", RobotKind.HAULER, Point(50, 50),
                        HaulerActivity.IDLE)
-    assert evaluate_self_utility(robot, Point(53, 54), planner) == -5.0
+    assert evaluate_self_utility(robot, Point(53, 54)) == -5.0
 
 
 def test_busy_robot_bids_negative_infinity():
     robot = RobotState("hauler_1", RobotKind.HAULER, Point(50, 50),
                        HaulerActivity.TO_PLANT)
-    assert evaluate_self_utility(robot, Point(53, 54), planner) == NEG_INF
+    assert evaluate_self_utility(robot, Point(53, 54)) == NEG_INF
 
 
 def test_utility_zero_at_task_location():
     robot = RobotState("excavator_1", RobotKind.EXCAVATOR, LOC,
                        ExcavatorActivity.IDLE)
-    assert evaluate_self_utility(robot, LOC, planner) == 0.0
+    assert evaluate_self_utility(robot, LOC) == 0.0
 
 
 def test_utility_identity_randomized():
@@ -103,13 +99,13 @@ def test_utility_identity_randomized():
                           ExcavatorActivity.IDLE)
         busy = RobotState("excavator_2", RobotKind.EXCAVATOR, pose,
                           ExcavatorActivity.DIGGING)
-        assert evaluate_self_utility(idle, task, planner) == \
+        assert evaluate_self_utility(idle, task) == \
             -estimate_path(pose, task).length
-        assert evaluate_self_utility(busy, task, planner) == NEG_INF
+        assert evaluate_self_utility(busy, task) == NEG_INF
 
 
 def test_submit_bid_publishes_wire_format():
-    bus = BroadcastBus()
+    bus = BroadcastBus(EventLog())
     robot = RobotState("excavator_2", RobotKind.EXCAVATOR, Point(10, 10),
                        ExcavatorActivity.IDLE)
     submit_bid(robot, "scout_1", LOC, -12.5, 3, bus)
@@ -137,10 +133,10 @@ def test_incapable_kinds_never_construct_bids():
     on; a controller built for another kind is refused."""
     for policy in ("fcfs", "coalition", "nearest"):
         sim = Simulation(tiny_config(policy=policy))
-        bus, robots = sim.ctx.bus, sim.ctx.robots
+        bus, controllers = sim.ctx.bus, sim.ctx.controllers
         for task_type in TaskType:
             bus.publish(Announcement("scout_1", task_type, LOC), 0)
-            assert {robots[name].kind for name in bus.deliver(1)} == {
+            assert {controllers[name].state.kind for name in bus.deliver(1)} == {
                 kind for kind, task in CAPABLE_TASK.items() if task is task_type}
     hauler = RobotState("hauler_9", RobotKind.HAULER, Point(0, 0),
                         HaulerActivity.IDLE)

@@ -36,8 +36,8 @@ EXCAVATORS = {"excavator_1", "excavator_2"}
 HAULERS = {"hauler_1", "hauler_2"}
 
 
-def fleet_bus(log=None):
-    bus = BroadcastBus(log)
+def fleet_bus():
+    bus = BroadcastBus(EventLog())
     for robot, task_type in FLEET.items():
         if task_type is not None:
             bus.subscribe(robot, task_type)
@@ -101,7 +101,7 @@ def test_no_traffic_empty_inbox():
     bus = fleet_bus()
     assert bus.deliver(5) == {}
     # a task type nobody subscribes to reaches nobody
-    unsubscribed = BroadcastBus()
+    unsubscribed = BroadcastBus(EventLog())
     unsubscribed.publish(Announcement("scout_1", TaskType.EXCAVATE, LOC), tick=5)
     assert unsubscribed.deliver(6) == {}
 

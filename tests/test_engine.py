@@ -35,7 +35,7 @@ from isrusim.agents import (
 )
 from isrusim.auction import record_bid
 from isrusim.engine import START_CIRCLE_RADIUS
-from isrusim.pathing import PathCursor
+from isrusim.pathing import PathCursor, estimate_path
 
 
 def run_child(script: str, *flags: str, **env: str) -> subprocess.CompletedProcess:
@@ -106,7 +106,7 @@ def test_site_placement_depends_on_seed_not_policy():
 def test_start_poses_on_circle_around_plant():
     sim = Simulation(tiny_config())
     plant = sim.ctx.world.plant_location
-    poses = [r.pose for r in sim.ctx.robots.values()]
+    poses = [c.state.pose for c in sim.ctx.controllers.values()]
     assert len({p.as_pair() for p in poses}) == len(poses)
     for pose in poses:
         assert pose.distance_to(plant) == pytest.approx(START_CIRCLE_RADIUS)
@@ -230,7 +230,7 @@ def walk_every_tick(hauler: HaulerController) -> None:
             cursor = None
         elif hauler.state.pose != target:
             if cursor is None or cursor.path.goal != target or cursor.arrived:
-                cursor = PathCursor(hauler.ctx.planner(hauler.state.pose, target))
+                cursor = PathCursor(estimate_path(hauler.state.pose, target))
             hauler._advance(cursor)
 
     hauler._begin_transport = begin_and_drop_walk
@@ -296,10 +296,11 @@ def test_stalled_run_ends_with_the_step_all_state(policy, cap, moving):
     while sim.tick < cap:
         sim.step()
         reference.step()
-    lagging = [name for name, robot in sim.ctx.robots.items()
-               if robot.activity in moving
-               and robot.odometry < reference.ctx.robots[name].odometry
-               and robot.pose != reference.ctx.robots[name].pose]
+    ref = reference.ctx.controllers
+    lagging = [name for name, c in sim.ctx.controllers.items()
+               if c.state.activity in moving
+               and c.state.odometry < ref[name].state.odometry
+               and c.state.pose != ref[name].state.pose]
     assert lagging
     assert sim.run() is reference.run() is RunStatus.STALLED
     assert sim.ctx.log.records[-1] == reference.ctx.log.records[-1]
@@ -415,9 +416,10 @@ def test_invariant_checks_run_under_optimize():
 import sys
 import tempfile
 from conftest import tiny_config
-from isrusim import (BroadcastBus, ExcavatorActivity, HaulerActivity,
-                     InvariantError, Point, RobotKind, RobotState, Simulation,
-                     TaskType, WinnerDecl, agents, submit_bid)
+from isrusim import (BroadcastBus, EventLog, ExcavatorActivity,
+                     HaulerActivity, InvariantError, Point, RobotKind,
+                     RobotState, Simulation, TaskType, WinnerDecl, agents,
+                     submit_bid)
 from isrusim.cli import main
 
 if sys.flags.optimize != 1:
@@ -445,7 +447,7 @@ expect_invariant_error(hauler.assign_transport, "excavator_1", Point(9.0, 9.0), 
 wins = [WinnerDecl("scout_1", TaskType.EXCAVATE, Point(x, 9.0), "excavator_2")
         for x in (8.0, 9.0)]
 expect_invariant_error(sim.ctx.policy.resolve_wins,
-                       sim.ctx.robots["excavator_2"], wins, sim.ctx.planner)
+                       sim.ctx.controllers["excavator_2"].state, wins)
 
 # an excavator that travels farther than it bid breaks the travel check
 sim = Simulation(tiny_config())
@@ -459,17 +461,28 @@ expect_invariant_error(sim.run)
 def lose_mineral(world, hauler):  # the bin empties, the plant gets nothing
     hauler.carried_minerals -= 1
 
+transfer_mineral_to_plant = agents.transfer_mineral_to_plant
 agents.transfer_mineral_to_plant = lose_mineral
 expect_invariant_error(Simulation(tiny_config()).run)
 with tempfile.TemporaryDirectory() as out:
     print(main(["run", "--out", out, "--arena", "30", "--scouts", "1",
                 "--sites", "2", "--minerals", "4", "--seed", "11"]))
+agents.transfer_mineral_to_plant = transfer_mineral_to_plant
+
+# a course whose goal lies outside the arena: a coalition hauler's standby
+# spot moved off the map
+agents.standby_point = lambda site, plant: Point(-1.0, plant.y)
+expect_invariant_error(Simulation(tiny_config(policy="coalition")).run)
+with tempfile.TemporaryDirectory() as out:
+    print(main(["run", "--out", out, "--arena", "30", "--scouts", "1",
+                "--sites", "2", "--minerals", "4", "--seed", "11",
+                "--policy", "coalition"]))
 
 # a positive bid utility is refused where the bid is made
 robot = RobotState("excavator_1", RobotKind.EXCAVATOR, Point(0.0, 0.0),
                    ExcavatorActivity.IDLE)
 try:
-    submit_bid(robot, "scout_1", Point(9.0, 9.0), 3.0, 0, BroadcastBus())
+    submit_bid(robot, "scout_1", Point(9.0, 9.0), 3.0, 0, BroadcastBus(EventLog()))
 except ValueError as exc:
     print(exc)
 else:
@@ -485,7 +498,10 @@ else:
     assert "on a course estimated at" in lines[4]
     assert lines[5].startswith("mineral conservation broken at tick ")
     assert lines[6] == "3"
-    assert lines[7] == ("excavator_1 bid utility 3.0; a utility must be "
+    assert lines[7] == ("hauler_1 set a course to Point(x=-1.0, y=15.0), "
+                        "outside the arena of side 30.0")
+    assert lines[8] == "3"
+    assert lines[9] == ("excavator_1 bid utility 3.0; a utility must be "
                         "<= 0 or -inf")
 
 

@@ -55,6 +55,25 @@ def test_load_equals_records_and_reference(tmp_path, run_logs, name):
     assert reference(path) == log.records
 
 
+def test_written_records_follow_the_schema_order(run_logs):
+    """Every record the simulator writes carries exactly its schema's keys,
+    in schema order: "type", then `RECORD_FIELDS[type]`, then, for a
+    message, `MSG_FIELDS[variant]`.  The two runs together write every
+    record type and every message variant."""
+    types, variants = set(), set()
+    for name in ("tiny/snapshots/fcfs", "crowded/nearest"):
+        for record in run_logs.log(*CASES[name]).records:
+            kind = record["type"]
+            keys = ["type", *events.RECORD_FIELDS[kind]]
+            if kind == "msg":
+                variants.add(record["variant"])
+                keys += events.MSG_FIELDS[record["variant"]]
+            assert list(record) == keys, record
+            types.add(kind)
+    assert types == set(events.RECORD_FIELDS)
+    assert variants == set(events.MSG_FIELDS)
+
+
 def write(tmp_path, text: str):
     path = tmp_path / "events.jsonl"
     path.write_bytes(text.encode())

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from isrusim import Point, build_spiral, estimate_path, straight_line_planner
+from isrusim import Point, build_spiral, estimate_path
 from isrusim.pathing import PathCursor, make_path
 
 
@@ -45,14 +45,6 @@ def test_triangle_inequality():
         direct = estimate_path(a, c).length
         detour = estimate_path(a, b).length + estimate_path(b, c).length
         assert direct <= detour + 1e-9
-
-
-def test_planner_rejects_out_of_arena():
-    plan = straight_line_planner(100.0)
-    with pytest.raises(ValueError):
-        plan(Point(-1, 0), Point(10, 10))
-    with pytest.raises(ValueError):
-        plan(Point(0, 0), Point(100.1, 10))
 
 
 def test_advance_one_unit_along_segment():

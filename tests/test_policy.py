@@ -11,7 +11,6 @@ from isrusim import (
     make_policy,
 )
 from isrusim.agents import ExcavatorActivity, HaulerActivity
-from isrusim.pathing import estimate_path
 
 EXCAVATORS = [f"excavator_{i}" for i in range(1, 5)]
 HAULERS = [f"hauler_{i}" for i in range(1, 7)]
@@ -82,8 +81,7 @@ def test_nearest_accepts_closest_win():
     policy = make_policy("nearest", EXCAVATORS, HAULERS)
     wins = wins_at((12.0, "excavator_1"), (4.0, "excavator_2"),
                    (9.0, "excavator_3"))
-    accept, declined = policy.resolve_wins(idle_hauler(pose=Point(0, 0)), wins,
-                                           estimate_path)
+    accept, declined = policy.resolve_wins(idle_hauler(pose=Point(0, 0)), wins)
     assert accept.task_location == Point(4.0, 0)
     assert len(declined) == 2
 
@@ -91,16 +89,14 @@ def test_nearest_accepts_closest_win():
 def test_nearest_tie_breaks_by_auctioneer_name():
     policy = make_policy("nearest", EXCAVATORS, HAULERS)
     wins = wins_at((7.0, "excavator_2"), (7.0, "excavator_1"))
-    accept, _ = policy.resolve_wins(idle_hauler(pose=Point(0, 0)), wins,
-                                    estimate_path)
+    accept, _ = policy.resolve_wins(idle_hauler(pose=Point(0, 0)), wins)
     assert accept.auctioneer == "excavator_1"
 
 
 def test_single_win_accepted():
     policy = make_policy("fcfs", EXCAVATORS, HAULERS)
     wins = wins_at((5.0, "excavator_1"))
-    accept, declined = policy.resolve_wins(idle_hauler(pose=Point(0, 0)), wins,
-                                           estimate_path)
+    accept, declined = policy.resolve_wins(idle_hauler(pose=Point(0, 0)), wins)
     assert accept is wins[0]
     assert declined == []
 
@@ -110,7 +106,7 @@ def test_busy_robot_declines_everything():
     busy = RobotState("hauler_1", RobotKind.HAULER, Point(0, 0),
                       HaulerActivity.TO_PLANT)
     wins = wins_at((5.0, "excavator_1"), (2.0, "excavator_2"))
-    accept, declined = policy.resolve_wins(busy, wins, estimate_path)
+    accept, declined = policy.resolve_wins(busy, wins)
     assert accept is None
     assert declined == wins
 
