@@ -49,12 +49,13 @@ from .pathing import (
     PathEstimate,
     estimate_path,
 )
-from .policy import Policy, PolicyName, make_policy
+from .policy import Policy, make_policy
 from .spiral import SpiralPlan, build_spiral, ring_index
 from .verify import Violation, verify_records
 from .world import (
     InvariantError,
     Point,
+    PolicyName,
     ResourceSite,
     RobotKind,
     ScenarioConfig,

@@ -227,7 +227,6 @@ class RobotController:
         self._deadline = 0  # the tick a dig, load or unload ends
         self._next_move = 0  # the tick of the first move along cursor not applied
         self._last_move = -1  # the tick of the last move along cursor
-        self._travel_estimate = 0.0
         self._travel_start_odometry = 0.0
         if self.bids_on is not CAPABLE_TASK.get(state.kind):
             raise ValueError(f"{type(self).__name__} cannot drive a "
@@ -396,7 +395,6 @@ class RobotController:
                                  f"outside the arena of side {side}")
         path = estimate_path(self.state.pose, goal)
         self.cursor = PathCursor(path)
-        self._travel_estimate = path.length
         self._travel_start_odometry = self.state.odometry
         self._schedule(first_move)
 
@@ -441,10 +439,11 @@ class RobotController:
         if not self.cursor.arrived:
             return False
         traveled = self.state.odometry - self._travel_start_odometry
-        if not abs(traveled - self._travel_estimate) < 1e-6:
+        estimate = self.cursor.path.length
+        if not abs(traveled - estimate) < 1e-6:
             raise InvariantError(
                 f"{self.state.name} traveled {traveled} m on a course "
-                f"estimated at {self._travel_estimate} m")
+                f"estimated at {estimate} m")
         return True
 
 
@@ -457,7 +456,6 @@ class ScoutController(RobotController):
 
     def __init__(self, state: RobotState, ctx: "SimContext", plan: SpiralPlan):
         super().__init__(state, ctx)
-        self.plan = plan
         self.cursor = PathCursor(make_path([state.pose] + plan.waypoints()))
         self._schedule(0)
         # built by the first step, which also scans the spawn point: the
@@ -620,7 +618,7 @@ class HaulerController(RobotController):
         self.parent: str | None = ctx.policy.parent_of(state.name)
         if self.parent is not None:
             state.activity = HaulerActivity.STANDBY
-        self.task: tuple[str, Point] | None = None  # (excavator, site location)
+        self.excavator: str | None = None  # whose mineral it fetches or carries
         self.carrying: str | None = None
 
     def _accept_win(self, win: WinnerDecl, tick: int) -> bool:
@@ -639,7 +637,7 @@ class HaulerController(RobotController):
 
     def _begin_transport(self, excavator: str, location: Point, tick: int) -> None:
         self.sync(tick - 1)  # the standby walk ends where it stands now
-        self.task = (excavator, location)
+        self.excavator = excavator
         self._set_course(location, tick)
         self.state.activity = HaulerActivity.TO_SITE
 
@@ -652,14 +650,14 @@ class HaulerController(RobotController):
                 self._deadline = tick + timing.load_duration
         elif activity is HaulerActivity.LOADING:
             if tick >= self._deadline:
-                excavator = self.ctx.controllers[self.task[0]]
+                excavator = self.ctx.controllers[self.excavator]
                 site = excavator.site
                 self.carrying = excavator.take_bucket(tick)
                 self.state.carried_minerals = 1
                 self.ctx.log.append({"type": "load", "tick": tick,
                                      "mineral": self.carrying,
                                      "site": site.site_id,
-                                     "excavator": self.task[0],
+                                     "excavator": self.excavator,
                                      "hauler": self.state.name})
                 self._set_course(self.ctx.world.plant_location, tick + 1)
                 self.state.activity = HaulerActivity.TO_PLANT
@@ -674,7 +672,7 @@ class HaulerController(RobotController):
                                      "mineral": self.carrying,
                                      "hauler": self.state.name})
                 self.carrying = None
-                self.task = None
+                self.excavator = None
                 if self.parent is None:
                     self.state.activity = HaulerActivity.IDLE
                 else:

@@ -1,8 +1,8 @@
 """Command-line interface: run, sweep, replay, verify.
 
-Exit codes: 0 success, 2 a stalled run is present in the output,
-3 an invariant or protocol violation was found (in a log, or by a run's
-own invariant checks).
+Exit codes: 0 success, 1 a bad input or an unreadable path, 2 a stalled
+run is present in the output, 3 an invariant or protocol violation was
+found (in a log, or by a run's own invariant checks).
 """
 
 from __future__ import annotations
@@ -24,13 +24,18 @@ from .metrics import (
     write_metrics_csv,
 )
 from .verify import verify_records
-from .world import POLICY_NAMES, InvariantError, build_config, parse_scenario_file
+from .world import (POLICY_NAMES, SCENARIO_KEYS, InvariantError, build_config,
+                    parse_scenario_file)
 
 EXIT_OK = 0
 EXIT_STALLED = 2
 EXIT_VIOLATION = 3
 
+# Each scenario flag, by its dest, and the key it sets.  A flag's type is
+# its key's field type.  Only `run` takes the first two.
 _FLAG_TO_KEY = {
+    "policy": "policy",
+    "seed": "seed",
     "scouts": "n_scouts",
     "excavators": "n_excavators",
     "haulers": "n_haulers",
@@ -39,31 +44,22 @@ _FLAG_TO_KEY = {
     "arena": "arena_side",
     "scan_radius": "scan_radius",
     "tick_cap": "tick_cap",
-    "seed": "seed",
-    "policy": "policy",
 }
+_SHARED_FLAGS = tuple(_FLAG_TO_KEY)[2:]
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="flat key=value scenario file; flags override it")
-    parser.add_argument("--scouts", type=int)
-    parser.add_argument("--excavators", type=int)
-    parser.add_argument("--haulers", type=int)
-    parser.add_argument("--sites", type=int)
-    parser.add_argument("--minerals", type=int)
-    parser.add_argument("--arena", type=float)
-    parser.add_argument("--scan-radius", type=float, dest="scan_radius")
-    parser.add_argument("--tick-cap", type=int, dest="tick_cap")
+def _add_scenario_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        key = _FLAG_TO_KEY[flag]
+        parser.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                            type=SCENARIO_KEYS[key],
+                            choices=POLICY_NAMES if key == "policy" else None)
 
 
-def _scenario_from_args(args: argparse.Namespace, **extra):
+def _scenario_from_args(args: argparse.Namespace):
     file_values = parse_scenario_file(args.config) if args.config else {}
-    flag_values = {key: getattr(args, flag, None)
-                   for flag, key in _FLAG_TO_KEY.items()
-                   if getattr(args, flag, None) is not None}
-    flag_values.update({k: v for k, v in extra.items() if v is not None})
-    return build_config(file_values, flag_values)
+    return build_config(file_values, {key: getattr(args, flag, None)
+                                      for flag, key in _FLAG_TO_KEY.items()})
 
 
 def parse_seed_spec(spec: str) -> list[int]:
@@ -87,7 +83,7 @@ def parse_seed_spec(spec: str) -> list[int]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _scenario_from_args(args, policy=args.policy, seed=args.seed)
+    config = _scenario_from_args(args)
     result = run_to_completion(config, snapshots=args.snapshots)
     out = Path(args.out)
     result.log.dump_jsonl(out / "events.jsonl")
@@ -146,11 +142,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         log = EventLog.load_jsonl(args.log)
+        violations = verify_records(log.records)
     except LogParseError as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    try:
-        violations = verify_records(log.records)
     except _MALFORMED as exc:
         return _malformed("verify", exc)
     if violations:
@@ -169,12 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario and write its outputs")
-    p_run.add_argument("--policy", choices=POLICY_NAMES, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    _add_scenario_flags(p_run, "policy", "seed")
     p_run.add_argument("--snapshots", action="store_true",
                        help="log per-tick robot snapshots (large)")
     p_run.add_argument("--out", required=True, type=Path)
-    _add_scenario_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a policies x seeds grid")
@@ -183,8 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="e.g. 0..19 or 1,2,5")
     p_sweep.add_argument("--snapshots", action="store_true")
     p_sweep.add_argument("--out", required=True, type=Path)
-    _add_scenario_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
+
+    for scenario in (p_run, p_sweep):
+        scenario.add_argument("--config", type=Path,
+                              help="flat key=value scenario file; flags override it")
+        _add_scenario_flags(scenario, *_SHARED_FLAGS)
 
     p_replay = sub.add_parser(
         "replay", help="re-derive metrics from an event log")
@@ -206,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

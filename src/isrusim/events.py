@@ -29,7 +29,9 @@ comma and fail the parse).  So each of the array's separators is an
 inserted comma, each line is exactly one record, and the per-line parse
 gives the same records.  Any other batch, including one with a blank line,
 goes through `_decode` line by line, which skips blank lines and raises
-the reference error.
+the reference error.  A log is read as UTF-8.  On a decoding error, a
+second read finds the first line that is not valid UTF-8, which the
+`LogParseError` names.
 """
 
 from __future__ import annotations
@@ -175,6 +177,12 @@ def _decode_batch(lines: list[str]) -> list[dict] | None:
     return records
 
 
+def record_auction_key(record: dict) -> tuple[str, tuple]:
+    """The auction a msg record belongs to: (auctioneer, task location), as
+    `bus.auction_key` reads it from a live message."""
+    return (record["auctioneer"], tuple(record["loc"]))
+
+
 class EventLog:
     """In-memory record list with JSONL dump/load."""
 
@@ -203,15 +211,23 @@ class EventLog:
     def load_jsonl(path: str | Path) -> "EventLog":
         log = EventLog()
         first = 1  # line number of the batch's first line
-        with Path(path).open() as fh:
-            while batch := list(islice(fh, _BATCH_LINES)):
-                records = _decode_batch(batch)
-                if records is None:
-                    records = [_decode(line, n)
-                               for n, line in enumerate(batch, first)
-                               if line.strip()]
-                log.records.extend(records)
-                first += len(batch)
+        try:
+            with Path(path).open(encoding="utf-8") as fh:
+                while batch := list(islice(fh, _BATCH_LINES)):
+                    records = _decode_batch(batch)
+                    if records is None:
+                        records = [_decode(line, n)
+                                   for n, line in enumerate(batch, first)
+                                   if line.strip()]
+                    log.records.extend(records)
+                    first += len(batch)
+        except UnicodeDecodeError as exc:
+            # Bytes split lines at \n, \r\n and \r, as the text read did.  A
+            # line is valid UTF-8 when dropping undecodable bytes keeps it whole.
+            lines = Path(path).read_bytes().splitlines()
+            bad = next((n for n, raw in enumerate(lines, 1)
+                        if raw.decode("utf-8", "ignore").encode() != raw), None)
+            raise LogParseError(f"invalid UTF-8 ({exc.reason})", bad) from exc
         return log
 
     @staticmethod

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from .events import record_auction_key
 from .world import (
     PLANT_CLEARANCE_FACTOR,
     START_CIRCLE_RADIUS,
@@ -83,7 +84,7 @@ def derive_auction_histories(records: Iterable[dict]) -> list[AuctionHistory]:
         variant = record["variant"]
         if variant == "bid" or variant == "ack":
             continue
-        key = (record["auctioneer"], tuple(record["loc"]))
+        key = record_auction_key(record)
         if variant == "announcement":
             history = still_open.get(key)
             if history is None:

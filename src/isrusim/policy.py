@@ -15,20 +15,13 @@ nearest    - bid in every open auction you are capable of; when several
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .world import InvariantError, RobotKind
+from .world import InvariantError, PolicyName, RobotKind
 
 if TYPE_CHECKING:
     from .agents import RobotState
     from .bus import WinnerDecl
-
-
-class PolicyName(str, Enum):
-    FCFS = "fcfs"
-    COALITION = "coalition"
-    NEAREST = "nearest"
 
 
 @dataclass(frozen=True)

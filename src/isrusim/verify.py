@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .events import NEG_INF
+from .events import NEG_INF, record_auction_key
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,10 @@ class Violation:
 
 @dataclass
 class _Replay:
-    """Live replay state of one open auction generation."""
+    """Live replay state of one open auction generation.  A winner has been
+    declared this round exactly when `offered` is non-empty, and its
+    acknowledgment is pending exactly when `winner` is not None."""
 
-    phase: str = "collecting"  # or "awaiting"
     round_bids: dict[str, float] = field(default_factory=dict)
     late_bids: dict[str, float] = field(default_factory=dict)
     offered: set[str] = field(default_factory=set)
@@ -129,45 +130,40 @@ class LogChecker:
 
     # -- auction protocol ------------------------------------------------------
 
-    @staticmethod
-    def _key(record: dict) -> tuple:
-        return (record["auctioneer"], tuple(record["loc"]))
-
     def _on_announcement(self, record: dict) -> None:
-        key = self._key(record)
+        key = record_auction_key(record)
         replay = self._open.get(key)
         if replay is None:
             self._open[key] = _Replay()
         else:
-            if replay.phase == "awaiting" and replay.winner is not None:
+            if replay.winner is not None:
                 self._fail("protocol", f"{key}: re-announced while a winner "
                                        "acknowledgment was pending")
-            replay.phase = "collecting"
             replay.round_bids = dict(replay.late_bids)
             replay.late_bids = {}
             replay.offered = set()
             replay.winner = None
 
     def _deliver_bid(self, record: dict) -> None:
-        replay = self._open.get(self._key(record))
+        replay = self._open.get(record_auction_key(record))
         if replay is None:
             return  # bid raced a close; the auctioneer dropped it too
         utility = record["utility"]
         if utility > 0 or math.isnan(utility):
             self._fail("bid", f"bid with positive utility {utility}")
-        if replay.phase == "collecting":
-            replay.round_bids[record["bidder"]] = utility
-        else:
+        if replay.offered:
             replay.late_bids[record["bidder"]] = utility
+        else:
+            replay.round_bids[record["bidder"]] = utility
 
     def _on_winner(self, record: dict) -> None:
-        key = self._key(record)
+        key = record_auction_key(record)
         replay = self._open.get(key)
         if replay is None:
             self._fail("protocol", f"{key}: winner declared for a closed or "
                                    "unannounced auction")
             return
-        if replay.phase == "awaiting" and replay.winner is not None:
+        if replay.winner is not None:
             self._fail("protocol", f"{key}: winner declared while another "
                                    "acknowledgment was pending")
         winner = record["winner"]
@@ -186,24 +182,23 @@ class LogChecker:
         if bid is not None and math.isfinite(bid) and bid < best:
             self._fail("argmax", f"{key}: winner {winner} bid {bid} but a "
                                  f"higher eligible bid {best} existed")
-        replay.phase = "awaiting"
         replay.winner = winner
         replay.offered.add(winner)
         replay.accepted_by = None
 
     def _deliver_ack(self, record: dict) -> None:
-        replay = self._open.get(self._key(record))
+        replay = self._open.get(record_auction_key(record))
         if replay is None:
             return
-        if replay.phase != "awaiting" or record["auction_winner"] != replay.winner:
+        if not replay.offered or record["auction_winner"] != replay.winner:
             return  # acks from non-winners are discarded
         if record["verdict"] == "accepted":
             replay.accepted_by = record["auction_winner"]
         else:
-            replay.winner = None  # stays awaiting a reoffer or re-announce
+            replay.winner = None  # awaits a reoffer or re-announce
 
     def _on_close(self, record: dict) -> None:
-        key = self._key(record)
+        key = record_auction_key(record)
         replay = self._open.pop(key, None)
         if replay is None:
             self._fail("protocol", f"{key}: closed but never announced")

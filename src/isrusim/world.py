@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_type_hints
 
 
 class RobotKind(str, Enum):
@@ -28,7 +28,13 @@ class TaskType(str, Enum):
     TRANSPORT = "transport"
 
 
-POLICY_NAMES = ("fcfs", "coalition", "nearest")
+class PolicyName(str, Enum):
+    FCFS = "fcfs"
+    COALITION = "coalition"
+    NEAREST = "nearest"
+
+
+POLICY_NAMES = tuple(name.value for name in PolicyName)
 
 # Sites are kept this many scan radii away from the plant so no site is
 # discovered before the scouts actually move.
@@ -212,7 +218,6 @@ class ScenarioConfig:
 class WorldState:
     """Shared mutable world: sites and plant stock."""
 
-    arena_side: float
     plant_location: Point
     sites: list[ResourceSite]
     minerals_at_plant: int = 0
@@ -319,7 +324,7 @@ def generate_scenario(config: ScenarioConfig) -> WorldState:
     sites = [ResourceSite(site_id=i, location=loc,
                           minerals_initial=counts[i], minerals_remaining=counts[i])
              for i, loc in enumerate(locations)]
-    return WorldState(arena_side=side, plant_location=plant, sites=sites)
+    return WorldState(plant_location=plant, sites=sites)
 
 
 def _mineral_composition(rng: random.Random, total: int, parts: int) -> list[int]:
@@ -359,40 +364,30 @@ def release_site(world: WorldState, site_id: int, excavator: str) -> None:
 
 # --- flat key=value scenario files -----------------------------------------
 
-_CONFIG_FIELDS: dict[str, type] = {
-    "arena_side": float,
-    "n_scouts": int,
-    "n_excavators": int,
-    "n_haulers": int,
-    "n_sites": int,
-    "n_minerals": int,
-    "scan_radius": float,
-    "seed": int,
-    "policy": str,
-    "tick_cap": int,
-}
+def _value_fields(cls: type) -> dict[str, type]:
+    """The int, float and str fields of a config dataclass, with their types."""
+    return {name: kind for name, kind in get_type_hints(cls).items()
+            if kind in (int, float, str)}
 
-_TIMING_FIELDS: dict[str, type] = {
-    "robot_speed": float,
-    "dig_duration": int,
-    "load_duration": int,
-    "unload_duration": int,
-    "bid_window": int,
-    "win_resolution_window": int,
-}
+
+_TIMING_KEYS = _value_fields(TimingConfig)
+# Every scenario key and its value type: the fields of ScenarioConfig but
+# `timing`, and those of TimingConfig.
+SCENARIO_KEYS: dict[str, type] = {**_value_fields(ScenarioConfig), **_TIMING_KEYS}
 
 
 def parse_scenario_file(path: str | Path) -> dict[str, str]:
     """Parse a flat `key = value` scenario file (# starts a comment)."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS and key not in _TIMING_FIELDS:
+        if key not in SCENARIO_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown scenario key {key!r}")
         values[key] = value
     return values
@@ -413,12 +408,10 @@ def build_config(*mappings: Mapping[str, object]) -> ScenarioConfig:
     config_kwargs: dict[str, object] = {}
     timing_kwargs: dict[str, object] = {}
     for key, value in merged.items():
-        if key in _CONFIG_FIELDS:
-            config_kwargs[key] = _CONFIG_FIELDS[key](value)
-        elif key in _TIMING_FIELDS:
-            timing_kwargs[key] = _TIMING_FIELDS[key](value)
-        else:
+        if key not in SCENARIO_KEYS:
             raise ValueError(f"unknown scenario key {key!r}")
+        kwargs = timing_kwargs if key in _TIMING_KEYS else config_kwargs
+        kwargs[key] = SCENARIO_KEYS[key](value)
     if timing_kwargs:
         config_kwargs["timing"] = TimingConfig(**timing_kwargs)  # type: ignore[arg-type]
     return ScenarioConfig(**config_kwargs)  # type: ignore[arg-type]

@@ -1,8 +1,10 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from isrusim.cli import main, parse_seed_spec
+from isrusim.cli import build_parser, main, parse_seed_spec
 
 SMALL = ["--arena", "30", "--scouts", "1", "--excavators", "2",
          "--haulers", "3", "--sites", "2", "--minerals", "4"]
@@ -186,3 +188,91 @@ def test_malformed_value_exits_3_with_one_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"{command} failed: malformed value")
     assert err.count("\n") == 1 and "TypeError" in err
+
+
+def _run_small(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--policy", "fcfs", "--seed", "11", *SMALL,
+                 "--out", str(out)]) == 0
+    return out / "events.jsonl"
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", ["replay", "verify"])
+def test_log_that_is_a_directory_exits_1(tmp_path, capsys, command):
+    assert main([command, "--log", str(tmp_path)]) == 1
+    assert "Is a directory" in _one_error_line(capsys)
+
+
+def test_config_that_is_a_directory_exits_1(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "Is a directory" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("command", [["run", "--policy", "fcfs", "--seed", "1"],
+                                     ["sweep", "--policies", "fcfs",
+                                      "--seeds", "0"]],
+                         ids=["run", "sweep"])
+def test_out_beneath_a_regular_file_exits_1(tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("")
+    capsys.readouterr()
+    assert main([*command, *SMALL, "--out", str(tmp_path / out)]) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["replay", "verify"])
+def test_log_not_in_utf8_exits_3_naming_the_line(tmp_path, capsys, command):
+    path = _run_small(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"}", b"\xff}", 1)
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main([command, "--log", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"{command} failed: line 3: invalid UTF-8 (invalid start byte)\n"
+
+
+# Every scenario flag as (option string, dest, type): generated from the
+# config fields, they must not drift from the hand-written flags they replace.
+SHARED_FLAGS = [
+    ("--config", "config", Path),
+    ("--scouts", "scouts", int),
+    ("--excavators", "excavators", int),
+    ("--haulers", "haulers", int),
+    ("--sites", "sites", int),
+    ("--minerals", "minerals", int),
+    ("--arena", "arena", float),
+    ("--scan-radius", "scan_radius", float),
+    ("--tick-cap", "tick_cap", int),
+]
+SCENARIO_FLAGS = {
+    "run": [("--policy", "policy", str), ("--seed", "seed", int),
+            *SHARED_FLAGS],
+    "sweep": SHARED_FLAGS,
+}
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", list(SCENARIO_FLAGS))
+def test_scenario_flags_are_pinned(command):
+    not_scenario = {"help", "snapshots", "out", "policies", "seeds"}
+    actions = [action for action in _subparser(command)._actions
+               if action.dest not in not_scenario]
+    assert [(*action.option_strings, action.dest, action.type)
+            for action in actions] == SCENARIO_FLAGS[command]
+    for action in actions:
+        assert action.default is None and not action.required
+        want = ("fcfs", "coalition", "nearest") if action.dest == "policy" else None
+        assert action.choices == want

@@ -224,3 +224,33 @@ def test_edited_logs_decode_like_the_reference(tmp_path_factory, text,
     with mock.patch.object(events, "_BATCH_LINES", batch_lines):
         got = loaded(path)
     assert same_outcome(got, reference(path))
+
+
+BAD_BYTE = b'{"type":"claim","tick":1,"site":0,"excavator":"\xff"}'
+NOT_UTF8 = {
+    "bad byte in the first batch": (
+        f"{CLAIM}\n".encode() + BAD_BYTE + b"\n\xfe\n", 2),
+    "bad byte beyond the first batch": (
+        ("\n".join(valid_lines(BATCH + 1)) + "\n").encode() + BAD_BYTE, BATCH + 2),
+    "bare CR line ends": (f"{CLAIM}\r{RELEASE}\r".encode() + BAD_BYTE, 3),
+    "sequence cut off at the end": (
+        f"{CLAIM}\n{RELEASE}\n".encode() + b'{"type":"\xe2\x82', 3),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_UTF8))
+def test_file_not_in_utf8_names_its_first_bad_line(tmp_path, name):
+    data, line_number = NOT_UTF8[name]
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(LogParseError,
+                       match=f"^line {line_number}: invalid UTF-8") as caught:
+        EventLog.load_jsonl(path)
+    assert caught.value.line_number == line_number
+
+
+def test_non_ascii_utf8_decodes(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes('{"type":"claim","tick":1,"site":0,"excavator":"é"}\n'
+                     .encode("utf-8"))
+    assert EventLog.load_jsonl(path).records[0]["excavator"] == "é"

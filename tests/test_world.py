@@ -244,6 +244,49 @@ def test_scenario_file_unknown_key(tmp_path):
         parse_scenario_file(path)
 
 
+# A valid value other than the default for every scenario key, as written
+# in a file, and the value the config must hold.
+KEY_SAMPLES = {
+    "arena_side": ("30", 30.0),
+    "n_scouts": ("1", 1),
+    "n_excavators": ("3", 3),
+    "n_haulers": ("2", 2),
+    "n_sites": ("5", 5),
+    "n_minerals": ("70", 70),
+    "scan_radius": ("2", 2.0),
+    "seed": ("42", 42),
+    "policy": ("nearest", "nearest"),
+    "tick_cap": ("5000", 5000),
+    "robot_speed": ("2", 2.0),
+    "dig_duration": ("8", 8),
+    "load_duration": ("2", 2),
+    "unload_duration": ("9", 9),
+    "bid_window": ("4", 4),
+    "win_resolution_window": ("2", 2),
+}
+TIMING_FIELDS = dataclasses.fields(TimingConfig)
+SCENARIO_FIELDS = [f for f in dataclasses.fields(ScenarioConfig)
+                   if f.name != "timing"]
+
+
+@pytest.mark.parametrize("field", [*SCENARIO_FIELDS, *TIMING_FIELDS],
+                         ids=lambda f: f.name)
+def test_scenario_file_sets_every_config_field(tmp_path, field):
+    text, want = KEY_SAMPLES[field.name]
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"{field.name} = {text}\n")
+    config = build_config(parse_scenario_file(path))
+    value = getattr(config.timing if field in TIMING_FIELDS else config,
+                    field.name)
+    assert value == want != field.default
+    assert type(value) is type(field.default)
+
+
+def test_timing_is_not_a_scenario_key():
+    with pytest.raises(ValueError, match="unknown scenario key 'timing'"):
+        build_config({"timing": TimingConfig()})
+
+
 def test_robot_names_order():
     names = ScenarioConfig().robot_names()
     assert names[0] == ("scout_1", RobotKind.SCOUT)
