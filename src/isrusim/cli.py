@@ -84,8 +84,9 @@ def parse_seed_spec(spec: str) -> list[int]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _scenario_from_args(args)
-    result = run_to_completion(config, snapshots=args.snapshots)
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # fail before simulating
+    result = run_to_completion(config, snapshots=args.snapshots)
     result.log.dump_jsonl(out / "events.jsonl")
     write_metrics_csv([result.metrics], out / "metrics.csv")
     _write_json(out / "summary.json", build_summary([result.metrics]))

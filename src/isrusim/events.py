@@ -6,13 +6,24 @@ self-contained: metrics and the protocol verifier work from the log alone,
 never from live simulation state.  `RECORD_FIELDS` and `MSG_FIELDS` are the
 one definition of what a record carries.
 
-Write path: each record is one compact ASCII JSON object on its own line,
-made by one encoder built at import (the C encoder of the json module when
-it is there, a `JSONEncoder` otherwise).  JSON has no -inf, so the busy-bid
-sentinel is written as the string "-inf"; that holds for the `utility`
-field only, the one field the reader turns back, and any other non-finite
-float raises `ValueError`.  `dumps` and `dump_jsonl` return and write the
-same bytes.
+Write path: each record is one compact ASCII JSON object on its own line.
+`_encode_object`, built at import (the C encoder of the json module when
+it is there, a `JSONEncoder` otherwise), is the byte reference.  A msg
+record, nearly every record of a log, is written instead by the one
+f-string of its variant, with each name escaped and each `loc` pair
+formatted once per `dumps` call: a run has only one location per site.  A
+variant's writer applies only to a record with exactly its schema keys,
+`int` tick and seq, `str` names, a `loc` of two finite nonzero floats (0.0
+and -0.0 are equal and hash alike, so they cannot share a cached
+fragment) and a finite or -inf `utility`; any other record goes to
+`_encode_object`.  Numbers are written by `int.__repr__` and
+`float.__repr__` and strings by `encode_basestring_ascii`, as the C
+encoder writes them, so the bytes are the same; at import each writer is
+checked against `_encode_object` on a sample record.  JSON has no -inf,
+so the busy-bid sentinel is written as the string "-inf"; that holds for
+the `utility` field only, the one field the reader turns back, and any
+other non-finite float raises `ValueError`.  `dumps` and `dump_jsonl`
+return and write the same bytes.
 
 Read path: `_decode` parses one line and checks its record against the
 schema.  It is the reference, and the only source of `LogParseError`
@@ -40,6 +51,7 @@ import json
 import re
 from itertools import islice
 from json import encoder as _json_encoder
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -105,11 +117,145 @@ else:
                                       allow_nan=False).encode
 
 
+class _Names(dict):
+    """name -> its JSON string, escaped on first use; a name that is not a
+    `str` raises TypeError, which sends its record to `_encode_object`."""
+
+    def __missing__(self, name):
+        if type(name) is not str:
+            raise TypeError(name)
+        text = self[name] = _json_encoder.encode_basestring_ascii(name)
+        return text
+
+
+def _loc_text(loc, locs: dict) -> str | None:
+    """`loc` as JSON, kept in `locs`; None unless it is a list of two
+    finite nonzero floats."""
+    if type(loc) is not list or len(loc) != 2:
+        return None
+    x, y = loc
+    if type(x) is not float or type(y) is not float:
+        return None
+    text = locs.get((x, y))
+    if text is None and x and y and isfinite(x) and isfinite(y):
+        text = locs[x, y] = f"[{float.__repr__(x)},{float.__repr__(y)}]"
+    return text
+
+
+# One writer per msg variant: the record's line, or None when
+# `_encode_object` must write it.  Each unpacks the values of a record
+# whose keys are exactly ("type",) + RECORD_FIELDS["msg"] + MSG_FIELDS[v].
+
+def _announcement_line(record, names, locs):
+    rtype, tick, seq, variant, auctioneer, loc, task_type, status = \
+        record.values()
+    if (rtype == "msg" and variant == "announcement"
+            and type(tick) is int is type(seq)
+            and (loc := _loc_text(loc, locs))):
+        return (f'{{"type":"msg","tick":{tick},"seq":{seq},'
+                f'"variant":"announcement","auctioneer":{names[auctioneer]},'
+                f'"loc":{loc},"task_type":{names[task_type]},'
+                f'"status":{names[status]}}}\n')
+    return None
+
+
+def _bid_line(record, names, locs):
+    rtype, tick, seq, variant, auctioneer, loc, bidder, utility = \
+        record.values()
+    if utility == NEG_INF:
+        utility = '"-inf"'
+    elif type(utility) is float and isfinite(utility):
+        utility = float.__repr__(utility)
+    else:
+        return None
+    if (rtype == "msg" and variant == "bid" and type(tick) is int is type(seq)
+            and (loc := _loc_text(loc, locs))):
+        return (f'{{"type":"msg","tick":{tick},"seq":{seq},"variant":"bid",'
+                f'"auctioneer":{names[auctioneer]},"loc":{loc},'
+                f'"bidder":{names[bidder]},"utility":{utility}}}\n')
+    return None
+
+
+def _winner_line(record, names, locs):
+    rtype, tick, seq, variant, auctioneer, loc, task_type, status, winner = \
+        record.values()
+    if (rtype == "msg" and variant == "winner"
+            and type(tick) is int is type(seq)
+            and (loc := _loc_text(loc, locs))):
+        return (f'{{"type":"msg","tick":{tick},"seq":{seq},"variant":"winner",'
+                f'"auctioneer":{names[auctioneer]},"loc":{loc},'
+                f'"task_type":{names[task_type]},"status":{names[status]},'
+                f'"winner":{names[winner]}}}\n')
+    return None
+
+
+def _ack_line(record, names, locs):
+    rtype, tick, seq, variant, auctioneer, loc, auction_winner, verdict = \
+        record.values()
+    if (rtype == "msg" and variant == "ack" and type(tick) is int is type(seq)
+            and (loc := _loc_text(loc, locs))):
+        return (f'{{"type":"msg","tick":{tick},"seq":{seq},"variant":"ack",'
+                f'"auctioneer":{names[auctioneer]},"loc":{loc},'
+                f'"auction_winner":{names[auction_winner]},'
+                f'"verdict":{names[verdict]}}}\n')
+    return None
+
+
+def _close_line(record, names, locs):
+    (rtype, tick, seq, variant, auctioneer, loc, task_type, status,
+     allocated_to) = record.values()
+    if (rtype == "msg" and variant == "close"
+            and type(tick) is int is type(seq)
+            and (loc := _loc_text(loc, locs))):
+        return (f'{{"type":"msg","tick":{tick},"seq":{seq},"variant":"close",'
+                f'"auctioneer":{names[auctioneer]},"loc":{loc},'
+                f'"task_type":{names[task_type]},"status":{names[status]},'
+                f'"allocated_to":{names[allocated_to]}}}\n')
+    return None
+
+
+def _msg_lines() -> dict:
+    """Each variant's key tuple -> its writer, checked against
+    `_encode_object` on one sample record."""
+    writers = {"announcement": _announcement_line, "bid": _bid_line,
+               "winner": _winner_line, "ack": _ack_line, "close": _close_line}
+    sample_values = {"type": "msg", "tick": 1, "seq": 2, "loc": [0.5, 1.5],
+                     "utility": -1.5}
+    lines = {}
+    for variant, fields in MSG_FIELDS.items():
+        keys = ("type",) + RECORD_FIELDS["msg"] + fields
+        sample = {key: sample_values.get(key, f"<{key}>") for key in keys}
+        sample["variant"] = variant
+        write = writers[variant]
+        if write(sample, _Names(), {}) != _encode_object(sample) + "\n":
+            raise AssertionError(f"the {variant} writer does not match "
+                                 "the schema and the encoder")
+        lines[keys] = write
+    return lines
+
+
+_MSG_LINES = _msg_lines()
+
+
+def _jsonl_lines(records: list[dict]) -> list[str]:
+    names, locs = _Names(), {}
+    lines = []
+    for record in records:
+        write = _MSG_LINES.get(tuple(record))
+        try:
+            line = write and write(record, names, locs)
+        except TypeError:  # a name that is not a str
+            line = None
+        if line is None:
+            line = _encode_object(record if record.get("utility") != NEG_INF
+                                  else {**record, "utility": "-inf"}) + "\n"
+        lines.append(line)
+    return lines
+
+
 def _jsonl_bytes(records: list[dict]) -> bytes:
     # the list of lines is freed before the text is encoded
-    return "".join([_encode_object(r if r.get("utility") != NEG_INF
-                                   else {**r, "utility": "-inf"}) + "\n"
-                    for r in records]).encode()
+    return "".join(_jsonl_lines(records)).encode()
 
 
 def _missing(record: dict, fields: tuple[str, ...]) -> str:
@@ -177,6 +323,15 @@ def _decode_batch(lines: list[str]) -> list[dict] | None:
     return records
 
 
+def first_invalid_utf8_line(data: bytes) -> int | None:
+    r"""The number of the first line of `data` that is not valid UTF-8.
+
+    Lines end at \n, \r\n and \r, as in a file read as text.  A line is
+    valid UTF-8 when dropping undecodable bytes keeps it whole."""
+    return next((n for n, raw in enumerate(data.splitlines(), 1)
+                 if raw.decode("utf-8", "ignore").encode() != raw), None)
+
+
 def record_auction_key(record: dict) -> tuple[str, tuple]:
     """The auction a msg record belongs to: (auctioneer, task location), as
     `bus.auction_key` reads it from a live message."""
@@ -222,11 +377,7 @@ class EventLog:
                     log.records.extend(records)
                     first += len(batch)
         except UnicodeDecodeError as exc:
-            # Bytes split lines at \n, \r\n and \r, as the text read did.  A
-            # line is valid UTF-8 when dropping undecodable bytes keeps it whole.
-            lines = Path(path).read_bytes().splitlines()
-            bad = next((n for n, raw in enumerate(lines, 1)
-                        if raw.decode("utf-8", "ignore").encode() != raw), None)
+            bad = first_invalid_utf8_line(Path(path).read_bytes())
             raise LogParseError(f"invalid UTF-8 ({exc.reason})", bad) from exc
         return log
 

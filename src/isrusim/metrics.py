@@ -286,6 +286,8 @@ def sweep(policies: Sequence[str], seeds: Sequence[int],
         raise ValueError("sweep needs at least one policy and one seed")
     base = base_config if base_config is not None else ScenarioConfig()
     out = Path(out_dir) if out_dir is not None else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)  # fail before simulating
 
     reports: list[MetricsReport] = []
     for policy in policies:

@@ -16,6 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, get_type_hints
 
+from .events import first_invalid_utf8_line
+
 
 class RobotKind(str, Enum):
     SCOUT = "scout"
@@ -379,7 +381,12 @@ SCENARIO_KEYS: dict[str, type] = {**_value_fields(ScenarioConfig), **_TIMING_KEY
 def parse_scenario_file(path: str | Path) -> dict[str, str]:
     """Parse a flat `key = value` scenario file (# starts a comment)."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}:{first_invalid_utf8_line(data)}: "
+                         f"invalid UTF-8 ({exc.reason})") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

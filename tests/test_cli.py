@@ -1,6 +1,7 @@
 import argparse
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -220,11 +221,28 @@ def test_config_that_is_a_directory_exits_1(tmp_path, capsys):
                                      ["sweep", "--policies", "fcfs",
                                       "--seeds", "0"]],
                          ids=["run", "sweep"])
-def test_out_beneath_a_regular_file_exits_1(tmp_path, capsys, command, out):
+def test_out_beneath_a_regular_file_exits_1(tmp_path, capsys, monkeypatch,
+                                            command, out):
+    """The output directory is made before the first run, so an unusable
+    `--out` fails without simulating."""
+    simulate = mock.Mock(side_effect=AssertionError("simulated"))
+    monkeypatch.setattr("isrusim.cli.run_to_completion", simulate)
+    monkeypatch.setattr("isrusim.engine.run_to_completion", simulate)
     (tmp_path / "file").write_text("")
     capsys.readouterr()
     assert main([*command, *SMALL, "--out", str(tmp_path / out)]) == 1
     _one_error_line(capsys)
+    simulate.assert_not_called()
+
+
+def test_config_not_in_utf8_exits_1_naming_the_line(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_bytes(b"seed = 3\n# caf\xe9\n")
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {cfg}:2: invalid UTF-8 (invalid continuation byte)\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["replay", "verify"])

@@ -6,11 +6,12 @@ batches of lines at once and must return exactly the reference's records,
 or raise exactly its `LogParseError` (message and line number).
 """
 
+import json
 import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isrusim import EventLog, LogParseError, run_to_completion
 from isrusim import events
@@ -178,6 +179,118 @@ def test_utility_sentinel_round_trips(tmp_path):
 def test_other_non_finite_floats_are_rejected_on_write(record):
     with pytest.raises(ValueError):
         EventLog.from_records([record]).dumps()
+
+
+# -- the write path: msg templates against the encoder ------------------------
+
+def encoded(records, encode) -> bytes:
+    """The log bytes of `records` with every record written by `encode`,
+    the -inf utility sentinel as a string."""
+    return "".join(encode(r if r.get("utility") != -math.inf
+                          else {**r, "utility": "-inf"}) + "\n"
+                   for r in records).encode()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_msg_templates_write_the_encoder_bytes(run_logs, monkeypatch, name):
+    """Every msg record of a simulated log is written by its variant's
+    template, and the log is byte for byte what `_encode_object` writes."""
+    records = run_logs.log(*CASES[name]).records
+    want = encoded(records, events._encode_object)
+    encode = events._encode_object
+
+    def encode_no_msg(record):
+        assert record["type"] != "msg", f"msg record fell back: {record}"
+        return encode(record)
+
+    monkeypatch.setattr(events, "_encode_object", encode_no_msg)
+    assert EventLog.from_records(records).dumps() == want
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_pure_python_encoder_writes_the_c_encoder_bytes(run_logs, monkeypatch,
+                                                        name):
+    """Without the json module's C accelerator, `_encode_object` is this
+    `JSONEncoder`, and it must write what the C encoder writes."""
+    records = run_logs.log(*CASES[name]).records
+    want = encoded(records, events._encode_object)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                        json.encoder.py_encode_basestring_ascii)
+    python_encode = json.JSONEncoder(separators=(",", ":"),
+                                     allow_nan=False).encode
+    assert encoded(records, python_encode) == want
+
+
+# few values, so that records share them and meet each other in the caches
+EDGE_NUMBERS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.5e300,
+                3.0, -7.0, 0.1, 2, -3, True, False, math.nan, math.inf,
+                -math.inf]
+EDGE_NAMES = ["scout_1", 'say "hi"', "back\\slash", "é", "名前",
+              "\x00\n\u2028", "", 7, None]
+numbers = st.sampled_from(EDGE_NUMBERS) | st.floats()
+names = st.sampled_from(EDGE_NAMES) | st.text(max_size=4)
+
+
+@st.composite
+def bids_and_announcements(draw) -> list[dict]:
+    """Up to four msg records whose numbers come from one small pool.  Next
+    to each number the pool holds the equal values that are written
+    differently (-0.0 for 0.0, 2 for 2.0), so that they meet in the caches.
+    One record may then get a tick or `loc` of a kind no simulation writes."""
+    pool = draw(st.lists(numbers, min_size=1, max_size=3))
+    pool += [-v for v in pool if v == 0] + [
+        int(v) for v in pool if type(v) is float and v.is_integer()]
+    pooled = st.sampled_from(pool)
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        record = {"type": "msg", "tick": draw(st.integers(0, 10**9)),
+                  "seq": draw(st.integers(0, 10**9)), "variant": "bid",
+                  "auctioneer": draw(names),
+                  "loc": [draw(pooled), draw(pooled)]}
+        if draw(st.booleans()):
+            utility = pooled | st.sampled_from([-math.inf, math.inf, math.nan])
+            record |= {"bidder": draw(names), "utility": draw(utility)}
+        else:
+            record |= {"variant": "announcement", "task_type": draw(names),
+                       "status": draw(names)}
+        records.append(record)
+    odd = draw(st.sampled_from([None, "tick", "loc"]))
+    record = draw(st.sampled_from(records))
+    if odd == "tick":
+        record["tick"] = draw(st.booleans() | st.integers())
+    elif odd == "loc":
+        pair = st.tuples(pooled, pooled)
+        record["loc"] = draw(st.lists(pooled, max_size=3) | pair
+                             | pair.map(dict.fromkeys))
+    return records
+
+
+def announcement(loc, tick=1) -> dict:
+    return {"type": "msg", "tick": tick, "seq": 0, "variant": "announcement",
+            "auctioneer": "scout_1", "loc": loc, "task_type": "excavate",
+            "status": "open"}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(records=bids_and_announcements())
+@example(records=[announcement([1.5, 0.0]), announcement([1.5, -0.0])])
+@example(records=[announcement([1.0, 2.0]), announcement([1, 2]),
+                  announcement([True, 2.0]), announcement((1.0, 2.0)),
+                  announcement(dict.fromkeys([1.0, 2.0])),
+                  announcement([1.0, 2.0], tick=True)])
+@example(records=[bid(math.inf)])
+@example(records=[bid(math.nan)])
+def test_templates_write_what_the_encoder_writes(records):
+    """Template and encoder give the same bytes, or both raise ValueError
+    (a non-finite float other than the utility sentinel)."""
+    try:
+        want = encoded(records, events._encode_object)
+    except ValueError:
+        with pytest.raises(ValueError):
+            EventLog.from_records(records).dumps()
+    else:
+        assert EventLog.from_records(records).dumps() == want
 
 
 # -- property: random line-level edits of a small valid log -------------------

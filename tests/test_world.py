@@ -244,6 +244,22 @@ def test_scenario_file_unknown_key(tmp_path):
         parse_scenario_file(path)
 
 
+@pytest.mark.parametrize("data, line_number, reason", [
+    (b"seed = 4\narena_side = \xff\n", 2, "invalid start byte"),
+    (b"seed = 4\r\n\r\nn_scouts = 1 # caf\xe9\r\n", 3,
+     "invalid continuation byte"),
+    (b"seed = 4\rpolicy = \xe2\x82", 2, "unexpected end of data"),
+])
+def test_scenario_file_not_in_utf8_names_its_first_bad_line(
+        tmp_path, data, line_number, reason):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as caught:
+        parse_scenario_file(path)
+    assert str(caught.value) == (
+        f"{path}:{line_number}: invalid UTF-8 ({reason})")
+
+
 # A valid value other than the default for every scenario key, as written
 # in a file, and the value the config must hold.
 KEY_SAMPLES = {
