@@ -497,7 +497,7 @@ class ScoutController(RobotController):
 
     def _handle_finds(self, site_ids: list[int], tick: int) -> None:
         for site_id in site_ids:
-            site = self.ctx.world.site_by_id(site_id)
+            site = self.ctx.world.sites[site_id]
             self.ctx.log.append({
                 "type": "discovery", "tick": tick, "site": site_id,
                 "scout": self.state.name,

@@ -107,7 +107,8 @@ class Simulation:
         self.completed_tick: int | None = None
         self._finished = False
 
-        world = generate_scenario(config)
+        plans = build_spiral(config.arena_side, config.cell_side, config.n_scouts)
+        world = generate_scenario(config, plans)
         log = EventLog()
         bus = BroadcastBus(log)
         names = config.robot_names()
@@ -122,15 +123,13 @@ class Simulation:
             config=config, world=world, bus=bus, log=log, policy=policy)
         self.ctx._site_by_location = {s.location.as_pair(): s for s in world.sites}
 
-        plans = build_spiral(config.arena_side, config.cell_side, config.n_scouts)
         poses = _start_poses(config, world.plant_location)
-        scout_index = 0
+        scout_plans = iter(plans)
         for (name, kind), pose in zip(names, poses):
             if kind is RobotKind.SCOUT:
                 state = RobotState(name, kind, pose, ScoutActivity.SEARCHING)
                 controller: RobotController = ScoutController(
-                    state, self.ctx, plans[scout_index])
-                scout_index += 1
+                    state, self.ctx, next(scout_plans))
             elif kind is RobotKind.EXCAVATOR:
                 state = RobotState(name, kind, pose, ExcavatorActivity.IDLE)
                 controller = ExcavatorController(state, self.ctx)
@@ -217,7 +216,7 @@ class Simulation:
         for site in world.sites:
             surplus += site.minerals_remaining - site.minerals_initial
         if surplus:
-            total = world.minerals_total
+            total = sum(s.minerals_initial for s in world.sites)
             raise InvariantError(
                 f"mineral conservation broken at tick {self.tick}: "
                 f"{total + surplus} != {total}")

@@ -14,9 +14,12 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, get_type_hints
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, get_type_hints
 
 from .events import first_invalid_utf8_line
+
+if TYPE_CHECKING:
+    from .spiral import SpiralPlan
 
 
 class RobotKind(str, Enum):
@@ -45,8 +48,8 @@ PLANT_CLEARANCE_FACTOR = 2.0
 MAX_PLACEMENT_ATTEMPTS = 10_000
 # Robots start evenly spaced on a circle of this radius around the plant.
 START_CIRCLE_RADIUS = 5.0
-# Meters added to the scan radius when picking the grid cells near a swept
-# segment: far above the rounding error of a distance in the arena.
+# Meters added to the reach of both grid lookups, sites near a swept segment
+# and sweep segments near a site candidate: far above any rounding error.
 GRID_PAD = 1e-6
 
 
@@ -208,12 +211,29 @@ class ScenarioConfig:
 
     def robot_names(self) -> list[tuple[str, RobotKind]]:
         """All robot names with kinds, in scout/excavator/hauler order."""
-        names: list[tuple[str, RobotKind]] = []
-        names += [(f"scout_{i + 1}", RobotKind.SCOUT) for i in range(self.n_scouts)]
-        names += [(f"excavator_{i + 1}", RobotKind.EXCAVATOR)
-                  for i in range(self.n_excavators)]
-        names += [(f"hauler_{i + 1}", RobotKind.HAULER) for i in range(self.n_haulers)]
-        return names
+        counts = (self.n_scouts, self.n_excavators, self.n_haulers)
+        return [(f"{kind.value}_{i + 1}", kind)
+                for kind, count in zip(RobotKind, counts) for i in range(count)]
+
+
+class _Grid:
+    """Items bucketed by the grid cell, of side `cell`, of the (x, y) given with
+    each; `near` gives those in the cells overlapping a-b's box grown by `reach`."""
+
+    def __init__(self, cell: float, items: Iterable[tuple[float, float, object]]):
+        self.cell = cell
+        self.buckets: dict[tuple[int, int], list] = {}
+        for x, y, item in items:
+            self.buckets.setdefault((int(x // cell), int(y // cell)), []).append(item)
+
+    def near(self, a: Point, b: Point, reach: float) -> list:
+        cell, buckets = self.cell, self.buckets
+        columns = range(int((min(a.x, b.x) - reach) // cell),
+                        int((max(a.x, b.x) + reach) // cell) + 1)
+        rows = range(int((min(a.y, b.y) - reach) // cell),
+                     int((max(a.y, b.y) + reach) // cell) + 1)
+        return [item for ix in columns for iy in rows
+                for item in buckets.get((ix, iy), ())]
 
 
 @dataclass
@@ -225,53 +245,16 @@ class WorldState:
     minerals_at_plant: int = 0
     # the sites bucketed by grid cell, built by the first `sites_near`;
     # sites never move during a run
-    _grid: dict[tuple[int, int], list[ResourceSite]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _grid_cell: float = field(default=0.0, init=False, repr=False, compare=False)
-
-    @property
-    def minerals_total(self) -> int:
-        return sum(s.minerals_initial for s in self.sites)
-
-    def minerals_remaining_on_sites(self) -> int:
-        return sum(s.minerals_remaining for s in self.sites)
-
-    def site_by_id(self, site_id: int) -> ResourceSite:
-        return self.sites[site_id]
+    _grid: _Grid | None = field(default=None, init=False, repr=False, compare=False)
 
     def sites_near(self, a: Point, b: Point, radius: float) -> list[ResourceSite]:
-        """A superset of the sites within `radius` of segment a-b: those in
-        the grid cells, of side 2 * radius, that overlap the segment's
-        bounding box grown by `radius` plus a pad, so no float rounding in
-        the distance can drop a site.  In no particular order."""
-        cell = 2.0 * radius
-        if self._grid_cell != cell:
-            self._grid = {}
-            self._grid_cell = cell
-            for site in self.sites:
-                key = (int(site.location.x // cell), int(site.location.y // cell))
-                self._grid.setdefault(key, []).append(site)
-        reach = radius + GRID_PAD
-        columns = range(int((min(a.x, b.x) - reach) // cell),
-                        int((max(a.x, b.x) + reach) // cell) + 1)
-        rows = range(int((min(a.y, b.y) - reach) // cell),
-                     int((max(a.y, b.y) + reach) // cell) + 1)
-        grid = self._grid
-        return [site for ix in columns for iy in rows
-                for site in grid.get((ix, iy), ())]
-
-
-def _sweep_segments(config: ScenarioConfig) -> list[tuple[Point, Point]]:
-    """The segments the scouts will sweep, from their coverage plans."""
-    from .spiral import build_spiral  # import here: spiral imports this module
-
-    segments: list[tuple[Point, Point]] = []
-    for plan in build_spiral(config.arena_side, config.cell_side, config.n_scouts):
-        waypoints = plan.waypoints()
-        if len(waypoints) == 1:
-            segments.append((waypoints[0], waypoints[0]))
-        segments.extend(zip(waypoints, waypoints[1:]))
-    return segments
+        """A superset of the sites within `radius` of segment a-b, in no
+        particular order: those in the grid cells, of side 2 * radius, near
+        it, with a pad so no float rounding in the distance can drop a site."""
+        if self._grid is None or self._grid.cell != 2.0 * radius:
+            self._grid = _Grid(2.0 * radius, (
+                (s.location.x, s.location.y, s) for s in self.sites))
+        return self._grid.near(a, b, radius + GRID_PAD)
 
 
 def _segment_distance(p: Point, a: Point, b: Point) -> float:
@@ -283,7 +266,23 @@ def _segment_distance(p: Point, a: Point, b: Point) -> float:
     return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
 
 
-def generate_scenario(config: ScenarioConfig) -> WorldState:
+def _blind_spot_test(plans: Sequence[SpiralPlan],
+                     scan_radius: float) -> Callable[[Point], bool]:
+    """Whether a point is farther than scan_radius from every segment the
+    plans sweep (a one-waypoint plan sweeps its point).  Only segments whose
+    midpoints lie within scan_radius plus half a segment of it are tested."""
+    sweep = [(a, b) for w in (plan.waypoints() for plan in plans)
+             for a, b in zip(w, w[1:] or w)]
+    grid = _Grid(2.0 * scan_radius, (
+        ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0, (a, b)) for a, b in sweep))
+    reach = (scan_radius + GRID_PAD
+             + max((a.distance_to(b) for a, b in sweep), default=0.0) / 2.0)
+    return lambda p: all(_segment_distance(p, a, b) > scan_radius
+                         for a, b in grid.near(p, p, reach))
+
+
+def generate_scenario(config: ScenarioConfig,
+                      plans: Sequence[SpiralPlan] | None = None) -> WorldState:
     """Build the world for a configuration. Pure in the config (seed included).
 
     Sites are placed by rejection sampling under four rules: at least
@@ -295,13 +294,18 @@ def generate_scenario(config: ScenarioConfig) -> WorldState:
     center); a site inside a wedge could never be found and would deadlock
     the mission.  Mineral counts are a uniformly drawn composition of
     n_minerals into n_sites positive parts.
+
+    `plans` are the scouts' coverage plans for the config; None builds them.
     """
+    if plans is None:
+        from .spiral import build_spiral  # import here: spiral imports this module
+        plans = build_spiral(config.arena_side, config.cell_side, config.n_scouts)
     rng = random.Random(config.seed)
     side = config.arena_side
     plant = Point(side / 2.0, side / 2.0)
     margin = config.scan_radius
     plant_clearance = PLANT_CLEARANCE_FACTOR * config.scan_radius
-    sweep = _sweep_segments(config) if config.n_sites > 0 else []
+    blind = _blind_spot_test(plans, config.scan_radius)
 
     locations: list[Point] = []
     attempts = 0
@@ -317,8 +321,7 @@ def generate_scenario(config: ScenarioConfig) -> WorldState:
             continue
         if any(candidate.distance_to(p) < config.scan_radius for p in locations):
             continue
-        if all(_segment_distance(candidate, a, b) > config.scan_radius
-               for a, b in sweep):
+        if blind(candidate):
             continue  # inside a scan blind spot: unreachable by any scout
         locations.append(candidate)
 
@@ -333,32 +336,29 @@ def _mineral_composition(rng: random.Random, total: int, parts: int) -> list[int
     """Uniform composition of `total` into `parts` parts, each >= 1."""
     if parts == 0:
         return []
-    if parts == 1:
-        return [total]
     cuts = sorted(rng.sample(range(1, total), parts - 1))
     bounds = [0] + cuts + [total]
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
-def transfer_mineral_to_plant(world: WorldState, hauler) -> WorldState:
+def transfer_mineral_to_plant(world: WorldState, hauler) -> None:
     """Empty the hauler's bin into the plant. Rejected if the bin is empty."""
     if getattr(hauler, "carried_minerals", 0) < 1:
         raise ValueError(f"{getattr(hauler, 'name', 'hauler')} carries no mineral")
     hauler.carried_minerals -= 1
     world.minerals_at_plant += 1
-    return world
 
 
 def claim_site(world: WorldState, site_id: int, excavator: str) -> None:
     """Give `excavator` the exclusive claim on a site."""
-    site = world.site_by_id(site_id)
+    site = world.sites[site_id]
     if site.claimed_by is not None:
         raise ValueError(f"site {site_id} already claimed by {site.claimed_by}")
     site.claimed_by = excavator
 
 
 def release_site(world: WorldState, site_id: int, excavator: str) -> None:
-    site = world.site_by_id(site_id)
+    site = world.sites[site_id]
     if site.claimed_by != excavator:
         raise ValueError(f"site {site_id} is not claimed by {excavator}")
     site.claimed_by = None
@@ -383,11 +383,12 @@ def parse_scenario_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}:{first_invalid_utf8_line(data)}: "
                          f"invalid UTF-8 ({exc.reason})") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r\n and \r only, as `first_invalid_utf8_line` counts them
+    for lineno, raw in enumerate(map(bytes.decode, data.splitlines()), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

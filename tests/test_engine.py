@@ -103,6 +103,37 @@ def test_site_placement_depends_on_seed_not_policy():
     assert len(placements) == 1
 
 
+@pytest.mark.parametrize("n_scouts", [1, 2])
+def test_a_run_builds_its_coverage_once(monkeypatch, n_scouts):
+    """`build_spiral` runs once per run; the generator keeps the sites in
+    scan range of the very plans the scouts then sweep, and placing them
+    from those plans gives the world `generate_scenario` alone gives."""
+    built, given = [], []
+    build, generate = isrusim.spiral.build_spiral, isrusim.world.generate_scenario
+
+    def counted_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recorded_generate(config, plans=None):
+        given.append(plans)
+        return generate(config, plans)
+
+    for module in (isrusim.engine, isrusim.spiral):
+        monkeypatch.setattr(module, "build_spiral", counted_build)
+    monkeypatch.setattr(isrusim.engine, "generate_scenario", recorded_generate)
+    config = ScenarioConfig(seed=4, n_scouts=n_scouts)
+    sim = Simulation(config)
+    assert len(built) == 1 and len(given) == 1 and given[0] is built[0]
+    scouts = [sim.ctx.controllers[name] for name, kind in config.robot_names()
+              if kind is RobotKind.SCOUT]
+    assert len(scouts) == len(built[0]) == n_scouts
+    for scout, plan in zip(scouts, built[0]):
+        assert list(scout.cursor.path.waypoints[1:]) == plan.waypoints()
+    monkeypatch.undo()
+    assert generate_scenario(config) == sim.ctx.world
+
+
 def test_start_poses_on_circle_around_plant():
     sim = Simulation(tiny_config())
     plant = sim.ctx.world.plant_location
@@ -138,7 +169,7 @@ def test_mineral_conservation_at_every_tick():
     while sim.status is RunStatus.RUNNING and sim.tick < config.tick_cap:
         sim.step()
         world = sim.ctx.world
-        on_sites = world.minerals_remaining_on_sites()
+        on_sites = sum(s.minerals_remaining for s in world.sites)
         assert 0 <= world.minerals_at_plant + on_sites <= config.n_minerals
     assert sim.status is RunStatus.COMPLETED
     assert sim.ctx.world.minerals_at_plant == config.n_minerals

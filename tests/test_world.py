@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isrusim import (
     Point,
@@ -12,17 +15,22 @@ from isrusim import (
     ScenarioConfig,
     ScenarioGenerationError,
     TimingConfig,
+    build_spiral,
     generate_scenario,
     run_to_completion,
     transfer_mineral_to_plant,
 )
 from isrusim.agents import HaulerActivity
 from isrusim.world import (
+    _blind_spot_test,
+    _segment_distance,
     build_config,
     claim_site,
     parse_scenario_file,
     release_site,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_default_config_matches_reference_scenario():
@@ -133,6 +141,74 @@ def test_single_site_forced_composition():
     assert world.sites[0].minerals_initial == 1
 
 
+# The site lists of reference seeds 0-19, arena200 seeds 0-4, arena 300
+# seed 0, and every 8th placed config of `config_sample.json`, as the
+# generator placed them when it tested each candidate against every sweep
+# segment in turn.
+SITE_PINS = json.loads((DATA / "site_pins.json").read_text())
+
+
+def site_digest(world) -> str:
+    """sha256 of each site's location and mineral count, in site order."""
+    rows = [[s.location.x, s.location.y, s.minerals_initial] for s in world.sites]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", SITE_PINS)
+def test_site_lists_are_pinned(name):
+    pin = SITE_PINS[name]
+    world = generate_scenario(ScenarioConfig(**pin["config"]))
+    assert site_digest(world) == pin["sha256"]
+
+
+def linear_blind_spot(plans, scan_radius, p) -> bool:
+    """The blind-spot rule tested against every segment of the sweep."""
+    segments = []
+    for plan in plans:
+        waypoints = plan.waypoints()
+        if len(waypoints) == 1:
+            segments.append((waypoints[0], waypoints[0]))
+        segments.extend(zip(waypoints, waypoints[1:]))
+    return all(_segment_distance(p, a, b) > scan_radius for a, b in segments)
+
+
+def _nudge(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+@st.composite
+def points_near_a_segment(draw, plans, scan_radius) -> Point:
+    """A point a few ulps from distance `scan_radius` of a sweep segment:
+    off a waypoint in any direction, or off a segment at a right angle."""
+    waypoints = draw(st.sampled_from([plan.waypoints() for plan in plans
+                                      if plan.visit_order]))
+    i = draw(st.integers(0, len(waypoints) - 1))
+    a, b = waypoints[i], waypoints[min(i + 1, len(waypoints) - 1)]
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    angle = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0))
+    x = a.x + t * (b.x - a.x) + scan_radius * math.cos(angle * math.pi)
+    y = a.y + t * (b.y - a.y) + scan_radius * math.sin(angle * math.pi)
+    return Point(_nudge(x, draw(st.integers(-4, 4))),
+                 _nudge(y, draw(st.integers(-4, 4))))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), cells=st.integers(1, 24),
+       scan_radius=st.floats(0.75, 5.0), n_scouts=st.integers(1, 2))
+def test_bucketed_blind_spot_test_agrees_with_the_linear_one(
+        data, cells, scan_radius, n_scouts):
+    cell = 2.0 * scan_radius
+    plans = build_spiral(cells * cell, cell, n_scouts)
+    blind = _blind_spot_test(plans, scan_radius)
+    coordinate = st.floats(-scan_radius, cells * cell + scan_radius)
+    uniform = st.builds(Point, coordinate, coordinate)
+    for p in data.draw(st.lists(uniform | points_near_a_segment(plans, scan_radius),
+                                min_size=1, max_size=12)):
+        assert blind(p) == linear_blind_spot(plans, scan_radius, p), p
+
+
 def test_config_where_no_site_fits_is_rejected_when_built():
     # in a 10 m arena the only point 5 m in from every border is the plant;
     # in a 20 m arena those points are at most 7.1 m from it, under 10 m
@@ -160,8 +236,7 @@ def test_build_checks_reject_no_config_whose_sites_can_be_placed():
     necessary conditions, so no config that placed its sites is rejected.
     The late rejections all stay: those configs have room for their sites,
     and rejection sampling jams before it finds a packing."""
-    rows = json.loads((Path(__file__).parent / "data" / "config_sample.json")
-                      .read_text())
+    rows = json.loads((DATA / "config_sample.json").read_text())
     outcomes = {"placed": 0, "late": 0, "rejected": 0}
     for side, radius, n_sites, seed, outcome in rows:
         try:
@@ -258,6 +333,22 @@ def test_scenario_file_not_in_utf8_names_its_first_bad_line(
         parse_scenario_file(path)
     assert str(caught.value) == (
         f"{path}:{line_number}: invalid UTF-8 ({reason})")
+
+
+@pytest.mark.parametrize("break_", ["\f", "\v", "\x1c", "\x1d", "\x1e",
+                                    "\x85", "\u2028", "\u2029"])
+def test_scenario_file_lines_end_only_at_newlines(tmp_path, break_):
+    r"""Only \n, \r\n and \r end a line, as an editor shows them, so the
+    number in an error is the same for both kinds of error."""
+    path = tmp_path / "breaks.cfg"
+    path.write_bytes(f"seed = 1{break_}# c\nzzz\n".encode())
+    with pytest.raises(ValueError) as caught:
+        parse_scenario_file(path)
+    assert str(caught.value) == f"{path}:2: expected 'key = value', got 'zzz'"
+    path.write_bytes(f"seed = 1{break_}# c\n".encode() + b"\xff\n")
+    with pytest.raises(ValueError) as caught:
+        parse_scenario_file(path)
+    assert str(caught.value) == f"{path}:2: invalid UTF-8 (invalid start byte)"
 
 
 # A valid value other than the default for every scenario key, as written
