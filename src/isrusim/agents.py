@@ -21,10 +21,11 @@ the way: it wakes at its arrival tick, and mail before then does not move
 it.  A standby hauler walks to its spot as a course too, and wakes one tick
 after the walk's last move to check that it stands on the spot, or when its
 parent claims or releases a site.  A searching scout's spiral is fixed at
-set-up, so it wakes only inside the scan window of a site still undiscovered
-(`scan_windows`), at the spiral's last move, or on mail.  The moves due
-since a robot's last step are applied only when its pose is read
-(`RobotController.sync`).
+set-up and moves like a courier's course: its first step works out the tick
+at which it first has each site in scan range (`find_schedule`), and it
+wakes only at such a tick of a site still undiscovered, at the spiral's
+last move, or on mail.  The moves due since a robot's last step are applied
+only when its pose is read (`RobotController.sync`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .auction import (
     CAPABLE_TASK,
@@ -65,10 +66,10 @@ from .world import (
     ResourceSite,
     RobotKind,
     TaskType,
-    WorldState,
-    _segment_distance,
+    _Grid,
     claim_site,
     release_site,
+    scan_reach,
     transfer_mineral_to_plant,
 )
 
@@ -120,8 +121,8 @@ class RobotState:
     The pose and odometry of a courier, a searching scout or a standby
     hauler on its way to its spot lag between its steps: they hold the last
     move it applied.  The snapshots, `Simulation.state_digest` and the
-    `run_end` record bring every robot up to date first, and so does a
-    standby hauler's own step (see `RobotController.sync`)."""
+    `run_end` record bring every robot up to date first, and so do a
+    scout's and a standby hauler's own steps (see `RobotController.sync`)."""
 
     name: str
     kind: RobotKind
@@ -140,59 +141,40 @@ class RobotState:
         return self.activity not in _AVAILABLE
 
 
-def scan_swept_segment(a: Point, b: Point, world: WorldState,
-                       scan_radius: float) -> list[int]:
-    """Undiscovered sites within scan range of segment a-b, in `site_id`
-    order; marks them found.
-
-    Scouts scan the whole segment they swept this tick, not just its
-    endpoint, so the covered swath has no sampling gaps at any speed; a == b
-    scans around a single pose.  Only the sites in the grid cells near the
-    segment are tested (see `WorldState.sites_near`)."""
-    found = [site for site in world.sites_near(a, b, scan_radius)
-             if not site.discovered
-             and _segment_distance(site.location, a, b) <= scan_radius]
-    found.sort(key=lambda site: site.site_id)
-    for site in found:
-        site.discovered = True
-    return [site.site_id for site in found]
+Find = tuple[int, int, ResourceSite]  # tick, segment, site
 
 
-ScanWindow = tuple[int, int, ResourceSite]  # first tick, last tick, site
+def find_schedule(path: PathEstimate, sites: Sequence[ResourceSite],
+                  radius: float, speed: float) -> list[Find]:
+    """When a scout moving along `path` at `speed`, its first move at tick
+    0, finds each site it ever has in scan range, in the order it finds
+    them, latest first.
 
-
-def scan_windows(path: PathEstimate, world: WorldState, scan_radius: float,
-                 speed: float) -> list[ScanWindow]:
-    """The ticks at which a scout moving along `path` at `speed`, its first
-    move at tick 0, may find each site: one window per site and segment the
-    site lies within `scan_radius` (plus `GRID_PAD`) of, with a tick of
-    slack on each side.  A superset of the ticks at which
-    `scan_swept_segment` on a move's swept chain can find the site, which
-    alone decides a find.  Latest first tick first.
-
-    The move at tick t sweeps arc lengths [t * speed, (t + 1) * speed], up
-    to the float rounding of the cursor's running sum."""
-    reach = scan_radius + GRID_PAD
-    windows = []
-    for a, b, start, length in zip(path.waypoints, path.waypoints[1:],
-                                   path.prefix, path.segments):
-        dx, dy = b.x - a.x, b.y - a.y
-        for site in world.sites_near(a, b, scan_radius):
-            px, py = site.location.x - a.x, site.location.y - a.y
-            if length == 0.0:
-                along, off = 0.0, math.hypot(px, py)
-            else:
-                along = (px * dx + py * dy) / length
-                off = abs(px * dy - py * dx) / length
-            if off > reach:
-                continue
-            half = math.sqrt(reach * reach - off * off)
-            lo, hi = max(0.0, along - half), min(length, along + half)
-            if lo <= hi:
-                windows.append((math.ceil((start + lo) / speed) - 2,
-                                math.floor((start + hi) / speed) + 1, site))
-    windows.sort(key=lambda window: window[0], reverse=True)
-    return windows
+    A site is found on the segment, and at the least arc length A*, where
+    `scan_reach` first has it in range: at the first tick whose move ends
+    at or past A*, by the running sum `PathCursor.step` keeps; A* == 0 is
+    the scan of the spawn point at tick 0 (segment -1).  Within a tick the
+    spawn scan comes first, then lower segments, then lower `site_id`.
+    Only the sites in the grid cells near a segment are tested."""
+    grid = _Grid(2.0 * radius, ((s.location.x, s.location.y, s) for s in sites))
+    first: dict[int, tuple[float, int, ResourceSite]] = {}
+    for i, (a, b, start, length) in enumerate(zip(
+            path.waypoints, path.waypoints[1:], path.prefix, path.segments)):
+        for site in grid.near(a, b, radius + GRID_PAD):
+            reach = scan_reach(site.location, a, b, length, radius)
+            if reach is not None and start + reach < first.get(
+                    site.site_id, (math.inf,))[0]:
+                first[site.site_id] = (start + reach, i, site)
+    finds: list[Find] = []
+    total = path.length
+    traveled, tick = min(speed, total), 0
+    for arc, i, site in sorted(first.values(), key=lambda hit: hit[0]):
+        while traveled < arc:
+            traveled += min(speed, total - traveled)
+            tick += 1
+        finds.append((tick, i if arc else -1, site))
+    finds.sort(key=lambda find: (find[0], find[1], find[2].site_id), reverse=True)
+    return finds
 
 
 @dataclass
@@ -379,7 +361,7 @@ class RobotController:
 
     def _advance(self, cursor: PathCursor) -> bool:
         """Move along the cursor at configured speed; True when arrived."""
-        pose, moved, _ = cursor.step(self.ctx.config.timing.robot_speed)
+        pose, moved = cursor.step(self.ctx.config.timing.robot_speed)
         self.state.pose = pose
         self.state.odometry += moved
         return cursor.arrived
@@ -450,65 +432,61 @@ class RobotController:
 class ScoutController(RobotController):
     """Sweeps a spiral plan, scanning continuously, auctioning every find.
 
-    Its first move is at tick 0.  Only the ticks in its scan windows can
-    find a site, so between them it sleeps, and each step catches up the
-    moves it skipped before it makes and scans its own."""
+    Its first move is at tick 0.  Only the ticks in its find schedule can
+    find a site, so between them it sleeps like a courier, and each step
+    applies the moves it skipped before it takes that tick's finds."""
 
     def __init__(self, state: RobotState, ctx: "SimContext", plan: SpiralPlan):
         super().__init__(state, ctx)
-        self.cursor = PathCursor(make_path([state.pose] + plan.waypoints()))
+        self.cursor = PathCursor(make_path((state.pose,) + plan.waypoints))
         self._schedule(0)
-        # built by the first step, which also scans the spawn point: the
-        # sites are final only once the run starts
-        self._windows: list[ScanWindow] | None = None
+        # built by the first step: the sites are final only once the run
+        # starts
+        self._finds: list[Find] | None = None
 
     def _next_wake(self, tick: int) -> float:
-        """The first tick after `tick` in a scan window of a site still
-        undiscovered, or the spiral's last move, whichever comes first;
-        passed and discovered windows are dropped."""
+        """The first find tick after `tick` of a site still undiscovered, or
+        the spiral's last move, whichever comes first; passed finds and
+        those of discovered sites are dropped."""
         if self.state.activity is ScoutActivity.DONE:
             return _NEVER
-        windows = self._windows
-        while windows and (windows[-1][1] <= tick or windows[-1][2].discovered):
-            windows.pop()
-        if windows:
-            return min(max(windows[-1][0], tick + 1), self._last_move)
-        return self._last_move
+        finds = self._finds
+        while finds and (finds[-1][0] <= tick or finds[-1][2].discovered):
+            finds.pop()
+        return min(finds[-1][0], self._last_move) if finds else self._last_move
 
     def _act(self, tick: int) -> None:
         if self.state.activity is ScoutActivity.DONE:
             return
-        world = self.ctx.world
-        radius = self.ctx.config.scan_radius
-        speed = self.ctx.config.timing.robot_speed
-        if self._windows is None:
-            self._windows = scan_windows(self.cursor.path, world, radius, speed)
-            spawn = self.state.pose
-            self._handle_finds(scan_swept_segment(spawn, spawn, world, radius), tick)
-        self.sync(tick - 1)
-        pose, moved, swept = self.cursor.step(speed)
-        self.state.pose = pose
-        self.state.odometry += moved
-        self._next_move = tick + 1
-        for a, b in swept:
-            self._handle_finds(scan_swept_segment(a, b, world, radius), tick)
+        if self._finds is None:
+            config = self.ctx.config
+            self._finds = find_schedule(self.cursor.path, self.ctx.world.sites,
+                                        config.scan_radius,
+                                        config.timing.robot_speed)
+        self.sync(tick)
+        found, finds = [], self._finds
+        while finds and finds[-1][0] <= tick:
+            site = finds.pop()[2]
+            if not site.discovered:
+                site.discovered = True
+                found.append(site)
+        self._handle_finds(found, tick)
         if self.cursor.arrived:
             self.state.activity = ScoutActivity.DONE
 
-    def _handle_finds(self, site_ids: list[int], tick: int) -> None:
-        for site_id in site_ids:
-            site = self.ctx.world.sites[site_id]
+    def _handle_finds(self, found: list[ResourceSite], tick: int) -> None:
+        for site in found:
             self.ctx.log.append({
-                "type": "discovery", "tick": tick, "site": site_id,
+                "type": "discovery", "tick": tick, "site": site.site_id,
                 "scout": self.state.name,
                 "loc": [site.location.x, site.location.y],
             })
             open_auction(self.book, self.state.name, TaskType.EXCAVATE,
                          site.location, tick, self.ctx.bus)
-        if site_ids:  # the other scout may be waiting for one of these
+        if found:  # the other scout may be waiting for one of these
             for other in self.ctx.controllers.values():
                 if (isinstance(other, ScoutController) and other is not self
-                        and other._windows is not None):
+                        and other._finds is not None):
                     other.wake_tick = other._next_wake(other._next_move - 1)
 
 

@@ -9,10 +9,10 @@ mail, when a pending win matures, at its own dig, load or unload deadline,
 and when another robot's step changes what it acts on; any other step of it
 would change nothing.  A courier, on its way to a site or to the plant,
 wakes only at its arrival tick; a standby hauler one tick after the last
-move of its walk to its spot; a searching scout only in the scan window of
-a site still undiscovered, at its spiral's last move, or on mail.  Their
-poses and odometry lag in between, so the snapshots, `state_digest` and the
-`run_end` record bring every robot up to date first
+move of its walk to its spot; a searching scout only at the tick it first
+has a site still undiscovered in scan range, at its spiral's last move, or
+on mail.  Their poses and odometry lag in between, so the snapshots,
+`state_digest` and the `run_end` record bring every robot up to date first
 (`RobotController.sync`).  A tick with no mail and no robot due skips the
 robot scan.  The checks run at tick 0 and at every tick whose log grew,
 since every mineral move, discovery and auction open or close appends a

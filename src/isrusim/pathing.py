@@ -74,10 +74,8 @@ class PathCursor:
     """Stateful walker along a path; one `step` per tick.
 
     Tracks its own arc-length position so repeated float relocation never
-    drifts, and reports the segments swept during the step (the scout's
-    scanner runs over those, not just the endpoint).  It keeps the index of
-    the next waypoint ahead, so a step costs the segments it crosses, not
-    the length of the path.
+    drifts.  It keeps the index of the next waypoint ahead, so a step costs
+    the waypoints it passes, not the length of the path.
     """
 
     path: PathEstimate
@@ -98,28 +96,16 @@ class PathCursor:
     def arrived(self) -> bool:
         return self.traveled >= self.path.length
 
-    def step(self, speed: float) -> tuple[Point, float, list[tuple[Point, Point]]]:
-        """Advance by up to `speed`; returns (pose, moved, swept segments)."""
-        start = self.traveled
-        moved = min(speed, self.path.length - start)
-        end = start + moved
-        self.traveled = end
+    def step(self, speed: float) -> tuple[Point, float]:
+        """Advance by up to `speed`; returns (pose, moved)."""
+        moved = min(speed, self.path.length - self.traveled)
+        self.traveled += moved
         if moved <= 0.0:  # already arrived
             self._seek()
-            return self.pose, moved, []
-        prefix, waypoints = self.path.prefix, self.path.waypoints
-        k = self._next
-        while k < len(prefix) and prefix[k] <= start:
-            k += 1
-        # sweep from the last pose over every waypoint strictly between
-        # start and end, then on to the new pose
-        a = self.pose
-        swept: list[tuple[Point, Point]] = []
+            return self.pose, moved
+        prefix, k, end = self.path.prefix, self._next, self.traveled
         while k < len(prefix) and prefix[k] < end:
-            swept.append((a, waypoints[k]))
-            a = waypoints[k]
             k += 1
         self._next = k
         self.pose = _place(self.path, k, end)
-        swept.append((a, self.pose))
-        return self.pose, moved, swept
+        return self.pose, moved

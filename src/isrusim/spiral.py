@@ -13,6 +13,7 @@ opposite sides while still covering each cell exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .world import Point
 
@@ -30,8 +31,10 @@ class SpiralPlan:
         return Point((cell[0] + 0.5) * self.cell_side,
                      (cell[1] + 0.5) * self.cell_side)
 
-    def waypoints(self) -> list[Point]:
-        return [self.center_of(c) for c in self.visit_order]
+    @cached_property
+    def waypoints(self) -> tuple[Point, ...]:
+        """The cell centers in visiting order, built once per plan."""
+        return tuple(self.center_of(c) for c in self.visit_order)
 
 
 def ring_index(cell: Cell, n: int) -> int:

@@ -48,8 +48,9 @@ PLANT_CLEARANCE_FACTOR = 2.0
 MAX_PLACEMENT_ATTEMPTS = 10_000
 # Robots start evenly spaced on a circle of this radius around the plant.
 START_CIRCLE_RADIUS = 5.0
-# Meters added to the reach of both grid lookups, sites near a swept segment
-# and sweep segments near a site candidate: far above any rounding error.
+# Meters added to the reach of both grid lookups, sites near a scout's path
+# segment and sweep segments near a site candidate: far above any rounding
+# error.
 GRID_PAD = 1e-6
 
 
@@ -243,42 +244,41 @@ class WorldState:
     plant_location: Point
     sites: list[ResourceSite]
     minerals_at_plant: int = 0
-    # the sites bucketed by grid cell, built by the first `sites_near`;
-    # sites never move during a run
-    _grid: _Grid | None = field(default=None, init=False, repr=False, compare=False)
-
-    def sites_near(self, a: Point, b: Point, radius: float) -> list[ResourceSite]:
-        """A superset of the sites within `radius` of segment a-b, in no
-        particular order: those in the grid cells, of side 2 * radius, near
-        it, with a pad so no float rounding in the distance can drop a site."""
-        if self._grid is None or self._grid.cell != 2.0 * radius:
-            self._grid = _Grid(2.0 * radius, (
-                (s.location.x, s.location.y, s) for s in self.sites))
-        return self._grid.near(a, b, radius + GRID_PAD)
 
 
-def _segment_distance(p: Point, a: Point, b: Point) -> float:
-    dx, dy = b.x - a.x, b.y - a.y
-    norm2 = dx * dx + dy * dy
-    if norm2 == 0.0:
-        return p.distance_to(a)
-    t = max(0.0, min(1.0, ((p.x - a.x) * dx + (p.y - a.y) * dy) / norm2))
-    return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
+def scan_reach(p: Point, a: Point, b: Point, length: float,
+               radius: float) -> float | None:
+    """The scan rule: how far along segment a-b, of length `length`, a
+    scanner of `radius` moving from a first has p in range, by projection
+    onto the segment's line; None if it never does."""
+    px, py = p.x - a.x, p.y - a.y
+    if length == 0.0:
+        along, off = 0.0, math.hypot(px, py)
+    else:
+        dx, dy = b.x - a.x, b.y - a.y
+        along = (px * dx + py * dy) / length
+        off = abs(px * dy - py * dx) / length
+    if off > radius:
+        return None
+    half = math.sqrt(radius * radius - off * off)
+    first = max(0.0, along - half)
+    return first if first <= min(length, along + half) else None
 
 
 def _blind_spot_test(plans: Sequence[SpiralPlan],
                      scan_radius: float) -> Callable[[Point], bool]:
-    """Whether a point is farther than scan_radius from every segment the
-    plans sweep (a one-waypoint plan sweeps its point).  Only segments whose
-    midpoints lie within scan_radius plus half a segment of it are tested."""
-    sweep = [(a, b) for w in (plan.waypoints() for plan in plans)
-             for a, b in zip(w, w[1:] or w)]
+    """Whether no segment the plans sweep ever has a point in scan range
+    (`scan_reach`).  Only segments whose midpoints lie within scan_radius
+    plus half a segment of it are tested."""
+    sweep = [(a, b, a.distance_to(b)) for plan in plans
+             for a, b in zip(plan.waypoints, plan.waypoints[1:])]
     grid = _Grid(2.0 * scan_radius, (
-        ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0, (a, b)) for a, b in sweep))
+        ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0, (a, b, length))
+        for a, b, length in sweep))
     reach = (scan_radius + GRID_PAD
-             + max((a.distance_to(b) for a, b in sweep), default=0.0) / 2.0)
-    return lambda p: all(_segment_distance(p, a, b) > scan_radius
-                         for a, b in grid.near(p, p, reach))
+             + max((length for _, _, length in sweep), default=0.0) / 2.0)
+    return lambda p: all(scan_reach(p, a, b, length, scan_radius) is None
+                         for a, b, length in grid.near(p, p, reach))
 
 
 def generate_scenario(config: ScenarioConfig,

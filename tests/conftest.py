@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from types import SimpleNamespace
 
@@ -97,3 +99,58 @@ def mail_from_log(records) -> dict[tuple[str, int], list[int]]:
             if acts_on:
                 mail[name, record["tick"] + 1].append(record["seq"])
     return dict(mail)
+
+
+def segment_distance(p, a, b) -> float:
+    """The distance from point p to segment a-b: the reference the scan
+    rule (`world.scan_reach`) is tested against."""
+    dx, dy = b.x - a.x, b.y - a.y
+    norm2 = dx * dx + dy * dy
+    if norm2 == 0.0:
+        return p.distance_to(a)
+    t = max(0.0, min(1.0, ((p.x - a.x) * dx + (p.y - a.y) * dy) / norm2))
+    return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
+
+
+def step_and_sweep(cursor, speed: float):
+    """One `cursor.step(speed)`: (pose, moved, the pieces of path swept),
+    the pieces running from the last pose over every waypoint strictly
+    between the arc lengths before and after the move, to the new pose."""
+    start, a = cursor.traveled, cursor.pose
+    pose, moved = cursor.step(speed)
+    prefix, waypoints = cursor.path.prefix, cursor.path.waypoints
+    pieces = []
+    for k in range(bisect_right(prefix, start), bisect_left(prefix, cursor.traveled)):
+        pieces.append((a, waypoints[k]))
+        a = waypoints[k]
+    pieces.append((a, pose))
+    return pose, moved, pieces
+
+
+def scan_pieces(pieces, sites, radius: float) -> list:
+    """The walker's scan: for each piece in turn, the undiscovered sites
+    within `radius` of it by `segment_distance`, in site_id order; marks
+    them discovered."""
+    found = []
+    for a, b in pieces:
+        x0, x1 = min(a.x, b.x) - radius, max(a.x, b.x) + radius
+        y0, y1 = min(a.y, b.y) - radius, max(a.y, b.y) + radius
+        hits = sorted((s for s in sites if not s.discovered
+                       and x0 <= s.location.x <= x1 and y0 <= s.location.y <= y1
+                       and segment_distance(s.location, a, b) <= radius),
+                      key=lambda s: s.site_id)
+        for site in hits:
+            site.discovered = True
+        found += hits
+    return found
+
+
+def walk_and_scan(cursor, spawn, sites, radius: float, speed: float):
+    """A scout's finds tick by tick, found by walking its path one
+    `PathCursor.step` per tick and scanning the spawn point at tick 0, then
+    every swept piece: one list of sites per tick, from tick 0."""
+    found = [scan_pieces([(spawn, spawn)], sites, radius)]
+    while not cursor.arrived:
+        found[-1] += scan_pieces(step_and_sweep(cursor, speed)[2], sites, radius)
+        found.append([])
+    return found[:-1]

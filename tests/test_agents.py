@@ -5,8 +5,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import crowded_config, tiny_config, tiny_run
+from conftest import (
+    crowded_config,
+    segment_distance,
+    tiny_config,
+    tiny_run,
+    walk_and_scan,
+)
 
 from isrusim import (
     Announcement,
@@ -27,59 +34,101 @@ from isrusim.agents import (
     ExcavatorActivity,
     HaulerActivity,
     ScoutActivity,
-    scan_swept_segment,
+    find_schedule,
     standby_point,
 )
-from isrusim.world import ResourceSite, _segment_distance
+from isrusim.pathing import PathCursor, make_path
+from isrusim.world import ResourceSite, scan_reach
 
 
-def world_with_site_at(location: Point):
-    world = generate_scenario(ScenarioConfig(n_sites=1, n_minerals=1, seed=0))
-    world.sites[0].location = location
-    world.sites[0].discovered = False
-    return world
-
-
-def scan_at(pose: Point, world, radius: float) -> list[int]:
+def scan_at(pose: Point, site: Point, radius: float) -> float | None:
     """The scan around a single pose, as a scout makes at its spawn point."""
-    return scan_swept_segment(pose, pose, world, radius)
+    return scan_reach(site, pose, pose, 0.0, radius)
 
 
 def test_scan_finds_site_within_radius():
-    world = world_with_site_at(Point(12, 11))
-    found = scan_at(Point(10, 10), world, 2.5)  # distance sqrt(5)
-    assert found == [0]
-    assert world.sites[0].discovered
+    assert scan_at(Point(10, 10), Point(12, 11), 2.5) == 0.0  # distance sqrt(5)
 
 
 def test_scan_misses_site_outside_radius():
-    world = world_with_site_at(Point(13, 10))  # distance 3.0
-    assert scan_at(Point(10, 10), world, 2.5) == []
-    assert not world.sites[0].discovered
+    assert scan_at(Point(10, 10), Point(13, 10), 2.5) is None  # distance 3.0
 
 
 def test_scan_skips_already_discovered():
-    world = world_with_site_at(Point(12, 11))
-    scan_at(Point(10, 10), world, 2.5)
-    assert scan_at(Point(10, 10), world, 2.5) == []
+    """Two sites the scout first has in range on the same tick, one of them
+    discovered (as by another scout) after its schedule is built: that tick's
+    step finds only the other, and no record or message names the first."""
+    sim = Simulation(tiny_config(n_sites=2, n_minerals=2, seed=4, tick_cap=400))
+    scout = sim.ctx.controllers["scout_1"]
+    # the middle of four waypoints in a row, so no turn comes near the sites
+    w = scout.cursor.path.waypoints
+    i = next(i for i in range(2, len(w) - 2)
+             if len({p.x for p in w[i - 1:i + 3]}) == 1
+             or len({p.y for p in w[i - 1:i + 3]}) == 1)
+    a, b = w[i], w[i + 1]
+    mid, norm = Point((a.x + b.x) / 2, (a.y + b.y) / 2), a.distance_to(b)
+    sides = ((b.y - a.y) / norm, (a.x - b.x) / norm)  # one meter to the side
+    sites = sim.ctx.world.sites
+    sites[0].location = Point(mid.x + sides[0], mid.y + sides[1])
+    sites[1].location = Point(mid.x - sides[0], mid.y - sides[1])
+    sim.ctx._site_by_location = {s.location.as_pair(): s for s in sites}
+    sim.step()
+    (tick,) = {tick for tick, _, _ in scout._finds}
+    assert tick > 0 and len(scout._finds) == 2
+    sites[0].discovered = True
+    sim.run()
+    records = sim.ctx.log.records
+    assert [(r["tick"], r["site"]) for r in records
+            if r["type"] == "discovery"] == [(tick, 1)]
+    site = sites[0].location
+    assert not any(r["type"] == "msg" and r["loc"] == [site.x, site.y]
+                   for r in records)
+    assert scout.state.activity is ScoutActivity.DONE
 
 
-def brute_force_scan(a: Point, b: Point, world, radius: float) -> list[int]:
-    """The scan rule tested against every site, in site_id order."""
-    found = []
-    for site in world.sites:
-        if not site.discovered and _segment_distance(site.location, a, b) <= radius:
-            site.discovered = True
-            found.append(site.site_id)
-    return found
+def probe_scan_reach(p: Point, a: Point, b: Point, radius: float) -> bool:
+    """Check `scan_reach` against the distance from p to segment a-b:
+    None exactly when that exceeds `radius`, unless the distance lies within
+    1e-9 * max(1, radius) of it; otherwise an arc length on the segment
+    whose point lies within `radius` (+1e-9) of p.  True when in range."""
+    length = a.distance_to(b)
+    reach = scan_reach(p, a, b, length, radius)
+    distance = segment_distance(p, a, b)
+    if abs(distance - radius) > 1e-9 * max(1.0, radius):
+        assert (reach is None) == (distance > radius), (p, a, b, radius)
+    if reach is None:
+        return False
+    assert 0.0 <= reach <= length
+    t = reach / length if length else 0.0
+    point = Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+    assert point.distance_to(p) <= radius + 1e-9, (p, a, b, radius)
+    return True
 
 
-def scan_both(world, reference, a: Point, b: Point, radius: float) -> list[int]:
-    """The grid scan of `world`, checked against the brute-force scan of
-    its copy `reference`: the same ids in the same order."""
-    found = scan_swept_segment(a, b, world, radius)
-    assert found == brute_force_scan(a, b, reference, radius), (a, b)
-    return found
+coordinates = st.floats(0.0, 300.0)
+points = st.builds(Point, coordinates, coordinates)
+
+
+@st.composite
+def probes(draw):
+    """A segment (a zero-length one a tenth of the time), a radius, and a
+    point uniform in the arena or a few ulps either side of the radius off
+    a point of the segment, at any angle."""
+    a = draw(points)
+    b = a if draw(st.integers(0, 9)) == 0 else draw(points)
+    radius = draw(st.floats(0.1, 10.0))
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    scale = 1.0 + draw(st.integers(-4, 4)) * 2.0 ** -52
+    near = Point(a.x + t * (b.x - a.x) + scale * radius * math.cos(angle),
+                 a.y + t * (b.y - a.y) + scale * radius * math.sin(angle))
+    return draw(st.sampled_from([near]) | points), a, b, radius
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(probe=probes())
+def test_scan_reach_is_the_distance_rule(probe):
+    probe_scan_reach(*probe)
 
 
 ARENA200 = ScenarioConfig(arena_side=200.0, n_sites=40, n_minerals=256,
@@ -106,88 +155,58 @@ def with_border_sites(world, config: ScenarioConfig, count: int):
 
 @pytest.mark.parametrize("speed", (0.7, 1.0, 2.5))
 def test_grid_scan_matches_brute_force_along_the_spirals(speed):
-    """The scouts' arena200 sweeps at several speeds, spawn scans (zero
-    length) included, over the workload's sites and sites on cell borders:
-    every scan finds what a test of every site finds, in the same order."""
+    """The scouts' arena200 sweeps at several speeds, over the workload's
+    sites and sites on cell borders and corners: each scout's find schedule
+    lists the (tick, site) pairs, in the same order, that walking its
+    spiral one `PathCursor.step` per tick gives, scanning the spawn point
+    and then every swept piece, testing every site by its distance."""
     config = dataclasses.replace(ARENA200, timing=TimingConfig(robot_speed=speed))
     radius = config.scan_radius
     sim = Simulation(config)
     world = with_border_sites(sim.ctx.world, config, 15)
-    reference = copy.deepcopy(world)
+    found = 0
     for name in ("scout_1", "scout_2"):
         controller = sim.ctx.controllers[name]
-        spawn, cursor = controller.state.pose, controller.cursor
-        scan_both(world, reference, spawn, spawn, radius)
-        while not cursor.arrived:
-            for a, b in cursor.step(speed)[2]:
-                scan_both(world, reference, a, b, radius)
-    found = [s.site_id for s in world.sites if s.discovered]
-    assert found == [s.site_id for s in reference.sites if s.discovered]
-    assert len(found) > 40
+        path = controller.cursor.path
+        schedule = [(tick, site.site_id) for tick, _, site
+                    in reversed(find_schedule(path, world.sites, radius, speed))]
+        walked = walk_and_scan(PathCursor(path), path.start,
+                               copy.deepcopy(world.sites), radius, speed)
+        assert schedule == [(tick, site.site_id)
+                            for tick, sites in enumerate(walked) for site in sites]
+        found += len(schedule)
+    assert found > 2 * 40
 
 
-def with_sites_at_the_radius(world, path, radius: float, count: int):
-    """Add sites exactly `radius` to the left of points on the path's
-    segments, and exactly `radius` past waypoints along the x axis."""
-    rng = random.Random(5)
-    segments = [(a, b) for a, b in zip(path.waypoints, path.waypoints[1:]) if a != b]
-    for a, b in rng.sample(segments, count):
-        t, norm = rng.random(), a.distance_to(b)
-        x, y = a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t
-        add_site(world, x - (b.y - a.y) / norm * radius,
-                 y + (b.x - a.x) / norm * radius)
-        add_site(world, b.x + radius, b.y)
-    return world
+def test_finds_within_a_tick_come_in_scan_order():
+    """On an L-shaped path of 10 m legs walked 4 m a tick with a 1 m
+    scanner: at tick 0 the spawn scan's find comes first, then those of the
+    first leg by site_id, one of them exactly at the move's end; at tick 2
+    a site first in range exactly at the corner, on both legs, comes with
+    the first leg, before a site of the second leg with a lower site_id.
+    The walker agrees."""
+    path = make_path([Point(0, 0), Point(10, 0), Point(10, 10)])
+    sites = [ResourceSite(i, location, 1, 1) for i, location in enumerate((
+        Point(2.5, 0.0),    # first leg, from 1.5 m
+        Point(0.0, 0.5),    # the spawn scan
+        Point(10.5, 1.5),   # second leg, from 10.63 m
+        Point(11.0, 0.0),   # from 10 m: the corner, on either leg
+        Point(4.0, 1.0)))]  # from 4 m, where the first move ends
+    schedule = [(tick, segment, site.site_id) for tick, segment, site
+                in reversed(find_schedule(path, sites, 1.0, 4.0))]
+    assert schedule == [(0, -1, 1), (0, 0, 0), (0, 0, 4), (2, 0, 3), (2, 1, 2)]
+    walked = walk_and_scan(PathCursor(path), path.start, sites, 1.0, 4.0)
+    assert [(tick, site.site_id) for tick, found in enumerate(walked)
+            for site in found] == [(tick, site_id) for tick, _, site_id in schedule]
 
 
-@pytest.mark.parametrize("speed", (0.7, 1.0, 2.5))
-def test_scan_windows_hold_every_tick_a_scan_can_find_a_site(speed):
-    """The scouts' arena200 sweeps at several speeds, over the workload's
-    sites, sites on cell borders and sites exactly scan_radius off the
-    spiral: every tick at which a scan of that tick's swept chain, testing
-    every site, would find a site lies in one of the scout's windows for
-    that site."""
-    config = dataclasses.replace(ARENA200, timing=TimingConfig(robot_speed=speed))
-    radius = config.scan_radius
-    sim = Simulation(config)
-    world = with_border_sites(sim.ctx.world, config, 15)
-    for name in ("scout_1", "scout_2"):
-        with_sites_at_the_radius(world, sim.ctx.controllers[name].cursor.path,
-                                 radius, 20)
-    hits = 0
-    for name in ("scout_1", "scout_2"):
-        cursor = sim.ctx.controllers[name].cursor
-        windows = {}
-        for first, last, site in agents.scan_windows(cursor.path, world, radius,
-                                                     speed):
-            windows.setdefault(site.site_id, []).append((first, last))
-        tick = 0
-        while not cursor.arrived:
-            for a, b in cursor.step(speed)[2]:
-                # a site in range lies in the segment's box grown by radius
-                x0, x1 = min(a.x, b.x) - radius, max(a.x, b.x) + radius
-                y0, y1 = min(a.y, b.y) - radius, max(a.y, b.y) + radius
-                for site in world.sites:
-                    p = site.location
-                    if (x0 <= p.x <= x1 and y0 <= p.y <= y1
-                            and _segment_distance(p, a, b) <= radius):
-                        hits += 1
-                        assert any(first <= tick <= last for first, last
-                                   in windows.get(site.site_id, ())), (
-                            name, tick, site.site_id)
-            tick += 1
-    assert hits > 2 * len(world.sites)
-
-
-def test_grid_scan_matches_brute_force_at_the_radius_and_on_borders():
+def test_scan_reach_agrees_with_the_distance_at_the_radius_and_on_borders():
     """Sites on cell borders and corners, each probed from exactly
     scan_radius away by a zero-length segment and by a segment passing at
-    that distance, and random segments of up to 12 m: the same ids in the
-    same order as a test of every site.  Every site is undiscovered again
-    before each probe."""
+    that distance, and random segments of up to 12 m: `scan_reach` keeps
+    the distance rule at every site (`probe_scan_reach`)."""
     config, radius = ARENA200, ARENA200.scan_radius
     world = with_border_sites(generate_scenario(config), config, 30)
-    reference = copy.deepcopy(world)
     probes = []
     for site in world.sites:
         x, y = site.location.x, site.location.y
@@ -201,34 +220,33 @@ def test_grid_scan_matches_brute_force_at_the_radius_and_on_borders():
         angle, length = rng.uniform(0, 2 * math.pi), rng.uniform(0, 12)
         probes.append((a, Point(a.x + length * math.cos(angle),
                                 a.y + length * math.sin(angle))))
-    hits = 0
-    for a, b in probes:
-        for site in world.sites + reference.sites:
-            site.discovered = False
-        hits += len(scan_both(world, reference, a, b, radius))
+    hits = sum(probe_scan_reach(site.location, a, b, radius)
+               for a, b in probes for site in world.sites)
     assert hits >= 4 * len(world.sites)
 
 
 def test_grid_scan_tests_a_small_fraction_of_the_sites(monkeypatch):
-    """Work guard: over a reference run the grid scan computes under 1/20
-    of the site distances that testing every undiscovered site would."""
-    checks = brute = 0
-    scan = agents.scan_swept_segment
+    """Work guard: on the reference and arena200 scenarios, a scout's find
+    schedule calls `scan_reach` under 1/20 as often as testing every site
+    against every segment of its path would."""
+    calls = 0
 
-    def counted_distance(p, a, b):
-        nonlocal checks
-        checks += 1
-        return _segment_distance(p, a, b)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return scan_reach(*args)
 
-    def counted_scan(a, b, world, radius):
-        nonlocal brute
-        brute += sum(not site.discovered for site in world.sites)
-        return scan(a, b, world, radius)
-
-    monkeypatch.setattr(agents, "_segment_distance", counted_distance)
-    monkeypatch.setattr(agents, "scan_swept_segment", counted_scan)
-    run_to_completion(ScenarioConfig(seed=0))
-    assert 0 < checks < brute / 20, (checks, brute)
+    monkeypatch.setattr(agents, "scan_reach", counted)
+    for config in (ScenarioConfig(seed=0), ARENA200):
+        sim = Simulation(config)
+        sites = sim.ctx.world.sites
+        for name in ("scout_1", "scout_2"):
+            path = sim.ctx.controllers[name].cursor.path
+            calls = 0
+            assert find_schedule(path, sites, config.scan_radius,
+                                 config.timing.robot_speed)
+            assert 0 < calls < len(sites) * len(path.segments) / 20, (
+                config.arena_side, name, calls, len(sites) * len(path.segments))
 
 
 def test_busy_rule_per_kind():

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ALT_TIMING, crowded_config, mail_from_log, tiny_config, tiny_run
+from conftest import (
+    ALT_TIMING,
+    crowded_config,
+    mail_from_log,
+    scan_pieces,
+    step_and_sweep,
+    tiny_config,
+    tiny_run,
+)
 from test_acceptance import DETERMINISM_CONFIGS, POLICIES
 
 import isrusim
@@ -31,7 +39,8 @@ from isrusim.agents import (
     COURIER,
     HaulerController,
     RobotController,
-    scan_windows,
+    ScoutController,
+    find_schedule,
 )
 from isrusim.auction import record_bid
 from isrusim.engine import START_CIRCLE_RADIUS
@@ -129,7 +138,7 @@ def test_a_run_builds_its_coverage_once(monkeypatch, n_scouts):
               if kind is RobotKind.SCOUT]
     assert len(scouts) == len(built[0]) == n_scouts
     for scout, plan in zip(scouts, built[0]):
-        assert list(scout.cursor.path.waypoints[1:]) == plan.waypoints()
+        assert scout.cursor.path.waypoints[1:] == plan.waypoints
     monkeypatch.undo()
     assert generate_scenario(config) == sim.ctx.world
 
@@ -229,8 +238,9 @@ def test_minimal_mission_message_audit():
 def step_all_reference(config, snapshots: bool = False) -> Simulation:
     """A simulation that steps every robot on every tick, where a courier
     makes one `PathCursor.step` per step, as it did before couriers slept
-    until arrival, and a standby hauler one step of its own walk: it shares
-    no wake rule and no move schedule with the engine's."""
+    until arrival, a scout one step of its spiral and a scan of what it
+    swept, and a standby hauler one step of its own walk: it shares no wake
+    rule, no move schedule and no find schedule with the engine's."""
     reference = Simulation(config, snapshots=snapshots)
     for controller in reference.ctx.controllers.values():
         controller._next_wake = lambda tick: tick + 1
@@ -238,7 +248,31 @@ def step_all_reference(config, snapshots: bool = False) -> Simulation:
         controller._travel = lambda tick, c=controller: c._advance(c.cursor)
         if isinstance(controller, HaulerController):
             walk_every_tick(controller)
+        elif isinstance(controller, ScoutController):
+            scan_every_tick(controller)
     return reference
+
+
+def scan_every_tick(scout: ScoutController) -> None:
+    """The scout from before find schedules: every step makes one
+    `PathCursor.step` and scans, by the walker `find_schedule` is checked
+    against, the spawn point at tick 0 and then each piece the step swept."""
+    state, ctx = scout.state, scout.ctx
+    radius, speed = ctx.config.scan_radius, ctx.config.timing.robot_speed
+
+    def act(tick):
+        if state.activity is ScoutActivity.DONE:
+            return
+        found = (scan_pieces([(state.pose, state.pose)], ctx.world.sites, radius)
+                 if tick == 0 else [])
+        state.pose, moved, pieces = step_and_sweep(scout.cursor, speed)
+        state.odometry += moved
+        scout._handle_finds(found + scan_pieces(pieces, ctx.world.sites, radius),
+                            tick)
+        if scout.cursor.arrived:
+            state.activity = ScoutActivity.DONE
+
+    scout._act = act
 
 
 def walk_every_tick(hauler: HaulerController) -> None:
@@ -313,7 +347,7 @@ _COUNTING_DOWN = (ExcavatorActivity.DIGGING, HaulerActivity.LOADING,
 @pytest.mark.parametrize("policy, cap, moving", [
     *(pytest.param(policy, cap, COURIER, id=f"{policy}-{cap}")
       for policy, cap in (("fcfs", 120), ("coalition", 333), ("nearest", 450))),
-    # mid-spiral: the scouts sleep between their scan windows
+    # mid-spiral: the scouts sleep between their find ticks
     pytest.param("coalition", 40, (ScoutActivity.SEARCHING,), id="coalition-40"),
     # mid-walk: two paired haulers sleep until their walks end
     pytest.param("coalition", 36, (HaulerActivity.STANDBY,), id="coalition-36")])
@@ -338,13 +372,13 @@ def test_stalled_run_ends_with_the_step_all_state(policy, cap, moving):
     assert sim.state_digest() == reference.state_digest()
 
 
-def reasons_to_step(controller, tick: int, assigned: set, windows: dict) -> set[str]:
+def reasons_to_step(controller, tick: int, assigned: set, finds: dict) -> set[str]:
     """Why a robot must step at `tick`, read before its step (mail is
     known from the inbox the step takes, an arrival once the step ends).  A courier
     steps for no reason of its own but its arrival, except at the start of
     a course assigned to it this tick by its coalition parent; a searching
-    scout only at its last spiral move or inside a scan window of a site
-    still undiscovered (`windows` keeps each scout's, built at tick 0); a
+    scout only at its last spiral move or at the find tick of a site still
+    undiscovered (`finds` keeps each scout's schedule, built at tick 0); a
     standby hauler only when its parent claims or releases a site, or one
     tick after the last move of its walk to its spot."""
     state, ctx = controller.state, controller.ctx
@@ -353,8 +387,8 @@ def reasons_to_step(controller, tick: int, assigned: set, windows: dict) -> set[
     if tick == 0:
         reasons.add("first tick")
         if state.activity is ScoutActivity.SEARCHING:
-            windows[state.name] = scan_windows(
-                controller.cursor.path, ctx.world, ctx.config.scan_radius,
+            finds[state.name] = find_schedule(
+                controller.cursor.path, ctx.world.sites, ctx.config.scan_radius,
                 ctx.config.timing.robot_speed)
     if any(t0 + window - 1 <= tick for t0, _ in controller.pending_wins):
         reasons.add("win matures")
@@ -363,9 +397,9 @@ def reasons_to_step(controller, tick: int, assigned: set, windows: dict) -> set[
     if state.activity is ScoutActivity.SEARCHING:
         if controller._last_move == tick:
             reasons.add("spiral ends")
-        if any(first <= tick <= last and not site.discovered
-               for first, last, site in windows[state.name]):
-            reasons.add("scan window")
+        if any(find_tick == tick and not site.discovered
+               for find_tick, _, site in finds[state.name]):
+            reasons.add("find tick of a site still undiscovered")
     if (state.name, tick) in assigned:
         reasons.add("course starts")
     if (state.activity is ExcavatorActivity.WAITING_FOR_HAULER
@@ -391,13 +425,13 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
     """Every controller step has a reason to happen, so controller steps
     are at most the woken robot-ticks; a courier without mail steps only
     at the tick its course starts and at its arrival, a searching scout
-    only in its scan windows and at its spiral's end, a standby hauler only
+    only at its find ticks and at its spiral's end, a standby hauler only
     when its parent claims or releases and one tick after its walk's last
     move; every robot with mail is stepped, where a paired hauler has no
     announcement or close for mail; and auction timers fire only for
     robots holding auctions, and only on ticks on the bid_window
     cadence."""
-    steps, assigned, windows = {}, set(), {}
+    steps, assigned, finds = {}, set(), {}
     step = RobotController.step
     fire = RobotController.fire_auction_timers
     assign = HaulerController.assign_transport
@@ -407,7 +441,7 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
         assigned.add((self.state.name, tick))
 
     def step_with_reasons(self, tick, inbox):
-        reasons = reasons_to_step(self, tick, assigned, windows)
+        reasons = reasons_to_step(self, tick, assigned, finds)
         activity = self.state.activity
         step(self, tick, inbox)
         if inbox:

@@ -49,14 +49,14 @@ def test_triangle_inequality():
 
 def test_advance_one_unit_along_segment():
     cursor = PathCursor(estimate_path(Point(0, 0), Point(3, 4)))
-    pose, moved, _ = cursor.step(1.0)
+    pose, moved = cursor.step(1.0)
     assert moved == 1.0
     assert (pose.x, pose.y) == (pytest.approx(0.6), pytest.approx(0.8))
 
 
 def test_advance_clamps_final_step():
     cursor = PathCursor(estimate_path(Point(0, 0), Point(5, 0)), traveled=4.7)
-    pose, moved, _ = cursor.step(1.0)
+    pose, moved = cursor.step(1.0)
     assert moved == pytest.approx(0.3)
     assert (pose.x, pose.y) == (pytest.approx(5.0), pytest.approx(0.0))
     assert cursor.arrived
@@ -67,7 +67,7 @@ def test_cursor_total_odometry_is_exact_sum_of_steps():
     cursor = PathCursor(path)
     total = 0.0
     while not cursor.arrived:
-        _, moved, _ = cursor.step(0.7)
+        _, moved = cursor.step(0.7)
         total += moved
     assert total == pytest.approx(path.length, abs=1e-12)
 
@@ -75,13 +75,9 @@ def test_cursor_total_odometry_is_exact_sum_of_steps():
 def test_cursor_sweeps_across_waypoints():
     path = make_path([Point(0, 0), Point(2, 0), Point(2, 2)])
     cursor = PathCursor(path)
-    pose, moved, swept = cursor.step(3.0)  # crosses the corner mid-step
+    pose, moved = cursor.step(3.0)  # crosses the corner mid-step
     assert moved == 3.0
     assert (pose.x, pose.y) == (pytest.approx(2.0), pytest.approx(1.0))
-    assert len(swept) == 2
-    assert swept[0][0] == Point(0, 0)
-    assert swept[0][1] == Point(2, 0)
-    assert swept[1][1] == pose
 
 
 def test_cursor_step_places_midpoint():
@@ -97,8 +93,8 @@ def test_path_length_is_the_last_arc_length():
 
 
 def reference_walk(waypoints, speed):
-    """A plain walker: (pose, waypoints crossed) per step, every pose found
-    by walking the segments from the start and subtracting their lengths."""
+    """A plain walker: the pose after each step, found by walking the
+    segments from the start and subtracting their lengths."""
     lengths = [a.distance_to(b) for a, b in zip(waypoints, waypoints[1:])]
     marks = [0.0]
     for length in lengths:
@@ -113,19 +109,16 @@ def reference_walk(waypoints, speed):
             remaining -= length
         return waypoints[-1] if distance > 0.0 else waypoints[0]
 
-    steps, traveled = [], 0.0
+    poses, traveled = [], 0.0
     while traveled < marks[-1]:
-        end = min(traveled + speed, marks[-1])
-        crossed = [waypoints[k] for k in range(1, len(waypoints))
-                   if traveled < marks[k] < end]
-        steps.append((pose_at(end), crossed))
-        traveled = end
-    return steps
+        traveled = min(traveled + speed, marks[-1])
+        poses.append(pose_at(traveled))
+    return poses
 
 
 def _spiral_paths(n_scouts):
     start = Point(21.3, 26.9)  # off the cell grid, like a scout's spawn pose
-    return [make_path([start] + plan.waypoints())
+    return [make_path((start,) + plan.waypoints)
             for plan in build_spiral(50.0, 5.0, n_scouts)]
 
 
@@ -149,20 +142,14 @@ def test_cursor_matches_reference_walker(name, speed):
     path = DIFFERENTIAL_PATHS[name]
     expected = reference_walk(path.waypoints, speed)
     cursor = PathCursor(path)
-    total, previous = 0.0, path.start
-    for ref_pose, ref_crossed in expected:
-        pose, moved, swept = cursor.step(speed)
+    total, pose = 0.0, path.start
+    for ref_pose in expected:
+        pose, moved = cursor.step(speed)
         total += moved
-        # one contiguous chain from the last pose to the new one ...
-        assert swept[0][0] == previous and swept[-1][1] == pose
-        assert all(s[1] == t[0] for s, t in zip(swept, swept[1:]))
-        # ... whose joints are exactly the waypoints crossed in this step
-        assert [b for _, b in swept[:-1]] == ref_crossed
         assert pose.distance_to(ref_pose) <= 1e-9
-        previous = pose
     assert cursor.arrived
     assert total == path.length == cursor.traveled
-    assert cursor.step(speed) == (previous, 0.0, [])
+    assert cursor.step(speed) == (pose, 0.0)
 
 
 def test_cursor_work_is_linear(monkeypatch):
@@ -183,7 +170,7 @@ def test_cursor_work_is_linear(monkeypatch):
 
     monkeypatch.setattr(Point, "distance_to", counted)
     (plan,) = build_spiral(250.0, 5.0, 1)
-    path = make_path(plan.waypoints())
+    path = make_path(plan.waypoints)
     cursor = PathCursor(replace(path, prefix=CountedPrefix(path.prefix)))
     segments = len(path.segments)
     steps = 0

@@ -9,6 +9,10 @@ whose sites the scenario generator cannot place, are skipped.
 """
 
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -89,3 +93,30 @@ def check_run(config: ScenarioConfig) -> None:
 @given(config=small_configs())
 def test_random_small_runs_hold_their_properties(config):
     check_run(config)
+
+
+FAILING_PROPERTY = textwrap.dedent("""
+    from hypothesis import given, strategies as st
+
+    @given(st.integers())
+    def test_fails(x):
+        assert x < 5
+
+    def test_after():
+        pass
+""")
+
+
+def test_a_failing_property_fails_alone_and_shows_its_example(tmp_path):
+    """Under the suite's settings (warnings are errors), a failing
+    Hypothesis test is one failure: the session runs the next test and
+    prints the falsifying example instead of ending in INTERNALERROR."""
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(pyproject), "--rootdir", str(tmp_path), "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in out.stdout + out.stderr, out.stdout[-2000:]
+    assert "1 failed, 1 passed" in out.stdout, out.stdout[-2000:]
+    assert "Falsifying example: test_fails(" in out.stdout

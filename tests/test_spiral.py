@@ -83,7 +83,7 @@ def test_sweep_scans_nearly_all_of_the_arena(n_scouts):
     plans = build_spiral(100.0, 5.0, n_scouts)
     segments = []
     for plan in plans:
-        waypoints = plan.waypoints()
+        waypoints = plan.waypoints
         segments += [((a.x, a.y), (b.x, b.y))
                      for a, b in zip(waypoints, waypoints[1:])]
     xs = np.arange(2.5, 97.5 + 1e-9, 0.25)

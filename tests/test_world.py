@@ -20,14 +20,17 @@ from isrusim import (
     run_to_completion,
     transfer_mineral_to_plant,
 )
-from isrusim.agents import HaulerActivity
+from isrusim.agents import HaulerActivity, find_schedule
+from isrusim.pathing import make_path
 from isrusim.world import (
+    START_CIRCLE_RADIUS,
+    ResourceSite,
     _blind_spot_test,
-    _segment_distance,
     build_config,
     claim_site,
     parse_scenario_file,
     release_site,
+    scan_reach,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -163,13 +166,9 @@ def test_site_lists_are_pinned(name):
 
 def linear_blind_spot(plans, scan_radius, p) -> bool:
     """The blind-spot rule tested against every segment of the sweep."""
-    segments = []
-    for plan in plans:
-        waypoints = plan.waypoints()
-        if len(waypoints) == 1:
-            segments.append((waypoints[0], waypoints[0]))
-        segments.extend(zip(waypoints, waypoints[1:]))
-    return all(_segment_distance(p, a, b) > scan_radius for a, b in segments)
+    return all(scan_reach(p, a, b, a.distance_to(b), scan_radius) is None
+               for plan in plans
+               for a, b in zip(plan.waypoints, plan.waypoints[1:]))
 
 
 def _nudge(value: float, ulps: int) -> float:
@@ -182,7 +181,7 @@ def _nudge(value: float, ulps: int) -> float:
 def points_near_a_segment(draw, plans, scan_radius) -> Point:
     """A point a few ulps from distance `scan_radius` of a sweep segment:
     off a waypoint in any direction, or off a segment at a right angle."""
-    waypoints = draw(st.sampled_from([plan.waypoints() for plan in plans
+    waypoints = draw(st.sampled_from([plan.waypoints for plan in plans
                                       if plan.visit_order]))
     i = draw(st.integers(0, len(waypoints) - 1))
     a, b = waypoints[i], waypoints[min(i + 1, len(waypoints) - 1)]
@@ -207,6 +206,29 @@ def test_bucketed_blind_spot_test_agrees_with_the_linear_one(
     for p in data.draw(st.lists(uniform | points_near_a_segment(plans, scan_radius),
                                 min_size=1, max_size=12)):
         assert blind(p) == linear_blind_spot(plans, scan_radius, p), p
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), cells=st.integers(1, 24),
+       scan_radius=st.floats(0.75, 5.0), n_scouts=st.integers(1, 2),
+       speed=st.floats(0.3, 5.0))
+def test_every_point_the_generator_accepts_is_found(
+        data, cells, scan_radius, n_scouts, speed):
+    """Liveness: a site at a point the blind-spot test accepts for a plan
+    is in the find schedule of the scout that sweeps that plan."""
+    cell = 2.0 * scan_radius
+    plans = build_spiral(cells * cell, cell, n_scouts)
+    spawn = Point(cells * scan_radius + START_CIRCLE_RADIUS, cells * scan_radius)
+    scouts = [(_blind_spot_test([plan], scan_radius),
+               make_path((spawn,) + plan.waypoints)) for plan in plans]
+    coordinate = st.floats(-scan_radius, cells * cell + scan_radius)
+    uniform = st.builds(Point, coordinate, coordinate)
+    for p in data.draw(st.lists(uniform | points_near_a_segment(plans, scan_radius),
+                                min_size=1, max_size=12)):
+        site = ResourceSite(0, p, 1, 1)
+        for blind, path in scouts:
+            if not blind(p):
+                assert find_schedule(path, [site], scan_radius, speed), p
 
 
 def test_config_where_no_site_fits_is_rejected_when_built():
