@@ -25,7 +25,10 @@ set-up and moves like a courier's course: its first step works out the tick
 at which it first has each site in scan range (`find_schedule`), and it
 wakes only at such a tick of a site still undiscovered, at the spiral's
 last move, or on mail.  The moves due since a robot's last step are applied
-only when its pose is read (`RobotController.sync`).
+only when its pose is read (`RobotController.sync`).  Both the ticks of the
+moves and the moves themselves follow the one motion rule of `pathing`
+(`moves_to`, `PathCursor.advance`), and no walk is worked out past the run's
+tick cap.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .bus import (
     WinnerDecl,
     auction_key,
 )
-from .pathing import PathCursor, PathEstimate, estimate_path, make_path
+from .pathing import PathCursor, PathEstimate, estimate_path, make_path, moves_to
 from .spiral import SpiralPlan
 from .world import (
     GRID_PAD,
@@ -145,17 +148,18 @@ Find = tuple[int, int, ResourceSite]  # tick, segment, site
 
 
 def find_schedule(path: PathEstimate, sites: Sequence[ResourceSite],
-                  radius: float, speed: float) -> list[Find]:
+                  radius: float, speed: float, tick_cap: int) -> list[Find]:
     """When a scout moving along `path` at `speed`, its first move at tick
     0, finds each site it ever has in scan range, in the order it finds
     them, latest first.
 
     A site is found on the segment, and at the least arc length A*, where
-    `scan_reach` first has it in range: at the first tick whose move ends
-    at or past A*, by the running sum `PathCursor.step` keeps; A* == 0 is
-    the scan of the spawn point at tick 0 (segment -1).  Within a tick the
-    spawn scan comes first, then lower segments, then lower `site_id`.
-    Only the sites in the grid cells near a segment are tested."""
+    `scan_reach` first has it in range: at the tick of the first move that
+    ends at or past A* (`moves_to`), or at `tick_cap`, which a run never
+    reaches, if none before it does; A* == 0 is the scan of the spawn point
+    at tick 0 (segment -1).  Within a tick the spawn scan comes first, then
+    lower segments, then lower `site_id`.  Only the sites in the grid cells
+    near a segment are tested."""
     grid = _Grid(2.0 * radius, ((s.location.x, s.location.y, s) for s in sites))
     first: dict[int, tuple[float, int, ResourceSite]] = {}
     for i, (a, b, start, length) in enumerate(zip(
@@ -165,14 +169,10 @@ def find_schedule(path: PathEstimate, sites: Sequence[ResourceSite],
             if reach is not None and start + reach < first.get(
                     site.site_id, (math.inf,))[0]:
                 first[site.site_id] = (start + reach, i, site)
-    finds: list[Find] = []
-    total = path.length
-    traveled, tick = min(speed, total), 0
-    for arc, i, site in sorted(first.values(), key=lambda hit: hit[0]):
-        while traveled < arc:
-            traveled += min(speed, total - traveled)
-            tick += 1
-        finds.append((tick, i if arc else -1, site))
+    hits = sorted(first.values(), key=lambda hit: hit[0])
+    ticks = moves_to(path.length, speed, [arc for arc, _, _ in hits], tick_cap)
+    finds = [(tick, i if arc else -1, site)
+             for tick, (arc, i, site) in zip(ticks, hits)]
     finds.sort(key=lambda find: (find[0], find[1], find[2].site_id), reverse=True)
     return finds
 
@@ -357,14 +357,7 @@ class RobotController:
     def _act(self, tick: int) -> None:
         raise NotImplementedError
 
-    # -- movement helper -------------------------------------------------
-
-    def _advance(self, cursor: PathCursor) -> bool:
-        """Move along the cursor at configured speed; True when arrived."""
-        pose, moved = cursor.step(self.ctx.config.timing.robot_speed)
-        self.state.pose = pose
-        self.state.odometry += moved
-        return cursor.arrived
+    # -- movement --------------------------------------------------------
 
     def _set_course(self, goal: Point, first_move: int) -> None:
         """Plan the straight course to `goal`, whose first move is at tick
@@ -382,44 +375,41 @@ class RobotController:
 
     def _schedule(self, first_move: int) -> None:
         """Start the moves along a fresh cursor at tick `first_move`, and
-        find the tick of the last one by replaying `PathCursor.step`'s float
-        arithmetic."""
-        speed, length = self.ctx.config.timing.robot_speed, self.cursor.path.length
-        traveled, arrival = min(speed, length), first_move
-        while traveled < length:
-            traveled += min(speed, length - traveled)
-            arrival += 1
-        self._next_move, self._last_move = first_move, arrival
+        find the tick of the last one (`moves_to`).  A walk longer than
+        `tick_cap` moves is cut there: a run ends before its last move."""
+        config, length = self.ctx.config, self.cursor.path.length
+        (last,) = moves_to(length, config.timing.robot_speed, (length,),
+                           config.tick_cap)
+        self._next_move, self._last_move = first_move, first_move + last
 
     def sync(self, tick: int) -> None:
         """Apply the moves along the cursor due at or before `tick`, on a
         courier's course, a searching scout's spiral or a standby hauler's
-        walk.  All but the last only add the distance moved to the cursor
-        and the odometry, as `PathCursor.step` would; the last is a real
-        step, which places the pose."""
+        walk (`PathCursor.advance`), and take the pose they end at."""
         last = min(tick, self._last_move)
         if last < self._next_move:
             return
-        cursor, speed = self.cursor, self.ctx.config.timing.robot_speed
-        length = cursor.path.length
-        for _ in range(last - self._next_move):
-            moved = min(speed, length - cursor.traveled)
-            cursor.traveled += moved
-            self.state.odometry += moved
-        self._advance(cursor)
+        state = self.state
+        state.odometry = self.cursor.advance(
+            last + 1 - self._next_move, self.ctx.config.timing.robot_speed,
+            state.odometry)
+        state.pose = self.cursor.pose
         self._next_move = last + 1
 
     def _travel(self, tick: int) -> bool:
         """On the arrival tick, catch up along the course and return True;
-        the distance traveled must equal the estimate the robot bid with
-        (the arena has no obstacles).  Before it, do nothing: a busy robot
+        its last move must end the course, and the distance traveled must
+        equal the estimate the robot bid with (the arena has no
+        obstacles).  Before it, do nothing: a busy robot
         bids the sentinel and declines every win, so nothing reads its
         pose."""
         if tick < self._last_move:
             return False
         self.sync(tick)
         if not self.cursor.arrived:
-            return False
+            raise InvariantError(
+                f"{self.state.name} made its last move at tick "
+                f"{self._last_move} short of the end of its course")
         traveled = self.state.odometry - self._travel_start_odometry
         estimate = self.cursor.path.length
         if not abs(traveled - estimate) < 1e-6:
@@ -462,7 +452,8 @@ class ScoutController(RobotController):
             config = self.ctx.config
             self._finds = find_schedule(self.cursor.path, self.ctx.world.sites,
                                         config.scan_radius,
-                                        config.timing.robot_speed)
+                                        config.timing.robot_speed,
+                                        config.tick_cap)
         self.sync(tick)
         found, finds = [], self._finds
         while finds and finds[-1][0] <= tick:

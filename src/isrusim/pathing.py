@@ -3,8 +3,12 @@
 The arena has no obstacles, so a robot's course to a goal is the straight
 segment from its pose (`estimate_path`), and the cost it bids for a task is
 the straight-line distance to it.  The one polyline with more than two
-waypoints is a scout's spiral (`make_path`).  `PathCursor` walks either kind
-one tick at a time.
+waypoints is a scout's spiral (`make_path`).
+
+A robot moves along either kind once a tick, by up to its speed; the
+distance it has traveled is the running sum of its moves.  This module
+holds that rule once: `moves_to` says which move first reaches an arc
+length, and `PathCursor.advance` makes a run of moves.
 """
 
 from __future__ import annotations
@@ -56,10 +60,11 @@ def estimate_path(start: Point, goal: Point) -> PathEstimate:
     return make_path((start, goal))
 
 
-def _place(path: PathEstimate, k: int, distance: float) -> Point:
-    """The point at arc length `distance`, given the first waypoint k whose
-    arc length is >= distance: on segment k-1, at distance - prefix[k-1]
-    from its start.  Zero-length segments are never chosen."""
+def _place(path: PathEstimate, distance: float) -> Point:
+    """The point at arc length `distance`: on the segment ending at the
+    first waypoint whose arc length is >= distance, so a zero-length
+    segment is never chosen."""
+    k = bisect_left(path.prefix, distance)
     if k == 0:
         return path.start
     if k == len(path.prefix):
@@ -69,43 +74,45 @@ def _place(path: PathEstimate, k: int, distance: float) -> Point:
     return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
 
 
+def moves_to(length: float, speed: float, arcs: Sequence[float],
+             most: int) -> list[int]:
+    """For each arc length in `arcs`, ascending, the index of the first move
+    from the start of a path of `length` that ends at or past it, the first
+    move being move 0; there is always at least one move.  The walk stops
+    after `most` moves, so an arc not reached by then gets `most`."""
+    traveled, n, indices = min(speed, length), 0, []
+    for arc in arcs:
+        while traveled < arc and n < most:
+            traveled += min(speed, length - traveled)
+            n += 1
+        indices.append(n)
+    return indices
+
+
 @dataclass
 class PathCursor:
-    """Stateful walker along a path; one `step` per tick.
-
-    Tracks its own arc-length position so repeated float relocation never
-    drifts.  It keeps the index of the next waypoint ahead, so a step costs
-    the waypoints it passes, not the length of the path.
-    """
+    """A position along a path: the arc length traveled, summed one move at
+    a time so it never drifts, and the pose there."""
 
     path: PathEstimate
     traveled: float = 0.0
     pose: Point = field(init=False)
-    # first waypoint whose arc length is >= traveled
-    _next: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._seek()
-
-    def _seek(self) -> None:
-        """Place the cursor at `traveled` by binary search."""
-        self._next = bisect_left(self.path.prefix, self.traveled)
-        self.pose = _place(self.path, self._next, self.traveled)
+        self.pose = _place(self.path, self.traveled)
 
     @property
     def arrived(self) -> bool:
         return self.traveled >= self.path.length
 
-    def step(self, speed: float) -> tuple[Point, float]:
-        """Advance by up to `speed`; returns (pose, moved)."""
-        moved = min(speed, self.path.length - self.traveled)
-        self.traveled += moved
-        if moved <= 0.0:  # already arrived
-            self._seek()
-            return self.pose, moved
-        prefix, k, end = self.path.prefix, self._next, self.traveled
-        while k < len(prefix) and prefix[k] < end:
-            k += 1
-        self._next = k
-        self.pose = _place(self.path, k, end)
-        return self.pose, moved
+    def advance(self, moves: int, speed: float, odometry: float) -> float:
+        """Make `moves` moves of up to `speed`, adding each to `odometry` in
+        turn, and return it; the pose is placed once, after the last."""
+        length, traveled = self.path.length, self.traveled
+        for _ in range(moves):
+            moved = min(speed, length - traveled)
+            traveled += moved
+            odometry += moved
+        self.traveled = traveled
+        self.pose = _place(self.path, traveled)
+        return odometry

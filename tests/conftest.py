@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from isrusim import (
+    Point,
     Policy,
     PolicyName,
     RobotKind,
@@ -112,12 +113,40 @@ def segment_distance(p, a, b) -> float:
     return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
 
 
+def step_cursor(cursor, speed: float):
+    """One tick's move of up to `speed` along `cursor`, worked out apart
+    from `pathing`: the distance by its own running sum, the pose by a
+    forward scan for the first waypoint at or past it.  Updates the cursor
+    and returns (pose, moved): the per-tick oracle that `moves_to` and
+    `PathCursor.advance` are checked against."""
+    path = cursor.path
+    moved = min(speed, path.length - cursor.traveled)
+    cursor.traveled += moved
+    end, prefix = cursor.traveled, path.prefix
+    # the scan resumes at the waypoint the last step placed before, kept on
+    # the cursor; any earlier start gives the same waypoint
+    k = getattr(cursor, "oracle_next", 0)
+    while k < len(prefix) and prefix[k] < end:
+        k += 1
+    cursor.oracle_next = k
+    if k == 0:
+        cursor.pose = path.start
+    elif k == len(prefix):
+        cursor.pose = path.goal
+    else:
+        a, b = path.waypoints[k - 1], path.waypoints[k]
+        t = (end - prefix[k - 1]) / path.segments[k - 1]
+        cursor.pose = Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+    return cursor.pose, moved
+
+
 def step_and_sweep(cursor, speed: float):
-    """One `cursor.step(speed)`: (pose, moved, the pieces of path swept),
-    the pieces running from the last pose over every waypoint strictly
-    between the arc lengths before and after the move, to the new pose."""
+    """One `step_cursor(cursor, speed)`: (pose, moved, the pieces of path
+    swept), the pieces running from the last pose over every waypoint
+    strictly between the arc lengths before and after the move, to the new
+    pose."""
     start, a = cursor.traveled, cursor.pose
-    pose, moved = cursor.step(speed)
+    pose, moved = step_cursor(cursor, speed)
     prefix, waypoints = cursor.path.prefix, cursor.path.waypoints
     pieces = []
     for k in range(bisect_right(prefix, start), bisect_left(prefix, cursor.traveled)):
@@ -147,7 +176,7 @@ def scan_pieces(pieces, sites, radius: float) -> list:
 
 def walk_and_scan(cursor, spawn, sites, radius: float, speed: float):
     """A scout's finds tick by tick, found by walking its path one
-    `PathCursor.step` per tick and scanning the spawn point at tick 0, then
+    `step_cursor` per tick and scanning the spawn point at tick 0, then
     every swept piece: one list of sites per tick, from tick 0."""
     found = [scan_pieces([(spawn, spawn)], sites, radius)]
     while not cursor.arrived:

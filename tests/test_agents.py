@@ -21,6 +21,7 @@ from isrusim import (
     Point,
     RobotKind,
     RobotState,
+    RunStatus,
     ScenarioConfig,
     Simulation,
     TaskType,
@@ -31,6 +32,7 @@ from isrusim import (
 )
 from isrusim import agents
 from isrusim.agents import (
+    COURIER,
     ExcavatorActivity,
     HaulerActivity,
     ScoutActivity,
@@ -158,7 +160,7 @@ def test_grid_scan_matches_brute_force_along_the_spirals(speed):
     """The scouts' arena200 sweeps at several speeds, over the workload's
     sites and sites on cell borders and corners: each scout's find schedule
     lists the (tick, site) pairs, in the same order, that walking its
-    spiral one `PathCursor.step` per tick gives, scanning the spawn point
+    spiral one `step_cursor` move per tick gives, scanning the spawn point
     and then every swept piece, testing every site by its distance."""
     config = dataclasses.replace(ARENA200, timing=TimingConfig(robot_speed=speed))
     radius = config.scan_radius
@@ -169,7 +171,8 @@ def test_grid_scan_matches_brute_force_along_the_spirals(speed):
         controller = sim.ctx.controllers[name]
         path = controller.cursor.path
         schedule = [(tick, site.site_id) for tick, _, site
-                    in reversed(find_schedule(path, world.sites, radius, speed))]
+                    in reversed(find_schedule(path, world.sites, radius, speed,
+                                              config.tick_cap))]
         walked = walk_and_scan(PathCursor(path), path.start,
                                copy.deepcopy(world.sites), radius, speed)
         assert schedule == [(tick, site.site_id)
@@ -193,7 +196,7 @@ def test_finds_within_a_tick_come_in_scan_order():
         Point(11.0, 0.0),   # from 10 m: the corner, on either leg
         Point(4.0, 1.0)))]  # from 4 m, where the first move ends
     schedule = [(tick, segment, site.site_id) for tick, segment, site
-                in reversed(find_schedule(path, sites, 1.0, 4.0))]
+                in reversed(find_schedule(path, sites, 1.0, 4.0, 10))]
     assert schedule == [(0, -1, 1), (0, 0, 0), (0, 0, 4), (2, 0, 3), (2, 1, 2)]
     walked = walk_and_scan(PathCursor(path), path.start, sites, 1.0, 4.0)
     assert [(tick, site.site_id) for tick, found in enumerate(walked)
@@ -244,7 +247,7 @@ def test_grid_scan_tests_a_small_fraction_of_the_sites(monkeypatch):
             path = sim.ctx.controllers[name].cursor.path
             calls = 0
             assert find_schedule(path, sites, config.scan_radius,
-                                 config.timing.robot_speed)
+                                 config.timing.robot_speed, config.tick_cap)
             assert 0 < calls < len(sites) * len(path.segments) / 20, (
                 config.arena_side, name, calls, len(sites) * len(path.segments))
 
@@ -365,6 +368,38 @@ def test_course_outside_arena_is_an_invariant_error():
             hauler._set_course(goal, 0)
     hauler._set_course(Point(30.0, 0.0), 0)
     assert hauler.cursor.path.goal == Point(30.0, 0.0)
+
+
+def test_a_course_cut_short_is_an_invariant_error():
+    """A courier whose schedule ends a move before its course does stops
+    the run with an InvariantError naming it, also under `python -O`."""
+    sim = Simulation(tiny_config())
+    while not any(c.state.activity in COURIER for c in sim.ctx.controllers.values()):
+        sim.step()
+    courier = next(c for c in sim.ctx.controllers.values()
+                   if c.state.activity in COURIER)
+    assert courier.cursor.path.length > 0.0
+    courier._last_move -= 1
+    with pytest.raises(InvariantError,
+                       match=f"{courier.state.name} made its last move at tick"):
+        sim.run()
+
+
+def test_walks_stop_at_the_tick_cap():
+    """No walk is worked out past the tick cap, however slow the robots:
+    the scouts' spirals at set-up and their find schedules at tick 0 end
+    there, and a 10-tick run at 1e-9 m a tick ends stalled at once."""
+    for speed in (1e-3, 1e-9):
+        config = ScenarioConfig(seed=0, tick_cap=10,
+                                timing=TimingConfig(robot_speed=speed))
+        sim = Simulation(config)
+        for controller in sim.ctx.controllers.values():
+            assert controller._last_move - controller._next_move <= config.tick_cap
+        sim.step()
+        scouts = [c for c in sim.ctx.controllers.values()
+                  if c.state.kind is RobotKind.SCOUT]
+        assert all(tick <= config.tick_cap for c in scouts for tick, _, _ in c._finds)
+        assert sim.run() is RunStatus.STALLED
 
 
 def test_excavator_declines_when_site_already_claimed():

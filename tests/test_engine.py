@@ -13,6 +13,7 @@ from conftest import (
     mail_from_log,
     scan_pieces,
     step_and_sweep,
+    step_cursor,
     tiny_config,
     tiny_run,
 )
@@ -237,15 +238,16 @@ def test_minimal_mission_message_audit():
 
 def step_all_reference(config, snapshots: bool = False) -> Simulation:
     """A simulation that steps every robot on every tick, where a courier
-    makes one `PathCursor.step` per step, as it did before couriers slept
-    until arrival, a scout one step of its spiral and a scan of what it
-    swept, and a standby hauler one step of its own walk: it shares no wake
-    rule, no move schedule and no find schedule with the engine's."""
+    makes one `step_cursor` move per step, as it did before couriers slept
+    until arrival, a scout one move along its spiral and a scan of what it
+    swept, and a standby hauler one move along its own walk: it shares no
+    wake rule, no move schedule, no motion rule and no find schedule with
+    the engine's."""
     reference = Simulation(config, snapshots=snapshots)
     for controller in reference.ctx.controllers.values():
         controller._next_wake = lambda tick: tick + 1
         controller.sync = lambda tick: None  # its pose never lags
-        controller._travel = lambda tick, c=controller: c._advance(c.cursor)
+        controller._travel = lambda tick, c=controller: move_robot(c, c.cursor)
         if isinstance(controller, HaulerController):
             walk_every_tick(controller)
         elif isinstance(controller, ScoutController):
@@ -253,9 +255,18 @@ def step_all_reference(config, snapshots: bool = False) -> Simulation:
     return reference
 
 
+def move_robot(controller: RobotController, cursor: PathCursor) -> bool:
+    """One `step_cursor` move of the robot along `cursor` at its speed;
+    True when it has arrived."""
+    state = controller.state
+    state.pose, moved = step_cursor(cursor, controller.ctx.config.timing.robot_speed)
+    state.odometry += moved
+    return cursor.arrived
+
+
 def scan_every_tick(scout: ScoutController) -> None:
     """The scout from before find schedules: every step makes one
-    `PathCursor.step` and scans, by the walker `find_schedule` is checked
+    `step_cursor` move and scans, by the walker `find_schedule` is checked
     against, the spawn point at tick 0 and then each piece the step swept."""
     state, ctx = scout.state, scout.ctx
     radius, speed = ctx.config.scan_radius, ctx.config.timing.robot_speed
@@ -277,7 +288,7 @@ def scan_every_tick(scout: ScoutController) -> None:
 
 def walk_every_tick(hauler: HaulerController) -> None:
     """The standby walk from before walks were courses: every standby step
-    moves one `PathCursor.step` toward the spot, on a cursor of its own
+    makes one `step_cursor` move toward the spot, on a cursor of its own
     that a transport drops, re-planned when the target moves or the walk
     ends off the spot."""
     cursor = None
@@ -296,7 +307,7 @@ def walk_every_tick(hauler: HaulerController) -> None:
         elif hauler.state.pose != target:
             if cursor is None or cursor.path.goal != target or cursor.arrived:
                 cursor = PathCursor(estimate_path(hauler.state.pose, target))
-            hauler._advance(cursor)
+            move_robot(hauler, cursor)
 
     hauler._begin_transport = begin_and_drop_walk
     hauler._standby_act = standby_act
@@ -389,7 +400,7 @@ def reasons_to_step(controller, tick: int, assigned: set, finds: dict) -> set[st
         if state.activity is ScoutActivity.SEARCHING:
             finds[state.name] = find_schedule(
                 controller.cursor.path, ctx.world.sites, ctx.config.scan_radius,
-                ctx.config.timing.robot_speed)
+                ctx.config.timing.robot_speed, ctx.config.tick_cap)
     if any(t0 + window - 1 <= tick for t0, _ in controller.pending_wins):
         reasons.add("win matures")
     if state.activity in _COUNTING_DOWN and controller._deadline == tick:

@@ -1,12 +1,14 @@
 import math
 import random
-from collections import Counter
-from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isrusim import Point, build_spiral, estimate_path
-from isrusim.pathing import PathCursor, make_path
+from conftest import crowded_config, step_cursor
+
+from isrusim import Point, Simulation, build_spiral, estimate_path, pathing
+from isrusim.agents import RobotController
+from isrusim.pathing import PathCursor, make_path, moves_to
 
 
 def test_three_four_five_triangle():
@@ -49,16 +51,14 @@ def test_triangle_inequality():
 
 def test_advance_one_unit_along_segment():
     cursor = PathCursor(estimate_path(Point(0, 0), Point(3, 4)))
-    pose, moved = cursor.step(1.0)
-    assert moved == 1.0
-    assert (pose.x, pose.y) == (pytest.approx(0.6), pytest.approx(0.8))
+    assert cursor.advance(1, 1.0, 0.0) == 1.0
+    assert (cursor.pose.x, cursor.pose.y) == (pytest.approx(0.6), pytest.approx(0.8))
 
 
 def test_advance_clamps_final_step():
     cursor = PathCursor(estimate_path(Point(0, 0), Point(5, 0)), traveled=4.7)
-    pose, moved = cursor.step(1.0)
-    assert moved == pytest.approx(0.3)
-    assert (pose.x, pose.y) == (pytest.approx(5.0), pytest.approx(0.0))
+    assert cursor.advance(1, 1.0, 0.0) == pytest.approx(0.3)
+    assert (cursor.pose.x, cursor.pose.y) == (pytest.approx(5.0), pytest.approx(0.0))
     assert cursor.arrived
 
 
@@ -67,22 +67,22 @@ def test_cursor_total_odometry_is_exact_sum_of_steps():
     cursor = PathCursor(path)
     total = 0.0
     while not cursor.arrived:
-        _, moved = cursor.step(0.7)
-        total += moved
+        total = cursor.advance(1, 0.7, total)
     assert total == pytest.approx(path.length, abs=1e-12)
 
 
 def test_cursor_sweeps_across_waypoints():
     path = make_path([Point(0, 0), Point(2, 0), Point(2, 2)])
     cursor = PathCursor(path)
-    pose, moved = cursor.step(3.0)  # crosses the corner mid-step
-    assert moved == 3.0
-    assert (pose.x, pose.y) == (pytest.approx(2.0), pytest.approx(1.0))
+    assert cursor.advance(1, 3.0, 0.0) == 3.0  # crosses the corner mid-move
+    assert (cursor.pose.x, cursor.pose.y) == (pytest.approx(2.0), pytest.approx(1.0))
 
 
 def test_cursor_step_places_midpoint():
     path = make_path([Point(0, 0), Point(10, 0)])
-    assert PathCursor(path).step(5.0)[0] == Point(5.0, 0.0)
+    cursor = PathCursor(path)
+    cursor.advance(1, 5.0, 0.0)
+    assert cursor.pose == Point(5.0, 0.0)
 
 
 def test_path_length_is_the_last_arc_length():
@@ -144,39 +144,92 @@ def test_cursor_matches_reference_walker(name, speed):
     cursor = PathCursor(path)
     total, pose = 0.0, path.start
     for ref_pose in expected:
-        pose, moved = cursor.step(speed)
-        total += moved
+        total = cursor.advance(1, speed, total)
+        pose = cursor.pose
         assert pose.distance_to(ref_pose) <= 1e-9
     assert cursor.arrived
     assert total == path.length == cursor.traveled
-    assert cursor.step(speed) == (pose, 0.0)
+    assert cursor.advance(1, speed, total) == total
+    assert cursor.pose == pose
 
 
-def test_cursor_work_is_linear(monkeypatch):
-    """Walking a long path measures each segment once and reads a few arc
-    lengths per step and per waypoint passed; a cursor that re-walks the
-    path from its start would read millions here."""
-    counts = Counter()
-    distance_to = Point.distance_to
+def _bits(*values: float) -> tuple[str, ...]:
+    return tuple(value.hex() for value in values)
 
-    def counted(self, other):
-        counts["distance_to"] += 1
-        return distance_to(self, other)
 
-    class CountedPrefix(tuple):
-        def __getitem__(self, index):
-            counts["prefix"] += 1
-            return tuple.__getitem__(self, index)
+def _differential_path(data, speed: float):
+    """A path of length 0, of an exact multiple of `speed`, or through
+    random waypoints with non-dyadic coordinates, some repeated."""
+    shape = data.draw(st.sampled_from(("zero", "multiple", "random")))
+    if shape == "zero":
+        p = Point(data.draw(st.floats(0, 20)), 1.0 / 3.0)
+        return make_path([p] * data.draw(st.integers(1, 3)))
+    if shape == "multiple":
+        n = data.draw(st.integers(1, 30))
+        return make_path([Point(0.1, 0.7), Point(0.1 + n * speed, 0.7)])
+    coordinate = st.floats(0, 20) | st.integers(0, 60).map(lambda i: i / 3.0)
+    points = data.draw(st.lists(st.builds(Point, coordinate, coordinate),
+                                min_size=1, max_size=8))
+    return make_path([p for p in points for _ in range(data.draw(st.integers(1, 2)))])
 
-    monkeypatch.setattr(Point, "distance_to", counted)
-    (plan,) = build_spiral(250.0, 5.0, 1)
-    path = make_path(plan.waypoints)
-    cursor = PathCursor(replace(path, prefix=CountedPrefix(path.prefix)))
-    segments = len(path.segments)
-    steps = 0
-    while not cursor.arrived:
-        cursor.step(1.0)
-        steps += 1
-    assert segments >= 2000
-    assert counts["distance_to"] <= segments + 4
-    assert counts["prefix"] <= 8 * steps + 2 * segments
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), speed=st.sampled_from((0.3, 0.7, 1.0, 2.0, 5.0))
+       | st.floats(0.3, 5.0))
+def test_moves_to_and_advance_match_the_per_tick_stepper(data, speed):
+    """Against `step_cursor`, one move per tick: `moves_to` gives the tick
+    at which the stepper first reaches each arc length (segment ends among
+    them), cut at `most`; and `advance`, in one call or in parts, leaves
+    the same bits of traveled, odometry and pose as that many steps."""
+    path = _differential_path(data, speed)
+    start = data.draw(st.floats(0.0, 1000.0))  # the odometry before the path
+    stepper, odometry, trail = PathCursor(path), start, []
+    while len(trail) < 3 or not stepper.arrived or trail[-3][0] < path.length:
+        odometry += step_cursor(stepper, speed)[1]
+        trail.append((stepper.traveled, odometry, stepper.pose.x, stepper.pose.y))
+
+    arcs = sorted(data.draw(st.lists(
+        st.sampled_from(path.prefix) | st.floats(0.0, path.length),
+        min_size=1, max_size=6)))
+    ticks = [next(i for i, (traveled, *_) in enumerate(trail) if traveled >= arc)
+             for arc in arcs]
+    most = data.draw(st.integers(0, len(trail)))
+    assert moves_to(path.length, speed, arcs, 10**9) == ticks
+    assert moves_to(path.length, speed, arcs, most) == [min(t, most) for t in ticks]
+
+    parts = data.draw(st.lists(st.integers(0, len(trail) // 3), min_size=1, max_size=3))
+    cursor, odometry, done = PathCursor(path), start, 0
+    for part in parts:
+        odometry = cursor.advance(part, speed, odometry)
+        done += part
+        expected = (0.0, start, path.start.x, path.start.y) if done == 0 else trail[done - 1]
+        assert _bits(cursor.traveled, odometry, cursor.pose.x, cursor.pose.y) == _bits(
+            *expected)
+
+
+def test_a_sync_places_the_pose_once(monkeypatch):
+    """A robot's `sync` makes every move due with one placement of the
+    pose, however many moves it applies: a crowded run under coalition,
+    whose couriers, scouts and standby walks all catch up."""
+    places = 0
+    place = pathing._place
+
+    def counted(path, distance):
+        nonlocal places
+        places += 1
+        return place(path, distance)
+
+    sync = RobotController.sync
+    applied = []
+
+    def checked_sync(self, tick):
+        before, moves = places, self._next_move
+        sync(self, tick)
+        applied.append(self._next_move - moves)
+        assert places - before == (self._next_move > moves)
+
+    monkeypatch.setattr(pathing, "_place", counted)
+    monkeypatch.setattr(RobotController, "sync", checked_sync)
+    Simulation(crowded_config(policy="coalition", tick_cap=400)).run()
+    assert max(applied) > 10
+    assert sum(moves > 1 for moves in applied) > 20

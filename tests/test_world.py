@@ -228,7 +228,7 @@ def test_every_point_the_generator_accepts_is_found(
         site = ResourceSite(0, p, 1, 1)
         for blind, path in scouts:
             if not blind(p):
-                assert find_schedule(path, [site], scan_radius, speed), p
+                assert find_schedule(path, [site], scan_radius, speed, 10**9), p
 
 
 def test_config_where_no_site_fits_is_rejected_when_built():
