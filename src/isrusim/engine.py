@@ -200,9 +200,9 @@ class Simulation:
 
     def _goal_reached(self) -> bool:
         world = self.ctx.world
-        if any(not site.discovered for site in world.sites):
-            return False
         if world.minerals_at_plant != self.config.n_minerals:
+            return False
+        if any(not site.discovered for site in world.sites):
             return False
         return not any(c.book for c in self._step_order)
 

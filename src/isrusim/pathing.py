@@ -8,14 +8,20 @@ waypoints is a scout's spiral (`make_path`).
 A robot moves along either kind once a tick, by up to its speed; the
 distance it has traveled is the running sum of its moves.  This module
 holds that rule once: `moves_to` says which move first reaches an arc
-length, and `PathCursor.advance` makes a run of moves.
+length, and `PathCursor.advance` makes a run of moves.  Every move before
+the first one cut short by the end of the path adds exactly the speed, so
+both sum that run of full moves in C (`_full_moves`), with the same float
+additions in the same order as one move at a time, and step only the
+moves after it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
 from typing import Sequence
 
 from .world import Point
@@ -74,14 +80,48 @@ def _place(path: PathEstimate, distance: float) -> Point:
     return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
 
 
+def _full_moves(length: float, speed: float, traveled: float,
+                most: int) -> tuple[int, float]:
+    """How many of at most `most` moves from `traveled` along a path of
+    `length` are full, each adding exactly `speed`, and the distance
+    traveled after them.  A move is full while `length - traveled` is not
+    below `speed`, and `traveled` only grows, so the full moves come first.
+
+    All but the last of an estimated count, two short of the quotient, are
+    summed at once, and the count stands if its last move is full; if not
+    (float error as large as a whole move), the count starts over from
+    zero.  The moves after it are checked one at a time."""
+    k = max(0, min(most, int((length - traveled) / speed) - 2))
+    if k:
+        before_last = reduce(add, repeat(speed, k - 1), traveled)
+        if length - before_last < speed:
+            k = 0
+        else:
+            traveled = before_last + speed
+    while k < most and not length - traveled < speed:
+        traveled += speed
+        k += 1
+    return k, traveled
+
+
 def moves_to(length: float, speed: float, arcs: Sequence[float],
              most: int) -> list[int]:
     """For each arc length in `arcs`, ascending, the index of the first move
     from the start of a path of `length` that ends at or past it, the first
     move being move 0; there is always at least one move.  The walk stops
-    after `most` moves, so an arc not reached by then gets `most`."""
-    traveled, n, indices = min(speed, length), 0, []
+    after `most` moves, so an arc not reached by then gets `most`.
+
+    An arc reached within the run of full moves is looked up among their
+    running sums; past it, the walk goes on one move at a time."""
+    full, end = _full_moves(length, speed, 0.0, most + 1)
+    sums = (list(accumulate(repeat(speed, full), initial=0.0))
+            if arcs and arcs[0] <= end else [])
+    traveled, n = (end, full - 1) if full else (min(speed, length), 0)
+    indices = []
     for arc in arcs:
+        if arc <= end:
+            indices.append(bisect_left(sums, arc, 1) - 1)
+            continue
         while traveled < arc and n < most:
             traveled += min(speed, length - traveled)
             n += 1
@@ -107,9 +147,12 @@ class PathCursor:
 
     def advance(self, moves: int, speed: float, odometry: float) -> float:
         """Make `moves` moves of up to `speed`, adding each to `odometry` in
-        turn, and return it; the pose is placed once, after the last."""
-        length, traveled = self.path.length, self.traveled
-        for _ in range(moves):
+        turn, and return it; the pose is placed once, after the last.  The
+        full moves are summed at once (`_full_moves`), the rest stepped."""
+        length = self.path.length
+        full, traveled = _full_moves(length, speed, self.traveled, moves)
+        odometry = reduce(add, repeat(speed, full), odometry)
+        for _ in range(moves - full):
             moved = min(speed, length - traveled)
             traveled += moved
             odometry += moved

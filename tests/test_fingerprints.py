@@ -20,6 +20,7 @@ import pytest
 import isrusim as s
 from conftest import crowded_config, tiny_config
 from test_acceptance import DETERMINISM_CONFIGS, POLICIES
+from test_engine import run_child
 
 DATA = Path(__file__).parent / "data" / "log_fingerprints.json"
 
@@ -50,6 +51,25 @@ def test_every_case_is_recorded():
 def test_log_fingerprint(run_logs, name):
     log = run_logs.log(*CASES[name])
     assert fingerprint(log) == json.loads(DATA.read_text())[name]
+
+
+def test_logs_are_the_same_under_optimize():
+    """A run under `python -O`, with every `assert` stripped, writes the
+    same bytes: one reference case per policy."""
+    names = [f"reference/{policy}/0" for policy in POLICIES]
+    script = f"""
+import sys
+from test_fingerprints import CASES, fingerprint
+import isrusim as s
+
+if sys.flags.optimize != 1:
+    sys.exit("not running under -O")
+for name in {names!r}:
+    config, snapshots = CASES[name]
+    print(fingerprint(s.run_to_completion(config, snapshots=snapshots).log))
+"""
+    recorded = json.loads(DATA.read_text())
+    assert run_child(script, "-O").stdout.split() == [recorded[n] for n in names]
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import crowded_config, step_cursor
 
-from isrusim import Point, Simulation, build_spiral, estimate_path, pathing
+from isrusim import (Point, ScenarioConfig, Simulation, agents, build_spiral,
+                     estimate_path, pathing)
 from isrusim.agents import RobotController
 from isrusim.pathing import PathCursor, make_path, moves_to
 
@@ -205,6 +206,94 @@ def test_moves_to_and_advance_match_the_per_tick_stepper(data, speed):
         expected = (0.0, start, path.start.x, path.start.y) if done == 0 else trail[done - 1]
         assert _bits(cursor.traveled, odometry, cursor.pose.x, cursor.pose.y) == _bits(
             *expected)
+
+
+def _rule(length: float, speed: float, traveled: float, moves: int,
+          odometry: float) -> tuple[float, float]:
+    """The motion rule one move at a time, apart from `pathing`."""
+    for _ in range(moves):
+        moved = min(speed, length - traveled)
+        traveled += moved
+        odometry += moved
+    return traveled, odometry
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data(), length=st.floats(0.0, 2000.0),
+       speed=st.sampled_from((0.1, 1.0 / 3.0, 0.7)) | st.floats(0.1, 5.0))
+def test_long_walks_match_the_plain_rule(data, length, speed):
+    """On straight paths of up to 2 km, where most moves are full and summed
+    at once, `moves_to` (cut at `most`, mostly inside the run of full moves)
+    and `advance` (in parts, from a point mid-course) leave the same bits as
+    the rule applied one move at a time."""
+    path = make_path([Point(0.1, 0.7), Point(0.1 + length, 0.7)])
+    length = path.length
+    trail, traveled = [], 0.0
+    while len(trail) < 3 or trail[-3] < length:
+        traveled = _rule(length, speed, traveled, 1, 0.0)[0]
+        trail.append(traveled)
+    arcs = sorted(data.draw(st.lists(st.floats(0.0, length) | st.just(length),
+                                     min_size=1, max_size=4)))
+    ticks = [next(i for i, t in enumerate(trail) if t >= arc) for arc in arcs]
+    most = data.draw(st.integers(0, len(trail)))
+    assert moves_to(length, speed, arcs, most) == [min(t, most) for t in ticks]
+
+    start = data.draw(st.floats(0.0, length))
+    cursor = PathCursor(path, traveled=start)
+    expected = (start, data.draw(st.floats(0.0, 1000.0)))
+    odometry = expected[1]
+    for part in data.draw(st.lists(st.integers(0, len(trail) // 2 + 2),
+                                   min_size=1, max_size=3)):
+        odometry = cursor.advance(part, speed, odometry)
+        expected = _rule(length, speed, expected[0], part, expected[1])
+        assert _bits(cursor.traveled, odometry) == _bits(*expected)
+
+
+def test_a_sum_that_overshoots_its_estimate_is_walked_again():
+    """Where adding the speed rounds to a larger step (here 0.125 per move of
+    0.1 at 1e15 m), the estimated run of full moves is too long; its last
+    move is found not full, and the moves are counted one at a time."""
+    length = 1e15 + 10.0
+    cursor = PathCursor(make_path([Point(0.0, 0.0), Point(length, 0.0)]),
+                        traveled=1e15)
+    odometry = cursor.advance(200, 0.1, 0.0)
+    assert _bits(cursor.traveled, odometry) == _bits(*_rule(length, 0.1, 1e15, 200, 0.0))
+    assert cursor.traveled == length
+
+
+def test_runs_of_full_moves_are_not_stepped(monkeypatch):
+    """Over a reference run, each `moves_to` and `advance` call evaluates the
+    rule's `min` at most three times: the full moves are summed at once and
+    only the moves cut short by the end of the path are stepped."""
+    mins, worst, moves = 0, 0, 0
+
+    def counted_min(*args):
+        nonlocal mins
+        mins += 1
+        return min(*args)
+
+    def per_call(function):
+        def counted(*args):
+            nonlocal worst
+            before = mins
+            result = function(*args)
+            worst = max(worst, mins - before)
+            return result
+        return counted
+
+    counted_advance = per_call(PathCursor.advance)
+
+    def advance(cursor, n, *args):
+        nonlocal moves
+        moves += n
+        return counted_advance(cursor, n, *args)
+
+    monkeypatch.setattr(pathing, "min", counted_min, raising=False)
+    monkeypatch.setattr(agents, "moves_to", per_call(moves_to))
+    monkeypatch.setattr(PathCursor, "advance", advance)
+    Simulation(ScenarioConfig(seed=0)).run()
+    assert moves > 5_000
+    assert 0 < worst <= 3
 
 
 def test_a_sync_places_the_pose_once(monkeypatch):
