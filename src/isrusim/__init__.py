@@ -24,15 +24,7 @@ from .auction import (
     select_winner,
     submit_bid,
 )
-from .bus import (
-    Ack,
-    Announcement,
-    Bid,
-    BroadcastBus,
-    Close,
-    Message,
-    WinnerDecl,
-)
+from .bus import BroadcastBus
 from .engine import RunResult, RunStatus, SimContext, Simulation, run_to_completion
 from .events import EventLog, LogParseError
 from .metrics import (
@@ -69,15 +61,13 @@ from .world import (
 
 __all__ = [
     "__version__",
-    "Ack", "Announcement", "Auction", "AuctionHistory",
-    "AuctionView", "Bid", "BroadcastBus", "Close", "EventLog",
+    "Auction", "AuctionHistory", "AuctionView", "BroadcastBus", "EventLog",
     "ExcavatorActivity", "HaulerActivity", "InvariantError", "LogParseError",
-    "Message", "MetricsError", "MetricsReport", "PathCursor", "PathEstimate",
-    "Point",
+    "MetricsError", "MetricsReport", "PathCursor", "PathEstimate", "Point",
     "Policy", "PolicyName", "ResourceSite", "RobotKind", "RobotState",
     "RunResult", "RunStatus", "ScenarioConfig", "ScenarioGenerationError",
     "ScoutActivity", "SimContext", "Simulation", "SpiralPlan", "TaskType",
-    "TimingConfig", "Violation", "WinnerDecl", "WorldState",
+    "TimingConfig", "Violation", "WorldState",
     "build_spiral", "build_summary", "collect_metrics",
     "derive_auction_histories", "estimate_path", "evaluate_self_utility",
     "generate_scenario", "handle_ack", "make_policy", "open_auction",

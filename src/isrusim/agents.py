@@ -50,16 +50,8 @@ from .auction import (
     select_winner,
     submit_bid,
 )
-from .bus import (
-    Ack,
-    Announcement,
-    AuctionKey,
-    Bid,
-    Close,
-    Message,
-    WinnerDecl,
-    auction_key,
-)
+from .bus import ack
+from .events import AuctionKey, record_auction_key
 from .pathing import PathCursor, PathEstimate, estimate_path, make_path, moves_to
 from .spiral import SpiralPlan
 from .world import (
@@ -203,7 +195,7 @@ class RobotController:
         self.state = state
         self.ctx = ctx
         self.views: dict[AuctionKey, AuctionView] = {}  # oldest first
-        self.pending_wins: list[tuple[int, WinnerDecl]] = []
+        self.pending_wins: list[tuple[int, dict]] = []  # (tick, winner record)
         self.book: dict[AuctionKey, Auction] = {}
         self.cursor: PathCursor | None = None
         self._deadline = 0  # the tick a dig, load or unload ends
@@ -222,9 +214,9 @@ class RobotController:
 
     # -- engine hooks --------------------------------------------------
 
-    def step(self, tick: int, inbox: list[Message] | None) -> None:
-        """Act on `inbox`, the messages the bus delivers to this robot at
-        `tick` (None: no mail), then on its own state."""
+    def step(self, tick: int, inbox: list[dict] | None) -> None:
+        """Act on `inbox`, the message records the bus delivers to this
+        robot at `tick` (None: no mail), then on its own state."""
         if inbox:
             self._ingest(inbox, tick)
         self._resolve_wins(tick)
@@ -269,39 +261,40 @@ class RobotController:
 
     # -- message handling ----------------------------------------------
 
-    def _ingest(self, inbox: list[Message], tick: int) -> None:
+    def _ingest(self, inbox: list[dict], tick: int) -> None:
         """Act on this tick's inbox, which the bus has already addressed:
         announcements and closes of the task type this robot bids on, and
         the bids, acks and winner declarations sent to it, all published
-        at tick-1.  An announcement or close reaches every subscriber, so
-        it keeps its auction key after the first of them reads it."""
-        for msg in inbox:
-            cls = type(msg)
-            if cls is Bid:
-                auction = self.book.get(auction_key(msg))
+        at tick-1.  The records are the log's own, so this reads their
+        fields and changes none."""
+        for record in inbox:
+            variant = record["variant"]
+            if variant == "bid":
+                auction = self.book.get(record_auction_key(record))
                 if auction is not None:  # the auction may have closed
-                    record_bid(auction, msg)
-            elif cls is Announcement:
-                key = msg.key
+                    record_bid(auction, record)
+            elif variant == "announcement":
+                key = record_auction_key(record)
                 view = self.views.get(key)
                 if view is None:
                     self._add_view(key, AuctionView(
-                        auctioneer=msg.auctioneer,
-                        task_location=msg.task_location,
+                        auctioneer=key[0],
+                        task_location=Point(*key[1]),
                         first_tick=tick - 1,
                     ))
                 else:
                     view.rounds_seen += 1
-            elif cls is WinnerDecl:
-                self.pending_wins.append((tick, msg))
-            elif cls is Ack:
-                key = auction_key(msg)
+            elif variant == "winner":
+                self.pending_wins.append((tick, record))
+            elif variant == "ack":
+                key = record_auction_key(record)
                 auction = self.book.get(key)
-                if (auction is not None and type(
-                        handle_ack(auction, msg, tick, self.ctx.bus)) is Close):
-                    del self.book[key]
-            else:  # Close
-                self.views.pop(msg.key, None)
+                if auction is not None:
+                    reply = handle_ack(auction, record, tick, self.ctx.bus)
+                    if reply is not None and reply["variant"] == "close":
+                        del self.book[key]
+            else:  # close
+                self.views.pop(record_auction_key(record), None)
 
     def _add_view(self, key: AuctionKey, view: AuctionView) -> None:
         """Insert a view, keeping `views` oldest-first by `order_key`; the
@@ -326,13 +319,13 @@ class RobotController:
             declines = declines + [accept]
             accept = None
         if accept is not None:
-            self.ctx.bus.publish(Ack(accept.auctioneer, self.state.name,
-                                     accept.task_location, accepted=True), tick)
+            self.ctx.bus.publish(ack(accept["auctioneer"], self.state.name,
+                                     Point(*accept["loc"]), True), tick)
         for declined in declines:
-            self.ctx.bus.publish(Ack(declined.auctioneer, self.state.name,
-                                     declined.task_location, accepted=False), tick)
+            self.ctx.bus.publish(ack(declined["auctioneer"], self.state.name,
+                                     Point(*declined["loc"]), False), tick)
 
-    def _accept_win(self, win: WinnerDecl, tick: int) -> bool:
+    def _accept_win(self, win: dict, tick: int) -> bool:
         raise NotImplementedError(f"{self.state.kind} does not take tasks")
 
     def _place_bids(self, tick: int) -> None:
@@ -493,8 +486,8 @@ class ExcavatorController(RobotController):
         # the hauler that follows this excavator's site under coalition
         self.paired: str | None = ctx.policy.paired_hauler(state.name)
 
-    def _accept_win(self, win: WinnerDecl, tick: int) -> bool:
-        site = self.ctx.site_at(win.task_location)
+    def _accept_win(self, win: dict, tick: int) -> bool:
+        site = self.ctx.site_at(win["loc"])
         if site.claimed_by is not None:
             return False  # someone beat us to the claim: decline instead
         claim_site(self.ctx.world, site.site_id, self.state.name)
@@ -590,8 +583,8 @@ class HaulerController(RobotController):
         self.excavator: str | None = None  # whose mineral it fetches or carries
         self.carrying: str | None = None
 
-    def _accept_win(self, win: WinnerDecl, tick: int) -> bool:
-        self._begin_transport(win.auctioneer, win.task_location, tick)
+    def _accept_win(self, win: dict, tick: int) -> bool:
+        self._begin_transport(win["auctioneer"], Point(*win["loc"]), tick)
         return True
 
     def assign_transport(self, excavator: str, location: Point, tick: int) -> None:

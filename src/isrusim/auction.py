@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .bus import (Ack, Announcement, AuctionKey, Bid, BroadcastBus, Close,
-                  WinnerDecl, auction_key)
-from .events import NEG_INF
+from .bus import BroadcastBus, announcement, bid, close, winner
+from .events import NEG_INF, AuctionKey
 from .world import Point, RobotKind, TaskType
 
 if TYPE_CHECKING:
@@ -50,7 +49,9 @@ class Auction:
 
     @property
     def key(self) -> AuctionKey:
-        return auction_key(self)
+        """(auctioneer, task location): `events.record_auction_key` of each
+        of its messages."""
+        return (self.auctioneer, self.task_location.as_pair())
 
 
 def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
@@ -63,17 +64,17 @@ def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
     if auction.key in book:
         raise ValueError(f"auction {auction.key} is already open")
     book[auction.key] = auction
-    bus.publish(Announcement(auctioneer, task_type, task_location), tick)
+    bus.publish(announcement(auctioneer, task_type, task_location), tick)
     return auction
 
 
-def record_bid(auction: Auction, bid: Bid) -> None:
-    """File an arriving bid; a bid landing after winner declaration only
-    counts toward the next round."""
+def record_bid(auction: Auction, record: dict) -> None:
+    """File an arriving bid record; a bid landing after winner declaration
+    only counts toward the next round."""
     if auction.winner is None:
-        auction.bids[bid.bidder] = bid.utility
+        auction.bids[record["bidder"]] = record["utility"]
     else:
-        auction.late_bids[bid.bidder] = bid.utility
+        auction.late_bids[record["bidder"]] = record["utility"]
 
 
 def _best_eligible(auction: Auction) -> str | None:
@@ -97,28 +98,28 @@ def _reannounce(auction: Auction, tick: int, bus: BroadcastBus) -> None:
     auction.late_bids = {}
     auction.offered_to = []
     auction.winner = None
-    bus.publish(Announcement(auction.auctioneer, auction.task_type,
+    bus.publish(announcement(auction.auctioneer, auction.task_type,
                              auction.task_location), tick)
 
 
 def _offer_next(auction: Auction, tick: int,
-                bus: BroadcastBus) -> WinnerDecl | None:
-    """Declare the best eligible bidder winner, or re-announce when there is
-    none."""
+                bus: BroadcastBus) -> dict | None:
+    """Declare the best eligible bidder winner and return the winner
+    record, or re-announce when there is none."""
     best = _best_eligible(auction)
     if best is None:
         _reannounce(auction, tick, bus)
         return None
     auction.winner = best
     auction.offered_to.append(best)
-    decl = WinnerDecl(auction.auctioneer, auction.task_type,
-                      auction.task_location, best)
+    decl = winner(auction.auctioneer, auction.task_type,
+                  auction.task_location, best)
     bus.publish(decl, tick)
     return decl
 
 
 def select_winner(auction: Auction, tick: int,
-                  bus: BroadcastBus) -> WinnerDecl | None:
+                  bus: BroadcastBus) -> dict | None:
     """Close of the bidding window: declare the best bidder, or re-announce
     when no finite bid exists (a busy-sentinel bidder is never selected)."""
     if auction.winner is not None:
@@ -126,22 +127,24 @@ def select_winner(auction: Auction, tick: int,
     return _offer_next(auction, tick, bus)
 
 
-def handle_ack(auction: Auction, ack: Ack, tick: int,
-               bus: BroadcastBus) -> Close | WinnerDecl | None:
-    """Process the winner's verdict.
+def handle_ack(auction: Auction, record: dict, tick: int,
+               bus: BroadcastBus) -> dict | None:
+    """Process the winner's verdict, an ack record, and return the record
+    it publishes, if any.
 
-    Accepted: publish the closing message and finish.  Declined: offer to
-    the next-highest bidder of this round, or re-announce when the round is
-    exhausted.  Acknowledgments from anyone but the declared winner are
-    dropped, as are all acknowledgments while no winner is declared.
+    Accepted: publish the close and finish.  Declined: offer to the
+    next-highest bidder of this round (a winner record), or re-announce
+    when the round is exhausted.  Acknowledgments from anyone but the
+    declared winner are dropped, as are all acknowledgments while no winner
+    is declared.
     """
-    if ack.auction_winner != auction.winner:
+    if record["auction_winner"] != auction.winner:
         return None
-    if ack.accepted:
-        close = Close(auction.auctioneer, auction.task_type,
-                      auction.task_location, auction.winner)
-        bus.publish(close, tick)
-        return close
+    if record["verdict"] == "accepted":
+        closing = close(auction.auctioneer, auction.task_type,
+                        auction.task_location, auction.winner)
+        bus.publish(closing, tick)
+        return closing
     return _offer_next(auction, tick, bus)
 
 
@@ -155,12 +158,12 @@ def evaluate_self_utility(robot: "RobotState", task_location: Point) -> float:
 
 
 def submit_bid(robot: "RobotState", auctioneer: str, task_location: Point,
-               utility: float, tick: int, bus: BroadcastBus) -> Bid:
-    """Publish a bid.  A utility is never positive; -inf is the busy
-    sentinel.  The one comparison also rejects NaN."""
+               utility: float, tick: int, bus: BroadcastBus) -> dict:
+    """Publish a bid and return its record.  A utility is never positive;
+    -inf is the busy sentinel.  The one comparison also rejects NaN."""
     if not utility <= 0.0:
         raise ValueError(f"{robot.name} bid utility {utility}; a utility "
                          f"must be <= 0 or -inf")
-    bid = Bid(auctioneer, robot.name, task_location, utility)
-    bus.publish(bid, tick)
-    return bid
+    record = bid(auctioneer, robot.name, task_location, utility)
+    bus.publish(record, tick)
+    return record

@@ -1,161 +1,74 @@
-"""Message transport and the five auction message formats.
+"""Message transport and the five auction message constructors.
+
+A message is its log record: a msg record of `events`, built by one of the
+constructors below with its keys in schema order, ("type",) +
+RECORD_FIELDS["msg"] + MSG_FIELDS[variant], its `tick` and `seq` left for
+`publish` to stamp.  `publish` appends the record to the log and puts that
+same object into its recipients' inboxes, so a robot must never mutate a
+record it receives: the log would change with it.  The auction a message
+belongs to is `events.record_auction_key`, live and in the log.
 
 Every published message is delivered at the start of the next tick, with no
-loss, in publish order; its log record carries a global sequence number that
-makes that order total.  `publish` works out a message's recipients once and
-appends it to their inboxes for the next tick: announcements and closes go
-to the robots subscribed to its task type (the robots that bid on it), bids
-and acks to the auctioneer, a winner declaration to the winner.  Every
-message is still logged, so the log stays the broadcast record of the run.
+loss, in publish order; its global sequence number makes that order total.
+`publish` works out a message's recipients once, by its variant:
+announcements and closes go to the robots subscribed to its task type (the
+robots that bid on it), bids and acks to the auctioneer, a winner
+declaration to the winner.  Every message is still logged, so the log stays
+the broadcast record of the run.
 
-Messages are plain records and check nothing when built: each field is
-checked once, where its value comes from.  Robot names are checked when the
-fleet is built (`engine.Simulation`), a controller's task type when it is
-built, against its kind (`agents.RobotController`), and a bid's utility by
+The constructors check nothing: each field is checked once, where its value
+comes from.  Robot names are checked when the fleet is built
+(`engine.Simulation`), a controller's task type when it is built, against
+its kind (`agents.RobotController`), and a bid's utility by
 `auction.submit_bid`, the one place a bid is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Union
-
 from .events import EventLog
 from .world import Point, TaskType
 
-if TYPE_CHECKING:
-    from .auction import Auction
 
-AuctionKey = tuple[str, tuple[float, float]]
-
-
-def auction_key(item: Message | Auction) -> AuctionKey:
-    """(auctioneer, task_location) — the unique key of an auction, read
-    from any of its messages or from the auction itself."""
-    return (item.auctioneer, item.task_location.as_pair())
-
-
-class _KeyOnce:
-    """The `auction_key` of a message that reaches many robots, computed on
-    the first read and kept on the message for the other recipients."""
-
-    def __get__(self, msg: Announcement | Close | None, owner: type):
-        if msg is None:  # read from the class
-            return self
-        key = msg.__dict__["key"] = auction_key(msg)
-        return key
-
-
-@dataclass
-class Announcement:
+def announcement(auctioneer: str, task_type: TaskType, location: Point) -> dict:
     """A task put up for auction (status is always 'open')."""
-
-    auctioneer: str
-    task_type: TaskType
-    task_location: Point
-
-    key = _KeyOnce()
+    return {"type": "msg", "tick": None, "seq": None, "variant": "announcement",
+            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "task_type": task_type.value, "status": "open"}
 
 
-@dataclass
-class Bid:
-    """A bidder's utility for an announced task.
-
-    Utility is -path_cost, hence never positive; negative infinity is the
-    busy sentinel of a robot that is capable but currently occupied.
-    """
-
-    auctioneer: str
-    bidder: str
-    task_location: Point
-    utility: float
+def bid(auctioneer: str, bidder: str, location: Point, utility: float) -> dict:
+    """A bidder's utility for an announced task: -path_cost, hence never
+    positive; negative infinity is the busy sentinel of a robot that is
+    capable but currently occupied."""
+    return {"type": "msg", "tick": None, "seq": None, "variant": "bid",
+            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "bidder": bidder, "utility": utility}
 
 
-@dataclass
-class WinnerDecl:
+def winner(auctioneer: str, task_type: TaskType, location: Point,
+           winner: str) -> dict:
     """The auctioneer names the bidder it picked (auction stays open)."""
-
-    auctioneer: str
-    task_type: TaskType
-    task_location: Point
-    winner: str
+    return {"type": "msg", "tick": None, "seq": None, "variant": "winner",
+            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "task_type": task_type.value, "status": "open", "winner": winner}
 
 
-@dataclass
-class Ack:
+def ack(auctioneer: str, auction_winner: str, location: Point,
+        accepted: bool) -> dict:
     """The declared winner accepts or declines the task."""
+    return {"type": "msg", "tick": None, "seq": None, "variant": "ack",
+            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "auction_winner": auction_winner,
+            "verdict": "accepted" if accepted else "declined"}
 
-    auctioneer: str
-    auction_winner: str
-    task_location: Point
-    accepted: bool
 
-
-@dataclass
-class Close:
+def close(auctioneer: str, task_type: TaskType, location: Point,
+          allocated_to: str) -> dict:
     """The auction ends; the task is allocated (status 'closed')."""
-
-    auctioneer: str
-    task_type: TaskType
-    task_location: Point
-    allocated_to: str
-
-    key = _KeyOnce()
-
-
-Message = Union[Announcement, Bid, WinnerDecl, Ack, Close]
-
-
-# One record builder per variant.  Each writes the keys in the order
-# ("type",) + RECORD_FIELDS["msg"] + MSG_FIELDS[variant] of `events`.
-
-def _announcement_record(msg: Announcement, tick: int, seq: int) -> dict:
-    loc = msg.task_location
-    return {"type": "msg", "tick": tick, "seq": seq, "variant": "announcement",
-            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
-            "task_type": msg.task_type.value, "status": "open"}
-
-
-def _bid_record(msg: Bid, tick: int, seq: int) -> dict:
-    loc = msg.task_location
-    return {"type": "msg", "tick": tick, "seq": seq, "variant": "bid",
-            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
-            "bidder": msg.bidder, "utility": msg.utility}
-
-
-def _winner_record(msg: WinnerDecl, tick: int, seq: int) -> dict:
-    loc = msg.task_location
-    return {"type": "msg", "tick": tick, "seq": seq, "variant": "winner",
-            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
-            "task_type": msg.task_type.value, "status": "open",
-            "winner": msg.winner}
-
-
-def _ack_record(msg: Ack, tick: int, seq: int) -> dict:
-    loc = msg.task_location
-    return {"type": "msg", "tick": tick, "seq": seq, "variant": "ack",
-            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
-            "auction_winner": msg.auction_winner,
-            "verdict": "accepted" if msg.accepted else "declined"}
-
-
-def _close_record(msg: Close, tick: int, seq: int) -> dict:
-    loc = msg.task_location
-    return {"type": "msg", "tick": tick, "seq": seq, "variant": "close",
-            "auctioneer": msg.auctioneer, "loc": [loc.x, loc.y],
-            "task_type": msg.task_type.value, "status": "closed",
-            "allocated_to": msg.allocated_to}
-
-
-_RECORD_BUILDERS: dict[type, Callable[..., dict]] = {
-    Bid: _bid_record, Announcement: _announcement_record,
-    WinnerDecl: _winner_record, Ack: _ack_record, Close: _close_record}
-
-
-def message_record(msg: Message, tick: int, seq: int) -> dict:
-    """Flatten a message published at `tick` with sequence number `seq`
-    into one event-log record."""
-    return _RECORD_BUILDERS[type(msg)](msg, tick, seq)
+    return {"type": "msg", "tick": None, "seq": None, "variant": "close",
+            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "task_type": task_type.value, "status": "closed",
+            "allocated_to": allocated_to}
 
 
 class BroadcastBus:
@@ -164,31 +77,34 @@ class BroadcastBus:
     def __init__(self, log: EventLog):
         self._log = log
         self._sequence = 0
-        self._subscribers: dict[TaskType, list[str]] = {}
-        # tick -> robot -> the messages it receives at that tick
-        self._mail: dict[int, dict[str, list[Message]]] = {}
+        self._subscribers: dict[str, list[str]] = {}  # task type value -> robots
+        # tick -> robot -> the records it receives at that tick
+        self._mail: dict[int, dict[str, list[dict]]] = {}
 
     def subscribe(self, robot: str, task_type: TaskType) -> None:
         """Address the announcements and closes of `task_type` to `robot`."""
-        self._subscribers.setdefault(task_type, []).append(robot)
+        self._subscribers.setdefault(task_type.value, []).append(robot)
 
-    def publish(self, msg: Message, tick: int) -> None:
-        """Log a message and put it in its recipients' inboxes for tick + 1."""
-        self._log.append(message_record(msg, tick, self._sequence))
+    def publish(self, record: dict, tick: int) -> None:
+        """Stamp a message record with `tick` and its sequence number, log
+        it and put it in its recipients' inboxes for tick + 1."""
+        record["tick"] = tick
+        record["seq"] = self._sequence
         self._sequence += 1
-        cls = type(msg)
-        if cls is Bid or cls is Ack:
-            recipients = (msg.auctioneer,)
-        elif cls is WinnerDecl:
-            recipients = (msg.winner,)
-        else:  # Announcement, Close
-            recipients = self._subscribers.get(msg.task_type, ())
+        self._log.append(record)
+        variant = record["variant"]
+        if variant == "bid" or variant == "ack":
+            recipients = (record["auctioneer"],)
+        elif variant == "winner":
+            recipients = (record["winner"],)
+        else:  # announcement, close
+            recipients = self._subscribers.get(record["task_type"], ())
         mail = self._mail.setdefault(tick + 1, {})
         for robot in recipients:
-            mail.setdefault(robot, []).append(msg)
+            mail.setdefault(robot, []).append(record)
 
-    def deliver(self, tick: int) -> dict[str, list[Message]]:
-        """Each robot's messages published at tick-1, in publish order; a
+    def deliver(self, tick: int) -> dict[str, list[dict]]:
+        """Each robot's records published at tick-1, in publish order; a
         robot without mail is left out.  The engine delivers every tick
         once, in order."""
         return self._mail.pop(tick, {})

@@ -78,10 +78,11 @@ class SimContext:
     _site_by_location: dict[tuple[float, float], ResourceSite] = field(
         default_factory=dict)
 
-    def site_at(self, location: Point) -> ResourceSite:
-        site = self._site_by_location.get(location.as_pair())
+    def site_at(self, loc: list[float]) -> ResourceSite:
+        """The site at `loc`, a record's [x, y]."""
+        site = self._site_by_location.get(tuple(loc))
         if site is None:
-            raise ValueError(f"no resource site at {location}")
+            raise ValueError(f"no resource site at {loc}")
         return site
 
 
@@ -309,9 +310,13 @@ def run_to_completion(config: ScenarioConfig, snapshots: bool = False) -> RunRes
     A stalled run is a distinguished outcome, not an error; its partial
     metrics are still collected.
     """
+    return finish(Simulation(config, snapshots=snapshots))
+
+
+def finish(sim: Simulation) -> RunResult:
+    """`run_to_completion` of a simulation already built."""
     from .metrics import collect_metrics
 
-    sim = Simulation(config, snapshots=snapshots)
     status = sim.run()
     report = collect_metrics(sim.ctx.log.records)
     return RunResult(status=status, metrics=report, log=sim.ctx.log, simulation=sim)

@@ -332,9 +332,13 @@ def first_invalid_utf8_line(data: bytes) -> int | None:
                  if raw.decode("utf-8", "ignore").encode() != raw), None)
 
 
-def record_auction_key(record: dict) -> tuple[str, tuple]:
-    """The auction a msg record belongs to: (auctioneer, task location), as
-    `bus.auction_key` reads it from a live message."""
+AuctionKey = tuple[str, tuple[float, float]]
+
+
+def record_auction_key(record: dict) -> AuctionKey:
+    """The auction a msg record belongs to: (auctioneer, task location).
+    It is the one auction key, read from a live message as from the log,
+    and equals `auction.Auction.key`."""
     return (record["auctioneer"], tuple(record["loc"]))
 
 

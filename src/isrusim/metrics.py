@@ -274,13 +274,15 @@ def sweep(policies: Sequence[str], seeds: Sequence[int],
           ) -> SweepResult:
     """Run every (policy, seed) combination and aggregate the results.
 
-    Runs execute sequentially in a fixed order, so repeated sweeps with the
-    same arguments produce byte-identical outputs.  Stalled runs are flagged
-    in the CSV and summary, never dropped.  `on_run` is invoked with each
-    finished run before its log is released (useful for per-run
+    Every scenario of the grid is generated before the first run, so a grid
+    holding one that the generator rejects raises before anything is run or
+    written.  Runs execute sequentially in a fixed order, so repeated sweeps
+    with the same arguments produce byte-identical outputs.  Stalled runs
+    are flagged in the CSV and summary, never dropped.  `on_run` is invoked
+    with each finished run before its log is released (useful for per-run
     verification without holding 60 logs in memory).
     """
-    from .engine import run_to_completion
+    from .engine import Simulation, finish
 
     if not policies or not len(seeds):
         raise ValueError("sweep needs at least one policy and one seed")
@@ -289,18 +291,21 @@ def sweep(policies: Sequence[str], seeds: Sequence[int],
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)  # fail before simulating
 
+    grid = [(policy, seed, Simulation(replace(base, policy=policy, seed=int(seed)),
+                                      snapshots=snapshots))
+            for policy in policies for seed in seeds]
+    grid.reverse()
     reports: list[MetricsReport] = []
-    for policy in policies:
-        for seed in seeds:
-            config = replace(base, policy=policy, seed=int(seed))
-            result = run_to_completion(config, snapshots=snapshots)
-            reports.append(result.metrics)
-            if on_run is not None:
-                on_run(config, result)
-            if out is not None:
-                run_dir = out / "runs" / f"{policy}-seed{seed}"
-                result.log.dump_jsonl(run_dir / "events.jsonl")
-                _write_json(run_dir / "run_meta.json", build_run_meta(config))
+    while grid:
+        policy, seed, sim = grid.pop()  # the grid keeps no finished run
+        result = finish(sim)
+        reports.append(result.metrics)
+        if on_run is not None:
+            on_run(sim.config, result)
+        if out is not None:
+            run_dir = out / "runs" / f"{policy}-seed{seed}"
+            result.log.dump_jsonl(run_dir / "events.jsonl")
+            _write_json(run_dir / "run_meta.json", build_run_meta(sim.config))
 
     summary = build_summary(reports)
     if out is not None:

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .world import InvariantError, PolicyName, RobotKind
+from .world import InvariantError, Point, PolicyName, RobotKind
 
 if TYPE_CHECKING:
     from .agents import RobotState
-    from .bus import WinnerDecl
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,10 @@ class Policy:
             return 0  # a paired hauler serves its parent excavator only
         return 1
 
-    def resolve_wins(self, robot: "RobotState", wins: Sequence["WinnerDecl"]
-                     ) -> tuple["WinnerDecl | None", list["WinnerDecl"]]:
-        """Split simultaneously received wins into (accept, declines).
+    def resolve_wins(self, robot: "RobotState", wins: Sequence[dict]
+                     ) -> tuple[dict | None, list[dict]]:
+        """Split simultaneously received wins, winner records, into
+        (accept, declines).
 
         A robot that became busy after bidding declines everything.  Under
         nearest, the closest task wins (ties to the lexicographically
@@ -68,9 +68,9 @@ class Policy:
             return None, wins
         if self.name is PolicyName.NEAREST:
             chosen = min(wins, key=lambda w: (
-                robot.pose.distance_to(w.task_location),
-                w.auctioneer,
-                w.task_location.as_pair(),
+                robot.pose.distance_to(Point(*w["loc"])),
+                w["auctioneer"],
+                tuple(w["loc"]),
             ))
         else:
             if len(wins) != 1:

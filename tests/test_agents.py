@@ -16,7 +16,6 @@ from conftest import (
 )
 
 from isrusim import (
-    Announcement,
     InvariantError,
     Point,
     RobotKind,
@@ -26,11 +25,11 @@ from isrusim import (
     Simulation,
     TaskType,
     TimingConfig,
-    WinnerDecl,
     generate_scenario,
     run_to_completion,
 )
 from isrusim import agents
+from isrusim.bus import announcement, bid, winner
 from isrusim.agents import (
     COURIER,
     ExcavatorActivity,
@@ -408,7 +407,7 @@ def test_excavator_declines_when_site_already_claimed():
     site = sim.ctx.world.sites[0]
     site.claimed_by = "excavator_9"
     excavator = sim.ctx.controllers["excavator_1"]
-    win = WinnerDecl("scout_1", TaskType.EXCAVATE, site.location, "excavator_1")
+    win = winner("scout_1", TaskType.EXCAVATE, site.location, "excavator_1")
     assert excavator._accept_win(win, tick=0) is False
     assert excavator.state.activity is ExcavatorActivity.IDLE
 
@@ -486,9 +485,8 @@ def test_discovery_bias_favors_sites_near_the_plant():
 def test_bid_addressed_to_other_auctioneer_is_ignored():
     config = tiny_config(n_sites=1, n_minerals=1)
     sim = Simulation(config)
-    from isrusim import Bid
     bus = sim.ctx.bus
-    bus.publish(Bid("scout_1", "excavator_2", Point(20.0, 20.0), -3.0), 0)
+    bus.publish(bid("scout_1", "excavator_2", Point(20.0, 20.0), -3.0), 0)
     sim.step()
     sim.step()
     for name, controller in sim.ctx.controllers.items():
@@ -515,8 +513,8 @@ def test_bid_scope_per_policy():
     assert most_bids["nearest"] > 1
 
 
-def announce(scout: str, x: float) -> Announcement:
-    return Announcement(scout, TaskType.EXCAVATE, Point(x, 5.0))
+def announce(scout: str, x: float) -> dict:
+    return announcement(scout, TaskType.EXCAVATE, Point(x, 5.0))
 
 
 @pytest.mark.parametrize("policy, bid_in", [

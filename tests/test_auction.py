@@ -7,18 +7,13 @@ import pytest
 from conftest import tiny_config
 
 from isrusim import (
-    Ack,
-    Announcement,
-    Bid,
     BroadcastBus,
-    Close,
     EventLog,
     Point,
     RobotKind,
     RobotState,
     Simulation,
     TaskType,
-    WinnerDecl,
     evaluate_self_utility,
     open_auction,
     select_winner,
@@ -27,6 +22,7 @@ from isrusim import (
 from isrusim.agents import (ExcavatorActivity, ExcavatorController,
                             HaulerActivity, HaulerController)
 from isrusim.auction import CAPABLE_TASK, NEG_INF, handle_ack, record_bid
+from isrusim.bus import ack, announcement, bid
 from isrusim.pathing import estimate_path
 
 LOC = Point(30.0, 40.0)
@@ -44,9 +40,11 @@ def test_open_publishes_announcement():
     bus = BroadcastBus(log)
     bus.subscribe("excavator_1", TaskType.EXCAVATE)
     open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, tick=4, bus=bus)
-    assert bus.deliver(5) == {
-        "excavator_1": [Announcement("scout_1", TaskType.EXCAVATE, LOC)]}
-    assert [r["variant"] for r in log.records] == ["announcement"]
+    [record] = log.records
+    assert record == {**announcement("scout_1", TaskType.EXCAVATE, LOC),
+                      "tick": 4, "seq": 0}
+    mail = bus.deliver(5)
+    assert mail == {"excavator_1": [record]} and mail["excavator_1"][0] is record
 
 
 def test_auctioneer_can_hold_multiple_auctions():
@@ -65,9 +63,9 @@ def test_duplicate_key_rejected():
 
 def test_key_reusable_after_close():
     auction, book, bus = new_auction()
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -1.0))
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, -1.0))
     select_winner(auction, 3, bus)
-    handle_ack(auction, Ack("scout_1", "excavator_1", LOC, True), 5, bus)
+    handle_ack(auction, ack("scout_1", "excavator_1", LOC, True), 5, bus)
     del book[auction.key]
     open_auction(book, "scout_1", TaskType.EXCAVATE, LOC, 6, bus)  # no raise
 
@@ -105,12 +103,16 @@ def test_utility_identity_randomized():
 
 
 def test_submit_bid_publishes_wire_format():
-    bus = BroadcastBus(EventLog())
+    log = EventLog()
+    bus = BroadcastBus(log)
     robot = RobotState("excavator_2", RobotKind.EXCAVATOR, Point(10, 10),
                        ExcavatorActivity.IDLE)
-    submit_bid(robot, "scout_1", LOC, -12.5, 3, bus)
-    assert bus.deliver(4) == {
-        "scout_1": [Bid("scout_1", "excavator_2", LOC, -12.5)]}
+    record = submit_bid(robot, "scout_1", LOC, -12.5, 3, bus)
+    assert record == {**bid("scout_1", "excavator_2", LOC, -12.5),
+                      "tick": 3, "seq": 0}
+    assert log.records == [record]
+    mail = bus.deliver(4)
+    assert mail == {"scout_1": [record]} and mail["scout_1"][0] is record
 
 
 def test_malformed_bid_rejected():
@@ -123,7 +125,7 @@ def test_malformed_bid_rejected():
     for utility in (3.0, math.nan):
         with pytest.raises(ValueError):
             submit_bid(robot, "scout_1", LOC, utility, 0, bus)
-    assert submit_bid(robot, "scout_1", LOC, NEG_INF, 0, bus).utility == NEG_INF
+    assert submit_bid(robot, "scout_1", LOC, NEG_INF, 0, bus)["utility"] == NEG_INF
     assert [r["utility"] for r in log.records] == [NEG_INF]
 
 
@@ -135,7 +137,7 @@ def test_incapable_kinds_never_construct_bids():
         sim = Simulation(tiny_config(policy=policy))
         bus, controllers = sim.ctx.bus, sim.ctx.controllers
         for task_type in TaskType:
-            bus.publish(Announcement("scout_1", task_type, LOC), 0)
+            bus.publish(announcement("scout_1", task_type, LOC), 0)
             assert {controllers[name].state.kind for name in bus.deliver(1)} == {
                 kind for kind, task in CAPABLE_TASK.items() if task is task_type}
     hauler = RobotState("hauler_9", RobotKind.HAULER, Point(0, 0),
@@ -151,16 +153,16 @@ def test_winner_is_max_finite_utility():
     auction, _, bus = new_auction()
     for bidder, utility in [("excavator_1", -10.0), ("excavator_3", -4.0),
                             ("excavator_2", NEG_INF)]:
-        record_bid(auction, Bid("scout_1", bidder, LOC, utility))
+        record_bid(auction, bid("scout_1", bidder, LOC, utility))
     decl = select_winner(auction, 3, bus)
-    assert decl.winner == auction.winner == "excavator_3"
+    assert decl["winner"] == auction.winner == "excavator_3"
 
 
 def test_all_busy_bids_reannounce():
     log = EventLog()
     auction, _, bus = new_auction(bus=BroadcastBus(log))
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, NEG_INF))
-    record_bid(auction, Bid("scout_1", "excavator_2", LOC, NEG_INF))
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, NEG_INF))
+    record_bid(auction, bid("scout_1", "excavator_2", LOC, NEG_INF))
     assert select_winner(auction, 3, bus) is None
     assert auction.rounds == 2
     assert auction.winner is None
@@ -170,7 +172,7 @@ def test_all_busy_bids_reannounce():
 
 def test_selection_refused_while_awaiting_ack():
     auction, _, bus = new_auction()
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
     select_winner(auction, 3, bus)
     with pytest.raises(ValueError):
         select_winner(auction, 6, bus)
@@ -178,9 +180,9 @@ def test_selection_refused_while_awaiting_ack():
 
 def test_tie_breaks_to_lexicographically_smallest():
     auction, _, bus = new_auction()
-    record_bid(auction, Bid("scout_1", "excavator_2", LOC, -7.0))
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -7.0))
-    assert select_winner(auction, 3, bus).winner == "excavator_1"
+    record_bid(auction, bid("scout_1", "excavator_2", LOC, -7.0))
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, -7.0))
+    assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
 
 
 def test_argmax_invariant_under_positive_scaling():
@@ -191,36 +193,36 @@ def test_argmax_invariant_under_positive_scaling():
         base, _, bus_a = new_auction()
         scaled, _, bus_b = new_auction(auctioneer="scout_2")
         for bidder, u in bids.items():
-            record_bid(base, Bid("scout_1", bidder, LOC, u))
-            record_bid(scaled, Bid("scout_2", bidder, LOC, u * scale))
-        assert select_winner(base, 3, bus_a).winner == \
-            select_winner(scaled, 3, bus_b).winner
+            record_bid(base, bid("scout_1", bidder, LOC, u))
+            record_bid(scaled, bid("scout_2", bidder, LOC, u * scale))
+        assert select_winner(base, 3, bus_a)["winner"] == \
+            select_winner(scaled, 3, bus_b)["winner"]
 
 
 def test_accepted_ack_closes_auction():
     auction, _, bus = new_auction()
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -3.0))
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, -3.0))
     select_winner(auction, 3, bus)
-    msg = handle_ack(auction, Ack("scout_1", "excavator_1", LOC, True), 5, bus)
-    assert isinstance(msg, Close)
-    assert msg.allocated_to == "excavator_1"
+    msg = handle_ack(auction, ack("scout_1", "excavator_1", LOC, True), 5, bus)
+    assert msg["variant"] == "close"
+    assert msg["allocated_to"] == "excavator_1"
 
 
 def test_declined_ack_offers_next_highest():
     auction, _, bus = new_auction()
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
-    record_bid(auction, Bid("scout_1", "excavator_2", LOC, -8.0))
-    assert select_winner(auction, 3, bus).winner == "excavator_1"
-    msg = handle_ack(auction, Ack("scout_1", "excavator_1", LOC, False), 5, bus)
-    assert isinstance(msg, WinnerDecl)
-    assert msg.winner == auction.winner == "excavator_2"
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
+    record_bid(auction, bid("scout_1", "excavator_2", LOC, -8.0))
+    assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
+    msg = handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
+    assert msg["variant"] == "winner"
+    assert msg["winner"] == auction.winner == "excavator_2"
 
 
 def test_all_declined_reannounces_with_cleared_offers():
     auction, _, bus = new_auction()
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
     select_winner(auction, 3, bus)
-    msg = handle_ack(auction, Ack("scout_1", "excavator_1", LOC, False), 5, bus)
+    msg = handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
     assert msg is None
     assert auction.winner is None
     assert auction.offered_to == []  # a freed-up robot may win the next round
@@ -229,22 +231,22 @@ def test_all_declined_reannounces_with_cleared_offers():
 
 def test_ack_from_non_winner_discarded():
     auction, _, bus = new_auction()
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
     # no winner declared yet: nobody's ack counts
-    assert handle_ack(auction, Ack("scout_1", "excavator_1", LOC, True), 2, bus) is None
+    assert handle_ack(auction, ack("scout_1", "excavator_1", LOC, True), 2, bus) is None
     select_winner(auction, 3, bus)
-    assert handle_ack(auction, Ack("scout_1", "excavator_9", LOC, True), 5, bus) is None
+    assert handle_ack(auction, ack("scout_1", "excavator_9", LOC, True), 5, bus) is None
     assert auction.winner == "excavator_1"
 
 
 def test_late_bids_count_toward_next_round():
     auction, _, bus = new_auction()
-    record_bid(auction, Bid("scout_1", "excavator_1", LOC, -2.0))
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
     select_winner(auction, 3, bus)
     # arrives after the declaration: held for the next round
-    record_bid(auction, Bid("scout_1", "excavator_2", LOC, -1.0))
+    record_bid(auction, bid("scout_1", "excavator_2", LOC, -1.0))
     assert "excavator_2" not in auction.bids
-    handle_ack(auction, Ack("scout_1", "excavator_1", LOC, False), 5, bus)
+    handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
     # excavator_1 declined and no other bid was in the round: re-announce
     assert auction.winner is None
     assert auction.bids == {"excavator_2": -1.0}
@@ -255,18 +257,18 @@ def _exhaustive_winner_sequence(utilities: dict[str, float],
     """Drive one auction round; return (winner order, outcome)."""
     auction, _, bus = new_auction()
     for bidder, utility in utilities.items():
-        record_bid(auction, Bid("scout_1", bidder, LOC, utility))
+        record_bid(auction, bid("scout_1", bidder, LOC, utility))
     sequence = []
     tick = 3
     decl = select_winner(auction, tick, bus)
     while decl is not None:
-        sequence.append(decl.winner)
-        accepted = verdicts[decl.winner]
+        sequence.append(decl["winner"])
+        accepted = verdicts[decl["winner"]]
         result = handle_ack(
-            auction, Ack("scout_1", decl.winner, LOC, accepted), tick + 2, bus)
+            auction, ack("scout_1", decl["winner"], LOC, accepted), tick + 2, bus)
         if accepted:
-            return sequence, ("closed", result.allocated_to)
-        decl = result if isinstance(result, WinnerDecl) else None
+            return sequence, ("closed", result["allocated_to"])
+        decl = result  # the next winner record, or None: re-announced
         tick += 2
     return sequence, ("reannounced", None)
 

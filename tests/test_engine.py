@@ -21,7 +21,6 @@ from test_acceptance import DETERMINISM_CONFIGS, POLICIES
 
 import isrusim
 from isrusim import (
-    Bid,
     ExcavatorActivity,
     HaulerActivity,
     Point,
@@ -44,6 +43,7 @@ from isrusim.agents import (
     find_schedule,
 )
 from isrusim.auction import record_bid
+from isrusim.bus import bid
 from isrusim.engine import START_CIRCLE_RADIUS
 from isrusim.pathing import PathCursor, estimate_path
 
@@ -210,7 +210,7 @@ def selection_tick(opened: int, bid_window: int) -> int:
     location = Point(1.0, 1.0)  # no site there, so no other auction's key
     auction = open_auction(sim.ctx.controllers["scout_1"].book, "scout_1",
                            TaskType.EXCAVATE, location, opened, sim.ctx.bus)
-    record_bid(auction, Bid("scout_1", "excavator_1", location, -2.0))
+    record_bid(auction, bid("scout_1", "excavator_1", location, -2.0))
     while auction.winner is None:
         sim.step()
     return sim.tick - 1
@@ -494,8 +494,8 @@ import tempfile
 from conftest import tiny_config
 from isrusim import (BroadcastBus, EventLog, ExcavatorActivity,
                      HaulerActivity, InvariantError, Point, RobotKind,
-                     RobotState, Simulation, TaskType, WinnerDecl, agents,
-                     submit_bid)
+                     RobotState, Simulation, TaskType, agents, submit_bid)
+from isrusim.bus import winner
 from isrusim.cli import main
 
 if sys.flags.optimize != 1:
@@ -520,7 +520,7 @@ expect_invariant_error(excavator.take_bucket, 0)
 hauler = sim.ctx.controllers["hauler_1"]
 hauler.state.activity = HaulerActivity.TO_SITE
 expect_invariant_error(hauler.assign_transport, "excavator_1", Point(9.0, 9.0), 0)
-wins = [WinnerDecl("scout_1", TaskType.EXCAVATE, Point(x, 9.0), "excavator_2")
+wins = [winner("scout_1", TaskType.EXCAVATE, Point(x, 9.0), "excavator_2")
         for x in (8.0, 9.0)]
 expect_invariant_error(sim.ctx.policy.resolve_wins,
                        sim.ctx.controllers["excavator_2"].state, wins)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from importlib.resources import files
 
 import jsonschema
@@ -11,6 +12,7 @@ from isrusim import (
     MetricsError,
     RunStatus,
     ScenarioConfig,
+    ScenarioGenerationError,
     Simulation,
     TimingConfig,
     collect_metrics,
@@ -189,6 +191,22 @@ def test_csv_is_byte_identical_across_sweeps(tmp_path):
     lines = (tmp_path / "a/metrics.csv").read_text().strip().splitlines()
     assert len(lines) == 5  # header + 2 policies x 2 seeds
     assert lines[0].strip() == ",".join(CSV_COLUMNS)  # documented stable set
+
+
+def test_sweep_rejects_a_grid_it_cannot_run_before_running_it(tmp_path, monkeypatch):
+    """Seeds 1 and 3 of this dense arena place their sites and seed 0 does
+    not: the sweep raises before it runs a scenario or writes a file."""
+    from isrusim import engine
+
+    base = ScenarioConfig(arena_side=30, scan_radius=3, n_sites=45,
+                          n_minerals=90, n_scouts=1)
+    for seed in (1, 3):
+        Simulation(replace(base, seed=seed))  # generates
+    monkeypatch.setattr(engine.Simulation, "run", None)  # never reached
+    out = tmp_path / "out"
+    with pytest.raises(ScenarioGenerationError):
+        sweep(["fcfs"], [1, 3, 0], base_config=base, out_dir=out)
+    assert list(out.iterdir()) == []
 
 
 def test_summary_validates_against_shipped_schema(tmp_path):

@@ -7,10 +7,10 @@ from isrusim import (
     RobotKind,
     RobotState,
     TaskType,
-    WinnerDecl,
     make_policy,
 )
 from isrusim.agents import ExcavatorActivity, HaulerActivity
+from isrusim.bus import winner
 
 EXCAVATORS = [f"excavator_{i}" for i in range(1, 5)]
 HAULERS = [f"hauler_{i}" for i in range(1, 7)]
@@ -72,8 +72,8 @@ def wins_at(*distances_and_auctioneers):
     robot_pose = Point(0, 0)
     wins = []
     for distance, auctioneer in distances_and_auctioneers:
-        wins.append(WinnerDecl(auctioneer, TaskType.TRANSPORT,
-                               Point(distance, 0), "hauler_1"))
+        wins.append(winner(auctioneer, TaskType.TRANSPORT,
+                           Point(distance, 0), "hauler_1"))
     return wins
 
 
@@ -82,7 +82,7 @@ def test_nearest_accepts_closest_win():
     wins = wins_at((12.0, "excavator_1"), (4.0, "excavator_2"),
                    (9.0, "excavator_3"))
     accept, declined = policy.resolve_wins(idle_hauler(pose=Point(0, 0)), wins)
-    assert accept.task_location == Point(4.0, 0)
+    assert accept["loc"] == [4.0, 0]
     assert len(declined) == 2
 
 
@@ -90,7 +90,7 @@ def test_nearest_tie_breaks_by_auctioneer_name():
     policy = make_policy("nearest", EXCAVATORS, HAULERS)
     wins = wins_at((7.0, "excavator_2"), (7.0, "excavator_1"))
     accept, _ = policy.resolve_wins(idle_hauler(pose=Point(0, 0)), wins)
-    assert accept.auctioneer == "excavator_1"
+    assert accept["auctioneer"] == "excavator_1"
 
 
 def test_single_win_accepted():

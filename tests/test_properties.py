@@ -1,11 +1,12 @@
-"""Properties of whole runs over random small configs.
+"""Properties of whole runs over random configs.
 
-Arenas of 10-30 m with random fleets, timings, policies, site counts and
-tick caps.  Every run must complete, or stop only at its tick cap; its log
-must verify and yield metrics; a second run must give the same bytes; and
-it must end in the state, and write the log, that stepping every robot on
-every tick gives.  Configs that `ScenarioConfig` rejects, and those
-whose sites the scenario generator cannot place, are skipped.
+Small arenas (10-30 m) and mid-size ones (20-120 m), with random fleets,
+timings, policies, site counts and tick caps.  Every run must complete, or
+stop only at its tick cap; its log must verify and yield metrics; a second
+run must give the same bytes; and it must end in the state, and write the
+log, that stepping every robot on every tick gives.  Configs that
+`ScenarioConfig` rejects, and those whose sites the scenario generator
+cannot place, are skipped.
 """
 
 import math
@@ -28,8 +29,10 @@ from isrusim import (
     verify_records,
 )
 
-# a cap no run of these arenas needs: reaching it is a stall
+# caps no run of these arenas needs: reaching one is a stall.  A slow fleet
+# in a mid-size arena takes tens of thousands of ticks.
 LIVENESS_CAP = 20_000
+MID_LIVENESS_CAP = 200_000
 
 timings = st.builds(
     TimingConfig,
@@ -40,26 +43,38 @@ timings = st.builds(
     bid_window=st.integers(2, 5),
     win_resolution_window=st.integers(1, 3),
 )
+mid_timings = st.builds(
+    TimingConfig,
+    robot_speed=st.floats(0.1, 30.0),
+    dig_duration=st.integers(1, 80),
+    load_duration=st.integers(1, 80),
+    unload_duration=st.integers(1, 80),
+    bid_window=st.integers(2, 25),
+    win_resolution_window=st.integers(1, 25),
+)
 
 
 @st.composite
-def small_configs(draw) -> ScenarioConfig:
+def configs(draw, sides=(10.0, 30.0), max_excavators=5, max_haulers=7,
+            max_sites=8, timings=timings,
+            liveness_cap=LIVENESS_CAP) -> ScenarioConfig:
     scan_radius = draw(st.sampled_from([0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0]))
     cell = 2.0 * scan_radius
-    cells = draw(st.integers(math.ceil(10.0 / cell), math.floor(30.0 / cell)))
-    n_sites = draw(st.integers(0, 8))
+    cells = draw(st.integers(math.ceil(sides[0] / cell),
+                             math.floor(sides[1] / cell)))
+    n_sites = draw(st.integers(0, max_sites))
     fields = dict(
         arena_side=cells * cell,
         scan_radius=scan_radius,
         n_scouts=draw(st.integers(1, 2)),
-        n_excavators=draw(st.integers(1, 5)),
-        n_haulers=draw(st.integers(1, 7)),
+        n_excavators=draw(st.integers(1, max_excavators)),
+        n_haulers=draw(st.integers(1, max_haulers)),
         n_sites=n_sites,
         n_minerals=draw(st.integers(n_sites, 4 * n_sites)),
         seed=draw(st.integers(0, 2 ** 32)),
         policy=draw(st.sampled_from(["fcfs", "coalition", "nearest"])),
         timing=draw(timings),
-        tick_cap=draw(st.one_of(st.just(LIVENESS_CAP), st.integers(1, 400))),
+        tick_cap=draw(st.one_of(st.just(liveness_cap), st.integers(1, 400))),
     )
     try:
         return ScenarioConfig(**fields)
@@ -67,13 +82,13 @@ def small_configs(draw) -> ScenarioConfig:
         assume(False)
 
 
-def check_run(config: ScenarioConfig) -> None:
+def check_run(config: ScenarioConfig, liveness_cap: int = LIVENESS_CAP) -> None:
     try:
         sim = Simulation(config)
     except ScenarioGenerationError:
         assume(False)
     status = sim.run()
-    if config.tick_cap == LIVENESS_CAP:
+    if config.tick_cap == liveness_cap:
         assert status is RunStatus.COMPLETED, sim.tick
     else:
         assert status is RunStatus.COMPLETED or sim.tick == config.tick_cap
@@ -90,9 +105,17 @@ def check_run(config: ScenarioConfig) -> None:
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(config=small_configs())
+@given(config=configs())
 def test_random_small_runs_hold_their_properties(config):
     check_run(config)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(config=configs(sides=(20.0, 120.0), max_excavators=10, max_haulers=16,
+                      max_sites=40, timings=mid_timings,
+                      liveness_cap=MID_LIVENESS_CAP))
+def test_random_mid_size_runs_hold_their_properties(config):
+    check_run(config, MID_LIVENESS_CAP)
 
 
 FAILING_PROPERTY = textwrap.dedent("""

@@ -3,8 +3,6 @@
 from conftest import crowded_config, tiny_config, tiny_run
 
 from isrusim import (
-    Close,
-    WinnerDecl,
     agents,
     derive_auction_histories,
     run_to_completion,
@@ -215,17 +213,18 @@ def test_histories_rederived_from_log_match_live_auctions(monkeypatch):
     def note_winner(auction, tick, bus):
         decl = select_winner(auction, tick, bus)
         if decl is not None:
-            winners[auction.key].append(decl.winner)
+            winners[auction.key].append(decl["winner"])
         return decl
 
     def note_ack(auction, ack, tick, bus):
         result = handle_ack(auction, ack, tick, bus)
-        if isinstance(result, WinnerDecl):
-            winners[auction.key].append(result.winner)
-        elif isinstance(result, Close):
+        variant = result and result["variant"]
+        if variant == "winner":
+            winners[auction.key].append(result["winner"])
+        elif variant == "close":
             live.append((auction.auctioneer, auction.task_location.as_pair(),
                          opened[auction.key], auction.rounds,
-                         winners[auction.key], result.allocated_to, tick))
+                         winners[auction.key], result["allocated_to"], tick))
         return result
 
     monkeypatch.setattr(agents, "open_auction", note_open)
