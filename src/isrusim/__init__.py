@@ -10,7 +10,6 @@ built in and compared by a seeded sweep harness.
 __version__ = "0.1.0"
 
 from .agents import (
-    AuctionView,
     ExcavatorActivity,
     HaulerActivity,
     RobotState,
@@ -61,7 +60,7 @@ from .world import (
 
 __all__ = [
     "__version__",
-    "Auction", "AuctionHistory", "AuctionView", "BroadcastBus", "EventLog",
+    "Auction", "AuctionHistory", "BroadcastBus", "EventLog",
     "ExcavatorActivity", "HaulerActivity", "InvariantError", "LogParseError",
     "MetricsError", "MetricsReport", "PathCursor", "PathEstimate", "Point",
     "Policy", "PolicyName", "ResourceSite", "RobotKind", "RobotState",

@@ -11,16 +11,19 @@ Every cross-robot influence flows through the broadcast bus or through the
 shared world during the owner's step, so a run is a single deterministic
 thread of execution.  The engine steps a robot only when something can
 change for it (see `RobotController.wake_tick`); a step that changes what
-another robot acts on outside the bus wakes that robot.  A robot subscribes
-to the announcements and closes of the task type it bids on when it is
-built, unless its policy lets it bid in none (a coalition-paired hauler);
-its step takes the inbox the bus delivers.  A courier (an excavator
-traveling to its site, a hauler on its way to a site or to the plant) drives
-one straight segment and is busy while it does, so nothing reads its pose on
-the way: it wakes at its arrival tick, and mail before then does not move
-it.  A standby hauler walks to its spot as a course too, and wakes one tick
-after the walk's last move to check that it stands on the spot, or when its
-parent claims or releases a site.  A searching scout's spiral is fixed at
+another robot acts on outside the bus wakes that robot.  When it is built, a
+robot that bids takes the bus's board of open auctions of its task type
+(not a coalition-paired hauler, whose policy lets it bid in none), and it
+keeps only its own bid round and last bid on the auctions there.  Its step
+takes the inbox the bus delivers: the bids, acks and winner declarations
+addressed to it, or an empty inbox when the auctions inside its bid scope
+changed.  A courier (an excavator traveling to its site, a hauler on its
+way to a site or to the plant) drives one straight segment and is busy
+while it does, so nothing reads its pose on the way: it wakes at its
+arrival tick, and mail before then does not move it.  A standby hauler
+walks to its spot as a course too, and wakes one tick after the walk's last
+move to check that it stands on the spot, or when its parent claims or
+releases a site.  A searching scout's spiral is fixed at
 set-up and moves like a courier's course: its first step works out the tick
 at which it first has each site in scan range (`find_schedule`), and it
 wakes only at such a tick of a site still undiscovered, at the spiral's
@@ -50,7 +53,7 @@ from .auction import (
     select_winner,
     submit_bid,
 )
-from .bus import ack
+from .bus import Board, ack
 from .events import AuctionKey, record_auction_key
 from .pathing import PathCursor, PathEstimate, estimate_path, make_path, moves_to
 from .spiral import SpiralPlan
@@ -169,22 +172,6 @@ def find_schedule(path: PathEstimate, sites: Sequence[ResourceSite],
     return finds
 
 
-@dataclass
-class AuctionView:
-    """A bidder's receiver-side picture of someone else's open auction."""
-
-    auctioneer: str
-    task_location: Point
-    first_tick: int
-    rounds_seen: int = 1
-    bid_round: int = 0  # last announcement round this robot answered
-    last_bid: float | None = None
-
-    @property
-    def order_key(self) -> tuple:
-        return (self.first_tick, self.auctioneer, self.task_location.as_pair())
-
-
 class RobotController:
     """Shared machinery: inbox handling, win resolution, bidding, timers."""
 
@@ -194,7 +181,6 @@ class RobotController:
     def __init__(self, state: RobotState, ctx: "SimContext"):
         self.state = state
         self.ctx = ctx
-        self.views: dict[AuctionKey, AuctionView] = {}  # oldest first
         self.pending_wins: list[tuple[int, dict]] = []  # (tick, winner record)
         self.book: dict[AuctionKey, Auction] = {}
         self.cursor: PathCursor | None = None
@@ -205,9 +191,14 @@ class RobotController:
         if self.bids_on is not CAPABLE_TASK.get(state.kind):
             raise ValueError(f"{type(self).__name__} cannot drive a "
                              f"{state.kind.value} robot")
-        self._bid_scope = ctx.policy.bid_scope(state)
-        if self.bids_on is not None and self._bid_scope != 0:
-            ctx.bus.subscribe(state.name, self.bids_on)
+        self.bid_scope = ctx.policy.bid_scope(state)
+        # the open auctions of the task type it bids on, oldest first
+        self.board: Board = {}
+        if self.bids_on is not None and self.bid_scope != 0:
+            self.board = ctx.bus.subscribe(state.name, self.bids_on,
+                                           self.bid_scope)
+        # key -> [board entry, the last round of it answered, the last bid]
+        self.bid_state: dict[AuctionKey, list] = {}
         # the tick of this robot's next step, unless mail comes first; every
         # robot steps at tick 0
         self.wake_tick: float = 0
@@ -216,7 +207,8 @@ class RobotController:
 
     def step(self, tick: int, inbox: list[dict] | None) -> None:
         """Act on `inbox`, the message records the bus delivers to this
-        robot at `tick` (None: no mail), then on its own state."""
+        robot at `tick` (None: no mail; empty: the auctions inside its bid
+        scope changed), then on its own state."""
         if inbox:
             self._ingest(inbox, tick)
         self._resolve_wins(tick)
@@ -263,47 +255,24 @@ class RobotController:
 
     def _ingest(self, inbox: list[dict], tick: int) -> None:
         """Act on this tick's inbox, which the bus has already addressed:
-        announcements and closes of the task type this robot bids on, and
-        the bids, acks and winner declarations sent to it, all published
-        at tick-1.  The records are the log's own, so this reads their
-        fields and changes none."""
+        the bids, acks and winner declarations sent to it, published at
+        tick-1.  The records are the log's own, so this reads their fields
+        and changes none."""
         for record in inbox:
             variant = record["variant"]
             if variant == "bid":
                 auction = self.book.get(record_auction_key(record))
                 if auction is not None:  # the auction may have closed
                     record_bid(auction, record)
-            elif variant == "announcement":
-                key = record_auction_key(record)
-                view = self.views.get(key)
-                if view is None:
-                    self._add_view(key, AuctionView(
-                        auctioneer=key[0],
-                        task_location=Point(*key[1]),
-                        first_tick=tick - 1,
-                    ))
-                else:
-                    view.rounds_seen += 1
             elif variant == "winner":
                 self.pending_wins.append((tick, record))
-            elif variant == "ack":
+            else:  # ack
                 key = record_auction_key(record)
                 auction = self.book.get(key)
                 if auction is not None:
                     reply = handle_ack(auction, record, tick, self.ctx.bus)
                     if reply is not None and reply["variant"] == "close":
                         del self.book[key]
-            else:  # close
-                self.views.pop(record_auction_key(record), None)
-
-    def _add_view(self, key: AuctionKey, view: AuctionView) -> None:
-        """Insert a view, keeping `views` oldest-first by `order_key`; the
-        rare insert that lands out of order re-sorts the views."""
-        last = next(reversed(self.views.values()), None)
-        self.views[key] = view
-        if last is not None and view.order_key < last.order_key:
-            self.views = dict(sorted(self.views.items(),
-                                     key=lambda item: item[1].order_key))
 
     def _resolve_wins(self, tick: int) -> None:
         if not self.pending_wins:
@@ -329,23 +298,46 @@ class RobotController:
         raise NotImplementedError(f"{self.state.kind} does not take tasks")
 
     def _place_bids(self, tick: int) -> None:
-        """Bid once per announcement round in the oldest views the policy's
-        bid scope allows (all of them under nearest).
+        """Bid once per announcement round in the oldest auctions of the
+        board that the policy's bid scope allows (all of them under
+        nearest).
 
         Busy-but-capable robots answer too, with the -inf sentinel.  A robot
         whose standing bid is the sentinel corrects it the moment it goes
         idle: it is honestly available now, and waiting for the next
         re-announcement round would misrepresent that.
+
+        An auction stays inside the scope until it closes, since later ones
+        sort after it.  A reopened key is a new board entry, hence a new
+        auction, bid from round 1.  The bid state of closed auctions is
+        dropped when a new one would make it outgrow the board.
         """
-        busy = self.state.busy
-        for view in islice(self.views.values(), self._bid_scope):
-            if (view.bid_round < view.rounds_seen
-                    or (view.last_bid == NEG_INF and not busy)):
-                view.bid_round = view.rounds_seen
-                utility = evaluate_self_utility(self.state, view.task_location)
-                view.last_bid = utility
-                submit_bid(self.state, view.auctioneer, view.task_location,
+        board, mine = self.board, self.bid_state
+        for key, entry in islice(board.items(), self.bid_scope):
+            bid = mine.get(key)
+            if bid is None or bid[0] is not entry:
+                if len(mine) >= len(board):  # drop the closed auctions
+                    mine = self.bid_state = {
+                        k: b for k, b in mine.items() if board.get(k) is b[0]}
+                bid = mine[key] = [entry, 0, None]
+            if bid[1] < entry.rounds or (bid[2] == NEG_INF
+                                         and not self.state.busy):
+                bid[1] = entry.rounds
+                bid[2] = utility = evaluate_self_utility(self.state,
+                                                         entry.location)
+                submit_bid(self.state, entry.auctioneer, entry.location,
                            utility, tick, self.ctx.bus)
+
+    def scope_bids(self) -> list[list]:
+        """[auctioneer, location, bid round, last bid] on each open auction
+        inside the bid scope, oldest first; round 0 and None where this
+        robot has not bid."""
+        bids = []
+        for key, entry in islice(self.board.items(), self.bid_scope):
+            bid = self.bid_state.get(key)
+            answered = bid[1:] if bid is not None and bid[0] is entry else [0, None]
+            bids.append([key[0], list(key[1]), *answered])
+        return bids
 
     def _act(self, tick: int) -> None:
         raise NotImplementedError

@@ -1,4 +1,5 @@
-"""Message transport and the five auction message constructors.
+"""Message transport, the open-auction boards and the five auction message
+constructors.
 
 A message is its log record: a msg record of `events`, built by one of the
 constructors below with its keys in schema order, ("type",) +
@@ -10,11 +11,28 @@ belongs to is `events.record_auction_key`, live and in the log.
 
 Every published message is delivered at the start of the next tick, with no
 loss, in publish order; its global sequence number makes that order total.
-`publish` works out a message's recipients once, by its variant:
-announcements and closes go to the robots subscribed to its task type (the
-robots that bid on it), bids and acks to the auctioneer, a winner
-declaration to the winner.  Every message is still logged, so the log stays
-the broadcast record of the run.
+Bids and acks go to the auctioneer's inbox, a winner declaration to the
+winner's.  Announcements and closes enter no inbox: `deliver` files each of
+them once, in publish order, on the board of its task type, which every
+robot that bids on that type reads (`subscribe`).  A board maps each open
+auction's key to its `BoardEntry`, oldest first by (first tick, key): an
+announcement of a key not on the board adds an entry, one of a key on it is
+a new round, and a close removes the entry.  A reopened key (a transport
+auction at the same site, for the next mineral) is a new entry object.
+Every message is still logged, so the log stays the broadcast record of the
+run.
+
+`deliver` also names the subscribers that must step to answer what it
+filed: one that bids in its oldest `scope` auctions when an announcement or
+close touches one of those (with scope 1, when the oldest auction is
+another one or announces a new round), one that bids in all of them (scope
+None) when an announcement was filed.  A close behind the scope steps
+nobody.  A subscriber named without addressed mail gets an empty inbox.
+
+One board per task type stands in for a view per robot only because
+delivery is lossless and synchronous: every subscriber would file the same
+records in the same order.  A scenario with message loss or delay per robot
+would need a view per robot again.
 
 The constructors check nothing: each field is checked once, where its value
 comes from.  Robot names are checked when the fleet is built
@@ -25,7 +43,10 @@ its kind (`agents.RobotController`), and a bid's utility by
 
 from __future__ import annotations
 
-from .events import EventLog
+from dataclasses import dataclass
+from itertools import islice
+
+from .events import AuctionKey, EventLog, record_auction_key
 from .world import Point, TaskType
 
 
@@ -71,43 +92,116 @@ def close(auctioneer: str, task_type: TaskType, location: Point,
             "allocated_to": allocated_to}
 
 
+@dataclass(eq=False)
+class BoardEntry:
+    """One open auction on a board: whose it is, where the task is, the
+    tick of its first announcement and how many rounds it has announced.
+    Equal only to itself, so a reopened key is a new entry."""
+
+    auctioneer: str
+    location: Point
+    first_tick: int
+    rounds: int = 1
+
+
+Board = dict[AuctionKey, BoardEntry]
+
+
+def _add_entry(board: Board, key: AuctionKey, tick: int) -> None:
+    """Add the auction first announced at `tick` to `board`, oldest first
+    by (first tick, key).  Only an entry of the same tick can sort after
+    it; the robots hold the board, so it is re-sorted in place."""
+    last = next(reversed(board), None)
+    board[key] = BoardEntry(key[0], Point(*key[1]), tick)
+    if last is not None and (tick, key) < (board[last].first_tick, last):
+        entries = sorted(board.items(),
+                         key=lambda item: (item[1].first_tick, item[0]))
+        board.clear()
+        board.update(entries)
+
+
 class BroadcastBus:
-    """Lossless addressed delivery with a fixed one-tick latency."""
+    """Lossless delivery with a fixed one-tick latency: addressed mail to
+    inboxes, announcements and closes to one board per task type."""
 
     def __init__(self, log: EventLog):
         self._log = log
         self._sequence = 0
-        self._subscribers: dict[str, list[str]] = {}  # task type value -> robots
+        # task type value -> its open auctions, oldest first
+        self.boards: dict[str, Board] = {t.value: {} for t in TaskType}
+        # task type value -> bid scope -> the robots that read its board
+        self._subscribers: dict[str, dict[int | None, list[str]]] = {}
         # tick -> robot -> the records it receives at that tick
         self._mail: dict[int, dict[str, list[dict]]] = {}
+        # tick -> the announcements and closes to file at that tick
+        self._posted: dict[int, list[dict]] = {}
 
-    def subscribe(self, robot: str, task_type: TaskType) -> None:
-        """Address the announcements and closes of `task_type` to `robot`."""
-        self._subscribers.setdefault(task_type.value, []).append(robot)
+    def subscribe(self, robot: str, task_type: TaskType,
+                  scope: int | None) -> Board:
+        """Return the board of `task_type` for `robot`, which bids in its
+        oldest `scope` auctions (None: all of them), and step it when they
+        change."""
+        self._subscribers.setdefault(task_type.value, {}).setdefault(
+            scope, []).append(robot)
+        return self.boards[task_type.value]
 
     def publish(self, record: dict, tick: int) -> None:
         """Stamp a message record with `tick` and its sequence number, log
-        it and put it in its recipients' inboxes for tick + 1."""
+        it and put it in its recipient's inbox, or on the board, for
+        tick + 1."""
         record["tick"] = tick
         record["seq"] = self._sequence
         self._sequence += 1
         self._log.append(record)
         variant = record["variant"]
         if variant == "bid" or variant == "ack":
-            recipients = (record["auctioneer"],)
+            robot = record["auctioneer"]
         elif variant == "winner":
-            recipients = (record["winner"],)
+            robot = record["winner"]
         else:  # announcement, close
-            recipients = self._subscribers.get(record["task_type"], ())
-        mail = self._mail.setdefault(tick + 1, {})
-        for robot in recipients:
-            mail.setdefault(robot, []).append(record)
+            self._posted.setdefault(tick + 1, []).append(record)
+            return
+        self._mail.setdefault(tick + 1, {}).setdefault(robot, []).append(record)
 
     def deliver(self, tick: int) -> dict[str, list[dict]]:
-        """Each robot's records published at tick-1, in publish order; a
-        robot without mail is left out.  The engine delivers every tick
-        once, in order."""
-        return self._mail.pop(tick, {})
+        """File the announcements and closes published at tick-1 on their
+        boards, and return each robot's inbox: its records published at
+        tick-1, in publish order, or an empty one for a subscriber whose
+        bid scope changed.  A robot with neither is left out.  The engine
+        delivers every tick once, in order."""
+        mail = self._mail.pop(tick, {})
+        posted = self._posted.pop(tick, None)
+        if posted is not None:
+            self._file(posted, tick - 1, mail)
+        return mail
+
+    def _file(self, posted: list[dict], tick: int,
+              mail: dict[str, list[dict]]) -> None:
+        """File `posted`, the announcements and closes published at `tick`,
+        in order, and give an inbox to each subscriber that must step: with
+        a bid scope of k, when a record's auction is one of the oldest k
+        (after an announcement is filed, before a close removes it); with
+        no bound on its scope, for every announcement."""
+        stepped: dict[tuple[str, int | None], None] = {}
+        for record in posted:
+            value = record["task_type"]
+            board, key = self.boards[value], record_auction_key(record)
+            closing = record["variant"] == "close"
+            if not closing:
+                entry = board.get(key)
+                if entry is not None:
+                    entry.rounds += 1
+                else:
+                    _add_entry(board, key, tick)
+            for scope in self._subscribers.get(value, ()):
+                if (not closing if scope is None
+                        else key in islice(board, scope)):
+                    stepped[value, scope] = None
+            if closing:
+                del board[key]
+        for value, scope in stepped:
+            for robot in self._subscribers[value][scope]:
+                mail.setdefault(robot, [])
 
     @property
     def messages_published(self) -> int:

@@ -1,12 +1,14 @@
 """Deterministic tick loop.
 
 Each tick runs the same fixed phases: the bus delivers the previous tick's
-broadcasts, the woken robots step in kind-then-name order (taking their
-inboxes, acting, publishing), then, on ticks that are a multiple of
-`bid_window`, every robot holding open auctions fires its auction timers,
-then the invariants and termination are checked.  A robot wakes when it has
-mail, when a pending win matures, at its own dig, load or unload deadline,
-and when another robot's step changes what it acts on; any other step of it
+messages (the addressed ones to inboxes, announcements and closes to the
+boards of open auctions), the woken robots step in kind-then-name order
+(taking their inboxes, acting, publishing), then, on ticks that are a
+multiple of `bid_window`, every robot holding open auctions fires its
+auction timers, then the invariants and termination are checked.  A robot
+wakes when it has mail, when the open auctions inside its bid scope change,
+when a pending win matures, at its own dig, load or unload deadline, and
+when another robot's step changes what it acts on; any other step of it
 would change nothing.  A courier, on its way to a site or to the plant,
 wakes only at its arrival tick; a standby hauler one tick after the last
 move of its walk to its spot; a searching scout only at the tick it first
@@ -172,12 +174,12 @@ class Simulation:
         tick = self.tick
         records = self.ctx.log.records
         logged = len(records)
-        mail = self.ctx.bus.deliver(tick)  # the broadcasts of tick-1
+        mail = self.ctx.bus.deliver(tick)  # the messages of tick-1
         if mail or self._wake <= tick:
             order = self._step_order
             for controller in order:
                 inbox = mail.get(controller.state.name)
-                if inbox or controller.wake_tick <= tick:
+                if inbox is not None or controller.wake_tick <= tick:
                     controller.step(tick, inbox)
             self._wake = min(controller.wake_tick for controller in order)
         # Winner selection runs on a cadence shared by every auction, so
@@ -288,6 +290,11 @@ class Simulation:
                           sorted(a.bids.items()), sorted(a.late_bids.items()),
                           a.offered_to, a.winner or ""]
                          for c in self._step_order for a in c.book.values()],
+            "boards": [[value, key[0], list(key[1]), e.first_tick, e.rounds]
+                       for value, board in self.ctx.bus.boards.items()
+                       for key, e in board.items()],
+            "bids": [[c.state.name, *bid] for c in self._step_order
+                     for bid in c.scope_bids()],
             "messages": self.ctx.bus.messages_published,
         }
         blob = json.dumps(state, sort_keys=True)

@@ -1,15 +1,11 @@
 import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from types import SimpleNamespace
 
 import pytest
 
 from isrusim import (
     Point,
-    Policy,
-    PolicyName,
-    RobotKind,
     ScenarioConfig,
     TimingConfig,
     run_to_completion,
@@ -67,38 +63,19 @@ def run_logs() -> RunLogs:
     return RunLogs()
 
 
-BIDS_ON = {"scout": None, "excavator": "excavate", "hauler": "transport"}
-
-
 def mail_from_log(records) -> dict[tuple[str, int], list[int]]:
     """(robot, tick) -> the sequence numbers, in order, of the messages of
-    tick-1 in the log that the robot acts on: the announcements and closes
-    of the task type it bids on, unless its policy lets it bid in none
-    (`Policy.bid_scope` is 0: a coalition-paired hauler), the bids and acks
-    sent to it as auctioneer, and the winner declarations naming it.
-    Robots without mail at a tick are left out."""
-    start = records[0]
-    robots = start["robots"]
-    policy = Policy(PolicyName(start["policy"]),
-                    tuple(tuple(pair) for pair in start["coalition_pairs"]))
-    bids_on = {}
-    for name, kind in robots:
-        if policy.bid_scope(SimpleNamespace(name=name, kind=RobotKind(kind))) != 0:
-            bids_on[name] = BIDS_ON[kind]
+    tick-1 in the log addressed to the robot: the bids and acks sent to it
+    as auctioneer, and the winner declarations naming it.  Announcements
+    and closes go to no inbox.  Robots without mail at a tick are left
+    out."""
     mail = defaultdict(list)
     for record in records:
-        if record["type"] != "msg":
+        if record["type"] != "msg" or record["variant"] in ("announcement", "close"):
             continue
-        variant = record["variant"]
-        for name, kind in robots:
-            if variant in ("announcement", "close"):
-                acts_on = record["task_type"] == bids_on.get(name)
-            elif variant == "winner":
-                acts_on = record["winner"] == name
-            else:  # bid or ack
-                acts_on = record["auctioneer"] == name
-            if acts_on:
-                mail[name, record["tick"] + 1].append(record["seq"])
+        name = (record["winner"] if record["variant"] == "winner"
+                else record["auctioneer"])
+        mail[name, record["tick"] + 1].append(record["seq"])
     return dict(mail)
 
 

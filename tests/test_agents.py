@@ -517,16 +517,26 @@ def announce(scout: str, x: float) -> dict:
     return announcement(scout, TaskType.EXCAVATE, Point(x, 5.0))
 
 
+def file_announcements(bus, *ticks):
+    """Publish each tick's announcements at that tick and file them on the
+    board, as the next tick's delivery does."""
+    for tick, records in ticks:
+        for record in records:
+            bus.publish(record, tick)
+        bus.deliver(tick + 1)
+
+
 @pytest.mark.parametrize("policy, bid_in", [
     ("fcfs", [10.0]), ("coalition", [10.0]), ("nearest", [10.0, 25.0, 20.0])])
 def test_controller_bids_only_in_its_bid_scope(policy, bid_in):
-    """An idle excavator holding three open views bids in the oldest alone
-    under fcfs and coalition, in all three under nearest, and in none again
-    until a round is fresh."""
+    """An idle excavator whose board holds three open auctions bids in the
+    oldest alone under fcfs and coalition, in all three under nearest, and
+    in none again until a round is fresh."""
     sim = Simulation(tiny_config(policy=policy))
     excavator = sim.ctx.controllers["excavator_1"]
-    excavator._ingest([announce("scout_1", 25.0), announce("scout_1", 10.0)], 6)
-    excavator._ingest([announce("scout_1", 20.0)], 7)
+    file_announcements(sim.ctx.bus,
+                       (5, [announce("scout_1", 25.0), announce("scout_1", 10.0)]),
+                       (6, [announce("scout_1", 20.0)]))
     log = sim.ctx.log.records
     logged = len(log)
     excavator._place_bids(7)
@@ -535,14 +545,19 @@ def test_controller_bids_only_in_its_bid_scope(policy, bid_in):
         (7, x) for x in bid_in]
 
 
-def test_views_stay_oldest_first_when_announcements_arrive_out_of_order():
-    """An inbox holds one tick's announcements in publish order, which need
-    not be the views' order (first tick, auctioneer, location)."""
-    excavator = Simulation(tiny_config()).ctx.controllers["excavator_1"]
-    excavator._ingest([announce("scout_2", 20.0), announce("scout_1", 25.0),
-                       announce("scout_1", 10.0)], 6)
-    excavator._ingest([announce("scout_2", 1.0), announce("scout_1", 1.0)], 7)
-    assert [v.order_key for v in excavator.views.values()] == [
+def test_board_stays_oldest_first_when_announcements_arrive_out_of_order():
+    """One tick's announcements are filed in publish order, which need not
+    be the board's order (first tick, auctioneer, location); the board is
+    re-sorted in place, so it stays the one the excavator reads."""
+    sim = Simulation(tiny_config())
+    excavator = sim.ctx.controllers["excavator_1"]
+    board = sim.ctx.bus.boards["excavate"]
+    file_announcements(sim.ctx.bus,
+                       (5, [announce("scout_2", 20.0), announce("scout_1", 25.0),
+                            announce("scout_1", 10.0)]),
+                       (6, [announce("scout_2", 1.0), announce("scout_1", 1.0)]))
+    assert excavator.board is board
+    assert [(entry.first_tick, *key) for key, entry in board.items()] == [
         (5, "scout_1", (10.0, 5.0)), (5, "scout_1", (25.0, 5.0)),
         (5, "scout_2", (20.0, 5.0)), (6, "scout_1", (1.0, 5.0)),
         (6, "scout_2", (1.0, 5.0))]

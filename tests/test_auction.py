@@ -36,15 +36,20 @@ def new_auction(book=None, auctioneer="scout_1", loc=LOC, tick=0, bus=None):
 
 
 def test_open_publishes_announcement():
+    """The announcement is logged and, the next tick, filed on the board
+    its subscriber reads, which steps it with an empty inbox."""
     log = EventLog()
     bus = BroadcastBus(log)
-    bus.subscribe("excavator_1", TaskType.EXCAVATE)
+    board = bus.subscribe("excavator_1", TaskType.EXCAVATE, 1)
     open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, tick=4, bus=bus)
     [record] = log.records
     assert record == {**announcement("scout_1", TaskType.EXCAVATE, LOC),
                       "tick": 4, "seq": 0}
-    mail = bus.deliver(5)
-    assert mail == {"excavator_1": [record]} and mail["excavator_1"][0] is record
+    assert bus.deliver(5) == {"excavator_1": []}
+    [(key, entry)] = board.items()
+    assert key == ("scout_1", LOC.as_pair())
+    assert (entry.auctioneer, entry.location, entry.first_tick,
+            entry.rounds) == ("scout_1", LOC, 4, 1)
 
 
 def test_auctioneer_can_hold_multiple_auctions():

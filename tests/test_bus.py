@@ -16,7 +16,8 @@ from isrusim import (
 )
 from isrusim.agents import RobotController
 from isrusim.bus import ack, announcement, bid, close, winner
-from isrusim.events import _MSG_LINES, MSG_FIELDS, RECORD_FIELDS, _Names
+from isrusim.events import (
+    _MSG_LINES, MSG_FIELDS, RECORD_FIELDS, _Names, record_auction_key)
 
 
 LOC = Point(30.0, 40.0)
@@ -32,11 +33,17 @@ HAULERS = {"hauler_1", "hauler_2"}
 
 
 def fleet_bus(log=None):
+    """A bus whose subscribers each bid in their oldest open auction."""
     bus = BroadcastBus(EventLog() if log is None else log)
     for robot, task_type in FLEET.items():
         if task_type is not None:
-            bus.subscribe(robot, task_type)
+            bus.subscribe(robot, task_type, 1)
     return bus
+
+
+def board_rows(board):
+    """A board's entries, oldest first: key, first tick and rounds."""
+    return [(key, entry.first_tick, entry.rounds) for key, entry in board.items()]
 
 
 @pytest.mark.parametrize("make, args, recipients", [
@@ -51,42 +58,66 @@ def fleet_bus(log=None):
 ], ids=["announce-excavate", "announce-transport", "bid", "busy-bid", "winner",
         "ack", "close-excavate", "close-transport"])
 def test_publish_delivers_to_every_recipient_next_tick(make, args, recipients):
-    """Each recipient's inbox holds the logged record itself."""
+    """Addressed mail: each recipient's inbox holds the logged record
+    itself.  An announcement or close enters no inbox: the next tick files
+    it on its task type's board, and the subscribers, whose oldest open
+    auction it changes, get an empty inbox."""
     log = EventLog()
     bus = fleet_bus(log)
-    bus.publish(make(*args), tick=10)
-    [record] = log.records
+    record = make(*args)
+    variant = record["variant"]
+    if variant == "close":  # the auction it closes
+        bus.publish(announcement(args[0], TaskType(record["task_type"]), LOC), 8)
+        bus.deliver(9)
+    bus.publish(record, tick=10)
+    assert log.records[-1] is record
     mail = bus.deliver(11)
     assert set(mail) == recipients
-    for robot in recipients:
-        assert len(mail[robot]) == 1 and mail[robot][0] is record
+    if variant in ("announcement", "close"):
+        assert all(inbox == [] for inbox in mail.values())
+        board = bus.boards[record["task_type"]]
+        assert board_rows(board) == ([((args[0], LOC.as_pair()), 10, 1)]
+                                     if variant == "announcement" else [])
+    else:
+        for robot in recipients:
+            assert len(mail[robot]) == 1 and mail[robot][0] is record
 
 
 def test_not_delivered_same_tick():
     log = EventLog()
     bus = fleet_bus(log)
     bus.publish(announcement("scout_1", TaskType.EXCAVATE, LOC), tick=10)
+    bus.publish(bid("scout_1", "excavator_1", LOC, -2.0), tick=10)
     assert bus.deliver(10) == {}
+    assert bus.boards["excavate"] == {}
     mail = bus.deliver(11)
-    assert set(mail) == EXCAVATORS
-    assert all(inbox == log.records and inbox[0] is log.records[0]
-               for inbox in mail.values())
+    assert mail == {"scout_1": [log.records[1]], "excavator_1": [],
+                    "excavator_2": []}
+    assert mail["scout_1"][0] is log.records[1]
+    assert board_rows(bus.boards["excavate"]) == [(("scout_1", LOC.as_pair()), 10, 1)]
 
 
 def test_same_tick_messages_keep_publish_order():
+    """An inbox holds its records in publish order; the board files one
+    tick's announcements in publish order and keeps its entries oldest
+    first, by first tick, then key."""
     bus = fleet_bus()
     records = [bid("excavator_1", "hauler_1", LOC, -2.0),
                announcement("scout_2", TaskType.EXCAVATE, LOC),
                bid("scout_2", "excavator_2", LOC, -1.0),  # not excavator_1's
                winner("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"),
-               close("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"),
-               ack("excavator_1", "hauler_1", LOC, True)]
+               announcement("scout_1", TaskType.EXCAVATE, OTHER),
+               ack("excavator_1", "hauler_1", LOC, True),
+               announcement("scout_2", TaskType.EXCAVATE, LOC)]
     for record in records:
         bus.publish(record, tick=4)
     inbox = bus.deliver(5)["excavator_1"]
-    assert [record["seq"] for record in inbox] == [0, 1, 3, 4, 5]
+    assert [record["seq"] for record in inbox] == [0, 3, 5]
     assert all(record is records[record["seq"]] for record in inbox)
-    assert bus.messages_published == 6
+    assert bus.messages_published == 7
+    # scout_2's second announcement is its second round
+    assert board_rows(bus.boards["excavate"]) == [
+        (("scout_1", OTHER.as_pair()), 4, 1), (("scout_2", LOC.as_pair()), 4, 2)]
 
 
 def test_each_tick_is_delivered_once():
@@ -94,27 +125,32 @@ def test_each_tick_is_delivered_once():
     bus.publish(announcement("scout_1", TaskType.EXCAVATE, LOC), tick=0)
     bus.publish(bid("scout_1", "excavator_1", LOC, -1.0), tick=0)
     bus.publish(bid("scout_1", "excavator_2", LOC, -1.0), tick=1)
-    assert [len(inbox) for inbox in bus.deliver(1).values()] == [1, 1, 1]
+    counts = {robot: len(inbox) for robot, inbox in bus.deliver(1).items()}
+    assert counts == {"scout_1": 1, "excavator_1": 0, "excavator_2": 0}
     assert bus.deliver(1) == {}
+    assert board_rows(bus.boards["excavate"]) == [(("scout_1", LOC.as_pair()), 0, 1)]
     assert list(bus.deliver(2)) == ["scout_1"]
 
 
 def test_no_traffic_empty_inbox():
     bus = fleet_bus()
     assert bus.deliver(5) == {}
-    # a task type nobody subscribes to reaches nobody
+    # a task type nobody subscribes to reaches nobody, but is on its board
     unsubscribed = BroadcastBus(EventLog())
     unsubscribed.publish(announcement("scout_1", TaskType.EXCAVATE, LOC), tick=5)
     assert unsubscribed.deliver(6) == {}
+    assert len(unsubscribed.boards["excavate"]) == 1
 
 
 def test_fanout_counts():
+    """Addressed mail is copied to its one recipient; an announcement to
+    no one."""
     bus = fleet_bus()
     for i in range(3):
         bus.publish(bid("scout_1", f"excavator_{i + 1}", LOC, -float(i)), tick=7)
     bus.publish(announcement("scout_1", TaskType.EXCAVATE, OTHER), tick=7)
     counts = {robot: len(inbox) for robot, inbox in bus.deliver(8).items()}
-    assert counts == {"scout_1": 3, "excavator_1": 1, "excavator_2": 1}
+    assert counts == {"scout_1": 3, "excavator_1": 0, "excavator_2": 0}
 
 
 class Record(dict):
@@ -122,27 +158,31 @@ class Record(dict):
 
 
 def test_delivered_mail_is_released():
-    """Once a tick is delivered the bus holds none of its records; the log
-    here keeps none either."""
+    """Once a tick is delivered the bus holds none of its records: an
+    inbox's records go with the inbox, and a board keeps an entry, not the
+    announcement it filed.  The log here keeps none either."""
     log = EventLog()
     log.append = lambda record: None
     bus = fleet_bus(log)
-    record = Record(announcement("scout_1", TaskType.EXCAVATE, LOC))
-    released = weakref.ref(record)
-    bus.publish(record, tick=0)
-    del record
+    records = [Record(bid("scout_1", "excavator_1", LOC, -1.0)),
+               Record(announcement("scout_1", TaskType.EXCAVATE, LOC))]
+    released = [weakref.ref(record) for record in records]
+    for record in records:
+        bus.publish(record, tick=0)
+    del records, record
     mail = bus.deliver(1)
-    assert released() is not None
+    assert released[0]() is not None and released[1]() is None
+    assert len(bus.boards["excavate"]) == 1
     del mail
-    assert released() is None
+    assert released[0]() is None
 
 
 def test_inbox_is_the_log_filtered_by_receiver_rules(monkeypatch):
     """Differential check of addressed delivery on a crowded nearest run:
     every robot with mail at tick t, by the log, is stepped at t, and the
-    inbox its step takes is exactly the messages of tick t-1 in the log
-    that the robot acts on, in sequence order: the logged records
-    themselves.  Every other step takes no mail."""
+    inbox its step takes is exactly the bids, acks and winner declarations
+    of tick t-1 in the log addressed to it, in sequence order: the logged
+    records themselves.  Every other step takes no mail."""
     sim = Simulation(crowded_config(policy="nearest"))
     step = RobotController.step
     inboxes = {}
@@ -176,30 +216,38 @@ def test_inbox_is_the_log_filtered_by_receiver_rules(monkeypatch):
 
 
 def test_paired_hauler_inbox_never_holds_an_announcement_or_close(monkeypatch):
-    """A coalition-paired hauler never bids (its bid scope is 0), so the
-    bus addresses it no announcement or close, while each transport
-    announcement reaches the four unpaired haulers."""
+    """No inbox holds an announcement or close.  A coalition-paired hauler
+    never bids (its bid scope is 0), so it does not read the transport
+    board and the bus never steps it for one, while the four unpaired
+    haulers read that board and are stepped when its oldest auction
+    changes."""
     sim = Simulation(crowded_config(policy="coalition"))
     paired = {hauler for _, hauler in sim.ctx.policy.pairs}
     step = RobotController.step
-    received = Counter()
+    received, woken = Counter(), Counter()
 
     def step_and_count(self, tick, inbox):
-        received.update((self.state.name in paired, record["variant"],
-                         self.bids_on) for record in inbox or ())
+        received.update(record["variant"] for record in inbox or ())
+        if inbox == []:
+            woken[self.state.name] += 1
         step(self, tick, inbox)
 
     monkeypatch.setattr(RobotController, "step", step_and_count)
     assert sim.run() is RunStatus.COMPLETED
     assert len(paired) == 8
-    assert not any(to_paired and variant in ("announcement", "close")
-                   for to_paired, variant, _ in received)
+    assert not received.keys() & {"announcement", "close"}
+    board = sim.ctx.bus.boards["transport"]
+    haulers = {name: c for name, c in sim.ctx.controllers.items()
+               if c.bids_on is TaskType.TRANSPORT}
+    assert {name for name, c in haulers.items() if c.board is board} == (
+        haulers.keys() - paired)
+    assert len(haulers.keys() - paired) == 4
+    assert not paired & woken.keys()
+    assert woken.keys() >= haulers.keys() - paired
     transport_auctions = sum(1 for r in sim.ctx.log.records
                              if r["type"] == "msg" and r["variant"] == "announcement"
                              and r["task_type"] == "transport")
     assert transport_auctions > 0
-    assert (received[False, "announcement", TaskType.TRANSPORT]
-            == 4 * transport_auctions)
 
 
 def test_messages_logged():
@@ -281,3 +329,90 @@ def test_record_keys_follow_the_schema_order(run_logs, msg):
     for record in records:
         assert list(record) == keys
         assert _MSG_LINES[tuple(record)](record, names, locs) is not None
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_deliver_steps_the_subscribers_whose_bid_scope_changed(policy):
+    """`deliver` gives an empty inbox to the haulers that must step for
+    what it filed on the transport board: one that bids in its oldest
+    auction only (fcfs, an unpaired coalition hauler) when that auction is
+    another one or announced a new round, one that bids in all of them
+    (nearest) when any announcement was filed.  A close behind the oldest
+    auction steps nobody, and a coalition-paired hauler never steps."""
+    sim = Simulation(crowded_config(policy=policy))
+    bus = sim.ctx.bus
+    scopes = {name: c.bid_scope for name, c in sim.ctx.controllers.items()
+              if c.bids_on is TaskType.TRANSPORT}
+    oldest_only = {name for name, scope in scopes.items() if scope == 1}
+    every = {name for name, scope in scopes.items() if scope is None}
+    paired = {name for name, scope in scopes.items() if scope == 0}
+    assert (bool(oldest_only), bool(every), bool(paired)) == {
+        "fcfs": (True, False, False), "coalition": (True, False, True),
+        "nearest": (False, True, False)}[policy]
+    head = ("excavator_1", TaskType.TRANSPORT, LOC)
+    behind = ("excavator_2", TaskType.TRANSPORT, OTHER)
+
+    def stepped(tick, *records):
+        for record in records:
+            bus.publish(record, tick)
+        mail = bus.deliver(tick + 1)
+        assert all(inbox == [] for inbox in mail.values())
+        return set(mail)
+
+    assert stepped(100, announcement(*head)) == oldest_only | every
+    assert stepped(101, announcement(*behind)) == every
+    assert stepped(102, announcement(*behind)) == every  # its round 2
+    assert stepped(103, announcement(*head)) == oldest_only | every
+    assert stepped(104, close(*behind, "hauler_9")) == set()
+    assert stepped(105, announcement(*behind)) == every  # a reopened key
+    assert stepped(106, close(*head, "hauler_9")) == oldest_only
+    assert stepped(107, close(*behind, "hauler_9")) == oldest_only
+    assert bus.boards["transport"] == {}
+
+
+@pytest.mark.parametrize("gap", [1, 0], ids=["next-tick", "same-tick"])
+def test_a_reopened_key_is_a_new_auction(gap):
+    """A transport key closes and reopens for the next mineral, one tick
+    apart or filed in one `deliver` in publish order: the board holds a new
+    entry, and every hauler that bids in its oldest auction is stepped and
+    bids again, in round 1 of the new auction."""
+    sim = Simulation(crowded_config(policy="fcfs"))
+    bus, records = sim.ctx.bus, sim.ctx.log.records
+    haulers = {name: c for name, c in sim.ctx.controllers.items()
+               if c.bids_on is TaskType.TRANSPORT}
+    key = ("excavator_1", LOC.as_pair())
+
+    def deliver_and_bid(tick):
+        """Let the haulers the bus steps bid; who bid at `tick`."""
+        for name in bus.deliver(tick).keys() & haulers.keys():
+            haulers[name]._place_bids(tick)
+        return {r["bidder"] for r in records
+                if r["type"] == "msg" and r["variant"] == "bid" and r["tick"] == tick}
+
+    bus.publish(announcement("excavator_1", TaskType.TRANSPORT, LOC), 10)
+    assert deliver_and_bid(11) == haulers.keys()
+    first = bus.boards["transport"][key]
+    bus.publish(close("excavator_1", TaskType.TRANSPORT, LOC, "hauler_1"), 11)
+    if gap:
+        assert deliver_and_bid(12) == set()  # nothing left to bid in
+    bus.publish(announcement("excavator_1", TaskType.TRANSPORT, LOC), 11 + gap)
+    assert deliver_and_bid(12 + gap) == haulers.keys()
+    entry = bus.boards["transport"][key]
+    assert entry is not first and entry.rounds == 1
+    # the bid state of the closed auction is gone
+    assert all(list(c.bid_state) == [key] and c.bid_state[key][:2] == [entry, 1]
+               for c in haulers.values())
+
+
+def test_a_crowded_fcfs_run_reopens_a_transport_key(run_logs):
+    """The reopened key of the test above happens in a real run: a
+    transport auction is announced again at a site after it closed."""
+    closed, reopened = set(), set()
+    for record in run_logs.log(crowded_config(policy="fcfs")):
+        if record["type"] == "msg" and record.get("task_type") == "transport":
+            key = record_auction_key(record)
+            if record["variant"] == "close":
+                closed.add(key)
+            elif record["variant"] == "announcement" and key in closed:
+                reopened.add(key)
+    assert reopened

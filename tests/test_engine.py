@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from test_acceptance import DETERMINISM_CONFIGS, POLICIES
 
 import isrusim
 from isrusim import (
+    BroadcastBus,
     ExcavatorActivity,
     HaulerActivity,
     Point,
@@ -321,7 +323,11 @@ STEP_ALL_CASES = (
     + [(crowded_config(policy="nearest",
                        timing=TimingConfig(win_resolution_window=3)), False)]
     # a parent releases its site while its paired hauler walks to it
-    + [(ScenarioConfig(policy="coalition", seed=0), False)])
+    + [(ScenarioConfig(policy="coalition", seed=0), False)]
+    # winners are selected every other tick, so closes and re-announcements
+    # often share a tick (46 of its 629 ticks)
+    + [(crowded_config(policy="fcfs", seed=2, timing=TimingConfig(bid_window=2)),
+        False)])
 
 
 @pytest.mark.parametrize("config, snapshots", STEP_ALL_CASES,
@@ -330,11 +336,12 @@ STEP_ALL_CASES = (
                               for c, s in STEP_ALL_CASES])
 def test_wake_set_matches_step_all_reference(config, snapshots):
     """Stepping only the woken robots gives the state that stepping every
-    robot on every tick gives, after every tick; and the goal and the
-    conservation check, run only at tick 0 and where the log grew, hold
-    exactly when they would on every tick.  `state_digest` brings every
-    lagging pose up to date, so a run whose state nothing reads before it
-    ends must write the same log too."""
+    robot on every tick gives, after every tick, the open auctions on the
+    boards and each robot's bids in those inside its bid scope included;
+    and the goal and the conservation check, run only at tick 0 and where
+    the log grew, hold exactly when they would on every tick.
+    `state_digest` brings every lagging pose up to date, so a run whose
+    state nothing reads before it ends must write the same log too."""
     sim = Simulation(config, snapshots=snapshots)
     reference = step_all_reference(config, snapshots)
     while sim.status is RunStatus.RUNNING:
@@ -383,7 +390,14 @@ def test_stalled_run_ends_with_the_step_all_state(policy, cap, moving):
     assert sim.state_digest() == reference.state_digest()
 
 
-def reasons_to_step(controller, tick: int, assigned: set, finds: dict) -> set[str]:
+def scope_rounds(controller) -> list:
+    """The open auctions inside a robot's bid scope, with their rounds."""
+    return [(entry, entry.rounds)
+            for entry in islice(controller.board.values(), controller.bid_scope)]
+
+
+def reasons_to_step(controller, tick: int, assigned: set, finds: dict,
+                    scope_changed: set) -> set[str]:
     """Why a robot must step at `tick`, read before its step (mail is
     known from the inbox the step takes, an arrival once the step ends).  A courier
     steps for no reason of its own but its arrival, except at the start of
@@ -391,7 +405,9 @@ def reasons_to_step(controller, tick: int, assigned: set, finds: dict) -> set[st
     scout only at its last spiral move or at the find tick of a site still
     undiscovered (`finds` keeps each scout's schedule, built at tick 0); a
     standby hauler only when its parent claims or releases a site, or one
-    tick after the last move of its walk to its spot."""
+    tick after the last move of its walk to its spot.  A robot may also
+    step when the open auctions inside its bid scope changed at this
+    tick's delivery (`scope_changed`)."""
     state, ctx = controller.state, controller.ctx
     window = ctx.config.timing.win_resolution_window
     reasons = set()
@@ -413,6 +429,8 @@ def reasons_to_step(controller, tick: int, assigned: set, finds: dict) -> set[st
             reasons.add("find tick of a site still undiscovered")
     if (state.name, tick) in assigned:
         reasons.add("course starts")
+    if (state.name, tick) in scope_changed:
+        reasons.add("auctions in its bid scope changed")
     if (state.activity is ExcavatorActivity.WAITING_FOR_HAULER
             and controller.bucket is None):
         reasons.add("bucket emptied")
@@ -438,21 +456,36 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
     at the tick its course starts and at its arrival, a searching scout
     only at its find ticks and at its spiral's end, a standby hauler only
     when its parent claims or releases and one tick after its walk's last
-    move; every robot with mail is stepped, where a paired hauler has no
-    announcement or close for mail; and auction timers fire only for
-    robots holding auctions, and only on ticks on the bid_window
-    cadence."""
+    move; an empty inbox is a reason to step only when the auctions inside
+    the robot's bid scope changed at that tick's delivery; every robot with
+    addressed mail, and every robot whose bid scope gained an auction or a
+    round of one, is stepped; and auction timers fire only for robots
+    holding auctions, and only on ticks on the bid_window cadence."""
     steps, assigned, finds = {}, set(), {}
+    scope_changed, scope_gained = set(), set()
     step = RobotController.step
     fire = RobotController.fire_auction_timers
     assign = HaulerController.assign_transport
+    deliver = BroadcastBus.deliver
+
+    def deliver_and_compare(self, tick):
+        controllers = sim.ctx.controllers.values()
+        before = [scope_rounds(c) for c in controllers]
+        mail = deliver(self, tick)
+        for controller, old in zip(controllers, before):
+            new = scope_rounds(controller)
+            if new != old:
+                scope_changed.add((controller.state.name, tick))
+            if any(pair not in old for pair in new):
+                scope_gained.add((controller.state.name, tick))
+        return mail
 
     def assign_and_note(self, excavator, location, tick):
         assign(self, excavator, location, tick)
         assigned.add((self.state.name, tick))
 
     def step_with_reasons(self, tick, inbox):
-        reasons = reasons_to_step(self, tick, assigned, finds)
+        reasons = reasons_to_step(self, tick, assigned, finds, scope_changed)
         activity = self.state.activity
         step(self, tick, inbox)
         if inbox:
@@ -469,13 +502,15 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
     monkeypatch.setattr(RobotController, "step", step_with_reasons)
     monkeypatch.setattr(RobotController, "fire_auction_timers", fire_with_auctions)
     monkeypatch.setattr(HaulerController, "assign_transport", assign_and_note)
+    monkeypatch.setattr(BroadcastBus, "deliver", deliver_and_compare)
     sim = Simulation(crowded_config(policy=policy, seed=seed))
     assert sim.run() is RunStatus.COMPLETED
 
     unjustified = [key for key, reasons in steps.items() if not reasons]
     assert not unjustified, unjustified[:5]
-    missed = [key for key in mail_from_log(sim.ctx.log.records)
+    missed = [key for key in mail_from_log(sim.ctx.log.records).keys() | scope_gained
               if key[1] < sim.tick and key not in steps]
+    assert scope_gained
     assert not missed, missed[:5]
     robot_ticks = len(sim.ctx.controllers) * sim.tick
     assert len(steps) < robot_ticks / 2, (len(steps), robot_ticks)
