@@ -12,26 +12,27 @@ shared world during the owner's step, so a run is a single deterministic
 thread of execution.  The engine steps a robot only when something can
 change for it (see `RobotController.wake_tick`); a step that changes what
 another robot acts on outside the bus wakes that robot.  When it is built, a
-robot that bids takes the bus's board of open auctions of its task type
-(not a coalition-paired hauler, whose policy lets it bid in none), and it
-keeps only its own bid round and last bid on the auctions there.  Its step
-takes the inbox the bus delivers: the bids, acks and winner declarations
-addressed to it, or an empty inbox when the auctions inside its bid scope
-changed.  A courier (an excavator traveling to its site, a hauler on its
-way to a site or to the plant) drives one straight segment and is busy
-while it does, so nothing reads its pose on the way: it wakes at its
-arrival tick, and mail before then does not move it.  A standby hauler
-walks to its spot as a course too, and wakes one tick after the walk's last
-move to check that it stands on the spot, or when its parent claims or
-releases a site.  A searching scout's spiral is fixed at
-set-up and moves like a courier's course: its first step works out the tick
-at which it first has each site in scan range (`find_schedule`), and it
-wakes only at such a tick of a site still undiscovered, at the spiral's
-last move, or on mail.  The moves due since a robot's last step are applied
-only when its pose is read (`RobotController.sync`).  Both the ticks of the
-moves and the moves themselves follow the one motion rule of `pathing`
-(`moves_to`, `PathCursor.advance`), and no walk is worked out past the run's
-tick cap.
+robot that bids takes the bus's board of open auctions of its task type (not
+a coalition-paired hauler, whose policy lets it bid in none); it keeps no
+auction state of its own, and writes its answer to each auction in its own
+slot of the board entry.  Its step takes the inbox the bus delivers: the
+bids, acks and winner declarations addressed to it, or an empty inbox when
+the auctions inside its bid scope changed.  A winner declaration reaches it
+`win_resolution_window` ticks after it is declared, and the step resolves
+every win in the inbox at once.  A courier (an excavator traveling to its
+site, a hauler on its way to a site or to the plant) drives one straight
+segment and is busy while it does, so nothing reads its pose on the way: it
+wakes at its arrival tick, and mail before then does not move it.  A standby
+hauler walks to its spot as a course too, and wakes one tick after the
+walk's last move to check that it stands on the spot, or when its parent
+claims or releases a site.  A searching scout's spiral is fixed at set-up
+and moves like a courier's course: its first step works out the tick at
+which it first has each site in scan range (`find_schedule`), and it wakes
+only at such a tick of a site still undiscovered, at the spiral's last move,
+or on mail.  The moves due since a robot's last step are applied only when
+its pose is read (`RobotController.sync`).  Both the ticks of the moves and
+the moves themselves follow the one motion rule of `pathing` (`moves_to`,
+`PathCursor.advance`), and no walk is worked out past the run's tick cap.
 """
 
 from __future__ import annotations
@@ -181,7 +182,6 @@ class RobotController:
     def __init__(self, state: RobotState, ctx: "SimContext"):
         self.state = state
         self.ctx = ctx
-        self.pending_wins: list[tuple[int, dict]] = []  # (tick, winner record)
         self.book: dict[AuctionKey, Auction] = {}
         self.cursor: PathCursor | None = None
         self._deadline = 0  # the tick a dig, load or unload ends
@@ -197,8 +197,6 @@ class RobotController:
         if self.bids_on is not None and self.bid_scope != 0:
             self.board = ctx.bus.subscribe(state.name, self.bids_on,
                                            self.bid_scope)
-        # key -> [board entry, the last round of it answered, the last bid]
-        self.bid_state: dict[AuctionKey, list] = {}
         # the tick of this robot's next step, unless mail comes first; every
         # robot steps at tick 0
         self.wake_tick: float = 0
@@ -210,8 +208,9 @@ class RobotController:
         robot at `tick` (None: no mail; empty: the auctions inside its bid
         scope changed), then on its own state."""
         if inbox:
-            self._ingest(inbox, tick)
-        self._resolve_wins(tick)
+            wins = self._ingest(inbox, tick)
+            if wins:
+                self._resolve_wins(wins, tick)
         self._act(tick)
         self._place_bids(tick)
         self.wake_tick = self._next_wake(tick)
@@ -224,22 +223,17 @@ class RobotController:
 
     def _next_wake(self, tick: int) -> float:
         """The next tick at which a step can change something without mail:
-        the end of a course, dig, load or unload, the tick after a standby
-        walk's last move, or the tick a pending win matures."""
+        the end of a course, dig, load or unload, or the tick after a
+        standby walk's last move."""
         activity = self.state.activity
         if activity in COURIER:
-            wake: float = self._last_move
-        elif activity in _WORKING:
-            wake = self._deadline
-        elif (activity is HaulerActivity.STANDBY
-              and self._next_move <= self._last_move):
-            wake = self._last_move + 1  # check that it stands on its spot
-        else:
-            wake = _NEVER
-        if self.pending_wins:
-            window = self.ctx.config.timing.win_resolution_window
-            wake = min(wake, min(t0 for t0, _ in self.pending_wins) + window - 1)
-        return wake
+            return self._last_move
+        if activity in _WORKING:
+            return self._deadline
+        if (activity is HaulerActivity.STANDBY
+                and self._next_move <= self._last_move):
+            return self._last_move + 1  # check that it stands on its spot
+        return _NEVER
 
     def fire_auction_timers(self, tick: int) -> None:
         """Close the bidding window of every auction in the book that has no
@@ -253,11 +247,12 @@ class RobotController:
 
     # -- message handling ----------------------------------------------
 
-    def _ingest(self, inbox: list[dict], tick: int) -> None:
-        """Act on this tick's inbox, which the bus has already addressed:
-        the bids, acks and winner declarations sent to it, published at
-        tick-1.  The records are the log's own, so this reads their fields
-        and changes none."""
+    def _ingest(self, inbox: list[dict], tick: int) -> list[dict]:
+        """Act on the bids and acks of this tick's inbox, which the bus has
+        already addressed to it, and return its winner declarations, for
+        `_resolve_wins`.  The records are the log's own, so this reads
+        their fields and changes none."""
+        wins = []
         for record in inbox:
             variant = record["variant"]
             if variant == "bid":
@@ -265,7 +260,7 @@ class RobotController:
                 if auction is not None:  # the auction may have closed
                     record_bid(auction, record)
             elif variant == "winner":
-                self.pending_wins.append((tick, record))
+                wins.append(record)
             else:  # ack
                 key = record_auction_key(record)
                 auction = self.book.get(key)
@@ -273,17 +268,11 @@ class RobotController:
                     reply = handle_ack(auction, record, tick, self.ctx.bus)
                     if reply is not None and reply["variant"] == "close":
                         del self.book[key]
+        return wins
 
-    def _resolve_wins(self, tick: int) -> None:
-        if not self.pending_wins:
-            return
-        window = self.ctx.config.timing.win_resolution_window
-        ready = [w for t0, w in self.pending_wins if tick >= t0 + window - 1]
-        if not ready:
-            return
-        self.pending_wins = [(t0, w) for t0, w in self.pending_wins
-                             if tick < t0 + window - 1]
-        accept, declines = self.ctx.policy.resolve_wins(self.state, ready)
+    def _resolve_wins(self, wins: list[dict], tick: int) -> None:
+        """Accept at most one of `wins`, as the policy picks; decline the rest."""
+        accept, declines = self.ctx.policy.resolve_wins(self.state, wins)
         if accept is not None and not self._accept_win(accept, tick):
             declines = declines + [accept]
             accept = None
@@ -308,36 +297,19 @@ class RobotController:
         re-announcement round would misrepresent that.
 
         An auction stays inside the scope until it closes, since later ones
-        sort after it.  A reopened key is a new board entry, hence a new
-        auction, bid from round 1.  The bid state of closed auctions is
-        dropped when a new one would make it outgrow the board.
+        sort after it.  Its answers live in its own slot of each entry's
+        `answers`; a reopened key is a new entry with no answers, hence a new
+        auction, bid from round 1.
         """
-        board, mine = self.board, self.bid_state
-        for key, entry in islice(board.items(), self.bid_scope):
-            bid = mine.get(key)
-            if bid is None or bid[0] is not entry:
-                if len(mine) >= len(board):  # drop the closed auctions
-                    mine = self.bid_state = {
-                        k: b for k, b in mine.items() if board.get(k) is b[0]}
-                bid = mine[key] = [entry, 0, None]
-            if bid[1] < entry.rounds or (bid[2] == NEG_INF
-                                         and not self.state.busy):
-                bid[1] = entry.rounds
-                bid[2] = utility = evaluate_self_utility(self.state,
-                                                         entry.location)
-                submit_bid(self.state, entry.auctioneer, entry.location,
+        state, name = self.state, self.state.name
+        for entry in islice(self.board.values(), self.bid_scope):
+            answer = entry.answers.get(name)
+            if answer is None or answer[0] < entry.rounds or (
+                    answer[1] == NEG_INF and not state.busy):
+                utility = evaluate_self_utility(state, entry.location)
+                entry.answers[name] = (entry.rounds, utility)
+                submit_bid(state, entry.auctioneer, entry.location,
                            utility, tick, self.ctx.bus)
-
-    def scope_bids(self) -> list[list]:
-        """[auctioneer, location, bid round, last bid] on each open auction
-        inside the bid scope, oldest first; round 0 and None where this
-        robot has not bid."""
-        bids = []
-        for key, entry in islice(self.board.items(), self.bid_scope):
-            bid = self.bid_state.get(key)
-            answered = bid[1:] if bid is not None and bid[0] is entry else [0, None]
-            bids.append([key[0], list(key[1]), *answered])
-        return bids
 
     def _act(self, tick: int) -> None:
         raise NotImplementedError

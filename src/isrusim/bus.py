@@ -9,18 +9,20 @@ same object into its recipients' inboxes, so a robot must never mutate a
 record it receives: the log would change with it.  The auction a message
 belongs to is `events.record_auction_key`, live and in the log.
 
-Every published message is delivered at the start of the next tick, with no
-loss, in publish order; its global sequence number makes that order total.
-Bids and acks go to the auctioneer's inbox, a winner declaration to the
-winner's.  Announcements and closes enter no inbox: `deliver` files each of
-them once, in publish order, on the board of its task type, which every
-robot that bids on that type reads (`subscribe`).  A board maps each open
-auction's key to its `BoardEntry`, oldest first by (first tick, key): an
-announcement of a key not on the board adds an entry, one of a key on it is
-a new round, and a close removes the entry.  A reopened key (a transport
-auction at the same site, for the next mineral) is a new entry object.
-Every message is still logged, so the log stays the broadcast record of the
-run.
+Every published message is delivered with no loss, in publish order; its
+global sequence number makes that order total.  Bids and acks go to the
+auctioneer's inbox at the start of the next tick, a winner declaration to
+the winner's `win_latency` ticks after it is published (the scenario's
+`win_resolution_window`).  Announcements and closes enter no inbox:
+`deliver` files each of them once, in publish order, on the board of its
+task type, which every robot that bids on that type reads (`subscribe`).  A
+board maps each open auction's key to its `BoardEntry`, oldest first by
+(first tick, key): an announcement of a key not on the board adds an entry,
+one of a key on it is a new round, and a close removes the entry.  A
+reopened key (a transport auction at the same site, for the next mineral) is
+a new entry object.  Each bidder reads and writes only its own slot of an
+entry's answers.  Every message is still logged, so the log stays the
+broadcast record of the run.
 
 `deliver` also names the subscribers that must step to answer what it
 filed: one that bids in its oldest `scope` auctions when an announcement or
@@ -32,7 +34,7 @@ nobody.  A subscriber named without addressed mail gets an empty inbox.
 One board per task type stands in for a view per robot only because
 delivery is lossless and synchronous: every subscriber would file the same
 records in the same order.  A scenario with message loss or delay per robot
-would need a view per robot again.
+would need a view per robot again, and the answers with it.
 
 The constructors check nothing: each field is checked once, where its value
 comes from.  Robot names are checked when the fleet is built
@@ -43,7 +45,7 @@ its kind (`agents.RobotController`), and a bid's utility by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .events import AuctionKey, EventLog, record_auction_key
@@ -95,13 +97,15 @@ def close(auctioneer: str, task_type: TaskType, location: Point,
 @dataclass(eq=False)
 class BoardEntry:
     """One open auction on a board: whose it is, where the task is, the
-    tick of its first announcement and how many rounds it has announced.
-    Equal only to itself, so a reopened key is a new entry."""
+    tick of its first announcement, how many rounds it has announced, and
+    each bidder's (last round answered, last bid).  Equal only to itself, so
+    a reopened key is a new entry, with no answers."""
 
     auctioneer: str
     location: Point
     first_tick: int
     rounds: int = 1
+    answers: dict[str, tuple[int, float]] = field(default_factory=dict)
 
 
 Board = dict[AuctionKey, BoardEntry]
@@ -121,11 +125,13 @@ def _add_entry(board: Board, key: AuctionKey, tick: int) -> None:
 
 
 class BroadcastBus:
-    """Lossless delivery with a fixed one-tick latency: addressed mail to
-    inboxes, announcements and closes to one board per task type."""
+    """Lossless delivery, one tick after publishing or `win_latency` ticks
+    for a winner declaration: addressed mail to inboxes, announcements and
+    closes to one board per task type."""
 
-    def __init__(self, log: EventLog):
+    def __init__(self, log: EventLog, win_latency: int):
         self._log = log
+        self._win_latency = win_latency
         self._sequence = 0
         # task type value -> its open auctions, oldest first
         self.boards: dict[str, Board] = {t.value: {} for t in TaskType}
@@ -148,27 +154,28 @@ class BroadcastBus:
     def publish(self, record: dict, tick: int) -> None:
         """Stamp a message record with `tick` and its sequence number, log
         it and put it in its recipient's inbox, or on the board, for
-        tick + 1."""
+        tick + 1; a winner declaration in the winner's inbox for
+        tick + `win_latency`."""
         record["tick"] = tick
         record["seq"] = self._sequence
         self._sequence += 1
         self._log.append(record)
         variant = record["variant"]
         if variant == "bid" or variant == "ack":
-            robot = record["auctioneer"]
+            robot, due = record["auctioneer"], tick + 1
         elif variant == "winner":
-            robot = record["winner"]
+            robot, due = record["winner"], tick + self._win_latency
         else:  # announcement, close
             self._posted.setdefault(tick + 1, []).append(record)
             return
-        self._mail.setdefault(tick + 1, {}).setdefault(robot, []).append(record)
+        self._mail.setdefault(due, {}).setdefault(robot, []).append(record)
 
     def deliver(self, tick: int) -> dict[str, list[dict]]:
         """File the announcements and closes published at tick-1 on their
-        boards, and return each robot's inbox: its records published at
-        tick-1, in publish order, or an empty one for a subscriber whose
-        bid scope changed.  A robot with neither is left out.  The engine
-        delivers every tick once, in order."""
+        boards, and return each robot's inbox: its records due at `tick`,
+        in publish order, or an empty one for a subscriber whose bid scope
+        changed.  A robot with neither is left out.  The engine delivers
+        every tick once, in order."""
         mail = self._mail.pop(tick, {})
         posted = self._posted.pop(tick, None)
         if posted is not None:

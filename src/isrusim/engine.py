@@ -1,25 +1,27 @@
 """Deterministic tick loop.
 
-Each tick runs the same fixed phases: the bus delivers the previous tick's
-messages (the addressed ones to inboxes, announcements and closes to the
-boards of open auctions), the woken robots step in kind-then-name order
-(taking their inboxes, acting, publishing), then, on ticks that are a
-multiple of `bid_window`, every robot holding open auctions fires its
-auction timers, then the invariants and termination are checked.  A robot
-wakes when it has mail, when the open auctions inside its bid scope change,
-when a pending win matures, at its own dig, load or unload deadline, and
-when another robot's step changes what it acts on; any other step of it
-would change nothing.  A courier, on its way to a site or to the plant,
-wakes only at its arrival tick; a standby hauler one tick after the last
-move of its walk to its spot; a searching scout only at the tick it first
-has a site still undiscovered in scan range, at its spiral's last move, or
-on mail.  Their poses and odometry lag in between, so the snapshots,
-`state_digest` and the `run_end` record bring every robot up to date first
-(`RobotController.sync`).  A tick with no mail and no robot due skips the
-robot scan.  The checks run at tick 0 and at every tick whose log grew,
-since every mineral move, discovery and auction open or close appends a
-record.  The only randomness in a run is the scenario generator's seed, so
-equal configs produce byte-identical event logs.
+Each tick t runs the same fixed phases: the bus delivers the bids, acks,
+announcements and closes of tick t-1 (the bids and acks to inboxes,
+announcements and closes to the boards of open auctions) and the winner
+declarations of tick t - `win_resolution_window` to their winners' inboxes,
+the woken robots step in kind-then-name order (taking their inboxes,
+acting, publishing), then, on ticks that are a multiple of `bid_window`,
+every robot holding open auctions fires its auction timers, then the
+invariants and termination are checked.  A robot wakes when it has mail, a
+win included, when the open auctions inside its bid scope change, at its
+own dig, load or unload deadline, and when another robot's step changes
+what it acts on; any other step of it would change nothing.  A courier, on
+its way to a site or to the plant, wakes only at its arrival tick; a
+standby hauler one tick after the last move of its walk to its spot; a
+searching scout only at the tick it first has a site still undiscovered in
+scan range, at its spiral's last move, or on mail.  Their poses and
+odometry lag in between, so the snapshots, `state_digest` and the `run_end`
+record bring every robot up to date first (`RobotController.sync`).  A tick
+with no mail and no robot due skips the robot scan.  The checks run at tick
+0 and at every tick whose log grew, since every mineral move, discovery and
+auction open or close appends a record.  The only randomness in a run is
+the scenario generator's seed, so equal configs produce byte-identical
+event logs.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class Simulation:
         plans = build_spiral(config.arena_side, config.cell_side, config.n_scouts)
         world = generate_scenario(config, plans)
         log = EventLog()
-        bus = BroadcastBus(log)
+        bus = BroadcastBus(log, config.timing.win_resolution_window)
         names = config.robot_names()
         # the bus addresses robots by name, and no message checks one
         if (len({n for n, _ in names}) != len(names)
@@ -290,11 +292,10 @@ class Simulation:
                           sorted(a.bids.items()), sorted(a.late_bids.items()),
                           a.offered_to, a.winner or ""]
                          for c in self._step_order for a in c.book.values()],
-            "boards": [[value, key[0], list(key[1]), e.first_tick, e.rounds]
+            "boards": [[value, key[0], list(key[1]), e.first_tick, e.rounds,
+                        sorted(e.answers.items())]
                        for value, board in self.ctx.bus.boards.items()
                        for key, e in board.items()],
-            "bids": [[c.state.name, *bid] for c in self._step_order
-                     for bid in c.scope_bids()],
             "messages": self.ctx.bus.messages_published,
         }
         blob = json.dumps(state, sort_keys=True)

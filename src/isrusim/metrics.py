@@ -274,6 +274,7 @@ def sweep(policies: Sequence[str], seeds: Sequence[int],
           ) -> SweepResult:
     """Run every (policy, seed) combination and aggregate the results.
 
+    A policy or seed given twice raises, as would double-count its run.
     Every scenario of the grid is generated before the first run, so a grid
     holding one that the generator rejects raises before anything is run or
     written.  Runs execute sequentially in a fixed order, so repeated sweeps
@@ -286,6 +287,10 @@ def sweep(policies: Sequence[str], seeds: Sequence[int],
 
     if not policies or not len(seeds):
         raise ValueError("sweep needs at least one policy and one seed")
+    for kind, values in (("policy", list(policies)), ("seed", list(seeds))):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"sweep {kind} {value!r} given twice")
     base = base_config if base_config is not None else ScenarioConfig()
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:

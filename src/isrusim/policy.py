@@ -61,7 +61,7 @@ class Policy:
         A robot that became busy after bidding declines everything.  Under
         nearest, the closest task wins (ties to the lexicographically
         smallest auctioneer); the other policies can only produce a single
-        pending win per robot by construction.
+        win per robot at a time by construction.
         """
         wins = list(wins)
         if robot.busy:

@@ -108,6 +108,11 @@ class TimingConfig:
     bid_window must be at least 2: the broadcast bus has a one-tick delivery
     latency in each direction, so a shorter window closes before any bid can
     physically arrive.
+
+    win_resolution_window is the ticks a winner declaration takes to reach
+    its winner, which resolves every win in its inbox at once.  Holding each
+    win for that window, from its arrival a tick after its declaration,
+    resolves each at the same tick, and groups no wins of different ticks.
     """
 
     robot_speed: float = 1.0
@@ -379,8 +384,10 @@ SCENARIO_KEYS: dict[str, type] = {**_value_fields(ScenarioConfig), **_TIMING_KEY
 
 
 def parse_scenario_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat `key = value` scenario file (# starts a comment)."""
+    """Parse a flat `key = value` scenario file (# starts a comment).  A key
+    set twice is an error, not a silent override."""
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
@@ -397,7 +404,10 @@ def parse_scenario_file(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SCENARIO_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown scenario key {key!r}")
-        values[key] = value
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: scenario key {key!r} already "
+                             f"set on line {set_on[key]}")
+        values[key], set_on[key] = value, lineno
     return values
 
 

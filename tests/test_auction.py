@@ -31,7 +31,7 @@ OTHER = Point(60.0, 20.0)
 
 def new_auction(book=None, auctioneer="scout_1", loc=LOC, tick=0, bus=None):
     book = {} if book is None else book
-    bus = bus or BroadcastBus(EventLog())
+    bus = bus or BroadcastBus(EventLog(), 1)
     return open_auction(book, auctioneer, TaskType.EXCAVATE, loc, tick, bus), book, bus
 
 
@@ -39,7 +39,7 @@ def test_open_publishes_announcement():
     """The announcement is logged and, the next tick, filed on the board
     its subscriber reads, which steps it with an empty inbox."""
     log = EventLog()
-    bus = BroadcastBus(log)
+    bus = BroadcastBus(log, 1)
     board = bus.subscribe("excavator_1", TaskType.EXCAVATE, 1)
     open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, tick=4, bus=bus)
     [record] = log.records
@@ -53,7 +53,7 @@ def test_open_publishes_announcement():
 
 
 def test_auctioneer_can_hold_multiple_auctions():
-    bus = BroadcastBus(EventLog())
+    bus = BroadcastBus(EventLog(), 1)
     book = {}
     open_auction(book, "scout_1", TaskType.EXCAVATE, LOC, 0, bus)
     open_auction(book, "scout_1", TaskType.EXCAVATE, OTHER, 0, bus)
@@ -109,7 +109,7 @@ def test_utility_identity_randomized():
 
 def test_submit_bid_publishes_wire_format():
     log = EventLog()
-    bus = BroadcastBus(log)
+    bus = BroadcastBus(log, 1)
     robot = RobotState("excavator_2", RobotKind.EXCAVATOR, Point(10, 10),
                        ExcavatorActivity.IDLE)
     record = submit_bid(robot, "scout_1", LOC, -12.5, 3, bus)
@@ -124,7 +124,7 @@ def test_malformed_bid_rejected():
     """submit_bid, the one place a bid is made, rejects a positive or NaN
     utility and lets the -inf busy sentinel through."""
     log = EventLog()
-    bus = BroadcastBus(log)
+    bus = BroadcastBus(log, 1)
     robot = RobotState("excavator_1", RobotKind.EXCAVATOR, Point(0, 0),
                        ExcavatorActivity.DIGGING)
     for utility in (3.0, math.nan):
@@ -165,7 +165,7 @@ def test_winner_is_max_finite_utility():
 
 def test_all_busy_bids_reannounce():
     log = EventLog()
-    auction, _, bus = new_auction(bus=BroadcastBus(log))
+    auction, _, bus = new_auction(bus=BroadcastBus(log, 1))
     record_bid(auction, bid("scout_1", "excavator_1", LOC, NEG_INF))
     record_bid(auction, bid("scout_1", "excavator_2", LOC, NEG_INF))
     assert select_winner(auction, 3, bus) is None

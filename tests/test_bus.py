@@ -34,7 +34,7 @@ HAULERS = {"hauler_1", "hauler_2"}
 
 def fleet_bus(log=None):
     """A bus whose subscribers each bid in their oldest open auction."""
-    bus = BroadcastBus(EventLog() if log is None else log)
+    bus = BroadcastBus(EventLog() if log is None else log, 1)
     for robot, task_type in FLEET.items():
         if task_type is not None:
             bus.subscribe(robot, task_type, 1)
@@ -81,6 +81,32 @@ def test_publish_delivers_to_every_recipient_next_tick(make, args, recipients):
     else:
         for robot in recipients:
             assert len(mail[robot]) == 1 and mail[robot][0] is record
+
+
+@pytest.mark.parametrize("latency", [1, 3])
+def test_a_win_reaches_its_winner_win_latency_ticks_after_it_is_declared(latency):
+    """A winner declaration published at t is in its winner's inbox at
+    t + `win_latency` and at no other tick, in publish order with the mail
+    that arrives with it; a bid and an ack published with it arrive at
+    t + 1 whatever the latency."""
+    bus = BroadcastBus(EventLog(), latency)
+    declared = winner("scout_1", TaskType.EXCAVATE, LOC, "excavator_1")
+    answered = bid("scout_1", "excavator_2", LOC, -2.0)
+    acked = ack("excavator_2", "hauler_2", OTHER, True)
+    late = bid("excavator_1", "hauler_1", OTHER, -1.0)
+    for record in (declared, answered, acked):
+        bus.publish(record, tick=10)
+    mail = {}
+    for tick in range(11, 12 + latency):
+        if tick == 10 + latency:  # published the tick before the win arrives
+            bus.publish(late, tick - 1)
+        mail[tick] = bus.deliver(tick)
+    assert mail[11]["scout_1"] == [answered] and mail[11]["excavator_2"] == [acked]
+    assert [tick for tick, inboxes in mail.items()
+            if "excavator_1" in inboxes] == [10 + latency]
+    inbox = mail[10 + latency]["excavator_1"]
+    assert inbox == [declared, late] and inbox[0] is declared
+    assert sum(len(inboxes) for inboxes in mail.values()) == 3
 
 
 def test_not_delivered_same_tick():
@@ -136,7 +162,7 @@ def test_no_traffic_empty_inbox():
     bus = fleet_bus()
     assert bus.deliver(5) == {}
     # a task type nobody subscribes to reaches nobody, but is on its board
-    unsubscribed = BroadcastBus(EventLog())
+    unsubscribed = BroadcastBus(EventLog(), 1)
     unsubscribed.publish(announcement("scout_1", TaskType.EXCAVATE, LOC), tick=5)
     assert unsubscribed.deliver(6) == {}
     assert len(unsubscribed.boards["excavate"]) == 1
@@ -252,7 +278,7 @@ def test_paired_hauler_inbox_never_holds_an_announcement_or_close(monkeypatch):
 
 def test_messages_logged():
     log = EventLog()
-    bus = BroadcastBus(log)
+    bus = BroadcastBus(log, 1)
     record = announcement("scout_1", TaskType.EXCAVATE, LOC)
     bus.publish(record, tick=2)
     assert log.records == [record] and log.records[0] is record
@@ -288,7 +314,7 @@ def test_record_round_trip(tmp_path, msg):
     make, args, fields = msg
     log = EventLog()
     record = make(*args)
-    BroadcastBus(log).publish(record, tick=9)
+    BroadcastBus(log, 1).publish(record, tick=9)
     assert record == {"type": "msg", "tick": 9, "seq": 0,
                       "variant": make.__name__, "auctioneer": args[0],
                       "loc": [LOC.x, LOC.y], **fields}
@@ -299,7 +325,7 @@ def test_record_round_trip(tmp_path, msg):
 
 def test_busy_sentinel_survives_jsonl(tmp_path):
     log = EventLog()
-    bus = BroadcastBus(log)
+    bus = BroadcastBus(log, 1)
     bus.publish(bid("excavator_1", "hauler_1", LOC, float("-inf")), tick=1)
     path = tmp_path / "events.jsonl"
     log.dump_jsonl(path)
@@ -318,7 +344,7 @@ def test_record_keys_follow_the_schema_order(run_logs, msg):
     make, args, _ = msg
     variant = make.__name__
     records = [make(*args)]
-    BroadcastBus(EventLog()).publish(records[0], tick=9)
+    BroadcastBus(EventLog(), 1).publish(records[0], tick=9)
     for policy in POLICIES:
         logged = [r for r in run_logs.log(crowded_config(policy=policy))
                   if r["type"] == "msg" and r["variant"] == variant]
@@ -374,8 +400,9 @@ def test_deliver_steps_the_subscribers_whose_bid_scope_changed(policy):
 def test_a_reopened_key_is_a_new_auction(gap):
     """A transport key closes and reopens for the next mineral, one tick
     apart or filed in one `deliver` in publish order: the board holds a new
-    entry, and every hauler that bids in its oldest auction is stepped and
-    bids again, in round 1 of the new auction."""
+    entry, with no answers of the closed auction's, and every hauler that
+    bids in its oldest auction is stepped and bids again, in round 1 of the
+    new auction, its answer in its own slot of the new entry."""
     sim = Simulation(crowded_config(policy="fcfs"))
     bus, records = sim.ctx.bus, sim.ctx.log.records
     haulers = {name: c for name, c in sim.ctx.controllers.items()
@@ -383,25 +410,26 @@ def test_a_reopened_key_is_a_new_auction(gap):
     key = ("excavator_1", LOC.as_pair())
 
     def deliver_and_bid(tick):
-        """Let the haulers the bus steps bid; who bid at `tick`."""
+        """Let the haulers the bus steps bid; bidder -> bid at `tick`."""
         for name in bus.deliver(tick).keys() & haulers.keys():
             haulers[name]._place_bids(tick)
-        return {r["bidder"] for r in records
+        return {r["bidder"]: r["utility"] for r in records
                 if r["type"] == "msg" and r["variant"] == "bid" and r["tick"] == tick}
 
     bus.publish(announcement("excavator_1", TaskType.TRANSPORT, LOC), 10)
-    assert deliver_and_bid(11) == haulers.keys()
+    bids = deliver_and_bid(11)
+    assert bids.keys() == haulers.keys()
     first = bus.boards["transport"][key]
+    assert first.answers == {name: (1, bid) for name, bid in bids.items()}
     bus.publish(close("excavator_1", TaskType.TRANSPORT, LOC, "hauler_1"), 11)
     if gap:
-        assert deliver_and_bid(12) == set()  # nothing left to bid in
+        assert deliver_and_bid(12) == {}  # nothing left to bid in
     bus.publish(announcement("excavator_1", TaskType.TRANSPORT, LOC), 11 + gap)
-    assert deliver_and_bid(12 + gap) == haulers.keys()
+    bids = deliver_and_bid(12 + gap)
+    assert bids.keys() == haulers.keys()
     entry = bus.boards["transport"][key]
     assert entry is not first and entry.rounds == 1
-    # the bid state of the closed auction is gone
-    assert all(list(c.bid_state) == [key] and c.bid_state[key][:2] == [entry, 1]
-               for c in haulers.values())
+    assert entry.answers == {name: (1, bid) for name, bid in bids.items()}
 
 
 def test_a_crowded_fcfs_run_reopens_a_transport_key(run_logs):

@@ -36,6 +36,17 @@ def test_sweep_with_bad_seed_spec_exits_1(tmp_path, capsys, spec):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_with_a_policy_given_twice_exits_1(tmp_path, capsys):
+    """A repeated policy would run twice into one run directory and count
+    twice in the totals: it is refused before the out dir is made."""
+    code = main(["sweep", "--policies", "fcfs,fcfs", "--seeds", "0", *SMALL,
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fcfs" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_writes_all_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["run", "--policy", "fcfs", "--seed", "11", *SMALL,

@@ -319,9 +319,13 @@ STEP_ALL_CASES = (
     [(crowded_config(policy=policy), False) for policy in POLICIES]
     + [(config, False) for config in DETERMINISM_CONFIGS]
     + [(tiny_config(policy=policy), True) for policy in POLICIES]
-    # wins mature two ticks after they arrive, several at once under nearest
+    # wins reach their winners three ticks after they are declared, several
+    # at once under nearest; two ticks under fcfs and coalition
     + [(crowded_config(policy="nearest",
                        timing=TimingConfig(win_resolution_window=3)), False)]
+    + [(crowded_config(policy=policy,
+                       timing=TimingConfig(win_resolution_window=2)), False)
+       for policy in ("fcfs", "coalition")]
     # a parent releases its site while its paired hauler walks to it
     + [(ScenarioConfig(policy="coalition", seed=0), False)]
     # winners are selected every other tick, so closes and re-announcements
@@ -337,7 +341,7 @@ STEP_ALL_CASES = (
 def test_wake_set_matches_step_all_reference(config, snapshots):
     """Stepping only the woken robots gives the state that stepping every
     robot on every tick gives, after every tick, the open auctions on the
-    boards and each robot's bids in those inside its bid scope included;
+    boards and their bidders' answers included;
     and the goal and the conservation check, run only at tick 0 and where
     the log grew, hold exactly when they would on every tick.
     `state_digest` brings every lagging pose up to date, so a run whose
@@ -409,7 +413,6 @@ def reasons_to_step(controller, tick: int, assigned: set, finds: dict,
     step when the open auctions inside its bid scope changed at this
     tick's delivery (`scope_changed`)."""
     state, ctx = controller.state, controller.ctx
-    window = ctx.config.timing.win_resolution_window
     reasons = set()
     if tick == 0:
         reasons.add("first tick")
@@ -417,8 +420,6 @@ def reasons_to_step(controller, tick: int, assigned: set, finds: dict,
             finds[state.name] = find_schedule(
                 controller.cursor.path, ctx.world.sites, ctx.config.scan_radius,
                 ctx.config.timing.robot_speed, ctx.config.tick_cap)
-    if any(t0 + window - 1 <= tick for t0, _ in controller.pending_wins):
-        reasons.add("win matures")
     if state.activity in _COUNTING_DOWN and controller._deadline == tick:
         reasons.add("deadline")
     if state.activity is ScoutActivity.SEARCHING:
@@ -593,7 +594,8 @@ with tempfile.TemporaryDirectory() as out:
 robot = RobotState("excavator_1", RobotKind.EXCAVATOR, Point(0.0, 0.0),
                    ExcavatorActivity.IDLE)
 try:
-    submit_bid(robot, "scout_1", Point(9.0, 9.0), 3.0, 0, BroadcastBus(EventLog()))
+    submit_bid(robot, "scout_1", Point(9.0, 9.0), 3.0, 0,
+               BroadcastBus(EventLog(), 1))
 except ValueError as exc:
     print(exc)
 else:

@@ -209,6 +209,18 @@ def test_sweep_rejects_a_grid_it_cannot_run_before_running_it(tmp_path, monkeypa
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("policies, seeds, repeated", [
+    (["fcfs", "nearest", "fcfs"], [0], "policy 'fcfs'"),
+    (["fcfs"], [0, 0], "seed 0"),
+])
+def test_sweep_rejects_a_policy_or_seed_given_twice(tmp_path, policies, seeds,
+                                                     repeated):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"sweep {repeated} given twice"):
+        sweep(policies, seeds, base_config=tiny_config(), out_dir=out)
+    assert not out.exists()
+
+
 def test_summary_validates_against_shipped_schema(tmp_path):
     base = tiny_config(seed=0)
     result = sweep(["fcfs", "coalition", "nearest"], [0, 1], base_config=base)

@@ -341,6 +341,20 @@ def test_scenario_file_unknown_key(tmp_path):
         parse_scenario_file(path)
 
 
+def test_scenario_file_key_set_twice(tmp_path):
+    """A repeated key names both lines, even when the values agree, rather
+    than letting the last one win."""
+    path = tmp_path / "twice.cfg"
+    path.write_text("n_sites = 3\nseed = 1\n\n  n_sites = 4  # more\n")
+    with pytest.raises(ValueError) as caught:
+        parse_scenario_file(path)
+    assert str(caught.value) == (
+        f"{path}:4: scenario key 'n_sites' already set on line 1")
+    path.write_text("seed = 1\nseed = 1\n")
+    with pytest.raises(ValueError, match="'seed' already set on line 1"):
+        parse_scenario_file(path)
+
+
 @pytest.mark.parametrize("data, line_number, reason", [
     (b"seed = 4\narena_side = \xff\n", 2, "invalid start byte"),
     (b"seed = 4\r\n\r\nn_scouts = 1 # caf\xe9\r\n", 3,
