@@ -278,10 +278,10 @@ class RobotController:
             accept = None
         if accept is not None:
             self.ctx.bus.publish(ack(accept["auctioneer"], self.state.name,
-                                     Point(*accept["loc"]), True), tick)
+                                     accept["loc"], True), tick)
         for declined in declines:
             self.ctx.bus.publish(ack(declined["auctioneer"], self.state.name,
-                                     Point(*declined["loc"]), False), tick)
+                                     declined["loc"], False), tick)
 
     def _accept_win(self, win: dict, tick: int) -> bool:
         raise NotImplementedError(f"{self.state.kind} does not take tasks")
@@ -297,19 +297,20 @@ class RobotController:
         re-announcement round would misrepresent that.
 
         An auction stays inside the scope until it closes, since later ones
-        sort after it.  Its answers live in its own slot of each entry's
-        `answers`; a reopened key is a new entry with no answers, hence a new
-        auction, bid from round 1.
+        sort after it.  A bid names the auction by its board key, and its
+        answer lives in its own slot of the entry's `answers`; a reopened key
+        is a new entry with no answers, hence a new auction, bid from round 1.
         """
         state, name = self.state, self.state.name
-        for entry in islice(self.board.values(), self.bid_scope):
+        for (auctioneer, location), entry in islice(self.board.items(),
+                                                    self.bid_scope):
             answer = entry.answers.get(name)
             if answer is None or answer[0] < entry.rounds or (
                     answer[1] == NEG_INF and not state.busy):
-                utility = evaluate_self_utility(state, entry.location)
+                utility = evaluate_self_utility(state, location)
                 entry.answers[name] = (entry.rounds, utility)
-                submit_bid(state, entry.auctioneer, entry.location,
-                           utility, tick, self.ctx.bus)
+                submit_bid(state, auctioneer, location, utility, tick,
+                           self.ctx.bus)
 
     def _act(self, tick: int) -> None:
         raise NotImplementedError

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .bus import BroadcastBus, announcement, bid, close, winner
 from .events import NEG_INF, AuctionKey
@@ -47,23 +47,17 @@ class Auction:
     winner: str | None = None
     rounds: int = 1
 
-    @property
-    def key(self) -> AuctionKey:
-        """(auctioneer, task location): `events.record_auction_key` of each
-        of its messages."""
-        return (self.auctioneer, self.task_location.as_pair())
-
 
 def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
                  task_type: TaskType, task_location: Point, tick: int,
                  bus: BroadcastBus) -> Auction:
-    """Announce a new auction. An auctioneer may hold several at once,
-    but never two open ones for the same task location."""
-    auction = Auction(auctioneer=auctioneer, task_type=task_type,
-                      task_location=task_location, round_opened_tick=tick)
-    if auction.key in book:
-        raise ValueError(f"auction {auction.key} is already open")
-    book[auction.key] = auction
+    """Announce a new auction, filed under `record_auction_key` of its
+    announcement.  An auctioneer may hold several at once, but never two
+    open ones for the same task location."""
+    key = (auctioneer, task_location)
+    if key in book:
+        raise ValueError(f"auction {key} is already open")
+    book[key] = auction = Auction(auctioneer, task_type, task_location, tick)
     bus.publish(announcement(auctioneer, task_type, task_location), tick)
     return auction
 
@@ -148,7 +142,8 @@ def handle_ack(auction: Auction, record: dict, tick: int,
     return _offer_next(auction, tick, bus)
 
 
-def evaluate_self_utility(robot: "RobotState", task_location: Point) -> float:
+def evaluate_self_utility(robot: "RobotState",
+                          task_location: Sequence[float]) -> float:
     """Utility = -cost, cost = the straight-line distance to the task (the
     arena has no obstacles); busy robots answer with the negative-infinity
     sentinel."""
@@ -157,7 +152,8 @@ def evaluate_self_utility(robot: "RobotState", task_location: Point) -> float:
     return -robot.pose.distance_to(task_location)
 
 
-def submit_bid(robot: "RobotState", auctioneer: str, task_location: Point,
+def submit_bid(robot: "RobotState", auctioneer: str,
+               task_location: Sequence[float],
                utility: float, tick: int, bus: BroadcastBus) -> dict:
     """Publish a bid and return its record.  A utility is never positive;
     -inf is the busy sentinel.  The one comparison also rejects NaN."""

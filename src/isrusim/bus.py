@@ -16,9 +16,10 @@ the winner's `win_latency` ticks after it is published (the scenario's
 `win_resolution_window`).  Announcements and closes enter no inbox:
 `deliver` files each of them once, in publish order, on the board of its
 task type, which every robot that bids on that type reads (`subscribe`).  A
-board maps each open auction's key to its `BoardEntry`, oldest first by
-(first tick, key): an announcement of a key not on the board adds an entry,
-one of a key on it is a new round, and a close removes the entry.  A
+board maps each open auction's key, `record_auction_key` of its records, to
+its `BoardEntry`, which holds only what the key does not say, oldest first
+by (first tick, key): an announcement of a key not on the board adds an
+entry, one of a key on it is a new round, and a close removes the entry.  A
 reopened key (a transport auction at the same site, for the next mineral) is
 a new entry object.  Each bidder reads and writes only its own slot of an
 entry's answers.  Every message is still logged, so the log stays the
@@ -47,62 +48,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import Sequence
 
 from .events import AuctionKey, EventLog, record_auction_key
-from .world import Point, TaskType
+from .world import TaskType
 
 
-def announcement(auctioneer: str, task_type: TaskType, location: Point) -> dict:
+def announcement(auctioneer: str, task_type: TaskType,
+                 location: Sequence[float]) -> dict:
     """A task put up for auction (status is always 'open')."""
     return {"type": "msg", "tick": None, "seq": None, "variant": "announcement",
-            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "auctioneer": auctioneer, "loc": list(location),
             "task_type": task_type.value, "status": "open"}
 
 
-def bid(auctioneer: str, bidder: str, location: Point, utility: float) -> dict:
+def bid(auctioneer: str, bidder: str, location: Sequence[float],
+        utility: float) -> dict:
     """A bidder's utility for an announced task: -path_cost, hence never
     positive; negative infinity is the busy sentinel of a robot that is
     capable but currently occupied."""
     return {"type": "msg", "tick": None, "seq": None, "variant": "bid",
-            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "auctioneer": auctioneer, "loc": list(location),
             "bidder": bidder, "utility": utility}
 
 
-def winner(auctioneer: str, task_type: TaskType, location: Point,
+def winner(auctioneer: str, task_type: TaskType, location: Sequence[float],
            winner: str) -> dict:
     """The auctioneer names the bidder it picked (auction stays open)."""
     return {"type": "msg", "tick": None, "seq": None, "variant": "winner",
-            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "auctioneer": auctioneer, "loc": list(location),
             "task_type": task_type.value, "status": "open", "winner": winner}
 
 
-def ack(auctioneer: str, auction_winner: str, location: Point,
+def ack(auctioneer: str, auction_winner: str, location: Sequence[float],
         accepted: bool) -> dict:
     """The declared winner accepts or declines the task."""
     return {"type": "msg", "tick": None, "seq": None, "variant": "ack",
-            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "auctioneer": auctioneer, "loc": list(location),
             "auction_winner": auction_winner,
             "verdict": "accepted" if accepted else "declined"}
 
 
-def close(auctioneer: str, task_type: TaskType, location: Point,
+def close(auctioneer: str, task_type: TaskType, location: Sequence[float],
           allocated_to: str) -> dict:
     """The auction ends; the task is allocated (status 'closed')."""
     return {"type": "msg", "tick": None, "seq": None, "variant": "close",
-            "auctioneer": auctioneer, "loc": [location.x, location.y],
+            "auctioneer": auctioneer, "loc": list(location),
             "task_type": task_type.value, "status": "closed",
             "allocated_to": allocated_to}
 
 
 @dataclass(eq=False)
 class BoardEntry:
-    """One open auction on a board: whose it is, where the task is, the
-    tick of its first announcement, how many rounds it has announced, and
-    each bidder's (last round answered, last bid).  Equal only to itself, so
-    a reopened key is a new entry, with no answers."""
+    """One open auction on a board, which its key names: the tick of its
+    first announcement, how many rounds it has announced, and each bidder's
+    (last round answered, last bid).  Equal only to itself, so a reopened
+    key is a new entry, with no answers."""
 
-    auctioneer: str
-    location: Point
     first_tick: int
     rounds: int = 1
     answers: dict[str, tuple[int, float]] = field(default_factory=dict)
@@ -116,7 +118,7 @@ def _add_entry(board: Board, key: AuctionKey, tick: int) -> None:
     by (first tick, key).  Only an entry of the same tick can sort after
     it; the robots hold the board, so it is re-sorted in place."""
     last = next(reversed(board), None)
-    board[key] = BoardEntry(key[0], Point(*key[1]), tick)
+    board[key] = BoardEntry(tick)
     if last is not None and (tick, key) < (board[last].first_tick, last):
         entries = sorted(board.items(),
                          key=lambda item: (item[1].first_tick, item[0]))

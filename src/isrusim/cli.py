@@ -1,8 +1,8 @@
 """Command-line interface: run, sweep, replay, verify.
 
-Exit codes: 0 success, 1 a bad input or an unreadable path, 2 a stalled
-run is present in the output, 3 an invariant or protocol violation was
-found (in a log, or by a run's own invariant checks).
+Exit codes: 0 success, 1 a bad input (a usage error too) or an unreadable
+path, 2 a stalled run is present in the output, 3 an invariant or protocol
+violation was found (in a log, or by a run's own invariant checks).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .engine import run_to_completion
 from .events import EventLog, LogParseError
@@ -158,8 +159,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: exit 1, not argparse's 2 (stalled)."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isrusim",
         description="Auction-coordinated lunar mining fleet simulator")
     sub = parser.add_subparsers(dest="command", required=True)

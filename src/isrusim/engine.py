@@ -79,11 +79,10 @@ class SimContext:
     log: EventLog
     policy: Policy
     controllers: dict[str, RobotController] = field(default_factory=dict)
-    _site_by_location: dict[tuple[float, float], ResourceSite] = field(
-        default_factory=dict)
+    _site_by_location: dict[Point, ResourceSite] = field(default_factory=dict)
 
     def site_at(self, loc: list[float]) -> ResourceSite:
-        """The site at `loc`, a record's [x, y]."""
+        """The site at `loc`, a record's [x, y], which equals its location."""
         site = self._site_by_location.get(tuple(loc))
         if site is None:
             raise ValueError(f"no resource site at {loc}")
@@ -126,7 +125,7 @@ class Simulation:
         policy = make_policy(config.policy, excavators, haulers)
         self.ctx = SimContext(
             config=config, world=world, bus=bus, log=log, policy=policy)
-        self.ctx._site_by_location = {s.location.as_pair(): s for s in world.sites}
+        self.ctx._site_by_location = {s.location: s for s in world.sites}
 
         poses = _start_poses(config, world.plant_location)
         scout_plans = iter(plans)
@@ -287,7 +286,7 @@ class Simulation:
             "robots": [[r.name, r.activity.value, r.pose.x, r.pose.y,
                         r.odometry, r.carried_minerals]
                        for r in (c.state for c in self._step_order)],
-            "auctions": [[a.auctioneer, list(a.key[1]),
+            "auctions": [[a.auctioneer, list(a.task_location),
                           a.round_opened_tick, a.rounds,
                           sorted(a.bids.items()), sorted(a.late_bids.items()),
                           a.offered_to, a.winner or ""]

@@ -337,8 +337,7 @@ AuctionKey = tuple[str, tuple[float, float]]
 
 def record_auction_key(record: dict) -> AuctionKey:
     """The auction a msg record belongs to: (auctioneer, task location).
-    It is the one auction key, read from a live message as from the log,
-    and equals `auction.Auction.key`."""
+    The one auction key, live and in the log, of the books and the boards."""
     return (record["auctioneer"], tuple(record["loc"]))
 
 

@@ -90,8 +90,11 @@ def _full_moves(length: float, speed: float, traveled: float,
     All but the last of an estimated count, two short of the quotient, are
     summed at once, and the count stands if its last move is full; if not
     (float error as large as a whole move), the count starts over from
-    zero.  The moves after it are checked one at a time."""
-    k = max(0, min(most, int((length - traveled) / speed) - 2))
+    zero.  The moves after it are checked one at a time.  A quotient above
+    `most + 2` gives `most` without `int`, which cannot take the infinite
+    quotient of a subnormal speed."""
+    quotient = (length - traveled) / speed
+    k = most if quotient > most + 2 else max(0, min(most, int(quotient) - 2))
     if k:
         before_last = reduce(add, repeat(speed, k - 1), traveled)
         if length - before_last < speed:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .world import InvariantError, Point, PolicyName, RobotKind
+from .world import InvariantError, PolicyName, RobotKind
 
 if TYPE_CHECKING:
     from .agents import RobotState
@@ -68,7 +68,7 @@ class Policy:
             return None, wins
         if self.name is PolicyName.NEAREST:
             chosen = min(wins, key=lambda w: (
-                robot.pose.distance_to(Point(*w["loc"])),
+                robot.pose.distance_to(w["loc"]),
                 w["auctioneer"],
                 tuple(w["loc"]),
             ))

@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, get_type_hints
+from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
+                    Sequence, get_type_hints)
 
 from .events import first_invalid_utf8_line
 
@@ -63,18 +64,15 @@ class InvariantError(RuntimeError):
     fault.  Raised, not asserted, so the checks also run under `python -O`."""
 
 
-@dataclass(frozen=True)
-class Point:
-    """A position in the arena, in simulation meters."""
+class Point(NamedTuple):
+    """A position in the arena, in simulation meters: the (x, y) pair, equal
+    to and hashed as `tuple(record["loc"])` of a record naming it."""
 
     x: float
     y: float
 
-    def distance_to(self, other: Point) -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def as_pair(self) -> tuple[float, float]:
-        return (self.x, self.y)
+    def distance_to(self, other: Sequence[float]) -> float:
+        return math.hypot(self.x - other[0], self.y - other[1])
 
 
 @dataclass
@@ -383,10 +381,11 @@ _TIMING_KEYS = _value_fields(TimingConfig)
 SCENARIO_KEYS: dict[str, type] = {**_value_fields(ScenarioConfig), **_TIMING_KEYS}
 
 
-def parse_scenario_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat `key = value` scenario file (# starts a comment).  A key
-    set twice is an error, not a silent override."""
-    values: dict[str, str] = {}
+def parse_scenario_file(path: str | Path) -> dict[str, object]:
+    """Parse a flat `key = value` scenario file (# starts a comment) into
+    values of their fields' types.  A key set twice is an error, not a
+    silent override, and so is a value its field's type cannot read."""
+    values: dict[str, object] = {}
     set_on: dict[str, int] = {}  # key -> the line that set it
     data = Path(path).read_bytes()
     try:
@@ -407,7 +406,15 @@ def parse_scenario_file(path: str | Path) -> dict[str, str]:
         if key in set_on:
             raise ValueError(f"{path}:{lineno}: scenario key {key!r} already "
                              f"set on line {set_on[key]}")
-        values[key], set_on[key] = value, lineno
+        kind = SCENARIO_KEYS[key]
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} must be "
+                f"{'an' if kind is int else 'a'} {kind.__name__}, "
+                f"got {value!r}") from None
+        set_on[key] = lineno
     return values
 
 
@@ -415,7 +422,7 @@ def build_config(*mappings: Mapping[str, object]) -> ScenarioConfig:
     """Build a ScenarioConfig from layered key/value mappings.
 
     Later mappings override earlier ones (defaults < file < CLI flags).
-    Values may be strings (as parsed from a file) or already-typed.
+    Each value, a string or already typed, is read as its field's type.
     """
     merged: dict[str, object] = {}
     for mapping in mappings:

@@ -72,7 +72,7 @@ def test_scan_skips_already_discovered():
     sites = sim.ctx.world.sites
     sites[0].location = Point(mid.x + sides[0], mid.y + sides[1])
     sites[1].location = Point(mid.x - sides[0], mid.y - sides[1])
-    sim.ctx._site_by_location = {s.location.as_pair(): s for s in sites}
+    sim.ctx._site_by_location = {s.location: s for s in sites}
     sim.step()
     (tick,) = {tick for tick, _, _ in scout._finds}
     assert tick > 0 and len(scout._finds) == 2
@@ -294,14 +294,14 @@ def test_two_sites_found_same_tick_give_two_announcements():
     sites = sim.ctx.world.sites
     sites[0].location = Point(ahead.x + 1.0, ahead.y)
     sites[1].location = Point(ahead.x - 1.0, ahead.y)
-    sim.ctx._site_by_location = {s.location.as_pair(): s for s in sites}
+    sim.ctx._site_by_location = {s.location: s for s in sites}
     sim.step()
     announcements = [r for r in sim.ctx.log.records
                      if r["type"] == "msg" and r["variant"] == "announcement"]
     assert len(announcements) == 2
     assert announcements[0]["loc"] != announcements[1]["loc"]
     assert {tuple(a["loc"]) for a in announcements} == \
-        {s.location.as_pair() for s in sites}
+        {s.location for s in sites}
 
 
 def test_scout_goes_done_and_silent():
@@ -428,7 +428,7 @@ def test_hauler_round_trip_odometry_lower_bound():
     sim = Simulation(config)
     site = sim.ctx.world.sites[0]
     site.location = Point(80.0, 50.0)
-    sim.ctx._site_by_location = {site.location.as_pair(): site}
+    sim.ctx._site_by_location = {site.location: site}
     for controller in sim.ctx.controllers.values():
         if controller.state.kind is RobotKind.HAULER:
             controller.state.pose = sim.ctx.world.plant_location

@@ -76,7 +76,7 @@ def test_publish_delivers_to_every_recipient_next_tick(make, args, recipients):
     if variant in ("announcement", "close"):
         assert all(inbox == [] for inbox in mail.values())
         board = bus.boards[record["task_type"]]
-        assert board_rows(board) == ([((args[0], LOC.as_pair()), 10, 1)]
+        assert board_rows(board) == ([((args[0], LOC), 10, 1)]
                                      if variant == "announcement" else [])
     else:
         for robot in recipients:
@@ -120,7 +120,7 @@ def test_not_delivered_same_tick():
     assert mail == {"scout_1": [log.records[1]], "excavator_1": [],
                     "excavator_2": []}
     assert mail["scout_1"][0] is log.records[1]
-    assert board_rows(bus.boards["excavate"]) == [(("scout_1", LOC.as_pair()), 10, 1)]
+    assert board_rows(bus.boards["excavate"]) == [(("scout_1", LOC), 10, 1)]
 
 
 def test_same_tick_messages_keep_publish_order():
@@ -143,7 +143,7 @@ def test_same_tick_messages_keep_publish_order():
     assert bus.messages_published == 7
     # scout_2's second announcement is its second round
     assert board_rows(bus.boards["excavate"]) == [
-        (("scout_1", OTHER.as_pair()), 4, 1), (("scout_2", LOC.as_pair()), 4, 2)]
+        (("scout_1", OTHER), 4, 1), (("scout_2", LOC), 4, 2)]
 
 
 def test_each_tick_is_delivered_once():
@@ -154,7 +154,7 @@ def test_each_tick_is_delivered_once():
     counts = {robot: len(inbox) for robot, inbox in bus.deliver(1).items()}
     assert counts == {"scout_1": 1, "excavator_1": 0, "excavator_2": 0}
     assert bus.deliver(1) == {}
-    assert board_rows(bus.boards["excavate"]) == [(("scout_1", LOC.as_pair()), 0, 1)]
+    assert board_rows(bus.boards["excavate"]) == [(("scout_1", LOC), 0, 1)]
     assert list(bus.deliver(2)) == ["scout_1"]
 
 
@@ -407,7 +407,7 @@ def test_a_reopened_key_is_a_new_auction(gap):
     bus, records = sim.ctx.bus, sim.ctx.log.records
     haulers = {name: c for name, c in sim.ctx.controllers.items()
                if c.bids_on is TaskType.TRANSPORT}
-    key = ("excavator_1", LOC.as_pair())
+    key = ("excavator_1", LOC)
 
     def deliver_and_bid(tick):
         """Let the haulers the bus steps bid; bidder -> bid at `tick`."""

@@ -81,6 +81,45 @@ def test_stalled_run_exits_2(tmp_path):
     assert (out / "events.jsonl").exists()  # partial outputs still written
 
 
+def test_a_subnormal_speed_stalls_without_a_traceback(tmp_path, capsys):
+    """At a subnormal speed no robot gets anywhere: the run stalls at its
+    tick cap, exits 2 and still writes its outputs."""
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("robot_speed = 5e-324\n")
+    out = tmp_path / "run"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    for name in ("events.jsonl", "metrics.csv", "summary.json", "run_meta.json"):
+        assert (out / name).exists(), name
+    assert capsys.readouterr().out.startswith("stalled:")
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    (["run", "--seed", "x", "--out", "o"], "invalid int value: 'x'"),
+    (["run", "--policy", "bogus", "--out", "o"], "invalid choice: 'bogus'"),
+    (["verify"], "the following arguments are required: --log"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-int", "bad-choice", "missing-flag", "no-command"])
+def test_usage_error_exits_1_with_the_usage_line(tmp_path, capsys,
+                                                 monkeypatch, argv, complaint):
+    """A usage error is bad input, exit 1; 2 means a stalled run."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: isrusim") and complaint in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: isrusim")
+
+
 def test_verify_flags_tampered_log(tmp_path, capsys):
     out = tmp_path / "run"
     main(["run", "--policy", "fcfs", "--seed", "5", *SMALL, "--out", str(out)])

@@ -47,6 +47,7 @@ from isrusim.agents import (
 from isrusim.auction import record_bid
 from isrusim.bus import bid
 from isrusim.engine import START_CIRCLE_RADIUS
+from isrusim.events import record_auction_key
 from isrusim.pathing import PathCursor, estimate_path
 
 
@@ -111,7 +112,7 @@ def test_site_placement_depends_on_seed_not_policy():
     placements = set()
     for policy in ("fcfs", "coalition", "nearest"):
         world = generate_scenario(ScenarioConfig(seed=6, policy=policy))
-        placements.add(tuple(s.location.as_pair() for s in world.sites))
+        placements.add(tuple(s.location for s in world.sites))
     assert len(placements) == 1
 
 
@@ -150,9 +151,46 @@ def test_start_poses_on_circle_around_plant():
     sim = Simulation(tiny_config())
     plant = sim.ctx.world.plant_location
     poses = [c.state.pose for c in sim.ctx.controllers.values()]
-    assert len({p.as_pair() for p in poses}) == len(poses)
+    assert len(set(poses)) == len(poses)
     for pose in poses:
         assert pose.distance_to(plant) == pytest.approx(START_CIRCLE_RADIUS)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_point_is_the_pair_a_record_names(policy):
+    """A `Point` equals and hashes as its (x, y) pair, and lists as a
+    record's `loc`: `site_at` finds every site from its discovery record,
+    and every open auction in every book is filed under
+    `record_auction_key` of its announcement."""
+    point = Point(1.5, 2.5)
+    assert point == (1.5, 2.5) and hash(point) == hash((1.5, 2.5))
+    sim = Simulation(crowded_config(policy=policy))
+    records = sim.ctx.log.records
+    books = [c.book for c in sim.ctx.controllers.values()]
+    announced: dict = {}  # (auctioneer, tick) -> its announcements
+    seen = checked = 0
+    while sim.status is RunStatus.RUNNING and sim.tick < sim.config.tick_cap:
+        sim.step()
+        for record in records[seen:]:
+            if record["type"] == "msg" and record["variant"] == "announcement":
+                announced.setdefault((record["auctioneer"], record["tick"]),
+                                     []).append(record)
+        seen = len(records)
+        for book in books:
+            for key, auction in book.items():
+                [record] = [r for r in announced[auction.auctioneer,
+                                                 auction.round_opened_tick]
+                            if r["loc"] == list(auction.task_location)]
+                assert key == record_auction_key(record)
+                assert hash(key) == hash(record_auction_key(record))
+                checked += 1
+    assert sim.status is RunStatus.COMPLETED and checked
+    discoveries = [r for r in records if r["type"] == "discovery"]
+    assert len(discoveries) == len(sim.ctx.world.sites)
+    for record in discoveries:
+        site = sim.ctx.site_at(record["loc"])
+        assert site.site_id == record["site"]
+        assert list(site.location) == record["loc"]
 
 
 def test_state_digest_identical_across_processes():

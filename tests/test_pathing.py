@@ -261,6 +261,20 @@ def test_a_sum_that_overshoots_its_estimate_is_walked_again():
     assert cursor.traveled == length
 
 
+@pytest.mark.parametrize("speed", [5e-324, 1e-310])
+def test_a_subnormal_speed_walks_to_the_cap(speed):
+    """A path's length over a subnormal speed overflows to infinity: every
+    move is full, and the walk stops at the cap, as the rule says, with no
+    count taken of the infinite quotient."""
+    assert 30.0 / speed == math.inf
+    assert moves_to(30.0, speed, [speed, 30.0], 1000) == [0, 1000]
+    cursor = PathCursor(make_path([Point(0.0, 0.0), Point(30.0, 0.0)]))
+    odometry = cursor.advance(1000, speed, 0.0)
+    assert _bits(cursor.traveled, odometry) == _bits(*_rule(30.0, speed, 0.0,
+                                                            1000, 0.0))
+    assert 0.0 < cursor.traveled < 30.0
+
+
 def test_runs_of_full_moves_are_not_stepped(monkeypatch):
     """Over a reference run, each `moves_to` and `advance` call evaluates the
     rule's `min` at most three times: the full moves are summed at once and

@@ -198,6 +198,11 @@ def test_sequence_regression_flagged():
     assert "sequence" in checks
 
 
+def key_of(auction):
+    """The key an auction is filed under in its auctioneer's book."""
+    return (auction.auctioneer, auction.task_location)
+
+
 def test_histories_rederived_from_log_match_live_auctions(monkeypatch):
     opened, winners, live = {}, {}, []
     open_auction, select_winner = agents.open_auction, agents.select_winner
@@ -207,24 +212,25 @@ def test_histories_rederived_from_log_match_live_auctions(monkeypatch):
         auction = open_auction(book, auctioneer, task_type, task_location,
                                tick, bus)
         # a key is reused only after its close
-        opened[auction.key], winners[auction.key] = tick, []
+        opened[key_of(auction)], winners[key_of(auction)] = tick, []
         return auction
 
     def note_winner(auction, tick, bus):
         decl = select_winner(auction, tick, bus)
         if decl is not None:
-            winners[auction.key].append(decl["winner"])
+            winners[key_of(auction)].append(decl["winner"])
         return decl
 
     def note_ack(auction, ack, tick, bus):
         result = handle_ack(auction, ack, tick, bus)
         variant = result and result["variant"]
         if variant == "winner":
-            winners[auction.key].append(result["winner"])
+            winners[key_of(auction)].append(result["winner"])
         elif variant == "close":
-            live.append((auction.auctioneer, auction.task_location.as_pair(),
-                         opened[auction.key], auction.rounds,
-                         winners[auction.key], result["allocated_to"], tick))
+            live.append((auction.auctioneer, auction.task_location,
+                         opened[key_of(auction)], auction.rounds,
+                         winners[key_of(auction)], result["allocated_to"],
+                         tick))
         return result
 
     monkeypatch.setattr(agents, "open_auction", note_open)

@@ -355,6 +355,20 @@ def test_scenario_file_key_set_twice(tmp_path):
         parse_scenario_file(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n_sites = abc", "n_sites must be an int, got 'abc'"),
+    ("arena_side = 5 m", "arena_side must be a float, got '5 m'"),
+    ("tick_cap = 1e5", "tick_cap must be an int, got '1e5'"),
+], ids=["int", "float", "int-in-float-notation"])
+def test_scenario_file_value_of_the_wrong_type(tmp_path, text, message):
+    """A value its field's type cannot read names the file, line and key."""
+    path = tmp_path / "typed.cfg"
+    path.write_text(f"seed = 4\n\n{text}\n")
+    with pytest.raises(ValueError) as caught:
+        parse_scenario_file(path)
+    assert str(caught.value) == f"{path}:3: {message}"
+
+
 @pytest.mark.parametrize("data, line_number, reason", [
     (b"seed = 4\narena_side = \xff\n", 2, "invalid start byte"),
     (b"seed = 4\r\n\r\nn_scouts = 1 # caf\xe9\r\n", 3,
