@@ -271,19 +271,18 @@ class RobotController:
         return wins
 
     def _resolve_wins(self, wins: list[dict], tick: int) -> None:
-        """Accept at most one of `wins`, as the policy picks; decline the rest."""
+        """Accept at most one of `wins`, as the policy picks, and take its
+        task, which is free (a site has one auction); decline the rest."""
         accept, declines = self.ctx.policy.resolve_wins(self.state, wins)
-        if accept is not None and not self._accept_win(accept, tick):
-            declines = declines + [accept]
-            accept = None
         if accept is not None:
+            self._accept_win(accept, tick)
             self.ctx.bus.publish(ack(accept["auctioneer"], self.state.name,
                                      accept["loc"], True), tick)
         for declined in declines:
             self.ctx.bus.publish(ack(declined["auctioneer"], self.state.name,
                                      declined["loc"], False), tick)
 
-    def _accept_win(self, win: dict, tick: int) -> bool:
+    def _accept_win(self, win: dict, tick: int) -> None:
         raise NotImplementedError(f"{self.state.kind} does not take tasks")
 
     def _place_bids(self, tick: int) -> None:
@@ -451,10 +450,9 @@ class ExcavatorController(RobotController):
         # the hauler that follows this excavator's site under coalition
         self.paired: str | None = ctx.policy.paired_hauler(state.name)
 
-    def _accept_win(self, win: dict, tick: int) -> bool:
+    def _accept_win(self, win: dict, tick: int) -> None:
+        """Claim the won site (`claim_site` refuses a claimed one), set out."""
         site = self.ctx.site_at(win["loc"])
-        if site.claimed_by is not None:
-            return False  # someone beat us to the claim: decline instead
         claim_site(self.ctx.world, site.site_id, self.state.name)
         self.ctx.log.append({"type": "claim", "tick": tick,
                              "site": site.site_id, "excavator": self.state.name})
@@ -462,7 +460,6 @@ class ExcavatorController(RobotController):
         self._wake_paired(tick)
         self._set_course(site.location, tick)
         self.state.activity = ExcavatorActivity.TRAVELING
-        return True
 
     def _wake_paired(self, tick: int) -> None:
         """A paired hauler standing by shadows this excavator's site."""
@@ -478,11 +475,8 @@ class ExcavatorController(RobotController):
     def _act(self, tick: int) -> None:
         activity = self.state.activity
         if activity is ExcavatorActivity.TRAVELING:
-            if self._travel(tick):
-                if self.site.minerals_remaining == 0:
-                    self._release(tick)
-                else:
-                    self._start_digging(tick)
+            if self._travel(tick):  # a claimed site is never empty
+                self._start_digging(tick)
         elif activity is ExcavatorActivity.DIGGING:
             if tick >= self._deadline:
                 site = self.site
@@ -548,9 +542,8 @@ class HaulerController(RobotController):
         self.excavator: str | None = None  # whose mineral it fetches or carries
         self.carrying: str | None = None
 
-    def _accept_win(self, win: dict, tick: int) -> bool:
+    def _accept_win(self, win: dict, tick: int) -> None:
         self._begin_transport(win["auctioneer"], Point(*win["loc"]), tick)
-        return True
 
     def assign_transport(self, excavator: str, location: Point, tick: int) -> None:
         """Coalition direct dispatch: no auction, no protocol messages.

@@ -6,8 +6,9 @@ round awaits an ack exactly when it has a declared winner.  An accepted ack
 closes the auction, and the auctioneer drops it from its book.  If every bid
 is the busy sentinel, or every declared winner declines, the auction
 re-announces and collects a fresh round of bids; it never closes without an
-accepted acknowledgment.  Bids that arrive after a winner was declared are
-held back and only count toward the next round, should one happen.
+accepted acknowledgment.  A bid that arrives after its round's first winner
+declaration is dropped: every robot that bid in an auction bids again the
+tick a re-announcement is filed, before the next winner selection.
 
 Only capable robots bid: a controller subscribes, when it is built, to the
 one task type its kind can do (`agents.RobotController` checks that), so no
@@ -35,15 +36,14 @@ CAPABLE_TASK = {RobotKind.EXCAVATOR: TaskType.EXCAVATE,
 
 @dataclass
 class Auction:
-    """Auctioneer-side record of one task allocation attempt."""
+    """Auctioneer-side record of one task allocation attempt.  A round takes
+    no bid once it declares a winner, and a decliner's bid leaves it."""
 
     auctioneer: str
     task_type: TaskType
     task_location: Point
     round_opened_tick: int
     bids: dict[str, float] = field(default_factory=dict)
-    late_bids: dict[str, float] = field(default_factory=dict)
-    offered_to: list[str] = field(default_factory=list)
     winner: str | None = None
     rounds: int = 1
 
@@ -63,22 +63,20 @@ def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
 
 
 def record_bid(auction: Auction, record: dict) -> None:
-    """File an arriving bid record; a bid landing after winner declaration
-    only counts toward the next round."""
+    """File an arriving bid record, unless the round has declared a winner:
+    its bids are fixed then, and a late bid is dropped."""
     if auction.winner is None:
         auction.bids[record["bidder"]] = record["utility"]
-    else:
-        auction.late_bids[record["bidder"]] = record["utility"]
 
 
 def _best_eligible(auction: Auction) -> str | None:
-    """Highest finite bidder not yet offered this round; ties go to the
-    lexicographically smallest name."""
+    """Highest finite bidder of this round, decliners' bids gone; ties go to
+    the lexicographically smallest name."""
     best: str | None = None
     best_utility = NEG_INF
     for bidder in sorted(auction.bids):
         utility = auction.bids[bidder]
-        if not math.isfinite(utility) or bidder in auction.offered_to:
+        if not math.isfinite(utility):
             continue
         if utility > best_utility:
             best, best_utility = bidder, utility
@@ -88,9 +86,7 @@ def _best_eligible(auction: Auction) -> str | None:
 def _reannounce(auction: Auction, tick: int, bus: BroadcastBus) -> None:
     auction.round_opened_tick = tick
     auction.rounds += 1
-    auction.bids = dict(auction.late_bids)
-    auction.late_bids = {}
-    auction.offered_to = []
+    auction.bids = {}
     auction.winner = None
     bus.publish(announcement(auction.auctioneer, auction.task_type,
                              auction.task_location), tick)
@@ -105,7 +101,6 @@ def _offer_next(auction: Auction, tick: int,
         _reannounce(auction, tick, bus)
         return None
     auction.winner = best
-    auction.offered_to.append(best)
     decl = winner(auction.auctioneer, auction.task_type,
                   auction.task_location, best)
     bus.publish(decl, tick)
@@ -126,11 +121,11 @@ def handle_ack(auction: Auction, record: dict, tick: int,
     """Process the winner's verdict, an ack record, and return the record
     it publishes, if any.
 
-    Accepted: publish the close and finish.  Declined: offer to the
-    next-highest bidder of this round (a winner record), or re-announce
-    when the round is exhausted.  Acknowledgments from anyone but the
-    declared winner are dropped, as are all acknowledgments while no winner
-    is declared.
+    Accepted: publish the close and finish.  Declined: drop the decliner's
+    bid and offer to the next-highest bidder of this round (a winner
+    record), or re-announce when none is left.  Acknowledgments from anyone
+    but the declared winner are dropped, as are all acknowledgments while no
+    winner is declared.
     """
     if record["auction_winner"] != auction.winner:
         return None
@@ -139,6 +134,7 @@ def handle_ack(auction: Auction, record: dict, tick: int,
                         auction.task_location, auction.winner)
         bus.publish(closing, tick)
         return closing
+    del auction.bids[auction.winner]
     return _offer_next(auction, tick, bus)
 
 

@@ -203,12 +203,10 @@ class Simulation:
         self.tick = tick + 1
 
     def _goal_reached(self) -> bool:
-        world = self.ctx.world
-        if world.minerals_at_plant != self.config.n_minerals:
-            return False
-        if any(not site.discovered for site in world.sites):
-            return False
-        return not any(c.book for c in self._step_order)
+        """Every mineral is at the plant and no auction is open.  Every site
+        was then dug, hence claimed, auctioned and so discovered."""
+        return (self.ctx.world.minerals_at_plant == self.config.n_minerals
+                and not any(c.book for c in self._step_order))
 
     def _assert_mineral_conservation(self) -> None:
         """The minerals at the plant, in buckets and bins, and still on the
@@ -288,8 +286,7 @@ class Simulation:
                        for r in (c.state for c in self._step_order)],
             "auctions": [[a.auctioneer, list(a.task_location),
                           a.round_opened_tick, a.rounds,
-                          sorted(a.bids.items()), sorted(a.late_bids.items()),
-                          a.offered_to, a.winner or ""]
+                          sorted(a.bids.items()), a.winner or ""]
                          for c in self._step_order for a in c.book.values()],
             "boards": [[value, key[0], list(key[1]), e.first_tick, e.rounds,
                         sorted(e.answers.items())]

@@ -200,9 +200,8 @@ def _median(values: Sequence) -> float | None:
 
 
 def collect_metrics(records: Iterable[dict]) -> MetricsReport:
-    """Derive a MetricsReport purely from a finished run's event log."""
-    run_start: dict | None = None
-    run_end: dict | None = None
+    """Derive a MetricsReport purely from the event log of one finished run."""
+    ends: dict[str, dict] = {}
     messages: list[dict] = []
     discovery_ticks: list[int] = []
 
@@ -210,16 +209,17 @@ def collect_metrics(records: Iterable[dict]) -> MetricsReport:
         if not isinstance(record, dict) or "type" not in record:
             raise MetricsError(f"record {index}: not an event record")
         rtype = record["type"]
-        if rtype == "run_start":
-            run_start = record
-        elif rtype == "run_end":
-            run_end = record
+        if rtype == "run_start" or rtype == "run_end":
+            if rtype in ends:
+                raise MetricsError(f"record {index}: a second {rtype}")
+            ends[rtype] = record
         elif rtype == "discovery":
             discovery_ticks.append(record["tick"])
         elif rtype == "msg":
             messages.append(record)
     histories = derive_auction_histories(messages)
 
+    run_start, run_end = ends.get("run_start"), ends.get("run_end")
     if run_start is None or run_end is None:
         raise MetricsError("log is missing run_start/run_end records")
 

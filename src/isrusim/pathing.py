@@ -114,16 +114,23 @@ def moves_to(length: float, speed: float, arcs: Sequence[float],
     move being move 0; there is always at least one move.  The walk stops
     after `most` moves, so an arc not reached by then gets `most`.
 
-    An arc reached within the run of full moves is looked up among their
-    running sums; past it, the walk goes on one move at a time."""
+    An arc reached within the run of full moves is walked to from the one
+    before it, an estimated count of moves at once as in `_full_moves`, then
+    one move at a time; past the run, the walk goes on one move at a time."""
     full, end = _full_moves(length, speed, 0.0, most + 1)
-    sums = (list(accumulate(repeat(speed, full), initial=0.0))
-            if arcs and arcs[0] <= end else [])
+    done, sum_done = 1, speed  # the first `done` moves end at `sum_done`
     traveled, n = (end, full - 1) if full else (min(speed, length), 0)
     indices = []
     for arc in arcs:
         if arc <= end:
-            indices.append(bisect_left(sums, arc, 1) - 1)
+            k = max(0, int((arc - sum_done) / speed) - 2)
+            ahead = reduce(add, repeat(speed, k), sum_done)
+            if ahead < arc:  # the estimate stands
+                done, sum_done = done + k, ahead
+            while sum_done < arc:
+                sum_done += speed
+                done += 1
+            indices.append(done - 1)
             continue
         while traveled < arc and n < most:
             traveled += min(speed, length - traveled)

@@ -108,9 +108,7 @@ class TimingConfig:
     physically arrive.
 
     win_resolution_window is the ticks a winner declaration takes to reach
-    its winner, which resolves every win in its inbox at once.  Holding each
-    win for that window, from its arrival a tick after its declaration,
-    resolves each at the same tick, and groups no wins of different ticks.
+    its winner, which resolves every win in its inbox at once.
     """
 
     robot_speed: float = 1.0

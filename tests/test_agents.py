@@ -401,15 +401,21 @@ def test_walks_stop_at_the_tick_cap():
         assert sim.run() is RunStatus.STALLED
 
 
-def test_excavator_declines_when_site_already_claimed():
+def test_excavator_cannot_accept_a_claimed_site():
+    """A site has one auction per run, so its winner always finds it
+    unclaimed; `claim_site` still refuses a second claim, before the
+    excavator changes anything."""
     config = tiny_config(n_sites=1, n_minerals=1)
     sim = Simulation(config)
     site = sim.ctx.world.sites[0]
     site.claimed_by = "excavator_9"
     excavator = sim.ctx.controllers["excavator_1"]
     win = winner("scout_1", TaskType.EXCAVATE, site.location, "excavator_1")
-    assert excavator._accept_win(win, tick=0) is False
+    with pytest.raises(ValueError, match="already claimed by excavator_9"):
+        excavator._accept_win(win, tick=0)
     assert excavator.state.activity is ExcavatorActivity.IDLE
+    assert excavator.site is None
+    assert site.claimed_by == "excavator_9"
 
 
 def test_carried_minerals_never_exceed_one():

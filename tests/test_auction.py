@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import tiny_config
+from conftest import crowded_config, tiny_config
 
 from isrusim import (
     BroadcastBus,
@@ -12,8 +12,11 @@ from isrusim import (
     Point,
     RobotKind,
     RobotState,
+    RunStatus,
+    ScenarioConfig,
     Simulation,
     TaskType,
+    TimingConfig,
     evaluate_self_utility,
     open_auction,
     select_winner,
@@ -223,14 +226,19 @@ def test_declined_ack_offers_next_highest():
     assert msg["winner"] == auction.winner == "excavator_2"
 
 
-def test_all_declined_reannounces_with_cleared_offers():
+def test_decliners_bid_leaves_the_round():
     auction, _, bus = new_auction()
     record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
+    record_bid(auction, bid("scout_1", "excavator_2", LOC, -8.0))
     select_winner(auction, 3, bus)
-    msg = handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
+    handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
+    assert auction.bids == {"excavator_2": -8.0}
+    msg = handle_ack(auction, ack("scout_1", "excavator_2", LOC, False), 7, bus)
+    # every bidder declined: re-announce, and a freed-up robot may win the
+    # next round
     assert msg is None
     assert auction.winner is None
-    assert auction.offered_to == []  # a freed-up robot may win the next round
+    assert auction.bids == {}
     assert auction.rounds == 2
 
 
@@ -244,17 +252,19 @@ def test_ack_from_non_winner_discarded():
     assert auction.winner == "excavator_1"
 
 
-def test_late_bids_count_toward_next_round():
+def test_late_bid_is_dropped():
     auction, _, bus = new_auction()
     record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
     select_winner(auction, 3, bus)
-    # arrives after the declaration: held for the next round
+    # arrive after the declaration: the round's bids are fixed
     record_bid(auction, bid("scout_1", "excavator_2", LOC, -1.0))
-    assert "excavator_2" not in auction.bids
+    record_bid(auction, bid("scout_1", "excavator_1", LOC, -9.0))
+    assert auction.bids == {"excavator_1": -2.0}
     handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
-    # excavator_1 declined and no other bid was in the round: re-announce
+    # excavator_1 declined and no other bid was in the round: re-announce,
+    # with no bid carried into the new round
     assert auction.winner is None
-    assert auction.bids == {"excavator_2": -1.0}
+    assert auction.bids == {}
 
 
 def _exhaustive_winner_sequence(utilities: dict[str, float],
@@ -303,3 +313,64 @@ def test_exhaustive_state_machine_up_to_three_bidders():
                 else:
                     assert sequence == expected_order[:n_accept + 1]
                     assert outcome == ("closed", expected_order[n_accept])
+
+
+def rebid_misses(records) -> tuple[int, list]:
+    """The re-announcements in a log, and those a bidder missed: each robot
+    that bid in an auction generation (first announcement to close) by a
+    re-announcement at tick t must bid in it again at t + 1.  A bid is
+    filed under the generation of its key logged last, so a bid that races
+    the close, logged with it or after it, belongs to the closed one."""
+    generations, current = [], {}
+    for record in records:
+        if record["type"] != "msg":
+            continue
+        key, variant, tick = (record_auction_key(record), record["variant"],
+                              record["tick"])
+        generation = current.get(key)
+        if variant == "announcement":
+            if generation is None or generation["closed"]:
+                current[key] = generation = {"closed": False, "bids": [],
+                                             "reannounced": []}
+                generations.append(generation)
+            else:
+                generation["reannounced"].append(tick)
+        elif variant == "bid":
+            generation["bids"].append((tick, record["bidder"]))
+        elif variant == "close":
+            generation["closed"] = True
+    reannounced, misses = 0, []
+    for generation in generations:
+        for t in generation["reannounced"]:
+            reannounced += 1
+            due = {bidder for tick, bidder in generation["bids"] if tick <= t}
+            again = {bidder for tick, bidder in generation["bids"]
+                     if tick == t + 1}
+            if due - again:
+                misses.append((t, sorted(due - again)))
+    return reannounced, misses
+
+
+REBID_CASES = {f"crowded/{policy}/bid_window{window}/win{latency}":
+               crowded_config(policy=policy, timing=TimingConfig(
+                   bid_window=window, win_resolution_window=latency))
+               for policy in ("fcfs", "coalition", "nearest")
+               for window in (2, 3, 5) for latency in (1, 3)}
+REBID_CASES.update((f"reference/nearest/{seed}",
+                    ScenarioConfig(policy="nearest", seed=seed))
+                   for seed in (6, 14))
+
+
+@pytest.mark.parametrize("name", REBID_CASES)
+def test_every_bidder_bids_again_the_tick_after_a_reannouncement(run_logs,
+                                                                 name):
+    """Every robot that bid in an auction answers each of its
+    re-announcements at the tick the bus files it, so its bid reaches the
+    auctioneer before the next winner selection, at least `bid_window` (2)
+    ticks on: a bid held back from the round before would be overwritten
+    before it is read, which is why `record_bid` drops late bids."""
+    records = run_logs.log(REBID_CASES[name]).records
+    assert records[-1]["status"] == RunStatus.COMPLETED.value
+    reannounced, misses = rebid_misses(records)
+    assert reannounced > 0
+    assert misses == []

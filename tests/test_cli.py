@@ -144,6 +144,25 @@ def test_replay_rejects_corrupt_log(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_replay_rejects_two_runs_joined_into_one_log(tmp_path, capsys):
+    """Its metrics would mix the two runs: replay exits 3, as verify does."""
+    lines = []
+    for seed in (0, 1):
+        out = tmp_path / f"seed{seed}"
+        assert main(["run", "--policy", "fcfs", "--seed", str(seed), *SMALL,
+                     "--out", str(out)]) == 0
+        lines.append((out / "events.jsonl").read_text())
+    joined = tmp_path / "joined.jsonl"
+    joined.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["replay", "--log", str(joined)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("replay failed:")
+    assert "a second run_start" in captured.err
+    assert main(["verify", "--log", str(joined)]) == 3
+
+
 def test_sweep_grid_outputs(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", "--policies", "fcfs,nearest", "--seeds", "0..1",

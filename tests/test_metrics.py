@@ -113,6 +113,15 @@ def test_missing_run_records_is_an_error():
         collect_metrics(synthetic_log()[1:-1])
 
 
+def test_two_runs_in_one_log_are_an_error():
+    """Two runs' logs joined into one would mix their metrics: the second
+    run_start, or a second run_end, names its record."""
+    with pytest.raises(MetricsError, match="record 5: a second run_start"):
+        collect_metrics(synthetic_log() + synthetic_log())
+    with pytest.raises(MetricsError, match="record 5: a second run_end"):
+        collect_metrics(synthetic_log() + synthetic_log()[-1:])
+
+
 def test_malformed_record_names_its_index():
     records = synthetic_log()
     records.insert(2, {"no_type": True})

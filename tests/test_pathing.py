@@ -1,13 +1,14 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import crowded_config, step_cursor
 
-from isrusim import (Point, ScenarioConfig, Simulation, agents, build_spiral,
-                     estimate_path, pathing)
+from isrusim import (Point, ScenarioConfig, Simulation, TimingConfig, agents,
+                     build_spiral, estimate_path, pathing)
 from isrusim.agents import RobotController
 from isrusim.pathing import PathCursor, make_path, moves_to
 
@@ -273,6 +274,21 @@ def test_a_subnormal_speed_walks_to_the_cap(speed):
     assert _bits(cursor.traveled, odometry) == _bits(*_rule(30.0, speed, 0.0,
                                                             1000, 0.0))
     assert 0.0 < cursor.traveled < 30.0
+
+
+def test_move_ticks_take_no_memory_per_move():
+    """`moves_to` keeps no running sum of each full move: at 1e-4 m a tick,
+    building a run and its first step (every course's last move and every
+    scout's find ticks, up to a million moves each) stay far below the
+    8 MB that one float per move of a single walk would take."""
+    tracemalloc.start()
+    try:
+        Simulation(ScenarioConfig(seed=0, tick_cap=10**6, timing=TimingConfig(
+            robot_speed=1e-4))).step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_runs_of_full_moves_are_not_stepped(monkeypatch):
