@@ -52,7 +52,6 @@ from .world import (
     ScenarioConfig,
     ScenarioGenerationError,
     TaskType,
-    TimingConfig,
     WorldState,
     generate_scenario,
     transfer_mineral_to_plant,
@@ -66,7 +65,7 @@ __all__ = [
     "Policy", "PolicyName", "ResourceSite", "RobotKind", "RobotState",
     "RunResult", "RunStatus", "ScenarioConfig", "ScenarioGenerationError",
     "ScoutActivity", "SimContext", "Simulation", "SpiralPlan", "TaskType",
-    "TimingConfig", "Violation", "WorldState",
+    "Violation", "WorldState",
     "build_spiral", "build_summary", "collect_metrics",
     "derive_auction_histories", "estimate_path", "evaluate_self_utility",
     "generate_scenario", "handle_ack", "make_policy", "open_auction",

@@ -239,7 +239,7 @@ class RobotController:
         """Close the bidding window of every auction in the book that has no
         winner and whose round opened at least `bid_window` ticks ago.  The
         engine calls this on its `bid_window` cadence ticks only."""
-        bid_window = self.ctx.config.timing.bid_window
+        bid_window = self.ctx.config.bid_window
         for auction in self.book.values():
             if (auction.winner is None
                     and tick >= auction.round_opened_tick + bid_window):
@@ -335,7 +335,7 @@ class RobotController:
         find the tick of the last one (`moves_to`).  A walk longer than
         `tick_cap` moves is cut there: a run ends before its last move."""
         config, length = self.ctx.config, self.cursor.path.length
-        (last,) = moves_to(length, config.timing.robot_speed, (length,),
+        (last,) = moves_to(length, config.robot_speed, (length,),
                            config.tick_cap)
         self._next_move, self._last_move = first_move, first_move + last
 
@@ -348,7 +348,7 @@ class RobotController:
             return
         state = self.state
         state.odometry = self.cursor.advance(
-            last + 1 - self._next_move, self.ctx.config.timing.robot_speed,
+            last + 1 - self._next_move, self.ctx.config.robot_speed,
             state.odometry)
         state.pose = self.cursor.pose
         self._next_move = last + 1
@@ -409,7 +409,7 @@ class ScoutController(RobotController):
             config = self.ctx.config
             self._finds = find_schedule(self.cursor.path, self.ctx.world.sites,
                                         config.scan_radius,
-                                        config.timing.robot_speed,
+                                        config.robot_speed,
                                         config.tick_cap)
         self.sync(tick)
         found, finds = [], self._finds
@@ -470,7 +470,7 @@ class ExcavatorController(RobotController):
 
     def _start_digging(self, tick: int) -> None:
         self.state.activity = ExcavatorActivity.DIGGING
-        self._deadline = tick + self.ctx.config.timing.dig_duration
+        self._deadline = tick + self.ctx.config.dig_duration
 
     def _act(self, tick: int) -> None:
         activity = self.state.activity
@@ -563,11 +563,11 @@ class HaulerController(RobotController):
 
     def _act(self, tick: int) -> None:
         activity = self.state.activity
-        timing = self.ctx.config.timing
+        config = self.ctx.config
         if activity is HaulerActivity.TO_SITE:
             if self._travel(tick):
                 self.state.activity = HaulerActivity.LOADING
-                self._deadline = tick + timing.load_duration
+                self._deadline = tick + config.load_duration
         elif activity is HaulerActivity.LOADING:
             if tick >= self._deadline:
                 excavator = self.ctx.controllers[self.excavator]
@@ -584,7 +584,7 @@ class HaulerController(RobotController):
         elif activity is HaulerActivity.TO_PLANT:
             if self._travel(tick):
                 self.state.activity = HaulerActivity.UNLOADING
-                self._deadline = tick + timing.unload_duration
+                self._deadline = tick + config.unload_duration
         elif activity is HaulerActivity.UNLOADING:
             if tick >= self._deadline:
                 transfer_mineral_to_plant(self.ctx.world, self.state)

@@ -114,7 +114,7 @@ class Simulation:
         plans = build_spiral(config.arena_side, config.cell_side, config.n_scouts)
         world = generate_scenario(config, plans)
         log = EventLog()
-        bus = BroadcastBus(log, config.timing.win_resolution_window)
+        bus = BroadcastBus(log, config.win_resolution_window)
         names = config.robot_names()
         # the bus addresses robots by name, and no message checks one
         if (len({n for n, _ in names}) != len(names)
@@ -187,7 +187,7 @@ class Simulation:
         # independent auctions select simultaneously: a robot that is best
         # for several tasks receives those wins together, and its policy's
         # choice between them (nearest-first, say) has something to choose.
-        bid_window = self.config.timing.bid_window
+        bid_window = self.config.bid_window
         if tick % bid_window == 0:
             for controller in self._step_order:
                 if controller.book:

@@ -111,8 +111,9 @@ def moves_to(length: float, speed: float, arcs: Sequence[float],
              most: int) -> list[int]:
     """For each arc length in `arcs`, ascending, the index of the first move
     from the start of a path of `length` that ends at or past it, the first
-    move being move 0; there is always at least one move.  The walk stops
-    after `most` moves, so an arc not reached by then gets `most`.
+    move being move 0; there is always at least one move.  An arc not
+    reached in `most` moves gets `most`, as does, at once, an arc past the
+    path's end, where the walk stops.
 
     An arc reached within the run of full moves is walked to from the one
     before it, an estimated count of moves at once as in `_full_moves`, then
@@ -132,6 +133,8 @@ def moves_to(length: float, speed: float, arcs: Sequence[float],
                 done += 1
             indices.append(done - 1)
             continue
+        if arc > length:  # never reached: the walk stops at the end
+            n = most
         while traveled < arc and n < most:
             traveled += min(speed, length - traveled)
             n += 1

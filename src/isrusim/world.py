@@ -5,13 +5,18 @@ number of resource sites scattered around it.  Each site holds an integer
 number of mineral units; one mineral unit is exactly one hauler load.
 Scenario generation is a pure function of the configuration (seed included),
 which is what makes whole simulation runs replayable bit for bit.
+
+A run's configuration is one flat `ScenarioConfig`, whose typed fields are
+the keys of a scenario file and of the CLI's scenario flags (`SCENARIO_KEYS`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
@@ -93,46 +98,11 @@ class ResourceSite:
             raise ValueError("minerals_remaining out of range")
 
 
-def _require_finite(config: object, name: str) -> None:
-    """Reject NaN and infinities, which compare False against every bound."""
-    if not math.isfinite(getattr(config, name)):
-        raise ValueError(f"{name} must be a finite number")
-
-
-@dataclass(frozen=True)
-class TimingConfig:
-    """Duration constants, all expressed in ticks (speed in meters/tick).
-
-    bid_window must be at least 2: the broadcast bus has a one-tick delivery
-    latency in each direction, so a shorter window closes before any bid can
-    physically arrive.
-
-    win_resolution_window is the ticks a winner declaration takes to reach
-    its winner, which resolves every win in its inbox at once.
-    """
-
-    robot_speed: float = 1.0
-    dig_duration: int = 20
-    load_duration: int = 5
-    unload_duration: int = 5
-    bid_window: int = 3
-    win_resolution_window: int = 1
-
-    def __post_init__(self) -> None:
-        _require_finite(self, "robot_speed")
-        if self.robot_speed <= 0:
-            raise ValueError("robot_speed must be positive")
-        for name in ("dig_duration", "load_duration", "unload_duration",
-                     "bid_window", "win_resolution_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive tick count")
-        if self.bid_window < 2:
-            raise ValueError("bid_window below 2 can never collect a bid")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one simulation run (world + fleet + policy)."""
+    """Full description of one simulation run: world, fleet, policy and
+    timing (durations in ticks, speed in meters per tick).  Every field is
+    typed when the config is built (`_typed`)."""
 
     arena_side: float = 100.0
     n_scouts: int = 2
@@ -143,12 +113,21 @@ class ScenarioConfig:
     scan_radius: float = 2.5
     seed: int = 0
     policy: str = "fcfs"
-    timing: TimingConfig = field(default_factory=TimingConfig)
+    robot_speed: float = 1.0
+    dig_duration: int = 20
+    load_duration: int = 5
+    unload_duration: int = 5
+    # At least 2: the broadcast bus has a one-tick delivery latency in each
+    # direction, so a shorter window closes before any bid can arrive.
+    bid_window: int = 3
+    # The ticks a winner declaration takes to reach its winner, which
+    # resolves every win in its inbox at once.
+    win_resolution_window: int = 1
     tick_cap: int = 200_000
 
     def __post_init__(self) -> None:
-        _require_finite(self, "arena_side")
-        _require_finite(self, "scan_radius")
+        for name, kind in SCENARIO_KEYS.items():
+            object.__setattr__(self, name, _typed(name, kind, getattr(self, name)))
         if self.arena_side < 2.0 * START_CIRCLE_RADIUS:
             raise ValueError(
                 f"arena_side must be at least {2.0 * START_CIRCLE_RADIUS} so the "
@@ -171,6 +150,14 @@ class ScenarioConfig:
             raise ValueError(f"policy must be one of {POLICY_NAMES}")
         if self.tick_cap < 1:
             raise ValueError("tick_cap must be positive")
+        if self.robot_speed <= 0:
+            raise ValueError("robot_speed must be positive")
+        for name in ("dig_duration", "load_duration", "unload_duration",
+                     "bid_window", "win_resolution_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive tick count")
+        if self.bid_window < 2:
+            raise ValueError("bid_window below 2 can never collect a bid")
         # Scout coverage divides the arena into square cells of one scan
         # diameter; the arena must tile exactly.
         cells = self.arena_side / self.cell_side
@@ -367,16 +354,26 @@ def release_site(world: WorldState, site_id: int, excavator: str) -> None:
 
 # --- flat key=value scenario files -----------------------------------------
 
-def _value_fields(cls: type) -> dict[str, type]:
-    """The int, float and str fields of a config dataclass, with their types."""
-    return {name: kind for name, kind in get_type_hints(cls).items()
-            if kind in (int, float, str)}
+# Every scenario key and its value type: the fields of ScenarioConfig.
+SCENARIO_KEYS: dict[str, type] = get_type_hints(ScenarioConfig)
+# The values each type of field takes; a bool is none of them.
+_TAKES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
-_TIMING_KEYS = _value_fields(TimingConfig)
-# Every scenario key and its value type: the fields of ScenarioConfig but
-# `timing`, and those of TimingConfig.
-SCENARIO_KEYS: dict[str, type] = {**_value_fields(ScenarioConfig), **_TIMING_KEYS}
+def _typed(name: str, kind: type, value: object) -> object:
+    """`value` as a field of type `kind` holds it: an int field takes an
+    integer, a str field a str (kept as given: `str()` of a str enum is its
+    name), and a float field any finite real number, held as a float so
+    that equal configs log equal bytes."""
+    if (isinstance(value, _TAKES[kind]) and not isinstance(value, bool)
+            and (kind is not float or abs(value) <= sys.float_info.max)):
+        return value if kind is str else kind(value)
+    want = "a finite number" if kind is float else _a(kind)
+    raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
+def _a(kind: type) -> str:
+    return f"{'an' if kind is int else 'a'} {kind.__name__}"
 
 
 def parse_scenario_file(path: str | Path) -> dict[str, object]:
@@ -408,33 +405,22 @@ def parse_scenario_file(path: str | Path) -> dict[str, object]:
         try:
             values[key] = kind(value)
         except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: {key} must be "
-                f"{'an' if kind is int else 'a'} {kind.__name__}, "
-                f"got {value!r}") from None
+            raise ValueError(f"{path}:{lineno}: {key} must be {_a(kind)}, "
+                             f"got {value!r}") from None
         set_on[key] = lineno
     return values
 
 
 def build_config(*mappings: Mapping[str, object]) -> ScenarioConfig:
-    """Build a ScenarioConfig from layered key/value mappings.
+    """Build a ScenarioConfig from layered mappings of typed values, as
+    `parse_scenario_file` and the CLI flags give them.
 
-    Later mappings override earlier ones (defaults < file < CLI flags).
-    Each value, a string or already typed, is read as its field's type.
+    Later mappings override earlier ones (defaults < file < CLI flags), and
+    a None value sets nothing.
     """
-    merged: dict[str, object] = {}
-    for mapping in mappings:
-        for key, value in mapping.items():
-            if value is not None:
-                merged[key] = value
-
-    config_kwargs: dict[str, object] = {}
-    timing_kwargs: dict[str, object] = {}
-    for key, value in merged.items():
+    merged = {key: value for mapping in mappings
+              for key, value in mapping.items() if value is not None}
+    for key in merged:
         if key not in SCENARIO_KEYS:
             raise ValueError(f"unknown scenario key {key!r}")
-        kwargs = timing_kwargs if key in _TIMING_KEYS else config_kwargs
-        kwargs[key] = SCENARIO_KEYS[key](value)
-    if timing_kwargs:
-        config_kwargs["timing"] = TimingConfig(**timing_kwargs)  # type: ignore[arg-type]
-    return ScenarioConfig(**config_kwargs)  # type: ignore[arg-type]
+    return ScenarioConfig(**merged)  # type: ignore[arg-type]

@@ -7,7 +7,6 @@ import pytest
 from isrusim import (
     Point,
     ScenarioConfig,
-    TimingConfig,
     run_to_completion,
 )
 
@@ -34,9 +33,8 @@ def tiny_run(**overrides):
     return run_to_completion(tiny_config(**overrides))
 
 
-ALT_TIMING = TimingConfig(robot_speed=2.0, dig_duration=7, load_duration=3,
-                          unload_duration=2, bid_window=4,
-                          win_resolution_window=1)
+ALT_TIMING = dict(robot_speed=2.0, dig_duration=7, load_duration=3,
+                  unload_duration=2, bid_window=4, win_resolution_window=1)
 
 
 @pytest.fixture

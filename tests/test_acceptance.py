@@ -95,10 +95,8 @@ DETERMINISM_CONFIGS = (
     s.ScenarioConfig(arena_side=30.0, n_scouts=1, n_excavators=2,
                      n_haulers=3, n_sites=2, n_minerals=4, seed=1,
                      policy="coalition",
-                     timing=s.TimingConfig(robot_speed=2.0, dig_duration=7,
-                                           load_duration=3,
-                                           unload_duration=2,
-                                           bid_window=4)),
+                     robot_speed=2.0, dig_duration=7, load_duration=3,
+                     unload_duration=2, bid_window=4),
     s.ScenarioConfig(arena_side=30.0, n_scouts=1, n_excavators=2,
                      n_haulers=3, n_sites=3, n_minerals=5, seed=2,
                      policy="nearest"),

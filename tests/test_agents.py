@@ -24,7 +24,6 @@ from isrusim import (
     ScenarioConfig,
     Simulation,
     TaskType,
-    TimingConfig,
     generate_scenario,
     run_to_completion,
 )
@@ -161,7 +160,7 @@ def test_grid_scan_matches_brute_force_along_the_spirals(speed):
     lists the (tick, site) pairs, in the same order, that walking its
     spiral one `step_cursor` move per tick gives, scanning the spawn point
     and then every swept piece, testing every site by its distance."""
-    config = dataclasses.replace(ARENA200, timing=TimingConfig(robot_speed=speed))
+    config = dataclasses.replace(ARENA200, robot_speed=speed)
     radius = config.scan_radius
     sim = Simulation(config)
     world = with_border_sites(sim.ctx.world, config, 15)
@@ -246,7 +245,7 @@ def test_grid_scan_tests_a_small_fraction_of_the_sites(monkeypatch):
             path = sim.ctx.controllers[name].cursor.path
             calls = 0
             assert find_schedule(path, sites, config.scan_radius,
-                                 config.timing.robot_speed, config.tick_cap)
+                                 config.robot_speed, config.tick_cap)
             assert 0 < calls < len(sites) * len(path.segments) / 20, (
                 config.arena_side, name, calls, len(sites) * len(path.segments))
 
@@ -276,7 +275,7 @@ def test_discovery_announces_same_tick_and_scout_keeps_moving():
     assert announcement["tick"] == discovery["tick"]
     # odometry strictly grows right after the find: scouting never pauses
     odometry = result.metrics.per_robot_distance[discovery["scout"]]
-    speed = tiny_config().timing.robot_speed
+    speed = tiny_config().robot_speed
     assert odometry > (discovery["tick"] + 1) * speed * 0.5
 
 
@@ -389,8 +388,7 @@ def test_walks_stop_at_the_tick_cap():
     the scouts' spirals at set-up and their find schedules at tick 0 end
     there, and a 10-tick run at 1e-9 m a tick ends stalled at once."""
     for speed in (1e-3, 1e-9):
-        config = ScenarioConfig(seed=0, tick_cap=10,
-                                timing=TimingConfig(robot_speed=speed))
+        config = ScenarioConfig(seed=0, tick_cap=10, robot_speed=speed)
         sim = Simulation(config)
         for controller in sim.ctx.controllers.values():
             assert controller._last_move - controller._next_move <= config.tick_cap

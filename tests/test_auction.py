@@ -16,7 +16,6 @@ from isrusim import (
     ScenarioConfig,
     Simulation,
     TaskType,
-    TimingConfig,
     evaluate_self_utility,
     open_auction,
     select_winner,
@@ -352,8 +351,8 @@ def rebid_misses(records) -> tuple[int, list]:
 
 
 REBID_CASES = {f"crowded/{policy}/bid_window{window}/win{latency}":
-               crowded_config(policy=policy, timing=TimingConfig(
-                   bid_window=window, win_resolution_window=latency))
+               crowded_config(policy=policy, bid_window=window,
+                              win_resolution_window=latency)
                for policy in ("fcfs", "coalition", "nearest")
                for window in (2, 3, 5) for latency in (1, 3)}
 REBID_CASES.update((f"reference/nearest/{seed}",

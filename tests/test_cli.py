@@ -1,11 +1,14 @@
 import argparse
+import dataclasses
 import json
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from isrusim.cli import build_parser, main, parse_seed_spec
+from isrusim import ScenarioConfig
+from isrusim.cli import _FLAG_TO_KEY, build_parser, main, parse_seed_spec
+from isrusim.world import SCENARIO_KEYS
 
 SMALL = ["--arena", "30", "--scouts", "1", "--excavators", "2",
          "--haulers", "3", "--sites", "2", "--minerals", "4"]
@@ -363,3 +366,18 @@ def test_scenario_flags_are_pinned(command):
         assert action.default is None and not action.required
         want = ("fcfs", "coalition", "nearest") if action.dest == "policy" else None
         assert action.choices == want
+
+
+def test_one_table_types_the_config_and_the_flags():
+    """`SCENARIO_KEYS` is the fields of `ScenarioConfig`, each with the type
+    its default holds, and every scenario flag reads its key's type."""
+    defaults = ScenarioConfig()
+    assert list(SCENARIO_KEYS) == [f.name for f in dataclasses.fields(defaults)]
+    assert all(type(getattr(defaults, key)) is kind
+               for key, kind in SCENARIO_KEYS.items())
+    for command in SCENARIO_FLAGS:
+        flags = [action for action in _subparser(command)._actions
+                 if action.dest in _FLAG_TO_KEY]
+        assert len(flags) == len(SCENARIO_FLAGS[command]) - 1  # all but --config
+        for action in flags:
+            assert action.type is SCENARIO_KEYS[_FLAG_TO_KEY[action.dest]]

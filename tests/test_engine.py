@@ -32,7 +32,6 @@ from isrusim import (
     ScoutActivity,
     Simulation,
     TaskType,
-    TimingConfig,
     generate_scenario,
     open_auction,
     run_to_completion,
@@ -227,7 +226,7 @@ def test_mineral_conservation_at_every_tick():
 
 def test_alternative_timing_set_completes():
     for policy in ("fcfs", "coalition", "nearest"):
-        result = tiny_run(policy=policy, seed=41, timing=ALT_TIMING)
+        result = tiny_run(policy=policy, seed=41, **ALT_TIMING)
         assert result.status is RunStatus.COMPLETED
 
 
@@ -244,7 +243,7 @@ def test_completion_requires_no_open_auctions():
 def selection_tick(opened: int, bid_window: int) -> int:
     """Open an auction with one bid in scout_1's book at tick `opened` of
     a run and return the tick whose timer phase declares its winner."""
-    sim = Simulation(tiny_config(timing=TimingConfig(bid_window=bid_window)))
+    sim = Simulation(tiny_config(bid_window=bid_window))
     while sim.tick < opened:
         sim.step()
     location = Point(1.0, 1.0)  # no site there, so no other auction's key
@@ -299,7 +298,7 @@ def move_robot(controller: RobotController, cursor: PathCursor) -> bool:
     """One `step_cursor` move of the robot along `cursor` at its speed;
     True when it has arrived."""
     state = controller.state
-    state.pose, moved = step_cursor(cursor, controller.ctx.config.timing.robot_speed)
+    state.pose, moved = step_cursor(cursor, controller.ctx.config.robot_speed)
     state.odometry += moved
     return cursor.arrived
 
@@ -309,7 +308,7 @@ def scan_every_tick(scout: ScoutController) -> None:
     `step_cursor` move and scans, by the walker `find_schedule` is checked
     against, the spawn point at tick 0 and then each piece the step swept."""
     state, ctx = scout.state, scout.ctx
-    radius, speed = ctx.config.scan_radius, ctx.config.timing.robot_speed
+    radius, speed = ctx.config.scan_radius, ctx.config.robot_speed
 
     def act(tick):
         if state.activity is ScoutActivity.DONE:
@@ -359,22 +358,19 @@ STEP_ALL_CASES = (
     + [(tiny_config(policy=policy), True) for policy in POLICIES]
     # wins reach their winners three ticks after they are declared, several
     # at once under nearest; two ticks under fcfs and coalition
-    + [(crowded_config(policy="nearest",
-                       timing=TimingConfig(win_resolution_window=3)), False)]
-    + [(crowded_config(policy=policy,
-                       timing=TimingConfig(win_resolution_window=2)), False)
+    + [(crowded_config(policy="nearest", win_resolution_window=3), False)]
+    + [(crowded_config(policy=policy, win_resolution_window=2), False)
        for policy in ("fcfs", "coalition")]
     # a parent releases its site while its paired hauler walks to it
     + [(ScenarioConfig(policy="coalition", seed=0), False)]
     # winners are selected every other tick, so closes and re-announcements
     # often share a tick (46 of its 629 ticks)
-    + [(crowded_config(policy="fcfs", seed=2, timing=TimingConfig(bid_window=2)),
-        False)])
+    + [(crowded_config(policy="fcfs", seed=2, bid_window=2), False)])
 
 
 @pytest.mark.parametrize("config, snapshots", STEP_ALL_CASES,
                          ids=[f"{c.policy}-{c.seed}-{c.arena_side:g}"
-                              f"-w{c.timing.win_resolution_window}{'-snap' * s}"
+                              f"-w{c.win_resolution_window}{'-snap' * s}"
                               for c, s in STEP_ALL_CASES])
 def test_wake_set_matches_step_all_reference(config, snapshots):
     """Stepping only the woken robots gives the state that stepping every
@@ -457,7 +453,7 @@ def reasons_to_step(controller, tick: int, assigned: set, finds: dict,
         if state.activity is ScoutActivity.SEARCHING:
             finds[state.name] = find_schedule(
                 controller.cursor.path, ctx.world.sites, ctx.config.scan_radius,
-                ctx.config.timing.robot_speed, ctx.config.tick_cap)
+                ctx.config.robot_speed, ctx.config.tick_cap)
     if state.activity in _COUNTING_DOWN and controller._deadline == tick:
         reasons.add("deadline")
     if state.activity is ScoutActivity.SEARCHING:
@@ -535,7 +531,7 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
 
     def fire_with_auctions(self, tick):
         assert self.book
-        assert tick % self.ctx.config.timing.bid_window == 0, tick
+        assert tick % self.ctx.config.bid_window == 0, tick
         fire(self, tick)
 
     monkeypatch.setattr(RobotController, "step", step_with_reasons)

@@ -31,7 +31,7 @@ CASES = {f"reference/{policy}/{seed}":
 CASES.update((f"criterion4/{i}", (config, False))
              for i, config in enumerate(DETERMINISM_CONFIGS))
 CASES.update((f"tiny/speed{speed}",
-              (tiny_config(timing=s.TimingConfig(robot_speed=speed)), False))
+              (tiny_config(robot_speed=speed), False))
              for speed in (0.7, 1.3, 2.0, 2.5))
 CASES.update((f"crowded/{policy}", (crowded_config(policy=policy), False))
              for policy in POLICIES)

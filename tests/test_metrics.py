@@ -14,7 +14,6 @@ from isrusim import (
     ScenarioConfig,
     ScenarioGenerationError,
     Simulation,
-    TimingConfig,
     collect_metrics,
     derive_auction_histories,
     run_to_completion,
@@ -25,6 +24,7 @@ from isrusim.metrics import (
     TIER_SCOUT_TO_EXCAVATOR,
     build_run_meta,
 )
+from isrusim.world import SCENARIO_KEYS, build_config, parse_scenario_file
 
 SCHEMA = files("isrusim") / "schemas" / "summary.schema.json"
 
@@ -163,7 +163,7 @@ def test_coalition_with_free_paired_hauler_never_auctions_transport():
     config = ScenarioConfig(
         arena_side=40.0, n_scouts=1, n_excavators=1, n_haulers=3,
         n_sites=2, n_minerals=2, seed=3, policy="coalition",
-        timing=TimingConfig(dig_duration=100), tick_cap=20_000)
+        dig_duration=100, tick_cap=20_000)
     sim = Simulation(config)
     status = sim.run()
     assert status.value == "completed"
@@ -252,10 +252,23 @@ def test_summary_reports_stalled_runs():
 def test_run_meta_contains_resolved_config_and_pairs():
     meta = build_run_meta(ScenarioConfig(policy="coalition", seed=4))
     assert meta["config"]["n_haulers"] == 6
-    assert meta["config"]["timing"]["bid_window"] == 3
+    assert meta["config"]["bid_window"] == 3
     assert len(meta["coalition_pairs"]) == 4
     assert meta["constants"]["cell_side"] == 5.0
     assert meta["constants"]["coalition_excavate_tier"] == "fcfs"
+
+
+def test_run_meta_config_is_a_scenario_file_of_its_config(tmp_path):
+    """A run's config comes back from its artifacts: the `config` of
+    `run_meta.json` holds exactly the scenario keys, and written out as
+    `key = value` lines it reads back as the config that ran."""
+    config = tiny_config(policy="nearest", seed=2**40, robot_speed=1.3,
+                         bid_window=4, win_resolution_window=2)
+    flat = json.loads(json.dumps(build_run_meta(config)))["config"]
+    assert flat.keys() == SCENARIO_KEYS.keys()
+    path = tmp_path / "scenario.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in flat.items()))
+    assert build_config(parse_scenario_file(path)) == config
 
 
 def test_two_auctions_from_one_scout_in_the_same_ticks_validate():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import crowded_config, step_cursor
 
-from isrusim import (Point, ScenarioConfig, Simulation, TimingConfig, agents,
+from isrusim import (Point, ScenarioConfig, Simulation, agents,
                      build_spiral, estimate_path, pathing)
 from isrusim.agents import RobotController
 from isrusim.pathing import PathCursor, make_path, moves_to
@@ -181,7 +181,8 @@ def _differential_path(data, speed: float):
 def test_moves_to_and_advance_match_the_per_tick_stepper(data, speed):
     """Against `step_cursor`, one move per tick: `moves_to` gives the tick
     at which the stepper first reaches each arc length (segment ends among
-    them), cut at `most`; and `advance`, in one call or in parts, leaves
+    them), cut at `most`, and `most` for an arc past the end, which the
+    stepper never reaches; and `advance`, in one call or in parts, leaves
     the same bits of traveled, odometry and pose as that many steps."""
     path = _differential_path(data, speed)
     start = data.draw(st.floats(0.0, 1000.0))  # the odometry before the path
@@ -191,12 +192,13 @@ def test_moves_to_and_advance_match_the_per_tick_stepper(data, speed):
         trail.append((stepper.traveled, odometry, stepper.pose.x, stepper.pose.y))
 
     arcs = sorted(data.draw(st.lists(
-        st.sampled_from(path.prefix) | st.floats(0.0, path.length),
+        st.sampled_from(path.prefix) | st.floats(0.0, path.length)
+        | st.floats(path.length, path.length + 50.0, exclude_min=True),
         min_size=1, max_size=6)))
-    ticks = [next(i for i, (traveled, *_) in enumerate(trail) if traveled >= arc)
-             for arc in arcs]
+    ticks = [next((i for i, (traveled, *_) in enumerate(trail) if traveled >= arc),
+                  math.inf) for arc in arcs]
     most = data.draw(st.integers(0, len(trail)))
-    assert moves_to(path.length, speed, arcs, 10**9) == ticks
+    assert moves_to(path.length, speed, arcs, 10**9) == [min(t, 10**9) for t in ticks]
     assert moves_to(path.length, speed, arcs, most) == [min(t, most) for t in ticks]
 
     parts = data.draw(st.lists(st.integers(0, len(trail) // 3), min_size=1, max_size=3))
@@ -262,6 +264,12 @@ def test_a_sum_that_overshoots_its_estimate_is_walked_again():
     assert cursor.traveled == length
 
 
+def test_an_arc_past_the_end_gets_most_at_once():
+    """The walk stops at the path's end, so an arc past it is never reached:
+    it gets `most` without a move being stepped towards it."""
+    assert moves_to(10.0, 1.0, [5.0, 10.0, 11.0, 1e9], 10**9) == [4, 9, 10**9, 10**9]
+
+
 @pytest.mark.parametrize("speed", [5e-324, 1e-310])
 def test_a_subnormal_speed_walks_to_the_cap(speed):
     """A path's length over a subnormal speed overflows to infinity: every
@@ -283,8 +291,7 @@ def test_move_ticks_take_no_memory_per_move():
     8 MB that one float per move of a single walk would take."""
     tracemalloc.start()
     try:
-        Simulation(ScenarioConfig(seed=0, tick_cap=10**6, timing=TimingConfig(
-            robot_speed=1e-4))).step()
+        Simulation(ScenarioConfig(seed=0, tick_cap=10**6, robot_speed=1e-4)).step()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

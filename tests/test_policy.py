@@ -152,9 +152,8 @@ def test_coalition_paired_hauler_loads_only_at_parent_sites():
 def test_nearest_accept_is_never_farther_than_same_tick_decline():
     # one slow excavator, three sites: excavation auctions pile up while it
     # works, so on freeing it wins several at once and declines all but one
-    from isrusim import TimingConfig
     result = tiny_run(policy="nearest", seed=17, n_sites=3, n_minerals=3,
-                      n_excavators=1, timing=TimingConfig(dig_duration=80))
+                      n_excavators=1, dig_duration=80)
     assert result.status.value == "completed"
     records = result.log.records
     last_bid: dict[tuple, float] = {}

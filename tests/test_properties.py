@@ -24,7 +24,6 @@ from isrusim import (
     ScenarioConfig,
     ScenarioGenerationError,
     Simulation,
-    TimingConfig,
     collect_metrics,
     verify_records,
 )
@@ -34,24 +33,22 @@ from isrusim import (
 LIVENESS_CAP = 20_000
 MID_LIVENESS_CAP = 200_000
 
-timings = st.builds(
-    TimingConfig,
+timings = st.fixed_dictionaries(dict(
     robot_speed=st.floats(0.3, 3.0),
     dig_duration=st.integers(1, 25),
     load_duration=st.integers(1, 8),
     unload_duration=st.integers(1, 8),
     bid_window=st.integers(2, 5),
     win_resolution_window=st.integers(1, 3),
-)
-mid_timings = st.builds(
-    TimingConfig,
+))
+mid_timings = st.fixed_dictionaries(dict(
     robot_speed=st.floats(0.1, 30.0),
     dig_duration=st.integers(1, 80),
     load_duration=st.integers(1, 80),
     unload_duration=st.integers(1, 80),
     bid_window=st.integers(2, 25),
     win_resolution_window=st.integers(1, 25),
-)
+))
 
 
 @st.composite
@@ -73,7 +70,7 @@ def configs(draw, sides=(10.0, 30.0), max_excavators=5, max_haulers=7,
         n_minerals=draw(st.integers(n_sites, 4 * n_sites)),
         seed=draw(st.integers(0, 2 ** 32)),
         policy=draw(st.sampled_from(["fcfs", "coalition", "nearest"])),
-        timing=draw(timings),
+        **draw(timings),
         tick_cap=draw(st.one_of(st.just(liveness_cap), st.integers(1, 400))),
     )
     try:

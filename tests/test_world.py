@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import tiny_config
+
 from isrusim import (
     Point,
     RobotKind,
@@ -14,7 +16,6 @@ from isrusim import (
     RunStatus,
     ScenarioConfig,
     ScenarioGenerationError,
-    TimingConfig,
     build_spiral,
     generate_scenario,
     run_to_completion,
@@ -71,7 +72,7 @@ def test_non_finite_config_is_rejected_naming_the_field(field, value):
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_non_finite_robot_speed_is_rejected(value):
     with pytest.raises(ValueError, match="robot_speed must be a finite number"):
-        TimingConfig(robot_speed=value)
+        ScenarioConfig(robot_speed=value)
 
 
 def small_arena(side: float) -> ScenarioConfig:
@@ -97,7 +98,7 @@ def test_smallest_arena_holding_the_start_circle_runs():
 ])
 def test_timing_validation_rejects(bad):
     with pytest.raises(ValueError):
-        TimingConfig(**bad)
+        ScenarioConfig(**bad)
 
 
 def test_generation_is_deterministic():
@@ -331,7 +332,7 @@ dig_duration = 8
     assert cfg.n_scouts == 1
     assert cfg.seed == 9  # the later mapping wins
     assert cfg.n_haulers == 2
-    assert cfg.timing.dig_duration == 8
+    assert cfg.dig_duration == 8
 
 
 def test_scenario_file_unknown_key(tmp_path):
@@ -339,6 +340,8 @@ def test_scenario_file_unknown_key(tmp_path):
     path.write_text("warp_speed = 9\n")
     with pytest.raises(ValueError, match="warp_speed"):
         parse_scenario_file(path)
+    with pytest.raises(ValueError, match="unknown scenario key 'timing'"):
+        build_config({"timing": {"bid_window": 4}})
 
 
 def test_scenario_file_key_set_twice(tmp_path):
@@ -421,27 +424,50 @@ KEY_SAMPLES = {
     "bid_window": ("4", 4),
     "win_resolution_window": ("2", 2),
 }
-TIMING_FIELDS = dataclasses.fields(TimingConfig)
-SCENARIO_FIELDS = [f for f in dataclasses.fields(ScenarioConfig)
-                   if f.name != "timing"]
 
 
-@pytest.mark.parametrize("field", [*SCENARIO_FIELDS, *TIMING_FIELDS],
+@pytest.mark.parametrize("field", dataclasses.fields(ScenarioConfig),
                          ids=lambda f: f.name)
 def test_scenario_file_sets_every_config_field(tmp_path, field):
     text, want = KEY_SAMPLES[field.name]
     path = tmp_path / "scenario.cfg"
     path.write_text(f"{field.name} = {text}\n")
-    config = build_config(parse_scenario_file(path))
-    value = getattr(config.timing if field in TIMING_FIELDS else config,
-                    field.name)
+    value = getattr(build_config(parse_scenario_file(path)), field.name)
     assert value == want != field.default
     assert type(value) is type(field.default)
 
 
-def test_timing_is_not_a_scenario_key():
-    with pytest.raises(ValueError, match="unknown scenario key 'timing'"):
-        build_config({"timing": TimingConfig()})
+@pytest.mark.parametrize("build", [lambda values: ScenarioConfig(**values),
+                                   build_config],
+                         ids=["ScenarioConfig", "build_config"])
+@pytest.mark.parametrize("field, value", [
+    ("n_minerals", 64.0), ("n_minerals", 64.5), ("tick_cap", 10.5),
+    ("n_sites", True), ("seed", True), ("dig_duration", 7.5),
+    ("win_resolution_window", 1.5), ("arena_side", True),
+    pytest.param("arena_side", 2**1024, id="arena_side-2**1024"),
+    ("robot_speed", "2"), ("policy", 1),
+])
+def test_a_value_of_the_wrong_kind_is_refused_naming_its_field(build, field,
+                                                                value):
+    """An int field takes an integer, a float field a finite real number and
+    `policy` a str; a bool is none of them.  Each is checked where the
+    config is built, by keyword or through `build_config`, which passes the
+    values it is given through as they are."""
+    with pytest.raises(ValueError, match=f"^{field} must be "
+                       f"(an int|a str|a finite number), got "):
+        build({field: value})
+
+
+def test_an_int_in_a_float_field_is_held_as_a_float():
+    """Configs that compare equal run and log the same bytes: an int given
+    for a float field is held as the float it equals."""
+    assert ScenarioConfig(arena_side=100) == ScenarioConfig(arena_side=100.0)
+    assert type(ScenarioConfig(robot_speed=2).robot_speed) is float
+    config = tiny_config(arena_side=30)
+    assert config == tiny_config(arena_side=30.0)
+    assert type(config.arena_side) is float
+    assert (run_to_completion(config).log.dumps()
+            == run_to_completion(tiny_config(arena_side=30.0)).log.dumps())
 
 
 def test_robot_names_order():
