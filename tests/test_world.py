@@ -340,6 +340,9 @@ def test_scenario_file_unknown_key(tmp_path):
     path.write_text("warp_speed = 9\n")
     with pytest.raises(ValueError, match="warp_speed"):
         parse_scenario_file(path)
+
+
+def test_timing_is_not_a_scenario_key():
     with pytest.raises(ValueError, match="unknown scenario key 'timing'"):
         build_config({"timing": {"bid_window": 4}})
 
