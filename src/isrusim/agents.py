@@ -14,10 +14,11 @@ change for it (see `RobotController.wake_tick`); a step that changes what
 another robot acts on outside the bus wakes that robot.  When it is built, a
 robot that bids takes the bus's board of open auctions of its task type (not
 a coalition-paired hauler, whose policy lets it bid in none); it keeps no
-auction state of its own, and writes its answer to each auction in its own
-slot of the board entry.  Its step takes the inbox the bus delivers: the
-bids, acks and winner declarations addressed to it, or an empty inbox when
-the auctions inside its bid scope changed.  A winner declaration reaches it
+auction state of its own, and writes its bid in each auction in its own
+slot of the board entry, where the auctioneer reads it when the bidding
+window closes.  Its step takes the inbox the bus delivers: the acks and
+winner declarations addressed to it, or an empty inbox when the auctions
+inside its bid scope changed.  A winner declaration reaches it
 `win_resolution_window` ticks after it is declared, and the step resolves
 every win in the inbox at once.  A courier (an excavator traveling to its
 site, a hauler on its way to a site or to the plant) drives one straight
@@ -50,7 +51,6 @@ from .auction import (
     evaluate_self_utility,
     handle_ack,
     open_auction,
-    record_bid,
     select_winner,
     submit_bid,
 )
@@ -248,18 +248,13 @@ class RobotController:
     # -- message handling ----------------------------------------------
 
     def _ingest(self, inbox: list[dict], tick: int) -> list[dict]:
-        """Act on the bids and acks of this tick's inbox, which the bus has
-        already addressed to it, and return its winner declarations, for
+        """Act on the acks of this tick's inbox, which the bus has already
+        addressed to it, and return its winner declarations, for
         `_resolve_wins`.  The records are the log's own, so this reads
         their fields and changes none."""
         wins = []
         for record in inbox:
-            variant = record["variant"]
-            if variant == "bid":
-                auction = self.book.get(record_auction_key(record))
-                if auction is not None:  # the auction may have closed
-                    record_bid(auction, record)
-            elif variant == "winner":
+            if record["variant"] == "winner":
                 wins.append(record)
             else:  # ack
                 key = record_auction_key(record)
@@ -297,8 +292,10 @@ class RobotController:
 
         An auction stays inside the scope until it closes, since later ones
         sort after it.  A bid names the auction by its board key, and its
-        answer lives in its own slot of the entry's `answers`; a reopened key
-        is a new entry with no answers, hence a new auction, bid from round 1.
+        answer, (round, utility, tick), lives in its own slot of the entry's
+        `answers`, where its auctioneer reads it (`select_winner`); the bid
+        record is only logged.  A reopened key is a new entry with no
+        answers, hence a new auction, bid from round 1.
         """
         state, name = self.state, self.state.name
         for (auctioneer, location), entry in islice(self.board.items(),
@@ -307,7 +304,7 @@ class RobotController:
             if answer is None or answer[0] < entry.rounds or (
                     answer[1] == NEG_INF and not state.busy):
                 utility = evaluate_self_utility(state, location)
-                entry.answers[name] = (entry.rounds, utility)
+                entry.answers[name] = (entry.rounds, utility, tick)
                 submit_bid(state, auctioneer, location, utility, tick,
                            self.ctx.bus)
 

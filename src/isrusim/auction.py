@@ -6,9 +6,17 @@ round awaits an ack exactly when it has a declared winner.  An accepted ack
 closes the auction, and the auctioneer drops it from its book.  If every bid
 is the busy sentinel, or every declared winner declines, the auction
 re-announces and collects a fresh round of bids; it never closes without an
-accepted acknowledgment.  A bid that arrives after its round's first winner
-declaration is dropped: every robot that bid in an auction bids again the
-tick a re-announcement is filed, before the next winner selection.
+accepted acknowledgment.
+
+A bid goes to no inbox.  Its bidder writes it, as (round, utility, tick), in
+its own slot of the auction's entry on the board of open auctions
+(`bus.BoardEntry.answers`), and when the bidding window closes
+`select_winner` takes the answers of the current round made before that
+tick.  That is the late-bid rule: robots step before the timers fire, so a
+bid made at the selection tick or later would have reached the auctioneer
+after its first declaration, and it is not read.  Every robot that bid in
+an auction bids again the tick a re-announcement is filed, before the next
+winner selection.
 
 Only capable robots bid: a controller subscribes, when it is built, to the
 one task type its kind can do (`agents.RobotController` checks that), so no
@@ -36,8 +44,9 @@ CAPABLE_TASK = {RobotKind.EXCAVATOR: TaskType.EXCAVATE,
 
 @dataclass
 class Auction:
-    """Auctioneer-side record of one task allocation attempt.  A round takes
-    no bid once it declares a winner, and a decliner's bid leaves it."""
+    """Auctioneer-side record of one task allocation attempt.  `bids` holds
+    the round's bids as its first declaration read them off the board, and
+    a decliner's bid leaves it; the board entry counts the rounds."""
 
     auctioneer: str
     task_type: TaskType
@@ -45,7 +54,6 @@ class Auction:
     round_opened_tick: int
     bids: dict[str, float] = field(default_factory=dict)
     winner: str | None = None
-    rounds: int = 1
 
 
 def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
@@ -60,13 +68,6 @@ def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
     book[key] = auction = Auction(auctioneer, task_type, task_location, tick)
     bus.publish(announcement(auctioneer, task_type, task_location), tick)
     return auction
-
-
-def record_bid(auction: Auction, record: dict) -> None:
-    """File an arriving bid record, unless the round has declared a winner:
-    its bids are fixed then, and a late bid is dropped."""
-    if auction.winner is None:
-        auction.bids[record["bidder"]] = record["utility"]
 
 
 def _best_eligible(auction: Auction) -> str | None:
@@ -85,7 +86,6 @@ def _best_eligible(auction: Auction) -> str | None:
 
 def _reannounce(auction: Auction, tick: int, bus: BroadcastBus) -> None:
     auction.round_opened_tick = tick
-    auction.rounds += 1
     auction.bids = {}
     auction.winner = None
     bus.publish(announcement(auction.auctioneer, auction.task_type,
@@ -109,10 +109,19 @@ def _offer_next(auction: Auction, tick: int,
 
 def select_winner(auction: Auction, tick: int,
                   bus: BroadcastBus) -> dict | None:
-    """Close of the bidding window: declare the best bidder, or re-announce
-    when no finite bid exists (a busy-sentinel bidder is never selected)."""
+    """Close of the bidding window: take the round's bids from the
+    auction's board entry, the answers of its current round made before
+    `tick`, and declare the best bidder, or re-announce when no finite bid
+    exists (a busy-sentinel bidder is never selected).  The entry is on
+    the board from the tick after the announcement, before any window
+    closes; a missing one raises."""
     if auction.winner is not None:
         raise ValueError("winner selection requires an auction with no winner")
+    entry = bus.boards[auction.task_type.value][auction.auctioneer,
+                                                auction.task_location]
+    auction.bids = {bidder: utility for bidder, (answered, utility, made)
+                    in entry.answers.items()
+                    if answered == entry.rounds and made < tick}
     return _offer_next(auction, tick, bus)
 
 

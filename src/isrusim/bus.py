@@ -5,15 +5,19 @@ A message is its log record: a msg record of `events`, built by one of the
 constructors below with its keys in schema order, ("type",) +
 RECORD_FIELDS["msg"] + MSG_FIELDS[variant], its `tick` and `seq` left for
 `publish` to stamp.  `publish` appends the record to the log and puts that
-same object into its recipients' inboxes, so a robot must never mutate a
+same object into its recipient's inbox, so a robot must never mutate a
 record it receives: the log would change with it.  The auction a message
 belongs to is `events.record_auction_key`, live and in the log.
 
 Every published message is delivered with no loss, in publish order; its
-global sequence number makes that order total.  Bids and acks go to the
-auctioneer's inbox at the start of the next tick, a winner declaration to
-the winner's `win_latency` ticks after it is published (the scenario's
-`win_resolution_window`).  Announcements and closes enter no inbox:
+global sequence number makes that order total.  An inbox holds only acks
+and winner declarations: an ack goes to the auctioneer's inbox at the start
+of the next tick, a winner declaration to the winner's `win_latency` ticks
+after it is published (the scenario's `win_resolution_window`).  A bid
+enters no inbox: it is logged, and its bidder writes it in its own slot of
+the auction's board entry, where the auctioneer reads the round's bids when
+the bidding window closes (`auction.select_winner`).  Announcements and
+closes enter no inbox either:
 `deliver` files each of them once, in publish order, on the board of its
 task type, which every robot that bids on that type reads (`subscribe`).  A
 board maps each open auction's key, `record_auction_key` of its records, to
@@ -22,8 +26,8 @@ by (first tick, key): an announcement of a key not on the board adds an
 entry, one of a key on it is a new round, and a close removes the entry.  A
 reopened key (a transport auction at the same site, for the next mineral) is
 a new entry object.  Each bidder reads and writes only its own slot of an
-entry's answers.  Every message is still logged, so the log stays the
-broadcast record of the run.
+entry's answers, which its auctioneer reads.  Every message is still
+logged, so the log stays the broadcast record of the run.
 
 `deliver` also names the subscribers that must step to answer what it
 filed: one that bids in its oldest `scope` auctions when an announcement or
@@ -32,10 +36,12 @@ another one or announces a new round), one that bids in all of them (scope
 None) when an announcement was filed.  A close behind the scope steps
 nobody.  A subscriber named without addressed mail gets an empty inbox.
 
-One board per task type stands in for a view per robot only because
-delivery is lossless and synchronous: every subscriber would file the same
-records in the same order.  A scenario with message loss or delay per robot
-would need a view per robot again, and the answers with it.
+One board per task type stands in for a view per robot, and its answers
+for bids delivered to the auctioneer, only because delivery is lossless and
+synchronous: every subscriber would file the same records in the same
+order, and every bid would reach its auctioneer the tick after it was made.
+A scenario with message loss or delay per robot would need a view per robot
+again, and bids delivered by message with it.
 
 The constructors check nothing: each field is checked once, where its value
 comes from.  Robot names are checked when the fleet is built
@@ -102,12 +108,12 @@ def close(auctioneer: str, task_type: TaskType, location: Sequence[float],
 class BoardEntry:
     """One open auction on a board, which its key names: the tick of its
     first announcement, how many rounds it has announced, and each bidder's
-    (last round answered, last bid).  Equal only to itself, so a reopened
-    key is a new entry, with no answers."""
+    last bid as (round answered, utility, tick made).  Equal only to
+    itself, so a reopened key is a new entry, with no answers."""
 
     first_tick: int
     rounds: int = 1
-    answers: dict[str, tuple[int, float]] = field(default_factory=dict)
+    answers: dict[str, tuple[int, float, int]] = field(default_factory=dict)
 
 
 Board = dict[AuctionKey, BoardEntry]
@@ -128,8 +134,9 @@ def _add_entry(board: Board, key: AuctionKey, tick: int) -> None:
 
 class BroadcastBus:
     """Lossless delivery, one tick after publishing or `win_latency` ticks
-    for a winner declaration: addressed mail to inboxes, announcements and
-    closes to one board per task type."""
+    for a winner declaration: acks and winner declarations to inboxes,
+    announcements and closes to one board per task type; a bid is only
+    logged."""
 
     def __init__(self, log: EventLog, win_latency: int):
         self._log = log
@@ -155,20 +162,21 @@ class BroadcastBus:
 
     def publish(self, record: dict, tick: int) -> None:
         """Stamp a message record with `tick` and its sequence number, log
-        it and put it in its recipient's inbox, or on the board, for
-        tick + 1; a winner declaration in the winner's inbox for
-        tick + `win_latency`."""
+        it and put an ack in its auctioneer's inbox, or an announcement or
+        close on the board, for tick + 1; a winner declaration in the
+        winner's inbox for tick + `win_latency`.  A bid goes nowhere else."""
         record["tick"] = tick
         record["seq"] = self._sequence
         self._sequence += 1
         self._log.append(record)
         variant = record["variant"]
-        if variant == "bid" or variant == "ack":
+        if variant == "ack":
             robot, due = record["auctioneer"], tick + 1
         elif variant == "winner":
             robot, due = record["winner"], tick + self._win_latency
-        else:  # announcement, close
-            self._posted.setdefault(tick + 1, []).append(record)
+        else:  # an announcement or close; a bid is read off its board
+            if variant != "bid":
+                self._posted.setdefault(tick + 1, []).append(record)
             return
         self._mail.setdefault(due, {}).setdefault(robot, []).append(record)
 

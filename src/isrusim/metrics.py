@@ -274,10 +274,11 @@ def sweep(policies: Sequence[str], seeds: Sequence[int],
           ) -> SweepResult:
     """Run every (policy, seed) combination and aggregate the results.
 
-    A policy or seed given twice raises, as would double-count its run.
-    Every scenario of the grid is generated before the first run, so a grid
-    holding one that the generator rejects raises before anything is run or
-    written.  Runs execute sequentially in a fixed order, so repeated sweeps
+    A policy or seed given twice raises, as would double-count its run, and
+    so does one its config refuses (a seed of 2.7 or True), before anything
+    is written.  Every scenario of the grid is generated before the first
+    run, so a grid holding one that the generator rejects raises before
+    anything is run or written.  Runs execute sequentially in a fixed order, so repeated sweeps
     with the same arguments produce byte-identical outputs.  Stalled runs
     are flagged in the CSV and summary, never dropped.  `on_run` is invoked
     with each finished run before its log is released (useful for per-run
@@ -292,23 +293,23 @@ def sweep(policies: Sequence[str], seeds: Sequence[int],
             if value in values[:i]:
                 raise ValueError(f"sweep {kind} {value!r} given twice")
     base = base_config if base_config is not None else ScenarioConfig()
+    configs = [replace(base, policy=policy, seed=seed)
+               for policy in policies for seed in seeds]
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)  # fail before simulating
 
-    grid = [(policy, seed, Simulation(replace(base, policy=policy, seed=int(seed)),
-                                      snapshots=snapshots))
-            for policy in policies for seed in seeds]
+    grid = [Simulation(config, snapshots=snapshots) for config in configs]
     grid.reverse()
     reports: list[MetricsReport] = []
     while grid:
-        policy, seed, sim = grid.pop()  # the grid keeps no finished run
+        sim = grid.pop()  # the grid keeps no finished run
         result = finish(sim)
         reports.append(result.metrics)
         if on_run is not None:
             on_run(sim.config, result)
         if out is not None:
-            run_dir = out / "runs" / f"{policy}-seed{seed}"
+            run_dir = out / "runs" / f"{sim.config.policy}-seed{sim.config.seed}"
             result.log.dump_jsonl(run_dir / "events.jsonl")
             _write_json(run_dir / "run_meta.json", build_run_meta(sim.config))
 

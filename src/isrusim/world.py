@@ -117,8 +117,9 @@ class ScenarioConfig:
     dig_duration: int = 20
     load_duration: int = 5
     unload_duration: int = 5
-    # At least 2: the broadcast bus has a one-tick delivery latency in each
-    # direction, so a shorter window closes before any bid can arrive.
+    # At least 2: an announcement is on the board the tick after it is
+    # published, and a bid made then is read only from the tick after, so a
+    # shorter window closes before any bid can be read.
     bid_window: int = 3
     # The ticks a winner declaration takes to reach its winner, which
     # resolves every win in its inbox at once.

@@ -4,29 +4,12 @@ from collections import defaultdict
 
 import pytest
 
+from cases import crowded_config, tiny_config
 from isrusim import (
     Point,
     ScenarioConfig,
     run_to_completion,
 )
-
-
-def tiny_config(**overrides) -> ScenarioConfig:
-    """A small arena that completes in a few hundred ticks."""
-    base = dict(arena_side=30.0, n_scouts=1, n_excavators=2, n_haulers=3,
-                n_sites=2, n_minerals=4, seed=11, policy="fcfs", tick_cap=20_000)
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-def crowded_config(**overrides) -> ScenarioConfig:
-    """A 2/8/12 fleet in a 30 m arena: heavy auction traffic, and under
-    nearest some robots are declared winner of several auctions at once."""
-    base = dict(arena_side=30.0, n_scouts=2, n_excavators=8, n_haulers=12,
-                n_sites=10, n_minerals=60, seed=0, policy="fcfs",
-                tick_cap=20_000)
-    base.update(overrides)
-    return ScenarioConfig(**base)
 
 
 def tiny_run(**overrides):
@@ -63,17 +46,16 @@ def run_logs() -> RunLogs:
 
 def mail_from_log(records) -> dict[tuple[str, int], list[int]]:
     """(robot, tick) -> the sequence numbers, in order, of the messages of
-    tick-1 in the log addressed to the robot: the bids and acks sent to it
-    as auctioneer, and the winner declarations naming it.  Announcements
-    and closes go to no inbox.  Robots without mail at a tick are left
-    out."""
+    tick-1 in the log addressed to the robot, with a `win_resolution_window`
+    of 1: the acks sent to it as auctioneer, and the winner declarations
+    naming it.  Announcements, closes and bids go to no inbox.  Robots
+    without mail at a tick are left out."""
     mail = defaultdict(list)
     for record in records:
-        if record["type"] != "msg" or record["variant"] in ("announcement", "close"):
-            continue
-        name = (record["winner"] if record["variant"] == "winner"
-                else record["auctioneer"])
-        mail[name, record["tick"] + 1].append(record["seq"])
+        if record["type"] == "msg" and record["variant"] in ("ack", "winner"):
+            name = (record["winner"] if record["variant"] == "winner"
+                    else record["auctioneer"])
+            mail[name, record["tick"] + 1].append(record["seq"])
     return dict(mail)
 
 

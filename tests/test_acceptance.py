@@ -12,9 +12,9 @@ import time
 import pytest
 
 import isrusim as s
+from cases import DETERMINISM_CONFIGS, POLICIES
 from test_spiral import check_plans
 
-POLICIES = ("fcfs", "coalition", "nearest")
 SEEDS = tuple(range(20))
 PER_RUN_BUDGET_S = 5.0
 SWEEP_BUDGET_S = 120.0
@@ -84,23 +84,6 @@ def test_criterion_3_coverage_oracle():
                 failures.append((n, n_scouts, str(exc)))
     report("criterion 3 (spiral coverage oracle 3x3..20x20)", not failures,
            str(failures) if failures else "36 grid/scout combinations clean")
-
-
-# The off-default configs of criterion 4 (their log fingerprints are also
-# pinned in tests/data/log_fingerprints.json).
-DETERMINISM_CONFIGS = (
-    s.ScenarioConfig(policy="fcfs", seed=3),
-    s.ScenarioConfig(policy="coalition", seed=7),
-    s.ScenarioConfig(policy="nearest", seed=13),
-    s.ScenarioConfig(arena_side=30.0, n_scouts=1, n_excavators=2,
-                     n_haulers=3, n_sites=2, n_minerals=4, seed=1,
-                     policy="coalition",
-                     robot_speed=2.0, dig_duration=7, load_duration=3,
-                     unload_duration=2, bid_window=4),
-    s.ScenarioConfig(arena_side=30.0, n_scouts=1, n_excavators=2,
-                     n_haulers=3, n_sites=3, n_minerals=5, seed=2,
-                     policy="nearest"),
-)
 
 
 def test_criterion_4_determinism(run_logs):

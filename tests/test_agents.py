@@ -487,15 +487,21 @@ def test_discovery_bias_favors_sites_near_the_plant():
 
 
 def test_bid_addressed_to_other_auctioneer_is_ignored():
-    config = tiny_config(n_sites=1, n_minerals=1)
-    sim = Simulation(config)
-    bus = sim.ctx.bus
-    bus.publish(bid("scout_1", "excavator_2", Point(20.0, 20.0), -3.0), 0)
-    sim.step()
-    sim.step()
-    for name, controller in sim.ctx.controllers.items():
-        for auction in controller.book.values():
-            assert "excavator_2" not in auction.bids
+    """A bid lives in its own auction's board entry: winner selection reads
+    no answer to another auctioneer's auction at the same site, and a bid
+    record, which goes to no inbox, reaches no auction at all."""
+    sim = Simulation(tiny_config(n_sites=1, n_minerals=1))
+    bus, loc = sim.ctx.bus, Point(20.0, 20.0)
+    mine, theirs = (agents.open_auction({}, scout, TaskType.EXCAVATE, loc, 0, bus)
+                    for scout in ("scout_1", "scout_2"))
+    bus.publish(bid("scout_1", "excavator_2", loc, -1.0), 0)
+    bus.deliver(1)
+    board = bus.boards["excavate"]
+    board["scout_1", loc].answers["excavator_1"] = (1, -9.0, 1)
+    board["scout_2", loc].answers["excavator_2"] = (1, -3.0, 1)
+    assert agents.select_winner(mine, 2, bus)["winner"] == "excavator_1"
+    assert mine.bids == {"excavator_1": -9.0}
+    assert agents.select_winner(theirs, 2, bus)["winner"] == "excavator_2"
 
 
 def test_bid_scope_per_policy():

@@ -23,7 +23,7 @@ from isrusim import (
 )
 from isrusim.agents import (ExcavatorActivity, ExcavatorController,
                             HaulerActivity, HaulerController)
-from isrusim.auction import CAPABLE_TASK, NEG_INF, handle_ack, record_bid
+from isrusim.auction import CAPABLE_TASK, NEG_INF, handle_ack
 from isrusim.bus import ack, announcement, bid
 from isrusim.events import record_auction_key
 from isrusim.pathing import estimate_path
@@ -33,9 +33,26 @@ OTHER = Point(60.0, 20.0)
 
 
 def new_auction(book=None, auctioneer="scout_1", loc=LOC, tick=0, bus=None):
+    """Open an auction at `tick` and file its announcement on the board."""
     book = {} if book is None else book
     bus = bus or BroadcastBus(EventLog(), 1)
-    return open_auction(book, auctioneer, TaskType.EXCAVATE, loc, tick, bus), book, bus
+    auction = open_auction(book, auctioneer, TaskType.EXCAVATE, loc, tick, bus)
+    bus.deliver(tick + 1)
+    return auction, book, bus
+
+
+def entry_of(auction, bus):
+    """The auction's entry on the board its bidders read."""
+    return bus.boards[auction.task_type.value][auction.auctioneer,
+                                                auction.task_location]
+
+
+def answer(auction, bus, bidder, utility, tick=1):
+    """`bidder` bids `utility` at `tick` in the auction's current round,
+    as `RobotController._place_bids` does: in its own slot of the board
+    entry."""
+    entry = entry_of(auction, bus)
+    entry.answers[bidder] = (entry.rounds, utility, tick)
 
 
 def test_open_publishes_announcement():
@@ -70,7 +87,7 @@ def test_duplicate_key_rejected():
 
 def test_key_reusable_after_close():
     auction, book, bus = new_auction()
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, -1.0))
+    answer(auction, bus, "excavator_1", -1.0)
     select_winner(auction, 3, bus)
     handle_ack(auction, ack("scout_1", "excavator_1", LOC, True), 5, bus)
     del book["scout_1", LOC]
@@ -118,8 +135,7 @@ def test_submit_bid_publishes_wire_format():
     assert record == {**bid("scout_1", "excavator_2", LOC, -12.5),
                       "tick": 3, "seq": 0}
     assert log.records == [record]
-    mail = bus.deliver(4)
-    assert mail == {"scout_1": [record]} and mail["scout_1"][0] is record
+    assert bus.deliver(4) == {}  # a bid goes to no inbox
 
 
 def test_malformed_bid_rejected():
@@ -160,7 +176,7 @@ def test_winner_is_max_finite_utility():
     auction, _, bus = new_auction()
     for bidder, utility in [("excavator_1", -10.0), ("excavator_3", -4.0),
                             ("excavator_2", NEG_INF)]:
-        record_bid(auction, bid("scout_1", bidder, LOC, utility))
+        answer(auction, bus, bidder, utility)
     decl = select_winner(auction, 3, bus)
     assert decl["winner"] == auction.winner == "excavator_3"
 
@@ -168,18 +184,20 @@ def test_winner_is_max_finite_utility():
 def test_all_busy_bids_reannounce():
     log = EventLog()
     auction, _, bus = new_auction(bus=BroadcastBus(log, 1))
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, NEG_INF))
-    record_bid(auction, bid("scout_1", "excavator_2", LOC, NEG_INF))
+    answer(auction, bus, "excavator_1", NEG_INF)
+    answer(auction, bus, "excavator_2", NEG_INF)
     assert select_winner(auction, 3, bus) is None
-    assert auction.rounds == 2
     assert auction.winner is None
-    # the re-announcement went out on the bus
+    # the re-announcement went out on the bus, and the board files it as
+    # round 2 the next tick
     assert [r["variant"] for r in log.records if r["tick"] == 3] == ["announcement"]
+    bus.deliver(4)
+    assert entry_of(auction, bus).rounds == 2
 
 
 def test_selection_refused_while_awaiting_ack():
     auction, _, bus = new_auction()
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
+    answer(auction, bus, "excavator_1", -2.0)
     select_winner(auction, 3, bus)
     with pytest.raises(ValueError):
         select_winner(auction, 6, bus)
@@ -187,8 +205,8 @@ def test_selection_refused_while_awaiting_ack():
 
 def test_tie_breaks_to_lexicographically_smallest():
     auction, _, bus = new_auction()
-    record_bid(auction, bid("scout_1", "excavator_2", LOC, -7.0))
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, -7.0))
+    answer(auction, bus, "excavator_2", -7.0)
+    answer(auction, bus, "excavator_1", -7.0)
     assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
 
 
@@ -200,15 +218,15 @@ def test_argmax_invariant_under_positive_scaling():
         base, _, bus_a = new_auction()
         scaled, _, bus_b = new_auction(auctioneer="scout_2")
         for bidder, u in bids.items():
-            record_bid(base, bid("scout_1", bidder, LOC, u))
-            record_bid(scaled, bid("scout_2", bidder, LOC, u * scale))
+            answer(base, bus_a, bidder, u)
+            answer(scaled, bus_b, bidder, u * scale)
         assert select_winner(base, 3, bus_a)["winner"] == \
             select_winner(scaled, 3, bus_b)["winner"]
 
 
 def test_accepted_ack_closes_auction():
     auction, _, bus = new_auction()
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, -3.0))
+    answer(auction, bus, "excavator_1", -3.0)
     select_winner(auction, 3, bus)
     msg = handle_ack(auction, ack("scout_1", "excavator_1", LOC, True), 5, bus)
     assert msg["variant"] == "close"
@@ -217,8 +235,8 @@ def test_accepted_ack_closes_auction():
 
 def test_declined_ack_offers_next_highest():
     auction, _, bus = new_auction()
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
-    record_bid(auction, bid("scout_1", "excavator_2", LOC, -8.0))
+    answer(auction, bus, "excavator_1", -2.0)
+    answer(auction, bus, "excavator_2", -8.0)
     assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
     msg = handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
     assert msg["variant"] == "winner"
@@ -227,8 +245,8 @@ def test_declined_ack_offers_next_highest():
 
 def test_decliners_bid_leaves_the_round():
     auction, _, bus = new_auction()
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
-    record_bid(auction, bid("scout_1", "excavator_2", LOC, -8.0))
+    answer(auction, bus, "excavator_1", -2.0)
+    answer(auction, bus, "excavator_2", -8.0)
     select_winner(auction, 3, bus)
     handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
     assert auction.bids == {"excavator_2": -8.0}
@@ -238,12 +256,13 @@ def test_decliners_bid_leaves_the_round():
     assert msg is None
     assert auction.winner is None
     assert auction.bids == {}
-    assert auction.rounds == 2
+    bus.deliver(8)
+    assert entry_of(auction, bus).rounds == 2
 
 
 def test_ack_from_non_winner_discarded():
     auction, _, bus = new_auction()
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
+    answer(auction, bus, "excavator_1", -2.0)
     # no winner declared yet: nobody's ack counts
     assert handle_ack(auction, ack("scout_1", "excavator_1", LOC, True), 2, bus) is None
     select_winner(auction, 3, bus)
@@ -253,11 +272,11 @@ def test_ack_from_non_winner_discarded():
 
 def test_late_bid_is_dropped():
     auction, _, bus = new_auction()
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, -2.0))
+    answer(auction, bus, "excavator_1", -2.0)
     select_winner(auction, 3, bus)
-    # arrive after the declaration: the round's bids are fixed
-    record_bid(auction, bid("scout_1", "excavator_2", LOC, -1.0))
-    record_bid(auction, bid("scout_1", "excavator_1", LOC, -9.0))
+    # made after the declaration: the round's bids are fixed
+    answer(auction, bus, "excavator_2", -1.0, tick=4)
+    answer(auction, bus, "excavator_1", -9.0, tick=4)
     assert auction.bids == {"excavator_1": -2.0}
     handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
     # excavator_1 declined and no other bid was in the round: re-announce,
@@ -266,12 +285,64 @@ def test_late_bid_is_dropped():
     assert auction.bids == {}
 
 
+def test_a_bid_made_at_the_selection_tick_is_not_read():
+    """Robots step before the timers fire, so a bid made at the selection
+    tick would have reached the auctioneer only after it."""
+    auction, _, bus = new_auction()
+    answer(auction, bus, "excavator_1", -5.0, tick=2)
+    answer(auction, bus, "excavator_2", -1.0, tick=3)
+    assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
+    assert auction.bids == {"excavator_1": -5.0}
+
+
+def test_an_answer_from_the_previous_round_is_not_read():
+    auction, _, bus = new_auction()
+    answer(auction, bus, "excavator_1", NEG_INF)
+    answer(auction, bus, "excavator_3", NEG_INF)
+    assert select_winner(auction, 3, bus) is None  # re-announced
+    bus.deliver(4)
+    answer(auction, bus, "excavator_2", -4.0, tick=4)
+    # excavator_3 answered round 1 only, with a bid better than round 2's
+    entry_of(auction, bus).answers["excavator_3"] = (1, -1.0, 2)
+    assert select_winner(auction, 6, bus)["winner"] == "excavator_2"
+    assert auction.bids == {"excavator_2": -4.0}
+
+
+@pytest.mark.parametrize("replaced", [3, 4])
+def test_a_sentinel_replaced_at_or_after_the_first_declaration_is_not_read(
+        replaced):
+    """A busy robot that goes idle at or after the round's first
+    declaration is not offered the task when the winner declines."""
+    auction, _, bus = new_auction()
+    answer(auction, bus, "excavator_1", -6.0)
+    answer(auction, bus, "excavator_2", NEG_INF)
+    if replaced == 3:
+        answer(auction, bus, "excavator_2", -1.0, tick=3)
+    assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
+    if replaced == 4:
+        answer(auction, bus, "excavator_2", -1.0, tick=4)
+    assert auction.bids == ({"excavator_1": -6.0} if replaced == 3 else
+                            {"excavator_1": -6.0, "excavator_2": NEG_INF})
+    decline = ack("scout_1", "excavator_1", LOC, False)
+    assert handle_ack(auction, decline, 5, bus) is None  # re-announced
+
+
+def test_selection_without_a_board_entry_raises():
+    """The bus files an announcement the tick after it is published, before
+    any bidding window closes; an auction missing from its board is a
+    fault of the program, not an auction with no bids."""
+    bus = BroadcastBus(EventLog(), 1)
+    auction = open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, 0, bus)
+    with pytest.raises(KeyError):
+        select_winner(auction, 3, bus)
+
+
 def _exhaustive_winner_sequence(utilities: dict[str, float],
                                 verdicts: dict[str, bool]):
     """Drive one auction round; return (winner order, outcome)."""
     auction, _, bus = new_auction()
     for bidder, utility in utilities.items():
-        record_bid(auction, bid("scout_1", bidder, LOC, utility))
+        answer(auction, bus, bidder, utility)
     sequence = []
     tick = 3
     decl = select_winner(auction, tick, bus)
@@ -364,10 +435,10 @@ REBID_CASES.update((f"reference/nearest/{seed}",
 def test_every_bidder_bids_again_the_tick_after_a_reannouncement(run_logs,
                                                                  name):
     """Every robot that bid in an auction answers each of its
-    re-announcements at the tick the bus files it, so its bid reaches the
-    auctioneer before the next winner selection, at least `bid_window` (2)
-    ticks on: a bid held back from the round before would be overwritten
-    before it is read, which is why `record_bid` drops late bids."""
+    re-announcements at the tick the bus files it, so its bid is on the
+    board before the next winner selection, at least `bid_window` (2)
+    ticks on: winner selection, which reads only the answers of the
+    current round, never misses a bidder of the round before."""
     records = run_logs.log(REBID_CASES[name]).records
     assert records[-1]["status"] == RunStatus.COMPLETED.value
     reannounced, misses = rebid_misses(records)

@@ -3,14 +3,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import crowded_config, mail_from_log
-from test_acceptance import POLICIES
+from cases import POLICIES, crowded_config
+from conftest import mail_from_log
 
 from isrusim import (
     BroadcastBus,
     EventLog,
     Point,
     RunStatus,
+    ScenarioConfig,
     Simulation,
     TaskType,
 )
@@ -49,8 +50,8 @@ def board_rows(board):
 @pytest.mark.parametrize("make, args, recipients", [
     (announcement, ("scout_1", TaskType.EXCAVATE, LOC), EXCAVATORS),
     (announcement, ("excavator_1", TaskType.TRANSPORT, LOC), HAULERS),
-    (bid, ("scout_1", "excavator_1", LOC, -2.0), {"scout_1"}),
-    (bid, ("excavator_2", "hauler_1", LOC, float("-inf")), {"excavator_2"}),
+    (bid, ("scout_1", "excavator_1", LOC, -2.0), set()),
+    (bid, ("excavator_2", "hauler_1", LOC, float("-inf")), set()),
     (winner, ("scout_1", TaskType.EXCAVATE, LOC, "excavator_2"), {"excavator_2"}),
     (ack, ("excavator_1", "hauler_2", LOC, False), {"excavator_1"}),
     (close, ("scout_1", TaskType.EXCAVATE, LOC, "excavator_1"), EXCAVATORS),
@@ -59,7 +60,8 @@ def board_rows(board):
         "ack", "close-excavate", "close-transport"])
 def test_publish_delivers_to_every_recipient_next_tick(make, args, recipients):
     """Addressed mail: each recipient's inbox holds the logged record
-    itself.  An announcement or close enters no inbox: the next tick files
+    itself.  A bid enters no inbox: its auctioneer reads it off the board.
+    An announcement or close enters no inbox either: the next tick files
     it on its task type's board, and the subscribers, whose oldest open
     auction it changes, get an empty inbox."""
     log = EventLog()
@@ -87,13 +89,13 @@ def test_publish_delivers_to_every_recipient_next_tick(make, args, recipients):
 def test_a_win_reaches_its_winner_win_latency_ticks_after_it_is_declared(latency):
     """A winner declaration published at t is in its winner's inbox at
     t + `win_latency` and at no other tick, in publish order with the mail
-    that arrives with it; a bid and an ack published with it arrive at
-    t + 1 whatever the latency."""
+    that arrives with it; acks published with it arrive at t + 1 whatever
+    the latency."""
     bus = BroadcastBus(EventLog(), latency)
     declared = winner("scout_1", TaskType.EXCAVATE, LOC, "excavator_1")
-    answered = bid("scout_1", "excavator_2", LOC, -2.0)
+    answered = ack("scout_1", "excavator_2", LOC, False)
     acked = ack("excavator_2", "hauler_2", OTHER, True)
-    late = bid("excavator_1", "hauler_1", OTHER, -1.0)
+    late = ack("excavator_1", "hauler_1", OTHER, False)
     for record in (declared, answered, acked):
         bus.publish(record, tick=10)
     mail = {}
@@ -113,7 +115,7 @@ def test_not_delivered_same_tick():
     log = EventLog()
     bus = fleet_bus(log)
     bus.publish(announcement("scout_1", TaskType.EXCAVATE, LOC), tick=10)
-    bus.publish(bid("scout_1", "excavator_1", LOC, -2.0), tick=10)
+    bus.publish(ack("scout_1", "excavator_1", LOC, True), tick=10)
     assert bus.deliver(10) == {}
     assert bus.boards["excavate"] == {}
     mail = bus.deliver(11)
@@ -128,9 +130,9 @@ def test_same_tick_messages_keep_publish_order():
     tick's announcements in publish order and keeps its entries oldest
     first, by first tick, then key."""
     bus = fleet_bus()
-    records = [bid("excavator_1", "hauler_1", LOC, -2.0),
+    records = [ack("excavator_1", "hauler_2", LOC, False),
                announcement("scout_2", TaskType.EXCAVATE, LOC),
-               bid("scout_2", "excavator_2", LOC, -1.0),  # not excavator_1's
+               ack("scout_2", "excavator_2", LOC, True),  # not excavator_1's
                winner("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"),
                announcement("scout_1", TaskType.EXCAVATE, OTHER),
                ack("excavator_1", "hauler_1", LOC, True),
@@ -149,8 +151,8 @@ def test_same_tick_messages_keep_publish_order():
 def test_each_tick_is_delivered_once():
     bus = fleet_bus()
     bus.publish(announcement("scout_1", TaskType.EXCAVATE, LOC), tick=0)
-    bus.publish(bid("scout_1", "excavator_1", LOC, -1.0), tick=0)
-    bus.publish(bid("scout_1", "excavator_2", LOC, -1.0), tick=1)
+    bus.publish(ack("scout_1", "excavator_1", LOC, False), tick=0)
+    bus.publish(ack("scout_1", "excavator_2", LOC, True), tick=1)
     counts = {robot: len(inbox) for robot, inbox in bus.deliver(1).items()}
     assert counts == {"scout_1": 1, "excavator_1": 0, "excavator_2": 0}
     assert bus.deliver(1) == {}
@@ -173,7 +175,7 @@ def test_fanout_counts():
     no one."""
     bus = fleet_bus()
     for i in range(3):
-        bus.publish(bid("scout_1", f"excavator_{i + 1}", LOC, -float(i)), tick=7)
+        bus.publish(ack("scout_1", f"excavator_{i + 1}", LOC, False), tick=7)
     bus.publish(announcement("scout_1", TaskType.EXCAVATE, OTHER), tick=7)
     counts = {robot: len(inbox) for robot, inbox in bus.deliver(8).items()}
     assert counts == {"scout_1": 3, "excavator_1": 0, "excavator_2": 0}
@@ -190,7 +192,7 @@ def test_delivered_mail_is_released():
     log = EventLog()
     log.append = lambda record: None
     bus = fleet_bus(log)
-    records = [Record(bid("scout_1", "excavator_1", LOC, -1.0)),
+    records = [Record(ack("scout_1", "excavator_1", LOC, True)),
                Record(announcement("scout_1", TaskType.EXCAVATE, LOC))]
     released = [weakref.ref(record) for record in records]
     for record in records:
@@ -206,8 +208,8 @@ def test_delivered_mail_is_released():
 def test_inbox_is_the_log_filtered_by_receiver_rules(monkeypatch):
     """Differential check of addressed delivery on a crowded nearest run:
     every robot with mail at tick t, by the log, is stepped at t, and the
-    inbox its step takes is exactly the bids, acks and winner declarations
-    of tick t-1 in the log addressed to it, in sequence order: the logged
+    inbox its step takes is exactly the acks and winner declarations of
+    tick t-1 in the log addressed to it, in sequence order: the logged
     records themselves.  Every other step takes no mail."""
     sim = Simulation(crowded_config(policy="nearest"))
     step = RobotController.step
@@ -239,6 +241,33 @@ def test_inbox_is_the_log_filtered_by_receiver_rules(monkeypatch):
                    if r["type"] == "msg" and r["variant"] == "winner")
     multi_wins = sum(n > 1 for n in wins.values())
     assert multi_wins > 0  # the run exercises same-tick multi-wins
+
+
+NO_BID_CASES = {f"crowded/{policy}": crowded_config(policy=policy)
+                for policy in POLICIES}
+NO_BID_CASES.update((f"reference/{policy}/0", ScenarioConfig(policy=policy))
+                    for policy in ("fcfs", "nearest"))
+
+
+@pytest.mark.parametrize("name", NO_BID_CASES)
+def test_no_inbox_ever_holds_a_bid(monkeypatch, name):
+    """A bid is logged and goes nowhere else: its auctioneer reads it off
+    the board when the bidding window closes.  The inboxes of the run carry
+    acks and winner declarations, and nothing else."""
+    deliver = BroadcastBus.deliver
+    delivered = Counter()
+
+    def deliver_and_count(self, tick):
+        mail = deliver(self, tick)
+        delivered.update(r["variant"] for inbox in mail.values() for r in inbox)
+        return mail
+
+    monkeypatch.setattr(BroadcastBus, "deliver", deliver_and_count)
+    sim = Simulation(NO_BID_CASES[name])
+    assert sim.run() is RunStatus.COMPLETED
+    assert any(r["type"] == "msg" and r["variant"] == "bid"
+               for r in sim.ctx.log.records)
+    assert delivered.keys() == {"ack", "winner"}
 
 
 def test_paired_hauler_inbox_never_holds_an_announcement_or_close(monkeypatch):
@@ -420,7 +449,7 @@ def test_a_reopened_key_is_a_new_auction(gap):
     bids = deliver_and_bid(11)
     assert bids.keys() == haulers.keys()
     first = bus.boards["transport"][key]
-    assert first.answers == {name: (1, bid) for name, bid in bids.items()}
+    assert first.answers == {name: (1, bid, 11) for name, bid in bids.items()}
     bus.publish(close("excavator_1", TaskType.TRANSPORT, LOC, "hauler_1"), 11)
     if gap:
         assert deliver_and_bid(12) == {}  # nothing left to bid in
@@ -429,7 +458,8 @@ def test_a_reopened_key_is_a_new_auction(gap):
     assert bids.keys() == haulers.keys()
     entry = bus.boards["transport"][key]
     assert entry is not first and entry.rounds == 1
-    assert entry.answers == {name: (1, bid) for name, bid in bids.items()}
+    assert entry.answers == {name: (1, bid, 12 + gap)
+                             for name, bid in bids.items()}
 
 
 def test_a_crowded_fcfs_run_reopens_a_transport_key(run_logs):

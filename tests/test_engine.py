@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cases import DETERMINISM_CONFIGS, POLICIES
 from conftest import (
     ALT_TIMING,
     crowded_config,
@@ -18,7 +19,6 @@ from conftest import (
     tiny_config,
     tiny_run,
 )
-from test_acceptance import DETERMINISM_CONFIGS, POLICIES
 
 import isrusim
 from isrusim import (
@@ -43,27 +43,28 @@ from isrusim.agents import (
     ScoutController,
     find_schedule,
 )
-from isrusim.auction import record_bid
-from isrusim.bus import bid
 from isrusim.engine import START_CIRCLE_RADIUS
 from isrusim.events import record_auction_key
 from isrusim.pathing import PathCursor, estimate_path
 
 
-def run_child(script: str, *flags: str, **env: str) -> subprocess.CompletedProcess:
-    """Run `script` in a fresh interpreter started in tests/, so it can
-    import conftest.  The child runs in tests/, so a relative PYTHONPATH
-    would not find the package; the directory this process imported it
-    from goes first on the child's path."""
+def run_child(script: str, *flags: str, executable: str = sys.executable,
+              **env: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter, this one unless `executable`
+    names another, started in tests/, so it can import conftest.  The child
+    runs in tests/, so a relative PYTHONPATH would not find the package;
+    the directory this process imported it from goes first on the child's
+    path."""
     package_root = str(Path(isrusim.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = os.pathsep.join(filter(None, [package_root, inherited]))
-    out = subprocess.run([sys.executable, *flags, "-c", script],
+    out = subprocess.run([executable, *flags, "-c", script],
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=pythonpath, **env),
                          cwd=str(Path(__file__).parent))
     assert out.returncode == 0, (
-        f"child {flags} {env} exited {out.returncode}:\n{out.stderr}")
+        f"child {executable} {flags} {env} exited {out.returncode}:\n"
+        f"{out.stderr}")
     return out
 
 
@@ -241,15 +242,19 @@ def test_completion_requires_no_open_auctions():
 
 
 def selection_tick(opened: int, bid_window: int) -> int:
-    """Open an auction with one bid in scout_1's book at tick `opened` of
-    a run and return the tick whose timer phase declares its winner."""
+    """Open an auction in scout_1's book at tick `opened` of a run, answer
+    it with one bid the tick the bus files it, and return the tick whose
+    timer phase declares its winner."""
     sim = Simulation(tiny_config(bid_window=bid_window))
     while sim.tick < opened:
         sim.step()
     location = Point(1.0, 1.0)  # no site there, so no other auction's key
     auction = open_auction(sim.ctx.controllers["scout_1"].book, "scout_1",
                            TaskType.EXCAVATE, location, opened, sim.ctx.bus)
-    record_bid(auction, bid("scout_1", "excavator_1", location, -2.0))
+    sim.step()
+    sim.step()  # files the announcement; a window is at least 2 ticks
+    entry = sim.ctx.bus.boards["excavate"]["scout_1", location]
+    entry.answers["excavator_1"] = (entry.rounds, -2.0, opened + 1)
     while auction.winner is None:
         sim.step()
     return sim.tick - 1
@@ -492,10 +497,12 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
     only at its find ticks and at its spiral's end, a standby hauler only
     when its parent claims or releases and one tick after its walk's last
     move; an empty inbox is a reason to step only when the auctions inside
-    the robot's bid scope changed at that tick's delivery; every robot with
-    addressed mail, and every robot whose bid scope gained an auction or a
-    round of one, is stepped; and auction timers fire only for robots
-    holding auctions, and only on ticks on the bid_window cadence."""
+    the robot's bid scope changed at that tick's delivery, and mail is a
+    reason only when it holds an ack or a winner declaration, never a bid;
+    every robot with addressed mail, and every robot whose bid scope gained
+    an auction or a round of one, is stepped; and auction timers fire only
+    for robots holding auctions, and only on ticks on the bid_window
+    cadence."""
     steps, assigned, finds = {}, set(), {}
     scope_changed, scope_gained = set(), set()
     step = RobotController.step
@@ -523,7 +530,7 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
         reasons = reasons_to_step(self, tick, assigned, finds, scope_changed)
         activity = self.state.activity
         step(self, tick, inbox)
-        if inbox:
+        if any(record["variant"] in ("ack", "winner") for record in inbox or ()):
             reasons.add("mail")
         if activity in COURIER and self.state.activity is not activity:
             reasons.add("arrives")

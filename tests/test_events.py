@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from isrusim import EventLog, LogParseError, run_to_completion
 from isrusim import events
 from conftest import tiny_config
-from test_fingerprints import CASES
+from cases import CASES
 
 CLAIM = '{"type":"claim","tick":1,"site":0,"excavator":"excavator_1"}'
 RELEASE = '{"type":"release","tick":2,"site":0,"excavator":"excavator_1"}'

@@ -230,6 +230,19 @@ def test_sweep_rejects_a_policy_or_seed_given_twice(tmp_path, policies, seeds,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [2.7, True])
+def test_sweep_refuses_a_seed_its_config_refuses(tmp_path, monkeypatch, seed):
+    """The seed reaches the config as given: 2.7 is not run as seed 2, nor
+    True as seed 1, and the sweep raises before it runs or writes."""
+    from isrusim import engine
+
+    monkeypatch.setattr(engine.Simulation, "__init__", None)  # never reached
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^seed must be an int"):
+        sweep(["fcfs"], [seed], base_config=tiny_config(), out_dir=out)
+    assert not out.exists()
+
+
 def test_summary_validates_against_shipped_schema(tmp_path):
     base = tiny_config(seed=0)
     result = sweep(["fcfs", "coalition", "nearest"], [0, 1], base_config=base)

@@ -274,7 +274,7 @@ def test_build_checks_reject_no_config_whose_sites_can_be_placed():
 
 
 def test_every_pinned_config_is_still_accepted():
-    from test_fingerprints import CASES
+    from cases import CASES
     for config, _ in CASES.values():
         assert dataclasses.replace(config) == config
 
