@@ -2,10 +2,11 @@
 
 A tiny one-site scenario keeps the broadcast log short enough to read in
 full: announcement, bids (busy robots answer with the -inf sentinel),
-winner declaration, acknowledgment, close.  The bus addresses each message
-when it is published: an announcement or close goes to the robots that bid
-on its task type, a bid or acknowledgment to the auctioneer, and a winner
-declaration to the winner.
+winner declaration, acknowledgment, close.  The bus logs every message.
+An announcement or close files its auction on the board that the robots
+bidding on its task type read, a bidder writes its bid into that auction's
+answers, an acknowledgment goes to the auctioneer's inbox, and a winner
+declaration to the winner's.
 """
 
 from isrusim import ScenarioConfig, derive_auction_histories, run_to_completion

@@ -11,14 +11,17 @@ Every cross-robot influence flows through the broadcast bus or through the
 shared world during the owner's step, so a run is a single deterministic
 thread of execution.  The engine steps a robot only when something can
 change for it (see `RobotController.wake_tick`); a step that changes what
-another robot acts on outside the bus wakes that robot.  When it is built, a
-robot that bids takes the bus's board of open auctions of its task type (not
-a coalition-paired hauler, whose policy lets it bid in none); it keeps no
-auction state of its own, and writes its bid in each auction in its own
-slot of the board entry, where the auctioneer reads it when the bidding
-window closes.  Its step takes the inbox the bus delivers: the acks and
-winner declarations addressed to it, or an empty inbox when the auctions
-inside its bid scope changed.  A winner declaration reaches it
+another robot acts on outside the bus wakes that robot.  An auctioneer keeps
+its open auctions in its book, and the bus files each of those `Auction`
+objects on the board of open auctions of its task type.  When it is built,
+a robot that bids takes the bus's board of its task type (not a
+coalition-paired hauler, whose policy lets it bid in none); it keeps no
+auction state of its own, and writes its bid in each auction on the board
+in its own slot of `answers`, where the auctioneer reads it when the
+bidding window closes.  A bidder reads nothing else of an auction but its
+key fields and `rounds`.  Its step takes the inbox the bus delivers: the
+acks and winner declarations addressed to it, or an empty inbox when the
+auctions inside its bid scope changed.  A winner declaration reaches it
 `win_resolution_window` ticks after it is declared, and the step resolves
 every win in the inbox at once.  A courier (an excavator traveling to its
 site, a hauler on its way to a site or to the plant) drives one straight
@@ -271,11 +274,9 @@ class RobotController:
         accept, declines = self.ctx.policy.resolve_wins(self.state, wins)
         if accept is not None:
             self._accept_win(accept, tick)
-            self.ctx.bus.publish(ack(accept["auctioneer"], self.state.name,
-                                     accept["loc"], True), tick)
+            self.ctx.bus.publish(ack(accept, True), tick)
         for declined in declines:
-            self.ctx.bus.publish(ack(declined["auctioneer"], self.state.name,
-                                     declined["loc"], False), tick)
+            self.ctx.bus.publish(ack(declined, False), tick)
 
     def _accept_win(self, win: dict, tick: int) -> None:
         raise NotImplementedError(f"{self.state.kind} does not take tasks")
@@ -291,22 +292,19 @@ class RobotController:
         re-announcement round would misrepresent that.
 
         An auction stays inside the scope until it closes, since later ones
-        sort after it.  A bid names the auction by its board key, and its
-        answer, (round, utility, tick), lives in its own slot of the entry's
-        `answers`, where its auctioneer reads it (`select_winner`); the bid
-        record is only logged.  A reopened key is a new entry with no
-        answers, hence a new auction, bid from round 1.
+        sort after it.  A bid's answer, (round, utility, tick), lives in its
+        own slot of the auction's `answers`, where its auctioneer reads it
+        (`select_winner`); the bid record is only logged.  A reopened key is
+        a new auction with no answers, bid from round 1.
         """
         state, name = self.state, self.state.name
-        for (auctioneer, location), entry in islice(self.board.items(),
-                                                    self.bid_scope):
-            answer = entry.answers.get(name)
-            if answer is None or answer[0] < entry.rounds or (
+        for auction in islice(self.board.values(), self.bid_scope):
+            answer = auction.answers.get(name)
+            if answer is None or answer[0] < auction.rounds or (
                     answer[1] == NEG_INF and not state.busy):
-                utility = evaluate_self_utility(state, location)
-                entry.answers[name] = (entry.rounds, utility, tick)
-                submit_bid(state, auctioneer, location, utility, tick,
-                           self.ctx.bus)
+                utility = evaluate_self_utility(state, auction.task_location)
+                auction.answers[name] = (auction.rounds, utility, tick)
+                submit_bid(state, auction, utility, tick, self.ctx.bus)
 
     def _act(self, tick: int) -> None:
         raise NotImplementedError

@@ -1,16 +1,18 @@
 """First-price one-round auction with decline-and-reoffer.
 
-One Auction object lives in its auctioneer's book and walks the rounds
+One `Auction` object is the whole of an open auction.  It lives in its
+auctioneer's book from its announcement on, and from the next tick the bus
+files that same object on the board of open auctions of its task type
+(`bus.BroadcastBus.post`), where its bidders read it.  It walks the rounds
 announce -> collect bids -> declare a winner -> await the winner's ack.  A
 round awaits an ack exactly when it has a declared winner.  An accepted ack
-closes the auction, and the auctioneer drops it from its book.  If every bid
-is the busy sentinel, or every declared winner declines, the auction
-re-announces and collects a fresh round of bids; it never closes without an
-accepted acknowledgment.
+closes the auction, and the auctioneer drops it from its book; the bus
+takes it off the board the next tick.  If every bid is the busy sentinel,
+or every declared winner declines, the auction re-announces and collects a
+fresh round of bids; it never closes without an accepted acknowledgment.
 
 A bid goes to no inbox.  Its bidder writes it, as (round, utility, tick), in
-its own slot of the auction's entry on the board of open auctions
-(`bus.BoardEntry.answers`), and when the bidding window closes
+its own slot of the auction's `answers`, and when the bidding window closes
 `select_winner` takes the answers of the current round made before that
 tick.  That is the late-bid rule: robots step before the timers fire, so a
 bid made at the selection tick or later would have reached the auctioneer
@@ -42,18 +44,32 @@ CAPABLE_TASK = {RobotKind.EXCAVATOR: TaskType.EXCAVATE,
                 RobotKind.HAULER: TaskType.TRANSPORT}
 
 
-@dataclass
+@dataclass(eq=False)
 class Auction:
-    """Auctioneer-side record of one task allocation attempt.  `bids` holds
-    the round's bids as its first declaration read them off the board, and
-    a decliner's bid leaves it; the board entry counts the rounds."""
+    """One open auction, in its auctioneer's book and on its board.
+
+    The bus counts in `rounds` the announcements it has filed on the board
+    and adds the auction there at the first; each bidder writes its last
+    bid as (round answered, utility, tick made) in its own slot of
+    `answers`.  `bids` holds the round's bids as its first declaration read
+    them off `answers`, and a decliner's bid leaves it.  Every record of
+    the auction holds its one `loc` list.  Equal only to itself, so a
+    reopened key is a new auction, with no answers."""
 
     auctioneer: str
     task_type: TaskType
     task_location: Point
-    round_opened_tick: int
+    first_tick: int
+    round_opened_tick: int = field(init=False)
+    rounds: int = 0
+    answers: dict[str, tuple[int, float, int]] = field(default_factory=dict)
     bids: dict[str, float] = field(default_factory=dict)
     winner: str | None = None
+    loc: list[float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.round_opened_tick = self.first_tick
+        self.loc = list(self.task_location)
 
 
 def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
@@ -66,7 +82,7 @@ def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
     if key in book:
         raise ValueError(f"auction {key} is already open")
     book[key] = auction = Auction(auctioneer, task_type, task_location, tick)
-    bus.publish(announcement(auctioneer, task_type, task_location), tick)
+    bus.post(auction, announcement(auction), tick)
     return auction
 
 
@@ -88,8 +104,7 @@ def _reannounce(auction: Auction, tick: int, bus: BroadcastBus) -> None:
     auction.round_opened_tick = tick
     auction.bids = {}
     auction.winner = None
-    bus.publish(announcement(auction.auctioneer, auction.task_type,
-                             auction.task_location), tick)
+    bus.post(auction, announcement(auction), tick)
 
 
 def _offer_next(auction: Auction, tick: int,
@@ -101,27 +116,25 @@ def _offer_next(auction: Auction, tick: int,
         _reannounce(auction, tick, bus)
         return None
     auction.winner = best
-    decl = winner(auction.auctioneer, auction.task_type,
-                  auction.task_location, best)
+    decl = winner(auction)
     bus.publish(decl, tick)
     return decl
 
 
 def select_winner(auction: Auction, tick: int,
                   bus: BroadcastBus) -> dict | None:
-    """Close of the bidding window: take the round's bids from the
-    auction's board entry, the answers of its current round made before
-    `tick`, and declare the best bidder, or re-announce when no finite bid
-    exists (a busy-sentinel bidder is never selected).  The entry is on
-    the board from the tick after the announcement, before any window
-    closes; a missing one raises."""
-    if auction.winner is not None:
-        raise ValueError("winner selection requires an auction with no winner")
-    entry = bus.boards[auction.task_type.value][auction.auctioneer,
-                                                auction.task_location]
+    """Close of the bidding window: take the round's bids, the answers of
+    its current round made before `tick`, and declare the best bidder, or
+    re-announce when no finite bid exists (a busy-sentinel bidder is never
+    selected).  The bus files an announcement the tick after it is
+    posted, before any window closes, so an auction with no round filed is
+    a fault of the program, as is one with a winner: both raise."""
+    if auction.winner is not None or not auction.rounds:
+        raise ValueError("winner selection requires an auction with a round "
+                         "filed and no winner")
     auction.bids = {bidder: utility for bidder, (answered, utility, made)
-                    in entry.answers.items()
-                    if answered == entry.rounds and made < tick}
+                    in auction.answers.items()
+                    if answered == auction.rounds and made < tick}
     return _offer_next(auction, tick, bus)
 
 
@@ -130,7 +143,7 @@ def handle_ack(auction: Auction, record: dict, tick: int,
     """Process the winner's verdict, an ack record, and return the record
     it publishes, if any.
 
-    Accepted: publish the close and finish.  Declined: drop the decliner's
+    Accepted: post the close and finish.  Declined: drop the decliner's
     bid and offer to the next-highest bidder of this round (a winner
     record), or re-announce when none is left.  Acknowledgments from anyone
     but the declared winner are dropped, as are all acknowledgments while no
@@ -139,9 +152,8 @@ def handle_ack(auction: Auction, record: dict, tick: int,
     if record["auction_winner"] != auction.winner:
         return None
     if record["verdict"] == "accepted":
-        closing = close(auction.auctioneer, auction.task_type,
-                        auction.task_location, auction.winner)
-        bus.publish(closing, tick)
+        closing = close(auction)
+        bus.post(auction, closing, tick)
         return closing
     del auction.bids[auction.winner]
     return _offer_next(auction, tick, bus)
@@ -157,14 +169,14 @@ def evaluate_self_utility(robot: "RobotState",
     return -robot.pose.distance_to(task_location)
 
 
-def submit_bid(robot: "RobotState", auctioneer: str,
-               task_location: Sequence[float],
-               utility: float, tick: int, bus: BroadcastBus) -> dict:
-    """Publish a bid and return its record.  A utility is never positive;
-    -inf is the busy sentinel.  The one comparison also rejects NaN."""
+def submit_bid(robot: "RobotState", auction: Auction, utility: float,
+               tick: int, bus: BroadcastBus) -> dict:
+    """Publish a bid in `auction` and return its record.  A utility is
+    never positive; -inf is the busy sentinel.  The one comparison also
+    rejects NaN."""
     if not utility <= 0.0:
         raise ValueError(f"{robot.name} bid utility {utility}; a utility "
                          f"must be <= 0 or -inf")
-    record = bid(auctioneer, robot.name, task_location, utility)
+    record = bid(auction, robot.name, utility)
     bus.publish(record, tick)
     return record

@@ -1,18 +1,20 @@
 """Deterministic tick loop.
 
-Each tick t runs the same fixed phases: the bus delivers the acks,
-announcements and closes of tick t-1 (the acks to inboxes, announcements
-and closes to the boards of open auctions) and the winner declarations of
-tick t - `win_resolution_window` to their winners' inboxes, the woken
-robots step in kind-then-name order (taking their inboxes, acting,
-publishing, writing their bids on the boards), then, on ticks that are a
+Each tick t runs the same fixed phases: the bus delivers the acks of tick
+t-1 to inboxes, files the auctions announced or closed at t-1 on the boards
+of open auctions, and delivers the winner declarations of tick t -
+`win_resolution_window` to their winners' inboxes, the woken robots step in
+kind-then-name order (taking their inboxes, acting, publishing, writing
+their bids in the auctions on the boards), then, on ticks that are a
 multiple of `bid_window`, every robot holding open auctions fires its
-auction timers, which read each closing round's bids made before t off its
-board entry, then the invariants and termination are checked.  A robot
-wakes when it has mail (an ack or a win; a bid is no mail), when the open
-auctions inside its bid scope change, at its own dig, load or unload
-deadline, and when another robot's step changes what it acts on; any other
-step of it would change nothing.  A courier, on
+auction timers, which read each closing round's bids made before t off the
+auction's answers, then the invariants and termination are checked.  An
+open auction is one object, in its auctioneer's book and, from the tick
+after its announcement, on its board; `state_digest` lists each once, and
+the boards by key.  A robot wakes when it has mail (an ack or a win; a bid
+is no mail), when the open auctions inside its bid scope change, at its own
+dig, load or unload deadline, and when another robot's step changes what it
+acts on; any other step of it would change nothing.  A courier, on
 its way to a site or to the plant, wakes only at its arrival tick; a
 standby hauler one tick after the last move of its walk to its spot; a
 searching scout only at the tick it first has a site still undiscovered in
@@ -286,14 +288,12 @@ class Simulation:
             "robots": [[r.name, r.activity.value, r.pose.x, r.pose.y,
                         r.odometry, r.carried_minerals]
                        for r in (c.state for c in self._step_order)],
-            "auctions": [[a.auctioneer, list(a.task_location),
-                          a.round_opened_tick,
+            "auctions": [[a.auctioneer, a.loc, a.first_tick, a.rounds,
+                          sorted(a.answers.items()), a.round_opened_tick,
                           sorted(a.bids.items()), a.winner or ""]
                          for c in self._step_order for a in c.book.values()],
-            "boards": [[value, key[0], list(key[1]), e.first_tick, e.rounds,
-                        sorted(e.answers.items())]
-                       for value, board in self.ctx.bus.boards.items()
-                       for key, e in board.items()],
+            "boards": [[value, [[a.auctioneer, a.loc] for a in board.values()]]
+                       for value, board in self.ctx.bus.boards.items()],
             "messages": self.ctx.bus.messages_published,
         }
         blob = json.dumps(state, sort_keys=True)

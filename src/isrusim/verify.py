@@ -15,7 +15,10 @@ Checks, all zero-tolerance:
      yet offered-and-declined;
   d. every mineral is dug, loaded and unloaded exactly once, in that order;
   e. never more than one excavator claim per site;
-  plus sequence monotonicity and, for completed runs, no auction left open.
+  plus sequence monotonicity, exactly one `run_start` record (a log without
+  one is not a run's log, and one with two joins two runs) and, for
+  completed runs, no auction left open.  A log without a `run_end` is
+  checked for safety only: a live log has none until its run ends.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ class LogChecker:
             elif rtype == "release":
                 self._on_release(record)
             elif rtype == "run_start":
+                if self._run_start is not None:
+                    self._fail("run_start", "a second run_start: the log "
+                                            "joins two runs")
                 self._run_start = record
             elif rtype == "run_end":
                 self._run_end = record
@@ -239,6 +245,8 @@ class LogChecker:
     # -- end-of-log conditions -------------------------------------------------
 
     def _finish(self) -> None:
+        if self._run_start is None:
+            self._fail("run_start", "no run_start record: not a run's log")
         completed = (self._run_end is not None
                      and self._run_end.get("status") == "completed")
         if completed:

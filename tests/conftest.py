@@ -6,10 +6,13 @@ import pytest
 
 from cases import crowded_config, tiny_config
 from isrusim import (
+    Auction,
     Point,
     ScenarioConfig,
+    TaskType,
     run_to_completion,
 )
+from isrusim.bus import ack, winner
 
 
 def tiny_run(**overrides):
@@ -42,6 +45,24 @@ def run_logs() -> RunLogs:
     with the 60 reference runs it times, and the log fingerprints and the
     codec's differential test read it."""
     return RunLogs()
+
+
+def auction_of(auctioneer: str, task_type: TaskType, location: Point,
+               declared: str | None = None, tick: int = 0) -> Auction:
+    """An auction first announced at `tick`, as its auctioneer's book holds
+    it, with `declared` its winner: what the message constructors build a
+    record from."""
+    auction = Auction(auctioneer, task_type, location, tick)
+    auction.winner = declared
+    return auction
+
+
+def ack_of(auctioneer: str, bidder: str, location: Point,
+           accepted: bool) -> dict:
+    """`bidder`'s verdict on a win of `auctioneer`'s auction at `location`,
+    built from the winner record it answers."""
+    return ack(winner(auction_of(auctioneer, TaskType.EXCAVATE, location,
+                                 bidder)), accepted)
 
 
 def mail_from_log(records) -> dict[tuple[str, int], list[int]]:

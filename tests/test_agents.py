@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    auction_of,
     crowded_config,
     segment_distance,
     tiny_config,
@@ -408,7 +409,8 @@ def test_excavator_cannot_accept_a_claimed_site():
     site = sim.ctx.world.sites[0]
     site.claimed_by = "excavator_9"
     excavator = sim.ctx.controllers["excavator_1"]
-    win = winner("scout_1", TaskType.EXCAVATE, site.location, "excavator_1")
+    win = winner(auction_of("scout_1", TaskType.EXCAVATE, site.location,
+                            "excavator_1"))
     with pytest.raises(ValueError, match="already claimed by excavator_9"):
         excavator._accept_win(win, tick=0)
     assert excavator.state.activity is ExcavatorActivity.IDLE
@@ -487,18 +489,19 @@ def test_discovery_bias_favors_sites_near_the_plant():
 
 
 def test_bid_addressed_to_other_auctioneer_is_ignored():
-    """A bid lives in its own auction's board entry: winner selection reads
-    no answer to another auctioneer's auction at the same site, and a bid
+    """A bid lives in its own auction's answers: winner selection reads no
+    answer to another auctioneer's auction at the same site, and a bid
     record, which goes to no inbox, reaches no auction at all."""
     sim = Simulation(tiny_config(n_sites=1, n_minerals=1))
     bus, loc = sim.ctx.bus, Point(20.0, 20.0)
     mine, theirs = (agents.open_auction({}, scout, TaskType.EXCAVATE, loc, 0, bus)
                     for scout in ("scout_1", "scout_2"))
-    bus.publish(bid("scout_1", "excavator_2", loc, -1.0), 0)
+    bus.publish(bid(mine, "excavator_2", -1.0), 0)
     bus.deliver(1)
     board = bus.boards["excavate"]
-    board["scout_1", loc].answers["excavator_1"] = (1, -9.0, 1)
-    board["scout_2", loc].answers["excavator_2"] = (1, -3.0, 1)
+    assert board["scout_1", loc] is mine and board["scout_2", loc] is theirs
+    mine.answers["excavator_1"] = (1, -9.0, 1)
+    theirs.answers["excavator_2"] = (1, -3.0, 1)
     assert agents.select_winner(mine, 2, bus)["winner"] == "excavator_1"
     assert mine.bids == {"excavator_1": -9.0}
     assert agents.select_winner(theirs, 2, bus)["winner"] == "excavator_2"
@@ -523,16 +526,14 @@ def test_bid_scope_per_policy():
     assert most_bids["nearest"] > 1
 
 
-def announce(scout: str, x: float) -> dict:
-    return announcement(scout, TaskType.EXCAVATE, Point(x, 5.0))
-
-
 def file_announcements(bus, *ticks):
-    """Publish each tick's announcements at that tick and file them on the
-    board, as the next tick's delivery does."""
-    for tick, records in ticks:
-        for record in records:
-            bus.publish(record, tick)
+    """Announce each tick's excavation auctions, (auctioneer, x), at that
+    tick and file them on the board, as the next tick's delivery does."""
+    for tick, auctions in ticks:
+        for scout, x in auctions:
+            auction = auction_of(scout, TaskType.EXCAVATE, Point(x, 5.0),
+                                 tick=tick)
+            bus.post(auction, announcement(auction), tick)
         bus.deliver(tick + 1)
 
 
@@ -545,8 +546,8 @@ def test_controller_bids_only_in_its_bid_scope(policy, bid_in):
     sim = Simulation(tiny_config(policy=policy))
     excavator = sim.ctx.controllers["excavator_1"]
     file_announcements(sim.ctx.bus,
-                       (5, [announce("scout_1", 25.0), announce("scout_1", 10.0)]),
-                       (6, [announce("scout_1", 20.0)]))
+                       (5, [("scout_1", 25.0), ("scout_1", 10.0)]),
+                       (6, [("scout_1", 20.0)]))
     log = sim.ctx.log.records
     logged = len(log)
     excavator._place_bids(7)
@@ -563,11 +564,11 @@ def test_board_stays_oldest_first_when_announcements_arrive_out_of_order():
     excavator = sim.ctx.controllers["excavator_1"]
     board = sim.ctx.bus.boards["excavate"]
     file_announcements(sim.ctx.bus,
-                       (5, [announce("scout_2", 20.0), announce("scout_1", 25.0),
-                            announce("scout_1", 10.0)]),
-                       (6, [announce("scout_2", 1.0), announce("scout_1", 1.0)]))
+                       (5, [("scout_2", 20.0), ("scout_1", 25.0),
+                            ("scout_1", 10.0)]),
+                       (6, [("scout_2", 1.0), ("scout_1", 1.0)]))
     assert excavator.board is board
-    assert [(entry.first_tick, *key) for key, entry in board.items()] == [
+    assert [(auction.first_tick, *key) for key, auction in board.items()] == [
         (5, "scout_1", (10.0, 5.0)), (5, "scout_1", (25.0, 5.0)),
         (5, "scout_2", (20.0, 5.0)), (6, "scout_1", (1.0, 5.0)),
         (6, "scout_2", (1.0, 5.0))]

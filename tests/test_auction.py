@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import crowded_config, tiny_config
+from conftest import ack_of, auction_of, crowded_config, tiny_config
 
 from isrusim import (
     BroadcastBus,
@@ -41,18 +41,11 @@ def new_auction(book=None, auctioneer="scout_1", loc=LOC, tick=0, bus=None):
     return auction, book, bus
 
 
-def entry_of(auction, bus):
-    """The auction's entry on the board its bidders read."""
-    return bus.boards[auction.task_type.value][auction.auctioneer,
-                                                auction.task_location]
-
-
-def answer(auction, bus, bidder, utility, tick=1):
+def answer(auction, bidder, utility, tick=1):
     """`bidder` bids `utility` at `tick` in the auction's current round,
-    as `RobotController._place_bids` does: in its own slot of the board
-    entry."""
-    entry = entry_of(auction, bus)
-    entry.answers[bidder] = (entry.rounds, utility, tick)
+    as `RobotController._place_bids` does: in its own slot of the auction's
+    answers."""
+    auction.answers[bidder] = (auction.rounds, utility, tick)
 
 
 def test_open_publishes_announcement():
@@ -61,14 +54,16 @@ def test_open_publishes_announcement():
     log = EventLog()
     bus = BroadcastBus(log, 1)
     board = bus.subscribe("excavator_1", TaskType.EXCAVATE, 1)
-    open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, tick=4, bus=bus)
+    auction = open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, tick=4,
+                           bus=bus)
     [record] = log.records
-    assert record == {**announcement("scout_1", TaskType.EXCAVATE, LOC),
-                      "tick": 4, "seq": 0}
+    assert record == {**announcement(auction), "tick": 4, "seq": 0}
+    assert record["loc"] is auction.loc
+    assert auction.rounds == 0 and board == {}
     assert bus.deliver(5) == {"excavator_1": []}
-    [(key, entry)] = board.items()
+    [(key, filed)] = board.items()
     assert key == ("scout_1", LOC) == record_auction_key(record)
-    assert (entry.first_tick, entry.rounds) == (4, 1)
+    assert filed is auction and (auction.first_tick, auction.rounds) == (4, 1)
 
 
 def test_auctioneer_can_hold_multiple_auctions():
@@ -87,9 +82,9 @@ def test_duplicate_key_rejected():
 
 def test_key_reusable_after_close():
     auction, book, bus = new_auction()
-    answer(auction, bus, "excavator_1", -1.0)
-    select_winner(auction, 3, bus)
-    handle_ack(auction, ack("scout_1", "excavator_1", LOC, True), 5, bus)
+    answer(auction, "excavator_1", -1.0)
+    decl = select_winner(auction, 3, bus)
+    handle_ack(auction, ack(decl, True), 5, bus)
     del book["scout_1", LOC]
     open_auction(book, "scout_1", TaskType.EXCAVATE, LOC, 6, bus)  # no raise
 
@@ -131,9 +126,11 @@ def test_submit_bid_publishes_wire_format():
     bus = BroadcastBus(log, 1)
     robot = RobotState("excavator_2", RobotKind.EXCAVATOR, Point(10, 10),
                        ExcavatorActivity.IDLE)
-    record = submit_bid(robot, "scout_1", LOC, -12.5, 3, bus)
-    assert record == {**bid("scout_1", "excavator_2", LOC, -12.5),
+    auction = auction_of("scout_1", TaskType.EXCAVATE, LOC)
+    record = submit_bid(robot, auction, -12.5, 3, bus)
+    assert record == {**bid(auction, "excavator_2", -12.5),
                       "tick": 3, "seq": 0}
+    assert record["loc"] is auction.loc
     assert log.records == [record]
     assert bus.deliver(4) == {}  # a bid goes to no inbox
 
@@ -145,10 +142,11 @@ def test_malformed_bid_rejected():
     bus = BroadcastBus(log, 1)
     robot = RobotState("excavator_1", RobotKind.EXCAVATOR, Point(0, 0),
                        ExcavatorActivity.DIGGING)
+    auction = auction_of("scout_1", TaskType.EXCAVATE, LOC)
     for utility in (3.0, math.nan):
         with pytest.raises(ValueError):
-            submit_bid(robot, "scout_1", LOC, utility, 0, bus)
-    assert submit_bid(robot, "scout_1", LOC, NEG_INF, 0, bus)["utility"] == NEG_INF
+            submit_bid(robot, auction, utility, 0, bus)
+    assert submit_bid(robot, auction, NEG_INF, 0, bus)["utility"] == NEG_INF
     assert [r["utility"] for r in log.records] == [NEG_INF]
 
 
@@ -160,7 +158,8 @@ def test_incapable_kinds_never_construct_bids():
         sim = Simulation(tiny_config(policy=policy))
         bus, controllers = sim.ctx.bus, sim.ctx.controllers
         for task_type in TaskType:
-            bus.publish(announcement("scout_1", task_type, LOC), 0)
+            auction = auction_of("scout_1", task_type, LOC)
+            bus.post(auction, announcement(auction), 0)
             assert {controllers[name].state.kind for name in bus.deliver(1)} == {
                 kind for kind, task in CAPABLE_TASK.items() if task is task_type}
     hauler = RobotState("hauler_9", RobotKind.HAULER, Point(0, 0),
@@ -176,7 +175,7 @@ def test_winner_is_max_finite_utility():
     auction, _, bus = new_auction()
     for bidder, utility in [("excavator_1", -10.0), ("excavator_3", -4.0),
                             ("excavator_2", NEG_INF)]:
-        answer(auction, bus, bidder, utility)
+        answer(auction, bidder, utility)
     decl = select_winner(auction, 3, bus)
     assert decl["winner"] == auction.winner == "excavator_3"
 
@@ -184,20 +183,21 @@ def test_winner_is_max_finite_utility():
 def test_all_busy_bids_reannounce():
     log = EventLog()
     auction, _, bus = new_auction(bus=BroadcastBus(log, 1))
-    answer(auction, bus, "excavator_1", NEG_INF)
-    answer(auction, bus, "excavator_2", NEG_INF)
+    answer(auction, "excavator_1", NEG_INF)
+    answer(auction, "excavator_2", NEG_INF)
     assert select_winner(auction, 3, bus) is None
     assert auction.winner is None
     # the re-announcement went out on the bus, and the board files it as
     # round 2 the next tick
     assert [r["variant"] for r in log.records if r["tick"] == 3] == ["announcement"]
+    assert auction.rounds == 1
     bus.deliver(4)
-    assert entry_of(auction, bus).rounds == 2
+    assert auction.rounds == 2
 
 
 def test_selection_refused_while_awaiting_ack():
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_1", -2.0)
+    answer(auction, "excavator_1", -2.0)
     select_winner(auction, 3, bus)
     with pytest.raises(ValueError):
         select_winner(auction, 6, bus)
@@ -205,8 +205,8 @@ def test_selection_refused_while_awaiting_ack():
 
 def test_tie_breaks_to_lexicographically_smallest():
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_2", -7.0)
-    answer(auction, bus, "excavator_1", -7.0)
+    answer(auction, "excavator_2", -7.0)
+    answer(auction, "excavator_1", -7.0)
     assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
 
 
@@ -218,67 +218,70 @@ def test_argmax_invariant_under_positive_scaling():
         base, _, bus_a = new_auction()
         scaled, _, bus_b = new_auction(auctioneer="scout_2")
         for bidder, u in bids.items():
-            answer(base, bus_a, bidder, u)
-            answer(scaled, bus_b, bidder, u * scale)
+            answer(base, bidder, u)
+            answer(scaled, bidder, u * scale)
         assert select_winner(base, 3, bus_a)["winner"] == \
             select_winner(scaled, 3, bus_b)["winner"]
 
 
 def test_accepted_ack_closes_auction():
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_1", -3.0)
-    select_winner(auction, 3, bus)
-    msg = handle_ack(auction, ack("scout_1", "excavator_1", LOC, True), 5, bus)
+    answer(auction, "excavator_1", -3.0)
+    decl = select_winner(auction, 3, bus)
+    msg = handle_ack(auction, ack(decl, True), 5, bus)
     assert msg["variant"] == "close"
     assert msg["allocated_to"] == "excavator_1"
 
 
 def test_declined_ack_offers_next_highest():
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_1", -2.0)
-    answer(auction, bus, "excavator_2", -8.0)
-    assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
-    msg = handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
+    answer(auction, "excavator_1", -2.0)
+    answer(auction, "excavator_2", -8.0)
+    decl = select_winner(auction, 3, bus)
+    assert decl["winner"] == "excavator_1"
+    msg = handle_ack(auction, ack(decl, False), 5, bus)
     assert msg["variant"] == "winner"
     assert msg["winner"] == auction.winner == "excavator_2"
 
 
 def test_decliners_bid_leaves_the_round():
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_1", -2.0)
-    answer(auction, bus, "excavator_2", -8.0)
-    select_winner(auction, 3, bus)
-    handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
+    answer(auction, "excavator_1", -2.0)
+    answer(auction, "excavator_2", -8.0)
+    decl = select_winner(auction, 3, bus)
+    decl = handle_ack(auction, ack(decl, False), 5, bus)
     assert auction.bids == {"excavator_2": -8.0}
-    msg = handle_ack(auction, ack("scout_1", "excavator_2", LOC, False), 7, bus)
+    msg = handle_ack(auction, ack(decl, False), 7, bus)
     # every bidder declined: re-announce, and a freed-up robot may win the
     # next round
     assert msg is None
     assert auction.winner is None
     assert auction.bids == {}
     bus.deliver(8)
-    assert entry_of(auction, bus).rounds == 2
+    assert auction.rounds == 2
 
 
 def test_ack_from_non_winner_discarded():
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_1", -2.0)
+    answer(auction, "excavator_1", -2.0)
     # no winner declared yet: nobody's ack counts
-    assert handle_ack(auction, ack("scout_1", "excavator_1", LOC, True), 2, bus) is None
+    assert handle_ack(auction, ack_of("scout_1", "excavator_1", LOC, True), 2,
+                      bus) is None
     select_winner(auction, 3, bus)
-    assert handle_ack(auction, ack("scout_1", "excavator_9", LOC, True), 5, bus) is None
+    assert handle_ack(auction, ack_of("scout_1", "excavator_9", LOC, True), 5,
+                      bus) is None
     assert auction.winner == "excavator_1"
 
 
 def test_late_bid_is_dropped():
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_1", -2.0)
-    select_winner(auction, 3, bus)
+    answer(auction, "excavator_1", -2.0)
+    decl = select_winner(auction, 3, bus)
     # made after the declaration: the round's bids are fixed
-    answer(auction, bus, "excavator_2", -1.0, tick=4)
-    answer(auction, bus, "excavator_1", -9.0, tick=4)
+    answer(auction, "excavator_2", -1.0, tick=4)
+    answer(auction, "excavator_1", -9.0, tick=4)
     assert auction.bids == {"excavator_1": -2.0}
-    handle_ack(auction, ack("scout_1", "excavator_1", LOC, False), 5, bus)
+    handle_ack(auction, ack(decl, False), 5, bus)
     # excavator_1 declined and no other bid was in the round: re-announce,
     # with no bid carried into the new round
     assert auction.winner is None
@@ -289,21 +292,21 @@ def test_a_bid_made_at_the_selection_tick_is_not_read():
     """Robots step before the timers fire, so a bid made at the selection
     tick would have reached the auctioneer only after it."""
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_1", -5.0, tick=2)
-    answer(auction, bus, "excavator_2", -1.0, tick=3)
+    answer(auction, "excavator_1", -5.0, tick=2)
+    answer(auction, "excavator_2", -1.0, tick=3)
     assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
     assert auction.bids == {"excavator_1": -5.0}
 
 
 def test_an_answer_from_the_previous_round_is_not_read():
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_1", NEG_INF)
-    answer(auction, bus, "excavator_3", NEG_INF)
+    answer(auction, "excavator_1", NEG_INF)
+    answer(auction, "excavator_3", NEG_INF)
     assert select_winner(auction, 3, bus) is None  # re-announced
     bus.deliver(4)
-    answer(auction, bus, "excavator_2", -4.0, tick=4)
+    answer(auction, "excavator_2", -4.0, tick=4)
     # excavator_3 answered round 1 only, with a bid better than round 2's
-    entry_of(auction, bus).answers["excavator_3"] = (1, -1.0, 2)
+    auction.answers["excavator_3"] = (1, -1.0, 2)
     assert select_winner(auction, 6, bus)["winner"] == "excavator_2"
     assert auction.bids == {"excavator_2": -4.0}
 
@@ -314,27 +317,29 @@ def test_a_sentinel_replaced_at_or_after_the_first_declaration_is_not_read(
     """A busy robot that goes idle at or after the round's first
     declaration is not offered the task when the winner declines."""
     auction, _, bus = new_auction()
-    answer(auction, bus, "excavator_1", -6.0)
-    answer(auction, bus, "excavator_2", NEG_INF)
+    answer(auction, "excavator_1", -6.0)
+    answer(auction, "excavator_2", NEG_INF)
     if replaced == 3:
-        answer(auction, bus, "excavator_2", -1.0, tick=3)
-    assert select_winner(auction, 3, bus)["winner"] == "excavator_1"
+        answer(auction, "excavator_2", -1.0, tick=3)
+    decl = select_winner(auction, 3, bus)
+    assert decl["winner"] == "excavator_1"
     if replaced == 4:
-        answer(auction, bus, "excavator_2", -1.0, tick=4)
+        answer(auction, "excavator_2", -1.0, tick=4)
     assert auction.bids == ({"excavator_1": -6.0} if replaced == 3 else
                             {"excavator_1": -6.0, "excavator_2": NEG_INF})
-    decline = ack("scout_1", "excavator_1", LOC, False)
-    assert handle_ack(auction, decline, 5, bus) is None  # re-announced
+    # excavator_1 declines, and the round has no other bid: re-announced
+    assert handle_ack(auction, ack(decl, False), 5, bus) is None
 
 
 def test_selection_without_a_board_entry_raises():
-    """The bus files an announcement the tick after it is published, before
-    any bidding window closes; an auction missing from its board is a
-    fault of the program, not an auction with no bids."""
+    """The bus files an announcement the tick after it is posted, before
+    any bidding window closes; an auction not on its board yet, with no
+    round filed, is a fault of the program, not an auction with no bids."""
     bus = BroadcastBus(EventLog(), 1)
     auction = open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, 0, bus)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="a round filed"):
         select_winner(auction, 3, bus)
+    assert auction.winner is None and bus.messages_published == 1
 
 
 def _exhaustive_winner_sequence(utilities: dict[str, float],
@@ -342,15 +347,14 @@ def _exhaustive_winner_sequence(utilities: dict[str, float],
     """Drive one auction round; return (winner order, outcome)."""
     auction, _, bus = new_auction()
     for bidder, utility in utilities.items():
-        answer(auction, bus, bidder, utility)
+        answer(auction, bidder, utility)
     sequence = []
     tick = 3
     decl = select_winner(auction, tick, bus)
     while decl is not None:
         sequence.append(decl["winner"])
         accepted = verdicts[decl["winner"]]
-        result = handle_ack(
-            auction, ack("scout_1", decl["winner"], LOC, accepted), tick + 2, bus)
+        result = handle_ack(auction, ack(decl, accepted), tick + 2, bus)
         if accepted:
             return sequence, ("closed", result["allocated_to"])
         decl = result  # the next winner record, or None: re-announced

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from cases import POLICIES, crowded_config
-from conftest import mail_from_log
+from conftest import ack_of, auction_of, mail_from_log
 
 from isrusim import (
     BroadcastBus,
@@ -16,6 +16,7 @@ from isrusim import (
     TaskType,
 )
 from isrusim.agents import RobotController
+from isrusim.auction import NEG_INF
 from isrusim.bus import ack, announcement, bid, close, winner
 from isrusim.events import (
     _MSG_LINES, MSG_FIELDS, RECORD_FIELDS, _Names, record_auction_key)
@@ -43,46 +44,83 @@ def fleet_bus(log=None):
 
 
 def board_rows(board):
-    """A board's entries, oldest first: key, first tick and rounds."""
-    return [(key, entry.first_tick, entry.rounds) for key, entry in board.items()]
+    """A board's auctions, oldest first: key, first tick and rounds."""
+    return [(key, auction.first_tick, auction.rounds)
+            for key, auction in board.items()]
 
 
-@pytest.mark.parametrize("make, args, recipients", [
-    (announcement, ("scout_1", TaskType.EXCAVATE, LOC), EXCAVATORS),
-    (announcement, ("excavator_1", TaskType.TRANSPORT, LOC), HAULERS),
-    (bid, ("scout_1", "excavator_1", LOC, -2.0), set()),
-    (bid, ("excavator_2", "hauler_1", LOC, float("-inf")), set()),
-    (winner, ("scout_1", TaskType.EXCAVATE, LOC, "excavator_2"), {"excavator_2"}),
-    (ack, ("excavator_1", "hauler_2", LOC, False), {"excavator_1"}),
-    (close, ("scout_1", TaskType.EXCAVATE, LOC, "excavator_1"), EXCAVATORS),
-    (close, ("excavator_2", TaskType.TRANSPORT, LOC, "hauler_1"), HAULERS),
+def excavation(auctioneer="scout_1", declared=None, location=LOC, tick=0):
+    return auction_of(auctioneer, TaskType.EXCAVATE, location, declared, tick)
+
+
+def send(bus, auction, record, tick):
+    """Post an announcement or close with its auction; publish any other
+    record."""
+    if record["variant"] in ("announcement", "close"):
+        bus.post(auction, record, tick)
+    else:
+        bus.publish(record, tick)
+
+
+@pytest.mark.parametrize("auctioneer, task_type, declared, make, recipients", [
+    ("scout_1", TaskType.EXCAVATE, None, announcement, EXCAVATORS),
+    ("excavator_1", TaskType.TRANSPORT, None, announcement, HAULERS),
+    ("scout_1", TaskType.EXCAVATE, None,
+     lambda auction: bid(auction, "excavator_1", -2.0), set()),
+    ("excavator_2", TaskType.TRANSPORT, None,
+     lambda auction: bid(auction, "hauler_1", NEG_INF), set()),
+    ("scout_1", TaskType.EXCAVATE, "excavator_2", winner, {"excavator_2"}),
+    ("excavator_1", TaskType.TRANSPORT, "hauler_2",
+     lambda auction: ack(winner(auction), False), {"excavator_1"}),
+    ("scout_1", TaskType.EXCAVATE, "excavator_1", close, EXCAVATORS),
+    ("excavator_2", TaskType.TRANSPORT, "hauler_1", close, HAULERS),
 ], ids=["announce-excavate", "announce-transport", "bid", "busy-bid", "winner",
         "ack", "close-excavate", "close-transport"])
-def test_publish_delivers_to_every_recipient_next_tick(make, args, recipients):
+def test_publish_delivers_to_every_recipient_next_tick(
+        auctioneer, task_type, declared, make, recipients):
     """Addressed mail: each recipient's inbox holds the logged record
     itself.  A bid enters no inbox: its auctioneer reads it off the board.
-    An announcement or close enters no inbox either: the next tick files
-    it on its task type's board, and the subscribers, whose oldest open
-    auction it changes, get an empty inbox."""
+    An announcement or close enters no inbox either: it is posted with its
+    auction, the next tick files the auction on its task type's board, and
+    the subscribers, whose oldest open auction it changes, get an empty
+    inbox."""
     log = EventLog()
     bus = fleet_bus(log)
-    record = make(*args)
-    variant = record["variant"]
-    if variant == "close":  # the auction it closes
-        bus.publish(announcement(args[0], TaskType(record["task_type"]), LOC), 8)
+    auction = auction_of(auctioneer, task_type, LOC,
+                         tick=8 if make is close else 10)
+    if make is close:  # the auction it closes
+        bus.post(auction, announcement(auction), 8)
         bus.deliver(9)
-    bus.publish(record, tick=10)
+    auction.winner = declared
+    record = make(auction)
+    send(bus, auction, record, 10)
     assert log.records[-1] is record
     mail = bus.deliver(11)
     assert set(mail) == recipients
-    if variant in ("announcement", "close"):
+    if make in (announcement, close):
         assert all(inbox == [] for inbox in mail.values())
-        board = bus.boards[record["task_type"]]
-        assert board_rows(board) == ([((args[0], LOC), 10, 1)]
-                                     if variant == "announcement" else [])
+        board = bus.boards[task_type.value]
+        assert board_rows(board) == ([((auctioneer, LOC), 10, 1)]
+                                     if make is announcement else [])
+        assert all(filed is auction for filed in board.values())
     else:
         for robot in recipients:
             assert len(mail[robot]) == 1 and mail[robot][0] is record
+
+
+@pytest.mark.parametrize("make", [announcement, close])
+def test_publish_refuses_an_announcement_or_close(make):
+    """An announcement or close is posted with its auction: published
+    alone, it would be logged and never filed, so it is refused before it
+    is stamped or logged."""
+    log = EventLog()
+    bus = fleet_bus(log)
+    record = make(excavation(declared="excavator_1"))
+    with pytest.raises(ValueError, match="posted with its auction"):
+        bus.publish(record, tick=10)
+    assert log.records == [] and record["seq"] is None
+    assert bus.messages_published == 0
+    assert bus.deliver(11) == {} and bus.boards["excavate"] == {}
 
 
 @pytest.mark.parametrize("latency", [1, 3])
@@ -92,10 +130,10 @@ def test_a_win_reaches_its_winner_win_latency_ticks_after_it_is_declared(latency
     that arrives with it; acks published with it arrive at t + 1 whatever
     the latency."""
     bus = BroadcastBus(EventLog(), latency)
-    declared = winner("scout_1", TaskType.EXCAVATE, LOC, "excavator_1")
-    answered = ack("scout_1", "excavator_2", LOC, False)
-    acked = ack("excavator_2", "hauler_2", OTHER, True)
-    late = ack("excavator_1", "hauler_1", OTHER, False)
+    declared = winner(excavation(declared="excavator_1"))
+    answered = ack_of("scout_1", "excavator_2", LOC, False)
+    acked = ack_of("excavator_2", "hauler_2", OTHER, True)
+    late = ack_of("excavator_1", "hauler_1", OTHER, False)
     for record in (declared, answered, acked):
         bus.publish(record, tick=10)
     mail = {}
@@ -114,8 +152,9 @@ def test_a_win_reaches_its_winner_win_latency_ticks_after_it_is_declared(latency
 def test_not_delivered_same_tick():
     log = EventLog()
     bus = fleet_bus(log)
-    bus.publish(announcement("scout_1", TaskType.EXCAVATE, LOC), tick=10)
-    bus.publish(ack("scout_1", "excavator_1", LOC, True), tick=10)
+    auction = excavation(tick=10)
+    bus.post(auction, announcement(auction), tick=10)
+    bus.publish(ack_of("scout_1", "excavator_1", LOC, True), tick=10)
     assert bus.deliver(10) == {}
     assert bus.boards["excavate"] == {}
     mail = bus.deliver(11)
@@ -127,18 +166,22 @@ def test_not_delivered_same_tick():
 
 def test_same_tick_messages_keep_publish_order():
     """An inbox holds its records in publish order; the board files one
-    tick's announcements in publish order and keeps its entries oldest
+    tick's announcements in post order and keeps its auctions oldest
     first, by first tick, then key."""
     bus = fleet_bus()
-    records = [ack("excavator_1", "hauler_2", LOC, False),
-               announcement("scout_2", TaskType.EXCAVATE, LOC),
-               ack("scout_2", "excavator_2", LOC, True),  # not excavator_1's
-               winner("scout_1", TaskType.EXCAVATE, OTHER, "excavator_1"),
-               announcement("scout_1", TaskType.EXCAVATE, OTHER),
-               ack("excavator_1", "hauler_1", LOC, True),
-               announcement("scout_2", TaskType.EXCAVATE, LOC)]
-    for record in records:
-        bus.publish(record, tick=4)
+    second, first = excavation("scout_2", tick=4), excavation(
+        "scout_1", location=OTHER, tick=4)
+    sent = [(None, ack_of("excavator_1", "hauler_2", LOC, False)),
+            (second, announcement(second)),
+            # not excavator_1's
+            (None, ack_of("scout_2", "excavator_2", LOC, True)),
+            (None, winner(excavation(declared="excavator_1", location=OTHER))),
+            (first, announcement(first)),
+            (None, ack_of("excavator_1", "hauler_1", LOC, True)),
+            (second, announcement(second))]
+    for auction, record in sent:
+        send(bus, auction, record, 4)
+    records = [record for _, record in sent]
     inbox = bus.deliver(5)["excavator_1"]
     assert [record["seq"] for record in inbox] == [0, 3, 5]
     assert all(record is records[record["seq"]] for record in inbox)
@@ -150,9 +193,10 @@ def test_same_tick_messages_keep_publish_order():
 
 def test_each_tick_is_delivered_once():
     bus = fleet_bus()
-    bus.publish(announcement("scout_1", TaskType.EXCAVATE, LOC), tick=0)
-    bus.publish(ack("scout_1", "excavator_1", LOC, False), tick=0)
-    bus.publish(ack("scout_1", "excavator_2", LOC, True), tick=1)
+    auction = excavation()
+    bus.post(auction, announcement(auction), tick=0)
+    bus.publish(ack_of("scout_1", "excavator_1", LOC, False), tick=0)
+    bus.publish(ack_of("scout_1", "excavator_2", LOC, True), tick=1)
     counts = {robot: len(inbox) for robot, inbox in bus.deliver(1).items()}
     assert counts == {"scout_1": 1, "excavator_1": 0, "excavator_2": 0}
     assert bus.deliver(1) == {}
@@ -165,7 +209,8 @@ def test_no_traffic_empty_inbox():
     assert bus.deliver(5) == {}
     # a task type nobody subscribes to reaches nobody, but is on its board
     unsubscribed = BroadcastBus(EventLog(), 1)
-    unsubscribed.publish(announcement("scout_1", TaskType.EXCAVATE, LOC), tick=5)
+    auction = excavation(tick=5)
+    unsubscribed.post(auction, announcement(auction), tick=5)
     assert unsubscribed.deliver(6) == {}
     assert len(unsubscribed.boards["excavate"]) == 1
 
@@ -175,8 +220,10 @@ def test_fanout_counts():
     no one."""
     bus = fleet_bus()
     for i in range(3):
-        bus.publish(ack("scout_1", f"excavator_{i + 1}", LOC, False), tick=7)
-    bus.publish(announcement("scout_1", TaskType.EXCAVATE, OTHER), tick=7)
+        bus.publish(ack_of("scout_1", f"excavator_{i + 1}", LOC, False),
+                    tick=7)
+    auction = excavation(location=OTHER, tick=7)
+    bus.post(auction, announcement(auction), tick=7)
     counts = {robot: len(inbox) for robot, inbox in bus.deliver(8).items()}
     assert counts == {"scout_1": 3, "excavator_1": 0, "excavator_2": 0}
 
@@ -187,17 +234,18 @@ class Record(dict):
 
 def test_delivered_mail_is_released():
     """Once a tick is delivered the bus holds none of its records: an
-    inbox's records go with the inbox, and a board keeps an entry, not the
-    announcement it filed.  The log here keeps none either."""
+    inbox's records go with the inbox, and a board keeps the auction, not
+    the announcement it filed.  The log here keeps none either."""
     log = EventLog()
     log.append = lambda record: None
     bus = fleet_bus(log)
-    records = [Record(ack("scout_1", "excavator_1", LOC, True)),
-               Record(announcement("scout_1", TaskType.EXCAVATE, LOC))]
+    auction = excavation()
+    records = [Record(ack_of("scout_1", "excavator_1", LOC, True)),
+               Record(announcement(auction))]
     released = [weakref.ref(record) for record in records]
-    for record in records:
-        bus.publish(record, tick=0)
-    del records, record
+    bus.publish(records[0], tick=0)
+    bus.post(auction, records[1], tick=0)
+    del records
     mail = bus.deliver(1)
     assert released[0]() is not None and released[1]() is None
     assert len(bus.boards["excavate"]) == 1
@@ -308,45 +356,67 @@ def test_paired_hauler_inbox_never_holds_an_announcement_or_close(monkeypatch):
 def test_messages_logged():
     log = EventLog()
     bus = BroadcastBus(log, 1)
-    record = announcement("scout_1", TaskType.EXCAVATE, LOC)
-    bus.publish(record, tick=2)
+    auction = excavation(tick=2)
+    record = announcement(auction)
+    bus.post(auction, record, tick=2)
     assert log.records == [record] and log.records[0] is record
     assert record["variant"] == "announcement"
     assert record["status"] == "open"
 
 
-# every variant, and both values of each two-valued field: the constructor,
-# its arguments and the variant's fields of the record it builds
+# every variant, and both values of each two-valued field: the auction
+# (auctioneer, task type, declared winner), the constructor, and the fields
+# of the record it builds that the location does not give
 EACH_VARIANT = [
-    (announcement, ("scout_1", TaskType.EXCAVATE, LOC),
-     {"task_type": "excavate", "status": "open"}),
-    (bid, ("scout_1", "excavator_2", LOC, -12.5),
-     {"bidder": "excavator_2", "utility": -12.5}),
-    (bid, ("excavator_1", "hauler_2", LOC, float("-inf")),
-     {"bidder": "hauler_2", "utility": float("-inf")}),
-    (winner, ("scout_1", TaskType.EXCAVATE, LOC, "excavator_3"),
-     {"task_type": "excavate", "status": "open", "winner": "excavator_3"}),
-    (ack, ("scout_1", "excavator_3", LOC, True),
-     {"auction_winner": "excavator_3", "verdict": "accepted"}),
-    (ack, ("scout_1", "excavator_3", LOC, False),
-     {"auction_winner": "excavator_3", "verdict": "declined"}),
-    (close, ("excavator_1", TaskType.TRANSPORT, LOC, "hauler_2"),
-     {"task_type": "transport", "status": "closed", "allocated_to": "hauler_2"}),
+    (("scout_1", TaskType.EXCAVATE, None), announcement,
+     {"variant": "announcement", "auctioneer": "scout_1",
+      "task_type": "excavate", "status": "open"}),
+    (("scout_1", TaskType.EXCAVATE, None),
+     lambda auction: bid(auction, "excavator_2", -12.5),
+     {"variant": "bid", "auctioneer": "scout_1", "bidder": "excavator_2",
+      "utility": -12.5}),
+    (("excavator_1", TaskType.TRANSPORT, None),
+     lambda auction: bid(auction, "hauler_2", NEG_INF),
+     {"variant": "bid", "auctioneer": "excavator_1", "bidder": "hauler_2",
+      "utility": NEG_INF}),
+    (("scout_1", TaskType.EXCAVATE, "excavator_3"), winner,
+     {"variant": "winner", "auctioneer": "scout_1", "task_type": "excavate",
+      "status": "open", "winner": "excavator_3"}),
+    (("scout_1", TaskType.EXCAVATE, "excavator_3"),
+     lambda auction: ack(winner(auction), True),
+     {"variant": "ack", "auctioneer": "scout_1",
+      "auction_winner": "excavator_3", "verdict": "accepted"}),
+    (("scout_1", TaskType.EXCAVATE, "excavator_3"),
+     lambda auction: ack(winner(auction), False),
+     {"variant": "ack", "auctioneer": "scout_1",
+      "auction_winner": "excavator_3", "verdict": "declined"}),
+    (("excavator_1", TaskType.TRANSPORT, "hauler_2"), close,
+     {"variant": "close", "auctioneer": "excavator_1",
+      "task_type": "transport", "status": "closed",
+      "allocated_to": "hauler_2"}),
 ]
+
+
+def built(msg):
+    """The auction of an `EACH_VARIANT` entry, and the record its
+    constructor builds from it."""
+    (auctioneer, task_type, declared), make, _ = msg
+    auction = auction_of(auctioneer, task_type, LOC, declared)
+    return auction, make(auction)
 
 
 @pytest.mark.parametrize("msg", EACH_VARIANT)
 def test_record_round_trip(tmp_path, msg):
-    """A constructor's record carries every argument, the task type by its
-    value and the location as [x, y]; publishing stamps its tick and
+    """A constructor's record carries its auction's fields (an ack, those
+    of the winner record it answers), the task type by its value and the
+    location as the auction's one [x, y] list; sending stamps its tick and
     sequence number, and it survives the log file."""
-    make, args, fields = msg
     log = EventLog()
-    record = make(*args)
-    BroadcastBus(log, 1).publish(record, tick=9)
+    auction, record = built(msg)
+    send(BroadcastBus(log, 1), auction, record, 9)
     assert record == {"type": "msg", "tick": 9, "seq": 0,
-                      "variant": make.__name__, "auctioneer": args[0],
-                      "loc": [LOC.x, LOC.y], **fields}
+                      "loc": [LOC.x, LOC.y], **msg[2]}
+    assert record["loc"] is auction.loc
     path = tmp_path / "events.jsonl"
     log.dump_jsonl(path)
     assert EventLog.load_jsonl(path).records == [record]
@@ -355,7 +425,8 @@ def test_record_round_trip(tmp_path, msg):
 def test_busy_sentinel_survives_jsonl(tmp_path):
     log = EventLog()
     bus = BroadcastBus(log, 1)
-    bus.publish(bid("excavator_1", "hauler_1", LOC, float("-inf")), tick=1)
+    transport = auction_of("excavator_1", TaskType.TRANSPORT, LOC)
+    bus.publish(bid(transport, "hauler_1", NEG_INF), tick=1)
     path = tmp_path / "events.jsonl"
     log.dump_jsonl(path)
     assert "-Infinity" not in path.read_text()  # valid JSON on the wire
@@ -370,10 +441,10 @@ def test_record_keys_follow_the_schema_order(run_logs, msg):
     which fixes the bytes of the log, and is written by its variant's
     f-string writer, not by the encoder it falls back to (as it would for a
     `loc` tuple)."""
-    make, args, _ = msg
-    variant = make.__name__
-    records = [make(*args)]
-    BroadcastBus(EventLog(), 1).publish(records[0], tick=9)
+    auction, record = built(msg)
+    variant = record["variant"]
+    records = [record]
+    send(BroadcastBus(EventLog(), 1), auction, record, 9)
     for policy in POLICIES:
         logged = [r for r in run_logs.log(crowded_config(policy=policy))
                   if r["type"] == "msg" and r["variant"] == variant]
@@ -404,34 +475,36 @@ def test_deliver_steps_the_subscribers_whose_bid_scope_changed(policy):
     assert (bool(oldest_only), bool(every), bool(paired)) == {
         "fcfs": (True, False, False), "coalition": (True, False, True),
         "nearest": (False, True, False)}[policy]
-    head = ("excavator_1", TaskType.TRANSPORT, LOC)
-    behind = ("excavator_2", TaskType.TRANSPORT, OTHER)
+    head = auction_of("excavator_1", TaskType.TRANSPORT, LOC, tick=100)
+    behind = auction_of("excavator_2", TaskType.TRANSPORT, OTHER, tick=101)
+    reopened = auction_of("excavator_2", TaskType.TRANSPORT, OTHER, tick=105)
 
-    def stepped(tick, *records):
-        for record in records:
-            bus.publish(record, tick)
+    def stepped(tick, auction, make):
+        if make is close:
+            auction.winner = "hauler_9"
+        bus.post(auction, make(auction), tick)
         mail = bus.deliver(tick + 1)
         assert all(inbox == [] for inbox in mail.values())
         return set(mail)
 
-    assert stepped(100, announcement(*head)) == oldest_only | every
-    assert stepped(101, announcement(*behind)) == every
-    assert stepped(102, announcement(*behind)) == every  # its round 2
-    assert stepped(103, announcement(*head)) == oldest_only | every
-    assert stepped(104, close(*behind, "hauler_9")) == set()
-    assert stepped(105, announcement(*behind)) == every  # a reopened key
-    assert stepped(106, close(*head, "hauler_9")) == oldest_only
-    assert stepped(107, close(*behind, "hauler_9")) == oldest_only
+    assert stepped(100, head, announcement) == oldest_only | every
+    assert stepped(101, behind, announcement) == every
+    assert stepped(102, behind, announcement) == every  # its round 2
+    assert stepped(103, head, announcement) == oldest_only | every
+    assert stepped(104, behind, close) == set()
+    assert stepped(105, reopened, announcement) == every  # a reopened key
+    assert stepped(106, head, close) == oldest_only
+    assert stepped(107, reopened, close) == oldest_only
     assert bus.boards["transport"] == {}
 
 
 @pytest.mark.parametrize("gap", [1, 0], ids=["next-tick", "same-tick"])
 def test_a_reopened_key_is_a_new_auction(gap):
     """A transport key closes and reopens for the next mineral, one tick
-    apart or filed in one `deliver` in publish order: the board holds a new
-    entry, with no answers of the closed auction's, and every hauler that
+    apart or filed in one `deliver` in post order: the board holds the new
+    auction, with no answers of the closed one's, and every hauler that
     bids in its oldest auction is stepped and bids again, in round 1 of the
-    new auction, its answer in its own slot of the new entry."""
+    new auction, its answer in its own slot of the new auction."""
     sim = Simulation(crowded_config(policy="fcfs"))
     bus, records = sim.ctx.bus, sim.ctx.log.records
     haulers = {name: c for name, c in sim.ctx.controllers.items()
@@ -445,21 +518,23 @@ def test_a_reopened_key_is_a_new_auction(gap):
         return {r["bidder"]: r["utility"] for r in records
                 if r["type"] == "msg" and r["variant"] == "bid" and r["tick"] == tick}
 
-    bus.publish(announcement("excavator_1", TaskType.TRANSPORT, LOC), 10)
+    first = auction_of("excavator_1", TaskType.TRANSPORT, LOC, tick=10)
+    bus.post(first, announcement(first), 10)
     bids = deliver_and_bid(11)
     assert bids.keys() == haulers.keys()
-    first = bus.boards["transport"][key]
+    assert bus.boards["transport"][key] is first
     assert first.answers == {name: (1, bid, 11) for name, bid in bids.items()}
-    bus.publish(close("excavator_1", TaskType.TRANSPORT, LOC, "hauler_1"), 11)
+    first.winner = "hauler_1"
+    bus.post(first, close(first), 11)
     if gap:
         assert deliver_and_bid(12) == {}  # nothing left to bid in
-    bus.publish(announcement("excavator_1", TaskType.TRANSPORT, LOC), 11 + gap)
+    second = auction_of("excavator_1", TaskType.TRANSPORT, LOC, tick=11 + gap)
+    bus.post(second, announcement(second), 11 + gap)
     bids = deliver_and_bid(12 + gap)
     assert bids.keys() == haulers.keys()
-    entry = bus.boards["transport"][key]
-    assert entry is not first and entry.rounds == 1
-    assert entry.answers == {name: (1, bid, 12 + gap)
-                             for name, bid in bids.items()}
+    assert bus.boards["transport"][key] is second and second.rounds == 1
+    assert second.answers == {name: (1, bid, 12 + gap)
+                              for name, bid in bids.items()}
 
 
 def test_a_crowded_fcfs_run_reopens_a_transport_key(run_logs):
@@ -474,3 +549,37 @@ def test_a_crowded_fcfs_run_reopens_a_transport_key(run_logs):
             elif record["variant"] == "announcement" and key in closed:
                 reopened.add(key)
     assert reopened
+
+
+def auction_locs(records) -> list[set[int]]:
+    """The ids of the `loc` lists of each auction's msg records in a log,
+    one set per auction, from its first announcement to its close.  A
+    record is filed under the auction of its key announced last, so a bid
+    that races the close, logged with it or after it, belongs to the
+    closed one."""
+    current, auctions = {}, []
+    for record in records:
+        if record["type"] != "msg":
+            continue
+        key = record_auction_key(record)
+        if record["variant"] == "announcement" and (
+                key not in current or current[key][1]):
+            current[key] = [set(), False]
+            auctions.append(current[key][0])
+        current[key][0].add(id(record["loc"]))
+        if record["variant"] == "close":
+            current[key][1] = True
+    return auctions
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_every_record_of_an_auction_holds_its_one_loc_list(run_logs, policy):
+    """Every msg record of one auction, its announcements, bids, winner
+    declarations, acks and close, holds the same `loc` list object, and no
+    two auctions share one: a crowded run's log keeps one location list
+    per auction, not one per message."""
+    records = run_logs.log(crowded_config(policy=policy)).records
+    auctions = auction_locs(records)
+    assert auctions and all(len(locs) == 1 for locs in auctions)
+    assert len(set().union(*auctions)) == len(auctions)
+    assert sum(r["type"] == "msg" for r in records) > 10 * len(auctions)

@@ -329,6 +329,22 @@ def test_log_not_in_utf8_exits_3_naming_the_line(tmp_path, capsys, command):
     assert err == f"{command} failed: line 3: invalid UTF-8 (invalid start byte)\n"
 
 
+@pytest.mark.parametrize("command", ["replay", "verify"])
+@pytest.mark.parametrize("log", ["empty", "no-run-start"])
+def test_a_log_with_no_run_start_exits_3(tmp_path, capsys, command, log):
+    """An empty file, or a run's log with its run_start line removed, is no
+    run's log: verify exits 3 on it, as replay does, and names the missing
+    record."""
+    path = _run_small(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert json.loads(lines[0])["type"] == "run_start"
+    path.write_text("" if log == "empty" else "".join(lines[1:]))
+    capsys.readouterr()
+    assert main([command, "--log", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "run_start" in captured.err
+
+
 # Every scenario flag as (option string, dest, type): generated from the
 # config fields, they must not drift from the hand-written flags they replace.
 SHARED_FLAGS = [

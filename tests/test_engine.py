@@ -253,8 +253,8 @@ def selection_tick(opened: int, bid_window: int) -> int:
                            TaskType.EXCAVATE, location, opened, sim.ctx.bus)
     sim.step()
     sim.step()  # files the announcement; a window is at least 2 ticks
-    entry = sim.ctx.bus.boards["excavate"]["scout_1", location]
-    entry.answers["excavator_1"] = (entry.rounds, -2.0, opened + 1)
+    assert sim.ctx.bus.boards["excavate"]["scout_1", location] is auction
+    auction.answers["excavator_1"] = (auction.rounds, -2.0, opened + 1)
     while auction.winner is None:
         sim.step()
     return sim.tick - 1
@@ -435,8 +435,8 @@ def test_stalled_run_ends_with_the_step_all_state(policy, cap, moving):
 
 def scope_rounds(controller) -> list:
     """The open auctions inside a robot's bid scope, with their rounds."""
-    return [(entry, entry.rounds)
-            for entry in islice(controller.board.values(), controller.bid_scope)]
+    return [(auction, auction.rounds) for auction
+            in islice(controller.board.values(), controller.bid_scope)]
 
 
 def reasons_to_step(controller, tick: int, assigned: set, finds: dict,
@@ -568,7 +568,7 @@ def test_invariant_checks_run_under_optimize():
     script = """
 import sys
 import tempfile
-from conftest import tiny_config
+from conftest import auction_of, tiny_config
 from isrusim import (BroadcastBus, EventLog, ExcavatorActivity,
                      HaulerActivity, InvariantError, Point, RobotKind,
                      RobotState, Simulation, TaskType, agents, submit_bid)
@@ -597,7 +597,8 @@ expect_invariant_error(excavator.take_bucket, 0)
 hauler = sim.ctx.controllers["hauler_1"]
 hauler.state.activity = HaulerActivity.TO_SITE
 expect_invariant_error(hauler.assign_transport, "excavator_1", Point(9.0, 9.0), 0)
-wins = [winner("scout_1", TaskType.EXCAVATE, Point(x, 9.0), "excavator_2")
+wins = [winner(auction_of("scout_1", TaskType.EXCAVATE, Point(x, 9.0),
+                          "excavator_2"))
         for x in (8.0, 9.0)]
 expect_invariant_error(sim.ctx.policy.resolve_wins,
                        sim.ctx.controllers["excavator_2"].state, wins)
@@ -635,8 +636,9 @@ with tempfile.TemporaryDirectory() as out:
 robot = RobotState("excavator_1", RobotKind.EXCAVATOR, Point(0.0, 0.0),
                    ExcavatorActivity.IDLE)
 try:
-    submit_bid(robot, "scout_1", Point(9.0, 9.0), 3.0, 0,
-               BroadcastBus(EventLog(), 1))
+    submit_bid(robot,
+               auction_of("scout_1", TaskType.EXCAVATE, Point(9.0, 9.0)),
+               3.0, 0, BroadcastBus(EventLog(), 1))
 except ValueError as exc:
     print(exc)
 else:

@@ -1,6 +1,6 @@
 import math
 
-from conftest import tiny_run
+from conftest import auction_of, tiny_run
 
 from isrusim import (
     Point,
@@ -72,8 +72,8 @@ def wins_at(*distances_and_auctioneers):
     robot_pose = Point(0, 0)
     wins = []
     for distance, auctioneer in distances_and_auctioneers:
-        wins.append(winner(auctioneer, TaskType.TRANSPORT,
-                           Point(distance, 0), "hauler_1"))
+        wins.append(winner(auction_of(auctioneer, TaskType.TRANSPORT,
+                                      Point(distance, 0), "hauler_1")))
     return wins
 
 

@@ -142,6 +142,18 @@ def test_reoffer_to_next_highest_passes():
     assert verify_records(records) == []
 
 
+def test_a_log_without_one_run_start_flagged():
+    """A log with no run_start is no run's log, even an empty one, and one
+    with two joins two runs; a log with no run_end is still checked for
+    safety only, as a live log is."""
+    records = protocol_prefix()
+    assert verify_records(records) == []
+    assert {v.check for v in verify_records(records[1:])} == {"run_start"}
+    assert {v.check for v in verify_records([])} == {"run_start"}
+    joined = records + [records[0]]
+    assert {v.check for v in verify_records(joined)} == {"run_start"}
+
+
 def test_reoffer_to_declined_robot_flagged():
     records = protocol_prefix() + [
         msg(3, 3, "winner", task_type="excavate", status="open",
@@ -226,10 +238,9 @@ def test_histories_rederived_from_log_match_live_auctions(monkeypatch):
         variant = result and result["variant"]
         if variant == "winner":
             winners[key_of(auction)].append(result["winner"])
-        elif variant == "close":  # its board entry counts the rounds
-            entry = bus.boards[auction.task_type.value][key_of(auction)]
+        elif variant == "close":
             live.append((auction.auctioneer, auction.task_location,
-                         opened[key_of(auction)], entry.rounds,
+                         opened[key_of(auction)], auction.rounds,
                          winners[key_of(auction)], result["allocated_to"],
                          tick))
         return result
