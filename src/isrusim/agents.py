@@ -31,9 +31,10 @@ hauler walks to its spot as a course too, and wakes one tick after the
 walk's last move to check that it stands on the spot, or when its parent
 claims or releases a site.  A searching scout's spiral is fixed at set-up
 and moves like a courier's course: its first step works out the tick at
-which it first has each site in scan range (`find_schedule`), and it wakes
-only at such a tick of a site still undiscovered, at the spiral's last move,
-or on mail.  The moves due since a robot's last step are applied only when
+which it first has each site in scan range (`find_schedule`, one lookup
+per site in its path's `world.sweep_reach`), and it wakes only at such a
+tick of a site still undiscovered, at the spiral's last move, or on mail.
+The moves due since a robot's last step are applied only when
 its pose is read (`RobotController.sync`).  Both the ticks of the moves and
 the moves themselves follow the one motion rule of `pathing` (`moves_to`,
 `PathCursor.advance`), and no walk is worked out past the run's tick cap.
@@ -62,16 +63,14 @@ from .events import AuctionKey, record_auction_key
 from .pathing import PathCursor, PathEstimate, estimate_path, make_path, moves_to
 from .spiral import SpiralPlan
 from .world import (
-    GRID_PAD,
     InvariantError,
     Point,
     ResourceSite,
     RobotKind,
     TaskType,
-    _Grid,
     claim_site,
     release_site,
-    scan_reach,
+    sweep_reach,
     transfer_mineral_to_plant,
 )
 
@@ -157,18 +156,12 @@ def find_schedule(path: PathEstimate, sites: Sequence[ResourceSite],
     ends at or past A* (`moves_to`), or at `tick_cap`, which a run never
     reaches, if none before it does; A* == 0 is the scan of the spawn point
     at tick 0 (segment -1).  Within a tick the spawn scan comes first, then
-    lower segments, then lower `site_id`.  Only the sites in the grid cells
-    near a segment are tested."""
-    grid = _Grid(2.0 * radius, ((s.location.x, s.location.y, s) for s in sites))
-    first: dict[int, tuple[float, int, ResourceSite]] = {}
-    for i, (a, b, start, length) in enumerate(zip(
-            path.waypoints, path.waypoints[1:], path.prefix, path.segments)):
-        for site in grid.near(a, b, radius + GRID_PAD):
-            reach = scan_reach(site.location, a, b, length, radius)
-            if reach is not None and start + reach < first.get(
-                    site.site_id, (math.inf,))[0]:
-                first[site.site_id] = (start + reach, i, site)
-    hits = sorted(first.values(), key=lambda hit: hit[0])
+    lower segments, then lower `site_id`.  Each site is one lookup in the
+    path's `sweep_reach`."""
+    lookup = sweep_reach(path, radius)
+    hits = [(*hit, site) for site in sites
+            if (hit := lookup(site.location)) is not None]
+    hits.sort(key=lambda hit: hit[0])
     ticks = moves_to(path.length, speed, [arc for arc, _, _ in hits], tick_cap)
     finds = [(tick, i if arc else -1, site)
              for tick, (arc, i, site) in zip(ticks, hits)]

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .engine import run_to_completion
+from .engine import Simulation, finish
 from .events import EventLog, LogParseError
 from .metrics import (
     MetricsError,
@@ -85,9 +85,10 @@ def parse_seed_spec(spec: str) -> list[int]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _scenario_from_args(args)
+    sim = Simulation(config, snapshots=args.snapshots)  # before writing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # fail before simulating
-    result = run_to_completion(config, snapshots=args.snapshots)
+    result = finish(sim)
     result.log.dump_jsonl(out / "events.jsonl")
     write_metrics_csv([result.metrics], out / "metrics.csv")
     _write_json(out / "summary.json", build_summary([result.metrics]))

@@ -277,9 +277,10 @@ def sweep(policies: Sequence[str], seeds: Sequence[int],
     A policy or seed given twice raises, as would double-count its run, and
     so does one its config refuses (a seed of 2.7 or True), before anything
     is written.  Every scenario of the grid is generated before the first
-    run, so a grid holding one that the generator rejects raises before
-    anything is run or written.  Runs execute sequentially in a fixed order, so repeated sweeps
-    with the same arguments produce byte-identical outputs.  Stalled runs
+    run and before `out_dir` is made, so a grid holding one that the
+    generator rejects raises before anything is run or written.  Runs
+    execute sequentially in a fixed order, so repeated sweeps with the same
+    arguments produce byte-identical outputs.  Stalled runs
     are flagged in the CSV and summary, never dropped.  `on_run` is invoked
     with each finished run before its log is released (useful for per-run
     verification without holding 60 logs in memory).
@@ -295,12 +296,11 @@ def sweep(policies: Sequence[str], seeds: Sequence[int],
     base = base_config if base_config is not None else ScenarioConfig()
     configs = [replace(base, policy=policy, seed=seed)
                for policy in policies for seed in seeds]
+    grid = [Simulation(config, snapshots=snapshots) for config in configs]
+    grid.reverse()
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)  # fail before simulating
-
-    grid = [Simulation(config, snapshots=snapshots) for config in configs]
-    grid.reverse()
     reports: list[MetricsReport] = []
     while grid:
         sim = grid.pop()  # the grid keeps no finished run

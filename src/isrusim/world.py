@@ -4,7 +4,9 @@ The arena is a flat square with the processing plant at its center and a
 number of resource sites scattered around it.  Each site holds an integer
 number of mineral units; one mineral unit is exactly one hauler load.
 Scenario generation is a pure function of the configuration (seed included),
-which is what makes whole simulation runs replayable bit for bit.
+which is what makes whole simulation runs replayable bit for bit.  Where a
+path's sweep first has a point in scan range is one lookup, `sweep_reach`,
+which the generator and each scout's find schedule both use.
 
 A run's configuration is one flat `ScenarioConfig`, whose typed fields are
 the keys of a scenario file and of the CLI's scenario flags (`SCENARIO_KEYS`).
@@ -19,12 +21,13 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple,
-                    Sequence, get_type_hints)
+from typing import (TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence,
+                    get_type_hints)
 
 from .events import first_invalid_utf8_line
 
 if TYPE_CHECKING:
+    from .pathing import PathEstimate
     from .spiral import SpiralPlan
 
 
@@ -54,9 +57,8 @@ PLANT_CLEARANCE_FACTOR = 2.0
 MAX_PLACEMENT_ATTEMPTS = 10_000
 # Robots start evenly spaced on a circle of this radius around the plant.
 START_CIRCLE_RADIUS = 5.0
-# Meters added to the reach of both grid lookups, sites near a scout's path
-# segment and sweep segments near a site candidate: far above any rounding
-# error.
+# Meters, far above any rounding error, that `sweep_reach` adds to the reach
+# of a lookup and to the length up to which it buckets a segment.
 GRID_PAD = 1e-6
 
 
@@ -206,26 +208,6 @@ class ScenarioConfig:
                 for kind, count in zip(RobotKind, counts) for i in range(count)]
 
 
-class _Grid:
-    """Items bucketed by the grid cell, of side `cell`, of the (x, y) given with
-    each; `near` gives those in the cells overlapping a-b's box grown by `reach`."""
-
-    def __init__(self, cell: float, items: Iterable[tuple[float, float, object]]):
-        self.cell = cell
-        self.buckets: dict[tuple[int, int], list] = {}
-        for x, y, item in items:
-            self.buckets.setdefault((int(x // cell), int(y // cell)), []).append(item)
-
-    def near(self, a: Point, b: Point, reach: float) -> list:
-        cell, buckets = self.cell, self.buckets
-        columns = range(int((min(a.x, b.x) - reach) // cell),
-                        int((max(a.x, b.x) + reach) // cell) + 1)
-        rows = range(int((min(a.y, b.y) - reach) // cell),
-                     int((max(a.y, b.y) + reach) // cell) + 1)
-        return [item for ix in columns for iy in rows
-                for item in buckets.get((ix, iy), ())]
-
-
 @dataclass
 class WorldState:
     """Shared mutable world: sites and plant stock."""
@@ -254,20 +236,37 @@ def scan_reach(p: Point, a: Point, b: Point, length: float,
     return first if first <= min(length, along + half) else None
 
 
-def _blind_spot_test(plans: Sequence[SpiralPlan],
-                     scan_radius: float) -> Callable[[Point], bool]:
-    """Whether no segment the plans sweep ever has a point in scan range
-    (`scan_reach`).  Only segments whose midpoints lie within scan_radius
-    plus half a segment of it are tested."""
-    sweep = [(a, b, a.distance_to(b)) for plan in plans
-             for a, b in zip(plan.waypoints, plan.waypoints[1:])]
-    grid = _Grid(2.0 * scan_radius, (
-        ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0, (a, b, length))
-        for a, b, length in sweep))
-    reach = (scan_radius + GRID_PAD
-             + max((length for _, _, length in sweep), default=0.0) / 2.0)
-    return lambda p: all(scan_reach(p, a, b, length, scan_radius) is None
-                         for a, b, length in grid.near(p, p, reach))
+def sweep_reach(path: PathEstimate,
+                scan_radius: float) -> Callable[[Point], tuple[float, int] | None]:
+    """The lookup of where a scanner of `scan_radius` sweeping `path` first
+    has a point in range: the least (`prefix[i] + scan_reach(...)`, i) over
+    its segments i, or None if none ever has it in range.  Segments of at
+    most one cell (to within GRID_PAD), as spiral steps are, are bucketed by
+    the cell of their midpoint and tested only from the cells within
+    scan_radius + cell/2 + GRID_PAD of the point; longer ones, such as a
+    scout's spawn leg, are tested for every point."""
+    cell = 2.0 * scan_radius
+    waypoints, segments, prefix = path.waypoints, path.segments, path.prefix
+    buckets: dict[tuple[int, int], list[int]] = {}
+    long: list[int] = []
+    for i, (a, b, length) in enumerate(zip(waypoints, waypoints[1:], segments)):
+        if length > cell + GRID_PAD:
+            long.append(i)
+        else:
+            buckets.setdefault((int((a.x + b.x) / 2.0 // cell),
+                                int((a.y + b.y) / 2.0 // cell)), []).append(i)
+    reach = scan_radius + cell / 2.0 + GRID_PAD
+
+    def lookup(p: Point) -> tuple[float, int] | None:
+        columns = range(int((p.x - reach) // cell), int((p.x + reach) // cell) + 1)
+        rows = range(int((p.y - reach) // cell), int((p.y + reach) // cell) + 1)
+        near = [i for ix in columns for iy in rows for i in buckets.get((ix, iy), ())]
+        return min(((prefix[i] + arc, i) for i in long + near
+                    if (arc := scan_reach(p, waypoints[i], waypoints[i + 1],
+                                          segments[i], scan_radius)) is not None),
+                   default=None)
+
+    return lookup
 
 
 def generate_scenario(config: ScenarioConfig,
@@ -286,15 +285,17 @@ def generate_scenario(config: ScenarioConfig,
 
     `plans` are the scouts' coverage plans for the config; None builds them.
     """
+    from .pathing import make_path  # imported here: both import this module
+    from .spiral import build_spiral
     if plans is None:
-        from .spiral import build_spiral  # import here: spiral imports this module
         plans = build_spiral(config.arena_side, config.cell_side, config.n_scouts)
+    sweeps = [sweep_reach(make_path(plan.waypoints), config.scan_radius)
+              for plan in plans if plan.visit_order]
     rng = random.Random(config.seed)
     side = config.arena_side
     plant = Point(side / 2.0, side / 2.0)
     margin = config.scan_radius
     plant_clearance = PLANT_CLEARANCE_FACTOR * config.scan_radius
-    blind = _blind_spot_test(plans, config.scan_radius)
 
     locations: list[Point] = []
     attempts = 0
@@ -310,7 +311,7 @@ def generate_scenario(config: ScenarioConfig,
             continue
         if any(candidate.distance_to(p) < config.scan_radius for p in locations):
             continue
-        if blind(candidate):
+        if all(lookup(candidate) is None for lookup in sweeps):
             continue  # inside a scan blind spot: unreachable by any scout
         locations.append(candidate)
 
@@ -380,7 +381,7 @@ def _a(kind: type) -> str:
 def parse_scenario_file(path: str | Path) -> dict[str, object]:
     """Parse a flat `key = value` scenario file (# starts a comment) into
     values of their fields' types.  A key set twice is an error, not a
-    silent override, and so is a value its field's type cannot read."""
+    silent override, and so is a value its field cannot read or hold."""
     values: dict[str, object] = {}
     set_on: dict[str, int] = {}  # key -> the line that set it
     data = Path(path).read_bytes()
@@ -404,10 +405,14 @@ def parse_scenario_file(path: str | Path) -> dict[str, object]:
                              f"set on line {set_on[key]}")
         kind = SCENARIO_KEYS[key]
         try:
-            values[key] = kind(value)
+            read = kind(value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key} must be {_a(kind)}, "
                              f"got {value!r}") from None
+        try:  # a float reads "nan" and "1e400", which no field holds
+            values[key] = _typed(key, kind, read)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         set_on[key] = lineno
     return values
 

@@ -228,9 +228,10 @@ def test_scan_reach_agrees_with_the_distance_at_the_radius_and_on_borders():
 
 
 def test_grid_scan_tests_a_small_fraction_of_the_sites(monkeypatch):
-    """Work guard: on the reference and arena200 scenarios, a scout's find
-    schedule calls `scan_reach` under 1/20 as often as testing every site
-    against every segment of its path would."""
+    """Work guard: on the reference and arena200 scenarios, and on a 20 m
+    arena of 0.25 m scan radius, whose spawn legs span about 10 cells, a
+    scout's find schedule calls `scan_reach` under 1/20 as often as testing
+    every site against every segment of its path would."""
     calls = 0
 
     def counted(*args):
@@ -238,8 +239,10 @@ def test_grid_scan_tests_a_small_fraction_of_the_sites(monkeypatch):
         calls += 1
         return scan_reach(*args)
 
-    monkeypatch.setattr(agents, "scan_reach", counted)
-    for config in (ScenarioConfig(seed=0), ARENA200):
+    monkeypatch.setattr("isrusim.world.scan_reach", counted)
+    for config in (ScenarioConfig(seed=0), ARENA200,
+                   ScenarioConfig(arena_side=20.0, scan_radius=0.25,
+                                  n_sites=20, n_minerals=20)):
         sim = Simulation(config)
         sites = sim.ctx.world.sites
         for name in ("scout_1", "scout_2"):

@@ -227,7 +227,8 @@ def test_non_finite_speed_in_config_file_is_an_error(tmp_path, capsys):
     cfg.write_text("robot_speed = nan\n")
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: robot_speed")
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:1: robot_speed must be a finite number, got nan\n")
 
 
 @pytest.mark.parametrize("command, field", [("verify", "'seq'"),
@@ -298,13 +299,26 @@ def test_out_beneath_a_regular_file_exits_1(tmp_path, capsys, monkeypatch,
     """The output directory is made before the first run, so an unusable
     `--out` fails without simulating."""
     simulate = mock.Mock(side_effect=AssertionError("simulated"))
-    monkeypatch.setattr("isrusim.cli.run_to_completion", simulate)
-    monkeypatch.setattr("isrusim.engine.run_to_completion", simulate)
+    monkeypatch.setattr("isrusim.engine.Simulation.run", simulate)
     (tmp_path / "file").write_text("")
     capsys.readouterr()
     assert main([*command, *SMALL, "--out", str(tmp_path / out)]) == 1
     _one_error_line(capsys)
     simulate.assert_not_called()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--policies", "fcfs",
+                                                "--seeds", "0"]],
+                         ids=["run", "sweep"])
+def test_scenario_the_generator_rejects_writes_nothing(tmp_path, capsys,
+                                                       command):
+    """Twelve sites cannot all be placed in a 30 m arena of 5 m scan
+    radius: the error comes before `--out` is made."""
+    out = tmp_path / "o"
+    assert main([*command, "--arena", "30", "--scan-radius", "5", "--sites",
+                 "12", "--minerals", "12", "--out", str(out)]) == 1
+    assert "could not place 12 sites" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_config_not_in_utf8_exits_1_naming_the_line(tmp_path, capsys):

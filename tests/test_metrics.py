@@ -204,7 +204,7 @@ def test_csv_is_byte_identical_across_sweeps(tmp_path):
 
 def test_sweep_rejects_a_grid_it_cannot_run_before_running_it(tmp_path, monkeypatch):
     """Seeds 1 and 3 of this dense arena place their sites and seed 0 does
-    not: the sweep raises before it runs a scenario or writes a file."""
+    not: the sweep raises before it runs a scenario or makes `out_dir`."""
     from isrusim import engine
 
     base = ScenarioConfig(arena_side=30, scan_radius=3, n_sites=45,
@@ -215,7 +215,7 @@ def test_sweep_rejects_a_grid_it_cannot_run_before_running_it(tmp_path, monkeypa
     out = tmp_path / "out"
     with pytest.raises(ScenarioGenerationError):
         sweep(["fcfs"], [1, 3, 0], base_config=base, out_dir=out)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("policies, seeds, repeated", [

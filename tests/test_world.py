@@ -26,12 +26,12 @@ from isrusim.pathing import make_path
 from isrusim.world import (
     START_CIRCLE_RADIUS,
     ResourceSite,
-    _blind_spot_test,
     build_config,
     claim_site,
     parse_scenario_file,
     release_site,
     scan_reach,
+    sweep_reach,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -165,11 +165,14 @@ def test_site_lists_are_pinned(name):
     assert site_digest(world) == pin["sha256"]
 
 
-def linear_blind_spot(plans, scan_radius, p) -> bool:
-    """The blind-spot rule tested against every segment of the sweep."""
-    return all(scan_reach(p, a, b, a.distance_to(b), scan_radius) is None
-               for plan in plans
-               for a, b in zip(plan.waypoints, plan.waypoints[1:]))
+def linear_reach(path, scan_radius, p) -> tuple[float, int] | None:
+    """The sweep-reach rule tested against every segment of the path: the
+    least (arc, segment) at which `scan_reach` has p in range."""
+    return min(((start + arc, i) for i, (a, b, start) in enumerate(
+                    zip(path.waypoints, path.waypoints[1:], path.prefix))
+                if (arc := scan_reach(p, a, b, a.distance_to(b),
+                                      scan_radius)) is not None),
+               default=None)
 
 
 def _nudge(value: float, ulps: int) -> float:
@@ -179,12 +182,12 @@ def _nudge(value: float, ulps: int) -> float:
 
 
 @st.composite
-def points_near_a_segment(draw, plans, scan_radius) -> Point:
-    """A point a few ulps from distance `scan_radius` of a sweep segment:
-    off a waypoint in any direction, or off a segment at a right angle."""
-    waypoints = draw(st.sampled_from([plan.waypoints for plan in plans
-                                      if plan.visit_order]))
-    i = draw(st.integers(0, len(waypoints) - 1))
+def points_near_a_segment(draw, paths, scan_radius) -> Point:
+    """A point a few ulps from distance `scan_radius` of a path segment,
+    often the first (a scout's spawn leg): off a waypoint in any direction,
+    or off a segment at a right angle."""
+    waypoints = draw(st.sampled_from([path.waypoints for path in paths]))
+    i = draw(st.just(0) | st.integers(0, len(waypoints) - 1))
     a, b = waypoints[i], waypoints[min(i + 1, len(waypoints) - 1)]
     t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     angle = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0))
@@ -194,19 +197,50 @@ def points_near_a_segment(draw, plans, scan_radius) -> Point:
                  _nudge(y, draw(st.integers(-4, 4))))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(data=st.data(), cells=st.integers(1, 24),
-       scan_radius=st.floats(0.75, 5.0), n_scouts=st.integers(1, 2))
-def test_bucketed_blind_spot_test_agrees_with_the_linear_one(
-        data, cells, scan_radius, n_scouts):
+def sweeps(cells: int, scan_radius: float, n_scouts: int,
+           spawn_angle: float) -> list:
+    """(plan path, scout path) for each plan of a grid of `cells` cells a
+    side: the scout path starts at a spawn on the start circle, at
+    `spawn_angle` half-turns, and walks its leg to the plan's first
+    waypoint.  A one-cell grid's second plan is empty, and left out."""
     cell = 2.0 * scan_radius
     plans = build_spiral(cells * cell, cell, n_scouts)
-    blind = _blind_spot_test(plans, scan_radius)
-    coordinate = st.floats(-scan_radius, cells * cell + scan_radius)
+    center = cells * scan_radius
+    spawn = Point(center + START_CIRCLE_RADIUS * math.cos(spawn_angle * math.pi),
+                  center + START_CIRCLE_RADIUS * math.sin(spawn_angle * math.pi))
+    return [(make_path(plan.waypoints), make_path((spawn,) + plan.waypoints))
+            for plan in plans if plan.visit_order]
+
+
+def test_sweep_reach_tests_a_long_segment_for_every_point():
+    """A point 0.99 m before the start of a leg of 1.9 cells of 2 m, as a
+    scout's spawn leg can be, is in range from arc 0, though the cell of
+    the leg's midpoint lies past the cells a lookup reads its buckets from."""
+    path = make_path([Point(0.9, 0.5), Point(4.7, 0.5), Point(4.7, 2.5)])
+    lookup = sweep_reach(path, 1.0)
+    assert lookup(Point(-0.09, 0.5)) == (0.0, 0)
+    assert lookup(Point(4.7, 3.5)) == (path.prefix[1] + 2.0, 1)
+    assert lookup(Point(-1.2, 0.5)) is None
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), cells=st.integers(1, 24),
+       scan_radius=st.floats(0.25, 5.0), n_scouts=st.integers(1, 2),
+       spawn_angle=st.floats(0.0, 2.0))
+def test_sweep_reach_agrees_with_the_linear_one(
+        data, cells, scan_radius, n_scouts, spawn_angle):
+    """On plan paths and on scout paths, spawn leg included (up to ten cells
+    long at scan_radius 0.25), the lookup gives the least (arc, segment)
+    over every segment of the path, or None exactly when none reaches."""
+    paths = [path for pair in sweeps(cells, scan_radius, n_scouts, spawn_angle)
+             for path in pair]
+    lookups = [(sweep_reach(path, scan_radius), path) for path in paths]
+    coordinate = st.floats(-scan_radius, cells * 2.0 * scan_radius + scan_radius)
     uniform = st.builds(Point, coordinate, coordinate)
-    for p in data.draw(st.lists(uniform | points_near_a_segment(plans, scan_radius),
+    for p in data.draw(st.lists(uniform | points_near_a_segment(paths, scan_radius),
                                 min_size=1, max_size=12)):
-        assert blind(p) == linear_blind_spot(plans, scan_radius, p), p
+        for lookup, path in lookups:
+            assert lookup(p) == linear_reach(path, scan_radius, p), p
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -215,20 +249,19 @@ def test_bucketed_blind_spot_test_agrees_with_the_linear_one(
        speed=st.floats(0.3, 5.0))
 def test_every_point_the_generator_accepts_is_found(
         data, cells, scan_radius, n_scouts, speed):
-    """Liveness: a site at a point the blind-spot test accepts for a plan
-    is in the find schedule of the scout that sweeps that plan."""
-    cell = 2.0 * scan_radius
-    plans = build_spiral(cells * cell, cell, n_scouts)
-    spawn = Point(cells * scan_radius + START_CIRCLE_RADIUS, cells * scan_radius)
-    scouts = [(_blind_spot_test([plan], scan_radius),
-               make_path((spawn,) + plan.waypoints)) for plan in plans]
-    coordinate = st.floats(-scan_radius, cells * cell + scan_radius)
+    """Liveness: a site at a point that a plan's lookup reaches, as the
+    generator requires of some plan, is in the find schedule of the scout
+    that sweeps that plan."""
+    pairs = sweeps(cells, scan_radius, n_scouts, 0.0)
+    scouts = [(sweep_reach(plan_path, scan_radius), path)
+              for plan_path, path in pairs]
+    coordinate = st.floats(-scan_radius, cells * 2.0 * scan_radius + scan_radius)
     uniform = st.builds(Point, coordinate, coordinate)
-    for p in data.draw(st.lists(uniform | points_near_a_segment(plans, scan_radius),
-                                min_size=1, max_size=12)):
+    near = points_near_a_segment([plan_path for plan_path, _ in pairs], scan_radius)
+    for p in data.draw(st.lists(uniform | near, min_size=1, max_size=12)):
         site = ResourceSite(0, p, 1, 1)
-        for blind, path in scouts:
-            if not blind(p):
+        for lookup, path in scouts:
+            if lookup(p) is not None:
                 assert find_schedule(path, [site], scan_radius, speed, 10**9), p
 
 
@@ -365,9 +398,13 @@ def test_scenario_file_key_set_twice(tmp_path):
     ("n_sites = abc", "n_sites must be an int, got 'abc'"),
     ("arena_side = 5 m", "arena_side must be a float, got '5 m'"),
     ("tick_cap = 1e5", "tick_cap must be an int, got '1e5'"),
-], ids=["int", "float", "int-in-float-notation"])
+    ("arena_side = nan", "arena_side must be a finite number, got nan"),
+    ("arena_side = 1e400", "arena_side must be a finite number, got inf"),
+    ("scan_radius = -inf", "scan_radius must be a finite number, got -inf"),
+], ids=["int", "float", "int-in-float-notation", "nan", "overflow", "minus-inf"])
 def test_scenario_file_value_of_the_wrong_type(tmp_path, text, message):
-    """A value its field's type cannot read names the file, line and key."""
+    """A value its field's type cannot read, or reads as a number its field
+    cannot hold, names the file, line and key."""
     path = tmp_path / "typed.cfg"
     path.write_text(f"seed = 4\n\n{text}\n")
     with pytest.raises(ValueError) as caught:
