@@ -21,7 +21,6 @@ from .auction import (
     handle_ack,
     open_auction,
     select_winner,
-    submit_bid,
 )
 from .bus import BroadcastBus
 from .engine import RunResult, RunStatus, SimContext, Simulation, run_to_completion
@@ -70,6 +69,6 @@ __all__ = [
     "derive_auction_histories", "estimate_path", "evaluate_self_utility",
     "generate_scenario", "handle_ack", "make_policy", "open_auction",
     "ring_index", "run_to_completion", "select_winner",
-    "submit_bid", "sweep", "transfer_mineral_to_plant",
+    "sweep", "transfer_mineral_to_plant",
     "verify_records",
 ]

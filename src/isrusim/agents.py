@@ -56,9 +56,8 @@ from .auction import (
     handle_ack,
     open_auction,
     select_winner,
-    submit_bid,
 )
-from .bus import Board, ack
+from .bus import Board
 from .events import AuctionKey, record_auction_key
 from .pathing import PathCursor, PathEstimate, estimate_path, make_path, moves_to
 from .spiral import SpiralPlan
@@ -267,9 +266,9 @@ class RobotController:
         accept, declines = self.ctx.policy.resolve_wins(self.state, wins)
         if accept is not None:
             self._accept_win(accept, tick)
-            self.ctx.bus.publish(ack(accept, True), tick)
+            self.ctx.bus.ack(accept, True, tick)
         for declined in declines:
-            self.ctx.bus.publish(ack(declined, False), tick)
+            self.ctx.bus.ack(declined, False, tick)
 
     def _accept_win(self, win: dict, tick: int) -> None:
         raise NotImplementedError(f"{self.state.kind} does not take tasks")
@@ -296,8 +295,8 @@ class RobotController:
             if answer is None or answer[0] < auction.rounds or (
                     answer[1] == NEG_INF and not state.busy):
                 utility = evaluate_self_utility(state, auction.task_location)
+                self.ctx.bus.bid(auction, name, utility, tick)
                 auction.answers[name] = (auction.rounds, utility, tick)
-                submit_bid(state, auction, utility, tick, self.ctx.bus)
 
     def _act(self, tick: int) -> None:
         raise NotImplementedError

@@ -22,8 +22,8 @@ winner selection.
 
 Only capable robots bid: a controller subscribes, when it is built, to the
 one task type its kind can do (`agents.RobotController` checks that), so no
-bid needs a capability test.  `submit_bid`, the one place a bid is made,
-checks its utility.
+bid needs a capability test.  `bus.BroadcastBus.bid`, the one place a bid
+is made, checks its utility.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from .bus import BroadcastBus, announcement, bid, close, winner
+from .bus import BroadcastBus
 from .events import NEG_INF, AuctionKey
 from .world import Point, RobotKind, TaskType
 
@@ -82,7 +82,7 @@ def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
     if key in book:
         raise ValueError(f"auction {key} is already open")
     book[key] = auction = Auction(auctioneer, task_type, task_location, tick)
-    bus.post(auction, announcement(auction), tick)
+    bus.post(auction, tick)
     return auction
 
 
@@ -104,7 +104,7 @@ def _reannounce(auction: Auction, tick: int, bus: BroadcastBus) -> None:
     auction.round_opened_tick = tick
     auction.bids = {}
     auction.winner = None
-    bus.post(auction, announcement(auction), tick)
+    bus.post(auction, tick)
 
 
 def _offer_next(auction: Auction, tick: int,
@@ -116,9 +116,7 @@ def _offer_next(auction: Auction, tick: int,
         _reannounce(auction, tick, bus)
         return None
     auction.winner = best
-    decl = winner(auction)
-    bus.publish(decl, tick)
-    return decl
+    return bus.declare(auction, tick)
 
 
 def select_winner(auction: Auction, tick: int,
@@ -152,9 +150,7 @@ def handle_ack(auction: Auction, record: dict, tick: int,
     if record["auction_winner"] != auction.winner:
         return None
     if record["verdict"] == "accepted":
-        closing = close(auction)
-        bus.post(auction, closing, tick)
-        return closing
+        return bus.post(auction, tick)
     del auction.bids[auction.winner]
     return _offer_next(auction, tick, bus)
 
@@ -168,15 +164,3 @@ def evaluate_self_utility(robot: "RobotState",
         return NEG_INF
     return -robot.pose.distance_to(task_location)
 
-
-def submit_bid(robot: "RobotState", auction: Auction, utility: float,
-               tick: int, bus: BroadcastBus) -> dict:
-    """Publish a bid in `auction` and return its record.  A utility is
-    never positive; -inf is the busy sentinel.  The one comparison also
-    rejects NaN."""
-    if not utility <= 0.0:
-        raise ValueError(f"{robot.name} bid utility {utility}; a utility "
-                         f"must be <= 0 or -inf")
-    record = bid(auction, robot.name, utility)
-    bus.publish(record, tick)
-    return record

@@ -1,29 +1,29 @@
-"""Message transport, the open-auction boards and the five auction message
-constructors.
+"""Message transport and the open-auction boards.
 
-A message is its log record: a msg record of `events`, built by one of the
-constructors below with its keys in schema order, ("type",) +
-RECORD_FIELDS["msg"] + MSG_FIELDS[variant], its `tick` and `seq` left for
-the bus to stamp.  Each constructor takes its fields from the auction the
-message belongs to (`auction.Auction`), an ack from the winner record it
-answers, so every record of one auction holds that auction's one `loc`
-list.  The bus appends the record to the log and puts that same object
-into its recipient's inbox, so a robot must never mutate a record it
-receives: the log, and every other record of the auction, would change
-with it.  The auction a message belongs to is `events.record_auction_key`,
-live and in the log.
+A message is its log record: a msg record of `events`, built by the
+`BroadcastBus` method of its kind (`post` an announcement or close, `bid`,
+`declare` a winner, `ack`) with its keys in schema order, ("type",) +
+RECORD_FIELDS["msg"] + MSG_FIELDS[variant].  Each method takes the fields
+from the auction the message belongs to (`auction.Auction`), an ack from
+the winner record it answers, so every record of one auction holds that
+auction's one `loc` list; it routes the record and `publish`es it, which
+stamps its `tick` and `seq` and appends it to the log.  The bus puts that
+same object into its recipient's inbox, so a robot must never mutate a
+record it receives: the log, and every other record of the auction, would
+change with it.  The auction a message belongs to is
+`events.record_auction_key`, live and in the log.
 
 Every message is delivered with no loss, in publish order; its global
-sequence number makes that order total.  `publish` takes acks, winner
-declarations and bids.  An inbox holds only acks and winner declarations:
-an ack goes to the auctioneer's inbox at the start of the next tick, a
-winner declaration to the winner's `win_latency` ticks after it is
-published (the scenario's `win_resolution_window`).  A bid enters no
-inbox: it is logged, and its bidder writes it in its own slot of the
-auction's `answers`, where the auctioneer reads the round's bids when the
-bidding window closes (`auction.select_winner`).  Announcements and closes
-enter no inbox either: the auctioneer `post`s each with its auction, and
-`deliver` files the auction the next tick, in post order, on the board of
+sequence number makes that order total.  An inbox holds only acks and
+winner declarations: an ack goes to the auctioneer's inbox at the start of
+the next tick, a winner declaration to the winner's `win_latency` ticks
+after it is declared (the scenario's `win_resolution_window`).  A bid
+enters no inbox: it is logged, and its bidder writes it in its own slot of
+the auction's `answers`, where the auctioneer reads the round's bids when
+the bidding window closes (`auction.select_winner`).  Announcements and
+closes enter no inbox either: the auctioneer `post`s its auction, which
+logs an announcement while it has no winner and its close once it has one,
+and `deliver` files the auction the next tick, in post order, on the board of
 its task type, which every robot that bids on that type reads
 (`subscribe`).  A board maps each open auction's key, `record_auction_key`
 of its records, to the auctioneer's own `Auction` object, oldest first by
@@ -50,11 +50,10 @@ writes only that slot; `bids`, `winner` and `round_opened_tick` belong to
 the auctioneer.  A scenario with message loss or delay per robot would
 need a view per robot again, and bids delivered by message with it.
 
-The constructors check nothing: each field is checked once, where its value
-comes from.  Robot names are checked when the fleet is built
-(`engine.Simulation`), a controller's task type when it is built, against
-its kind (`agents.RobotController`), and a bid's utility by
-`auction.submit_bid`, the one place a bid is made.
+Only a bid's utility is checked here, by `bid`, the one place a bid is
+made.  Every other field is checked once, where its value comes from:
+robot names when the fleet is built (`engine.Simulation`), a controller's
+task type when it is built, against its kind (`agents.RobotController`).
 """
 
 from __future__ import annotations
@@ -67,49 +66,6 @@ from .world import TaskType
 
 if TYPE_CHECKING:
     from .auction import Auction
-
-
-def announcement(auction: Auction) -> dict:
-    """A round of `auction` put up for bids (status is always 'open')."""
-    return {"type": "msg", "tick": None, "seq": None, "variant": "announcement",
-            "auctioneer": auction.auctioneer, "loc": auction.loc,
-            "task_type": auction.task_type.value, "status": "open"}
-
-
-def bid(auction: Auction, bidder: str, utility: float) -> dict:
-    """A bidder's utility for `auction`'s task: -path_cost, hence never
-    positive; negative infinity is the busy sentinel of a robot that is
-    capable but currently occupied."""
-    return {"type": "msg", "tick": None, "seq": None, "variant": "bid",
-            "auctioneer": auction.auctioneer, "loc": auction.loc,
-            "bidder": bidder, "utility": utility}
-
-
-def winner(auction: Auction) -> dict:
-    """The auctioneer names the bidder it picked, `auction.winner` (the
-    auction stays open)."""
-    return {"type": "msg", "tick": None, "seq": None, "variant": "winner",
-            "auctioneer": auction.auctioneer, "loc": auction.loc,
-            "task_type": auction.task_type.value, "status": "open",
-            "winner": auction.winner}
-
-
-def ack(win: dict, accepted: bool) -> dict:
-    """The winner named by `win`, a winner record, accepts or declines the
-    task."""
-    return {"type": "msg", "tick": None, "seq": None, "variant": "ack",
-            "auctioneer": win["auctioneer"], "loc": win["loc"],
-            "auction_winner": win["winner"],
-            "verdict": "accepted" if accepted else "declined"}
-
-
-def close(auction: Auction) -> dict:
-    """The auction ends; its task is allocated to `auction.winner` (status
-    'closed')."""
-    return {"type": "msg", "tick": None, "seq": None, "variant": "close",
-            "auctioneer": auction.auctioneer, "loc": auction.loc,
-            "task_type": auction.task_type.value, "status": "closed",
-            "allocated_to": auction.winner}
 
 
 Board = dict[AuctionKey, "Auction"]
@@ -156,41 +112,73 @@ class BroadcastBus:
             scope, []).append(robot)
         return self.boards[task_type.value]
 
-    def _stamp(self, record: dict, tick: int) -> None:
-        """Stamp a message record with `tick` and its sequence number, and
-        log it."""
+    def publish(self, record: dict, tick: int) -> dict:
+        """Stamp a message record with `tick` and its sequence number, log
+        it and return it.  Every message passes through here."""
         record["tick"] = tick
         record["seq"] = self._sequence
         self._sequence += 1
         self._log.append(record)
+        return record
 
-    def publish(self, record: dict, tick: int) -> None:
-        """Stamp and log an ack, winner declaration or bid, and put an ack
-        in its auctioneer's inbox for tick + 1, a winner declaration in the
-        winner's inbox for tick + `win_latency`.  A bid goes nowhere else.
-        An announcement or close is refused: it is `post`ed with its
-        auction."""
-        variant = record["variant"]
-        if variant != "bid":
-            if variant == "ack":
-                robot, due = record["auctioneer"], tick + 1
-            elif variant == "winner":
-                robot, due = record["winner"], tick + self._win_latency
-            else:
-                raise ValueError(f"an {variant} is posted with its auction, "
-                                 f"not published")
-            self._mail.setdefault(due, {}).setdefault(robot, []).append(record)
-        self._stamp(record, tick)
-
-    def post(self, auction: Auction, record: dict, tick: int) -> None:
-        """Stamp and log `record`, an announcement or the close of
-        `auction`, and file the auction on the board of its task type at
-        tick + 1.  A close is posted with its winner declared, an
-        announcement with none, and neither changes before it is filed: a
-        round's window is at least two ticks long, and a closed auction
-        leaves its auctioneer's book."""
-        self._stamp(record, tick)
+    def post(self, auction: Auction, tick: int) -> dict:
+        """Log an announcement of `auction`'s next round while it has no
+        winner, else its close, allocated to `auction.winner`, and file the
+        auction on the board of its task type at tick + 1.  Neither changes
+        before it is filed: a round's window is at least two ticks long,
+        and a closed auction leaves its auctioneer's book."""
+        if auction.winner is None:
+            record = {"type": "msg", "tick": None, "seq": None,
+                      "variant": "announcement",
+                      "auctioneer": auction.auctioneer, "loc": auction.loc,
+                      "task_type": auction.task_type.value, "status": "open"}
+        else:
+            record = {"type": "msg", "tick": None, "seq": None,
+                      "variant": "close",
+                      "auctioneer": auction.auctioneer, "loc": auction.loc,
+                      "task_type": auction.task_type.value,
+                      "status": "closed", "allocated_to": auction.winner}
         self._posted.setdefault(tick + 1, []).append(auction)
+        return self.publish(record, tick)
+
+    def bid(self, auction: Auction, bidder: str, utility: float,
+            tick: int) -> dict:
+        """Log `bidder`'s bid in `auction`; it enters no inbox.  A utility
+        is -path_cost, hence never positive, and negative infinity is the
+        busy sentinel of a robot that is capable but occupied.  The one
+        comparison also refuses NaN."""
+        if not utility <= 0.0:
+            raise ValueError(f"{bidder} bid utility {utility}; a utility "
+                             f"must be <= 0 or -inf")
+        return self.publish({"type": "msg", "tick": None, "seq": None,
+                             "variant": "bid",
+                             "auctioneer": auction.auctioneer,
+                             "loc": auction.loc, "bidder": bidder,
+                             "utility": utility}, tick)
+
+    def declare(self, auction: Auction, tick: int) -> dict:
+        """Log the declaration of `auction.winner` as winner (the auction
+        stays open), for the winner's inbox at tick + `win_latency`."""
+        record = {"type": "msg", "tick": None, "seq": None,
+                  "variant": "winner",
+                  "auctioneer": auction.auctioneer, "loc": auction.loc,
+                  "task_type": auction.task_type.value, "status": "open",
+                  "winner": auction.winner}
+        self._mail_to(auction.winner, tick + self._win_latency, record)
+        return self.publish(record, tick)
+
+    def ack(self, win: dict, accepted: bool, tick: int) -> dict:
+        """Log the verdict of the winner named by `win`, a winner record,
+        for its auctioneer's inbox at tick + 1."""
+        record = {"type": "msg", "tick": None, "seq": None, "variant": "ack",
+                  "auctioneer": win["auctioneer"], "loc": win["loc"],
+                  "auction_winner": win["winner"],
+                  "verdict": "accepted" if accepted else "declined"}
+        self._mail_to(win["auctioneer"], tick + 1, record)
+        return self.publish(record, tick)
+
+    def _mail_to(self, robot: str, due: int, record: dict) -> None:
+        self._mail.setdefault(due, {}).setdefault(robot, []).append(record)
 
     def deliver(self, tick: int) -> dict[str, list[dict]]:
         """File the auctions posted at tick-1 on their boards, and return

@@ -4,7 +4,7 @@ Each tick t runs the same fixed phases: the bus delivers the acks of tick
 t-1 to inboxes, files the auctions announced or closed at t-1 on the boards
 of open auctions, and delivers the winner declarations of tick t -
 `win_resolution_window` to their winners' inboxes, the woken robots step in
-kind-then-name order (taking their inboxes, acting, publishing, writing
+kind-then-name order (taking their inboxes, acting, messaging, writing
 their bids in the auctions on the boards), then, on ticks that are a
 multiple of `bid_window`, every robot holding open auctions fires its
 auction timers, which read each closing round's bids made before t off the

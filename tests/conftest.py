@@ -7,12 +7,13 @@ import pytest
 from cases import crowded_config, tiny_config
 from isrusim import (
     Auction,
+    BroadcastBus,
+    EventLog,
     Point,
     ScenarioConfig,
     TaskType,
     run_to_completion,
 )
-from isrusim.bus import ack, winner
 
 
 def tiny_run(**overrides):
@@ -50,19 +51,28 @@ def run_logs() -> RunLogs:
 def auction_of(auctioneer: str, task_type: TaskType, location: Point,
                declared: str | None = None, tick: int = 0) -> Auction:
     """An auction first announced at `tick`, as its auctioneer's book holds
-    it, with `declared` its winner: what the message constructors build a
-    record from."""
+    it, with `declared` its winner: what the bus builds a record from."""
     auction = Auction(auctioneer, task_type, location, tick)
     auction.winner = declared
     return auction
 
 
-def ack_of(auctioneer: str, bidder: str, location: Point,
-           accepted: bool) -> dict:
+def win_record(auction: Auction) -> dict:
+    """The winner record of `auction`, naming `auction.winner`, as a bus of
+    its own declares it at tick 0."""
+    return BroadcastBus(EventLog(), 1).declare(auction, 0)
+
+
+def ack_of(auctioneer: str, bidder: str, location: Point, accepted: bool,
+           bus: BroadcastBus | None = None, tick: int = 0) -> dict:
     """`bidder`'s verdict on a win of `auctioneer`'s auction at `location`,
-    built from the winner record it answers."""
-    return ack(winner(auction_of(auctioneer, TaskType.EXCAVATE, location,
-                                 bidder)), accepted)
+    built from the winner record it answers and sent through `bus` (a bus
+    of its own by default) at `tick`."""
+    if bus is None:
+        bus = BroadcastBus(EventLog(), 1)
+    win = win_record(auction_of(auctioneer, TaskType.EXCAVATE, location,
+                                bidder))
+    return bus.ack(win, accepted, tick)
 
 
 def mail_from_log(records) -> dict[tuple[str, int], list[int]]:

@@ -14,6 +14,7 @@ from conftest import (
     tiny_config,
     tiny_run,
     walk_and_scan,
+    win_record,
 )
 
 from isrusim import (
@@ -29,7 +30,6 @@ from isrusim import (
     run_to_completion,
 )
 from isrusim import agents
-from isrusim.bus import announcement, bid, winner
 from isrusim.agents import (
     COURIER,
     ExcavatorActivity,
@@ -412,8 +412,8 @@ def test_excavator_cannot_accept_a_claimed_site():
     site = sim.ctx.world.sites[0]
     site.claimed_by = "excavator_9"
     excavator = sim.ctx.controllers["excavator_1"]
-    win = winner(auction_of("scout_1", TaskType.EXCAVATE, site.location,
-                            "excavator_1"))
+    win = win_record(auction_of("scout_1", TaskType.EXCAVATE, site.location,
+                                "excavator_1"))
     with pytest.raises(ValueError, match="already claimed by excavator_9"):
         excavator._accept_win(win, tick=0)
     assert excavator.state.activity is ExcavatorActivity.IDLE
@@ -499,7 +499,7 @@ def test_bid_addressed_to_other_auctioneer_is_ignored():
     bus, loc = sim.ctx.bus, Point(20.0, 20.0)
     mine, theirs = (agents.open_auction({}, scout, TaskType.EXCAVATE, loc, 0, bus)
                     for scout in ("scout_1", "scout_2"))
-    bus.publish(bid(mine, "excavator_2", -1.0), 0)
+    bus.bid(mine, "excavator_2", -1.0, 0)
     bus.deliver(1)
     board = bus.boards["excavate"]
     assert board["scout_1", loc] is mine and board["scout_2", loc] is theirs
@@ -536,7 +536,7 @@ def file_announcements(bus, *ticks):
         for scout, x in auctions:
             auction = auction_of(scout, TaskType.EXCAVATE, Point(x, 5.0),
                                  tick=tick)
-            bus.post(auction, announcement(auction), tick)
+            bus.post(auction, tick)
         bus.deliver(tick + 1)
 
 

@@ -19,12 +19,10 @@ from isrusim import (
     evaluate_self_utility,
     open_auction,
     select_winner,
-    submit_bid,
 )
 from isrusim.agents import (ExcavatorActivity, ExcavatorController,
                             HaulerActivity, HaulerController)
 from isrusim.auction import CAPABLE_TASK, NEG_INF, handle_ack
-from isrusim.bus import ack, announcement, bid
 from isrusim.events import record_auction_key
 from isrusim.pathing import estimate_path
 
@@ -57,7 +55,10 @@ def test_open_publishes_announcement():
     auction = open_auction({}, "scout_1", TaskType.EXCAVATE, LOC, tick=4,
                            bus=bus)
     [record] = log.records
-    assert record == {**announcement(auction), "tick": 4, "seq": 0}
+    assert record == {"type": "msg", "tick": 4, "seq": 0,
+                      "variant": "announcement", "auctioneer": "scout_1",
+                      "loc": [LOC.x, LOC.y], "task_type": "excavate",
+                      "status": "open"}
     assert record["loc"] is auction.loc
     assert auction.rounds == 0 and board == {}
     assert bus.deliver(5) == {"excavator_1": []}
@@ -84,7 +85,7 @@ def test_key_reusable_after_close():
     auction, book, bus = new_auction()
     answer(auction, "excavator_1", -1.0)
     decl = select_winner(auction, 3, bus)
-    handle_ack(auction, ack(decl, True), 5, bus)
+    handle_ack(auction, bus.ack(decl, True, 4), 5, bus)
     del book["scout_1", LOC]
     open_auction(book, "scout_1", TaskType.EXCAVATE, LOC, 6, bus)  # no raise
 
@@ -121,32 +122,31 @@ def test_utility_identity_randomized():
         assert evaluate_self_utility(busy, task) == NEG_INF
 
 
-def test_submit_bid_publishes_wire_format():
+def test_bid_publishes_wire_format():
     log = EventLog()
     bus = BroadcastBus(log, 1)
-    robot = RobotState("excavator_2", RobotKind.EXCAVATOR, Point(10, 10),
-                       ExcavatorActivity.IDLE)
     auction = auction_of("scout_1", TaskType.EXCAVATE, LOC)
-    record = submit_bid(robot, auction, -12.5, 3, bus)
-    assert record == {**bid(auction, "excavator_2", -12.5),
-                      "tick": 3, "seq": 0}
+    record = bus.bid(auction, "excavator_2", -12.5, 3)
+    assert record == {"type": "msg", "tick": 3, "seq": 0, "variant": "bid",
+                      "auctioneer": "scout_1", "loc": [LOC.x, LOC.y],
+                      "bidder": "excavator_2", "utility": -12.5}
     assert record["loc"] is auction.loc
     assert log.records == [record]
     assert bus.deliver(4) == {}  # a bid goes to no inbox
 
 
 def test_malformed_bid_rejected():
-    """submit_bid, the one place a bid is made, rejects a positive or NaN
-    utility and lets the -inf busy sentinel through."""
+    """The bus's `bid`, the one place a bid is made, rejects a positive or
+    NaN utility before it logs anything, and lets the -inf busy sentinel
+    through."""
     log = EventLog()
     bus = BroadcastBus(log, 1)
-    robot = RobotState("excavator_1", RobotKind.EXCAVATOR, Point(0, 0),
-                       ExcavatorActivity.DIGGING)
     auction = auction_of("scout_1", TaskType.EXCAVATE, LOC)
     for utility in (3.0, math.nan):
-        with pytest.raises(ValueError):
-            submit_bid(robot, auction, utility, 0, bus)
-    assert submit_bid(robot, auction, NEG_INF, 0, bus)["utility"] == NEG_INF
+        with pytest.raises(ValueError, match="excavator_1 bid utility"):
+            bus.bid(auction, "excavator_1", utility, 0)
+    assert bus.messages_published == 0
+    assert bus.bid(auction, "excavator_1", NEG_INF, 0)["utility"] == NEG_INF
     assert [r["utility"] for r in log.records] == [NEG_INF]
 
 
@@ -159,7 +159,7 @@ def test_incapable_kinds_never_construct_bids():
         bus, controllers = sim.ctx.bus, sim.ctx.controllers
         for task_type in TaskType:
             auction = auction_of("scout_1", task_type, LOC)
-            bus.post(auction, announcement(auction), 0)
+            bus.post(auction, 0)
             assert {controllers[name].state.kind for name in bus.deliver(1)} == {
                 kind for kind, task in CAPABLE_TASK.items() if task is task_type}
     hauler = RobotState("hauler_9", RobotKind.HAULER, Point(0, 0),
@@ -228,7 +228,7 @@ def test_accepted_ack_closes_auction():
     auction, _, bus = new_auction()
     answer(auction, "excavator_1", -3.0)
     decl = select_winner(auction, 3, bus)
-    msg = handle_ack(auction, ack(decl, True), 5, bus)
+    msg = handle_ack(auction, bus.ack(decl, True, 4), 5, bus)
     assert msg["variant"] == "close"
     assert msg["allocated_to"] == "excavator_1"
 
@@ -239,7 +239,7 @@ def test_declined_ack_offers_next_highest():
     answer(auction, "excavator_2", -8.0)
     decl = select_winner(auction, 3, bus)
     assert decl["winner"] == "excavator_1"
-    msg = handle_ack(auction, ack(decl, False), 5, bus)
+    msg = handle_ack(auction, bus.ack(decl, False, 4), 5, bus)
     assert msg["variant"] == "winner"
     assert msg["winner"] == auction.winner == "excavator_2"
 
@@ -249,9 +249,9 @@ def test_decliners_bid_leaves_the_round():
     answer(auction, "excavator_1", -2.0)
     answer(auction, "excavator_2", -8.0)
     decl = select_winner(auction, 3, bus)
-    decl = handle_ack(auction, ack(decl, False), 5, bus)
+    decl = handle_ack(auction, bus.ack(decl, False, 4), 5, bus)
     assert auction.bids == {"excavator_2": -8.0}
-    msg = handle_ack(auction, ack(decl, False), 7, bus)
+    msg = handle_ack(auction, bus.ack(decl, False, 6), 7, bus)
     # every bidder declined: re-announce, and a freed-up robot may win the
     # next round
     assert msg is None
@@ -281,7 +281,7 @@ def test_late_bid_is_dropped():
     answer(auction, "excavator_2", -1.0, tick=4)
     answer(auction, "excavator_1", -9.0, tick=4)
     assert auction.bids == {"excavator_1": -2.0}
-    handle_ack(auction, ack(decl, False), 5, bus)
+    handle_ack(auction, bus.ack(decl, False, 4), 5, bus)
     # excavator_1 declined and no other bid was in the round: re-announce,
     # with no bid carried into the new round
     assert auction.winner is None
@@ -328,7 +328,7 @@ def test_a_sentinel_replaced_at_or_after_the_first_declaration_is_not_read(
     assert auction.bids == ({"excavator_1": -6.0} if replaced == 3 else
                             {"excavator_1": -6.0, "excavator_2": NEG_INF})
     # excavator_1 declines, and the round has no other bid: re-announced
-    assert handle_ack(auction, ack(decl, False), 5, bus) is None
+    assert handle_ack(auction, bus.ack(decl, False, 4), 5, bus) is None
 
 
 def test_selection_without_a_board_entry_raises():
@@ -354,7 +354,8 @@ def _exhaustive_winner_sequence(utilities: dict[str, float],
     while decl is not None:
         sequence.append(decl["winner"])
         accepted = verdicts[decl["winner"]]
-        result = handle_ack(auction, ack(decl, accepted), tick + 2, bus)
+        result = handle_ack(auction, bus.ack(decl, accepted, tick + 1),
+                            tick + 2, bus)
         if accepted:
             return sequence, ("closed", result["allocated_to"])
         decl = result  # the next winner record, or None: re-announced

@@ -1,10 +1,11 @@
-import weakref
 from collections import Counter
+import gc
+from types import FrameType
 
 import pytest
 
 from cases import POLICIES, crowded_config
-from conftest import ack_of, auction_of, mail_from_log
+from conftest import ack_of, auction_of, mail_from_log, win_record
 
 from isrusim import (
     BroadcastBus,
@@ -17,7 +18,6 @@ from isrusim import (
 )
 from isrusim.agents import RobotController
 from isrusim.auction import NEG_INF
-from isrusim.bus import ack, announcement, bid, close, winner
 from isrusim.events import (
     _MSG_LINES, MSG_FIELDS, RECORD_FIELDS, _Names, record_auction_key)
 
@@ -53,74 +53,64 @@ def excavation(auctioneer="scout_1", declared=None, location=LOC, tick=0):
     return auction_of(auctioneer, TaskType.EXCAVATE, location, declared, tick)
 
 
-def send(bus, auction, record, tick):
-    """Post an announcement or close with its auction; publish any other
-    record."""
-    if record["variant"] in ("announcement", "close"):
-        bus.post(auction, record, tick)
-    else:
-        bus.publish(record, tick)
+# how a test sends a message of `auction` through `bus` at `tick`: `post`
+# sends an announcement while the auction has no winner, else its close
+post, declare = BroadcastBus.post, BroadcastBus.declare
+
+
+def bid_of(bidder, utility):
+    return lambda bus, auction, tick: bus.bid(auction, bidder, utility, tick)
+
+
+def ack_from(accepted):
+    """The verdict of `auction.winner` on the declaration of its win."""
+    return lambda bus, auction, tick: bus.ack(win_record(auction), accepted,
+                                              tick)
 
 
 @pytest.mark.parametrize("auctioneer, task_type, declared, make, recipients", [
-    ("scout_1", TaskType.EXCAVATE, None, announcement, EXCAVATORS),
-    ("excavator_1", TaskType.TRANSPORT, None, announcement, HAULERS),
-    ("scout_1", TaskType.EXCAVATE, None,
-     lambda auction: bid(auction, "excavator_1", -2.0), set()),
-    ("excavator_2", TaskType.TRANSPORT, None,
-     lambda auction: bid(auction, "hauler_1", NEG_INF), set()),
-    ("scout_1", TaskType.EXCAVATE, "excavator_2", winner, {"excavator_2"}),
-    ("excavator_1", TaskType.TRANSPORT, "hauler_2",
-     lambda auction: ack(winner(auction), False), {"excavator_1"}),
-    ("scout_1", TaskType.EXCAVATE, "excavator_1", close, EXCAVATORS),
-    ("excavator_2", TaskType.TRANSPORT, "hauler_1", close, HAULERS),
+    ("scout_1", TaskType.EXCAVATE, None, post, EXCAVATORS),
+    ("excavator_1", TaskType.TRANSPORT, None, post, HAULERS),
+    ("scout_1", TaskType.EXCAVATE, None, bid_of("excavator_1", -2.0), set()),
+    ("excavator_2", TaskType.TRANSPORT, None, bid_of("hauler_1", NEG_INF),
+     set()),
+    ("scout_1", TaskType.EXCAVATE, "excavator_2", declare, {"excavator_2"}),
+    ("excavator_1", TaskType.TRANSPORT, "hauler_2", ack_from(False),
+     {"excavator_1"}),
+    ("scout_1", TaskType.EXCAVATE, "excavator_1", post, EXCAVATORS),
+    ("excavator_2", TaskType.TRANSPORT, "hauler_1", post, HAULERS),
 ], ids=["announce-excavate", "announce-transport", "bid", "busy-bid", "winner",
         "ack", "close-excavate", "close-transport"])
 def test_publish_delivers_to_every_recipient_next_tick(
         auctioneer, task_type, declared, make, recipients):
     """Addressed mail: each recipient's inbox holds the logged record
     itself.  A bid enters no inbox: its auctioneer reads it off the board.
-    An announcement or close enters no inbox either: it is posted with its
-    auction, the next tick files the auction on its task type's board, and
-    the subscribers, whose oldest open auction it changes, get an empty
+    An announcement or close enters no inbox either: its auction is posted,
+    the next tick files the auction on its task type's board, and the
+    subscribers, whose oldest open auction it changes, get an empty
     inbox."""
     log = EventLog()
     bus = fleet_bus(log)
-    auction = auction_of(auctioneer, task_type, LOC,
-                         tick=8 if make is close else 10)
-    if make is close:  # the auction it closes
-        bus.post(auction, announcement(auction), 8)
+    closing = make is post and declared is not None
+    auction = auction_of(auctioneer, task_type, LOC, tick=8 if closing else 10)
+    if closing:  # the auction it closes
+        bus.post(auction, 8)
         bus.deliver(9)
     auction.winner = declared
-    record = make(auction)
-    send(bus, auction, record, 10)
+    record = make(bus, auction, 10)
     assert log.records[-1] is record
     mail = bus.deliver(11)
     assert set(mail) == recipients
-    if make in (announcement, close):
+    if make is post:
+        assert record["variant"] == ("close" if closing else "announcement")
         assert all(inbox == [] for inbox in mail.values())
         board = bus.boards[task_type.value]
-        assert board_rows(board) == ([((auctioneer, LOC), 10, 1)]
-                                     if make is announcement else [])
+        assert board_rows(board) == ([] if closing
+                                     else [((auctioneer, LOC), 10, 1)])
         assert all(filed is auction for filed in board.values())
     else:
         for robot in recipients:
             assert len(mail[robot]) == 1 and mail[robot][0] is record
-
-
-@pytest.mark.parametrize("make", [announcement, close])
-def test_publish_refuses_an_announcement_or_close(make):
-    """An announcement or close is posted with its auction: published
-    alone, it would be logged and never filed, so it is refused before it
-    is stamped or logged."""
-    log = EventLog()
-    bus = fleet_bus(log)
-    record = make(excavation(declared="excavator_1"))
-    with pytest.raises(ValueError, match="posted with its auction"):
-        bus.publish(record, tick=10)
-    assert log.records == [] and record["seq"] is None
-    assert bus.messages_published == 0
-    assert bus.deliver(11) == {} and bus.boards["excavate"] == {}
 
 
 @pytest.mark.parametrize("latency", [1, 3])
@@ -130,16 +120,14 @@ def test_a_win_reaches_its_winner_win_latency_ticks_after_it_is_declared(latency
     that arrives with it; acks published with it arrive at t + 1 whatever
     the latency."""
     bus = BroadcastBus(EventLog(), latency)
-    declared = winner(excavation(declared="excavator_1"))
-    answered = ack_of("scout_1", "excavator_2", LOC, False)
-    acked = ack_of("excavator_2", "hauler_2", OTHER, True)
-    late = ack_of("excavator_1", "hauler_1", OTHER, False)
-    for record in (declared, answered, acked):
-        bus.publish(record, tick=10)
+    declared = bus.declare(excavation(declared="excavator_1"), 10)
+    answered = ack_of("scout_1", "excavator_2", LOC, False, bus, 10)
+    acked = ack_of("excavator_2", "hauler_2", OTHER, True, bus, 10)
     mail = {}
     for tick in range(11, 12 + latency):
         if tick == 10 + latency:  # published the tick before the win arrives
-            bus.publish(late, tick - 1)
+            late = ack_of("excavator_1", "hauler_1", OTHER, False, bus,
+                          tick - 1)
         mail[tick] = bus.deliver(tick)
     assert mail[11]["scout_1"] == [answered] and mail[11]["excavator_2"] == [acked]
     assert [tick for tick, inboxes in mail.items()
@@ -153,8 +141,8 @@ def test_not_delivered_same_tick():
     log = EventLog()
     bus = fleet_bus(log)
     auction = excavation(tick=10)
-    bus.post(auction, announcement(auction), tick=10)
-    bus.publish(ack_of("scout_1", "excavator_1", LOC, True), tick=10)
+    bus.post(auction, tick=10)
+    ack_of("scout_1", "excavator_1", LOC, True, bus, 10)
     assert bus.deliver(10) == {}
     assert bus.boards["excavate"] == {}
     mail = bus.deliver(11)
@@ -171,17 +159,15 @@ def test_same_tick_messages_keep_publish_order():
     bus = fleet_bus()
     second, first = excavation("scout_2", tick=4), excavation(
         "scout_1", location=OTHER, tick=4)
-    sent = [(None, ack_of("excavator_1", "hauler_2", LOC, False)),
-            (second, announcement(second)),
-            # not excavator_1's
-            (None, ack_of("scout_2", "excavator_2", LOC, True)),
-            (None, winner(excavation(declared="excavator_1", location=OTHER))),
-            (first, announcement(first)),
-            (None, ack_of("excavator_1", "hauler_1", LOC, True)),
-            (second, announcement(second))]
-    for auction, record in sent:
-        send(bus, auction, record, 4)
-    records = [record for _, record in sent]
+    records = [ack_of("excavator_1", "hauler_2", LOC, False, bus, 4),
+               bus.post(second, 4),
+               # not excavator_1's
+               ack_of("scout_2", "excavator_2", LOC, True, bus, 4),
+               bus.declare(excavation(declared="excavator_1", location=OTHER),
+                           4),
+               bus.post(first, 4),
+               ack_of("excavator_1", "hauler_1", LOC, True, bus, 4),
+               bus.post(second, 4)]
     inbox = bus.deliver(5)["excavator_1"]
     assert [record["seq"] for record in inbox] == [0, 3, 5]
     assert all(record is records[record["seq"]] for record in inbox)
@@ -194,9 +180,9 @@ def test_same_tick_messages_keep_publish_order():
 def test_each_tick_is_delivered_once():
     bus = fleet_bus()
     auction = excavation()
-    bus.post(auction, announcement(auction), tick=0)
-    bus.publish(ack_of("scout_1", "excavator_1", LOC, False), tick=0)
-    bus.publish(ack_of("scout_1", "excavator_2", LOC, True), tick=1)
+    bus.post(auction, tick=0)
+    ack_of("scout_1", "excavator_1", LOC, False, bus, 0)
+    ack_of("scout_1", "excavator_2", LOC, True, bus, 1)
     counts = {robot: len(inbox) for robot, inbox in bus.deliver(1).items()}
     assert counts == {"scout_1": 1, "excavator_1": 0, "excavator_2": 0}
     assert bus.deliver(1) == {}
@@ -210,7 +196,7 @@ def test_no_traffic_empty_inbox():
     # a task type nobody subscribes to reaches nobody, but is on its board
     unsubscribed = BroadcastBus(EventLog(), 1)
     auction = excavation(tick=5)
-    unsubscribed.post(auction, announcement(auction), tick=5)
+    unsubscribed.post(auction, tick=5)
     assert unsubscribed.deliver(6) == {}
     assert len(unsubscribed.boards["excavate"]) == 1
 
@@ -220,37 +206,36 @@ def test_fanout_counts():
     no one."""
     bus = fleet_bus()
     for i in range(3):
-        bus.publish(ack_of("scout_1", f"excavator_{i + 1}", LOC, False),
-                    tick=7)
+        ack_of("scout_1", f"excavator_{i + 1}", LOC, False, bus, 7)
     auction = excavation(location=OTHER, tick=7)
-    bus.post(auction, announcement(auction), tick=7)
+    bus.post(auction, tick=7)
     counts = {robot: len(inbox) for robot, inbox in bus.deliver(8).items()}
     assert counts == {"scout_1": 3, "excavator_1": 0, "excavator_2": 0}
 
 
-class Record(dict):
-    """A record that can be referenced weakly, which a plain dict cannot."""
+def referrers(record: dict) -> list:
+    """The objects other than frames that refer to `record`."""
+    return [r for r in gc.get_referrers(record)
+            if not isinstance(r, FrameType)]
 
 
 def test_delivered_mail_is_released():
     """Once a tick is delivered the bus holds none of its records: an
     inbox's records go with the inbox, and a board keeps the auction, not
-    the announcement it filed.  The log here keeps none either."""
+    the announcement it filed.  The log here keeps none either, so the
+    test's own list is then all that refers to a record."""
     log = EventLog()
     log.append = lambda record: None
     bus = fleet_bus(log)
     auction = excavation()
-    records = [Record(ack_of("scout_1", "excavator_1", LOC, True)),
-               Record(announcement(auction))]
-    released = [weakref.ref(record) for record in records]
-    bus.publish(records[0], tick=0)
-    bus.post(auction, records[1], tick=0)
-    del records
+    records = [ack_of("scout_1", "excavator_1", LOC, True, bus, 0),
+               bus.post(auction, 0)]
     mail = bus.deliver(1)
-    assert released[0]() is not None and released[1]() is None
-    assert len(bus.boards["excavate"]) == 1
+    assert mail["scout_1"][0] is records[0]
+    assert referrers(records[1]) == [records]
+    assert list(bus.boards["excavate"].values()) == [auction]
     del mail
-    assert released[0]() is None
+    assert referrers(records[0]) == [records]
 
 
 def test_inbox_is_the_log_filtered_by_receiver_rules(monkeypatch):
@@ -357,63 +342,59 @@ def test_messages_logged():
     log = EventLog()
     bus = BroadcastBus(log, 1)
     auction = excavation(tick=2)
-    record = announcement(auction)
-    bus.post(auction, record, tick=2)
+    record = bus.post(auction, tick=2)
     assert log.records == [record] and log.records[0] is record
     assert record["variant"] == "announcement"
     assert record["status"] == "open"
 
 
 # every variant, and both values of each two-valued field: the auction
-# (auctioneer, task type, declared winner), the constructor, and the fields
-# of the record it builds that the location does not give
+# (auctioneer, task type, declared winner), how it is sent, and the fields
+# of the record the bus builds that the location does not give
 EACH_VARIANT = [
-    (("scout_1", TaskType.EXCAVATE, None), announcement,
+    (("scout_1", TaskType.EXCAVATE, None), post,
      {"variant": "announcement", "auctioneer": "scout_1",
       "task_type": "excavate", "status": "open"}),
-    (("scout_1", TaskType.EXCAVATE, None),
-     lambda auction: bid(auction, "excavator_2", -12.5),
+    (("scout_1", TaskType.EXCAVATE, None), bid_of("excavator_2", -12.5),
      {"variant": "bid", "auctioneer": "scout_1", "bidder": "excavator_2",
       "utility": -12.5}),
-    (("excavator_1", TaskType.TRANSPORT, None),
-     lambda auction: bid(auction, "hauler_2", NEG_INF),
+    (("excavator_1", TaskType.TRANSPORT, None), bid_of("hauler_2", NEG_INF),
      {"variant": "bid", "auctioneer": "excavator_1", "bidder": "hauler_2",
       "utility": NEG_INF}),
-    (("scout_1", TaskType.EXCAVATE, "excavator_3"), winner,
+    (("scout_1", TaskType.EXCAVATE, "excavator_3"), declare,
      {"variant": "winner", "auctioneer": "scout_1", "task_type": "excavate",
       "status": "open", "winner": "excavator_3"}),
-    (("scout_1", TaskType.EXCAVATE, "excavator_3"),
-     lambda auction: ack(winner(auction), True),
+    (("scout_1", TaskType.EXCAVATE, "excavator_3"), ack_from(True),
      {"variant": "ack", "auctioneer": "scout_1",
       "auction_winner": "excavator_3", "verdict": "accepted"}),
-    (("scout_1", TaskType.EXCAVATE, "excavator_3"),
-     lambda auction: ack(winner(auction), False),
+    (("scout_1", TaskType.EXCAVATE, "excavator_3"), ack_from(False),
      {"variant": "ack", "auctioneer": "scout_1",
       "auction_winner": "excavator_3", "verdict": "declined"}),
-    (("excavator_1", TaskType.TRANSPORT, "hauler_2"), close,
+    (("excavator_1", TaskType.TRANSPORT, "hauler_2"), post,
      {"variant": "close", "auctioneer": "excavator_1",
       "task_type": "transport", "status": "closed",
       "allocated_to": "hauler_2"}),
 ]
 
 
-def built(msg):
-    """The auction of an `EACH_VARIANT` entry, and the record its
-    constructor builds from it."""
+def built(msg, log=None):
+    """The auction of an `EACH_VARIANT` entry, and the record a bus logging
+    to `log` builds from it and sends at tick 9."""
     (auctioneer, task_type, declared), make, _ = msg
     auction = auction_of(auctioneer, task_type, LOC, declared)
-    return auction, make(auction)
+    bus = BroadcastBus(EventLog() if log is None else log, 1)
+    return auction, make(bus, auction, 9)
 
 
 @pytest.mark.parametrize("msg", EACH_VARIANT)
 def test_record_round_trip(tmp_path, msg):
-    """A constructor's record carries its auction's fields (an ack, those
-    of the winner record it answers), the task type by its value and the
-    location as the auction's one [x, y] list; sending stamps its tick and
-    sequence number, and it survives the log file."""
+    """A sent record carries its auction's fields (an ack, those of the
+    winner record it answers), the task type by its value and the location
+    as the auction's one [x, y] list, stamped with its tick and sequence
+    number, and it survives the log file."""
     log = EventLog()
-    auction, record = built(msg)
-    send(BroadcastBus(log, 1), auction, record, 9)
+    auction, record = built(msg, log)
+    assert log.records == [record]
     assert record == {"type": "msg", "tick": 9, "seq": 0,
                       "loc": [LOC.x, LOC.y], **msg[2]}
     assert record["loc"] is auction.loc
@@ -426,7 +407,7 @@ def test_busy_sentinel_survives_jsonl(tmp_path):
     log = EventLog()
     bus = BroadcastBus(log, 1)
     transport = auction_of("excavator_1", TaskType.TRANSPORT, LOC)
-    bus.publish(bid(transport, "hauler_1", NEG_INF), tick=1)
+    bus.bid(transport, "hauler_1", NEG_INF, tick=1)
     path = tmp_path / "events.jsonl"
     log.dump_jsonl(path)
     assert "-Infinity" not in path.read_text()  # valid JSON on the wire
@@ -436,15 +417,14 @@ def test_busy_sentinel_survives_jsonl(tmp_path):
 
 @pytest.mark.parametrize("msg", EACH_VARIANT)
 def test_record_keys_follow_the_schema_order(run_logs, msg):
-    """Every msg record of the variant, as its constructor builds it and as
-    a crowded run logs it under each policy, has its keys in schema order,
+    """Every msg record of the variant, as a bus sends it and as a crowded
+    run logs it under each policy, has its keys in schema order,
     which fixes the bytes of the log, and is written by its variant's
     f-string writer, not by the encoder it falls back to (as it would for a
     `loc` tuple)."""
     auction, record = built(msg)
     variant = record["variant"]
     records = [record]
-    send(BroadcastBus(EventLog(), 1), auction, record, 9)
     for policy in POLICIES:
         logged = [r for r in run_logs.log(crowded_config(policy=policy))
                   if r["type"] == "msg" and r["variant"] == variant]
@@ -479,22 +459,22 @@ def test_deliver_steps_the_subscribers_whose_bid_scope_changed(policy):
     behind = auction_of("excavator_2", TaskType.TRANSPORT, OTHER, tick=101)
     reopened = auction_of("excavator_2", TaskType.TRANSPORT, OTHER, tick=105)
 
-    def stepped(tick, auction, make):
-        if make is close:
+    def stepped(tick, auction, closing=False):
+        if closing:
             auction.winner = "hauler_9"
-        bus.post(auction, make(auction), tick)
+        bus.post(auction, tick)
         mail = bus.deliver(tick + 1)
         assert all(inbox == [] for inbox in mail.values())
         return set(mail)
 
-    assert stepped(100, head, announcement) == oldest_only | every
-    assert stepped(101, behind, announcement) == every
-    assert stepped(102, behind, announcement) == every  # its round 2
-    assert stepped(103, head, announcement) == oldest_only | every
-    assert stepped(104, behind, close) == set()
-    assert stepped(105, reopened, announcement) == every  # a reopened key
-    assert stepped(106, head, close) == oldest_only
-    assert stepped(107, reopened, close) == oldest_only
+    assert stepped(100, head) == oldest_only | every
+    assert stepped(101, behind) == every
+    assert stepped(102, behind) == every  # its round 2
+    assert stepped(103, head) == oldest_only | every
+    assert stepped(104, behind, closing=True) == set()
+    assert stepped(105, reopened) == every  # a reopened key
+    assert stepped(106, head, closing=True) == oldest_only
+    assert stepped(107, reopened, closing=True) == oldest_only
     assert bus.boards["transport"] == {}
 
 
@@ -519,17 +499,17 @@ def test_a_reopened_key_is_a_new_auction(gap):
                 if r["type"] == "msg" and r["variant"] == "bid" and r["tick"] == tick}
 
     first = auction_of("excavator_1", TaskType.TRANSPORT, LOC, tick=10)
-    bus.post(first, announcement(first), 10)
+    bus.post(first, 10)
     bids = deliver_and_bid(11)
     assert bids.keys() == haulers.keys()
     assert bus.boards["transport"][key] is first
     assert first.answers == {name: (1, bid, 11) for name, bid in bids.items()}
     first.winner = "hauler_1"
-    bus.post(first, close(first), 11)
+    bus.post(first, 11)
     if gap:
         assert deliver_and_bid(12) == {}  # nothing left to bid in
     second = auction_of("excavator_1", TaskType.TRANSPORT, LOC, tick=11 + gap)
-    bus.post(second, announcement(second), 11 + gap)
+    bus.post(second, 11 + gap)
     bids = deliver_and_bid(12 + gap)
     assert bids.keys() == haulers.keys()
     assert bus.boards["transport"][key] is second and second.rounds == 1

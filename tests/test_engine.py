@@ -568,11 +568,10 @@ def test_invariant_checks_run_under_optimize():
     script = """
 import sys
 import tempfile
-from conftest import auction_of, tiny_config
+from conftest import auction_of, tiny_config, win_record
 from isrusim import (BroadcastBus, EventLog, ExcavatorActivity,
-                     HaulerActivity, InvariantError, Point, RobotKind,
-                     RobotState, Simulation, TaskType, agents, submit_bid)
-from isrusim.bus import winner
+                     HaulerActivity, InvariantError, Point, Simulation,
+                     TaskType, agents)
 from isrusim.cli import main
 
 if sys.flags.optimize != 1:
@@ -597,8 +596,8 @@ expect_invariant_error(excavator.take_bucket, 0)
 hauler = sim.ctx.controllers["hauler_1"]
 hauler.state.activity = HaulerActivity.TO_SITE
 expect_invariant_error(hauler.assign_transport, "excavator_1", Point(9.0, 9.0), 0)
-wins = [winner(auction_of("scout_1", TaskType.EXCAVATE, Point(x, 9.0),
-                          "excavator_2"))
+wins = [win_record(auction_of("scout_1", TaskType.EXCAVATE, Point(x, 9.0),
+                              "excavator_2"))
         for x in (8.0, 9.0)]
 expect_invariant_error(sim.ctx.policy.resolve_wins,
                        sim.ctx.controllers["excavator_2"].state, wins)
@@ -633,16 +632,14 @@ with tempfile.TemporaryDirectory() as out:
                 "--policy", "coalition"]))
 
 # a positive bid utility is refused where the bid is made
-robot = RobotState("excavator_1", RobotKind.EXCAVATOR, Point(0.0, 0.0),
-                   ExcavatorActivity.IDLE)
 try:
-    submit_bid(robot,
-               auction_of("scout_1", TaskType.EXCAVATE, Point(9.0, 9.0)),
-               3.0, 0, BroadcastBus(EventLog(), 1))
+    BroadcastBus(EventLog(), 1).bid(
+        auction_of("scout_1", TaskType.EXCAVATE, Point(9.0, 9.0)),
+        "excavator_1", 3.0, 0)
 except ValueError as exc:
     print(exc)
 else:
-    sys.exit("submit_bid took a positive utility")
+    sys.exit("the bus took a positive bid utility")
 """
     lines = run_child(script, "-O").stdout.splitlines()
     assert lines[:4] == [

@@ -1,6 +1,6 @@
 import math
 
-from conftest import auction_of, tiny_run
+from conftest import auction_of, tiny_run, win_record
 
 from isrusim import (
     Point,
@@ -10,7 +10,6 @@ from isrusim import (
     make_policy,
 )
 from isrusim.agents import ExcavatorActivity, HaulerActivity
-from isrusim.bus import winner
 
 EXCAVATORS = [f"excavator_{i}" for i in range(1, 5)]
 HAULERS = [f"hauler_{i}" for i in range(1, 7)]
@@ -72,8 +71,8 @@ def wins_at(*distances_and_auctioneers):
     robot_pose = Point(0, 0)
     wins = []
     for distance, auctioneer in distances_and_auctioneers:
-        wins.append(winner(auction_of(auctioneer, TaskType.TRANSPORT,
-                                      Point(distance, 0), "hauler_1")))
+        wins.append(win_record(auction_of(auctioneer, TaskType.TRANSPORT,
+                                          Point(distance, 0), "hauler_1")))
     return wins
 
 

@@ -285,6 +285,22 @@ def test_config_whose_sites_cannot_keep_apart_is_rejected_when_built():
                        n_minerals=145)
 
 
+def test_config_whose_grid_is_too_large_to_build_is_rejected_when_built():
+    """Only configs are built here, never a run: the 1e6 m arena asks for
+    200000 x 200000 coverage cells, and a quotient that overflows for an
+    infinite count.  Up to 1000 cells per side are accepted, which takes in
+    arenas of 300 to 4000 m at the default scan radius."""
+    for kwargs, cells in ((dict(arena_side=1e6), "200000"),
+                          (dict(arena_side=5005.0), "1001"),
+                          (dict(arena_side=1e300, scan_radius=1e-10), "inf")):
+        with pytest.raises(ValueError, match=(
+                f"is {cells} coverage cells per side, more than the 1000 ")):
+            ScenarioConfig(n_sites=1, n_minerals=1, tick_cap=10, **kwargs)
+    for side in (300.0, 1000.0, 2000.0, 4000.0, 5000.0):
+        assert ScenarioConfig(arena_side=side).grid_cells == side / 5.0
+    assert ScenarioConfig(arena_side=20.0, scan_radius=0.01).grid_cells == 1000
+
+
 def test_build_checks_reject_no_config_whose_sites_can_be_placed():
     """400 small-arena configs, each pinned with what happened to it before
     the packing bound: rejected when built, sites placed, or rejected late,
