@@ -23,7 +23,12 @@ checked against `_encode_object` on a sample record.  JSON has no -inf,
 so the busy-bid sentinel is written as the string "-inf"; that holds for
 the `utility` field only, the one field the reader turns back, and any
 other non-finite float raises `ValueError`.  `dumps` and `dump_jsonl`
-return and write the same bytes.
+return and write the same bytes, encoded `_BATCH_LINES` records at a time
+with the name and `loc` caches shared by every batch.  `dump_jsonl` writes
+each batch to a sibling file and moves it over `path` once the whole log
+is written, so a failed write leaves no partial log and an existing file
+as it was; it holds one batch in memory.  `dumps` writes the batches into
+one `io.BytesIO`, whose bytes it returns without a copy.
 
 Read path: `_decode` parses one line and checks its record against the
 schema.  It is the reference, and the only source of `LogParseError`
@@ -42,12 +47,19 @@ gives the same records.  Any other batch, including one with a blank line,
 goes through `_decode` line by line, which skips blank lines and raises
 the reference error.  A log is read as UTF-8.  On a decoding error, a
 second read finds the first line that is not valid UTF-8, which the
-`LogParseError` names.
+`LogParseError` names.  The cyclic garbage collector is paused while a log
+is read, and turned back on only if it was on: a log decodes into one dict
+and one `loc` list per msg record, which the collector would otherwise walk
+again and again while they are built, and decoded JSON holds no reference
+cycles for it to find.
 """
 
 from __future__ import annotations
 
+import gc
+import io
 import json
+import os
 import re
 from itertools import islice
 from json import encoder as _json_encoder
@@ -237,25 +249,23 @@ def _msg_lines() -> dict:
 _MSG_LINES = _msg_lines()
 
 
-def _jsonl_lines(records: list[dict]) -> list[str]:
+def _jsonl_batches(records: list[dict]) -> Iterator[bytes]:
+    """The log's bytes, `_BATCH_LINES` records at a time."""
     names, locs = _Names(), {}
-    lines = []
-    for record in records:
-        write = _MSG_LINES.get(tuple(record))
-        try:
-            line = write and write(record, names, locs)
-        except TypeError:  # a name that is not a str
-            line = None
-        if line is None:
-            line = _encode_object(record if record.get("utility") != NEG_INF
-                                  else {**record, "utility": "-inf"}) + "\n"
-        lines.append(line)
-    return lines
-
-
-def _jsonl_bytes(records: list[dict]) -> bytes:
-    # the list of lines is freed before the text is encoded
-    return "".join(_jsonl_lines(records)).encode()
+    for start in range(0, len(records), _BATCH_LINES):
+        lines = []
+        for record in records[start:start + _BATCH_LINES]:
+            write = _MSG_LINES.get(tuple(record))
+            try:
+                line = write and write(record, names, locs)
+            except TypeError:  # a name that is not a str
+                line = None
+            if line is None:
+                line = _encode_object(
+                    record if record.get("utility") != NEG_INF
+                    else {**record, "utility": "-inf"}) + "\n"
+            lines.append(line)
+        yield "".join(lines).encode()
 
 
 def _missing(record: dict, fields: tuple[str, ...]) -> str:
@@ -357,18 +367,33 @@ class EventLog:
         return iter(self.records)
 
     def dump_jsonl(self, path: str | Path) -> None:
+        """Write the log to `path` through a sibling file, so a failed
+        write leaves no partial log and an existing file as it was."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(_jsonl_bytes(self.records))
+        partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+        try:
+            with partial.open("wb") as fh:
+                for batch in _jsonl_batches(self.records):
+                    fh.write(batch)
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
 
     def dumps(self) -> bytes:
         """The exact bytes dump_jsonl would write (for determinism checks)."""
-        return _jsonl_bytes(self.records)
+        out = io.BytesIO()
+        for batch in _jsonl_batches(self.records):
+            out.write(batch)
+        return out.getvalue()  # shares the buffer: no copy
 
     @staticmethod
     def load_jsonl(path: str | Path) -> "EventLog":
         log = EventLog()
         first = 1  # line number of the batch's first line
+        collecting = gc.isenabled()
+        gc.disable()  # decoded records hold no cycles
         try:
             with Path(path).open(encoding="utf-8") as fh:
                 while batch := list(islice(fh, _BATCH_LINES)):
@@ -382,6 +407,9 @@ class EventLog:
         except UnicodeDecodeError as exc:
             bad = first_invalid_utf8_line(Path(path).read_bytes())
             raise LogParseError(f"invalid UTF-8 ({exc.reason})", bad) from exc
+        finally:
+            if collecting:
+                gc.enable()
         return log
 
     @staticmethod

@@ -24,7 +24,9 @@ Checks, all zero-tolerance:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from .events import NEG_INF, record_auction_key
@@ -63,6 +65,7 @@ class LogChecker:
         self._last_seq = -1
         self._last_tick = -1
         self._pending: list[dict] = []  # bids/acks awaiting delivery
+        self._in_order = True  # their publish ticks never go down
         self._run_start: dict | None = None
         self._run_end: dict | None = None
 
@@ -109,7 +112,10 @@ class LogChecker:
 
         variant = record["variant"]
         if variant in ("bid", "ack"):
-            self._pending.append(record)
+            pending = self._pending
+            if pending and not tick >= pending[-1]["tick"]:
+                self._in_order = False
+            pending.append(record)
             return
         # auctioneer publications take effect now; first deliver everything
         # published strictly before this tick (it has arrived by now)
@@ -122,17 +128,35 @@ class LogChecker:
             self._on_close(record)
 
     def _deliver_pending(self, tick: int | None) -> None:
-        """Apply queued bids/acks published before `tick` (all, when None)."""
-        remaining: list[dict] = []
-        for record in self._pending:
-            if tick is None or record["tick"] < tick:
-                if record["variant"] == "bid":
-                    self._deliver_bid(record)
-                else:
-                    self._deliver_ack(record)
+        """Apply queued bids/acks published before `tick` (all, when None).
+        While their publish ticks are in order, those are a prefix; once
+        they are not (a malformed log), every queued record is tested."""
+        pending = self._pending
+        if tick is None:
+            due, self._pending = pending, []
+        elif self._in_order:
+            n = bisect_left(pending, tick, key=itemgetter("tick"))
+            if not n:
+                return
+            due, self._pending = pending[:n], pending[n:]
+        else:
+            due = [record for record in pending if record["tick"] < tick]
+            self._pending = [record for record in pending
+                             if not record["tick"] < tick]
+        for record in due:
+            if record["variant"] != "bid":
+                self._deliver_ack(record)
+                continue
+            replay = self._open.get(record_auction_key(record))
+            if replay is None:
+                continue  # bid raced a close; the auctioneer dropped it too
+            utility = record["utility"]
+            if utility > 0 or math.isnan(utility):
+                self._fail("bid", f"bid with positive utility {utility}")
+            if replay.offered:
+                replay.late_bids[record["bidder"]] = utility
             else:
-                remaining.append(record)
-        self._pending = remaining
+                replay.round_bids[record["bidder"]] = utility
 
     # -- auction protocol ------------------------------------------------------
 
@@ -149,18 +173,6 @@ class LogChecker:
             replay.late_bids = {}
             replay.offered = set()
             replay.winner = None
-
-    def _deliver_bid(self, record: dict) -> None:
-        replay = self._open.get(record_auction_key(record))
-        if replay is None:
-            return  # bid raced a close; the auctioneer dropped it too
-        utility = record["utility"]
-        if utility > 0 or math.isnan(utility):
-            self._fail("bid", f"bid with positive utility {utility}")
-        if replay.offered:
-            replay.late_bids[record["bidder"]] = utility
-        else:
-            replay.round_bids[record["bidder"]] = utility
 
     def _on_winner(self, record: dict) -> None:
         key = record_auction_key(record)

@@ -1,11 +1,15 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import isrusim
 from isrusim import ScenarioConfig
 from isrusim.cli import _FLAG_TO_KEY, build_parser, main, parse_seed_spec
 from isrusim.world import SCENARIO_KEYS
@@ -121,6 +125,19 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert caught.value.code == 0
     assert capsys.readouterr().out.startswith("usage: isrusim")
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch):
+    """`python -m isrusim` is the `isrusim` command: same help text."""
+    package_root = str(Path(isrusim.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root,
+                                               os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    out = subprocess.run([sys.executable, "-m", "isrusim", "--help"],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == build_parser().format_help()
 
 
 def test_verify_flags_tampered_log(tmp_path, capsys):

@@ -6,6 +6,7 @@ batches of lines at once and must return exactly the reference's records,
 or raise exactly its `LogParseError` (message and line number).
 """
 
+import gc
 import json
 import math
 from unittest import mock
@@ -73,6 +74,40 @@ def test_written_records_follow_the_schema_order(run_logs):
             types.add(kind)
     assert types == set(events.RECORD_FIELDS)
     assert variants == set(events.MSG_FIELDS)
+
+
+@pytest.mark.parametrize("n", [0, 2 * events._BATCH_LINES + 1])
+def test_dump_writes_the_bytes_of_dumps_across_batches(tmp_path, n):
+    records = [json.loads(line) for line in valid_lines(n)]
+    log = EventLog.from_records(records)
+    path = tmp_path / "events.jsonl"
+    log.dump_jsonl(path)
+    want = "".join(f"{line}\n" for line in valid_lines(n)).encode()
+    assert log.dumps() == path.read_bytes() == want
+    assert [p.name for p in tmp_path.iterdir()] == ["events.jsonl"]
+
+
+@pytest.mark.parametrize("name", ["crowded/nearest", "tiny/snapshots/fcfs"])
+def test_batch_size_does_not_change_the_bytes(run_logs, name):
+    log = run_logs.log(*CASES[name])
+    want = log.dumps()
+    with mock.patch.object(events, "_BATCH_LINES", 7):
+        assert log.dumps() == want
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier log\n"])
+def test_failed_dump_keeps_the_file_as_it_was(tmp_path, existing):
+    """The bad record comes after a whole batch, so part of the log was
+    written before the encoder failed."""
+    records = [json.loads(line) for line in valid_lines(events._BATCH_LINES)]
+    path = tmp_path / "events.jsonl"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(ValueError):
+        EventLog.from_records(records + [bid(math.inf)]).dump_jsonl(path)
+    assert list(tmp_path.iterdir()) == ([path] if existing else [])
+    if existing:
+        assert path.read_bytes() == existing
 
 
 def write(tmp_path, text: str):
@@ -367,3 +402,43 @@ def test_non_ascii_utf8_decodes(tmp_path):
     path.write_bytes('{"type":"claim","tick":1,"site":0,"excavator":"é"}\n'
                      .encode("utf-8"))
     assert EventLog.load_jsonl(path).records[0]["excavator"] == "é"
+
+
+LOADS = {
+    "clean": (f"{CLAIM}\n{RELEASE}\n".encode(), None),
+    "line by line": (f"{CLAIM}\n\n{RELEASE}\n".encode(), None),
+    "malformed": (f"{CLAIM}\nnot json\n".encode(), "line 2: invalid JSON"),
+    # the file is read in blocks: a bad byte near the end of the first
+    # batch would fail that batch's read
+    "not UTF-8": (("\n".join(valid_lines(2 * BATCH)) + "\n").encode()
+                  + BAD_BYTE, f"line {2 * BATCH + 1}: invalid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("name", list(LOADS))
+def test_load_pauses_the_collector_and_leaves_it_as_found(
+        tmp_path, monkeypatch, name, collecting):
+    """Records are decoded with the cyclic collector paused, and the load,
+    clean or not, leaves the collector on or off as it found it."""
+    data, error = LOADS[name]
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(data)
+    seen = []
+    for decoder in ("_decode_batch", "_decode"):
+        def decode(*args, _decode=getattr(events, decoder)):
+            seen.append(gc.isenabled())
+            return _decode(*args)
+        monkeypatch.setattr(events, decoder, decode)
+    was_on = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if error is None:
+            EventLog.load_jsonl(path)
+        else:
+            with pytest.raises(LogParseError, match=f"^{error}"):
+                EventLog.load_jsonl(path)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_on else gc.disable)()
+    assert seen and not any(seen)

@@ -1,5 +1,6 @@
 """The log checker must pass clean runs and flag every tampered log."""
 
+import pytest
 from conftest import crowded_config, tiny_config, tiny_run
 
 from isrusim import (
@@ -208,6 +209,65 @@ def test_sequence_regression_flagged():
                        winner="excavator_2"))  # sequence number reused
     checks = {v.check for v in verify_records(records)}
     assert "sequence" in checks
+
+
+OPEN = {"task_type": "excavate", "status": "open"}
+CLOSED = {"task_type": "excavate", "status": "closed"}
+KEY = "('scout_1', (30.0, 40.0))"
+# Bids and acks take effect only once their publish tick has passed, also
+# when the ticks of those still pending are out of order.  Each log's
+# violations are pinned as the checker reported them before it delivered
+# pending records as a prefix.
+PENDING_LOGS = {
+    "tick goes backward with bids pending": (protocol_prefix()[:2] + [
+        msg(5, 1, "bid", bidder="excavator_1", utility=-10.0),
+        msg(3, 2, "bid", bidder="excavator_2", utility=-4.0),
+        msg(4, 3, "winner", winner="excavator_2", **OPEN),
+        msg(5, 4, "ack", auction_winner="excavator_2", verdict="accepted"),
+        msg(6, 5, "close", allocated_to="excavator_2", **CLOSED),
+        run_end("stalled"),
+    ], ["[sequence] publish tick went backward at seq 2"]),
+    "winner tick goes backward with bids pending": (protocol_prefix() + [
+        msg(0, 3, "winner", winner="excavator_2", **OPEN),
+        msg(2, 4, "bid", bidder="excavator_3", utility=-1.0),
+        msg(3, 5, "winner", winner="excavator_3", **OPEN),
+        run_end("stalled"),
+    ], ["[sequence] publish tick went backward at seq 3",
+        f"[winner_bid] {KEY}: winner excavator_2 placed no bid this round",
+        f"[protocol] {KEY}: winner declared while another acknowledgment "
+        "was pending",
+        f"[winner_bid] {KEY}: winner excavator_3 placed no bid this round"]),
+    "not-a-number tick with bids pending": (protocol_prefix()[:2] + [
+        msg(float("nan"), 1, "bid", bidder="excavator_1", utility=-1.0),
+        msg(1, 2, "bid", bidder="excavator_2", utility=-4.0),
+        msg(2, 3, "winner", winner="excavator_2", **OPEN),
+        run_end("stalled"),
+    ], []),
+    "acks pending across ticks": (protocol_prefix() + [
+        msg(3, 3, "winner", winner="excavator_2", **OPEN),
+        msg(4, 4, "ack", auction_winner="excavator_2", verdict="declined"),
+        msg(5, 5, "ack", auction_winner="excavator_1", verdict="accepted"),
+        msg(5, 6, "winner", winner="excavator_1", **OPEN),
+        msg(6, 7, "ack", auction_winner="excavator_1", verdict="accepted"),
+        msg(7, 8, "close", allocated_to="excavator_1", **CLOSED),
+        run_end("stalled"),
+    ], []),
+    "ack still pending at a close": (protocol_prefix() + [
+        msg(3, 3, "winner", winner="excavator_2", **OPEN),
+        msg(4, 4, "ack", auction_winner="excavator_2", verdict="declined"),
+        msg(5, 5, "winner", winner="excavator_1", **OPEN),
+        msg(6, 6, "ack", auction_winner="excavator_1", verdict="accepted"),
+        msg(6, 7, "close", allocated_to="excavator_1", **CLOSED),
+        run_end("stalled"),
+    ], [f"[close_without_ack] {KEY}: closed for excavator_1 without their "
+        "accepted acknowledgment"]),
+}
+
+
+@pytest.mark.parametrize("name", list(PENDING_LOGS))
+def test_pending_bids_and_acks_take_effect_once_due(name):
+    records, want = PENDING_LOGS[name]
+    assert [str(v) for v in verify_records(records)] == want
 
 
 def key_of(auction):
