@@ -207,7 +207,8 @@ class RobotController:
             if wins:
                 self._resolve_wins(wins, tick)
         self._act(tick)
-        self._place_bids(tick)
+        if self.board:
+            self._place_bids(tick)
         self.wake_tick = self._next_wake(tick)
 
     def wake(self, tick: int) -> None:
@@ -289,13 +290,15 @@ class RobotController:
         (`select_winner`); the bid record is only logged.  A reopened key is
         a new auction with no answers, bid from round 1.
         """
-        state, name = self.state, self.state.name
+        state, bid = self.state, self.ctx.bus.bid
+        name, busy, pose = state.name, state.busy, state.pose
         for auction in islice(self.board.values(), self.bid_scope):
             answer = auction.answers.get(name)
             if answer is None or answer[0] < auction.rounds or (
-                    answer[1] == NEG_INF and not state.busy):
-                utility = evaluate_self_utility(state, auction.task_location)
-                self.ctx.bus.bid(auction, name, utility, tick)
+                    answer[1] == NEG_INF and not busy):
+                utility = evaluate_self_utility(
+                    state, auction.task_location, busy, pose)
+                bid(auction, name, utility, tick)
                 auction.answers[name] = (auction.rounds, utility, tick)
 
     def _act(self, tick: int) -> None:

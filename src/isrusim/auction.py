@@ -156,11 +156,15 @@ def handle_ack(auction: Auction, record: dict, tick: int,
 
 
 def evaluate_self_utility(robot: "RobotState",
-                          task_location: Sequence[float]) -> float:
+                          task_location: Sequence[float],
+                          busy: bool | None = None,
+                          pose: Point | None = None) -> float:
     """Utility = -cost, cost = the straight-line distance to the task (the
     arena has no obstacles); busy robots answer with the negative-infinity
-    sentinel."""
-    if robot.busy:
+    sentinel.  `busy` and `pose` default to the robot's own; a robot that
+    bids in several auctions in one step reads them once and passes them,
+    since neither changes while it bids."""
+    if robot.busy if busy is None else busy:
         return NEG_INF
-    return -robot.pose.distance_to(task_location)
+    return -(robot.pose if pose is None else pose).distance_to(task_location)
 

@@ -7,7 +7,10 @@ RECORD_FIELDS["msg"] + MSG_FIELDS[variant].  Each method takes the fields
 from the auction the message belongs to (`auction.Auction`), an ack from
 the winner record it answers, so every record of one auction holds that
 auction's one `loc` list; it routes the record and `publish`es it, which
-stamps its `tick` and `seq` and appends it to the log.  The bus puts that
+stamps its `tick` and `seq` and appends it to the log through the log's
+`records.append`, bound once.  `bid` is the one other stamper: a bid is
+most of a log's records, so it builds its record with `tick` and `seq`
+already filled in and appends it itself, in one frame.  The bus puts that
 same object into its recipient's inbox, so a robot must never mutate a
 record it receives: the log, and every other record of the auction, would
 change with it.  The auction a message belongs to is
@@ -91,7 +94,7 @@ class BroadcastBus:
     posted auctions to one board per task type; a bid is only logged."""
 
     def __init__(self, log: EventLog, win_latency: int):
-        self._log = log
+        self._append = log.records.append
         self._win_latency = win_latency
         self._sequence = 0
         # task type value -> its open auctions, oldest first
@@ -114,11 +117,11 @@ class BroadcastBus:
 
     def publish(self, record: dict, tick: int) -> dict:
         """Stamp a message record with `tick` and its sequence number, log
-        it and return it.  Every message passes through here."""
+        it and return it.  Every message but a bid passes through here."""
         record["tick"] = tick
         record["seq"] = self._sequence
         self._sequence += 1
-        self._log.append(record)
+        self._append(record)
         return record
 
     def post(self, auction: Auction, tick: int) -> dict:
@@ -150,11 +153,14 @@ class BroadcastBus:
         if not utility <= 0.0:
             raise ValueError(f"{bidder} bid utility {utility}; a utility "
                              f"must be <= 0 or -inf")
-        return self.publish({"type": "msg", "tick": None, "seq": None,
-                             "variant": "bid",
-                             "auctioneer": auction.auctioneer,
-                             "loc": auction.loc, "bidder": bidder,
-                             "utility": utility}, tick)
+        # The one stamper besides `publish`: bids are most of a log's
+        # records, so a bid is built stamped and logged in this one frame.
+        record = {"type": "msg", "tick": tick, "seq": self._sequence,
+                  "variant": "bid", "auctioneer": auction.auctioneer,
+                  "loc": auction.loc, "bidder": bidder, "utility": utility}
+        self._sequence += 1
+        self._append(record)
+        return record
 
     def declare(self, auction: Auction, tick: int) -> dict:
         """Log the declaration of `auction.winner` as winner (the auction

@@ -9,13 +9,29 @@ one definition of what a record carries.
 Write path: each record is one compact ASCII JSON object on its own line.
 `_encode_object`, built at import (the C encoder of the json module when
 it is there, a `JSONEncoder` otherwise), is the byte reference.  A msg
-record, nearly every record of a log, is written instead by the one
-f-string of its variant, with each name escaped and each `loc` pair
-formatted once per `dumps` call: a run has only one location per site.  A
-variant's writer applies only to a record with exactly its schema keys,
-`int` tick and seq, `str` names, a `loc` of two finite nonzero floats (0.0
-and -0.0 are equal and hash alike, so they cannot share a cached
-fragment) and a finite or -inf `utility`; any other record goes to
+record, nearly every record of a log, is written instead as
+`{"type":"msg","tick":T,"seq":S,` and its tail, the rest of its line.  A
+tail is written by the one f-string of its variant, with each name escaped
+and each `loc` pair formatted once per `dumps` call: a run has only one
+location per site.  A tail that repeats, an announcement's (sent each
+round) and a bid's of the -inf sentinel (sent each round by a busy robot),
+is written once per batch of `_BATCH_LINES` records and reused; a cache
+kept for the whole log would hold a tail per auction and robot.  A winner,
+an ack and a close are written about once per auction and robot, so their
+tails are not kept: they would only take memory.  A tail's key is
+the record's variant and names and the `id` of its `loc` list: all records
+of one auction share one `loc` list (`bus`), and the entry holds that list,
+so its id cannot be reused while the batch's cache lives.  A finite
+utility is never cached: 0.0 and -0.0 are equal and hash alike but are
+written differently, and a robot standing on its task location bids -0.0.
+The writers apply only to a record with exactly its variant's schema keys,
+`int` tick and seq, `str` names, a `loc` of two finite nonzero floats
+(the `loc` text cache is keyed by value, where 0.0 and -0.0 would meet)
+and a finite or -inf `utility`.  The keys, the type and variant and the
+tick and seq are checked for every record, a `loc` and its names on the
+miss that fills an entry; a `str` subclass equal to a cached name has the
+same characters, which is what the encoder writes.  Any other record,
+such as one with an unhashable or non-`str` name, goes to
 `_encode_object`.  Numbers are written by `int.__repr__` and
 `float.__repr__` and strings by `encode_basestring_ascii`, as the C
 encoder writes them, so the bytes are the same; at import each writer is
@@ -33,7 +49,7 @@ one `io.BytesIO`, whose bytes it returns without a copy.
 Read path: `_decode` parses one line and checks its record against the
 schema.  It is the reference, and the only source of `LogParseError`
 messages and line numbers.  `load_jsonl` first tries a fast path on each
-batch of `_BATCH_LINES` lines: one `json.loads` of the lines joined into a
+batch of `_BATCH_LINES` lines: one parse of the lines joined into a
 JSON array, so the batch's records share their key strings.  It keeps that
 result only if the array holds one schema-valid record (an object) per
 line and no line holds `}`, then a comma, then `{` with only spaces, tabs or
@@ -51,7 +67,10 @@ second read finds the first line that is not valid UTF-8, which the
 is read, and turned back on only if it was on: a log decodes into one dict
 and one `loc` list per msg record, which the collector would otherwise walk
 again and again while they are built, and decoded JSON holds no reference
-cycles for it to find.
+cycles for it to find.  Both parses use one decoder, built at import, that
+refuses the tokens `NaN`, `Infinity` and `-Infinity`: the json module
+accepts them, the writer never emits them, and a line holding one is
+invalid JSON.
 """
 
 from __future__ import annotations
@@ -154,118 +173,121 @@ def _loc_text(loc, locs: dict) -> str | None:
     return text
 
 
-# One writer per msg variant: the record's line, or None when
-# `_encode_object` must write it.  Each unpacks the values of a record
-# whose keys are exactly ("type",) + RECORD_FIELDS["msg"] + MSG_FIELDS[v].
+# One tail writer per msg variant: the record's line after `"seq":S,`, from
+# its tail key, (variant, auctioneer, id(loc)) + its fields after `loc`, and
+# its `loc` as JSON.  A name that is not a `str` raises TypeError (`_Names`).
 
-def _announcement_line(record, names, locs):
-    rtype, tick, seq, variant, auctioneer, loc, task_type, status = \
-        record.values()
-    if (rtype == "msg" and variant == "announcement"
-            and type(tick) is int is type(seq)
-            and (loc := _loc_text(loc, locs))):
-        return (f'{{"type":"msg","tick":{tick},"seq":{seq},'
-                f'"variant":"announcement","auctioneer":{names[auctioneer]},'
-                f'"loc":{loc},"task_type":{names[task_type]},'
-                f'"status":{names[status]}}}\n')
-    return None
+def _announcement_tail(key, loc, names):
+    _, auctioneer, _, task_type, status = key
+    return (f'"variant":"announcement","auctioneer":{names[auctioneer]},'
+            f'"loc":{loc},"task_type":{names[task_type]},'
+            f'"status":{names[status]}}}\n')
 
 
-def _bid_line(record, names, locs):
-    rtype, tick, seq, variant, auctioneer, loc, bidder, utility = \
-        record.values()
+def _bid_tail(key, loc, names):
+    _, auctioneer, _, bidder, utility = key
     if utility == NEG_INF:
         utility = '"-inf"'
     elif type(utility) is float and isfinite(utility):
         utility = float.__repr__(utility)
     else:
         return None
-    if (rtype == "msg" and variant == "bid" and type(tick) is int is type(seq)
-            and (loc := _loc_text(loc, locs))):
-        return (f'{{"type":"msg","tick":{tick},"seq":{seq},"variant":"bid",'
-                f'"auctioneer":{names[auctioneer]},"loc":{loc},'
-                f'"bidder":{names[bidder]},"utility":{utility}}}\n')
-    return None
+    return (f'"variant":"bid","auctioneer":{names[auctioneer]},"loc":{loc},'
+            f'"bidder":{names[bidder]},"utility":{utility}}}\n')
 
 
-def _winner_line(record, names, locs):
-    rtype, tick, seq, variant, auctioneer, loc, task_type, status, winner = \
-        record.values()
-    if (rtype == "msg" and variant == "winner"
-            and type(tick) is int is type(seq)
-            and (loc := _loc_text(loc, locs))):
-        return (f'{{"type":"msg","tick":{tick},"seq":{seq},"variant":"winner",'
-                f'"auctioneer":{names[auctioneer]},"loc":{loc},'
-                f'"task_type":{names[task_type]},"status":{names[status]},'
-                f'"winner":{names[winner]}}}\n')
-    return None
+def _winner_tail(key, loc, names):
+    _, auctioneer, _, task_type, status, winner = key
+    return (f'"variant":"winner","auctioneer":{names[auctioneer]},'
+            f'"loc":{loc},"task_type":{names[task_type]},'
+            f'"status":{names[status]},"winner":{names[winner]}}}\n')
 
 
-def _ack_line(record, names, locs):
-    rtype, tick, seq, variant, auctioneer, loc, auction_winner, verdict = \
-        record.values()
-    if (rtype == "msg" and variant == "ack" and type(tick) is int is type(seq)
-            and (loc := _loc_text(loc, locs))):
-        return (f'{{"type":"msg","tick":{tick},"seq":{seq},"variant":"ack",'
-                f'"auctioneer":{names[auctioneer]},"loc":{loc},'
-                f'"auction_winner":{names[auction_winner]},'
-                f'"verdict":{names[verdict]}}}\n')
-    return None
+def _ack_tail(key, loc, names):
+    _, auctioneer, _, auction_winner, verdict = key
+    return (f'"variant":"ack","auctioneer":{names[auctioneer]},"loc":{loc},'
+            f'"auction_winner":{names[auction_winner]},'
+            f'"verdict":{names[verdict]}}}\n')
 
 
-def _close_line(record, names, locs):
-    (rtype, tick, seq, variant, auctioneer, loc, task_type, status,
-     allocated_to) = record.values()
-    if (rtype == "msg" and variant == "close"
-            and type(tick) is int is type(seq)
-            and (loc := _loc_text(loc, locs))):
-        return (f'{{"type":"msg","tick":{tick},"seq":{seq},"variant":"close",'
-                f'"auctioneer":{names[auctioneer]},"loc":{loc},'
-                f'"task_type":{names[task_type]},"status":{names[status]},'
-                f'"allocated_to":{names[allocated_to]}}}\n')
-    return None
+def _close_tail(key, loc, names):
+    _, auctioneer, _, task_type, status, allocated_to = key
+    return (f'"variant":"close","auctioneer":{names[auctioneer]},"loc":{loc},'
+            f'"task_type":{names[task_type]},"status":{names[status]},'
+            f'"allocated_to":{names[allocated_to]}}}\n')
 
 
-def _msg_lines() -> dict:
-    """Each variant's key tuple -> its writer, checked against
-    `_encode_object` on one sample record."""
-    writers = {"announcement": _announcement_line, "bid": _bid_line,
-               "winner": _winner_line, "ack": _ack_line, "close": _close_line}
+def _msg_tails() -> dict:
+    """Each variant's key tuple -> (the variant, its tail writer), each
+    writer checked against `_encode_object` on one sample record."""
+    writers = {"announcement": _announcement_tail, "bid": _bid_tail,
+               "winner": _winner_tail, "ack": _ack_tail, "close": _close_tail}
     sample_values = {"type": "msg", "tick": 1, "seq": 2, "loc": [0.5, 1.5],
                      "utility": -1.5}
-    lines = {}
+    tails = {}
     for variant, fields in MSG_FIELDS.items():
         keys = ("type",) + RECORD_FIELDS["msg"] + fields
         sample = {key: sample_values.get(key, f"<{key}>") for key in keys}
         sample["variant"] = variant
-        write = writers[variant]
-        if write(sample, _Names(), {}) != _encode_object(sample) + "\n":
+        key = (variant, sample["auctioneer"], id(sample["loc"]),
+               *(sample[field] for field in fields))
+        tail = writers[variant](key, "[0.5,1.5]", _Names())
+        if f'{{"type":"msg","tick":1,"seq":2,{tail}' != (
+                _encode_object(sample) + "\n"):
             raise AssertionError(f"the {variant} writer does not match "
                                  "the schema and the encoder")
-        lines[keys] = write
-    return lines
+        tails[keys] = variant, writers[variant]
+    return tails
 
 
-_MSG_LINES = _msg_lines()
+_MSG_TAILS = _msg_tails()
 
 
 def _jsonl_batches(records: list[dict]) -> Iterator[bytes]:
     """The log's bytes, `_BATCH_LINES` records at a time."""
     names, locs = _Names(), {}
     for start in range(0, len(records), _BATCH_LINES):
-        lines = []
-        for record in records[start:start + _BATCH_LINES]:
-            write = _MSG_LINES.get(tuple(record))
-            try:
-                line = write and write(record, names, locs)
-            except TypeError:  # a name that is not a str
-                line = None
-            if line is None:
-                line = _encode_object(
-                    record if record.get("utility") != NEG_INF
-                    else {**record, "utility": "-inf"}) + "\n"
-            lines.append(line)
-        yield "".join(lines).encode()
+        yield "".join(_batch_lines(records[start:start + _BATCH_LINES],
+                                   names, locs)).encode()
+
+
+def _batch_lines(batch: list[dict], names: _Names, locs: dict) -> list[str]:
+    """The lines of `batch`, with a tail cache of its own, freed before
+    the lines are joined."""
+    tails = {}  # tail key -> (its loc list, the tail)
+    lines = []
+    for record in batch:
+        keys = tuple(record)
+        msg = _MSG_TAILS.get(keys)  # (its variant, its tail writer)
+        tail = None
+        if msg is not None:
+            if len(keys) == 8:
+                rtype, tick, seq, variant, auctioneer, loc, a, b = \
+                    record.values()
+                key = variant, auctioneer, id(loc), a, b
+            else:
+                (rtype, tick, seq, variant, auctioneer, loc, a, b,
+                 c) = record.values()
+                key = variant, auctioneer, id(loc), a, b, c
+            if (rtype == "msg" and variant == msg[0]
+                    and type(tick) is int is type(seq)):
+                try:
+                    entry = tails.get(key)
+                    if entry is not None:
+                        tail = entry[1]
+                    elif (loc_text := _loc_text(loc, locs)) is not None:
+                        tail = msg[1](key, loc_text, names)
+                        if tail is not None and (
+                                variant == "announcement" or b == NEG_INF):
+                            tails[key] = loc, tail
+                except TypeError:  # an unhashable or non-str name
+                    tail = None
+        lines.append(
+            f'{{"type":"msg","tick":{tick},"seq":{seq},{tail}'
+            if tail is not None else _encode_object(
+                record if record.get("utility") != NEG_INF
+                else {**record, "utility": "-inf"}) + "\n")
+    return lines
 
 
 def _missing(record: dict, fields: tuple[str, ...]) -> str:
@@ -291,13 +313,25 @@ def _schema_error(record) -> str | None:
     return f"msg {variant} record is missing {missing}" if missing else None
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+# The json module's decoder, but refusing NaN, Infinity and -Infinity,
+# which it accepts by default and the writer never emits.
+_json_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 def _decode(line: str, line_number: int) -> dict:
     """The schema-checked record of one line, -inf sentinel restored."""
     try:
-        record = json.loads(line)
+        if line.startswith("\ufeff"):  # as json.loads reports it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        record = _json_decode(line)
     except json.JSONDecodeError as exc:
         raise LogParseError(f"invalid JSON ({exc.msg})", line_number) from exc
-    except (ValueError, RecursionError) as exc:  # huge int; deep nesting
+    except (ValueError, RecursionError) as exc:  # huge int; NaN; deep nesting
         raise LogParseError(f"invalid JSON ({exc})", line_number) from exc
     error = _schema_error(record)
     if error is not None:
@@ -315,7 +349,7 @@ def _decode_batch(lines: list[str]) -> list[dict] | None:
     if _ADJACENT_OBJECTS.search(text):
         return None
     try:
-        records = json.loads(text)
+        records = _json_decode(text)
     except (ValueError, RecursionError):
         return None
     if len(records) != len(lines):

@@ -88,7 +88,8 @@ class Point(NamedTuple):
     y: float
 
     def distance_to(self, other: Sequence[float]) -> float:
-        return math.hypot(self.x - other[0], self.y - other[1])
+        x, y = self  # cheaper than the NamedTuple field reads
+        return math.hypot(x - other[0], y - other[1])
 
 
 @dataclass

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +280,27 @@ def test_malformed_value_exits_3_with_one_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"{command} failed: malformed value")
     assert err.count("\n") == 1 and "TypeError" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["replay", "verify"])
+def test_non_json_number_exits_3_naming_its_line(tmp_path, capsys, command,
+                                                 token):
+    """The json module reads NaN and Infinity, which are not JSON and which
+    the writer never emits; a bid whose tick is one is an invalid line."""
+    out = tmp_path / "run"
+    assert main(["run", "--policy", "fcfs", "--seed", "0", *SMALL,
+                 "--out", str(out)]) == 0
+    lines = (out / "events.jsonl").read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if '"variant":"bid"' in line)
+    lines[n] = re.sub(r'"tick":\d+', f'"tick":{token}', lines[n])
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, "--log", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"{command} failed: line {n + 1}: invalid JSON "
+        f"({token} is not a JSON number)\n")
 
 
 def _run_small(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from isrusim import EventLog, LogParseError, run_to_completion
 from isrusim import events
+from isrusim.events import MSG_FIELDS
 from conftest import tiny_config
 from cases import CASES
 
@@ -328,6 +329,96 @@ def test_templates_write_what_the_encoder_writes(records):
         assert EventLog.from_records(records).dumps() == want
 
 
+class Name(str):
+    """A `str` subclass; the encoder writes its characters."""
+
+
+# a small pool per example, so that records repeat their names and locs and
+# meet the batch's tail cache
+CACHE_NAMES = ["scout_1", "excavator_1", 'say "hi"', "back\\slash", "é",
+               "名前", "\x00\n\u2028", "", Name("scout_1"), Name("é"),
+               ["scout_1"], 7]
+CACHE_COORDS = [30.0747930940873, 1.5, 0.0, -0.0, math.inf, 1e-310]
+UTILITIES = [-math.inf, -0.0, 0.0, -2.5, -1e-300, -3]
+LOC_KINDS = ["shared", "shared", "equal copy", "tuple"]
+VARIANTS = list(MSG_FIELDS) + ["bid", "bid"]  # bids are most of a log
+
+
+def shared_loc(records: list[dict]) -> list[dict]:
+    """`records`, all holding the first one's `loc` list, as the records of
+    one auction do."""
+    for record in records:
+        record["loc"] = records[0]["loc"]
+    return records
+
+
+def named_alike(variant: str) -> dict:
+    """A msg record of `variant` whose every name is "n": records of two
+    variants with as many fields differ only in their variant."""
+    return {"type": "msg", "tick": 1, "seq": 0, "variant": variant,
+            "auctioneer": "n", "loc": [1.0, 2.0],
+            **dict.fromkeys(MSG_FIELDS[variant], "n")}
+
+
+@st.composite
+def msg_records(draw) -> list[dict]:
+    """Msg records of every variant drawn from small pools of names, `loc`
+    lists and utilities.  A record's `loc` is one of the pool's lists, shared
+    with the records that drew it, an equal-valued list of its own, or a
+    tuple; now and then a record gets a `bool` tick or another variant's
+    name."""
+    def pool(values, size):
+        return st.sampled_from(draw(st.lists(values, min_size=1,
+                                             max_size=size)))
+
+    names = pool(st.sampled_from(CACHE_NAMES), 2)
+    utilities = draw(st.lists(st.sampled_from(UTILITIES), min_size=1,
+                              max_size=3)) + draw(st.lists(st.floats(),
+                                                           max_size=1))
+    utilities = st.sampled_from(utilities + [-u for u in utilities if u == 0])
+    coords = st.sampled_from(CACHE_COORDS) | st.floats(1, 100)
+    locs = draw(st.lists(st.lists(coords, min_size=2, max_size=2),
+                         min_size=1, max_size=2))
+    records = []
+    for seq in range(draw(st.integers(1, 16))):
+        variant = draw(st.sampled_from(VARIANTS))
+        loc = draw(st.sampled_from(locs))
+        kind = draw(st.sampled_from(LOC_KINDS))
+        if kind != "shared":
+            loc = list(loc) if kind == "equal copy" else tuple(loc)
+        record = {"type": "msg", "tick": seq // 3, "seq": seq,
+                  "variant": variant, "auctioneer": draw(names), "loc": loc}
+        for field in MSG_FIELDS[variant]:
+            record[field] = draw(utilities if field == "utility" else names)
+        odd = draw(st.integers(0, 19))
+        if odd == 0:
+            record["tick"] = True
+        elif odd == 1:
+            record["variant"] = draw(st.sampled_from(list(MSG_FIELDS)))
+        records.append(record)
+    return records
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(records=msg_records(), batch_lines=st.integers(1, 5))
+@example(records=shared_loc([bid(0.0), bid(-0.0), bid(-math.inf),
+                             bid(-0.0)]), batch_lines=4)
+@example(records=shared_loc([named_alike(v) for v in MSG_FIELDS
+                             if v != "bid"]), batch_lines=4)
+def test_cached_tails_write_what_the_encoder_writes(records, batch_lines):
+    """Across batch boundaries, with tails shared by a `loc` list and names
+    or only equal to another record's, `dumps` writes what `_encode_object`
+    writes for each record, or both raise ValueError."""
+    with mock.patch.object(events, "_BATCH_LINES", batch_lines):
+        try:
+            want = encoded(records, events._encode_object)
+        except ValueError:
+            with pytest.raises(ValueError):
+                EventLog.from_records(records).dumps()
+        else:
+            assert EventLog.from_records(records).dumps() == want
+
+
 # -- property: random line-level edits of a small valid log -------------------
 
 BASE = run_to_completion(tiny_config()).log.dumps().decode().splitlines()[:40]
@@ -372,6 +463,13 @@ def test_edited_logs_decode_like_the_reference(tmp_path_factory, text,
     with mock.patch.object(events, "_BATCH_LINES", batch_lines):
         got = loaded(path)
     assert same_outcome(got, reference(path))
+
+
+def test_a_leading_bom_is_reported_as_json_loads_reports_it(tmp_path):
+    path = write(tmp_path, f"\ufeff{CLAIM}\n")
+    with pytest.raises(LogParseError, match=r"^line 1: invalid JSON "
+                       r"\(Unexpected UTF-8 BOM \(decode using utf-8-sig\)\)$"):
+        EventLog.load_jsonl(path)
 
 
 BAD_BYTE = b'{"type":"claim","tick":1,"site":0,"excavator":"\xff"}'
