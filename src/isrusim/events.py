@@ -48,29 +48,43 @@ one `io.BytesIO`, whose bytes it returns without a copy.
 
 Read path: `_decode` parses one line and checks its record against the
 schema.  It is the reference, and the only source of `LogParseError`
-messages and line numbers.  `load_jsonl` first tries a fast path on each
-batch of `_BATCH_LINES` lines: one parse of the lines joined into a
-JSON array, so the batch's records share their key strings.  It keeps that
-result only if the array holds one schema-valid record (an object) per
-line and no line holds `}`, then a comma, then `{` with only spaces, tabs or
-carriage returns in between.  That is exact: no JSON string holds a raw
-newline, so each comma inserted after a line's newline lies outside every
-string, and a comma separating two top-level objects that came from inside
-a line would need that pattern (a newline beside it would meet an inserted
-comma and fail the parse).  So each of the array's separators is an
-inserted comma, each line is exactly one record, and the per-line parse
-gives the same records.  Any other batch, including one with a blank line,
-goes through `_decode` line by line, which skips blank lines and raises
-the reference error.  A log is read as UTF-8.  On a decoding error, a
-second read finds the first line that is not valid UTF-8, which the
-`LogParseError` names.  The cyclic garbage collector is paused while a log
-is read, and turned back on only if it was on: a log decodes into one dict
-and one `loc` list per msg record, which the collector would otherwise walk
-again and again while they are built, and decoded JSON holds no reference
-cycles for it to find.  Both parses use one decoder, built at import, that
-refuses the tokens `NaN`, `Infinity` and `-Infinity`: the json module
-accepts them, the writer never emits them, and a line holding one is
-invalid JSON.
+messages and line numbers.  `load_jsonl` reads `_BATCH_LINES` lines at a
+time and first tries the fast paths on the batch.  A line that starts with
+the head the writer emits, `{"type":"msg","tick":T,"seq":S,` with T and S
+JSON integers of at most 18 digits (which `int` reads as the json module
+does), is split there.  Its tail, the rest of the line, is parsed once as
+`"{" + tail` and kept with its fields in a cache that lives for the whole
+read and is emptied when it holds `_BATCH_LINES` tails: a log repeats its
+announcements' and sentinel bids' tails every round.  A tail is accepted
+only if it is one object that carries every field of its (hashable)
+variant and none of the head's keys, so an empty tail, or one that would
+make the line's record another type, is refused; the line is then
+`{"type": "msg", "tick": T, "seq": S, **fields}`, the record the per-line
+parse gives.  Records with the same tail share their values, one `loc`
+list among them, as the live log's records of one auction do: a decoded
+record must never be mutated.  Every other line of the batch, and every
+msg line whose tail is refused, goes through one parse of those lines
+joined into a JSON array, so they share their key strings, and the records
+are merged back in line order.  That result is kept only if the array
+holds one schema-valid record (an object) per line and no line holds `}`,
+then a comma, then `{` with only spaces, tabs or carriage returns in
+between.  That is exact: no JSON string holds a raw newline, so each comma
+inserted after a line's newline lies outside every string, and a comma
+separating two top-level objects that came from inside a line would need
+that pattern (a newline beside it would meet an inserted comma and fail
+the parse).  So each of the array's separators is an inserted comma, each
+line is exactly one record, and the per-line parse gives the same records.
+Any other batch, including one with a blank line, goes through `_decode`
+line by line, which skips blank lines and raises the reference error.  A
+log is read as UTF-8.  On a decoding error, a second read finds the first
+line that is not valid UTF-8, which the `LogParseError` names.  The cyclic
+garbage collector is paused while a log is read, and turned back on only
+if it was on: decoded records are containers the collector would
+otherwise walk again and again while they are built, and decoded JSON
+holds no reference cycles for it to find.  Every parse uses one decoder,
+built at import, that refuses the tokens `NaN`, `Infinity` and
+`-Infinity`: the json module accepts them, the writer never emits them,
+and a line holding one is invalid JSON.
 """
 
 from __future__ import annotations
@@ -118,8 +132,16 @@ _FAST_REQUIRED = {(t, None): frozenset(f) for t, f in RECORD_FIELDS.items()
 _FAST_REQUIRED.update(((("msg", v), frozenset(RECORD_FIELDS["msg"] + f))
                        for v, f in MSG_FIELDS.items()))
 
+# variant -> every field the tail of a msg line must carry
+_TAIL_REQUIRED = {v: _FAST_REQUIRED["msg", v] - {"tick", "seq"}
+                  for v in MSG_FIELDS}
+
 _BATCH_LINES = 2048
 _ADJACENT_OBJECTS = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
+# The head the writer gives a msg line; tick and seq are JSON integers of at
+# most 18 digits, which `int` reads as the json module does.
+_MSG_HEAD = re.compile(r'\{"type":"msg","tick":(-?(?:0|[1-9][0-9]{0,17})),'
+                       r'"seq":(-?(?:0|[1-9][0-9]{0,17})),')
 
 
 class LogParseError(ValueError):
@@ -367,6 +389,58 @@ def _decode_batch(lines: list[str]) -> list[dict] | None:
     return records
 
 
+def _tail_fields(tail: str) -> dict | None:
+    """The fields a msg line holds after its head, -inf sentinel restored;
+    None unless they are an object that carries its variant's fields and
+    none of the head's keys."""
+    try:
+        fields = _json_decode("{" + tail)
+        required = _TAIL_REQUIRED.get(fields.get("variant"))
+    except (ValueError, RecursionError, TypeError):  # TypeError: unhashable
+        return None
+    if (required is None or not fields.keys() >= required
+            or not fields.keys().isdisjoint(("type", "tick", "seq"))):
+        return None
+    if fields.get("utility") == "-inf":
+        fields["utility"] = NEG_INF
+    return fields
+
+
+class _Tails(dict):
+    """msg line tail -> `_tail_fields(tail)`, parsed on first use; emptied
+    when it holds `_BATCH_LINES` tails."""
+
+    def __missing__(self, tail):
+        if len(self) >= _BATCH_LINES:
+            self.clear()
+        fields = self[tail] = _tail_fields(tail)
+        return fields
+
+
+def _decode_lines(lines: list[str], tails: _Tails) -> list[dict] | None:
+    """The records of `lines`, or None to decode line by line.  A msg line
+    with the writer's head and an accepted tail is built from its tail's
+    cached fields; the other lines are decoded by one `_decode_batch`."""
+    records, rest = [], []
+    head = _MSG_HEAD.match
+    for line in lines:
+        match = head(line)
+        fields = match and tails[line[match.end():]]
+        if fields is None:
+            rest.append(line)
+            records.append(None)
+        else:
+            records.append({"type": "msg", "tick": int(match[1]),
+                            "seq": int(match[2]), **fields})
+    if rest:
+        decoded = _decode_batch(rest)
+        if decoded is None:
+            return None
+        decoded = iter(decoded)
+        records = [record or next(decoded) for record in records]
+    return records
+
+
 def first_invalid_utf8_line(data: bytes) -> int | None:
     r"""The number of the first line of `data` that is not valid UTF-8.
 
@@ -425,13 +499,14 @@ class EventLog:
     @staticmethod
     def load_jsonl(path: str | Path) -> "EventLog":
         log = EventLog()
+        tails = _Tails()  # kept for the whole read: a log repeats its tails
         first = 1  # line number of the batch's first line
         collecting = gc.isenabled()
         gc.disable()  # decoded records hold no cycles
         try:
             with Path(path).open(encoding="utf-8") as fh:
                 while batch := list(islice(fh, _BATCH_LINES)):
-                    records = _decode_batch(batch)
+                    records = _decode_lines(batch, tails)
                     if records is None:
                         records = [_decode(line, n)
                                    for n, line in enumerate(batch, first)

@@ -1,11 +1,13 @@
 """The event-log codec: same records as the per-line reference, same errors.
 
 The reference decoder parses a file line by line with `events._decode`,
-which applies the record schema.  `EventLog.load_jsonl` parses whole
-batches of lines at once and must return exactly the reference's records,
+which applies the record schema.  `EventLog.load_jsonl` builds a msg line's
+record from its tail, parsed once per distinct tail, and parses the other
+lines of a batch at once; it must return exactly the reference's records,
 or raise exactly its `LogParseError` (message and line number).
 """
 
+import copy
 import gc
 import json
 import math
@@ -14,7 +16,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from isrusim import EventLog, LogParseError, run_to_completion
+from isrusim import (EventLog, LogParseError, collect_metrics,
+                     run_to_completion, verify_records)
 from isrusim import events
 from isrusim.events import MSG_FIELDS
 from conftest import tiny_config
@@ -22,6 +25,14 @@ from cases import CASES
 
 CLAIM = '{"type":"claim","tick":1,"site":0,"excavator":"excavator_1"}'
 RELEASE = '{"type":"release","tick":2,"site":0,"excavator":"excavator_1"}'
+# a msg line as the writer splits it: its head, then its tail
+HEAD = '{"type":"msg","tick":1,"seq":2,'
+BID_TAIL = ('"variant":"bid","auctioneer":"scout_1","loc":[1.0,2.0],'
+            '"bidder":"excavator_1","utility":-2.5}')
+
+
+def msg_line(tick="1", seq="2", tail=BID_TAIL) -> str:
+    return f'{{"type":"msg","tick":{tick},"seq":{seq},{tail}'
 
 
 def reference(path):
@@ -155,6 +166,21 @@ MALFORMED = {
         "\n".join(valid_lines(BATCH)) + "\nnot json\n", BATCH + 1),
     "after blank lines, later batch": (
         "\n".join(valid_lines(BATCH + 5)) + "\n\n  \n{}\n", BATCH + 8),
+    # msg lines whose head or tail the tail cache must refuse
+    "tick with a leading zero": (f"{msg_line()}\n{msg_line(tick='01')}\n", 2),
+    "seq with a leading zero": (f"{msg_line(seq='00')}\n", 1),
+    "huge tick in a msg head": (f"{msg_line()}\n{msg_line('9' * 5000)}\n", 2),
+    "empty tail": (f"{msg_line()}\n{HEAD}}}\n", 2),
+    "blank tail": (f"{HEAD} }}\n", 1),
+    "tail turns the record into a claim": (
+        f'{msg_line()}\n{HEAD}"type":"claim",{BID_TAIL}\n', 2),
+    "data after the tail's object": (f"{msg_line()}\n{msg_line()} 1\n", 2),
+    "record after the tail's object": (
+        f"{msg_line()}\n{msg_line()} , {CLAIM}\n", 2),
+    "list variant": (msg_line(tail=BID_TAIL.replace('"bid"', '["bid"]')), 1),
+    "number variant": (msg_line(tail=BID_TAIL.replace('"bid"', "5")), 1),
+    "tail lacks a variant field": (
+        msg_line(tail=BID_TAIL.replace(',"utility":-2.5', "")), 1),
 }
 
 
@@ -180,6 +206,27 @@ DECODES = {
                      '"variant":"x","note":"kept"}\n'),
     "blank lines across batches": "\n".join(valid_lines(BATCH + 3)
                                             + [""] * 3 + valid_lines(4)),
+    # msg lines: the tail cache's records, or the refused ones', must be the
+    # reference's
+    "tick and seq of -0": f"{msg_line('-0', '-0')}\n{msg_line()}\n",
+    "18- and 19-digit ticks and seqs": "\n".join(
+        msg_line(tick, seq) for tick, seq in [
+            ("9" * 18, "-" + "9" * 18), ("1" + "0" * 18, "3"),
+            ("5", "-" + "9" * 19), ("7", "9" * 40)]),
+    "tail repeats tick and seq": f'{msg_line()}\n{HEAD}"tick":5,"seq":6,'
+                                 f'{BID_TAIL}\n',
+    "tail repeats type, a whole claim": (
+        f'{msg_line()}\n{HEAD}"type":"claim","site":0,"excavator":"e",'
+        f'{BID_TAIL}\n'),
+    "space after the head": f"{HEAD} {BID_TAIL}\n{HEAD}\t{BID_TAIL} \r\n",
+    "-inf utility": "\n".join(
+        [msg_line(tail=BID_TAIL.replace("-2.5", '"-inf"'))] * 2 + [msg_line(
+            tail='"variant":"close","auctioneer":"s","loc":[1,2],'
+                 '"task_type":"t","status":"s","allocated_to":"e",'
+                 '"utility":"-inf"}')]),
+    "repeated tails, other lines between": "\n".join(
+        [msg_line(n, n + 1) for n in range(3)] + [CLAIM]
+        + [msg_line(n, n + 1) for n in range(3, 6)]),
 }
 
 
@@ -425,7 +472,15 @@ BASE = run_to_completion(tiny_config()).log.dumps().decode().splitlines()[:40]
 FRAGMENTS = ["", "  ", "{}", "[]", "1", "null", ",", "}", "{", '"type"',
              '{"type":"msg"', '{"type":"claim"}', '"tick":1}', CLAIM, RELEASE,
              f"{CLAIM},{RELEASE}", f"{CLAIM} , {RELEASE}", '{"y":1}]}',
-             '{"type":"claim","tick":1,"site":0,"excavator":"e","x":[']
+             '{"type":"claim","tick":1,"site":0,"excavator":"e","x":[',
+             msg_line(), msg_line("01"), msg_line("-0", "-0"),
+             msg_line("9" * 19), msg_line(seq="1" * 30), f"{HEAD}}}",
+             f"{HEAD} }}", f'{HEAD}"type":"claim",{BID_TAIL}',
+             f'{HEAD}"seq":9,{BID_TAIL}', f"{HEAD} {BID_TAIL}",
+             f"{msg_line()} {{}}", f"{msg_line()},{CLAIM}",
+             msg_line(tail=BID_TAIL.replace("-2.5", '"-inf"')),
+             msg_line(tail=BID_TAIL.replace('"bid"', '["bid"]')),
+             msg_line(tail=BID_TAIL.replace('"bid"', "1"))]
 
 
 @st.composite
@@ -504,6 +559,7 @@ def test_non_ascii_utf8_decodes(tmp_path):
 
 LOADS = {
     "clean": (f"{CLAIM}\n{RELEASE}\n".encode(), None),
+    "msg lines only": (f"{msg_line()}\n{msg_line(2, 3)}\n".encode(), None),
     "line by line": (f"{CLAIM}\n\n{RELEASE}\n".encode(), None),
     "malformed": (f"{CLAIM}\nnot json\n".encode(), "line 2: invalid JSON"),
     # the file is read in blocks: a bad byte near the end of the first
@@ -523,7 +579,7 @@ def test_load_pauses_the_collector_and_leaves_it_as_found(
     path = tmp_path / "events.jsonl"
     path.write_bytes(data)
     seen = []
-    for decoder in ("_decode_batch", "_decode"):
+    for decoder in ("_decode_batch", "_decode", "_tail_fields"):
         def decode(*args, _decode=getattr(events, decoder)):
             seen.append(gc.isenabled())
             return _decode(*args)
@@ -540,3 +596,55 @@ def test_load_pauses_the_collector_and_leaves_it_as_found(
     finally:
         (gc.enable if was_on else gc.disable)()
     assert seen and not any(seen)
+
+
+def test_each_distinct_tail_is_parsed_once(tmp_path, run_logs, monkeypatch):
+    """A log's msg lines are decoded from their tails, each tail parsed
+    once for the whole read of several batches, while the cache holds them
+    all."""
+    monkeypatch.setattr(events, "_BATCH_LINES", 500)
+    path = tmp_path / "events.jsonl"
+    run_logs.log(*CASES["crowded/nearest"]).dump_jsonl(path)
+    lines = path.read_text().splitlines(keepends=True)
+    tails = {line[line.index('"variant"'):] for line in lines
+             if line.startswith('{"type":"msg"')}
+    assert len(tails) < events._BATCH_LINES < len(lines) - len(tails)
+    parsed = []
+    tail_fields = events._tail_fields
+    monkeypatch.setattr(events, "_tail_fields",
+                        lambda tail: parsed.append(tail) or tail_fields(tail))
+    assert EventLog.load_jsonl(path).records == reference(path)
+    assert sorted(parsed) == sorted(tails)
+
+
+def test_tail_cache_is_bounded(tmp_path, monkeypatch):
+    """With every tail distinct, the cache is emptied each time it holds
+    `_BATCH_LINES` tails, and never holds more; the records are the
+    reference's."""
+    tails = [BID_TAIL.replace("-2.5", f"-{n}.5") for n in range(9)]
+    path = write(tmp_path, "".join(f"{msg_line(n, n, tail)}\n"
+                                   for n, tail in enumerate(tails)))
+    sizes = []
+
+    class Tails(events._Tails):
+        def __setitem__(self, tail, fields):
+            super().__setitem__(tail, fields)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(events, "_Tails", Tails)
+    monkeypatch.setattr(events, "_BATCH_LINES", 2)
+    assert EventLog.load_jsonl(path).records == reference(path)
+    assert sizes == [1, 2] * 4 + [1]
+
+
+def test_reading_a_log_changes_no_decoded_record(tmp_path, run_logs):
+    """Records with one tail share its values, one `loc` list among them,
+    so a change to one record would change others: verify and metrics
+    leave every decoded record as it was."""
+    path = tmp_path / "events.jsonl"
+    run_logs.log(*CASES["crowded/nearest"]).dump_jsonl(path)
+    records = EventLog.load_jsonl(path).records
+    before = copy.deepcopy(records)
+    verify_records(records)
+    collect_metrics(records)
+    assert records == before

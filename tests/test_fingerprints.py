@@ -10,7 +10,9 @@ Every case is checked in this process, and again in child processes: under
 `python -O`, with every `assert` stripped, and under each other CPython
 >= 3.10 found among the pyenv versions ($PYENV_ROOT, else ~/.pyenv), which
 need no pytest to run `cases`.  Each child runs under its own fixed
-`PYTHONHASHSEED`, so every case is also checked under other string hashes.
+`PYTHONHASHSEED`, so every case is also checked under other string hashes,
+and each child also writes every case's log to a file and checks that
+`load_jsonl` reads back the run's records.
 """
 
 import json
@@ -53,15 +55,23 @@ CHILDREN = {"-O": (sys.executable, "-O"),
 # random default of this process
 HASH_SEEDS = {label: str(i) for i, label in enumerate(CHILDREN, start=1)}
 CHILD_SCRIPT = """
-import json, os, platform, sys
+import json, os, platform, sys, tempfile
+from pathlib import Path
 from cases import CASES, fingerprint
 import isrusim as s
 
+fingerprints, loads_back = {}, {}
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "events.jsonl"
+    for name, (config, snap) in CASES.items():
+        log = s.run_to_completion(config, snapshots=snap).log
+        fingerprints[name] = fingerprint(log)
+        log.dump_jsonl(path)
+        loads_back[name] = s.EventLog.load_jsonl(path).records == log.records
 print(json.dumps({
     "version": platform.python_version(), "optimize": sys.flags.optimize,
     "hash_seed": os.environ.get("PYTHONHASHSEED"),
-    "fingerprints": {name: fingerprint(s.run_to_completion(config, snapshots=snap).log)
-                     for name, (config, snap) in CASES.items()}}))
+    "fingerprints": fingerprints, "loads_back": loads_back}))
 """
 
 
@@ -126,15 +136,16 @@ def child_output(children, label) -> dict:
 
 def mismatched_cases(output) -> list[str]:
     """The cases whose fingerprint in a child's output is not the recorded
-    one."""
+    one, or whose written log the child did not load back as its records."""
     recorded = json.loads(DATA.read_text())
-    got = output["fingerprints"]
-    return [name for name in recorded if got.get(name) != recorded[name]]
+    got, loads_back = output["fingerprints"], output["loads_back"]
+    return [name for name in recorded
+            if got.get(name) != recorded[name] or not loads_back.get(name)]
 
 
 def test_logs_are_the_same_under_optimize(children):
     """A run under `python -O`, with every `assert` stripped, writes the
-    same bytes: every case."""
+    same bytes and reads them back as its records: every case."""
     output = child_output(children, "-O")
     assert output["optimize"] == 1
     assert mismatched_cases(output) == []
@@ -145,8 +156,9 @@ def test_logs_are_the_same_under_optimize(children):
         reason=f"no CPython >= 3.10 other than {platform.python_version()} "
                f"under {VERSIONS}"))])
 def test_logs_are_the_same_under_other_interpreters(children, version):
-    """Every case writes the same bytes under each other CPython >= 3.10
-    found; the test ids name the interpreters checked."""
+    """Every case writes the same bytes, and reads them back as its
+    records, under each other CPython >= 3.10 found; the test ids name the
+    interpreters checked."""
     output = child_output(children, version)
     assert output["version"] == version
     assert mismatched_cases(output) == []
