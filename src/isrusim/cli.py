@@ -32,35 +32,24 @@ EXIT_OK = 0
 EXIT_STALLED = 2
 EXIT_VIOLATION = 3
 
-# Each scenario flag, by its dest, and the key it sets.  A flag's type is
-# its key's field type.  Only `run` takes the first two.
-_FLAG_TO_KEY = {
-    "policy": "policy",
-    "seed": "seed",
-    "scouts": "n_scouts",
-    "excavators": "n_excavators",
-    "haulers": "n_haulers",
-    "sites": "n_sites",
-    "minerals": "n_minerals",
-    "arena": "arena_side",
-    "scan_radius": "scan_radius",
-    "tick_cap": "tick_cap",
-}
-_SHARED_FLAGS = tuple(_FLAG_TO_KEY)[2:]
 
-
-def _add_scenario_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        key = _FLAG_TO_KEY[flag]
-        parser.add_argument("--" + flag.replace("_", "-"), dest=flag,
-                            type=SCENARIO_KEYS[key],
-                            choices=POLICY_NAMES if key == "policy" else None)
+def _add_scenario_flags(parser: argparse.ArgumentParser, *grid: str) -> None:
+    """`--config` and a flag per scenario key but those of the `grid`, typed
+    as its field: the key without a leading `n_` or a trailing `_side`, `_`
+    written `-`."""
+    parser.add_argument("--config", type=Path,
+                        help="key=value file or run_meta.json; flags beat it")
+    for key, kind in SCENARIO_KEYS.items():
+        flag = key.removeprefix("n_").removesuffix("_side").replace("_", "-")
+        if key not in grid:
+            parser.add_argument("--" + flag, dest=key, type=kind,
+                                choices=POLICY_NAMES if key == "policy" else None)
 
 
 def _scenario_from_args(args: argparse.Namespace):
     file_values = parse_scenario_file(args.config) if args.config else {}
-    return build_config(file_values, {key: getattr(args, flag, None)
-                                      for flag, key in _FLAG_TO_KEY.items()})
+    return build_config(file_values, {key: getattr(args, key, None)
+                                      for key in SCENARIO_KEYS})
 
 
 def parse_seed_spec(spec: str) -> list[int]:
@@ -175,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario and write its outputs")
-    _add_scenario_flags(p_run, "policy", "seed")
+    _add_scenario_flags(p_run)
     p_run.add_argument("--snapshots", action="store_true",
                        help="log per-tick robot snapshots (large)")
     p_run.add_argument("--out", required=True, type=Path)
@@ -188,11 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--snapshots", action="store_true")
     p_sweep.add_argument("--out", required=True, type=Path)
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    for scenario in (p_run, p_sweep):
-        scenario.add_argument("--config", type=Path,
-                              help="flat key=value scenario file; flags override it")
-        _add_scenario_flags(scenario, *_SHARED_FLAGS)
+    _add_scenario_flags(p_sweep, "policy", "seed")
 
     p_replay = sub.add_parser(
         "replay", help="re-derive metrics from an event log")

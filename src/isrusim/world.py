@@ -14,6 +14,7 @@ the keys of a scenario file and of the CLI's scenario flags (`SCENARIO_KEYS`).
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import random
@@ -394,17 +395,30 @@ def _a(kind: type) -> str:
 
 
 def parse_scenario_file(path: str | Path) -> dict[str, object]:
-    """Parse a flat `key = value` scenario file (# starts a comment) into
-    values of their fields' types.  A key set twice is an error, not a
-    silent override, and so is a value its field cannot read or hold."""
+    """Parse a flat `key = value` scenario file (# starts a comment), or the
+    `config` of a run's `run_meta.json`, into values of their fields' types.
+    A key set twice is an error, not a silent override, and so is a value
+    its field cannot read or hold."""
     values: dict[str, object] = {}
     set_on: dict[str, int] = {}  # key -> the line that set it
     data = Path(path).read_bytes()
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}:{first_invalid_utf8_line(data)}: "
                          f"invalid UTF-8 ({exc.reason})") from exc
+    if text.lstrip().startswith("{"):  # no `key = value` line starts so
+        try:
+            config = json.loads(text).get("config")
+            if not isinstance(config, dict):
+                raise ValueError("expected a 'config' object")
+            for key, value in config.items():
+                if key not in SCENARIO_KEYS:
+                    raise ValueError(f"unknown scenario key {key!r}")
+                config[key] = _typed(key, SCENARIO_KEYS[key], value)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting
+            raise ValueError(f"{path}: {exc}") from None
+        return config
     # lines end at \n, \r\n and \r only, as `first_invalid_utf8_line` counts them
     for lineno, raw in enumerate(map(bytes.decode, data.splitlines()), start=1):
         line = raw.split("#", 1)[0].strip()

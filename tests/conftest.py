@@ -24,6 +24,28 @@ ALT_TIMING = dict(robot_speed=2.0, dig_duration=7, load_duration=3,
                   unload_duration=2, bid_window=4, win_resolution_window=1)
 
 
+# A valid value other than the default for every scenario key, as written
+# in a file or given to its flag, and the value the config must hold.
+KEY_SAMPLES = {
+    "arena_side": ("30", 30.0),
+    "n_scouts": ("1", 1),
+    "n_excavators": ("3", 3),
+    "n_haulers": ("2", 2),
+    "n_sites": ("5", 5),
+    "n_minerals": ("70", 70),
+    "scan_radius": ("2", 2.0),
+    "seed": ("42", 42),
+    "policy": ("nearest", "nearest"),
+    "tick_cap": ("5000", 5000),
+    "robot_speed": ("2", 2.0),
+    "dig_duration": ("8", 8),
+    "load_duration": ("2", 2),
+    "unload_duration": ("9", 9),
+    "bid_window": ("4", 4),
+    "win_resolution_window": ("2", 2),
+}
+
+
 @pytest.fixture
 def small_config() -> ScenarioConfig:
     return tiny_config()

@@ -10,9 +10,12 @@ from unittest import mock
 
 import pytest
 
+from conftest import KEY_SAMPLES
+
 import isrusim
 from isrusim import ScenarioConfig
-from isrusim.cli import _FLAG_TO_KEY, build_parser, main, parse_seed_spec
+from isrusim.cli import (_scenario_from_args, build_parser, main,
+                          parse_seed_spec)
 from isrusim.world import SCENARIO_KEYS
 
 SMALL = ["--arena", "30", "--scouts", "1", "--excavators", "2",
@@ -398,23 +401,31 @@ def test_a_log_with_no_run_start_exits_3(tmp_path, capsys, command, log):
     assert captured.out == "" and "run_start" in captured.err
 
 
-# Every scenario flag as (option string, dest, type): generated from the
-# config fields, they must not drift from the hand-written flags they replace.
-SHARED_FLAGS = [
+# Every scenario flag as (option string, dest, type), in help order.  The
+# options are the key without a leading `n_` or a trailing `_side`, `_`
+# written `-`; each sets its key.  A sweep's policies and seeds are its grid.
+RUN_FLAGS = [
     ("--config", "config", Path),
-    ("--scouts", "scouts", int),
-    ("--excavators", "excavators", int),
-    ("--haulers", "haulers", int),
-    ("--sites", "sites", int),
-    ("--minerals", "minerals", int),
-    ("--arena", "arena", float),
+    ("--arena", "arena_side", float),
+    ("--scouts", "n_scouts", int),
+    ("--excavators", "n_excavators", int),
+    ("--haulers", "n_haulers", int),
+    ("--sites", "n_sites", int),
+    ("--minerals", "n_minerals", int),
     ("--scan-radius", "scan_radius", float),
+    ("--seed", "seed", int),
+    ("--policy", "policy", str),
+    ("--robot-speed", "robot_speed", float),
+    ("--dig-duration", "dig_duration", int),
+    ("--load-duration", "load_duration", int),
+    ("--unload-duration", "unload_duration", int),
+    ("--bid-window", "bid_window", int),
+    ("--win-resolution-window", "win_resolution_window", int),
     ("--tick-cap", "tick_cap", int),
 ]
 SCENARIO_FLAGS = {
-    "run": [("--policy", "policy", str), ("--seed", "seed", int),
-            *SHARED_FLAGS],
-    "sweep": SHARED_FLAGS,
+    "run": RUN_FLAGS,
+    "sweep": [flag for flag in RUN_FLAGS if flag[1] not in ("policy", "seed")],
 }
 
 
@@ -439,14 +450,64 @@ def test_scenario_flags_are_pinned(command):
 
 def test_one_table_types_the_config_and_the_flags():
     """`SCENARIO_KEYS` is the fields of `ScenarioConfig`, each with the type
-    its default holds, and every scenario flag reads its key's type."""
+    its default holds, and each command has one flag per key it takes, of
+    its key's type."""
     defaults = ScenarioConfig()
     assert list(SCENARIO_KEYS) == [f.name for f in dataclasses.fields(defaults)]
     assert all(type(getattr(defaults, key)) is kind
                for key, kind in SCENARIO_KEYS.items())
-    for command in SCENARIO_FLAGS:
+    for command, grid in (("run", ()), ("sweep", ("policy", "seed"))):
         flags = [action for action in _subparser(command)._actions
-                 if action.dest in _FLAG_TO_KEY]
-        assert len(flags) == len(SCENARIO_FLAGS[command]) - 1  # all but --config
+                 if action.dest in SCENARIO_KEYS]
+        assert [action.dest for action in flags] == [
+            key for key in SCENARIO_KEYS if key not in grid]
         for action in flags:
-            assert action.type is SCENARIO_KEYS[_FLAG_TO_KEY[action.dest]]
+            assert action.type is SCENARIO_KEYS[action.dest]
+
+
+@pytest.mark.parametrize("key", list(SCENARIO_KEYS))
+def test_each_flag_sets_its_own_field_over_the_config_file(tmp_path, key):
+    """`run --<flag> value` builds a config whose field holds the value,
+    and the flag beats the same key set in a `--config` file."""
+    flag = next(option for option, dest, _ in RUN_FLAGS if dest == key)
+    text, want = KEY_SAMPLES[key]
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"{key} = {getattr(ScenarioConfig(), key)}\n")
+    for config_flags in ([], ["--config", str(cfg)]):
+        args = build_parser().parse_args(["run", *config_flags, flag, text,
+                                          "--out", "o"])
+        value = getattr(_scenario_from_args(args), key)
+        assert value == want and type(value) is SCENARIO_KEYS[key]
+
+
+def test_a_run_reruns_from_its_run_meta(tmp_path):
+    """`--config` reads a run's own `run_meta.json`: the run it gives logs
+    the same bytes."""
+    first = _run_small(tmp_path)
+    again = tmp_path / "again"
+    assert main(["run", "--config", str(first.parent / "run_meta.json"),
+                 "--out", str(again)]) == 0
+    assert (again / "events.jsonl").read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"config": {"seed": 1, "warp_speed": 9}}',
+     "unknown scenario key 'warp_speed'"),
+    ('{"config": [1]}', "expected a 'config' object"),
+    ('{"version": "0.1.0"}', "expected a 'config' object"),
+    ('{"config": {"seed": 1.5}}', "seed must be an int, got 1.5"),
+    ('{"config": {"arena_side": NaN}}',
+     "arena_side must be a finite number, got nan"),
+    ('{"config": {', "Expecting property name enclosed in double quotes: "
+                     "line 1 column 13 (char 12)"),
+    ('{"config": ' * 100_000, "maximum recursion depth exceeded"),
+], ids=["unknown-key", "not-an-object", "no-config", "int", "nan", "not-json",
+        "too-deep"])
+def test_a_bad_run_meta_exits_1_naming_the_file(tmp_path, capsys, text,
+                                                message):
+    meta = tmp_path / "run_meta.json"
+    meta.write_text(text)
+    assert main(["run", "--config", str(meta),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert _one_error_line(capsys).startswith(f"error: {meta}: {message}")
+    assert not (tmp_path / "o").exists()

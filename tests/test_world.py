@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_config
+from conftest import KEY_SAMPLES, tiny_config
 
 from isrusim import (
     Point,
@@ -458,28 +458,6 @@ def test_scenario_file_lines_end_only_at_newlines(tmp_path, break_):
     with pytest.raises(ValueError) as caught:
         parse_scenario_file(path)
     assert str(caught.value) == f"{path}:2: invalid UTF-8 (invalid start byte)"
-
-
-# A valid value other than the default for every scenario key, as written
-# in a file, and the value the config must hold.
-KEY_SAMPLES = {
-    "arena_side": ("30", 30.0),
-    "n_scouts": ("1", 1),
-    "n_excavators": ("3", 3),
-    "n_haulers": ("2", 2),
-    "n_sites": ("5", 5),
-    "n_minerals": ("70", 70),
-    "scan_radius": ("2", 2.0),
-    "seed": ("42", 42),
-    "policy": ("nearest", "nearest"),
-    "tick_cap": ("5000", 5000),
-    "robot_speed": ("2", 2.0),
-    "dig_duration": ("8", 8),
-    "load_duration": ("2", 2),
-    "unload_duration": ("9", 9),
-    "bid_window": ("4", 4),
-    "win_resolution_window": ("2", 2),
-}
 
 
 @pytest.mark.parametrize("field", dataclasses.fields(ScenarioConfig),
