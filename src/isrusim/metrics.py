@@ -14,8 +14,9 @@ import csv
 import json
 import statistics
 from dataclasses import asdict, dataclass, field, replace
+from operator import ge, le
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .events import record_auction_key
 from .world import (
@@ -202,22 +203,27 @@ def _median(values: Sequence) -> float | None:
 def collect_metrics(records: Iterable[dict]) -> MetricsReport:
     """Derive a MetricsReport purely from the event log of one finished run."""
     ends: dict[str, dict] = {}
-    messages: list[dict] = []
     discovery_ticks: list[int] = []
+    n_messages = 0
 
-    for index, record in enumerate(records):
-        if not isinstance(record, dict) or "type" not in record:
-            raise MetricsError(f"record {index}: not an event record")
-        rtype = record["type"]
-        if rtype == "run_start" or rtype == "run_end":
-            if rtype in ends:
-                raise MetricsError(f"record {index}: a second {rtype}")
-            ends[rtype] = record
-        elif rtype == "discovery":
-            discovery_ticks.append(record["tick"])
-        elif rtype == "msg":
-            messages.append(record)
-    histories = derive_auction_histories(messages)
+    def messages() -> Iterator[dict]:
+        """The msg records, each passed on as the one walk reads it."""
+        nonlocal n_messages
+        for index, record in enumerate(records):
+            if not isinstance(record, dict) or "type" not in record:
+                raise MetricsError(f"record {index}: not an event record")
+            rtype = record["type"]
+            if rtype == "msg":
+                n_messages += 1
+                yield record
+            elif rtype == "run_start" or rtype == "run_end":
+                if rtype in ends:
+                    raise MetricsError(f"record {index}: a second {rtype}")
+                ends[rtype] = record
+            elif rtype == "discovery":
+                discovery_ticks.append(record["tick"])
+
+    histories = derive_auction_histories(messages())
 
     run_start, run_end = ends.get("run_start"), ends.get("run_end")
     if run_start is None or run_end is None:
@@ -247,7 +253,7 @@ def collect_metrics(records: Iterable[dict]) -> MetricsReport:
         per_robot_distance=odometry,
         per_kind_distance=per_kind,
         auction_durations=[h for h in histories if h.closed_tick is not None],
-        message_count=len(messages),
+        message_count=n_messages,
     )
     report.validate()
     return report
@@ -388,30 +394,28 @@ def _ordering_checks(per_policy: dict[str, dict]) -> dict:
     transport_open = medians(
         lambda s: s["median_auction_open"][TIER_EXCAVATOR_TO_HAULER])
 
-    def is_least(values: dict, policy: str) -> bool | None:
+    def holds(values: dict, policy: str, order: Callable) -> bool | None:
+        """Whether `policy`'s median stands in `order` (`le`: least, `ge`:
+        greatest) to every other; None unless all three have one."""
         if not have_all or any(v is None for v in values.values()):
             return None
-        return all(values[policy] <= v for p, v in values.items() if p != policy)
-
-    def is_greatest(values: dict, policy: str) -> bool | None:
-        if not have_all or any(v is None for v in values.values()):
-            return None
-        return all(values[policy] >= v for p, v in values.items() if p != policy)
+        return all(order(values[policy], v)
+                   for p, v in values.items() if p != policy)
 
     return {
         "completion_fcfs_least": {
             "hard_gate": False,
-            "pass": is_least(completion, "fcfs"),
+            "pass": holds(completion, "fcfs", le),
             "medians": completion,
         },
         "excavator_distance_nearest_minimal": {
             "hard_gate": True,
-            "pass": is_least(excavator_distance, "nearest"),
+            "pass": holds(excavator_distance, "nearest", le),
             "medians": excavator_distance,
         },
         "excavator_to_hauler_open_coalition_maximal": {
             "hard_gate": True,
-            "pass": is_greatest(transport_open, "coalition"),
+            "pass": holds(transport_open, "coalition", ge),
             "medians": transport_open,
         },
     }

@@ -5,7 +5,11 @@ logged broadcasts: it shares no winner-selection code with the live state
 machines, so it can catch their bugs.  The replay honors transport timing --
 bids and acknowledgments take effect one tick after publication (when the
 auctioneer actually received them), auctioneer publications take effect
-immediately.
+immediately.  Each auction queues its bids and acknowledgments.  Just
+before its next publication, at tick T, those sent before T are applied in
+the order they were sent and the rest stay queued; the end of the log
+applies every queue.  A bid or acknowledgment changes only its own
+auction's replay, which nothing reads before that publication.
 
 Checks, all zero-tolerance:
   a. no busy-sentinel (-inf) bidder is ever declared winner;
@@ -24,9 +28,7 @@ Checks, all zero-tolerance:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable
 
 from .events import NEG_INF, record_auction_key
@@ -64,8 +66,7 @@ class LogChecker:
         self._claims: dict[int, str] = {}
         self._last_seq = -1
         self._last_tick = -1
-        self._pending: list[dict] = []  # bids/acks awaiting delivery
-        self._in_order = True  # their publish ticks never go down
+        self._queues: dict[tuple, list[dict]] = {}  # each auction's bids/acks
         self._run_start: dict | None = None
         self._run_end: dict | None = None
 
@@ -96,7 +97,8 @@ class LogChecker:
                 self._run_start = record
             elif rtype == "run_end":
                 self._run_end = record
-        self._deliver_pending(None)
+        for key in list(self._queues):
+            self._deliver(key)
         self._finish()
         return self.violations
 
@@ -110,58 +112,51 @@ class LogChecker:
             self._fail("sequence", f"publish tick went backward at seq {seq}")
         self._last_seq, self._last_tick = seq, tick
 
+        key = record_auction_key(record)
         variant = record["variant"]
-        if variant in ("bid", "ack"):
-            pending = self._pending
-            if pending and not tick >= pending[-1]["tick"]:
-                self._in_order = False
-            pending.append(record)
+        if variant == "bid" or variant == "ack":
+            self._queues.setdefault(key, []).append(record)
             return
-        # auctioneer publications take effect now; first deliver everything
-        # published strictly before this tick (it has arrived by now)
-        self._deliver_pending(tick)
+        # an auctioneer's publication takes effect now; first deliver what
+        # was sent to its auction strictly before this tick (it has arrived)
+        if key in self._queues:
+            self._deliver(key, tick)
         if variant == "announcement":
-            self._on_announcement(record)
+            self._on_announcement(key)
         elif variant == "winner":
-            self._on_winner(record)
+            self._on_winner(key, record)
         elif variant == "close":
-            self._on_close(record)
+            self._on_close(key, record)
 
-    def _deliver_pending(self, tick: int | None) -> None:
-        """Apply queued bids/acks published before `tick` (all, when None).
-        While their publish ticks are in order, those are a prefix; once
-        they are not (a malformed log), every queued record is tested."""
-        pending = self._pending
-        if tick is None:
-            due, self._pending = pending, []
-        elif self._in_order:
-            n = bisect_left(pending, tick, key=itemgetter("tick"))
-            if not n:
-                return
-            due, self._pending = pending[:n], pending[n:]
-        else:
-            due = [record for record in pending if record["tick"] < tick]
-            self._pending = [record for record in pending
-                             if not record["tick"] < tick]
-        for record in due:
-            if record["variant"] != "bid":
-                self._deliver_ack(record)
-                continue
-            replay = self._open.get(record_auction_key(record))
-            if replay is None:
-                continue  # bid raced a close; the auctioneer dropped it too
-            utility = record["utility"]
-            if utility > 0 or math.isnan(utility):
-                self._fail("bid", f"bid with positive utility {utility}")
-            if replay.offered:
-                replay.late_bids[record["bidder"]] = utility
-            else:
-                replay.round_bids[record["bidder"]] = utility
+    def _deliver(self, key: tuple, tick: int | None = None) -> None:
+        """Apply, in the order they were sent, the bids and acks queued for
+        auction `key` that were sent before `tick` (all, when None); the
+        rest stay queued."""
+        queue = self._queues.pop(key)
+        replay = self._open.get(key)
+        for record in queue:
+            if tick is not None and not record["tick"] < tick:
+                self._queues.setdefault(key, []).append(record)
+            elif replay is None:
+                continue  # it raced a close; the auctioneer dropped it too
+            elif record["variant"] == "bid":
+                utility = record["utility"]
+                if utility > 0 or math.isnan(utility):
+                    self._fail("bid", f"bid with positive utility {utility}")
+                if replay.offered:
+                    replay.late_bids[record["bidder"]] = utility
+                else:
+                    replay.round_bids[record["bidder"]] = utility
+            elif replay.offered and record["auction_winner"] == replay.winner:
+                # acks from anyone but the pending winner are discarded
+                if record["verdict"] == "accepted":
+                    replay.accepted_by = replay.winner
+                else:
+                    replay.winner = None  # awaits a reoffer or re-announce
 
     # -- auction protocol ------------------------------------------------------
 
-    def _on_announcement(self, record: dict) -> None:
-        key = record_auction_key(record)
+    def _on_announcement(self, key: tuple) -> None:
         replay = self._open.get(key)
         if replay is None:
             self._open[key] = _Replay()
@@ -174,8 +169,7 @@ class LogChecker:
             replay.offered = set()
             replay.winner = None
 
-    def _on_winner(self, record: dict) -> None:
-        key = record_auction_key(record)
+    def _on_winner(self, key: tuple, record: dict) -> None:
         replay = self._open.get(key)
         if replay is None:
             self._fail("protocol", f"{key}: winner declared for a closed or "
@@ -204,19 +198,7 @@ class LogChecker:
         replay.offered.add(winner)
         replay.accepted_by = None
 
-    def _deliver_ack(self, record: dict) -> None:
-        replay = self._open.get(record_auction_key(record))
-        if replay is None:
-            return
-        if not replay.offered or record["auction_winner"] != replay.winner:
-            return  # acks from non-winners are discarded
-        if record["verdict"] == "accepted":
-            replay.accepted_by = record["auction_winner"]
-        else:
-            replay.winner = None  # awaits a reoffer or re-announce
-
-    def _on_close(self, record: dict) -> None:
-        key = record_auction_key(record)
+    def _on_close(self, key: tuple, record: dict) -> None:
         replay = self._open.pop(key, None)
         if replay is None:
             self._fail("protocol", f"{key}: closed but never announced")

@@ -286,7 +286,7 @@ def sweep_reach(path: PathEstimate,
 
 
 def generate_scenario(config: ScenarioConfig,
-                      plans: Sequence[SpiralPlan] | None = None) -> WorldState:
+                      plans: Sequence[SpiralPlan]) -> WorldState:
     """Build the world for a configuration. Pure in the config (seed included).
 
     Sites are placed by rejection sampling under four rules: at least
@@ -299,12 +299,10 @@ def generate_scenario(config: ScenarioConfig,
     the mission.  Mineral counts are a uniformly drawn composition of
     n_minerals into n_sites positive parts.
 
-    `plans` are the scouts' coverage plans for the config; None builds them.
+    `plans` are the scouts' coverage plans for the config, as
+    `spiral.build_spiral` makes them.
     """
     from .pathing import make_path  # imported here: both import this module
-    from .spiral import build_spiral
-    if plans is None:
-        plans = build_spiral(config.arena_side, config.cell_side, config.n_scouts)
     sweeps = [sweep_reach(make_path(plan.waypoints), config.scan_radius)
               for plan in plans if plan.visit_order]
     rng = random.Random(config.seed)

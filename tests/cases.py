@@ -8,10 +8,11 @@ there.  Pinned: the reference scenario (seeds 0-19, the whole acceptance
 sweep), the determinism configs, the tiny config at several robot speeds, a
 crowded fleet under every policy (nearest declares some robots winner of
 several auctions in one tick), and `--snapshots` logs of the tiny config
-under every policy.
+under every policy.  `readings` is what the two log readers make of a log.
 """
 
 import hashlib
+import json
 
 import isrusim as s
 
@@ -67,3 +68,11 @@ CASES.update((f"tiny/snapshots/{policy}", (tiny_config(policy=policy), True))
 
 def fingerprint(log: s.EventLog) -> str:
     return hashlib.sha256(log.dumps()).hexdigest()
+
+
+def readings(records: list[dict]) -> list:
+    """The verifier's violations of a log, as text, and the sha256 of its
+    metrics report."""
+    report = json.dumps(s.collect_metrics(records).to_dict(), sort_keys=True)
+    return [[str(v) for v in s.verify_records(records)],
+            hashlib.sha256(report.encode()).hexdigest()]

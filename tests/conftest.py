@@ -12,12 +12,22 @@ from isrusim import (
     Point,
     ScenarioConfig,
     TaskType,
+    WorldState,
+    build_spiral,
+    generate_scenario,
     run_to_completion,
 )
 
 
 def tiny_run(**overrides):
     return run_to_completion(tiny_config(**overrides))
+
+
+def world_of(config: ScenarioConfig) -> WorldState:
+    """The world a run of `config` plays in: generated from a fresh build
+    of its scouts' coverage plans."""
+    return generate_scenario(config, build_spiral(
+        config.arena_side, config.cell_side, config.n_scouts))
 
 
 ALT_TIMING = dict(robot_speed=2.0, dig_duration=7, load_duration=3,

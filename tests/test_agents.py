@@ -15,6 +15,7 @@ from conftest import (
     tiny_run,
     walk_and_scan,
     win_record,
+    world_of,
 )
 
 from isrusim import (
@@ -26,7 +27,6 @@ from isrusim import (
     ScenarioConfig,
     Simulation,
     TaskType,
-    generate_scenario,
     run_to_completion,
 )
 from isrusim import agents
@@ -208,7 +208,7 @@ def test_scan_reach_agrees_with_the_distance_at_the_radius_and_on_borders():
     that distance, and random segments of up to 12 m: `scan_reach` keeps
     the distance rule at every site (`probe_scan_reach`)."""
     config, radius = ARENA200, ARENA200.scan_radius
-    world = with_border_sites(generate_scenario(config), config, 30)
+    world = with_border_sites(world_of(config), config, 30)
     probes = []
     for site in world.sites:
         x, y = site.location.x, site.location.y

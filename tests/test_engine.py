@@ -18,6 +18,7 @@ from conftest import (
     step_cursor,
     tiny_config,
     tiny_run,
+    world_of,
 )
 
 import isrusim
@@ -32,7 +33,6 @@ from isrusim import (
     ScoutActivity,
     Simulation,
     TaskType,
-    generate_scenario,
     open_auction,
     run_to_completion,
 )
@@ -111,7 +111,7 @@ def test_stepping_finished_run_rejected():
 def test_site_placement_depends_on_seed_not_policy():
     placements = set()
     for policy in ("fcfs", "coalition", "nearest"):
-        world = generate_scenario(ScenarioConfig(seed=6, policy=policy))
+        world = world_of(ScenarioConfig(seed=6, policy=policy))
         placements.add(tuple(s.location for s in world.sites))
     assert len(placements) == 1
 
@@ -120,7 +120,7 @@ def test_site_placement_depends_on_seed_not_policy():
 def test_a_run_builds_its_coverage_once(monkeypatch, n_scouts):
     """`build_spiral` runs once per run; the generator keeps the sites in
     scan range of the very plans the scouts then sweep, and placing them
-    from those plans gives the world `generate_scenario` alone gives."""
+    from those plans gives the world a fresh build of the plans gives."""
     built, given = [], []
     build, generate = isrusim.spiral.build_spiral, isrusim.world.generate_scenario
 
@@ -128,7 +128,7 @@ def test_a_run_builds_its_coverage_once(monkeypatch, n_scouts):
         built.append(build(*args))
         return built[-1]
 
-    def recorded_generate(config, plans=None):
+    def recorded_generate(config, plans):
         given.append(plans)
         return generate(config, plans)
 
@@ -144,7 +144,7 @@ def test_a_run_builds_its_coverage_once(monkeypatch, n_scouts):
     for scout, plan in zip(scouts, built[0]):
         assert scout.cursor.path.waypoints[1:] == plan.waypoints
     monkeypatch.undo()
-    assert generate_scenario(config) == sim.ctx.world
+    assert world_of(config) == sim.ctx.world
 
 
 def test_start_poses_on_circle_around_plant():

@@ -11,8 +11,10 @@ Every case is checked in this process, and again in child processes: under
 >= 3.10 found among the pyenv versions ($PYENV_ROOT, else ~/.pyenv), which
 need no pytest to run `cases`.  Each child runs under its own fixed
 `PYTHONHASHSEED`, so every case is also checked under other string hashes,
-and each child also writes every case's log to a file and checks that
-`load_jsonl` reads back the run's records.
+and each child also writes every case's log to a file, checks that
+`load_jsonl` reads back the run's records, and reads them with both log
+readers, `verify_records` and `collect_metrics`, whose results must be this
+process's.
 """
 
 import json
@@ -26,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import isrusim as s
-from cases import CASES, POLICIES, fingerprint
+from cases import CASES, POLICIES, fingerprint, readings
 from isrusim.auction import Auction
 from test_engine import run_child
 
@@ -57,21 +59,23 @@ HASH_SEEDS = {label: str(i) for i, label in enumerate(CHILDREN, start=1)}
 CHILD_SCRIPT = """
 import json, os, platform, sys, tempfile
 from pathlib import Path
-from cases import CASES, fingerprint
+from cases import CASES, fingerprint, readings
 import isrusim as s
 
-fingerprints, loads_back = {}, {}
+fingerprints, loads_back, read = {}, {}, {}
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "events.jsonl"
     for name, (config, snap) in CASES.items():
         log = s.run_to_completion(config, snapshots=snap).log
         fingerprints[name] = fingerprint(log)
         log.dump_jsonl(path)
-        loads_back[name] = s.EventLog.load_jsonl(path).records == log.records
+        records = s.EventLog.load_jsonl(path).records
+        loads_back[name] = records == log.records
+        read[name] = readings(records)
 print(json.dumps({
     "version": platform.python_version(), "optimize": sys.flags.optimize,
     "hash_seed": os.environ.get("PYTHONHASHSEED"),
-    "fingerprints": fingerprints, "loads_back": loads_back}))
+    "fingerprints": fingerprints, "loads_back": loads_back, "read": read}))
 """
 
 
@@ -134,34 +138,47 @@ def child_output(children, label) -> dict:
     return output
 
 
-def mismatched_cases(output) -> list[str]:
+@pytest.fixture(scope="module")
+def read_here(run_logs) -> dict[str, list]:
+    """Case -> what the log readers of this process make of its log."""
+    return {name: readings(run_logs.log(*case).records)
+            for name, case in CASES.items()}
+
+
+def mismatched_cases(output, read_here) -> list[str]:
     """The cases whose fingerprint in a child's output is not the recorded
-    one, or whose written log the child did not load back as its records."""
+    one, whose written log the child did not load back as its records, or
+    whose loaded log the child's readers read otherwise than this
+    process's."""
     recorded = json.loads(DATA.read_text())
     got, loads_back = output["fingerprints"], output["loads_back"]
     return [name for name in recorded
-            if got.get(name) != recorded[name] or not loads_back.get(name)]
+            if got.get(name) != recorded[name] or not loads_back.get(name)
+            or output["read"].get(name) != read_here[name]]
 
 
-def test_logs_are_the_same_under_optimize(children):
+def test_logs_are_the_same_under_optimize(children, read_here):
     """A run under `python -O`, with every `assert` stripped, writes the
-    same bytes and reads them back as its records: every case."""
+    same bytes, reads them back as its records and reads them with this
+    process's verdicts and metrics: every case."""
     output = child_output(children, "-O")
     assert output["optimize"] == 1
-    assert mismatched_cases(output) == []
+    assert mismatched_cases(output, read_here) == []
 
 
 @pytest.mark.parametrize("version", list(OTHER_INTERPRETERS) or [
     pytest.param(None, marks=pytest.mark.skip(
         reason=f"no CPython >= 3.10 other than {platform.python_version()} "
                f"under {VERSIONS}"))])
-def test_logs_are_the_same_under_other_interpreters(children, version):
-    """Every case writes the same bytes, and reads them back as its
-    records, under each other CPython >= 3.10 found; the test ids name the
-    interpreters checked."""
+def test_logs_are_the_same_under_other_interpreters(children, read_here,
+                                                   version):
+    """Every case writes the same bytes, reads them back as its records,
+    and reads them with this process's verdicts and metrics, under each
+    other CPython >= 3.10 found; the test ids name the interpreters
+    checked."""
     output = child_output(children, version)
     assert output["version"] == version
-    assert mismatched_cases(output) == []
+    assert mismatched_cases(output, read_here) == []
 
 
 if __name__ == "__main__":

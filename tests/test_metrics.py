@@ -122,6 +122,15 @@ def test_two_runs_in_one_log_are_an_error():
         collect_metrics(synthetic_log() + synthetic_log()[-1:])
 
 
+def test_the_first_fault_in_log_order_is_raised():
+    """The log is read in one walk, so of two faults the first is named:
+    here a close of an auction never announced, before a second run."""
+    records = synthetic_log()
+    del records[1]
+    with pytest.raises(MetricsError, match="seq 1: .* never announced"):
+        collect_metrics(records + synthetic_log())
+
+
 def test_malformed_record_names_its_index():
     records = synthetic_log()
     records.insert(2, {"no_type": True})

@@ -203,6 +203,21 @@ def test_completed_run_with_open_auction_flagged():
     assert "lifecycle" in checks  # 1 promised mineral, none delivered
 
 
+@pytest.mark.parametrize("utility, flagged", [
+    (0.5, True), (float("nan"), True),
+    (0.0, False), (-0.0, False), (float("-inf"), False)])
+def test_bid_with_positive_or_nan_utility_flagged_once(utility, flagged):
+    """A utility is a negated cost, or -inf from a busy robot: a bid of
+    more than zero, or of no number, is flagged once, when it reaches the
+    open auction."""
+    records = protocol_prefix() + [
+        msg(1, 3, "bid", bidder="excavator_3", utility=utility),
+        run_end("stalled"),
+    ]
+    want = [f"[bid] bid with positive utility {utility}"] if flagged else []
+    assert [str(v) for v in verify_records(records)] == want
+
+
 def test_sequence_regression_flagged():
     records = protocol_prefix()
     records.append(msg(3, 1, "winner", task_type="excavate", status="open",
@@ -214,10 +229,11 @@ def test_sequence_regression_flagged():
 OPEN = {"task_type": "excavate", "status": "open"}
 CLOSED = {"task_type": "excavate", "status": "closed"}
 KEY = "('scout_1', (30.0, 40.0))"
+SCOUT_2 = {"auctioneer": "scout_2", "loc": [50.0, 60.0]}
 # Bids and acks take effect only once their publish tick has passed, also
 # when the ticks of those still pending are out of order.  Each log's
-# violations are pinned as the checker reported them before it delivered
-# pending records as a prefix.
+# violations are pinned as a checker with one queue for every auction
+# reported them, so they show that one queue per auction replays the same.
 PENDING_LOGS = {
     "tick goes backward with bids pending": (protocol_prefix()[:2] + [
         msg(5, 1, "bid", bidder="excavator_1", utility=-10.0),
@@ -261,6 +277,28 @@ PENDING_LOGS = {
         run_end("stalled"),
     ], [f"[close_without_ack] {KEY}: closed for excavator_1 without their "
         "accepted acknowledgment"]),
+    # scout_2's bid of -1 is sent in the tick of its winner, so it is not
+    # yet due there (else the winner loses the argmax check), and its ack
+    # stays pending past the other auction's publications until its close
+    "two auctions interleaved": (protocol_prefix()[:2] + [
+        msg(0, 1, "announcement", **SCOUT_2, **OPEN),
+        msg(1, 2, "bid", bidder="excavator_1", utility=-10.0),
+        msg(1, 3, "bid", bidder="excavator_3", utility=-3.0, **SCOUT_2),
+        msg(2, 4, "bid", bidder="excavator_2", utility=-4.0),
+        msg(2, 5, "bid", bidder="excavator_4", utility=-5.0, **SCOUT_2),
+        msg(3, 6, "winner", winner="excavator_2", **OPEN),
+        msg(3, 7, "bid", bidder="excavator_5", utility=-1.0, **SCOUT_2),
+        msg(3, 8, "winner", winner="excavator_3", **SCOUT_2, **OPEN),
+        msg(4, 9, "ack", auction_winner="excavator_2", verdict="declined"),
+        msg(4, 10, "ack", auction_winner="excavator_3", verdict="accepted",
+            **SCOUT_2),
+        msg(5, 11, "winner", winner="excavator_1", **OPEN),
+        msg(5, 12, "ack", auction_winner="excavator_1", verdict="accepted"),
+        msg(8, 13, "close", allocated_to="excavator_3", **SCOUT_2, **CLOSED),
+        msg(6, 14, "close", allocated_to="excavator_1", **CLOSED),
+        msg(9, 15, "bid", bidder="excavator_4", utility=-2.0, **SCOUT_2),
+        run_end("stalled"),
+    ], ["[sequence] publish tick went backward at seq 14"]),
 }
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import KEY_SAMPLES, tiny_config
+from conftest import KEY_SAMPLES, tiny_config, world_of
 
 from isrusim import (
     Point,
@@ -17,7 +17,6 @@ from isrusim import (
     ScenarioConfig,
     ScenarioGenerationError,
     build_spiral,
-    generate_scenario,
     run_to_completion,
     transfer_mineral_to_plant,
 )
@@ -103,20 +102,20 @@ def test_timing_validation_rejects(bad):
 
 def test_generation_is_deterministic():
     cfg = ScenarioConfig(seed=7)
-    a, b = generate_scenario(cfg), generate_scenario(cfg)
+    a, b = world_of(cfg), world_of(cfg)
     assert [s.location for s in a.sites] == [s.location for s in b.sites]
     assert [s.minerals_initial for s in a.sites] == [s.minerals_initial for s in b.sites]
 
 
 def test_different_seeds_differ():
-    a = generate_scenario(ScenarioConfig(seed=1))
-    b = generate_scenario(ScenarioConfig(seed=2))
+    a = world_of(ScenarioConfig(seed=1))
+    b = world_of(ScenarioConfig(seed=2))
     assert [s.location for s in a.sites] != [s.location for s in b.sites]
 
 
 def test_default_scenario_composition_and_separations():
     cfg = ScenarioConfig(seed=5)
-    world = generate_scenario(cfg)
+    world = world_of(cfg)
     assert len(world.sites) == 10
     # 64 mineral objects distributed across the sites, at least one each
     assert sum(s.minerals_initial for s in world.sites) == 64
@@ -133,14 +132,14 @@ def test_default_scenario_composition_and_separations():
 def test_separation_constraints_hold_over_many_seeds():
     for seed in range(30):
         cfg = ScenarioConfig(seed=seed)
-        world = generate_scenario(cfg)
+        world = world_of(cfg)
         pts = [s.location for s in world.sites]
         assert len(pts) == cfg.n_sites
         assert min(p.distance_to(world.plant_location) for p in pts) >= 5.0
 
 
 def test_single_site_forced_composition():
-    world = generate_scenario(ScenarioConfig(n_sites=1, n_minerals=1, seed=0))
+    world = world_of(ScenarioConfig(n_sites=1, n_minerals=1, seed=0))
     assert len(world.sites) == 1
     assert world.sites[0].minerals_initial == 1
 
@@ -161,7 +160,7 @@ def site_digest(world) -> str:
 @pytest.mark.parametrize("name", SITE_PINS)
 def test_site_lists_are_pinned(name):
     pin = SITE_PINS[name]
-    world = generate_scenario(ScenarioConfig(**pin["config"]))
+    world = world_of(ScenarioConfig(**pin["config"]))
     assert site_digest(world) == pin["sha256"]
 
 
@@ -331,8 +330,8 @@ def test_every_pinned_config_is_still_accepted():
 def test_overdense_scenario_rejected():
     # far more sites than the separation rules can fit
     with pytest.raises(ScenarioGenerationError):
-        generate_scenario(ScenarioConfig(arena_side=30.0, n_sites=120,
-                                         n_minerals=120, seed=0))
+        world_of(ScenarioConfig(arena_side=30.0, n_sites=120,
+                                n_minerals=120, seed=0))
 
 
 def _hauler(carried: int) -> RobotState:
@@ -341,7 +340,7 @@ def _hauler(carried: int) -> RobotState:
 
 
 def test_transfer_increments_plant_counter():
-    world = generate_scenario(ScenarioConfig(seed=3))
+    world = world_of(ScenarioConfig(seed=3))
     hauler = _hauler(carried=1)
     transfer_mineral_to_plant(world, hauler)
     assert world.minerals_at_plant == 1
@@ -349,14 +348,14 @@ def test_transfer_increments_plant_counter():
 
 
 def test_transfer_with_empty_bin_rejected():
-    world = generate_scenario(ScenarioConfig(seed=3))
+    world = world_of(ScenarioConfig(seed=3))
     with pytest.raises(ValueError):
         transfer_mineral_to_plant(world, _hauler(carried=0))
     assert world.minerals_at_plant == 0  # world unchanged
 
 
 def test_claim_is_exclusive():
-    world = generate_scenario(ScenarioConfig(seed=3))
+    world = world_of(ScenarioConfig(seed=3))
     claim_site(world, 0, "excavator_1")
     with pytest.raises(ValueError):
         claim_site(world, 0, "excavator_2")
