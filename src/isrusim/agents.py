@@ -21,7 +21,9 @@ in its own slot of `answers`, where the auctioneer reads it when the
 bidding window closes.  A bidder reads nothing else of an auction but its
 key fields and `rounds`.  Its step takes the inbox the bus delivers: the
 acks and winner declarations addressed to it, or an empty inbox when the
-auctions inside its bid scope changed.  A winner declaration reaches it
+auctions inside its bid scope changed; woken by that alone, before its own
+`wake_tick`, it only bids (`_place_bids`), which is all such a step would
+do (see `engine`).  A winner declaration reaches it
 `win_resolution_window` ticks after it is declared, and the step resolves
 every win in the inbox at once.  A courier (an excavator traveling to its
 site, a hauler on its way to a site or to the plant) drives one straight

@@ -16,9 +16,16 @@ its own slot of the auction's `answers`, and when the bidding window closes
 `select_winner` takes the answers of the current round made before that
 tick.  That is the late-bid rule: robots step before the timers fire, so a
 bid made at the selection tick or later would have reached the auctioneer
-after its first declaration, and it is not read.  Every robot that bid in
-an auction bids again the tick a re-announcement is filed, before the next
+after its first declaration, and it is not read.  The same pass over the
+answers finds the winner: the highest finite utility, and on equal
+utilities the smallest name; after a decline, `_best_eligible` picks the
+next bidder by the same rule, without a sort.  Every robot that bid in an
+auction bids again the tick a re-announcement is filed, before the next
 winner selection.
+
+An auction holds its task type as the plain string value of the
+`TaskType` it is built with, which its records carry and its board is
+keyed by.
 
 Only capable robots bid: a controller subscribes, when it is built, to the
 one task type its kind can do (`agents.RobotController` checks that), so no
@@ -28,7 +35,6 @@ is made, checks its utility.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -53,11 +59,12 @@ class Auction:
     bid as (round answered, utility, tick made) in its own slot of
     `answers`.  `bids` holds the round's bids as its first declaration read
     them off `answers`, and a decliner's bid leaves it.  Every record of
-    the auction holds its one `loc` list.  Equal only to itself, so a
-    reopened key is a new auction, with no answers."""
+    the auction holds its one `loc` list and its `task_type`, the plain
+    string value of the `TaskType` it is built with.  Equal only to itself,
+    so a reopened key is a new auction, with no answers."""
 
     auctioneer: str
-    task_type: TaskType
+    task_type: str
     task_location: Point
     first_tick: int
     round_opened_tick: int = field(init=False)
@@ -70,6 +77,7 @@ class Auction:
     def __post_init__(self) -> None:
         self.round_opened_tick = self.first_tick
         self.loc = list(self.task_location)
+        self.task_type = TaskType(self.task_type).value
 
 
 def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
@@ -88,14 +96,13 @@ def open_auction(book: dict[AuctionKey, Auction], auctioneer: str,
 
 def _best_eligible(auction: Auction) -> str | None:
     """Highest finite bidder of this round, decliners' bids gone; ties go to
-    the lexicographically smallest name."""
+    the lexicographically smallest name.  No bid is NaN or positive
+    (`bus.BroadcastBus.bid`), so a finite bid is one above the sentinel."""
     best: str | None = None
     best_utility = NEG_INF
-    for bidder in sorted(auction.bids):
-        utility = auction.bids[bidder]
-        if not math.isfinite(utility):
-            continue
-        if utility > best_utility:
+    for bidder, utility in auction.bids.items():
+        if utility > best_utility or (
+                utility == best_utility and best is not None and bidder < best):
             best, best_utility = bidder, utility
     return best
 
@@ -107,11 +114,10 @@ def _reannounce(auction: Auction, tick: int, bus: BroadcastBus) -> None:
     bus.post(auction, tick)
 
 
-def _offer_next(auction: Auction, tick: int,
-                bus: BroadcastBus) -> dict | None:
-    """Declare the best eligible bidder winner and return the winner
-    record, or re-announce when there is none."""
-    best = _best_eligible(auction)
+def _offer(auction: Auction, best: str | None, tick: int,
+           bus: BroadcastBus) -> dict | None:
+    """Declare `best` winner and return the winner record, or re-announce
+    when there is none."""
     if best is None:
         _reannounce(auction, tick, bus)
         return None
@@ -122,18 +128,27 @@ def _offer_next(auction: Auction, tick: int,
 def select_winner(auction: Auction, tick: int,
                   bus: BroadcastBus) -> dict | None:
     """Close of the bidding window: take the round's bids, the answers of
-    its current round made before `tick`, and declare the best bidder, or
-    re-announce when no finite bid exists (a busy-sentinel bidder is never
-    selected).  The bus files an announcement the tick after it is
-    posted, before any window closes, so an auction with no round filed is
-    a fault of the program, as is one with a winner: both raise."""
-    if auction.winner is not None or not auction.rounds:
+    its current round made before `tick`, and declare the best bidder
+    (`_best_eligible`'s rule, read in the same pass), or re-announce when no
+    finite bid exists (a busy-sentinel bidder is never selected).  The bus
+    files an announcement the tick after it is posted, before any window
+    closes, so an auction with no round filed is a fault of the program, as
+    is one with a winner: both raise."""
+    rounds = auction.rounds
+    if auction.winner is not None or not rounds:
         raise ValueError("winner selection requires an auction with a round "
                          "filed and no winner")
-    auction.bids = {bidder: utility for bidder, (answered, utility, made)
-                    in auction.answers.items()
-                    if answered == auction.rounds and made < tick}
-    return _offer_next(auction, tick, bus)
+    auction.bids = bids = {}
+    best: str | None = None
+    best_utility = NEG_INF
+    for bidder, (answered, utility, made) in auction.answers.items():
+        if answered == rounds and made < tick:
+            bids[bidder] = utility
+            if utility > best_utility or (
+                    utility == best_utility and best is not None
+                    and bidder < best):
+                best, best_utility = bidder, utility
+    return _offer(auction, best, tick, bus)
 
 
 def handle_ack(auction: Auction, record: dict, tick: int,
@@ -152,7 +167,7 @@ def handle_ack(auction: Auction, record: dict, tick: int,
     if record["verdict"] == "accepted":
         return bus.post(auction, tick)
     del auction.bids[auction.winner]
-    return _offer_next(auction, tick, bus)
+    return _offer(auction, _best_eligible(auction), tick, bus)
 
 
 def evaluate_self_utility(robot: "RobotState",

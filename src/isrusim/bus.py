@@ -41,7 +41,10 @@ filed: one that bids in its oldest `scope` auctions when an announcement or
 close touches one of those (with scope 1, when the oldest auction is
 another one or announces a new round), one that bids in all of them (scope
 None) when an announcement was filed.  A close behind the scope steps
-nobody.  A subscriber named without addressed mail gets an empty inbox.
+nobody.  A subscriber named without addressed mail gets an empty inbox;
+unless it is due anyway, the engine then has it only bid
+(`engine.Simulation.step`).  A board is keyed by the task type's value,
+the plain string each `Auction.task_type` holds and its records carry.
 
 One board per task type stands in for a view per robot, its auctions for
 the auctioneers' own, and their answers for bids delivered to the
@@ -134,12 +137,12 @@ class BroadcastBus:
             record = {"type": "msg", "tick": None, "seq": None,
                       "variant": "announcement",
                       "auctioneer": auction.auctioneer, "loc": auction.loc,
-                      "task_type": auction.task_type.value, "status": "open"}
+                      "task_type": auction.task_type, "status": "open"}
         else:
             record = {"type": "msg", "tick": None, "seq": None,
                       "variant": "close",
                       "auctioneer": auction.auctioneer, "loc": auction.loc,
-                      "task_type": auction.task_type.value,
+                      "task_type": auction.task_type,
                       "status": "closed", "allocated_to": auction.winner}
         self._posted.setdefault(tick + 1, []).append(auction)
         return self.publish(record, tick)
@@ -168,7 +171,7 @@ class BroadcastBus:
         record = {"type": "msg", "tick": None, "seq": None,
                   "variant": "winner",
                   "auctioneer": auction.auctioneer, "loc": auction.loc,
-                  "task_type": auction.task_type.value, "status": "open",
+                  "task_type": auction.task_type, "status": "open",
                   "winner": auction.winner}
         self._mail_to(auction.winner, tick + self._win_latency, record)
         return self.publish(record, tick)
@@ -209,7 +212,7 @@ class BroadcastBus:
         every announcement."""
         stepped: dict[tuple[str, int | None], None] = {}
         for auction in posted:
-            value = auction.task_type.value
+            value = auction.task_type
             board = self.boards[value]
             key = (auction.auctioneer, auction.task_location)
             closing = auction.winner is not None

@@ -14,7 +14,18 @@ after its announcement, on its board; `state_digest` lists each once, and
 the boards by key.  A robot wakes when it has mail (an ack or a win; a bid
 is no mail), when the open auctions inside its bid scope change, at its own
 dig, load or unload deadline, and when another robot's step changes what it
-acts on; any other step of it would change nothing.  A courier, on
+acts on; any other step of it would change nothing.  A robot woken by its
+board alone (an empty inbox, its `wake_tick` still ahead) only bids
+(`RobotController._place_bids`), since the rest of its step could change
+nothing either.  Only a bidder gets an empty inbox
+(`bus.BroadcastBus.deliver`), and before its `wake_tick` its `_act` has
+nothing to do, activity by activity: an idle excavator or hauler does
+nothing; a courier acts only at its arrival and a digging, loading or
+unloading robot only at its deadline, which are its `wake_tick`; an
+excavator waiting for a hauler acts once its bucket is emptied, and
+`take_bucket` wakes it then.  A standby hauler and a scout bid in nothing.
+Nor can its `wake_tick` change: a bidder's `_next_wake` reads only its
+activity, deadline and last move, which only `_act` sets.  A courier, on
 its way to a site or to the plant, wakes only at its arrival tick; a
 standby hauler one tick after the last move of its walk to its spot; a
 searching scout only at the tick it first has a site still undiscovered in
@@ -152,6 +163,7 @@ class Simulation:
             for kind in (RobotKind.SCOUT, RobotKind.EXCAVATOR, RobotKind.HAULER)
             for n in sorted(n for n, k in names if k is kind)
         ]
+        self._named_order = [(c.state.name, c) for c in self._step_order]
         # the earliest wake tick of any robot as of the last tick that
         # stepped a robot; no robot's wake tick changes on the other ticks
         self._wake: float = 0
@@ -171,9 +183,9 @@ class Simulation:
     # -- one tick ----------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one tick: step the woken robots, fire the auction timers
-        if `tick` is on the `bid_window` cadence, check the invariants and
-        the goal."""
+        """Advance one tick: step the woken robots (one woken by its board
+        alone only bids), fire the auction timers if `tick` is on the
+        `bid_window` cadence, check the invariants and the goal."""
         if self.status is not RunStatus.RUNNING:
             raise RuntimeError("cannot step a finished run")
         tick = self.tick
@@ -181,12 +193,13 @@ class Simulation:
         logged = len(records)
         mail = self.ctx.bus.deliver(tick)  # the messages of tick-1
         if mail or self._wake <= tick:
-            order = self._step_order
-            for controller in order:
-                inbox = mail.get(controller.state.name)
-                if inbox is not None or controller.wake_tick <= tick:
+            for name, controller in self._named_order:
+                inbox = mail.get(name)
+                if inbox or controller.wake_tick <= tick:
                     controller.step(tick, inbox)
-            self._wake = min(controller.wake_tick for controller in order)
+                elif inbox is not None:  # only its board changed: bid
+                    controller._place_bids(tick)
+            self._wake = min([c.wake_tick for c in self._step_order])
         # Winner selection runs on a cadence shared by every auction, so
         # independent auctions select simultaneously: a robot that is best
         # for several tasks receives those wins together, and its policy's

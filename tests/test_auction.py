@@ -342,6 +342,56 @@ def test_selection_without_a_board_entry_raises():
     assert auction.winner is None and bus.messages_published == 1
 
 
+def argmax_bidder(bids: dict[str, float]) -> str | None:
+    """The oracle: the names in sorted order, each finite bid greater than
+    the best so far taking its place, so equal utilities (0.0 and -0.0
+    among them) go to the smallest name."""
+    best, best_utility = None, NEG_INF
+    for name in sorted(bids):
+        if math.isfinite(bids[name]) and bids[name] > best_utility:
+            best, best_utility = name, bids[name]
+    return best
+
+
+def test_winner_and_decline_chain_match_the_argmax_oracle():
+    """Random answer sets, in random slot order, mixing equal utilities,
+    0.0 with -0.0, busy sentinels, answers of the previous round and bids
+    made at or after the selection tick: while a winner is declared,
+    `auction.bids` holds exactly the round's bids made before the tick
+    (signs of zero kept) less the decliners'; `select_winner` declares the
+    oracle's winner, and every bidder declining in turn offers the task to
+    the next by utility, then by name, until no finite bid is left and the
+    auction re-announces."""
+    rng = random.Random(36)
+    names = [f"excavator_{i}" for i in range(1, 13)]  # "excavator_10" < "_2"
+    pool = [0.0, -0.0, -2.5, -2.5, -7.0, NEG_INF, NEG_INF]
+    for _ in range(2000):
+        log = EventLog()
+        auction, _, bus = new_auction(bus=BroadcastBus(log, 1))
+        assert select_winner(auction, 3, bus) is None  # nobody bid
+        bus.deliver(4)
+        assert auction.rounds == 2
+        tick = 9
+        expected = {}
+        for bidder in rng.sample(names, rng.randint(0, 8)):
+            utility = rng.choice(pool + [-rng.uniform(0.0, 3.0)])
+            answered, made = rng.choice((1, 2, 2, 2)), rng.randint(4, tick + 1)
+            auction.answers[bidder] = (answered, utility, made)
+            if answered == 2 and made < tick:
+                expected[bidder] = utility
+        decl = select_winner(auction, tick, bus)
+        while (best := argmax_bidder(expected)) is not None:
+            assert repr(sorted(auction.bids.items())) == repr(
+                sorted(expected.items()))
+            assert decl["winner"] == auction.winner == best
+            del expected[best]
+            tick += 2
+            decl = handle_ack(auction, bus.ack(decl, False, tick - 1), tick, bus)
+        assert decl is None and auction.winner is None and auction.bids == {}
+        assert log.records[-1]["variant"] == "announcement"
+        assert log.records[-1]["tick"] == tick
+
+
 def _exhaustive_winner_sequence(utilities: dict[str, float],
                                 verdicts: dict[str, bool]):
     """Drive one auction round; return (winner order, outcome)."""

@@ -314,19 +314,31 @@ def test_paired_hauler_inbox_never_holds_an_announcement_or_close(monkeypatch):
     never bids (its bid scope is 0), so it does not read the transport
     board and the bus never steps it for one, while the four unpaired
     haulers read that board and are stepped when its oldest auction
-    changes."""
+    changes.  A robot woken by its board alone only bids, so the wakes
+    are the steps with an empty inbox and the `_place_bids` calls made
+    outside a step."""
     sim = Simulation(crowded_config(policy="coalition"))
     paired = {hauler for _, hauler in sim.ctx.policy.pairs}
-    step = RobotController.step
+    step, place_bids = RobotController.step, RobotController._place_bids
     received, woken = Counter(), Counter()
+    stepping = False
 
     def step_and_count(self, tick, inbox):
+        nonlocal stepping
         received.update(record["variant"] for record in inbox or ())
         if inbox == []:
             woken[self.state.name] += 1
+        stepping = True
         step(self, tick, inbox)
+        stepping = False
+
+    def bid_and_count(self, tick):
+        if not stepping:
+            woken[self.state.name] += 1
+        place_bids(self, tick)
 
     monkeypatch.setattr(RobotController, "step", step_and_count)
+    monkeypatch.setattr(RobotController, "_place_bids", bid_and_count)
     assert sim.run() is RunStatus.COMPLETED
     assert len(paired) == 8
     assert not received.keys() & {"announcement", "close"}

@@ -384,7 +384,10 @@ def test_wake_set_matches_step_all_reference(config, snapshots):
     and the goal and the conservation check, run only at tick 0 and where
     the log grew, hold exactly when they would on every tick.
     `state_digest` brings every lagging pose up to date, so a run whose
-    state nothing reads before it ends must write the same log too."""
+    state nothing reads before it ends must write the same log too.  The
+    reference's `wake_tick` is never ahead of the tick, so it never takes
+    the bid-only path, and every tick checks that path against full
+    steps."""
     sim = Simulation(config, snapshots=snapshots)
     reference = step_all_reference(config, snapshots)
     while sim.status is RunStatus.RUNNING:
@@ -502,10 +505,15 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
     every robot with addressed mail, and every robot whose bid scope gained
     an auction or a round of one, is stepped; and auction timers fire only
     for robots holding auctions, and only on ticks on the bid_window
-    cadence."""
+    cadence.  A robot woken by its board alone, with no mail and not due,
+    only bids (`_place_bids` outside a step): its bid scope changed at that
+    tick's delivery, it has no other reason to step, and its activity,
+    `wake_tick` and pose are what they were."""
     steps, assigned, finds = {}, set(), {}
     scope_changed, scope_gained = set(), set()
+    bid_only, stepping = set(), False
     step = RobotController.step
+    place_bids = RobotController._place_bids
     fire = RobotController.fire_auction_timers
     assign = HaulerController.assign_transport
     deliver = BroadcastBus.deliver
@@ -527,14 +535,30 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
         assigned.add((self.state.name, tick))
 
     def step_with_reasons(self, tick, inbox):
+        nonlocal stepping
         reasons = reasons_to_step(self, tick, assigned, finds, scope_changed)
         activity = self.state.activity
+        stepping = True
         step(self, tick, inbox)
+        stepping = False
         if any(record["variant"] in ("ack", "winner") for record in inbox or ()):
             reasons.add("mail")
         if activity in COURIER and self.state.activity is not activity:
             reasons.add("arrives")
         steps[self.state.name, tick] = reasons
+
+    def bid_with_reasons(self, tick):
+        if stepping:
+            place_bids(self, tick)
+            return
+        reasons = reasons_to_step(self, tick, assigned, finds, scope_changed)
+        assert reasons == {"auctions in its bid scope changed"}, reasons
+        assert self.wake_tick > tick
+        before = (self.state.activity, self.wake_tick, self.state.pose)
+        place_bids(self, tick)
+        assert (self.state.activity, self.wake_tick, self.state.pose) == before
+        steps[self.state.name, tick] = reasons
+        bid_only.add((self.state.name, tick))
 
     def fire_with_auctions(self, tick):
         assert self.book
@@ -542,6 +566,7 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
         fire(self, tick)
 
     monkeypatch.setattr(RobotController, "step", step_with_reasons)
+    monkeypatch.setattr(RobotController, "_place_bids", bid_with_reasons)
     monkeypatch.setattr(RobotController, "fire_auction_timers", fire_with_auctions)
     monkeypatch.setattr(HaulerController, "assign_transport", assign_and_note)
     monkeypatch.setattr(BroadcastBus, "deliver", deliver_and_compare)
@@ -550,9 +575,11 @@ def test_work_guard_steps_only_woken_robots(monkeypatch, policy, seed):
 
     unjustified = [key for key, reasons in steps.items() if not reasons]
     assert not unjustified, unjustified[:5]
-    missed = [key for key in mail_from_log(sim.ctx.log.records).keys() | scope_gained
+    mail = mail_from_log(sim.ctx.log.records)
+    missed = [key for key in mail.keys() | scope_gained
               if key[1] < sim.tick and key not in steps]
     assert scope_gained
+    assert bid_only and not bid_only & mail.keys()
     assert not missed, missed[:5]
     robot_ticks = len(sim.ctx.controllers) * sim.tick
     assert len(steps) < robot_ticks / 2, (len(steps), robot_ticks)
