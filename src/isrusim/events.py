@@ -53,19 +53,23 @@ time and first tries the fast paths on the batch.  A line that starts with
 the head the writer emits, `{"type":"msg","tick":T,"seq":S,` with T and S
 JSON integers of at most 18 digits (which `int` reads as the json module
 does), is split there.  Its tail, the rest of the line, is parsed once as
-`"{" + tail` and kept with its fields in a cache that lives for the whole
-read and is emptied when it holds `_BATCH_LINES` tails: a log repeats its
+`"{" + tail` and kept in a cache that lives for the whole read and is
+emptied when it holds `_BATCH_LINES` tails: a log repeats its
 announcements' and sentinel bids' tails every round.  A tail is accepted
 only if it is one object that carries every field of its (hashable)
 variant and none of the head's keys, so an empty tail, or one that would
-make the line's record another type, is refused; the line is then
-`{"type": "msg", "tick": T, "seq": S, **fields}`, the record the per-line
-parse gives.  Records with the same tail share their values, one `loc`
-list among them, as the live log's records of one auction do: a decoded
-record must never be mutated.  Every other line of the batch, and every
-msg line whose tail is refused, goes through one parse of those lines
-joined into a JSON array, so they share their key strings, and the records
-are merged back in line order.  That result is kept only if the array
+make the line's record another type, is refused.  An accepted tail is
+kept as the template `{"type": "msg", "tick": None, "seq": None,
+**fields}`, which is never handed out: the line's record is a copy of it
+with T and S set, one dict copy that keeps the key order of the record
+the per-line parse gives.  A batch reads each tick text into one `int`,
+shared by that tick's records as in the live log.  Records with the same
+tail share their values, one `loc` list among them, as the live log's
+records of one auction do: a decoded record must never be mutated.  Every
+other line of the batch, and every msg line whose tail is refused, goes
+through one parse of those lines joined into a JSON array, so they share
+their key strings, and each record is put back at its line's position in
+the batch.  That result is kept only if the array
 holds one schema-valid record (an object) per line and no line holds `}`,
 then a comma, then `{` with only spaces, tabs or carriage returns in
 between.  That is exact: no JSON string holds a raw newline, so each comma
@@ -390,9 +394,10 @@ def _decode_batch(lines: list[str]) -> list[dict] | None:
 
 
 def _tail_fields(tail: str) -> dict | None:
-    """The fields a msg line holds after its head, -inf sentinel restored;
-    None unless they are an object that carries its variant's fields and
-    none of the head's keys."""
+    """The template of the records of a msg line's tail: its record with
+    tick and seq None, -inf sentinel restored.  None unless the tail's
+    fields are an object that carries its variant's fields and none of the
+    head's keys."""
     try:
         fields = _json_decode("{" + tail)
         required = _TAIL_REQUIRED.get(fields.get("variant"))
@@ -403,7 +408,15 @@ def _tail_fields(tail: str) -> dict | None:
         return None
     if fields.get("utility") == "-inf":
         fields["utility"] = NEG_INF
-    return fields
+    return {"type": "msg", "tick": None, "seq": None, **fields}
+
+
+class _Ints(dict):
+    """int text -> its `int`, read on first use."""
+
+    def __missing__(self, text):
+        value = self[text] = int(text)
+        return value
 
 
 class _Tails(dict):
@@ -419,25 +432,32 @@ class _Tails(dict):
 
 def _decode_lines(lines: list[str], tails: _Tails) -> list[dict] | None:
     """The records of `lines`, or None to decode line by line.  A msg line
-    with the writer's head and an accepted tail is built from its tail's
-    cached fields; the other lines are decoded by one `_decode_batch`."""
-    records, rest = [], []
+    with the writer's head and an accepted tail is a copy of its tail's
+    cached template, with the batch's one `int` of its tick; the other
+    lines are decoded by one `_decode_batch` and put back at their
+    positions."""
+    records, rest, at = [], [], []
+    ticks = _Ints()
     head = _MSG_HEAD.match
     for line in lines:
         match = head(line)
-        fields = match and tails[line[match.end():]]
-        if fields is None:
+        template = match and tails[line[match.end():]]
+        if template is None:
+            at.append(len(records))
             rest.append(line)
             records.append(None)
         else:
-            records.append({"type": "msg", "tick": int(match[1]),
-                            "seq": int(match[2]), **fields})
+            record = template.copy()
+            tick, seq = match.groups()
+            record["tick"] = ticks[tick]
+            record["seq"] = int(seq)
+            records.append(record)
     if rest:
         decoded = _decode_batch(rest)
         if decoded is None:
             return None
-        decoded = iter(decoded)
-        records = [record or next(decoded) for record in records]
+        for i, record in zip(at, decoded):
+            records[i] = record
     return records
 
 

@@ -10,6 +10,10 @@ before its next publication, at tick T, those sent before T are applied in
 the order they were sent and the rest stay queued; the end of the log
 applies every queue.  A bid or acknowledgment changes only its own
 auction's replay, which nothing reads before that publication.
+`LogChecker.run` walks the log once and handles a msg record, nearly
+every record of a log, in its own loop: the sequence checks compare with
+the last msg record's seq and tick, and a bid or acknowledgment is only
+queued.
 
 Checks, all zero-tolerance:
   a. no busy-sentinel (-inf) bidder is ever declared winner;
@@ -64,8 +68,6 @@ class LogChecker:
         self._open: dict[tuple, _Replay] = {}
         self._minerals: dict[str, list[str]] = {}
         self._claims: dict[int, str] = {}
-        self._last_seq = -1
-        self._last_tick = -1
         self._queues: dict[tuple, list[dict]] = {}  # each auction's bids/acks
         self._run_start: dict | None = None
         self._run_end: dict | None = None
@@ -76,10 +78,41 @@ class LogChecker:
     # -- entry point ---------------------------------------------------------
 
     def run(self, records: Iterable[dict]) -> list[Violation]:
+        """Every violation of `records`, checked in log order; a msg record
+        is handled in this loop."""
+        queues = self._queues
+        last_seq = last_tick = -1
         for record in records:
             rtype = record.get("type")
             if rtype == "msg":
-                self._on_message(record)
+                tick, seq = record["tick"], record["seq"]
+                if seq <= last_seq:
+                    self._fail("sequence",
+                               f"sequence {seq} not increasing at tick {tick}")
+                if tick < last_tick:
+                    self._fail("sequence",
+                               f"publish tick went backward at seq {seq}")
+                last_seq, last_tick = seq, tick
+                key = record_auction_key(record)
+                variant = record["variant"]
+                if variant == "bid" or variant == "ack":
+                    queue = queues.get(key)
+                    if queue is None:
+                        queues[key] = [record]
+                    else:
+                        queue.append(record)
+                    continue
+                # an auctioneer's publication takes effect now; first deliver
+                # what was sent to its auction strictly before this tick (it
+                # has arrived)
+                if key in queues:
+                    self._deliver(key, tick)
+                if variant == "announcement":
+                    self._on_announcement(key)
+                elif variant == "winner":
+                    self._on_winner(key, record)
+                elif variant == "close":
+                    self._on_close(key, record)
             elif rtype == "dig":
                 self._on_lifecycle(record, "dig")
             elif rtype == "load":
@@ -97,36 +130,12 @@ class LogChecker:
                 self._run_start = record
             elif rtype == "run_end":
                 self._run_end = record
-        for key in list(self._queues):
+        for key in list(queues):
             self._deliver(key)
         self._finish()
         return self.violations
 
     # -- transport order -----------------------------------------------------
-
-    def _on_message(self, record: dict) -> None:
-        tick, seq = record["tick"], record["seq"]
-        if seq <= self._last_seq:
-            self._fail("sequence", f"sequence {seq} not increasing at tick {tick}")
-        if tick < self._last_tick:
-            self._fail("sequence", f"publish tick went backward at seq {seq}")
-        self._last_seq, self._last_tick = seq, tick
-
-        key = record_auction_key(record)
-        variant = record["variant"]
-        if variant == "bid" or variant == "ack":
-            self._queues.setdefault(key, []).append(record)
-            return
-        # an auctioneer's publication takes effect now; first deliver what
-        # was sent to its auction strictly before this tick (it has arrived)
-        if key in self._queues:
-            self._deliver(key, tick)
-        if variant == "announcement":
-            self._on_announcement(key)
-        elif variant == "winner":
-            self._on_winner(key, record)
-        elif variant == "close":
-            self._on_close(key, record)
 
     def _deliver(self, key: tuple, tick: int | None = None) -> None:
         """Apply, in the order they were sent, the bids and acks queued for

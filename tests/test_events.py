@@ -9,6 +9,7 @@ or raise exactly its `LogParseError` (message and line number).
 
 import copy
 import gc
+from collections import Counter
 import json
 import math
 from unittest import mock
@@ -53,10 +54,12 @@ def loaded(path):
 
 
 def same_outcome(got, want) -> bool:
+    """The same error, or the same records with their keys in the same
+    order, which `==` on dicts does not compare."""
     if isinstance(want, LogParseError):
         return (isinstance(got, LogParseError) and str(got) == str(want)
                 and got.line_number == want.line_number)
-    return got == want
+    return got == want and [list(r) for r in got] == [list(r) for r in want]
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -65,8 +68,10 @@ def test_load_equals_records_and_reference(tmp_path, run_logs, name):
     path = tmp_path / "events.jsonl"
     log.dump_jsonl(path)
     assert path.read_bytes() == log.dumps()
-    assert EventLog.load_jsonl(path).records == log.records
+    records = EventLog.load_jsonl(path).records
+    assert same_outcome(records, log.records)
     assert reference(path) == log.records
+    assert EventLog.from_records(records).dumps() == path.read_bytes()
 
 
 def test_written_records_follow_the_schema_order(run_logs):
@@ -227,15 +232,29 @@ DECODES = {
     "repeated tails, other lines between": "\n".join(
         [msg_line(n, n + 1) for n in range(3)] + [CLAIM]
         + [msg_line(n, n + 1) for n in range(3, 6)]),
+    # read in batches of 5 lines (`DECODE_BATCH_LINES`), so that each batch
+    # mixes msg lines built from their tails with lines parsed as a batch
+    "other lines first, last and between msg lines": "\n".join(
+        [CLAIM, msg_line(1, 2), msg_line(1, 3), RELEASE, msg_line(2, 4),
+         msg_line(2, 5), CLAIM, msg_line(3, 6), msg_line(3, 7), RELEASE]),
+    "refused tails between accepted ones": "\n".join(
+        [msg_line(1, 2), f'{HEAD}"tick":5,"seq":6,{BID_TAIL}', msg_line(1, 3),
+         f'{HEAD}"type":"claim","site":0,"excavator":"e",{BID_TAIL}',
+         msg_line(2, 4), msg_line(2, 5), f'{HEAD}"type":"msg",{BID_TAIL}',
+         msg_line(3, 6)]),
 }
+DECODE_BATCH_LINES = {"other lines first, last and between msg lines": 5,
+                      "refused tails between accepted ones": 5}
 
 
 @pytest.mark.parametrize("name", list(DECODES))
-def test_file_decodes_like_the_reference(tmp_path, name):
+def test_file_decodes_like_the_reference(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(events, "_BATCH_LINES",
+                        DECODE_BATCH_LINES.get(name, BATCH))
     path = write(tmp_path, DECODES[name])
     want = reference(path)
     assert not isinstance(want, LogParseError), want
-    assert EventLog.load_jsonl(path).records == want
+    assert same_outcome(loaded(path), want)
 
 
 def bid(utility) -> dict:
@@ -635,6 +654,25 @@ def test_tail_cache_is_bounded(tmp_path, monkeypatch):
     monkeypatch.setattr(events, "_BATCH_LINES", 2)
     assert EventLog.load_jsonl(path).records == reference(path)
     assert sizes == [1, 2] * 4 + [1]
+
+
+def test_records_with_one_tail_are_records_of_their_own(tmp_path, run_logs):
+    """Records built from one tail are distinct dicts: setting one's tick
+    changes no other record, and the next load of the file gives the
+    reference's records again."""
+    path = tmp_path / "events.jsonl"
+    run_logs.log(*CASES["crowded/nearest"]).dump_jsonl(path)
+    want = reference(path)
+    records = EventLog.load_jsonl(path).records
+    assert len({id(record) for record in records}) == len(records)
+    tails = [line.partition('"variant"')[2]
+             for line in path.read_text().splitlines()]
+    (tail, _), = Counter(filter(None, tails)).most_common(1)
+    alike = [n for n, t in enumerate(tails) if t == tail]
+    assert len({records[n]["tick"] for n in alike}) > 1
+    records[alike[0]]["tick"] = -1
+    assert [records[n] for n in alike[1:]] == [want[n] for n in alike[1:]]
+    assert same_outcome(loaded(path), want)
 
 
 def test_reading_a_log_changes_no_decoded_record(tmp_path, run_logs):

@@ -12,9 +12,9 @@ Every case is checked in this process, and again in child processes: under
 need no pytest to run `cases`.  Each child runs under its own fixed
 `PYTHONHASHSEED`, so every case is also checked under other string hashes,
 and each child also writes every case's log to a file, checks that
-`load_jsonl` reads back the run's records, and reads them with both log
-readers, `verify_records` and `collect_metrics`, whose results must be this
-process's.
+`load_jsonl` reads back the run's records, which must write the file's
+bytes again, and reads them with both log readers, `verify_records` and
+`collect_metrics`, whose results must be this process's.
 """
 
 import json
@@ -70,7 +70,9 @@ with tempfile.TemporaryDirectory() as tmp:
         fingerprints[name] = fingerprint(log)
         log.dump_jsonl(path)
         records = s.EventLog.load_jsonl(path).records
-        loads_back[name] = records == log.records
+        loads_back[name] = (records == log.records and
+                            s.EventLog.from_records(records).dumps()
+                            == path.read_bytes())
         read[name] = readings(records)
 print(json.dumps({
     "version": platform.python_version(), "optimize": sys.flags.optimize,
@@ -147,9 +149,9 @@ def read_here(run_logs) -> dict[str, list]:
 
 def mismatched_cases(output, read_here) -> list[str]:
     """The cases whose fingerprint in a child's output is not the recorded
-    one, whose written log the child did not load back as its records, or
-    whose loaded log the child's readers read otherwise than this
-    process's."""
+    one, whose written log the child did not load back as its records (or
+    whose loaded records do not write the file's bytes again), or whose
+    loaded log the child's readers read otherwise than this process's."""
     recorded = json.loads(DATA.read_text())
     got, loads_back = output["fingerprints"], output["loads_back"]
     return [name for name in recorded

@@ -308,6 +308,38 @@ def test_pending_bids_and_acks_take_effect_once_due(name):
     assert [str(v) for v in verify_records(records)] == want
 
 
+def test_sequence_checks_read_only_msg_records():
+    """Two auctions' msg records interleave with claims and digs, whose
+    ticks neither hide the msg tick that goes backward across a dig nor
+    flag the one that follows a later claim; a seq repeated by the other
+    auction is flagged.  The violations are pinned in order."""
+    def claim(tick, site):
+        return {"type": "claim", "tick": tick, "site": site,
+                "excavator": f"excavator_{site + 1}"}
+
+    def dig(tick, mineral):
+        return {"type": "dig", "tick": tick, "mineral": mineral, "site": 0,
+                "excavator": "excavator_1"}
+
+    records = protocol_prefix()[:2] + [
+        claim(0, 0),
+        msg(0, 1, "announcement", **SCOUT_2, **OPEN),
+        msg(1, 2, "bid", bidder="excavator_1", utility=-10.0),
+        dig(1, "m0"),
+        msg(1, 2, "bid", bidder="excavator_3", utility=-3.0, **SCOUT_2),
+        msg(3, 3, "bid", bidder="excavator_2", utility=-4.0),
+        dig(1, "m1"),
+        msg(2, 4, "bid", bidder="excavator_4", utility=-5.0, **SCOUT_2),
+        claim(9, 1),
+        msg(4, 5, "winner", winner="excavator_2", **OPEN),
+        msg(4, 6, "winner", winner="excavator_3", **SCOUT_2, **OPEN),
+        run_end("stalled"),
+    ]
+    assert [str(v) for v in verify_records(records)] == [
+        "[sequence] sequence 2 not increasing at tick 1",
+        "[sequence] publish tick went backward at seq 4"]
+
+
 def key_of(auction):
     """The key an auction is filed under in its auctioneer's book."""
     return (auction.auctioneer, auction.task_location)
