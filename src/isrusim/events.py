@@ -52,7 +52,9 @@ messages and line numbers.  `load_jsonl` reads `_BATCH_LINES` lines at a
 time and first tries the fast paths on the batch.  A line that starts with
 the head the writer emits, `{"type":"msg","tick":T,"seq":S,` with T and S
 JSON integers of at most 18 digits (which `int` reads as the json module
-does), is split there.  Its tail, the rest of the line, is parsed once as
+does), is split there by one match of `_MSG_HEAD`, whose groups are T, S
+and the tail, the rest of the line.  The tail is still a copy of that part
+of the line, made by the match.  It is parsed once as
 `"{" + tail` and kept in a cache that lives for the whole read and is
 emptied when it holds `_BATCH_LINES` tails: a log repeats its
 announcements' and sentinel bids' tails every round.  A tail is accepted
@@ -142,10 +144,10 @@ _TAIL_REQUIRED = {v: _FAST_REQUIRED["msg", v] - {"tick", "seq"}
 
 _BATCH_LINES = 2048
 _ADJACENT_OBJECTS = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
-# The head the writer gives a msg line; tick and seq are JSON integers of at
-# most 18 digits, which `int` reads as the json module does.
+# The head the writer gives a msg line, then its tail; tick and seq are JSON
+# integers of at most 18 digits, which `int` reads as the json module does.
 _MSG_HEAD = re.compile(r'\{"type":"msg","tick":(-?(?:0|[1-9][0-9]{0,17})),'
-                       r'"seq":(-?(?:0|[1-9][0-9]{0,17})),')
+                       r'"seq":(-?(?:0|[1-9][0-9]{0,17})),(.*)', re.S)
 
 
 class LogParseError(ValueError):
@@ -441,17 +443,18 @@ def _decode_lines(lines: list[str], tails: _Tails) -> list[dict] | None:
     head = _MSG_HEAD.match
     for line in lines:
         match = head(line)
-        template = match and tails[line[match.end():]]
-        if template is None:
-            at.append(len(records))
-            rest.append(line)
-            records.append(None)
-        else:
-            record = template.copy()
-            tick, seq = match.groups()
-            record["tick"] = ticks[tick]
-            record["seq"] = int(seq)
-            records.append(record)
+        if match is not None:
+            tick, seq, tail = match.groups()
+            template = tails[tail]
+            if template is not None:
+                record = template.copy()
+                record["tick"] = ticks[tick]
+                record["seq"] = int(seq)
+                records.append(record)
+                continue
+        at.append(len(records))
+        rest.append(line)
+        records.append(None)
     if rest:
         decoded = _decode_batch(rest)
         if decoded is None:

@@ -206,8 +206,9 @@ def collect_metrics(records: Iterable[dict]) -> MetricsReport:
     discovery_ticks: list[int] = []
     n_messages = 0
 
-    def messages() -> Iterator[dict]:
-        """The msg records, each passed on as the one walk reads it."""
+    def publications() -> Iterator[dict]:
+        """The msg records that are neither bids nor acks, each passed on
+        as the one walk reads it; every msg record is counted."""
         nonlocal n_messages
         for index, record in enumerate(records):
             if not isinstance(record, dict) or "type" not in record:
@@ -215,7 +216,9 @@ def collect_metrics(records: Iterable[dict]) -> MetricsReport:
             rtype = record["type"]
             if rtype == "msg":
                 n_messages += 1
-                yield record
+                variant = record["variant"]
+                if variant != "bid" and variant != "ack":
+                    yield record
             elif rtype == "run_start" or rtype == "run_end":
                 if rtype in ends:
                     raise MetricsError(f"record {index}: a second {rtype}")
@@ -223,7 +226,7 @@ def collect_metrics(records: Iterable[dict]) -> MetricsReport:
             elif rtype == "discovery":
                 discovery_ticks.append(record["tick"])
 
-    histories = derive_auction_histories(messages())
+    histories = derive_auction_histories(publications())
 
     run_start, run_end = ends.get("run_start"), ends.get("run_end")
     if run_start is None or run_end is None:

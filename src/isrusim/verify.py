@@ -5,15 +5,24 @@ logged broadcasts: it shares no winner-selection code with the live state
 machines, so it can catch their bugs.  The replay honors transport timing --
 bids and acknowledgments take effect one tick after publication (when the
 auctioneer actually received them), auctioneer publications take effect
-immediately.  Each auction queues its bids and acknowledgments.  Just
-before its next publication, at tick T, those sent before T are applied in
-the order they were sent and the rest stay queued; the end of the log
-applies every queue.  A bid or acknowledgment changes only its own
-auction's replay, which nothing reads before that publication.
-`LogChecker.run` walks the log once and handles a msg record, nearly
-every record of a log, in its own loop: the sequence checks compare with
-the last msg record's seq and tick, and a bid or acknowledgment is only
-queued.
+immediately.  Bids and acknowledgments wait in one pending list, in the
+order they were sent.  When a msg record arrives whose tick T is later
+than the last msg record's, the pending ones sent before T are applied in
+that order before the record is handled, and the rest stay pending; the end
+of the log applies all that are left.  On a log whose ticks never decrease
+this is the transport rule: a publication at tick T sees every message sent
+before T and none sent at T, and the list holds at most one tick of
+messages.  A bid or acknowledgment changes only its own auction's replay,
+and a `bid` violation is reported once the log passes the bid's tick.  A
+log whose ticks go backward or are NaN is flagged by the sequence check and
+replayed by the same rule, in which a message whose tick is NaN is sent
+before no tick and waits for the end of the log; so its other violations
+follow that rule, not what any auctioneer received.  A bid or
+acknowledgment holding a value of the wrong kind raises when it is
+applied.  `LogChecker.run` walks the log once and handles a msg record,
+nearly every record of a log, in its own loop: the sequence checks compare
+with the last msg record's seq and tick, and a bid or acknowledgment is
+only appended to the list.
 
 Checks, all zero-tolerance:
   a. no busy-sentinel (-inf) bidder is ever declared winner;
@@ -36,6 +45,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .events import NEG_INF, record_auction_key
+
+
+# stage -> the stages a mineral has passed, in order, when it is due
+_STAGES_BEFORE = {"dig": [], "load": ["dig"], "unload": ["dig", "load"]}
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,6 @@ class LogChecker:
         self._open: dict[tuple, _Replay] = {}
         self._minerals: dict[str, list[str]] = {}
         self._claims: dict[int, str] = {}
-        self._queues: dict[tuple, list[dict]] = {}  # each auction's bids/acks
         self._run_start: dict | None = None
         self._run_end: dict | None = None
 
@@ -80,7 +92,7 @@ class LogChecker:
     def run(self, records: Iterable[dict]) -> list[Violation]:
         """Every violation of `records`, checked in log order; a msg record
         is handled in this loop."""
-        queues = self._queues
+        pending: list[dict] = []  # bids and acks not yet applied
         last_seq = last_tick = -1
         for record in records:
             rtype = record.get("type")
@@ -92,21 +104,15 @@ class LogChecker:
                 if tick < last_tick:
                     self._fail("sequence",
                                f"publish tick went backward at seq {seq}")
+                elif tick > last_tick and pending:
+                    # what was sent before this tick has arrived
+                    pending = self._apply(pending, tick)
                 last_seq, last_tick = seq, tick
-                key = record_auction_key(record)
                 variant = record["variant"]
                 if variant == "bid" or variant == "ack":
-                    queue = queues.get(key)
-                    if queue is None:
-                        queues[key] = [record]
-                    else:
-                        queue.append(record)
+                    pending.append(record)
                     continue
-                # an auctioneer's publication takes effect now; first deliver
-                # what was sent to its auction strictly before this tick (it
-                # has arrived)
-                if key in queues:
-                    self._deliver(key, tick)
+                key = record_auction_key(record)
                 if variant == "announcement":
                     self._on_announcement(key)
                 elif variant == "winner":
@@ -130,27 +136,28 @@ class LogChecker:
                 self._run_start = record
             elif rtype == "run_end":
                 self._run_end = record
-        for key in list(queues):
-            self._deliver(key)
+        self._apply(pending)
         self._finish()
         return self.violations
 
     # -- transport order -----------------------------------------------------
 
-    def _deliver(self, key: tuple, tick: int | None = None) -> None:
-        """Apply, in the order they were sent, the bids and acks queued for
-        auction `key` that were sent before `tick` (all, when None); the
-        rest stay queued."""
-        queue = self._queues.pop(key)
-        replay = self._open.get(key)
-        for record in queue:
+    def _apply(self, pending: list[dict],
+               tick: int | None = None) -> list[dict]:
+        """Apply, in the order they were sent, the bids and acks of
+        `pending` sent before `tick` (all, when None); return the rest."""
+        rest = []
+        open_auctions = self._open
+        for record in pending:
             if tick is not None and not record["tick"] < tick:
-                self._queues.setdefault(key, []).append(record)
-            elif replay is None:
+                rest.append(record)
+                continue
+            replay = open_auctions.get(record_auction_key(record))
+            if replay is None:
                 continue  # it raced a close; the auctioneer dropped it too
-            elif record["variant"] == "bid":
+            if record["variant"] == "bid":
                 utility = record["utility"]
-                if utility > 0 or math.isnan(utility):
+                if not utility <= 0.0:
                     self._fail("bid", f"bid with positive utility {utility}")
                 if replay.offered:
                     replay.late_bids[record["bidder"]] = utility
@@ -162,6 +169,7 @@ class LogChecker:
                     replay.accepted_by = replay.winner
                 else:
                     replay.winner = None  # awaits a reoffer or re-announce
+        return rest
 
     # -- auction protocol ------------------------------------------------------
 
@@ -225,8 +233,7 @@ class LogChecker:
 
     def _on_lifecycle(self, record: dict, stage: str) -> None:
         stages = self._minerals.setdefault(record["mineral"], [])
-        expected = {"dig": [], "load": ["dig"], "unload": ["dig", "load"]}[stage]
-        if stages != expected:
+        if stages != _STAGES_BEFORE[stage]:
             self._fail("lifecycle", f"mineral {record['mineral']}: {stage} after "
                                     f"{stages}")
         stages.append(stage)

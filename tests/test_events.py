@@ -224,6 +224,11 @@ DECODES = {
         f'{msg_line()}\n{HEAD}"type":"claim","site":0,"excavator":"e",'
         f'{BID_TAIL}\n'),
     "space after the head": f"{HEAD} {BID_TAIL}\n{HEAD}\t{BID_TAIL} \r\n",
+    # a line read as text ends in \n, whatever ended it in the file, so
+    # one tail is cached for all of these
+    "msg lines ending in CRLF, LF and CR": (
+        f"{msg_line(1, 2)}\r\n{msg_line(1, 3)}\n{msg_line(2, 4)}\r"
+        f"{msg_line(2, 5)}\r\n"),
     "-inf utility": "\n".join(
         [msg_line(tail=BID_TAIL.replace("-2.5", '"-inf"'))] * 2 + [msg_line(
             tail='"variant":"close","auctioneer":"s","loc":[1,2],'

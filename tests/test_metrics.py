@@ -156,6 +156,10 @@ def test_report_from_full_run_satisfies_invariants():
     closes = sum(1 for r in result.log.records
                  if r["type"] == "msg" and r["variant"] == "close")
     assert len(report.auction_durations) == closes
+    # every msg record counts, bids and acks too
+    variants = [r["variant"] for r in result.log.records if r["type"] == "msg"]
+    assert {"bid", "ack"} <= set(variants)
+    assert report.message_count == len(variants)
 
 
 def test_metrics_purely_from_dumped_log(tmp_path):

@@ -1,6 +1,7 @@
 """The log checker must pass clean runs and flag every tampered log."""
 
 import pytest
+from cases import CASES
 from conftest import crowded_config, tiny_config, tiny_run
 
 from isrusim import (
@@ -233,7 +234,7 @@ SCOUT_2 = {"auctioneer": "scout_2", "loc": [50.0, 60.0]}
 # Bids and acks take effect only once their publish tick has passed, also
 # when the ticks of those still pending are out of order.  Each log's
 # violations are pinned as a checker with one queue for every auction
-# reported them, so they show that one queue per auction replays the same.
+# reported them, so they show that one pending list replays the same.
 PENDING_LOGS = {
     "tick goes backward with bids pending": (protocol_prefix()[:2] + [
         msg(5, 1, "bid", bidder="excavator_1", utility=-10.0),
@@ -299,6 +300,49 @@ PENDING_LOGS = {
         msg(9, 15, "bid", bidder="excavator_4", utility=-2.0, **SCOUT_2),
         run_end("stalled"),
     ], ["[sequence] publish tick went backward at seq 14"]),
+    # scout_1's bids of tick 2 and 3 wait while scout_2 publishes at their
+    # own tick, and its ack of tick 4 while scout_2 publishes at 4 and 5;
+    # the bid of -1 sent in the tick of scout_1's winner is late for it, and
+    # the decline is due at the reoffer (else a pending ack is flagged)
+    "bids and acks wait while another auction publishes": (
+        protocol_prefix()[:2] + [
+            msg(0, 1, "announcement", **SCOUT_2, **OPEN),
+            msg(1, 2, "bid", bidder="excavator_3", utility=-3.0, **SCOUT_2),
+            msg(2, 3, "bid", bidder="excavator_1", utility=-10.0),
+            msg(2, 4, "winner", winner="excavator_3", **SCOUT_2, **OPEN),
+            msg(2, 5, "bid", bidder="excavator_2", utility=-4.0),
+            msg(3, 6, "ack", auction_winner="excavator_3", verdict="accepted",
+                **SCOUT_2),
+            msg(3, 7, "bid", bidder="excavator_5", utility=-1.0),
+            msg(3, 8, "winner", winner="excavator_2", **OPEN),
+            msg(4, 9, "ack", auction_winner="excavator_2", verdict="declined"),
+            msg(4, 10, "close", allocated_to="excavator_3", **SCOUT_2,
+                **CLOSED),
+            msg(5, 11, "announcement", **SCOUT_2, **OPEN),
+            msg(5, 12, "winner", winner="excavator_1", **OPEN),
+            msg(6, 13, "ack", auction_winner="excavator_1",
+                verdict="accepted"),
+            msg(7, 14, "close", allocated_to="excavator_1", **CLOSED),
+            run_end("stalled"),
+        ], []),
+    # scout_2's decline, sent in the tick of its close, is not due there;
+    # scout_1's accept of tick 4 waits through that close and is due at
+    # its own close of tick 5
+    "an ack of the closing tick waits while another auction publishes": (
+        protocol_prefix() + [
+            msg(1, 3, "announcement", **SCOUT_2, **OPEN),
+            msg(2, 4, "bid", bidder="excavator_3", utility=-2.0, **SCOUT_2),
+            msg(3, 5, "winner", winner="excavator_2", **OPEN),
+            msg(3, 6, "winner", winner="excavator_3", **SCOUT_2, **OPEN),
+            msg(4, 7, "ack", auction_winner="excavator_2", verdict="accepted"),
+            msg(4, 8, "ack", auction_winner="excavator_3", verdict="declined",
+                **SCOUT_2),
+            msg(4, 9, "close", allocated_to="excavator_3", **SCOUT_2,
+                **CLOSED),
+            msg(5, 10, "close", allocated_to="excavator_2", **CLOSED),
+            run_end("stalled"),
+        ], ["[close_without_ack] ('scout_2', (50.0, 60.0)): closed for "
+            "excavator_3 without their accepted acknowledgment"]),
 }
 
 
@@ -306,6 +350,14 @@ PENDING_LOGS = {
 def test_pending_bids_and_acks_take_effect_once_due(name):
     records, want = PENDING_LOGS[name]
     assert [str(v) for v in verify_records(records)] == want
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_a_log_read_once_is_verified_as_a_list_is(run_logs, name):
+    """`verify_records` reads its records once, in order, so an iterator
+    over a run's log gives what the list gives."""
+    records = run_logs.log(*CASES[name]).records
+    assert verify_records(iter(records)) == verify_records(records)
 
 
 def test_sequence_checks_read_only_msg_records():
