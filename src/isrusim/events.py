@@ -11,9 +11,14 @@ Write path: each record is one compact ASCII JSON object on its own line.
 it is there, a `JSONEncoder` otherwise), is the byte reference.  A msg
 record, nearly every record of a log, is written instead as
 `{"type":"msg","tick":T,"seq":S,` and its tail, the rest of its line.  A
-tail is written by the one f-string of its variant, with each name escaped
-and each `loc` pair formatted once per `dumps` call: a run has only one
-location per site.  A tail that repeats, an announcement's (sent each
+bid's tail is written by an f-string of its own, as bids are most of a log
+and `utility` is the one number among the fields; the tail of every other
+variant, whose fields after `loc` are all names, by a writer built from
+its `MSG_FIELDS` entry.  Each name is escaped where it is written, and
+each `loc` pair formatted once per `dumps` call: a run has only one
+location per site.  A miss whose `loc` is the list of the batch's last
+miss takes its text as it is, without checking the list again: the
+records of one auction come close together.  A tail that repeats, an announcement's (sent each
 round) and a bid's of the -inf sentinel (sent each round by a busy robot),
 is written once per batch of `_BATCH_LINES` records and reused; a cache
 kept for the whole log would hold a tail per auction and robot.  A winner,
@@ -29,8 +34,8 @@ The writers apply only to a record with exactly its variant's schema keys,
 (the `loc` text cache is keyed by value, where 0.0 and -0.0 would meet)
 and a finite or -inf `utility`.  The keys, the type and variant and the
 tick and seq are checked for every record, a `loc` and its names on the
-miss that fills an entry; a `str` subclass equal to a cached name has the
-same characters, which is what the encoder writes.  Any other record,
+miss that fills an entry; a name that is a `str` subclass is written by
+its characters, as the encoder writes it.  Any other record,
 such as one with an unhashable or non-`str` name, goes to
 `_encode_object`.  Numbers are written by `int.__repr__` and
 `float.__repr__` and strings by `encode_basestring_ascii`, as the C
@@ -40,7 +45,7 @@ so the busy-bid sentinel is written as the string "-inf"; that holds for
 the `utility` field only, the one field the reader turns back, and any
 other non-finite float raises `ValueError`.  `dumps` and `dump_jsonl`
 return and write the same bytes, encoded `_BATCH_LINES` records at a time
-with the name and `loc` caches shared by every batch.  `dump_jsonl` writes
+with the `loc` cache shared by every batch.  `dump_jsonl` writes
 each batch to a sibling file and moves it over `path` once the whole log
 is written, so a failed write leaves no partial log and an existing file
 as it was; it holds one batch in memory.  `dumps` writes the batches into
@@ -164,9 +169,11 @@ def _not_serializable(value):
                     "is not JSON serializable")
 
 
+# a name as JSON; TypeError for one that is not a `str`
+_escape = _json_encoder.encode_basestring_ascii
 if _json_encoder.c_make_encoder is not None:
     _c_encode = _json_encoder.c_make_encoder(
-        None, _not_serializable, _json_encoder.encode_basestring_ascii, None,
+        None, _not_serializable, _escape, None,
         ":", ",", False, False, False)
 
     def _encode_object(record: dict) -> str:
@@ -174,17 +181,6 @@ if _json_encoder.c_make_encoder is not None:
 else:
     _encode_object = json.JSONEncoder(separators=(",", ":"),
                                       allow_nan=False).encode
-
-
-class _Names(dict):
-    """name -> its JSON string, escaped on first use; a name that is not a
-    `str` raises TypeError, which sends its record to `_encode_object`."""
-
-    def __missing__(self, name):
-        if type(name) is not str:
-            raise TypeError(name)
-        text = self[name] = _json_encoder.encode_basestring_ascii(name)
-        return text
 
 
 def _loc_text(loc, locs: dict) -> str | None:
@@ -201,18 +197,11 @@ def _loc_text(loc, locs: dict) -> str | None:
     return text
 
 
-# One tail writer per msg variant: the record's line after `"seq":S,`, from
-# its tail key, (variant, auctioneer, id(loc)) + its fields after `loc`, and
-# its `loc` as JSON.  A name that is not a `str` raises TypeError (`_Names`).
+# A tail writer makes a msg record's line after `"seq":S,` from its tail
+# key, (variant, auctioneer, id(loc)) + its fields after `loc`, and its `loc`
+# as JSON.  A name that is not a `str` raises TypeError (`_escape`).
 
-def _announcement_tail(key, loc, names):
-    _, auctioneer, _, task_type, status = key
-    return (f'"variant":"announcement","auctioneer":{names[auctioneer]},'
-            f'"loc":{loc},"task_type":{names[task_type]},'
-            f'"status":{names[status]}}}\n')
-
-
-def _bid_tail(key, loc, names):
+def _bid_tail(key, loc):
     _, auctioneer, _, bidder, utility = key
     if utility == NEG_INF:
         utility = '"-inf"'
@@ -220,51 +209,46 @@ def _bid_tail(key, loc, names):
         utility = float.__repr__(utility)
     else:
         return None
-    return (f'"variant":"bid","auctioneer":{names[auctioneer]},"loc":{loc},'
-            f'"bidder":{names[bidder]},"utility":{utility}}}\n')
+    return (f'"variant":"bid","auctioneer":{_escape(auctioneer)},"loc":{loc},'
+            f'"bidder":{_escape(bidder)},"utility":{utility}}}\n')
 
 
-def _winner_tail(key, loc, names):
-    _, auctioneer, _, task_type, status, winner = key
-    return (f'"variant":"winner","auctioneer":{names[auctioneer]},'
-            f'"loc":{loc},"task_type":{names[task_type]},'
-            f'"status":{names[status]},"winner":{names[winner]}}}\n')
+def _names_tail(variant: str, fields: tuple[str, ...]):
+    """The tail writer of a variant whose fields after `loc` are names."""
+    head = f'"variant":{_escape(variant)},"auctioneer":'
+    # (its index in the tail key, its label) of each field after `loc`
+    labels = [(i, f",{_escape(field)}:") for i, field in enumerate(fields, 3)]
 
-
-def _ack_tail(key, loc, names):
-    _, auctioneer, _, auction_winner, verdict = key
-    return (f'"variant":"ack","auctioneer":{names[auctioneer]},"loc":{loc},'
-            f'"auction_winner":{names[auction_winner]},'
-            f'"verdict":{names[verdict]}}}\n')
-
-
-def _close_tail(key, loc, names):
-    _, auctioneer, _, task_type, status, allocated_to = key
-    return (f'"variant":"close","auctioneer":{names[auctioneer]},"loc":{loc},'
-            f'"task_type":{names[task_type]},"status":{names[status]},'
-            f'"allocated_to":{names[allocated_to]}}}\n')
+    def tail(key, loc):
+        parts = [head, _escape(key[1]), ',"loc":', loc]
+        for i, label in labels:
+            parts.append(label)
+            parts.append(_escape(key[i]))
+        parts.append("}\n")
+        return "".join(parts)
+    return tail
 
 
 def _msg_tails() -> dict:
     """Each variant's key tuple -> (the variant, its tail writer), each
     writer checked against `_encode_object` on one sample record."""
-    writers = {"announcement": _announcement_tail, "bid": _bid_tail,
-               "winner": _winner_tail, "ack": _ack_tail, "close": _close_tail}
     sample_values = {"type": "msg", "tick": 1, "seq": 2, "loc": [0.5, 1.5],
                      "utility": -1.5}
     tails = {}
     for variant, fields in MSG_FIELDS.items():
+        writer = (_bid_tail if variant == "bid"
+                  else _names_tail(variant, fields))
         keys = ("type",) + RECORD_FIELDS["msg"] + fields
         sample = {key: sample_values.get(key, f"<{key}>") for key in keys}
         sample["variant"] = variant
         key = (variant, sample["auctioneer"], id(sample["loc"]),
                *(sample[field] for field in fields))
-        tail = writers[variant](key, "[0.5,1.5]", _Names())
+        tail = writer(key, "[0.5,1.5]")
         if f'{{"type":"msg","tick":1,"seq":2,{tail}' != (
                 _encode_object(sample) + "\n"):
             raise AssertionError(f"the {variant} writer does not match "
                                  "the schema and the encoder")
-        tails[keys] = variant, writers[variant]
+        tails[keys] = variant, writer
     return tails
 
 
@@ -273,17 +257,18 @@ _MSG_TAILS = _msg_tails()
 
 def _jsonl_batches(records: list[dict]) -> Iterator[bytes]:
     """The log's bytes, `_BATCH_LINES` records at a time."""
-    names, locs = _Names(), {}
+    locs = {}
     for start in range(0, len(records), _BATCH_LINES):
         yield "".join(_batch_lines(records[start:start + _BATCH_LINES],
-                                   names, locs)).encode()
+                                   locs)).encode()
 
 
-def _batch_lines(batch: list[dict], names: _Names, locs: dict) -> list[str]:
+def _batch_lines(batch: list[dict], locs: dict) -> list[str]:
     """The lines of `batch`, with a tail cache of its own, freed before
     the lines are joined."""
     tails = {}  # tail key -> (its loc list, the tail)
     lines = []
+    last_loc = loc_text = None  # the `loc` list of the last miss, its text
     for record in batch:
         keys = tuple(record)
         msg = _MSG_TAILS.get(keys)  # (its variant, its tail writer)
@@ -303,11 +288,14 @@ def _batch_lines(batch: list[dict], names: _Names, locs: dict) -> list[str]:
                     entry = tails.get(key)
                     if entry is not None:
                         tail = entry[1]
-                    elif (loc_text := _loc_text(loc, locs)) is not None:
-                        tail = msg[1](key, loc_text, names)
-                        if tail is not None and (
-                                variant == "announcement" or b == NEG_INF):
-                            tails[key] = loc, tail
+                    else:
+                        if loc is not last_loc:
+                            last_loc, loc_text = loc, _loc_text(loc, locs)
+                        if loc_text is not None:
+                            tail = msg[1](key, loc_text)
+                            if tail is not None and (
+                                    variant == "announcement" or b == NEG_INF):
+                                tails[key] = loc, tail
                 except TypeError:  # an unhashable or non-str name
                     tail = None
         lines.append(

@@ -119,12 +119,8 @@ class LogChecker:
                     self._on_winner(key, record)
                 elif variant == "close":
                     self._on_close(key, record)
-            elif rtype == "dig":
-                self._on_lifecycle(record, "dig")
-            elif rtype == "load":
-                self._on_lifecycle(record, "load")
-            elif rtype == "unload":
-                self._on_lifecycle(record, "unload")
+            elif rtype in ("dig", "load", "unload"):
+                self._on_lifecycle(record, rtype)
             elif rtype == "claim":
                 self._on_claim(record)
             elif rtype == "release":

@@ -392,6 +392,16 @@ def _a(kind: type) -> str:
     return f"{'an' if kind is int else 'a'} {kind.__name__}"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's pairs as a dict; a key set twice is an error."""
+    found: dict[str, object] = {}
+    for key, value in pairs:
+        if key in found:
+            raise ValueError(f"key {key!r} set twice")
+        found[key] = value
+    return found
+
+
 def parse_scenario_file(path: str | Path) -> dict[str, object]:
     """Parse a flat `key = value` scenario file (# starts a comment), or the
     `config` of a run's `run_meta.json`, into values of their fields' types.
@@ -407,7 +417,8 @@ def parse_scenario_file(path: str | Path) -> dict[str, object]:
                          f"invalid UTF-8 ({exc.reason})") from exc
     if text.lstrip().startswith("{"):  # no `key = value` line starts so
         try:
-            config = json.loads(text).get("config")
+            config = json.loads(text, object_pairs_hook=_unique_keys)
+            config = config.get("config")
             if not isinstance(config, dict):
                 raise ValueError("expected a 'config' object")
             for key, value in config.items():

@@ -298,12 +298,8 @@ def encoded(records, encode) -> bytes:
                    for r in records).encode()
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_msg_templates_write_the_encoder_bytes(run_logs, monkeypatch, name):
-    """Every msg record of a simulated log is written by its variant's
-    template, and the log is byte for byte what `_encode_object` writes."""
-    records = run_logs.log(*CASES[name]).records
-    want = encoded(records, events._encode_object)
+def refuse_msg_fallback(monkeypatch):
+    """Make `_encode_object` fail on a msg record: its writer must write it."""
     encode = events._encode_object
 
     def encode_no_msg(record):
@@ -311,6 +307,28 @@ def test_msg_templates_write_the_encoder_bytes(run_logs, monkeypatch, name):
         return encode(record)
 
     monkeypatch.setattr(events, "_encode_object", encode_no_msg)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_msg_templates_write_the_encoder_bytes(run_logs, monkeypatch, name):
+    """Every msg record of a simulated log is written by its variant's
+    template, and the log is byte for byte what `_encode_object` writes."""
+    records = run_logs.log(*CASES[name]).records
+    want = encoded(records, events._encode_object)
+    refuse_msg_fallback(monkeypatch)
+    assert EventLog.from_records(records).dumps() == want
+
+
+def test_the_name_writers_follow_the_table(monkeypatch):
+    """A field added to a name-only variant of `MSG_FIELDS` is written by
+    that variant's writer, rebuilt from the table, as `_encode_object`
+    writes it."""
+    monkeypatch.setattr(events, "MSG_FIELDS",
+                        {**MSG_FIELDS, "ack": MSG_FIELDS["ack"] + ("note",)})
+    monkeypatch.setattr(events, "_MSG_TAILS", events._msg_tails())
+    records = [{**named_alike("ack"), "note": 'say "hi"'}]
+    want = encoded(records, events._encode_object)
+    refuse_msg_fallback(monkeypatch)
     assert EventLog.from_records(records).dumps() == want
 
 
@@ -468,6 +486,18 @@ def msg_records(draw) -> list[dict]:
             record["variant"] = draw(st.sampled_from(list(MSG_FIELDS)))
         records.append(record)
     return records
+
+
+@pytest.mark.parametrize("variant", list(MSG_FIELDS))
+def test_a_str_subclass_name_is_written_by_its_writer(monkeypatch, variant):
+    """The writers escape a `str` subclass's characters, as the encoder
+    does, so a record named by one does not fall back to the encoder."""
+    record = {**named_alike(variant), "auctioneer": Name("scout_1")}
+    for field in MSG_FIELDS[variant]:
+        record[field] = -2.5 if field == "utility" else Name('say "é"')
+    want = encoded([record], events._encode_object)
+    refuse_msg_fallback(monkeypatch)
+    assert EventLog.from_records([record]).dumps() == want
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)

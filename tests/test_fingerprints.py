@@ -7,14 +7,15 @@ only on purpose, and say why in CHANGES.md:
     PYTHONPATH=src python tests/test_fingerprints.py --write
 
 Every case is checked in this process, and again in child processes: under
-`python -O`, with every `assert` stripped, and under each other CPython
->= 3.10 found among the pyenv versions ($PYENV_ROOT, else ~/.pyenv), which
-need no pytest to run `cases`.  Each child runs under its own fixed
-`PYTHONHASHSEED`, so every case is also checked under other string hashes,
-and each child also writes every case's log to a file, checks that
-`load_jsonl` reads back the run's records, which must write the file's
-bytes again, and reads them with both log readers, `verify_records` and
-`collect_metrics`, whose results must be this process's.
+`python -O`, with every `assert` stripped, without the json module's C
+accelerator, and under each other CPython >= 3.10 found among the pyenv
+versions ($PYENV_ROOT, else ~/.pyenv), which need no pytest to run `cases`.
+Each child runs under its own fixed `PYTHONHASHSEED`, so every case is also
+checked under other string hashes, and each child also writes every case's
+log to a file, checks that `load_jsonl` reads back the run's records, which
+must write the file's bytes again, and reads them with both log readers,
+`verify_records` and `collect_metrics`, whose results must be this
+process's.
 """
 
 import json
@@ -50,12 +51,6 @@ def other_interpreters() -> dict[str, str]:
 
 
 OTHER_INTERPRETERS = other_interpreters()
-# label -> the interpreter and flags of the one child that checks every case
-CHILDREN = {"-O": (sys.executable, "-O"),
-            **{version: (python,) for version, python in OTHER_INTERPRETERS.items()}}
-# label -> the hash seed of its child: a distinct one each, none of them the
-# random default of this process
-HASH_SEEDS = {label: str(i) for i, label in enumerate(CHILDREN, start=1)}
 CHILD_SCRIPT = """
 import json, os, platform, sys, tempfile
 from pathlib import Path
@@ -77,8 +72,22 @@ with tempfile.TemporaryDirectory() as tmp:
 print(json.dumps({
     "version": platform.python_version(), "optimize": sys.flags.optimize,
     "hash_seed": os.environ.get("PYTHONHASHSEED"),
+    "c_json": (json.encoder.c_make_encoder is not None
+               or json.scanner.c_make_scanner is not None),
     "fingerprints": fingerprints, "loads_back": loads_back, "read": read}))
 """
+# The child script with the json module's C accelerator blocked, so that
+# every log is written and read by its pure-Python encoder and decoder.
+NO_C_JSON_SCRIPT = 'import sys\nsys.modules["_json"] = None\n' + CHILD_SCRIPT
+# label -> the interpreter, flags and script of the one child that checks
+# every case
+CHILDREN = {"-O": (sys.executable, ("-O",), CHILD_SCRIPT),
+            **{version: (python, (), CHILD_SCRIPT)
+               for version, python in OTHER_INTERPRETERS.items()},
+            "no _json": (sys.executable, (), NO_C_JSON_SCRIPT)}
+# label -> the hash seed of its child: a distinct one each, none of them the
+# random default of this process
+HASH_SEEDS = {label: str(i) for i, label in enumerate(CHILDREN, start=1)}
 
 
 def test_every_case_is_recorded():
@@ -127,10 +136,10 @@ def children():
     for them all: label -> the future of its output, which raises in the
     test that reads it if the child failed."""
     with ThreadPoolExecutor(len(CHILDREN)) as pool:
-        return {label: pool.submit(run_child, CHILD_SCRIPT, *flags,
+        return {label: pool.submit(run_child, script, *flags,
                                    executable=python,
                                    PYTHONHASHSEED=HASH_SEEDS[label])
-                for label, (python, *flags) in CHILDREN.items()}
+                for label, (python, flags, script) in CHILDREN.items()}
 
 
 def child_output(children, label) -> dict:
@@ -165,6 +174,17 @@ def test_logs_are_the_same_under_optimize(children, read_here):
     process's verdicts and metrics: every case."""
     output = child_output(children, "-O")
     assert output["optimize"] == 1
+    assert mismatched_cases(output, read_here) == []
+
+
+def test_logs_are_the_same_without_the_c_json_accelerator(children,
+                                                          read_here):
+    """With the `_json` module blocked, the logs are written through the
+    pure-Python `encode_basestring_ascii` and `JSONEncoder` and read by the
+    pure-Python decoder: every case gives the same bytes, records, verdicts
+    and metrics."""
+    output = child_output(children, "no _json")
+    assert output["c_json"] is False
     assert mismatched_cases(output, read_here) == []
 
 

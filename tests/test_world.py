@@ -397,7 +397,7 @@ def test_timing_is_not_a_scenario_key():
 
 def test_scenario_file_key_set_twice(tmp_path):
     """A repeated key names both lines, even when the values agree, rather
-    than letting the last one win."""
+    than letting the last one win; in a `run_meta.json` it names the key."""
     path = tmp_path / "twice.cfg"
     path.write_text("n_sites = 3\nseed = 1\n\n  n_sites = 4  # more\n")
     with pytest.raises(ValueError) as caught:
@@ -407,6 +407,14 @@ def test_scenario_file_key_set_twice(tmp_path):
     path.write_text("seed = 1\nseed = 1\n")
     with pytest.raises(ValueError, match="'seed' already set on line 1"):
         parse_scenario_file(path)
+    meta = tmp_path / "run_meta.json"  # a run's JSON config names the key
+    meta.write_text('{"config": {"seed": 1, "n_sites": 3, "seed": 2}}')
+    with pytest.raises(ValueError) as caught:
+        parse_scenario_file(meta)
+    assert str(caught.value) == f"{meta}: key 'seed' set twice"
+    meta.write_text('{"config": {"seed": 1}, "config": {"seed": 1}}')
+    with pytest.raises(ValueError, match="key 'config' set twice"):
+        parse_scenario_file(meta)
 
 
 @pytest.mark.parametrize("text, message", [
